@@ -3,9 +3,9 @@ operator.
 
 The :class:`~repro.placement.driver.RebindDriver` answers suspicion by
 changing *where* a service's calls go; the :class:`AdaptationDriver`
-answers it by changing *what protocol* the service runs.  It subscribes
-to the same deployment-level membership stream and applies two built-in
-policies:
+answers it by changing *what protocol* the service runs.  It holds the
+``adapt`` slot of the same :class:`~repro.core.control.ControlLoop` and
+applies two built-in policies:
 
 * **ordering degrade** — a service running Total Order pays a
   leader-coordinated ORDER round on every call; while any of its servers
@@ -69,69 +69,43 @@ class AdaptationDriver:
         #: Baseline compositions stashed at degrade time, restored after
         #: the group heals.
         self._baselines: Dict[str, ServiceSpec] = {}
-        self._suspected: Set[int] = set()
         # service -> (decision kind, armed hysteresis timer).
         self._pending: Dict[str, Tuple[str, Any]] = {}
-        self._closed = False
-        #: View-delta subscription when the placement plane is live
-        #: (one stream carries membership and epoch events); raw
-        #: membership callbacks otherwise.
-        self._views = getattr(deployment, "views", None)
-        if self._views is not None:
-            self._views.watch(self._on_delta)
-        else:
-            deployment.watch_membership(self._on_change)
-        register = getattr(deployment, "register_driver", None)
-        if register is not None:
-            register(self)
+        deployment.control.install("adapt", self)
 
     def close(self) -> None:
-        """Detach from the membership stream and cancel pending timers.
+        """Cancel pending hysteresis timers (the control loop has
+        already stopped delivering membership changes).
 
         Stashed baselines are kept: a degraded service stays on its
         degraded composition (restoring without the stream would mean
         adapting blind).
         """
-        if self._closed:
-            return
-        self._closed = True
-        if self._views is not None:
-            self._views.unwatch(self._on_delta)
-        else:
-            self.deployment.unwatch_membership(self._on_change)
         for _, timer in self._pending.values():
             timer.cancel()
         self._pending.clear()
-        unregister = getattr(self.deployment, "unregister_driver", None)
-        if unregister is not None:
-            unregister(self)
 
     # ------------------------------------------------------------------
     # Membership stream
     # ------------------------------------------------------------------
 
-    def _on_delta(self, delta: Any) -> None:
-        if self._closed or delta.kind != "member":
-            return
-        self._on_change(delta.pid, delta.alive)
-
-    def _on_change(self, pid: int, alive: bool) -> None:
-        if self._closed:
-            return
-        if alive:
-            self._suspected.discard(pid)
-        else:
-            self._suspected.add(pid)
+    def on_member(self, pid: int, alive: bool) -> None:
+        """Control-loop ``adapt`` slot (last: every other plane has
+        settled, and ``control.suspected`` already reflects the flip)."""
         for svc in list(self.deployment.services.values()):
             if self.services is not None and svc.name not in self.services:
                 continue
             if pid in svc.server_pids:
                 self._evaluate(svc)
 
+    def _troubled(self, svc: Any) -> bool:
+        return not self.deployment.control.suspected.isdisjoint(
+            svc.server_pids)
+
     def _evaluate(self, svc: Any) -> None:
         name = svc.name
         degraded = name in self._baselines
-        troubled = bool(self._suspected & set(svc.server_pids))
+        troubled = self._troubled(svc)
         if troubled and not degraded \
                 and self._degrade_spec(svc.spec) is not None:
             want = "degrade"
@@ -173,11 +147,12 @@ class AdaptationDriver:
 
     async def _apply(self, name: str, kind: str) -> None:
         svc = self.deployment.services.get(name)
-        if svc is None or self._closed:
-            return
+        if svc is None or \
+                self.deployment.control.policies.get("adapt") is not self:
+            return                          # closed since _fire
         # Re-check the condition: the grace window passed without a
         # cancelling flip, but the world may have moved since _fire.
-        troubled = bool(self._suspected & set(svc.server_pids))
+        troubled = self._troubled(svc)
         if kind == "degrade":
             if not troubled or name in self._baselines:
                 return

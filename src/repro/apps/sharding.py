@@ -1,16 +1,17 @@
 """Sharding a keyspace over independently-configured services.
 
 The deployment plane hosts many named services on one fabric; this
-module spans a single logical keyspace over N of them.  Routing is
-pluggable:
+module spans a single logical keyspace over N of them.  Two routers:
 
-* :class:`RingRouter` (the default) places keys on a consistent-hash
-  ring (:class:`~repro.placement.ring.HashRing`, virtual nodes, seeded
-  placement), so growing or shrinking the shard set moves only O(K/N)
-  keys — the property the placement plane's live migration relies on;
+* :class:`RingRouter` (what :func:`build_sharded_kv` builds) places
+  keys on a consistent-hash ring (:class:`~repro.placement.ring.
+  HashRing`, virtual nodes, seeded placement), so growing or shrinking
+  the shard set moves only O(K/N) keys — the property the placement
+  plane's live migration relies on;
 * :class:`ShardRouter` is the legacy CRC-32 modulo-N function, kept as
   the baseline the rebalancing benchmark compares against (a resize
-  under modulo-N remaps nearly the whole keyspace).
+  under modulo-N remaps nearly the whole keyspace); hand one to
+  :class:`ShardedKV` to route by it.
 
 Both are deterministic across processes and runs (CRC-32, not Python's
 salted ``hash``), which is what lets any number of independent clients
@@ -253,7 +254,6 @@ def build_sharded_kv(deployment: Any, n_shards: int, *,
                      clients: Union[int, Sequence[int]] = 1,
                      name_prefix: str = "shard",
                      app_factory: Any = KVStore,
-                     router: str = "ring",
                      vnodes: int = 64,
                      seed: int = 0,
                      observe: bool = False,
@@ -264,11 +264,10 @@ def build_sharded_kv(deployment: Any, n_shards: int, *,
     (length ``n_shards``) to configure each shard's semantics
     independently.  Server pids are auto-allocated per shard; ``clients``
     (a count or explicit pids) are shared by every shard, so any of those
-    nodes can drive the whole keyspace.  ``router`` selects consistent
-    hashing (``"ring"``, the default) or the legacy modulo-N baseline
-    (``"modulo"``).  Returns a :class:`ShardedKV` bound to the first
-    client; build more views over the same router for the other client
-    pids.
+    nodes can drive the whole keyspace.  Keys are placed by consistent
+    hashing (a :class:`RingRouter` over ``vnodes``/``seed``).  Returns a
+    :class:`ShardedKV` bound to the first client; build more views over
+    the same router for the other client pids.
 
     ``replication`` turns every shard into a replica group: pass one
     :class:`~repro.replication.spec.ReplicaSpec` for uniform shards or a
@@ -284,9 +283,6 @@ def build_sharded_kv(deployment: Any, n_shards: int, *,
         raise ReproError("need at least one shard")
     if specs is not None and len(specs) != n_shards:
         raise ReproError(f"got {len(specs)} specs for {n_shards} shards")
-    if router not in ("ring", "modulo"):
-        raise ReproError(f"unknown router kind {router!r}; "
-                         f"expected 'ring' or 'modulo'")
     rspecs = None
     if replication is not None:
         from repro.replication import ReplicaSpec
@@ -325,11 +321,8 @@ def build_sharded_kv(deployment: Any, n_shards: int, *,
         manager = ReplicationManager.ensure(deployment)
         for name, rspec in zip(names, rspecs):
             manager.replicate(name, rspec)
-    if router == "ring":
-        routed: ShardRouter = RingRouter(names, vnodes=vnodes, seed=seed,
-                                         metrics=deployment.metrics)
-    else:
-        routed = ShardRouter(names, metrics=deployment.metrics)
+    routed = RingRouter(names, vnodes=vnodes, seed=seed,
+                        metrics=deployment.metrics)
     observatory = getattr(deployment, "observatory", None)
     if observatory is not None:
         routed.attach_load(observatory.load)

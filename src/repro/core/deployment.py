@@ -48,6 +48,7 @@ from typing import (
 
 from repro.apps.dispatcher import ServerApp, ServerDispatcher
 from repro.core.config import ServiceSpec
+from repro.core.control import ControlLoop
 from repro.core.grpc import GroupRPC
 from repro.core.messages import CallResult, NetMsg
 from repro.core.microprotocols import CallObserver, CallTraceLog
@@ -268,23 +269,18 @@ class Deployment:
         #: epoch check to a single is-None test.
         self.views: Any = None
 
-        # Reconfiguration drivers installed by auto_rebind/auto_adapt;
-        # shutdown() detaches them from the membership stream.
-        self._rebind_driver: Any = None
-        self._adapt_driver: Any = None
-
-        #: Every installed reconfiguration driver (rebind, adaptation,
-        #: replication, view manager...), in install order.  Drivers
-        #: self-register via :meth:`register_driver`; :meth:`shutdown`
-        #: detaches them all through this one registry, newest first,
-        #: instead of each subsystem hand-rolling its own teardown hook.
-        self.drivers: List[Any] = []
+        #: The one membership-driven control loop (:class:`~repro.core.
+        #: control.ControlLoop`): every plane that reacts to suspicion or
+        #: recovery is a policy in one of its slots, dispatched in a
+        #: fixed order and torn down by :meth:`shutdown`.
+        self.control = ControlLoop(self)
 
         #: The measurement plane and its two call-path hooks (all None
         #: when disabled, keeping the hot paths on a single is-None
-        #: test).  Built last: it subscribes to membership and hooks the
-        #: fabric's pipeline, both of which must exist — and before any
-        #: ``add_service``, so every event bus captures the profiler.
+        #: test).  Built last: it takes the control loop's ``observe``
+        #: slot and hooks the fabric's pipeline, both of which must
+        #: exist — and before any ``add_service``, so every event bus
+        #: captures the profiler.
         self.observatory: Optional[Observatory] = None
         self.flight: Any = None
         self._slo: Any = None
@@ -548,8 +544,10 @@ class Deployment:
         notifications under ``None``/``"oracle"``, or the deduplicated
         union of per-node heartbeat suspicions under ``"heartbeat"``
         (the first node to suspect a peer triggers the callback; repeat
-        suspicions from other observers do not).  This is the hook the
-        :class:`~repro.placement.driver.RebindDriver` builds on.
+        suspicions from other observers do not).  Inside the program
+        the only subscriber is the control loop
+        (:class:`~repro.core.control.ControlLoop`); new reactions belong
+        in one of its slots, not on a second subscription.
         """
         if self._membership_mode == "heartbeat":
             self._membership.watch(watcher)
@@ -560,32 +558,12 @@ class Deployment:
                            watcher: Callable[[int, bool], None]) -> None:
         """Detach a :meth:`watch_membership` subscriber.
 
-        The inverse every reconfiguration driver needs to close
-        cleanly; a no-op when the watcher was never attached.
+        A no-op when the watcher was never attached.
         """
         if self._membership_mode == "heartbeat":
             self._membership.unwatch(watcher)
         else:
             self.fabric.unwatch_membership(watcher)
-
-    def register_driver(self, driver: Any) -> None:
-        """Enroll a reconfiguration driver for registry-driven teardown.
-
-        Idempotent: re-registering the same object is a no-op, so a
-        driver may register from its constructor without caring whether
-        an installer helper already did.
-        """
-        if driver not in self.drivers:
-            self.drivers.append(driver)
-
-    def unregister_driver(self, driver: Any) -> None:
-        """Drop a driver from the registry (no-op when absent); called
-        by the drivers' own ``close()`` so an early manual close does
-        not leave a dangling entry for :meth:`shutdown`."""
-        try:
-            self.drivers.remove(driver)
-        except ValueError:
-            pass
 
     def auto_rebind(self, *, plane: Any = None, regrow: bool = True):
         """Drive :meth:`rebind` from the membership service.
@@ -596,11 +574,7 @@ class Deployment:
         whose last server died is drained onto the surviving shards.
         """
         from repro.placement.driver import RebindDriver
-        if self._rebind_driver is not None:
-            self._rebind_driver.close()
-        driver = RebindDriver(self, plane=plane, regrow=regrow)
-        self._rebind_driver = driver
-        return driver
+        return RebindDriver(self, plane=plane, regrow=regrow)
 
     # ------------------------------------------------------------------
     # Live adaptation
@@ -638,11 +612,7 @@ class Deployment:
         arguments are forwarded to the driver.
         """
         from repro.adapt.driver import AdaptationDriver
-        if self._adapt_driver is not None:
-            self._adapt_driver.close()
-        driver = AdaptationDriver(self, **kwargs)
-        self._adapt_driver = driver
-        return driver
+        return AdaptationDriver(self, **kwargs)
 
     def rebind(self, service: str,
                target: Union[Group, Iterable[int]]) -> Group:
@@ -783,16 +753,11 @@ class Deployment:
 
         Only needed when an experiment intentionally ends with calls
         still in progress (overload studies); normal runs drain
-        naturally.  Also releases the observatory's process-global
-        marshaller hook.
+        naturally.  Closing the control loop detaches every policy from
+        the membership stream and releases the observatory's
+        process-global marshaller hook.
         """
-        for driver in reversed(list(self.drivers)):
-            driver.close()
-        self.drivers.clear()
-        self._adapt_driver = None
-        self._rebind_driver = None
-        if self.observatory is not None:
-            self.observatory.close()
+        self.control.close()
         self.runtime.kernel.shutdown()
 
     # ------------------------------------------------------------------

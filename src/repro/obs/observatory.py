@@ -18,8 +18,9 @@ the individual instruments — the sampling kernel profiler
   breach callback triggers a flight-recorder dump — the tape of
   suspicion flips, rebinds, migration phases, backpressure stalls and
   fast-lane activations leading up to the breach;
-* membership changes are taped via
-  :meth:`Deployment.watch_membership`.
+* membership changes are taped from the ``observe`` slot of the
+  deployment's :class:`~repro.core.control.ControlLoop` — the first
+  slot, so every reaction lands on the tape after its cause.
 
 Construct a deployment with ``observatory=True`` (or an
 :class:`ObservatoryConfig`); everything else holds ``None`` hooks and
@@ -98,7 +99,7 @@ class Observatory:
         # observatory inside its own __init__.
         runtime.attach_profiler(self.profiler)
         _marshal_module().install_profiler(self.profiler)
-        deployment.watch_membership(self._on_membership)
+        deployment.control.install("observe", self)
         deployment.fabric.pipeline.flight = self.flight
 
     # ------------------------------------------------------------------
@@ -113,7 +114,7 @@ class Observatory:
         self.flight.dump(
             f"slo-breach:{breach.service}:p{breach.percentile}")
 
-    def _on_membership(self, pid: int, alive: bool) -> None:
+    def on_member(self, pid: int, alive: bool) -> None:
         self.flight.note("recover" if alive else "suspect", pid=pid)
 
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.placement.driver import RebindDriver
 from repro.placement.migration import KeyMigration, MigrationState, ShardMove
 from repro.placement.plane import ElasticKV, PlacementPlane, build_elastic_kv
 from repro.placement.ring import HashRing, plan_moves
-from repro.placement.view import PlacementView, ViewDelta, ViewManager
+from repro.placement.view import PlacementView, ViewManager
 
 __all__ = [
     "HashRing",
@@ -43,6 +43,5 @@ __all__ = [
     "build_elastic_kv",
     "RebindDriver",
     "PlacementView",
-    "ViewDelta",
     "ViewManager",
 ]

@@ -2,11 +2,12 @@
 
 The deployment plane's :meth:`~repro.core.deployment.Deployment.rebind`
 used to be a manual step an experiment script performed after reshaping
-a group.  The :class:`RebindDriver` closes the loop: it subscribes to
-the deployment's membership knowledge (perfect fabric notifications
-under the oracle modes, the deduplicated union of per-node heartbeat
-suspicions otherwise) and keeps every service's binding consistent with
-site liveness:
+a group.  The :class:`RebindDriver` closes the loop: as the ``rebind``
+policy of the deployment's :class:`~repro.core.control.ControlLoop` it
+sees every membership change (perfect fabric notifications under the
+oracle modes, the deduplicated union of per-node heartbeat suspicions
+otherwise) and keeps every service's binding consistent with site
+liveness:
 
 * **suspicion** shrinks the bound group — calls stop waiting on a dead
   replica the moment it is suspected, instead of timing out against it;
@@ -54,56 +55,12 @@ class RebindDriver:
         self._draining: Set[str] = set()
         #: The observatory's flight recorder, or None.
         self._flight = getattr(deployment, "flight", None)
-        self._closed = False
-        #: The deployment's view manager when the placement plane is
-        #: live: the driver then consumes :class:`~repro.placement.view.
-        #: ViewDelta` events (one subscription covers membership *and*
-        #: epoch transitions) instead of raw membership callbacks.
-        self._views = getattr(deployment, "views", None)
-        if self._views is not None:
-            self._views.watch(self._on_delta)
-        else:
-            deployment.watch_membership(self._on_change)
-        register = getattr(deployment, "register_driver", None)
-        if register is not None:
-            register(self)
+        deployment.control.install("rebind", self)
 
-    def close(self) -> None:
-        """Detach from the membership stream: no further rebinds.
-
-        Every subscription this driver made is released, so a driver
-        replaced mid-run (or a deployment torn down and rebuilt in the
-        same process) does not keep a dead listener reacting to
-        suspicions.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._views is not None:
-            self._views.unwatch(self._on_delta)
-        else:
-            self.deployment.unwatch_membership(self._on_change)
-        unregister = getattr(self.deployment, "unregister_driver", None)
-        if unregister is not None:
-            unregister(self)
-
-    # ------------------------------------------------------------------
-
-    def _on_delta(self, delta: Any) -> None:
-        """View-stream consumption: membership deltas drive the same
-        shrink/regrow/drain logic; a suspected migration *coordinator*
-        additionally arms the plane's failover recovery (the plan may be
-        stranded with no live supervisor)."""
-        if self._closed or delta.kind != "member":
-            return
-        if (not delta.alive and self.plane is not None
-                and delta.pid == self.plane.coordinator):
-            self.plane.on_coordinator_suspected(delta.pid)
-        self._on_change(delta.pid, delta.alive)
-
-    def _on_change(self, pid: int, alive: bool) -> None:
-        if self._closed:
-            return
+    def on_member(self, pid: int, alive: bool) -> None:
+        """Control-loop ``rebind`` slot: runs after ``replication`` and
+        ``placement``, so a replica group has already absorbed the
+        change by the time its ``live_members()`` are consulted."""
         for service in list(self.deployment.services.values()):
             if pid not in service.server_pids:
                 continue

@@ -81,8 +81,7 @@ class PlacementPlane:
     """Owns key placement for a set of shard services of one deployment."""
 
     def __init__(self, deployment: Any, *, vnodes: int = 64, seed: int = 0,
-                 coordinator: Optional[int] = None,
-                 drain_grace: float = 0.0):
+                 coordinator: Optional[int] = None):
         self.deployment = deployment
         self.ring = HashRing(vnodes=vnodes, seed=seed)
         #: The replicated metadata plane; the view's epoch is the
@@ -97,11 +96,6 @@ class PlacementPlane:
         #: replica); filled from the shard services' client sets.
         self.coordinators: List[int] = \
             [] if coordinator is None else [coordinator]
-        #: Extra virtual settling time between parking and the catch-up
-        #: snapshot.  In-flight calls that passed the park gate are
-        #: tracked and drained explicitly, so correctness does not
-        #: depend on this knob; it only widens the quiet window.
-        self.drain_grace = drain_grace
         self.metrics = deployment.metrics
         observatory = getattr(deployment, "observatory", None)
         #: The observatory's hot-key tracker, or None (attach-once).
@@ -134,6 +128,7 @@ class PlacementPlane:
         #: without explicit arguments (filled by :func:`build_elastic_kv`).
         self.defaults: Dict[str, Any] = {}
         self._next_index = 0
+        deployment.control.install("placement", self)
 
     # ------------------------------------------------------------------
     # Ring membership
@@ -333,7 +328,7 @@ class PlacementPlane:
         """The largest live, unsuspected candidate pid (the replica
         groups' election rule), or None."""
         deployment = self.deployment
-        suspected = self.views.suspected
+        suspected = deployment.control.suspected
         live = [pid for pid in self.coordinators
                 if pid in deployment.nodes and deployment.nodes[pid].up
                 and pid not in suspected]
@@ -345,7 +340,7 @@ class PlacementPlane:
         node = deployment.nodes.get(self.coordinator) \
             if self.coordinator is not None else None
         if (node is not None and node.up
-                and self.coordinator not in self.views.suspected):
+                and self.coordinator not in deployment.control.suspected):
             return
         successor = self._elect()
         if successor is None:
@@ -359,13 +354,13 @@ class PlacementPlane:
                               successor=successor, phase=None,
                               reason=reason or "pre-migration")
 
-    def on_coordinator_suspected(self, pid: int) -> None:
-        """Membership hook (wired by the RebindDriver): the coordinator
-        is suspected.  If a persisted plan is stranded — the migration's
+    def on_member(self, pid: int, alive: bool) -> None:
+        """Control-loop ``placement`` slot: the coordinator is
+        suspected.  If a persisted plan is stranded — the migration's
         supervising caller died with the coordinator — a recovery task
         picks it up; a live supervisor observes the cancellation itself
         and needs no help."""
-        if pid != self.coordinator:
+        if alive or pid != self.coordinator:
             return
         self.deployment.runtime.spawn(
             self._recover_if_stranded(),
@@ -514,7 +509,7 @@ class PlacementPlane:
                     # The *supervisor* was cancelled (its node crashed),
                     # not the runner: let the cancellation unwind.  An
                     # orphaned runner finishes on its own; an orphaned
-                    # plan is picked up by on_coordinator_suspected.
+                    # plan is picked up by on_member.
                     raise
                 task = self._failover(reason, outcome)
                 if task is None:
@@ -522,7 +517,6 @@ class PlacementPlane:
 
     async def _run_phases(self, target: HashRing, park_early: bool,
                           reason: str, outcome: Dict[str, Any]) -> None:
-        runtime = self.deployment.runtime
         views = self.views
         self._runner_active = True
         try:
@@ -556,8 +550,6 @@ class PlacementPlane:
                 if not park_early:
                     self._park(moving)
                     await self._drain_inflight()
-                if self.drain_grace > 0:
-                    await runtime.sleep(self.drain_grace)
                 views.update_plan(phase="catchup")
                 self._fire_hook("catchup")
                 await migration.catch_up()
@@ -865,7 +857,6 @@ def build_elastic_kv(deployment: Any, n_shards: int, *,
                      clients: Union[int, Sequence[int]] = 1,
                      vnodes: int = 64,
                      seed: int = 0,
-                     drain_grace: float = 0.0,
                      name_prefix: str = "shard",
                      app_factory: Any = StableKVStore,
                      replication: Any = None):
@@ -903,8 +894,7 @@ def build_elastic_kv(deployment: Any, n_shards: int, *,
     elif spec is None:
         spec = ServiceSpec(reliable=True, unique=True, execution="serial",
                            bounded=2.0, acceptance=1)
-    plane = PlacementPlane(deployment, vnodes=vnodes, seed=seed,
-                           drain_grace=drain_grace)
+    plane = PlacementPlane(deployment, vnodes=vnodes, seed=seed)
     first = None
     for i in range(n_shards):
         name = f"{name_prefix}-{i}"

@@ -21,10 +21,9 @@ replicated object:
   migration plan to the stable store of every coordinator candidate**
   (writes are fanned out; reads join whatever replicas still answer,
   including the disks of dead nodes — the simulation's stand-in for
-  mounting a failed site's storage), tracks suspicion from the
-  deployment membership stream, and fans :class:`ViewDelta` events to
-  subscribers (the rebind/replication/adaptation drivers consume these
-  instead of raw membership events).
+  mounting a failed site's storage).  It holds the ``views`` slot of
+  the deployment's :class:`~repro.core.control.ControlLoop`, which is
+  where suspicion is tracked and what tears it down.
 
 Stale-epoch call fencing rides on the same object: routers pin a view
 and stamp its epoch on calls (``Deployment.call(view_epoch=...)``); a
@@ -38,13 +37,13 @@ zero messages — so enabling views does not perturb seeded workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.messages import CallResult, Status
 from repro.errors import ViewError
 from repro.placement.ring import HashRing
 
-__all__ = ["PlacementView", "ViewDelta", "ViewManager",
+__all__ = ["PlacementView", "ViewManager",
            "CURRENT_CELL", "PLAN_CELL", "EPOCH_PREFIX"]
 
 #: Stable-store cell holding each replica's copy of the current view.
@@ -186,25 +185,6 @@ class PlacementView:
             raise ViewError(f"malformed PlacementView blob: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ViewDelta:
-    """One event on the view stream drivers subscribe to.
-
-    ``kind`` is ``"member"`` (site liveness changed: ``pid``/``alive``
-    carry the membership event, re-published so drivers need only one
-    subscription), ``"commit"`` (a new epoch took effect; ``view`` is
-    it) or ``"rollback"`` (an in-flight reshape was abandoned; the
-    current epoch stands).
-    """
-
-    kind: str
-    epoch: int
-    pid: Optional[int] = None
-    alive: Optional[bool] = None
-    view: Optional[PlacementView] = None
-    reason: str = ""
-
-
 class ViewManager:
     """The deployment's replicated placement-metadata plane.
 
@@ -226,16 +206,9 @@ class ViewManager:
         #: Coordinator-candidate pids whose stable stores replicate the
         #: metadata (set by the plane as shards are adopted).
         self.replicas: List[int] = []
-        #: Pids the membership stream currently suspects.
-        self.suspected: Set[int] = set()
-        self._watchers: List[Callable[[ViewDelta], None]] = []
         self._flight = getattr(deployment, "flight", None)
-        self._closed = False
         deployment.views = self
-        deployment.watch_membership(self._on_membership)
-        register = getattr(deployment, "register_driver", None)
-        if register is not None:
-            register(self)
+        deployment.control.install("views", self)
         self.metrics.gauge("placement.view.epoch").set(0)
 
     @classmethod
@@ -244,43 +217,14 @@ class ViewManager:
         return manager if manager is not None else cls(deployment)
 
     def close(self) -> None:
-        """Detach from membership, drop subscribers, uninstall."""
-        if self._closed:
-            return
-        self._closed = True
-        self.deployment.unwatch_membership(self._on_membership)
-        self._watchers.clear()
+        """Uninstall the manager (run by the control loop)."""
         if getattr(self.deployment, "views", None) is self:
             self.deployment.views = None
-        unregister = getattr(self.deployment, "unregister_driver", None)
-        if unregister is not None:
-            unregister(self)
 
-    # ------------------------------------------------------------------
-    # The delta stream
-    # ------------------------------------------------------------------
-
-    def watch(self, watcher: Callable[[ViewDelta], None]) -> None:
-        if watcher not in self._watchers:
-            self._watchers.append(watcher)
-
-    def unwatch(self, watcher: Callable[[ViewDelta], None]) -> None:
-        if watcher in self._watchers:
-            self._watchers.remove(watcher)
-
-    def _notify(self, delta: ViewDelta) -> None:
-        for watcher in list(self._watchers):
-            watcher(delta)
-
-    def _on_membership(self, pid: int, alive: bool) -> None:
-        if self._closed:
-            return
-        if alive:
-            self.suspected.discard(pid)
-        else:
-            self.suspected.add(pid)
-        self._notify(ViewDelta(kind="member", epoch=self.current.epoch,
-                               pid=pid, alive=alive))
+    def on_member(self, pid: int, alive: bool) -> None:
+        """Control-loop ``views`` slot.  Placement metadata does not
+        depend on liveness — suspicion lives on the loop, where the
+        coordinator election reads it — so there is nothing to do."""
 
     # ------------------------------------------------------------------
     # The current view
@@ -302,7 +246,7 @@ class ViewManager:
     def sync(self, view: PlacementView) -> None:
         """Replace the current view *without* an epoch transition (ring
         assembly via ``adopt``, move-set bookkeeping): persisted, no
-        delta, no tape.
+        tape.
 
         Local sequential updates replace rather than join — the lattice
         merge is for reconciling divergent *replica copies* at recovery,
@@ -319,7 +263,7 @@ class ViewManager:
 
     def commit(self, view: PlacementView, *, reason: str = "") -> None:
         """Make ``view`` the current generation: persist (current +
-        per-epoch history cell), tape, notify."""
+        per-epoch history cell) and tape."""
         if view.epoch < self.current.epoch:
             raise ViewError(
                 f"cannot commit epoch {view.epoch} over "
@@ -332,8 +276,6 @@ class ViewManager:
             self._flight.note("view-commit", epoch=self.current.epoch,
                               shards=list(self.current.shards),
                               reason=reason)
-        self._notify(ViewDelta(kind="commit", epoch=self.current.epoch,
-                               view=self.current, reason=reason))
 
     def recover_view(self) -> PlacementView:
         """Join every replica's persisted current view (dead replicas
@@ -391,15 +333,13 @@ class ViewManager:
 
     def rollback(self, *, reason: str = "") -> None:
         """Abandon the in-flight reshape: the current epoch stands, the
-        plan is erased, subscribers hear about it."""
+        plan is erased."""
         self.clear_plan()
         self.sync(self.current.with_(moves=()))
         self.metrics.counter("placement.view.rollbacks").inc()
         if self._flight is not None:
             self._flight.note("view-rollback", epoch=self.current.epoch,
                               reason=reason)
-        self._notify(ViewDelta(kind="rollback", epoch=self.current.epoch,
-                               reason=reason))
 
     # ------------------------------------------------------------------
     # Replicated cells (snapshots ride the same fanout)
@@ -465,5 +405,4 @@ class ViewManager:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ViewManager epoch={self.current.epoch} "
-                f"replicas={self.replicas} "
-                f"suspected={sorted(self.suspected)}>")
+                f"replicas={self.replicas}>")

@@ -1,11 +1,12 @@
 """The deployment's replication directory and membership bridge.
 
 One :class:`ReplicationManager` per deployment maps shard-service names
-to their :class:`~repro.replication.group.ReplicaGroup` and feeds every
-group the deployment-level membership stream (the same deduplicated
-suspicion/recovery events the :class:`~repro.placement.driver.
-RebindDriver` consumes), so promotions and resyncs happen whether or
-not automatic rebinding is enabled.
+to their :class:`~repro.replication.group.ReplicaGroup` and, as the
+``replication`` policy of the deployment's :class:`~repro.core.control.
+ControlLoop`, feeds every group the deduplicated suspicion/recovery
+stream — so promotions and resyncs happen whether or not automatic
+rebinding is enabled, and always before the rebind policy reads a
+group's live set.
 
 Installing the manager is what switches the deployment's call path into
 replication-aware routing: :meth:`~repro.core.deployment.Deployment.
@@ -36,17 +37,7 @@ class ReplicationManager:
         self.deployment = deployment
         self.groups: Dict[str, ReplicaGroup] = {}
         deployment.replication = self
-        #: View-delta subscription when the placement plane is live (one
-        #: stream carries membership and epoch events); raw membership
-        #: callbacks otherwise.
-        self._views = getattr(deployment, "views", None)
-        if self._views is not None:
-            self._views.watch(self._on_delta)
-        else:
-            deployment.watch_membership(self._on_change)
-        register = getattr(deployment, "register_driver", None)
-        if register is not None:
-            register(self)
+        deployment.control.install("replication", self)
         deployment.metrics.gauge("repl.groups").set(0)
 
     @classmethod
@@ -56,23 +47,11 @@ class ReplicationManager:
         return manager if manager is not None else cls(deployment)
 
     def close(self) -> None:
-        """Detach from the membership stream and uninstall the manager."""
-        if self._views is not None:
-            self._views.unwatch(self._on_delta)
-        else:
-            self.deployment.unwatch_membership(self._on_change)
+        """Uninstall the manager (run by the control loop)."""
         if getattr(self.deployment, "replication", None) is self:
             self.deployment.replication = None
-        unregister = getattr(self.deployment, "unregister_driver", None)
-        if unregister is not None:
-            unregister(self)
 
     # ------------------------------------------------------------------
-
-    def _on_delta(self, delta: Any) -> None:
-        if delta.kind != "member":
-            return
-        self._on_change(delta.pid, delta.alive)
 
     def replicate(self, service: str, rspec: ReplicaSpec) -> ReplicaGroup:
         """Register ``service`` (already deployed with ``rspec.replicas``
@@ -101,7 +80,9 @@ class ReplicationManager:
 
     # ------------------------------------------------------------------
 
-    def _on_change(self, pid: int, alive: bool) -> None:
+    def on_member(self, pid: int, alive: bool) -> None:
+        """Control-loop ``replication`` slot: ahead of ``rebind``, so a
+        group has shrunk or promoted before its live set is read."""
         for group in self.groups.values():
             if pid not in group.members:
                 continue

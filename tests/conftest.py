@@ -1,6 +1,6 @@
-"""Suite-wide pytest wiring for the observatory.
+"""Suite-wide pytest wiring for the observatory and the kernel.
 
-Two pieces:
+Three pieces:
 
 * **Flight-recorder dumps on failure** — a ``pytest_runtest_makereport``
   hookwrapper walks :func:`repro.obs.flight.live_recorders` whenever a
@@ -12,11 +12,22 @@ Two pieces:
   process-global (:func:`repro.stubs.marshal.install_profiler`); an
   autouse fixture detaches it after every test so an observatory leaked
   by one test can never bill marshalling to another.
+* **Kernel teardown** — a test that ends with freshly spawned tasks
+  still queued for their first step (a node recovered as the last act,
+  a heartbeat deployment built but never run) would leave those
+  coroutines to the garbage collector, which reports each as "never
+  awaited" from inside whichever later test happens to trigger the
+  collection.  An autouse fixture shuts down every kernel the test
+  created, which cancels the queued tasks and closes their coroutines
+  deterministically — the kernel's spawn/step paths stay free of any
+  per-task finalizer.
 """
 
 import importlib
 
 import pytest
+
+from repro.sim.kernel import Kernel
 
 
 @pytest.fixture(autouse=True)
@@ -26,6 +37,21 @@ def _detach_marshal_profiler():
     # re-exports the marshal *function* under that name.
     marshal = importlib.import_module("repro.stubs.marshal")
     marshal.install_profiler(None)
+
+
+@pytest.fixture(autouse=True)
+def _shutdown_kernels(monkeypatch):
+    created = []
+    init = Kernel.__init__
+
+    def tracking_init(kernel):
+        init(kernel)
+        created.append(kernel)
+
+    monkeypatch.setattr(Kernel, "__init__", tracking_init)
+    yield
+    for kernel in created:
+        kernel.shutdown()
 
 
 @pytest.hookimpl(hookwrapper=True)

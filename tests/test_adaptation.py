@@ -8,9 +8,8 @@ seeding, the cross-epoch message fence, drain-timeout aborts that leave
 the running composition untouched, plan validation (Figure-4 edges,
 replication-mode edges, stale plans) strictly before any handler is
 touched, the membership-driven :class:`~repro.adapt.driver.
-AdaptationDriver` (degrade/restore with hysteresis), and the
-listener-lifecycle fixes every reconfiguration driver now relies on
-(``Deployment.unwatch_membership``, ``RebindDriver.close``).
+AdaptationDriver` (degrade/restore with hysteresis), and
+``Deployment.unwatch_membership``.
 """
 
 import pytest
@@ -430,56 +429,38 @@ def test_driver_rejects_bad_degrade_ordering():
 
 
 # ---------------------------------------------------------------------------
-# Listener lifecycle: unwatch_membership and driver close()
+# Listener lifecycle (the drivers' own is covered by tests/test_control.py)
 # ---------------------------------------------------------------------------
 
 
-def test_unwatch_membership_detaches_fabric_watcher():
-    dep, _ = _deploy()
-    seen = []
-    watcher = seen.append
-    before = len(dep.fabric._membership_watchers)
-    dep.watch_membership(lambda pid, alive: seen.append((pid, alive)))
-    dep.unwatch_membership(watcher)          # never attached: a no-op
-    assert len(dep.fabric._membership_watchers) == before + 1
-    dep.shutdown()
-
-
-def test_auto_adapt_reinstall_closes_previous_driver():
-    dep, _ = _deploy()
-    first = dep.auto_adapt()
-    watchers = len(dep.fabric._membership_watchers)
-    second = dep.auto_adapt()
-    assert first is not second and first._closed
-    # The replacement took the slot, not a second subscription.
-    assert len(dep.fabric._membership_watchers) == watchers
-    dep.shutdown()
-    assert second._closed                    # shutdown closes the driver
-
-
-def test_rebind_driver_close_and_reinstall():
-    dep, _ = _deploy()
-    first = dep.auto_rebind()
-    watchers = len(dep.fabric._membership_watchers)
-    second = dep.auto_rebind()
-    assert first is not second and first._closed
-    assert len(dep.fabric._membership_watchers) == watchers
-    # A closed driver ignores later membership events.
-    first._on_change(1, False)
-    dep.shutdown()
-
-
-def test_closed_adapt_driver_ignores_membership():
+def test_unwatch_membership_detaches_the_watcher():
     dep, svc = _deploy()
-    driver = dep.auto_adapt(hysteresis=0.05)
-    driver.close()
-    driver.close()                           # idempotent
+    seen = []
+
+    def watcher(pid, alive):
+        seen.append((pid, alive))
+
+    dep.unwatch_membership(watcher)          # never attached: a no-op
+    dep.watch_membership(watcher)
+    dep.crash(svc.server_pids[0])
+    assert seen == [(svc.server_pids[0], False)]
+    dep.unwatch_membership(watcher)
+    dep.recover(svc.server_pids[0])
+    assert seen == [(svc.server_pids[0], False)]
+    dep.shutdown()
+
+
+def test_auto_adapt_reinstall_drops_the_pending_decision():
+    dep, svc = _deploy()
+    dep.auto_adapt(hysteresis=0.2)
 
     async def scenario():
-        dep.crash(svc.server_pids[0])
+        dep.crash(svc.server_pids[0])        # arms the first driver
+        await dep.runtime.sleep(0.05)
+        dep.auto_adapt(hysteresis=5.0)       # replaces it mid-window
         await dep.runtime.sleep(1.0)
 
     dep.run_scenario(scenario(), extra_time=0.5)
-    assert svc.spec == TOTAL                 # no degrade fired
+    assert svc.spec == TOTAL                 # the old timer never fired
     assert int(dep.metrics.counter("adapt.switches").value) == 0
     dep.shutdown()

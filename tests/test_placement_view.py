@@ -3,7 +3,7 @@
 Covers the :class:`~repro.placement.view.PlacementView` lattice laws,
 blob round-tripping, epoch monotonicity, stale-epoch call fencing
 through a pinned :class:`~repro.apps.sharding.RingRouter`, the reply
-cache's epoch stamping, the driver-lifecycle registry, and the
+cache's epoch stamping, the control-loop slots the plane takes, and the
 coordinator-failover matrix: a coordinator killed at each migration
 phase is either rolled back or resumed by an elected successor with
 every acknowledged write intact — including when the migration's
@@ -98,9 +98,9 @@ def test_manager_installs_once_and_epochs_only_move_forward():
         views.sync(views.current.with_(epoch=1))
     with pytest.raises(ViewError):
         views.commit(views.current.with_(epoch=1))
-    views.close()
+    dep.control.uninstall("views")
     assert dep.views is None
-    assert views not in dep.drivers
+    assert "views" not in dep.control.policies
 
 
 def test_recovery_joins_every_replica_copy():
@@ -187,7 +187,7 @@ def test_deployment_stamps_cache_entries_with_the_view_epoch():
 
 
 # ---------------------------------------------------------------------------
-# Driver lifecycle registry
+# Control-loop slots
 # ---------------------------------------------------------------------------
 
 
@@ -196,11 +196,12 @@ def test_double_auto_rebind_replaces_instead_of_stacking():
     plane, kv = build_elastic_kv(dep, 2, clients=2)
     first = dep.auto_rebind(plane=plane)
     second = dep.auto_rebind(plane=plane)
-    rebinders = [d for d in dep.drivers if type(d) is type(second)]
-    assert rebinders == [second]
-    assert first not in dep.drivers
+    policies = dep.control.policies
+    assert policies["rebind"] is second and first is not second
+    assert policies["views"] is dep.views
+    assert policies["placement"] is plane
     dep.shutdown()
-    assert dep.drivers == []
+    assert policies == {} and dep.views is None
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +306,7 @@ def test_drain_of_dead_shard_resumes_through_coordinator_crash():
 def test_stranded_plan_recovered_from_membership_stream():
     """The supervising caller runs *on the coordinator's node* and dies
     with it: nobody is left awaiting the migration, so recovery must
-    start from the membership stream
-    (:meth:`PlacementPlane.on_coordinator_suspected`)."""
+    start from the membership stream (:meth:`PlacementPlane.on_member`)."""
     dep = Deployment(seed=38, observatory=True)
     plane, kv = build_elastic_kv(dep, 3, clients=3)
     dep.auto_rebind(plane=plane)
@@ -335,6 +335,54 @@ def test_stranded_plan_recovered_from_membership_stream():
     dep.run_scenario(scenario(), extra_time=0.5)
     assert len(plane.ring) == 4
     assert plane.coordinator != victim
+    assert dep.views.load_plan() is None
+
+
+def test_orphaned_plan_recovered_without_a_rebind_driver():
+    """The supervisor's node dies first (the runner, on the still-live
+    coordinator, carries on unsupervised), then the coordinator: the
+    plan is left with no task driving it.  The plane's own ``placement``
+    slot must pick it up — no ``auto_rebind(plane=...)`` installed."""
+    dep = Deployment(seed=40, observatory=True)
+    plane, kv = build_elastic_kv(dep, 3, clients=3)
+    coordinator = plane.coordinator
+    supervisor, worker = [p for p in plane.coordinators
+                          if p != coordinator]
+    values = {}
+    _preload(dep, kv, values)
+    fired = []
+
+    async def killer():
+        dep.crash(supervisor)
+        await dep.runtime.sleep(0.0001)  # let the supervisor unwind
+        dep.crash(coordinator)
+
+    def hook(phase):
+        if phase == "catchup" and not fired:
+            fired.append(phase)
+            dep.runtime.spawn(killer(), name="killer", daemon=True)
+
+    plane.phase_hook = hook
+    from repro.placement import ElasticKV
+    audit_kv = ElasticKV(plane, worker)
+
+    async def grow():
+        await plane.add_shard()
+
+    async def scenario():
+        runtime = dep.runtime
+        dep.spawn_client(supervisor, grow(), name="grow-on-supervisor")
+        deadline = runtime.now() + 20.0
+        while plane.epoch == 0 and runtime.now() < deadline:
+            await runtime.sleep(0.05)
+        assert plane.epoch == 1, "orphaned migration was never recovered"
+        for key in KEYS:
+            result = await audit_kv.get(key)
+            assert result.ok and result.args == values[key], key
+
+    dep.run_scenario(scenario(), extra_time=0.5)
+    assert len(plane.ring) == 4
+    assert plane.coordinator == worker
     assert dep.views.load_plan() is None
 
 

@@ -203,26 +203,23 @@ def test_build_sharded_kv_validates_arguments():
         build_sharded_kv(dep, 0)
     with pytest.raises(ReproError):
         build_sharded_kv(dep, 3, specs=[read_optimized()])
-    with pytest.raises(ReproError):
-        build_sharded_kv(dep, 3, router="rendezvous")
 
 
-def test_build_sharded_kv_router_selection():
+def test_ring_router_is_built_and_a_modulo_router_still_routes():
     dep = Deployment(seed=14)
     kv = build_sharded_kv(dep, 2, spec=read_optimized(2.0))
-    assert isinstance(kv.router, RingRouter)          # ring is the default
-
-    dep2 = Deployment(seed=14)
-    legacy = build_sharded_kv(dep2, 2, spec=read_optimized(2.0),
-                              router="modulo")
-    assert isinstance(legacy.router, ShardRouter)
-    assert not isinstance(legacy.router, RingRouter)
+    assert isinstance(kv.router, RingRouter)
+    # The modulo baseline is no longer a build option; a hand-built
+    # view over the same services keeps that path exercised.
+    legacy = ShardedKV(dep, kv.client_pid,
+                       ShardRouter(kv.router.services,
+                                   metrics=dep.metrics))
 
     async def scenario():
         assert (await legacy.put("x", 1)).ok
         result = await legacy.get("x")
         assert result.ok and result.args == 1
 
-    dep2.run_scenario(scenario())
+    dep.run_scenario(scenario())
     # Both router kinds feed the shared lookup counter.
-    assert dep2.metrics.value("placement.router.lookups") >= 2
+    assert dep.metrics.value("placement.router.lookups") >= 2
