@@ -14,8 +14,10 @@ fixed virtual-time arrival interval *without waiting for completions*
 per-lane admission window bounds in-flight calls purely as a memory
 guard; arrivals are paced well below service capacity so the window
 almost never binds and the workload stays open-loop.  Payloads carry a
-nested dict with a string blob so the stub marshaller is a realistic
-fraction of the per-call cost.
+nested dict with a string blob, handed to ``Deployment.call`` as the
+Python object: this path never marshals (only ``ClientStub`` and
+``MarshallingApp`` do), so the stub marshaller costs nothing here —
+``benchmarks/perf``'s ``stub_bulk`` workload is its meter.
 
 Modes:
 

@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Tuple
 
-from repro.net.message import Group, ProcessId
+from repro.net.message import Group, ProcessId, wire_size
 
 __all__ = ["NetOp", "UserOp", "Status", "MemChange", "NetMsg", "UserMsg",
            "CallKey", "CallResult"]
@@ -130,8 +130,16 @@ class NetMsg:
     @property
     def call_key(self) -> CallKey:
         """Key of the call this CALL/REPLY message belongs to."""
-        return (self.sender, self.inc, self.id) if self.type is NetOp.CALL \
-            else (self.sender, self.inc, self.id)
+        return (self.sender, self.inc, self.id)
+
+    def wire_size(self) -> int:
+        """Exactly what :func:`repro.net.message.wire_size` would get by
+        walking all 13 fields, sizing only the five that vary: 2 of
+        framing + 16 for ``type`` + 9 for each of the seven ints = 81
+        fixed.  The batching wire sizes every message it buffers."""
+        return (81 + wire_size(self.op) + wire_size(self.args)
+                + wire_size(self.server) + wire_size(self.service)
+                + wire_size(self.annotations))
 
     def copy(self, **changes: Any) -> "NetMsg":
         return replace(self, **changes)

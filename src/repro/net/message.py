@@ -65,6 +65,12 @@ class Group:
             raise ValueError(f"group {self.name!r} has no live members")
         return max(candidates)
 
+    def wire_size(self) -> int:
+        """What :func:`wire_size` would charge this dataclass (2 of
+        framing + the name + a 5-byte tuple header + 9 per member pid),
+        without walking the members."""
+        return 7 + wire_size(self.name) + 9 * len(self.members)
+
 
 def wire_size(value: Any) -> int:
     """Deterministic byte-size *estimate* of a payload on the wire.
@@ -77,8 +83,10 @@ def wire_size(value: Any) -> int:
     dataclass wire types (``NetMsg``, ``Heartbeat``, ...) that travel
     whole: a dataclass costs 2 bytes of framing plus its fields.
 
-    Objects exposing their own ``wire_size()`` (e.g.
-    :class:`~repro.net.wire.WireBatch`) are deferred to; anything
+    Objects exposing their own ``wire_size()`` (:class:`Group`,
+    :class:`~repro.core.messages.NetMsg`, :class:`~repro.net.wire.
+    WireBatch`) are deferred to, and must return what this walk would;
+    strings are charged their UTF-8 length, like the marshaller; anything
     unrecognised is charged a flat 16 bytes rather than rejected, since
     tests ship ad-hoc payloads through the fabric.
     """
@@ -90,7 +98,8 @@ def wire_size(value: Any) -> int:
     if isinstance(value, (int, float)):
         return 9
     if isinstance(value, str):
-        return 5 + len(value)
+        # UTF-8 bytes, as the marshaller frames it; ASCII needs no encode.
+        return 5 + (len(value) if value.isascii() else len(value.encode()))
     if isinstance(value, (bytes, bytearray)):
         return 5 + len(value)
     if isinstance(value, (list, tuple, set, frozenset)):

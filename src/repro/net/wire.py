@@ -254,7 +254,25 @@ class WirePipeline:
         if self._passthrough:
             self.fabric.send(src, dst, payload)
             return
-        link = self._link(src, dst)
+        await self._stage(self._link(src, dst), payload,
+                          wire_size(payload) if self.batch else 0)
+
+    async def multicast(self, src: ProcessId, dests: Iterable[ProcessId],
+                        payload: Any) -> None:
+        """Fan ``payload`` out over independent per-member links."""
+        if not self.batch or (self.fast_lane and is_control(payload)):
+            for member in dests:
+                await self.send(src, member, payload)
+            return
+        # One payload, many links: size it once, not once per link.
+        size = wire_size(payload)
+        for member in dests:
+            await self._stage(self._link(src, member), payload, size)
+
+    async def _stage(self, link: _Link, payload: Any, size: int) -> None:
+        """Take budget on ``link``, then buffer ``payload`` (``size``
+        estimated bytes) or, unbatched, hand it to the fabric."""
+        src, dst = link.src, link.dst
         if link.credits is not None:
             if link.credits.locked():
                 self._ctr_waits.inc()
@@ -269,7 +287,7 @@ class WirePipeline:
                              resolve=self._resolver(link, 1))
             return
         link.buffer.append(payload)
-        link.buffered_bytes += wire_size(payload)
+        link.buffered_bytes += size
         self._ctr_batch_msgs.inc()
         if (len(link.buffer) >= self.max_batch_msgs
                 or link.buffered_bytes >= self.max_batch_bytes):
@@ -285,12 +303,6 @@ class WirePipeline:
         if self.auto_tune and not self._tune_armed:
             self._tune_armed = True
             self.runtime.call_later(self.tune_interval, self._tune_tick)
-
-    async def multicast(self, src: ProcessId, dests: Iterable[ProcessId],
-                        payload: Any) -> None:
-        """Fan ``payload`` out over independent per-member links."""
-        for member in dests:
-            await self.send(src, member, payload)
 
     # ------------------------------------------------------------------
     # Coalescing internals
@@ -314,7 +326,7 @@ class WirePipeline:
     def _round_flush(self, link: _Link) -> None:
         link.flush_pending = False
         if link.buffer:
-            self.metrics.counter("net.batch.flush.round").inc()
+            self._ctr_flush_round.inc()
             self._flush(link)
 
     def _flush(self, link: _Link) -> None:

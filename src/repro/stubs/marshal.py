@@ -11,14 +11,20 @@ Determinism matters for the reproduction: dict entries are encoded in
 sorted key order, so the same logical arguments always produce the same
 bytes — and therefore the same message sizes in the benchmarks.
 
-Hot-path structure: :func:`marshalled_size` is a size-only recursive
-pass (it never materializes an encoding); :func:`marshal` uses that pass
-to preallocate the output buffer exactly and then packs into it in
-place (one allocation per call, no bytearray growth); :func:`unmarshal`
-walks a :class:`memoryview` with integer tag compares and struct-packed
-headers, so container decoding never copies intermediate slices.  The
-wire format itself is unchanged — byte-for-byte identical to the
-original append-based encoder.
+Hot-path structure: :func:`marshal` is one pass — each value's header
+(tag + length, a single struct pack) and payload are appended to a list
+of pieces that one ``b"".join`` turns into the field; :func:`unmarshal`
+walks the ``bytes`` object with a cursor, slicing each payload exactly
+once; :func:`marshalled_size` is a separate counting pass for callers
+that want a size without an encoding (``marshal`` itself never sizes).
+Dispatch is by class identity, most frequent type first; subclasses of
+the plain types (``IntEnum``, ``OrderedDict``, namedtuples ...) resolve
+to their plain base and go round the same ladder again.  PR 7's design —
+size pre-pass, preallocated buffer, in-place packs, ``memoryview``
+decode — was measured 3x slower on encode and 1.5x slower on decode
+(``docs/performance.md``); the wire format never changed, and
+``tests/test_marshal_roundtrip.py`` pins it against bytes that encoder
+produced.
 
 Marshalling is the one real-CPU cost every call pays twice, so the
 observatory's kernel profiler hooks it: :func:`install_profiler`
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import struct
 from time import perf_counter
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.errors import MarshalError
 
@@ -54,49 +60,28 @@ def install_profiler(profiler: Optional[Any]) -> Optional[Any]:
     _PROFILER = profiler
     return previous
 
-_NONE = b"N"
-_TRUE = b"T"
-_FALSE = b"F"
-_INT = b"I"
-_FLOAT = b"D"
-_STR = b"S"
-_BYTES = b"B"
-_LIST = b"L"
-_TUPLE = b"U"
-_DICT = b"M"
+_pack_header = struct.Struct(">cI").pack     # tag + u32 length / count
+_pack_float = struct.Struct(">cd").pack
+_unpack_u32_from = struct.Struct(">I").unpack_from
+_unpack_f64_from = struct.Struct(">d").unpack_from
 
-# Integer twins of the tag bytes, for index-based (no-slice) compares.
-_T_NONE = _NONE[0]
-_T_TRUE = _TRUE[0]
-_T_FALSE = _FALSE[0]
-_T_INT = _INT[0]
-_T_FLOAT = _FLOAT[0]
-_T_STR = _STR[0]
-_T_BYTES = _BYTES[0]
-_T_LIST = _LIST[0]
-_T_TUPLE = _TUPLE[0]
-_T_DICT = _DICT[0]
+# Tag bytes as the integers that indexing a ``bytes`` object yields.
+_T_NONE, _T_TRUE, _T_FALSE = ord("N"), ord("T"), ord("F")
+_T_INT, _T_FLOAT, _T_STR, _T_BYTES = ord("I"), ord("D"), ord("S"), ord("B")
+_T_LIST, _T_TUPLE, _T_DICT = ord("L"), ord("U"), ord("M")
 
-_U32 = struct.Struct(">I")
-_F64 = struct.Struct(">d")
-_pack_u32_into = _U32.pack_into
-_pack_f64_into = _F64.pack_into
-_unpack_u32_from = _U32.unpack_from
-_unpack_f64_from = _F64.unpack_from
+_PLAIN = (str, int, float, dict, list, tuple, bytes)
 
 
 def marshal(value: Any) -> bytes:
     """Encode ``value`` into the untyped argument field."""
     prof = _PROFILER
-    if prof is None:
-        out = bytearray(_size(value))
-        _encode_into(value, out, 0)
-        return bytes(out)
-    started = perf_counter()
-    out = bytearray(_size(value))
-    _encode_into(value, out, 0)
-    data = bytes(out)
-    prof.on_marshal(len(data), perf_counter() - started)
+    started = perf_counter() if prof is not None else 0.0
+    pieces: list = []
+    _emit(value, pieces.append)
+    data = b"".join(pieces)
+    if prof is not None:
+        prof.on_marshal(len(data), perf_counter() - started)
     return data
 
 
@@ -104,12 +89,58 @@ def unmarshal(data: bytes) -> Any:
     """Decode an argument field; rejects trailing garbage."""
     prof = _PROFILER
     started = perf_counter() if prof is not None else 0.0
-    buf = memoryview(data)
-    end = len(buf)
-    value, offset = _decode(buf, 0, end)
-    if offset != end:
+    if data.__class__ is not bytes:
+        data = bytes(data)          # bytearray / memoryview callers
+    end = len(data)
+    pos = 0                         # the cursor ``decode`` advances
+
+    def decode() -> Any:
+        nonlocal pos
+        tag = data[pos]
+        pos += 1
+        if tag == _T_STR or tag == _T_INT or tag == _T_BYTES:
+            stop = pos + 4 + _unpack_u32_from(data, pos)[0]
+            if stop > end:
+                raise MarshalError("truncated value")
+            raw = data[pos + 4:stop]
+            pos = stop
+            if tag == _T_STR:
+                return raw.decode()
+            if tag == _T_INT:
+                return int.from_bytes(raw, "big", signed=True)
+            return raw
+        if tag == _T_FLOAT:
+            pos += 8
+            return _unpack_f64_from(data, pos - 8)[0]
+        if tag == _T_DICT:
+            count = _unpack_u32_from(data, pos)[0]
+            pos += 4
+            result = {}
+            for _ in range(count):
+                key = decode()
+                result[key] = decode()
+            return result
+        if tag == _T_LIST or tag == _T_TUPLE:
+            count = _unpack_u32_from(data, pos)[0]
+            pos += 4
+            items = [decode() for _ in range(count)]
+            return items if tag == _T_LIST else tuple(items)
+        if tag == _T_TRUE:
+            return True
+        if tag == _T_FALSE:
+            return False
+        if tag == _T_NONE:
+            return None
         raise MarshalError(
-            f"{end - offset} trailing bytes after value")
+            f"unknown tag byte {bytes((tag,))!r} at offset {pos - 1}")
+
+    try:
+        value = decode()
+    except (IndexError, struct.error):
+        # Reading a tag, length or float past the end of the field.
+        raise MarshalError("truncated value") from None
+    if pos != end:
+        raise MarshalError(f"{end - pos} trailing bytes after value")
     if prof is not None:
         prof.on_unmarshal(end, perf_counter() - started)
     return value
@@ -118,11 +149,31 @@ def unmarshal(data: bytes) -> Any:
 def marshalled_size(value: Any) -> int:
     """Size in bytes of the encoded value — a pure counting pass.
 
-    Never materializes the encoding; the batching caps in the wire layer
-    and the benchmarks size messages through here, so a size query costs
-    arithmetic, not allocation.
+    Never materializes the encoding, so a size query costs arithmetic,
+    not allocation.
     """
-    return _size(value)
+    cls = value.__class__
+    while True:     # a second trip only for an instance of a subclass
+        if cls is str:
+            return 5 + _utf8_len(value)
+        if cls is int:
+            return 5 + ((value.bit_length() + 8) // 8 or 1)
+        if cls is float:
+            return 9
+        if cls is dict:
+            total = 5
+            for key in value:
+                if not isinstance(key, str):
+                    raise MarshalError("dict keys must be strings")
+                total += 5 + _utf8_len(key) + marshalled_size(value[key])
+            return total
+        if cls is list or cls is tuple:
+            return 5 + sum(map(marshalled_size, value))
+        if cls is bool or value is None:
+            return 1
+        if cls is bytes:
+            return 5 + len(value)
+        cls = _plain_class(value)
 
 
 def _utf8_len(s: str) -> int:
@@ -132,175 +183,54 @@ def _utf8_len(s: str) -> int:
     return len(s.encode("utf-8"))
 
 
-def _size(value: Any) -> int:
-    """Exact encoded size of ``value``, computed without encoding."""
-    if value is None or value is True or value is False:
-        return 1
-    cls = value.__class__
-    if cls is int:
-        return 5 + ((value.bit_length() + 8) // 8 or 1)
-    if cls is float:
-        return 9
-    if cls is str:
-        return 5 + _utf8_len(value)
-    if cls is bytes:
-        return 5 + len(value)
-    if cls is list or cls is tuple:
-        total = 5
-        for item in value:
-            total += _size(item)
-        return total
-    if cls is dict:
-        total = 5
-        for key in value:
-            if not isinstance(key, str):
-                raise MarshalError("dict keys must be strings")
-            total += 5 + _utf8_len(key) + _size(value[key])
-        return total
-    # Subclasses of the plain types take the isinstance slow path.
-    if isinstance(value, int):
-        return 5 + ((value.bit_length() + 8) // 8 or 1)
-    if isinstance(value, float):
-        return 9
-    if isinstance(value, str):
-        return 5 + _utf8_len(value)
-    if isinstance(value, bytes):
-        return 5 + len(value)
-    if isinstance(value, (list, tuple)):
-        total = 5
-        for item in value:
-            total += _size(item)
-        return total
-    if isinstance(value, dict):
-        total = 5
-        for key in value:
-            if not isinstance(key, str):
-                raise MarshalError("dict keys must be strings")
-            total += 5 + _utf8_len(key) + _size(value[key])
-        return total
+def _plain_class(value: Any) -> type:
+    """The plain type a subclass instance marshals as (the slow path)."""
+    for base in _PLAIN:
+        if isinstance(value, base):
+            return base
     raise MarshalError(
         f"cannot marshal {type(value).__name__}: only plain data "
         f"(None/bool/int/float/str/bytes/list/tuple/dict) is allowed")
 
 
-def _encode_into(value: Any, out: bytearray, offset: int) -> int:
-    """Pack ``value`` into ``out`` at ``offset``; returns the new offset.
-
-    ``out`` is preallocated to exactly :func:`_size` bytes, so every
-    write is an in-place pack — no growth, no intermediate objects
-    beyond the UTF-8 encodings of the strings themselves.
-    """
-    if value is None:
-        out[offset] = _T_NONE
-        return offset + 1
-    if value is True:
-        out[offset] = _T_TRUE
-        return offset + 1
-    if value is False:
-        out[offset] = _T_FALSE
-        return offset + 1
+def _emit(value: Any, add: Callable[[bytes], None]) -> None:
+    """Append the header and payload pieces of ``value`` through ``add``."""
     cls = value.__class__
-    if cls is str or (cls is not int and cls is not float
-                      and cls is not bytes and cls is not list
-                      and cls is not tuple and cls is not dict
-                      and isinstance(value, str)):
-        raw = value.encode("utf-8")
-        n = len(raw)
-        out[offset] = _T_STR
-        _pack_u32_into(out, offset + 1, n)
-        offset += 5
-        out[offset:offset + n] = raw
-        return offset + n
-    if cls is int or isinstance(value, int):
-        raw = value.to_bytes((value.bit_length() + 8) // 8 or 1,
-                             "big", signed=True)
-        n = len(raw)
-        out[offset] = _T_INT
-        _pack_u32_into(out, offset + 1, n)
-        offset += 5
-        out[offset:offset + n] = raw
-        return offset + n
-    if cls is float or isinstance(value, float):
-        out[offset] = _T_FLOAT
-        _pack_f64_into(out, offset + 1, value)
-        return offset + 9
-    if cls is bytes or isinstance(value, bytes):
-        n = len(value)
-        out[offset] = _T_BYTES
-        _pack_u32_into(out, offset + 1, n)
-        offset += 5
-        out[offset:offset + n] = value
-        return offset + n
-    if cls is list or cls is tuple or isinstance(value, (list, tuple)):
-        out[offset] = _T_LIST if isinstance(value, list) else _T_TUPLE
-        _pack_u32_into(out, offset + 1, len(value))
-        offset += 5
-        for item in value:
-            offset = _encode_into(item, out, offset)
-        return offset
-    if cls is dict or isinstance(value, dict):
-        out[offset] = _T_DICT
-        _pack_u32_into(out, offset + 1, len(value))
-        offset += 5
-        for key in sorted(value):
-            offset = _encode_into(key, out, offset)
-            offset = _encode_into(value[key], out, offset)
-        return offset
-    raise MarshalError(
-        f"cannot marshal {type(value).__name__}: only plain data "
-        f"(None/bool/int/float/str/bytes/list/tuple/dict) is allowed")
-
-
-def _decode(buf: memoryview, offset: int, end: int) -> Tuple[Any, int]:
-    if offset >= end:
-        raise MarshalError("truncated value")
-    tag = buf[offset]
-    offset += 1
-    if tag == _T_NONE:
-        return None, offset
-    if tag == _T_TRUE:
-        return True, offset
-    if tag == _T_FALSE:
-        return False, offset
-    if tag == _T_FLOAT:
-        if offset + 8 > end:
-            raise MarshalError("truncated value")
-        return _unpack_f64_from(buf, offset)[0], offset + 8
-    if tag == _T_INT or tag == _T_STR or tag == _T_BYTES:
-        if offset + 4 > end:
-            raise MarshalError("truncated value")
-        length = _unpack_u32_from(buf, offset)[0]
-        offset += 4
-        if offset + length > end:
-            raise MarshalError("truncated value")
-        raw = buf[offset:offset + length]
-        offset += length
-        if tag == _T_STR:
-            return str(raw, "utf-8"), offset
-        if tag == _T_INT:
-            return int.from_bytes(raw, "big", signed=True), offset
-        return bytes(raw), offset
-    if tag == _T_LIST or tag == _T_TUPLE:
-        if offset + 4 > end:
-            raise MarshalError("truncated value")
-        count = _unpack_u32_from(buf, offset)[0]
-        offset += 4
-        items = []
-        append = items.append
-        for _ in range(count):
-            item, offset = _decode(buf, offset, end)
-            append(item)
-        return (items if tag == _T_LIST else tuple(items)), offset
-    if tag == _T_DICT:
-        if offset + 4 > end:
-            raise MarshalError("truncated value")
-        count = _unpack_u32_from(buf, offset)[0]
-        offset += 4
-        result = {}
-        for _ in range(count):
-            key, offset = _decode(buf, offset, end)
-            value, offset = _decode(buf, offset, end)
-            result[key] = value
-        return result, offset
-    raise MarshalError(
-        f"unknown tag byte {bytes((tag,))!r} at offset {offset - 1}")
+    while True:     # a second trip only for an instance of a subclass
+        if cls is str:
+            raw = value.encode()
+            add(_pack_header(b"S", len(raw)))
+            add(raw)
+        elif cls is int:
+            raw = value.to_bytes((value.bit_length() + 8) // 8 or 1,
+                                 "big", signed=True)
+            add(_pack_header(b"I", len(raw)))
+            add(raw)
+        elif cls is float:
+            add(_pack_float(b"D", value))
+        elif cls is dict:
+            try:
+                keys = sorted(value)
+            except TypeError:       # mixed key types do not even sort
+                raise MarshalError("dict keys must be strings") from None
+            add(_pack_header(b"M", len(keys)))
+            for key in keys:
+                if not isinstance(key, str):
+                    raise MarshalError("dict keys must be strings")
+                _emit(key, add)
+                _emit(value[key], add)
+        elif cls is list or cls is tuple:
+            add(_pack_header(b"L" if cls is list else b"U", len(value)))
+            for item in value:
+                _emit(item, add)
+        elif cls is bool:
+            add(b"T" if value else b"F")
+        elif value is None:
+            add(b"N")
+        elif cls is bytes:
+            add(_pack_header(b"B", len(value)))
+            add(value)
+        else:
+            cls = _plain_class(value)
+            continue
+        return

@@ -6,8 +6,10 @@ import pytest
 
 from repro import LinkSpec, ServiceCluster, ServiceSpec, Status, WireConfig
 from repro.apps import KVStore
+from repro.core.messages import NetMsg, NetOp
 from repro.membership.detector import Heartbeat, HeartbeatDetector
 from repro.net import (
+    Group,
     NetworkFabric,
     Node,
     UnreliableTransport,
@@ -16,6 +18,7 @@ from repro.net import (
 )
 from repro.runtime import AsyncioRuntime, SimRuntime
 from repro.sim import RandomSource
+from repro.stubs.marshal import marshalled_size
 from repro.xkernel import Protocol, TypeDemux, compose_stack
 
 FAST = LinkSpec(delay=0.02, jitter=0.0)
@@ -399,6 +402,126 @@ def test_link_metrics_record_per_link_delivery_and_latency():
     hist = metrics.histogram("net.link.latency.1-2")
     assert hist.count == 1    # one coalesced envelope
     assert hist.mean == pytest.approx(0.02)
+
+
+# ----------------------------------------------------------------------
+# Message sizing: the shortcuts must charge what the field walk charges
+# ----------------------------------------------------------------------
+
+def _field_walk(value):
+    """The generic dataclass estimate, spelled out: 2 of framing plus
+    every declared field — so a field added to the class without
+    updating its ``wire_size()`` shows up here as a mismatch."""
+    return 2 + sum(wire_size(getattr(value, name))
+                   for name in value.__dataclass_fields__)
+
+
+def test_netmsg_and_group_size_themselves_like_the_field_walk():
+    group = Group("shard-3", [4, 9, 2])
+    assert group.wire_size() == _field_walk(group) == wire_size(group)
+    assert _field_walk(Group("gruppe-ü", [1])) == 2 + (5 + 9) + (5 + 9)
+    assert set(NetMsg.__dataclass_fields__) == {
+        "type", "id", "op", "args", "server", "sender", "inc", "ackid",
+        "ack_inc", "order", "client", "service", "annotations"}
+    seen = set()
+    for kind in NetOp:
+        for args in (None, b"\x00" * 300, [b"ab", b""],
+                     {"key": "k", "value": {"rows": [1, 2.5, None]}}):
+            for server in (None, group):
+                for notes in (None, {"obs.ctx": (7, 9), "deps": [1, 2]}):
+                    msg = NetMsg(kind, id=2 ** 40, op="put", args=args,
+                                 server=server, sender=3, inc=1, ackid=5,
+                                 ack_inc=1, order=12, client=3,
+                                 service="kv", annotations=notes)
+                    assert msg.wire_size() == _field_walk(msg), msg
+                    assert wire_size(msg) == msg.wire_size()
+                    seen.add(msg.wire_size())
+    assert len(seen) == 4 * 2 * 2    # every varying field is charged
+    assert NetMsg(NetOp.ACK).wire_size() == 81 + 5 + 1 + 1 + 5 + 1
+
+
+def test_wire_size_charges_strings_their_utf8_length():
+    """The estimate mirrors the marshaller's framing, which counts
+    bytes, not code points (ASCII — every seeded bench — is the same
+    either way)."""
+    assert wire_size("plain") == marshalled_size("plain") == 10
+    assert wire_size("é縦🚀") == marshalled_size("é縦🚀") == 5 + 2 + 3 + 4
+    assert wire_size({"ключ": "значение"}) == \
+        marshalled_size({"ключ": "значение"})
+    plain = NetMsg(NetOp.CALL, op="put", service="kv",
+                   annotations={"k": 1})
+    wide = NetMsg(NetOp.CALL, op="püt", service="kv-東",
+                  annotations={"ключ": 1})
+    assert wide.wire_size() == _field_walk(wide)
+    assert wide.wire_size() - plain.wire_size() == 1 + (1 + 3) + (8 - 1)
+
+
+class _CountedPayload:
+    """A payload that counts how often the pipeline asks its size."""
+
+    def __init__(self):
+        self.sized = 0
+
+    def wire_size(self):
+        self.sized += 1
+        return 30
+
+
+def test_multicast_sizes_its_payload_once_for_all_links():
+    rt = SimRuntime()
+    fabric, nodes, tops = build_pair(rt, pids=(1, 2, 3, 4),
+                                     wire=WireConfig(batch=True))
+    payload = _CountedPayload()
+
+    async def main():
+        await nodes[1].transport.push([2, 3, 4], payload)
+        await rt.sleep(1.0)
+
+    rt.run(main())
+    assert [tops[pid].received for pid in (2, 3, 4)] == \
+        [[(1, payload)]] * 3
+    assert payload.sized == 1
+    assert fabric.trace.metrics.value("net.batch.messages") == 3
+
+    rt.run(nodes[1].transport.push(2, payload))
+    assert payload.sized == 2           # a unicast still sizes its own
+
+
+def test_seeded_batched_run_flushes_where_it_always_did():
+    """The flush points of a byte-capped batched run are a function of
+    the per-message size estimates; the counts below were taken with
+    the field-walking sizer (parent of PR 23).  A 3-byte error in
+    ``NetMsg.wire_size()`` moves them."""
+    cluster = ServiceCluster(
+        ServiceSpec(bounded=5.0, unique=True, acceptance=2), KVStore,
+        n_servers=3, n_clients=2, seed=11,
+        default_link=LinkSpec(delay=0.002, jitter=0.001),
+        wire=WireConfig(batch=True, max_batch_bytes=600))
+    checks = []
+
+    async def lane(pid, tag):
+        for i in range(10):
+            key = f"k{tag}-{i}"
+            value = {"blob": "v" * (37 * (i + tag) % 300), "n": [i, tag]}
+            put = await cluster.call(pid, "put",
+                                     {"key": key, "value": value})
+            got = await cluster.call(pid, "get", {"key": key})
+            checks.append(put.status is Status.OK and got.args == value)
+
+    async def main():
+        # Three lanes per client pid, so links carry several messages
+        # a round and the byte cap actually binds.
+        for task in [cluster.spawn_client(pid, lane(pid, tag))
+                     for tag, pid in enumerate(cluster.client_pids * 3)]:
+            await cluster.runtime.join(task)
+
+    cluster.run_scenario(main(), extra_time=0.5)
+    assert len(checks) == 60 and all(checks)
+    metrics = cluster.metrics
+    assert metrics.value("net.batch.messages") == 1134
+    assert metrics.value("net.batch.flush.cap") == 43
+    assert metrics.value("net.batch.flush.round") == 883
+    assert metrics.value("net.batch.envelopes") == 926
 
 
 # ----------------------------------------------------------------------
