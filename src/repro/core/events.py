@@ -36,6 +36,14 @@ use only blocking-sequential dispatch, and concurrency across *messages*
 comes from each network arrival being dispatched in its own task.
 ``cancel_event`` affects only sequential dispatch, as the paper notes
 ("mostly useful for sequential events").
+
+Instrumentation resolves per registration what the composition fixes
+and pays per message only for what varies: a handler's trace name is
+fixed when it registers (:attr:`Registration.name`), and every dispatch —
+sequential, concurrent or expired TIMEOUT, observed or not — runs the
+one body of :meth:`EventBus.trigger` off the same compiled tables.  An
+instrumented bus adds, per handler, one ``handler_enter``/``handler_exit``
+pair on the runtime's profiler, one clock read and one recorder record.
 """
 
 from __future__ import annotations
@@ -57,20 +65,21 @@ LOWEST_PRIORITY = 1_000_000
 Handler = Callable[..., Awaitable[None]]
 
 
-def _handler_name(handler: Handler) -> str:
-    """Qualified name for trace records (stable across bound methods)."""
-    return getattr(handler, "__qualname__", repr(handler))
-
-
 class Registration:
     """One (event, handler, priority) registration record."""
 
-    __slots__ = ("event", "handler", "priority", "seq", "timer", "owner")
+    __slots__ = ("event", "handler", "name", "priority", "seq", "timer",
+                 "owner")
 
     def __init__(self, event: str, handler: Handler, priority: float,
                  seq: int, owner: str = ""):
         self.event = event
         self.handler = handler
+        #: Qualified handler name for trace records and profiler sites
+        #: (stable across bound methods), resolved once here: ``repr``
+        #: only for a callable that has no ``__qualname__``.
+        name = getattr(handler, "__qualname__", None)
+        self.name: str = repr(handler) if name is None else name
         self.priority = priority
         self.seq = seq
         self.timer: Any = None  # only for TIMEOUT registrations
@@ -174,7 +183,7 @@ class EventBus:
             if self._obs is not None:
                 self._obs.record_event(
                     "register", node=self.node_id, event=TIMEOUT,
-                    owner=owner, handler=_handler_name(handler),
+                    owner=owner, handler=reg.name,
                     interval=float(priority))
             return reg
         if priority is None:
@@ -187,7 +196,7 @@ class EventBus:
         if self._obs is not None:
             self._obs.record_event(
                 "register", node=self.node_id, event=event, owner=owner,
-                handler=_handler_name(handler), priority=float(priority))
+                handler=reg.name, priority=float(priority))
         return reg
 
     def deregister(self, event: str, handler: Handler) -> bool:
@@ -217,7 +226,7 @@ class EventBus:
         if self._obs is not None:
             self._obs.record_event(
                 "deregister", node=self.node_id, event=reg.event,
-                owner=reg.owner, handler=_handler_name(reg.handler))
+                owner=reg.owner, handler=reg.name)
 
     def registrations(self, event: str) -> List[Registration]:
         """The current registrations for ``event`` in dispatch order."""
@@ -227,15 +236,16 @@ class EventBus:
         """Event -> ordered handler names; regenerates Figure 3's wiring."""
         table = {}
         for event, regs in sorted(self._handlers.items()):
-            table[event] = [getattr(r.handler, "__qualname__",
-                                    repr(r.handler)) for r in regs]
+            table[event] = [reg.name for reg in regs]
         return table
 
     # ------------------------------------------------------------------
     # Triggering
     # ------------------------------------------------------------------
 
-    async def trigger(self, event: str, *args: Any) -> bool:
+    async def trigger(self, event: str, *args: Any,
+                      _table: Optional[Tuple[Registration, ...]] = None
+                      ) -> bool:
         """Run all handlers for ``event`` sequentially, in priority order.
 
         Returns ``True`` if every handler ran, ``False`` if some handler
@@ -244,16 +254,19 @@ class EventBus:
         occurrence of the event (the precompiled table is an immutable
         tuple, so the snapshot is free: a registration mid-dispatch swaps
         in a new table while the in-flight loop keeps the old one).
+
+        Instrumented and uninstrumented buses share this body; the
+        recorder/profiler pair is tested once per trigger.  ``_table`` is
+        the bus's own way in for an occurrence that has exactly one
+        handler by construction (see :attr:`_dispatch`).
         """
-        if self._obs is not None or self._prof is not None:
-            return await self._trigger_traced(event, *args)
-        table = self._tables.get(event)
+        table = self._tables.get(event) if _table is None else _table
         if table is None:
             table = self._compile(event)
         if not table:
             return True
-        # Recycle dispatch records and stack lists: in steady state the
-        # untraced path allocates nothing per trigger.
+        # Recycle dispatch records and stack lists: in steady state a
+        # trigger allocates nothing.
         pool = self._dispatch_pool
         if pool:
             dispatch = pool.pop()
@@ -268,8 +281,33 @@ class EventBus:
             stack = stacks.pop() if stacks else []
             self._active[task_key] = stack
         stack.append(dispatch)
+        obs = self._obs
+        prof = self._prof
         try:
-            if len(table) == 1:
+            if obs is not None or prof is not None:
+                # The one instrumented bracket.  Dispatch is sequential
+                # in one task, so a handler starts at the instant its
+                # predecessor ended: one clock read per handler.
+                now = self.runtime.now
+                end = now()
+                for reg in table:
+                    if dispatch.cancelled:
+                        break
+                    start = end
+                    if prof is not None:
+                        prof.handler_enter(task_key, reg.owner, reg.name)
+                    try:
+                        await reg.handler(*args)
+                    finally:
+                        end = now()
+                        if prof is not None:
+                            prof.handler_exit(task_key, end - start)
+                    if obs is not None:
+                        obs.record_handler(
+                            event, reg.owner, reg.name, reg.priority,
+                            start, end, node=self.node_id,
+                            cancelled=dispatch.cancelled)
+            elif len(table) == 1:
                 # Single-handler case dominates micro-protocol
                 # composition; skip the loop (cancelled is always False
                 # on entry — cancel_event still works via the stack).
@@ -286,49 +324,17 @@ class EventBus:
                 pool.append(dispatch)
         return not cancelled
 
+    #: ``trigger`` under the name the bus uses for its own one-handler
+    #: occurrences — an expired TIMEOUT, one handler of a concurrent
+    #: dispatch — which are not calls of the public entry point and so
+    #: must not pass through whatever wraps or counts that.
+    _dispatch = trigger
+
     def _compile(self, event: str) -> Tuple[Registration, ...]:
         """Build and cache the dispatch table for ``event``."""
         table = tuple(self._handlers.get(event, ()))
         self._tables[event] = table
         return table
-
-    async def _trigger_traced(self, event: str, *args: Any) -> bool:
-        """The traced twin of :meth:`trigger`: identical semantics, plus
-        one structured record (with virtual-time duration, owner and
-        priority) per handler invocation and/or one profiler frame per
-        handler site."""
-        obs = self._obs
-        prof = self._prof
-        snapshot = list(self._handlers.get(event, []))
-        if not snapshot:
-            return True
-        dispatch = _Dispatch(event)
-        task_key = id(self.runtime.current_handle_nowait())
-        stack = self._active.setdefault(task_key, [])
-        stack.append(dispatch)
-        try:
-            for reg in snapshot:
-                if dispatch.cancelled:
-                    break
-                start = self.runtime.now()
-                if prof is not None:
-                    prof.handler_enter(task_key, reg.owner,
-                                       _handler_name(reg.handler))
-                    try:
-                        await reg.handler(*args)
-                    finally:
-                        prof.handler_exit(task_key,
-                                          self.runtime.now() - start)
-                else:
-                    await reg.handler(*args)
-                if obs is not None:
-                    obs.record_handler(
-                        event, reg.owner, _handler_name(reg.handler),
-                        reg.priority, start, self.runtime.now(),
-                        node=self.node_id, cancelled=dispatch.cancelled)
-        finally:
-            self._pop_dispatch(task_key, stack, dispatch)
-        return not dispatch.cancelled
 
     def _pop_dispatch(self, task_key: int, stack: List[_Dispatch],
                       dispatch: _Dispatch) -> None:
@@ -368,41 +374,15 @@ class EventBus:
         inside a concurrent handler affects only that handler's own
         chain — there is no shared sequence to abort.
         """
-        snapshot = list(self._handlers.get(event, []))
         handles = [
-            self._spawn(self._run_concurrent(event, reg, args),
+            self._spawn(self._dispatch(event, *args, _table=(reg,)),
                         name=f"cc-{event}-{reg.seq}", daemon=True)
-            for reg in snapshot
+            for reg in self.registrations(event)
         ]
         if blocking:
             for handle in handles:
                 if handle is not None:
                     await self.runtime.join(handle)
-
-    async def _run_concurrent(self, event: str, reg: Registration,
-                              args: tuple) -> None:
-        dispatch = _Dispatch(event)
-        task_key = id(self.runtime.current_handle_nowait())
-        stack = self._active.setdefault(task_key, [])
-        stack.append(dispatch)
-        obs = self._obs
-        prof = self._prof
-        start = (self.runtime.now()
-                 if obs is not None or prof is not None else 0.0)
-        if prof is not None:
-            prof.handler_enter(task_key, reg.owner,
-                               _handler_name(reg.handler))
-        try:
-            await reg.handler(*args)
-        finally:
-            if prof is not None:
-                prof.handler_exit(task_key, self.runtime.now() - start)
-            self._pop_dispatch(task_key, stack, dispatch)
-            if obs is not None:
-                obs.record_handler(
-                    event, reg.owner, _handler_name(reg.handler),
-                    reg.priority, start, self.runtime.now(),
-                    node=self.node_id, cancelled=dispatch.cancelled)
 
     def cancel_event(self) -> None:
         """Cancel the event currently dispatching in the calling task.
@@ -449,33 +429,9 @@ class EventBus:
     def _fire_timeout(self, reg: Registration) -> None:
         if self._timeout_regs.pop(reg.seq, None) is None:
             return
-        self._spawn(self._run_timeout(reg),
+        # The expired handler runs as its own (cancellable) event.
+        self._spawn(self._dispatch(TIMEOUT, _table=(reg,)),
                     name=f"timeout-{reg.seq}", daemon=True)
-
-    async def _run_timeout(self, reg: Registration) -> None:
-        """Run one expired TIMEOUT handler as its own (cancellable) event."""
-        dispatch = _Dispatch(TIMEOUT)
-        task_key = id(self.runtime.current_handle_nowait())
-        stack = self._active.setdefault(task_key, [])
-        stack.append(dispatch)
-        obs = self._obs
-        prof = self._prof
-        start = (self.runtime.now()
-                 if obs is not None or prof is not None else 0.0)
-        if prof is not None:
-            prof.handler_enter(task_key, reg.owner,
-                               _handler_name(reg.handler))
-        try:
-            await reg.handler()
-        finally:
-            if prof is not None:
-                prof.handler_exit(task_key, self.runtime.now() - start)
-            self._pop_dispatch(task_key, stack, dispatch)
-            if obs is not None:
-                obs.record_handler(
-                    TIMEOUT, reg.owner, _handler_name(reg.handler),
-                    reg.priority, start, self.runtime.now(),
-                    node=self.node_id, cancelled=dispatch.cancelled)
 
     # ------------------------------------------------------------------
     # Owner retirement (live adaptation)

@@ -54,11 +54,13 @@ class SpaceSaving:
             counts[key] = n
             self._errs[key] = 0
             return
-        # Evict the minimum counter; the newcomer inherits its count as
-        # the overestimation error (the sketch's defining move).
-        victim = min(counts, key=lambda k: (counts[k], k))
-        floor = counts.pop(victim)
-        self._errs.pop(victim)
+        # Evict the minimum counter (lowest count, then lowest key: two
+        # C-level passes, no key function); the newcomer inherits its
+        # count as the overestimation error (the sketch's defining move).
+        floor = min(counts.values())
+        victim = min([k for k, c in counts.items() if c == floor])
+        del counts[victim]
+        del self._errs[victim]
         counts[key] = floor + n
         self._errs[key] = floor
 

@@ -8,19 +8,23 @@ handler), not the Python frame.  :class:`KernelProfiler` therefore
 profiles at the seams the framework already has:
 
 * **kernel steps** — a sampling hook in :meth:`repro.sim.kernel.Kernel.
-  _step`: every ``sample_every``-th step captures ``perf_counter`` and
-  the running task's name, and the wall-clock delta between consecutive
-  samples is attributed to the earlier sample's task (start-to-start
-  attribution, the classic sampling-profiler scheme).  This is the only
+  _step`: every ``sample_every``-th step captures ``perf_counter``, and
+  the wall-clock delta between consecutive samples is attributed to the
+  earlier sample's task *kind* (:func:`task_kind`; start-to-start
+  attribution, the classic sampling-profiler scheme).  A task's site is
+  resolved once and cached in ``task.tags``, so the table is as large as
+  the deployment's shape, not its call count.  This is the only
   wall-clock measurement in the system — everything else is virtual
   time — because "which task burns real CPU" is exactly what the speed
   program needs to know;
 * **handler sites** — enter/exit hooks on the event bus's dispatch
-  paths accumulate *virtual-time* self and cumulative totals per
-  ``(owner, handler)`` site, with per-task frame stacks so nested
-  ``trigger`` chains attribute child time to the child.  The same
-  stacks yield collapsed-stack lines (``a;b;c <self>``), the format
-  flamegraph tooling consumes;
+  path walk a *calling-context tree*: a per-task frame stack steps from
+  the enclosing handler's node to its ``(owner, handler)`` child, so
+  nested ``trigger`` chains attribute child time to the child and each
+  node *is* one collapsed-stack line (``a;b;c <self>``, the format
+  flamegraph tooling consumes).  Virtual-time self and cumulative
+  totals accumulate per site and per node, and only for a handler
+  during which the clock moved;
 * **the stub marshaller** — :func:`repro.stubs.marshal.install_profiler`
   routes per-call byte counts and wall-clock into :meth:`on_marshal` /
   :meth:`on_unmarshal`, since argument marshalling is the one real-CPU
@@ -38,14 +42,32 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["KernelProfiler", "HandlerSite", "StepSite"]
+__all__ = ["KernelProfiler", "HandlerSite", "StepSite", "task_kind"]
 
 #: A handler site: (owning micro-protocol, qualified handler name).
 SiteKey = Tuple[str, str]
 
+#: ``task.tags`` key under which the step sampler keeps a task's site.
+_SITE_TAG = "obs.step_site"
+
+
+def task_kind(name: str) -> str:
+    """The step sampler's site key: a task's name minus its trailing
+    sequence number.
+
+    Tasks spawned per message or per timer end in a counter
+    (``node-101-msg-5532``, ``node-101-msg-5532.3`` for the third message
+    of a batched envelope, ``timeout-1223``) and all do one kind of work,
+    so they share one site (``node-101-msg``, ``timeout``).  Only that
+    last field is dropped: long-lived tasks keep their identity
+    (``node-101-recv`` vs ``node-2-recv``, ``heartbeat@5-send``).
+    """
+    kind, dash, seq = name.rpartition("-")
+    return kind if dash and seq.replace(".", "").isdigit() else name
+
 
 class StepSite:
-    """Wall-clock accounting for one task name in the step sampler."""
+    """Wall-clock accounting for one task kind in the step sampler."""
 
     __slots__ = ("name", "samples", "wall")
 
@@ -71,7 +93,26 @@ class HandlerSite:
 
     @property
     def label(self) -> str:
-        return f"{self.owner or 'framework'}:{self.handler}"
+        return _label(self.owner, self.handler)
+
+
+def _label(owner: str, handler: str) -> str:
+    return f"{owner or 'framework'}:{handler}"
+
+
+class _ContextNode:
+    """One calling-context-tree node: a handler site as reached through
+    one chain of enclosing sites (one collapsed-stack line)."""
+
+    __slots__ = ("key", "children", "site", "self_time")
+
+    def __init__(self, key: SiteKey):
+        self.key = key
+        self.children: Dict[SiteKey, "_ContextNode"] = {}
+        #: The node's :class:`HandlerSite`; ``None`` until the first
+        #: exit, so a context entered but never left is not reported.
+        self.site: Optional[HandlerSite] = None
+        self.self_time = 0.0
 
 
 class KernelProfiler:
@@ -85,14 +126,15 @@ class KernelProfiler:
         self.sample_every = sample_every
         # -- step sampler (wall clock) --
         self.steps_seen = 0
-        self._pending: Optional[Tuple[str, float]] = None
+        #: The site of the latest sample and when it was taken.
+        self._pending: Optional[StepSite] = None
+        self._pending_since = 0.0
         self._step_sites: Dict[str, StepSite] = {}
         # -- handler sites (virtual time) --
         self._handler_sites: Dict[SiteKey, HandlerSite] = {}
-        #: Per-task stacks of [site_key, child_virtual_time] frames.
+        self._root = _ContextNode(("", ""))
+        #: Per-task stacks of [context node, child virtual time] frames.
         self._stacks: Dict[int, List[List[Any]]] = {}
-        #: Collapsed stack path -> accumulated self virtual time.
-        self._collapsed: Dict[Tuple[str, ...], float] = {}
         # -- marshaller --
         self.marshal_calls = 0
         self.marshal_bytes = 0
@@ -111,19 +153,25 @@ class KernelProfiler:
         if self.steps_seen % self.sample_every:
             return
         now = perf_counter()
-        pending = self._pending
-        if pending is not None:
-            name, then = pending
-            site = self._step_sites.get(name)
-            if site is None:
-                site = self._step_sites[name] = StepSite(name)
+        site = self._pending
+        if site is not None:
             site.samples += 1
-            site.wall += now - then
-        self._pending = (task.name, now)
+            site.wall += now - self._pending_since
+        # A task's site is resolved on its first sampled step and kept
+        # in its tags; every later step is one dict lookup.
+        site = task.tags.get(_SITE_TAG)
+        if site is None:
+            kind = task_kind(task.name)
+            site = self._step_sites.get(kind)
+            if site is None:
+                site = self._step_sites[kind] = StepSite(kind)
+            task.tags[_SITE_TAG] = site
+        self._pending = site
+        self._pending_since = now
 
     def step_sites(self) -> List[StepSite]:
-        """Sampled tasks, most wall-clock first."""
-        return sorted(self._step_sites.values(),
+        """Sampled task kinds, most wall-clock first."""
+        return sorted((s for s in self._step_sites.values() if s.samples),
                       key=lambda s: (-s.wall, s.name))
 
     # ------------------------------------------------------------------
@@ -132,29 +180,43 @@ class KernelProfiler:
 
     def handler_enter(self, task_key: int, owner: str,
                       handler: str) -> None:
-        self._stacks.setdefault(task_key, []).append(
-            [(owner, handler), 0.0])
+        stack = self._stacks.get(task_key)
+        if stack is None:
+            stack = self._stacks[task_key] = []
+            children = self._root.children
+        else:
+            children = stack[-1][0].children
+        key = (owner, handler)
+        node = children.get(key)
+        if node is None:
+            node = children[key] = _ContextNode(key)
+        stack.append([node, 0.0])
 
     def handler_exit(self, task_key: int, duration: float) -> None:
         stack = self._stacks.get(task_key)
         if not stack:
             return
-        key, child = stack.pop()
-        site = self._handler_sites.get(key)
+        node, child = stack.pop()
+        site = node.site
         if site is None:
-            site = self._handler_sites[key] = HandlerSite(*key)
-        self_time = duration - child
-        if self_time < 0.0:
-            self_time = 0.0
+            site = self._handler_sites.get(node.key)
+            if site is None:
+                site = self._handler_sites[node.key] = HandlerSite(
+                    *node.key)
+            node.site = site
         site.calls += 1
-        site.cum += duration
-        site.self_time += self_time
-        path = tuple(f"{fk[0] or 'framework'}:{fk[1]}"
-                     for fk, _ in stack) + (site.label,)
-        self._collapsed[path] = self._collapsed.get(path, 0.0) + self_time
-        if stack:
-            stack[-1][1] += duration
-        else:
+        # Virtual time stands still across most handlers, and adding 0.0
+        # changes no total: only a handler that waited does float work.
+        if duration != 0.0:
+            self_time = duration - child
+            if self_time < 0.0:
+                self_time = 0.0
+            site.cum += duration
+            site.self_time += self_time
+            node.self_time += self_time
+            if stack:
+                stack[-1][1] += duration
+        if not stack:
             del self._stacks[task_key]
 
     def handler_sites(self) -> List[HandlerSite]:
@@ -166,10 +228,18 @@ class KernelProfiler:
         """Collapsed-stack export (``a;b;c <microseconds>`` per line),
         the flamegraph input format.  Self virtual time, scaled to
         integer microseconds; sorted for determinism."""
-        lines = []
-        for path, self_time in sorted(self._collapsed.items()):
-            lines.append(f"{';'.join(path)} {round(self_time * 1e6)}")
-        return "\n".join(lines)
+        paths: List[Tuple[Tuple[str, ...], float]] = []
+
+        def walk(node: _ContextNode, prefix: Tuple[str, ...]) -> None:
+            for child in node.children.values():
+                path = prefix + (_label(*child.key),)
+                if child.site is not None:
+                    paths.append((path, child.self_time))
+                walk(child, path)
+
+        walk(self._root, ())
+        return "\n".join(f"{';'.join(path)} {round(self_time * 1e6)}"
+                         for path, self_time in sorted(paths))
 
     # ------------------------------------------------------------------
     # Marshaller hooks (wall clock, exact)
@@ -193,7 +263,7 @@ class KernelProfiler:
         """Snapshot the profile into ``obs.profile.*`` gauges."""
         gauge = metrics.gauge
         gauge("obs.profile.steps").set(self.steps_seen)
-        gauge("obs.profile.step_sites").set(len(self._step_sites))
+        gauge("obs.profile.step_sites").set(len(self.step_sites()))
         gauge("obs.profile.handler_sites").set(len(self._handler_sites))
         gauge("obs.profile.handler_virtual").set(
             sum(s.self_time for s in self._handler_sites.values()))

@@ -295,3 +295,238 @@ def test_default_priority_is_lowest():
 
     reg = bus.register("E", h)
     assert reg.priority == LOWEST_PRIORITY
+
+
+# ---------------------------------------------------------------------------
+# The profiler/recorder seam: what an instrumented bus promises outsiders
+# ---------------------------------------------------------------------------
+
+class SeamProfiler:
+    """Records every call the bus makes on the runtime's profiler."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_step(self, task):
+        pass
+
+    def handler_enter(self, task_key, owner, handler):
+        self.calls.append(("enter", task_key, owner, handler))
+
+    def handler_exit(self, task_key, duration):
+        self.calls.append(("exit", task_key, duration))
+
+
+def make_profiled_bus():
+    rt = SimRuntime()
+    prof = SeamProfiler()
+    rt.attach_profiler(prof)
+    return rt, EventBus(rt), prof
+
+
+def test_trigger_brackets_each_handler_once():
+    rt, bus, prof = make_profiled_bus()
+
+    async def first(x):
+        pass
+
+    async def second(x):
+        await rt.sleep(0.25)
+
+    async def third(x):
+        pass
+
+    for prio, handler in enumerate((first, second, third)):
+        bus.register("E", handler, prio, owner=f"mp{prio}")
+    keys = []
+
+    async def main():
+        keys.append(id(rt.current_handle_nowait()))
+        assert await bus.trigger("E", 7)
+
+    rt.run(main())
+    key = keys[0]
+    assert prof.calls == [
+        ("enter", key, "mp0", first.__qualname__), ("exit", key, 0.0),
+        ("enter", key, "mp1", second.__qualname__), ("exit", key, 0.25),
+        ("enter", key, "mp2", third.__qualname__), ("exit", key, 0.0)]
+    assert first.__qualname__.endswith(".<locals>.first")
+
+
+def test_nested_triggers_nest_their_brackets():
+    rt, bus, prof = make_profiled_bus()
+
+    async def outer():
+        await bus.trigger("INNER")
+
+    async def inner():
+        await rt.sleep(0.5)
+
+    async def after():
+        pass
+
+    bus.register("OUTER", outer, 1, owner="a")
+    bus.register("OUTER", after, 2, owner="a")
+    bus.register("INNER", inner, 1, owner="b")
+    rt.run(bus.trigger("OUTER"))
+    shape = [(c[0], c[2]) for c in prof.calls]
+    assert shape == [("enter", "a"), ("enter", "b"), ("exit", 0.5),
+                     ("exit", 0.5), ("enter", "a"), ("exit", 0.0)]
+    assert len({c[1] for c in prof.calls}) == 1      # one task throughout
+
+
+def test_concurrent_and_timeout_dispatch_use_the_same_bracket():
+    rt, bus, prof = make_profiled_bus()
+
+    async def slow():
+        await rt.sleep(1.0)
+
+    async def quick():
+        pass
+
+    async def expired():
+        await rt.sleep(0.5)
+
+    bus.register("E", slow, 1, owner="s")
+    bus.register("E", quick, 2, owner="q")
+    rt.run(bus.trigger_concurrent("E"))
+    enters = [c for c in prof.calls if c[0] == "enter"]
+    exits = [c for c in prof.calls if c[0] == "exit"]
+    assert sorted(c[2] for c in enters) == ["q", "s"]
+    assert sorted(c[2] for c in exits) == [0.0, 1.0]
+    assert len({c[1] for c in enters}) == 2          # a task per handler
+
+    prof.calls.clear()
+    bus.register(TIMEOUT, expired, 2.0, owner="t")
+    rt.kernel.run_until(10.0)
+    assert [(c[0], c[2]) for c in prof.calls] == [("enter", "t"),
+                                                  ("exit", 0.5)]
+    assert prof.calls[0][3].endswith("expired")
+
+
+def test_raising_handler_still_gets_exactly_one_exit():
+    rt, bus, prof = make_profiled_bus()
+
+    async def boom():
+        raise ValueError("boom")
+
+    async def never():
+        raise AssertionError("ran after a raising handler")
+
+    bus.register("E", boom, 1, owner="b")
+    bus.register("E", never, 2, owner="n")
+    with pytest.raises(ValueError):
+        rt.run(bus.trigger("E"))
+    assert [(c[0], c[2]) for c in prof.calls] == [("enter", "b"),
+                                                  ("exit", 0.0)]
+    assert bus._active == {}
+
+
+def test_cancel_event_skips_the_bracket_for_the_rest():
+    rt, bus, prof = make_profiled_bus()
+
+    async def canceller():
+        bus.cancel_event()
+
+    async def skipped():
+        raise AssertionError("ran after cancel_event")
+
+    bus.register("E", canceller, 1, owner="c")
+    bus.register("E", skipped, 2, owner="s")
+
+    async def main():
+        assert await bus.trigger("E") is False
+
+    rt.run(main())
+    assert [(c[0], c[2]) for c in prof.calls] == [("enter", "c"),
+                                                  ("exit", 0.0)]
+
+
+def test_recorder_sees_start_end_of_each_handler():
+    """A chain whose middle handler sleeps 5 ms: the (start, duration,
+    cancelled) triples are the ones the pre-merge traced loop — which
+    read the clock before and after every handler — recorded."""
+    from repro.obs import Recorder
+
+    rt = SimRuntime()
+    rec = Recorder()
+    rt.attach_obs(rec)
+    bus = EventBus(rt)
+
+    async def first():
+        pass
+
+    async def middle():
+        await rt.sleep(0.005)
+
+    async def last():
+        bus.cancel_event()
+
+    for prio, handler in enumerate((first, middle, last)):
+        bus.register("E", handler, prio, owner=f"mp{prio}")
+
+    async def main():
+        await rt.sleep(1.0)
+        await bus.trigger("E")
+
+    rt.run(main())
+    records = [e for e in rec.events if e.kind == "handler"]
+    assert [(e.time, e.fields["dur"], e.fields["cancelled"],
+             e.fields["owner"], e.fields["priority"]) for e in records] == [
+        (1.0, 0.0, False, "mp0", 0.0),
+        (1.0, 1.005 - 1.0, False, "mp1", 1.0),
+        (1.005, 0.0, True, "mp2", 2.0)]
+
+
+def test_handler_names_are_resolved_at_registration():
+    """A bound method of an object whose ``__repr__`` raises registers
+    and dispatches with profiler *and* recorder attached: naming a
+    handler never formats it (only a callable without ``__qualname__``
+    falls back to ``repr``, once, when it registers)."""
+    from repro.obs import Recorder
+
+    class Unprintable:
+        def __init__(self):
+            self.hits = 0
+
+        def __repr__(self):
+            raise RuntimeError("repr() on the dispatch path")
+
+        async def handle(self):
+            self.hits += 1
+
+    class Nameless:
+        def __init__(self):
+            self.reprs = 0
+
+        def __repr__(self):
+            self.reprs += 1
+            return "<nameless>"
+
+        async def __call__(self):
+            pass
+
+    rt = SimRuntime()
+    prof = SeamProfiler()
+    rt.attach_profiler(prof)
+    rt.attach_obs(Recorder())
+    bus = EventBus(rt)
+    target, nameless = Unprintable(), Nameless()
+    reg = bus.register("E", target.handle, 1, owner="u")
+    bus.register("E", nameless, 2)
+    bus.register(TIMEOUT, target.handle, 1.0, owner="u")
+    assert reg.name == ("test_handler_names_are_resolved_at_registration"
+                        ".<locals>.Unprintable.handle")
+    assert bus.registration_table()["E"] == [reg.name, "<nameless>"]
+
+    async def main():
+        for _ in range(3):
+            await bus.trigger("E")
+
+    rt.run(main())
+    rt.kernel.run_until(5.0)
+    assert target.hits == 4
+    assert nameless.reprs == 1
+    assert [c[3] for c in prof.calls if c[0] == "enter"].count(
+        "<nameless>") == 3
+    assert bus.deregister("E", target.handle)

@@ -1,17 +1,23 @@
-"""Zero-overhead-when-disabled guard for the observability layer.
+"""Overhead guards for the observability layer, disabled and enabled.
 
-The obs contract: instrumented components resolve the recorder ONCE (at
-attach/construction time) and a disabled deployment pays a single
-``is None`` test per dispatch.  This module guards that contract two
-ways:
+The obs contract: instrumented components resolve the recorder and the
+profiler ONCE (at attach/construction time); there is one dispatch path,
+``EventBus.trigger``, on which a disabled deployment pays a single
+``is None`` pair per trigger and an enabled one a fixed, countable
+amount per handler.  This module guards that contract three ways:
 
 * structurally — a disabled recorder is never installed, nothing records;
+* by count — an instrumented trigger over k handlers reads the clock
+  k + 1 times, and ``trigger`` stays one coroutine function on the class
+  (the seam ``benchmarks/perf``'s tracer patches), never shadowed on an
+  instance;
 * empirically — the event-dispatch hot loop with tracing disabled stays
   within 5% of a baseline running the pre-instrumentation trigger loop
   (the exact code minus the ``_obs`` check), using interleaved min-of-k
   timing so scheduler noise cancels.
 """
 
+import inspect
 import time
 
 import pytest
@@ -28,7 +34,9 @@ THRESHOLD = 1.05
 
 async def _raw_trigger(self, event, *args):
     """The pre-instrumentation trigger loop: EventBus.trigger exactly as
-    it stood before the obs layer, without the ``_obs`` check."""
+    it stood before the obs layer — no ``_obs``/``_prof`` test, no
+    compiled tables, no pooled records.  It is the timing baseline only;
+    the bus itself has a single path that serves both cases."""
     snapshot = list(self._handlers.get(event, []))
     if not snapshot:
         return True
@@ -122,6 +130,73 @@ def test_observatory_hooks_absent_by_default():
     bus = EventBus(deployment.runtime)
     assert bus._obs is None and bus._prof is None
     deployment.shutdown()
+
+
+def test_instrumented_trigger_reads_the_clock_once_per_handler():
+    """k handlers, k + 1 clock reads: a handler starts at the instant
+    its predecessor ended, so only the ends are read (the profiler's
+    durations and the recorder's start/end pairs come from those)."""
+    from repro.obs.profiler import KernelProfiler
+
+    class CountingRuntime(SimRuntime):
+        reads = 0
+
+        def now(self):
+            self.reads += 1
+            return super().now()
+
+    for attach in ("profiler", "recorder", "both"):
+        runtime = CountingRuntime()
+        if attach != "recorder":
+            runtime.attach_profiler(KernelProfiler())
+        if attach != "profiler":
+            runtime.attach_obs(Recorder())
+        bus = EventBus(runtime)
+
+        async def handler():
+            pass
+
+        async def canceller():
+            bus.cancel_event()
+
+        for prio in range(4):
+            bus.register("EVT", handler, prio, owner=f"micro-{prio}")
+        bus.register("CUT", handler, 1)
+        bus.register("CUT", canceller, 2)
+        bus.register("CUT", handler, 3)
+        reads = []
+
+        async def main():
+            for event in ("EVT", "CUT", "NONE"):
+                before = runtime.reads
+                await bus.trigger(event)
+                reads.append(runtime.reads - before)
+
+        runtime.run(main())
+        # record_handler is handed its times; the recorder's own
+        # "cancel_event" record stamps itself (one more read).
+        stamp = 0 if attach == "profiler" else 1
+        assert reads == [4 + 1, 2 + 1 + stamp, 0], (attach, reads)
+
+
+def test_trigger_is_one_coroutine_function_on_the_class():
+    """The seam outside tracers patch: ``EventBus.trigger`` is an
+    ``async def`` in the class dict, whatever is attached, and no
+    instance carries its own."""
+    from repro.obs.profiler import KernelProfiler
+
+    assert "trigger" in EventBus.__dict__
+    assert inspect.iscoroutinefunction(EventBus.__dict__["trigger"])
+    assert not hasattr(EventBus, "_trigger_traced")
+    plain = EventBus(SimRuntime())
+    runtime = SimRuntime()
+    runtime.attach_profiler(KernelProfiler())
+    runtime.attach_obs(Recorder())
+    observed = EventBus(runtime)
+    assert observed._prof is runtime.profiler and observed._obs is runtime.obs
+    for bus in (plain, observed):
+        assert "trigger" not in vars(bus)
+        assert type(bus).trigger is EventBus.__dict__["trigger"]
 
 
 def test_disabled_marshal_loop_does_not_profile():

@@ -93,6 +93,25 @@ def test_space_saving_finds_zipf_head():
         assert count - err <= true <= count, (key, count, err, true)
 
 
+def test_space_saving_eviction_picks_the_same_victim():
+    """Keys far beyond the budget, so nearly every miss evicts: the
+    victim is the lowest count, ties broken by the lowest key.  ``top()``
+    was recorded with the ``min(key=lambda k: (counts[k], k))`` scan this
+    replaced; one different victim anywhere in the stream changes it."""
+    keys = [f"key-{i:04d}" for i in range(512)]
+    weights = [1.0 / (rank + 1) ** 1.1 for rank in range(512)]
+    rng = random.Random(24)
+    sketch = SpaceSaving(budget=8)
+    for _ in range(20000):
+        sketch.hit(rng.choices(keys, weights)[0])
+    assert sketch.total == 20000
+    assert sketch.top() == [
+        ("key-0000", 3905, 0), ("key-0001", 2303, 2289),
+        ("key-0002", 2299, 2298), ("key-0027", 2299, 2298),
+        ("key-0081", 2299, 2298), ("key-0113", 2299, 2298),
+        ("key-0171", 2298, 2297), ("key-0476", 2298, 2297)]
+
+
 def test_key_load_tracker_per_service_and_publish():
     metrics = MetricsRegistry()
     tracker = KeyLoadTracker(metrics, top_k=4)
@@ -236,6 +255,233 @@ def test_profiler_nested_self_vs_cumulative():
     for site in sites.values():
         assert 0.0 <= site.self_time <= site.cum
     assert "outer:h1;inner:h2 300000" in prof.collapsed()
+
+
+def test_profiler_recursion_gives_one_context_per_path():
+    prof = KernelProfiler()
+    prof.handler_enter(1, "a", "h")
+    prof.handler_enter(1, "b", "h")
+    prof.handler_enter(1, "a", "h")
+    prof.handler_exit(1, 0.1)
+    prof.handler_exit(1, 0.3)
+    prof.handler_exit(1, 0.6)
+    assert prof.collapsed().splitlines() == [
+        "a:h 300000", "a:h;b:h 200000", "a:h;b:h;a:h 100000"]
+    rows = {s.label: (s.calls, s.cum, s.self_time)
+            for s in prof.handler_sites()}
+    assert rows == {"a:h": (2, 0.1 + 0.6, 0.1 + (0.6 - 0.3)),
+                    "b:h": (1, 0.3, 0.3 - 0.1)}
+    assert prof._stacks == {}
+
+
+def test_profiler_tasks_parked_in_one_site_keep_separate_child_time():
+    """Two tasks inside the same context node at once: the child time
+    of one must not be subtracted from the other's self time."""
+    prof = KernelProfiler()
+    prof.handler_enter(1, "outer", "h")
+    prof.handler_enter(2, "outer", "h")        # same node, other task
+    prof.handler_enter(1, "inner", "h")
+    prof.handler_exit(1, 0.25)                 # task 1's child
+    prof.handler_exit(2, 1.0)                  # task 2: no children
+    prof.handler_exit(1, 1.0)
+    sites = {s.label: s for s in prof.handler_sites()}
+    assert sites["outer:h"].calls == 2
+    assert sites["outer:h"].cum == 2.0
+    assert sites["outer:h"].self_time == 1.0 + 0.75
+    assert prof.collapsed().splitlines() == [
+        "outer:h 1750000", "outer:h;inner:h 250000"]
+
+
+def test_profiler_reports_only_contexts_that_exited():
+    prof = KernelProfiler()
+    prof.handler_enter(1, "parked", "h")       # never exits
+    prof.handler_enter(1, "done", "h")
+    prof.handler_exit(1, 0.0)
+    prof.handler_enter(1, "also-parked", "h")  # never exits
+    assert prof.collapsed() == "parked:h;done:h 0"
+    assert [s.label for s in prof.handler_sites()] == ["done:h"]
+    metrics = MetricsRegistry()
+    prof.publish(metrics)
+    assert metrics.snapshot()["gauges"]["obs.profile.handler_sites"] == 1
+    prof.handler_exit(7, 1.0)                  # unknown task: ignored
+    assert [s.label for s in prof.handler_sites()] == ["done:h"]
+
+
+def test_profiler_stacks_do_not_outlive_crashed_handlers():
+    """A node crash while its handlers are parked (the bus is cleared,
+    the parked tasks cancelled): every bracket still unwinds through its
+    ``handler_exit``, so ``_stacks`` holds no entry for a dead task
+    however many crash/recover rounds pass."""
+    deployment = Deployment(seed=5, membership="oracle", observatory=True)
+    service = deployment.add_service(
+        "kv", ServiceSpec(reliable=True, bounded=50.0), KVStore,
+        servers=1, clients=1)
+    client, server = service.client_pids[0], service.server_pids[0]
+    prof = deployment.observatory.profiler
+    parked = []
+
+    async def rounds():
+        for i in range(100):
+            deployment.crash(server)       # the call below cannot finish
+            deployment.spawn_client(client, service.call(
+                client, "put", {"key": "k", "value": i}))
+            await deployment.runtime.sleep(0.05)
+            parked.append(len(prof._stacks))   # inside Synchronous_Call
+            deployment.crash(client)
+            await deployment.runtime.sleep(0.05)
+            assert prof._stacks == {}, i
+            deployment.recover(client)
+            deployment.recover(server)
+            await deployment.runtime.sleep(0.05)
+
+    deployment.run_scenario(rounds())
+    assert parked == [1] * 100
+    assert prof._stacks == {}
+    calls = {s.label: s.calls for s in prof.handler_sites()}
+    assert calls["Synchronous_Call:SynchronousCall.msg_from_user"] == 100
+    deployment.shutdown()
+
+
+#: ``collapsed()``, ``handler_sites()`` rows and the deterministic
+#: ``obs.profile.*`` gauges of ``python -m repro report sharded-kv``
+#: (heartbeat membership, one crash, one coordinator-kill migration),
+#: recorded with the flat per-exit path table the context tree replaced.
+#: Floats compare with ``==``.  Not regenerable from this tree: they are
+#: the other implementation's output.
+REPORT_COLLAPSED = """\
+Acceptance:Acceptance.msg_from_net 0
+Acceptance:Acceptance.server_failure 0
+Collation:Collation.msg_from_net 0
+RPC_Main:RPCMain.drop_in_progress_duplicates 0
+RPC_Main:RPCMain.msg_from_net 0
+RPC_Main:RPCMain.msg_from_net;Unique_Execution:UniqueExecution.handle_reply 0
+RPC_Main:RPCMain.msg_from_user 0
+RPC_Main:RPCMain.msg_from_user;Acceptance:Acceptance.handle_new_call 0
+RPC_Main:RPCMain.msg_from_user;Bounded_Termination:BoundedTermination.handle_new_call 0
+RPC_Main:RPCMain.msg_from_user;Collation:Collation.handle_new_call 0
+RPC_Main:RPCMain.msg_from_user;Reliable_Communication:ReliableCommunication.handle_new_call 0
+Reliable_Communication:ReliableCommunication.handle_timeout 0
+Reliable_Communication:ReliableCommunication.msg_from_net 0
+Synchronous_Call:SynchronousCall.msg_from_user 4371839
+Unique_Execution:UniqueExecution.admit_call 0
+Unique_Execution:UniqueExecution.msg_from_net 0"""
+REPORT_HANDLER_SITES = [
+    ("Synchronous_Call:SynchronousCall.msg_from_user", 136,
+     4.371839014379124, 4.371839014379124),
+    ("Acceptance:Acceptance.handle_new_call", 136, 0.0, 0.0),
+    ("Acceptance:Acceptance.msg_from_net", 908, 0.0, 0.0),
+    ("Acceptance:Acceptance.server_failure", 24, 0.0, 0.0),
+    ("Bounded_Termination:BoundedTermination.handle_new_call", 136,
+     0.0, 0.0),
+    ("Collation:Collation.handle_new_call", 136, 0.0, 0.0),
+    ("Collation:Collation.msg_from_net", 805, 0.0, 0.0),
+    ("RPC_Main:RPCMain.drop_in_progress_duplicates", 1016, 0.0, 0.0),
+    ("RPC_Main:RPCMain.msg_from_net", 908, 0.0, 0.0),
+    ("RPC_Main:RPCMain.msg_from_user", 136, 0.0, 0.0),
+    ("Reliable_Communication:ReliableCommunication.handle_new_call", 136,
+     0.0, 0.0),
+    ("Reliable_Communication:ReliableCommunication.handle_timeout", 1224,
+     0.0, 0.0),
+    ("Reliable_Communication:ReliableCommunication.msg_from_net", 1016,
+     0.0, 0.0),
+    ("Unique_Execution:UniqueExecution.admit_call", 908, 0.0, 0.0),
+    ("Unique_Execution:UniqueExecution.handle_reply", 235, 0.0, 0.0),
+    ("Unique_Execution:UniqueExecution.msg_from_net", 1016, 0.0, 0.0),
+]
+REPORT_GAUGES = {
+    "obs.profile.steps": 5990,
+    "obs.profile.handler_sites": 16,
+    "obs.profile.handler_virtual": 4.371839014379124,
+    "obs.profile.marshal.calls": 0, "obs.profile.marshal.bytes": 0,
+    "obs.profile.unmarshal.calls": 0, "obs.profile.unmarshal.bytes": 0,
+}
+
+
+def test_profiler_matches_the_flat_table_on_the_report_scenario(
+        monkeypatch, capsys):
+    from repro.__main__ import main
+
+    seen = []
+    render = Deployment.render_report
+
+    def capture(deployment):
+        # Before ``shutdown()`` steps the cancelled tasks out.
+        deployment.observatory.publish()
+        seen.append((deployment.observatory.profiler,
+                     deployment.metrics.snapshot()["gauges"]))
+        return render(deployment)
+
+    monkeypatch.setattr(Deployment, "render_report", capture)
+    assert main(["report", "sharded-kv"]) == 0
+    ((prof, gauges),) = seen
+    assert prof.collapsed() == REPORT_COLLAPSED
+    assert [(s.label, s.calls, s.cum, s.self_time)
+            for s in prof.handler_sites()] == REPORT_HANDLER_SITES
+    assert {name: gauges[name] for name in REPORT_GAUGES} == REPORT_GAUGES
+    assert prof._stacks == {}
+    # The step table lists kinds: the 1 223 expired timeouts are one
+    # row of the report's top 8, not 1 223 one-sample rows below it.
+    assert gauges["obs.profile.step_sites"] < 60
+    report = capsys.readouterr().out
+    top_tasks = report.split("top tasks by sampled wall clock:")[1]
+    rows = [line.split()[:2] for line in top_tasks.splitlines()[1:9]]
+    assert ["timeout", "samples=1223"] in rows
+
+
+# ---------------------------------------------------------------------------
+# The step sampler: sites per task kind, bounded by the deployment's shape
+# ---------------------------------------------------------------------------
+
+def test_task_kind_drops_only_the_trailing_sequence_number():
+    from repro.obs.profiler import task_kind
+
+    assert task_kind("node-101-msg-5532") == "node-101-msg"
+    assert task_kind("node-101-msg-5532.3") == "node-101-msg"
+    assert task_kind("timeout-1223") == "timeout"
+    assert task_kind("cc-EVT-12") == "cc-EVT"
+    assert task_kind("client-116") == "client"
+    assert task_kind("drain-shard-3") == "drain-shard"
+    for name in ("node-101-recv", "node-2-recv", "heartbeat@5-send",
+                 "main", "nb-EVT", "-", "7", "task-"):
+        assert task_kind(name) == name
+
+
+def _observed_sharded_puts(n_puts):
+    from repro.apps import build_sharded_kv
+
+    deployment = Deployment(seed=3, observatory=True)
+    kv = build_sharded_kv(
+        deployment, 2, clients=1, servers_per_shard=1,
+        spec=ServiceSpec(reliable=True, bounded=5.0, acceptance=1))
+
+    async def scenario():
+        for i in range(n_puts):
+            assert (await kv.put(f"key-{i % 16}", i)).ok
+
+    deployment.run_scenario(scenario())
+    sites = deployment.observatory.profiler.step_sites()
+    deployment.shutdown()
+    return sites
+
+
+def test_step_sites_do_not_grow_with_the_number_of_calls():
+    few = _observed_sharded_puts(10)
+    many = _observed_sharded_puts(40)
+    assert len(few) == len(many)
+    assert [s.name for s in many] != []
+    assert sorted(s.name for s in few) == sorted(s.name for s in many)
+    by_name = {s.name: s for s in many}
+    # Per-node receive loops stay distinguishable ...
+    recv = sorted(name for name in by_name if name.endswith("-recv"))
+    assert recv == ["node-1-recv", "node-101-recv", "node-2-recv"]
+    # ... while a node's per-message tasks, and all expired timeouts
+    # (Reliable Communication's retransmit timer fires on every call),
+    # are one site each however many ran.
+    assert {name for name in by_name if "-msg" in name} == {
+        "node-1-msg", "node-101-msg", "node-2-msg"}
+    assert by_name["node-101-msg"].samples >= 40
+    assert by_name["timeout"].samples >= 40
+    assert all(s.samples > 0 for s in many)
 
 
 # ---------------------------------------------------------------------------
