@@ -93,13 +93,15 @@ class Registration:
 
 
 class _Dispatch:
-    """Bookkeeping for one in-progress ``trigger`` call."""
+    """Bookkeeping for one in-progress ``trigger`` call, linked to the
+    dispatch it nests in (``None`` at a task's outermost trigger)."""
 
-    __slots__ = ("event", "cancelled")
+    __slots__ = ("event", "cancelled", "outer")
 
-    def __init__(self, event: str):
+    def __init__(self, event: str, outer: Optional["_Dispatch"]):
         self.event = event
         self.cancelled = False
+        self.outer = outer
 
 
 class EventBus:
@@ -119,14 +121,11 @@ class EventBus:
         # every call (the tuple IS the snapshot).
         self._tables: Dict[str, Tuple[Registration, ...]] = {}
         self._seq = 0
-        # Stack of active dispatches per task, keyed by id(task handle),
-        # so cancel_event() from interleaved tasks cannot cross wires.
-        self._active: Dict[int, List[_Dispatch]] = {}
-        # Free lists for the untraced trigger fast path: steady-state
-        # dispatch pays zero allocations (recycled _Dispatch records and
-        # per-task stack lists).  Bounded so a burst cannot pin memory.
-        self._dispatch_pool: List[_Dispatch] = []
-        self._stack_pool: List[List[_Dispatch]] = []
+        # Innermost active dispatch per task, keyed by id(task handle),
+        # so cancel_event() from interleaved tasks cannot cross wires;
+        # each record links to the one it nests in.
+        self._active: Dict[int, _Dispatch] = {}
+        self._current_task = runtime.current_handle_nowait
         # Armed TIMEOUT registrations keyed by registration seq
         # (insertion-ordered).  A dict so :meth:`disarm` — called once
         # per completed bounded call — is O(1) instead of a list scan.
@@ -265,22 +264,9 @@ class EventBus:
             table = self._compile(event)
         if not table:
             return True
-        # Recycle dispatch records and stack lists: in steady state a
-        # trigger allocates nothing.
-        pool = self._dispatch_pool
-        if pool:
-            dispatch = pool.pop()
-            dispatch.event = event
-            dispatch.cancelled = False
-        else:
-            dispatch = _Dispatch(event)
-        task_key = id(self.runtime.current_handle_nowait())
-        stack = self._active.get(task_key)
-        if stack is None:
-            stacks = self._stack_pool
-            stack = stacks.pop() if stacks else []
-            self._active[task_key] = stack
-        stack.append(dispatch)
+        task_key = id(self._current_task())
+        active = self._active
+        dispatch = active[task_key] = _Dispatch(event, active.get(task_key))
         obs = self._obs
         prof = self._prof
         try:
@@ -310,7 +296,7 @@ class EventBus:
             elif len(table) == 1:
                 # Single-handler case dominates micro-protocol
                 # composition; skip the loop (cancelled is always False
-                # on entry — cancel_event still works via the stack).
+                # on entry — cancel_event still works via the record).
                 await table[0].handler(*args)
             else:
                 for reg in table:
@@ -318,11 +304,15 @@ class EventBus:
                         break
                     await reg.handler(*args)
         finally:
-            self._pop_dispatch(task_key, stack, dispatch)
-            cancelled = dispatch.cancelled
-            if len(pool) < 16:
-                pool.append(dispatch)
-        return not cancelled
+            # A node crash clears ``_active`` while cancelled tasks are
+            # still unwinding: restore the outer record only if this one
+            # is still the task's innermost.
+            if active.get(task_key) is dispatch:
+                if dispatch.outer is None:
+                    del active[task_key]
+                else:
+                    active[task_key] = dispatch.outer
+        return not dispatch.cancelled
 
     #: ``trigger`` under the name the bus uses for its own one-handler
     #: occurrences — an expired TIMEOUT, one handler of a concurrent
@@ -335,21 +325,6 @@ class EventBus:
         table = tuple(self._handlers.get(event, ()))
         self._tables[event] = table
         return table
-
-    def _pop_dispatch(self, task_key: int, stack: List[_Dispatch],
-                      dispatch: _Dispatch) -> None:
-        """Unwind one dispatch record, tolerating crash teardown.
-
-        A node crash clears ``_active`` while cancelled tasks are still
-        unwinding their ``trigger`` calls, so the record (or the whole
-        stack) may already be gone.
-        """
-        if dispatch in stack:
-            stack.remove(dispatch)
-        if not stack and self._active.get(task_key) is stack:
-            self._active.pop(task_key, None)
-            if len(self._stack_pool) < 16:
-                self._stack_pool.append(stack)
 
     def trigger_nonblocking(self, event: str, *args: Any) -> None:
         """Sequential dispatch in a fresh task; the caller continues.
@@ -392,20 +367,18 @@ class EventBus:
         handler typically follows it with ``return`` (the paper's
         ``exit()``).
         """
-        task_key = id(self.runtime.current_handle_nowait())
-        stack = self._active.get(task_key)
-        if not stack:
+        dispatch = self._active.get(id(self._current_task()))
+        if dispatch is None:
             raise KernelError("cancel_event() outside of event dispatch")
-        stack[-1].cancelled = True
+        dispatch.cancelled = True
         if self._obs is not None:
             self._obs.record_event("cancel_event", node=self.node_id,
-                                   event=stack[-1].event)
+                                   event=dispatch.event)
 
     def in_dispatch(self) -> Optional[str]:
         """Name of the event the calling task is dispatching, if any."""
-        task_key = id(self.runtime.current_handle_nowait())
-        stack = self._active.get(task_key)
-        return stack[-1].event if stack else None
+        dispatch = self._active.get(id(self._current_task()))
+        return None if dispatch is None else dispatch.event
 
     # ------------------------------------------------------------------
     # TIMEOUT plumbing

@@ -225,9 +225,10 @@ class GroupRPC(CompositeProtocol):
     async def pop(self, payload: Any, sender: ProcessId) -> None:
         """A message arrived from the transport below.
 
-        Each arrival runs in its own task (spawned by the node's receive
-        loop), so a chain blocked on ``serial`` or an ordering gate does
-        not stall later arrivals — the paper's execution model.
+        Each arrival runs in its own task (spawned by the node as the
+        fabric delivers it), so a chain blocked on ``serial`` or an
+        ordering gate does not stall later arrivals — the paper's
+        execution model.
         """
         if not isinstance(payload, NetMsg):
             return
@@ -272,7 +273,7 @@ class GroupRPC(CompositeProtocol):
                 msg.annotations = {ADAPT_EPOCH_KEY: self.adapt_epoch}
             else:
                 msg.annotations[ADAPT_EPOCH_KEY] = self.adapt_epoch
-        await self.lower.push(dest, msg)
+        await self.lower.resolve_down().push(dest, msg)
 
     async def deliver_to_server(self, op: str, args: Any) -> Any:
         """Blocking upcall to the user protocol (the paper's

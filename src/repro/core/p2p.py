@@ -137,7 +137,7 @@ class PointToPointRPC(Protocol):
     async def _send(self, dest: ProcessId, msg: P2PMsg) -> None:
         if self.lower is None:
             raise ConfigurationError(f"{self.name} has no transport")
-        await self.lower.push(dest, msg)
+        await self.lower.resolve_down().push(dest, msg)
 
     async def pop(self, msg: P2PMsg, sender: ProcessId) -> None:
         if msg.kind == "call":

@@ -119,7 +119,7 @@ class HeartbeatDetector(Protocol):
             self._seq += 1
             beat = Heartbeat(self.node.pid, self._seq)
             if self.lower is not None:
-                await self.lower.push(self.peers, beat)
+                await self.lower.resolve_down().push(self.peers, beat)
             await self.node.runtime.sleep(self.interval)
 
     async def _monitor_loop(self) -> None:

@@ -23,6 +23,7 @@ existing links' draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
@@ -169,17 +170,19 @@ class NetworkFabric:
         once per inner message, so :mod:`repro.faults` applies uniformly
         whether or not batching is on; surviving messages continue in a
         rebuilt batch.  ``resolve`` is called exactly once when the
-        envelope's fate is decided (the pipeline's budget return).
+        envelope's fate is decided (the pipeline's budget return).  One
+        :class:`~repro.net.message.Envelope` is built per transmitted
+        copy.
         """
         now = self.runtime.now()
-        envelope = Envelope(src, dst, payload, now, on_resolved=resolve)
         batched = isinstance(payload, WireBatch)
-        inner: List[object] = list(payload) if batched else [payload]
+        inner = payload.messages if batched else (payload,)
         self._envelopes_counter.inc()
         trace_record = self.trace.record
         for msg in inner:
             trace_record(now, "send", src, dst, detail=msg)
         if self._filters:
+            envelope = Envelope(src, dst, payload, now)
             survivors = []
             for msg in inner:
                 probe = envelope if not batched else \
@@ -187,23 +190,18 @@ class NetworkFabric:
                 if all(fltr(probe) for fltr in list(self._filters)):
                     survivors.append(msg)
                 else:
-                    self.trace.record(now, "drop-filter", src, dst,
-                                      detail=msg)
+                    trace_record(now, "drop-filter", src, dst, detail=msg)
             if not survivors:
-                envelope.resolve()
+                if resolve is not None:
+                    resolve()
                 return
             if len(survivors) != len(inner):
                 inner = survivors
                 payload = survivors[0] if len(survivors) == 1 \
                     else WireBatch(survivors)
-                envelope = Envelope(src, dst, payload, now,
-                                    seq=envelope.seq, on_resolved=resolve)
         if (src, dst) in self._blocked:
-            for msg in inner:
-                self.trace.record(now, "drop-partition", src, dst,
-                                  detail=msg)
-            envelope.resolve()
-            return
+            return self._drop("drop-partition", now, src, dst, inner,
+                              resolve)
         key = (src, dst)
         hot = self._hot_links.get(key)
         if hot is None:
@@ -212,23 +210,19 @@ class NetworkFabric:
             self._hot_links[key] = hot
         spec, rng = hot
         if spec.loss and rng.random() < spec.loss:
-            for msg in inner:
-                self.trace.record(now, "drop-loss", src, dst, detail=msg)
-            envelope.resolve()
-            return
+            return self._drop("drop-loss", now, src, dst, inner, resolve)
         copies = 1
         if spec.duplicate and rng.random() < spec.duplicate:
             copies = 2
             for msg in inner:
-                self.trace.record(now, "duplicate", src, dst, detail=msg)
+                trace_record(now, "duplicate", src, dst, detail=msg)
         for copy in range(copies):
             delay = spec.delay + rng.uniform(0.0, spec.jitter)
             if spec.spike_prob and rng.random() < spec.spike_prob:
                 delay += spec.spike_delay
-            copy_env = Envelope(src, dst, payload, now, copy=copy,
-                                on_resolved=resolve)
-            self.runtime.call_later(
-                delay, lambda env=copy_env: self._deliver(env))
+            self.runtime.call_later(delay, partial(
+                self._deliver, Envelope(src, dst, payload, now, copy=copy,
+                                        on_resolved=resolve)))
 
     def multicast(self, src: ProcessId, group: Group | Iterable[ProcessId],
                   payload: object) -> None:
@@ -246,23 +240,31 @@ class NetworkFabric:
         node = self.nodes.get(envelope.dst)
         now = self.runtime.now()
         payload = envelope.payload
-        inner: List[object] = list(payload) \
-            if isinstance(payload, WireBatch) else [payload]
+        inner = payload.messages if isinstance(payload, WireBatch) \
+            else (payload,)
         if node is None or not node.up:
-            for msg in inner:
-                self.trace.record(now, "drop-dead", envelope.src,
-                                  envelope.dst, detail=msg)
-            envelope.resolve()
-            return
+            return self._drop("drop-dead", now, envelope.src, envelope.dst,
+                              inner, envelope.on_resolved)
+        trace_record = self.trace.record
         for msg in inner:
-            self.trace.record(now, "deliver", envelope.src, envelope.dst,
-                              detail=msg)
+            trace_record(now, "deliver", envelope.src, envelope.dst,
+                         detail=msg)
         envelope.resolve()
         if self.pipeline.link_metrics:
             self.pipeline.on_delivered(envelope.src, envelope.dst,
                                        len(inner),
                                        now - envelope.send_time)
         node.deliver(envelope)
+
+    def _drop(self, kind: str, now: float, src: ProcessId, dst: ProcessId,
+              inner: Iterable[object],
+              resolve: Optional[Callable[[], None]]) -> None:
+        """Record one ``kind`` drop per message, then settle the send's
+        fate (the pipeline's budget return)."""
+        for msg in inner:
+            self.trace.record(now, kind, src, dst, detail=msg)
+        if resolve is not None:
+            resolve()
 
     # ------------------------------------------------------------------
     # Membership plumbing

@@ -120,8 +120,8 @@ _ENVELOPE_SEQ = 0
 class Envelope:
     """A payload in flight through the simulated fabric.
 
-    ``seq`` is a global sequence number used only for tracing and
-    deterministic tie-breaking; ``copy`` distinguishes duplicated
+    ``seq`` is a global sequence number that only names the arrival's
+    task and trace records; ``copy`` distinguishes duplicated
     deliveries of the same send.  ``on_resolved`` is the wire pipeline's
     completion hook: called exactly once when the fabric decides the
     envelope's fate (delivered or dropped), it returns the link's

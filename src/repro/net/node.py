@@ -6,11 +6,15 @@ calls into generations (Interference Avoidance, Terminate Orphan).  A
 :class:`Node` models one site:
 
 * **crash** — every task the site was running is cancelled (volatile state
-  is the protocol layers' to reset via crash listeners), queued inbound
-  messages are discarded, and the fabric stops delivering to it;
-* **recover** — the incarnation number is bumped, the receive loop is
-  restarted, and recovery listeners fire (gRPC turns this into the
-  ``RECOVERY`` event of Section 4.3).
+  is the protocol layers' to reset via crash listeners), arrivals still
+  being handled die with their tasks, and the fabric stops delivering to
+  it;
+* **recover** — the incarnation number is bumped and recovery listeners
+  fire (gRPC turns this into the ``RECOVERY`` event of Section 4.3).
+
+Every arrival runs up the stack in its own task, spawned straight from
+the fabric's delivery (:meth:`Node.deliver`), so one blocked handler
+chain never stalls the next message — the paper's execution model.
 
 The incarnation counter survives crashes.  On real hardware it would be
 read from stable storage at reboot; here the :class:`Node` object plays the
@@ -34,7 +38,7 @@ __all__ = ["Node"]
 
 
 class Node:
-    """One simulated site: a process id, an inbox, and a task scope."""
+    """One simulated site: a process id, a stable store, a task scope."""
 
     def __init__(self, pid: ProcessId, runtime: Runtime,
                  fabric: "NetworkFabric", *, name: str = ""):
@@ -47,7 +51,6 @@ class Node:
         #: This site's "disk": survives crashes (the Node object persists
         #: while the tasks' volatile state does not).
         self.stable = StableStore()
-        self.inbox = runtime.queue()
         self.scope = CancelScope(runtime)
         #: Called with no arguments the moment the node crashes; protocol
         #: layers register resets of their volatile state here.
@@ -56,7 +59,6 @@ class Node:
         self.recover_listeners: List[Callable[[int], None]] = []
         #: The bottom protocol of this node's stack; set by the transport.
         self.transport: Any = None
-        self._receiver: Any = None
         fabric.add_node(self)
 
     # ------------------------------------------------------------------
@@ -65,21 +67,16 @@ class Node:
 
     def start(self) -> None:
         """Bring the node up for the first time (no listeners fire)."""
-        if self.up:
-            return
         self.up = True
-        self._start_receiver()
 
     def crash(self) -> None:
-        """Crash the site: kill tasks, drop queued input, go down."""
+        """Crash the site: kill tasks (arrivals in progress too), go down."""
         if not self.up:
             return
         self.up = False
         self.fabric.trace.record(self.runtime.now(), "crash", self.pid,
                                  self.pid)
         self.scope.cancel_all()
-        self._receiver = None
-        self.inbox.clear()
         # Outbound messages still sitting in the wire pipeline's
         # coalescing buffers die with the site: a down node cannot
         # transmit on the flush timer.
@@ -96,7 +93,6 @@ class Node:
         self.up = True
         self.fabric.trace.record(self.runtime.now(), "recover", self.pid,
                                  self.pid, detail=self.incarnation)
-        self._start_receiver()
         for listener in list(self.recover_listeners):
             listener(self.incarnation)
         self.fabric.notify_membership(self.pid, alive=True)
@@ -115,24 +111,10 @@ class Node:
             coro, name=name or f"{self.name}-task", daemon=daemon)
 
     def deliver(self, envelope: Envelope) -> None:
-        """Called by the fabric to hand over an arrived envelope."""
-        self.inbox.put(envelope)
-
-    def _start_receiver(self) -> None:
-        self._receiver = self.scope.spawn(
-            self._receive_loop(), name=f"{self.name}-recv", daemon=True)
-
-    async def _receive_loop(self) -> None:
-        """Pop envelopes and hand each to the transport in its own task.
-
-        Per-message tasks reproduce the paper's execution model where every
-        network message arrival triggers its own (possibly blocking) event
-        handler chain; a blocked chain must not stall later arrivals.
-        """
-        while True:
-            envelope = await self.inbox.get()
-            if self.transport is None:
-                continue
+        """Called by the fabric to hand over an arrived envelope: it runs
+        up the stack in its own task, so a chain that blocks cannot stall
+        later arrivals."""
+        if self.transport is not None:
             self.scope.spawn(
                 self.transport.handle_arrival(envelope),
                 name=f"{self.name}-msg-{envelope.seq}", daemon=True)

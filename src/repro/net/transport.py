@@ -15,9 +15,10 @@ Outbound messages are handed to the fabric's
 :class:`~repro.net.wire.WirePipeline` — the single send path shared by
 every protocol stack — so link-level coalescing, backpressure and the
 control fast lane apply uniformly no matter which composite is sending.
-Inbound, the transport unbatches :class:`~repro.net.wire.WireBatch`
-envelopes back into individual payloads, each dispatched up the demux
-stack in its own task; everything above this layer is batching-agnostic.
+Inbound, the transport resolves the route through the demuxes in one
+walk and awaits the target's ``pop`` directly; a :class:`~repro.net.
+wire.WireBatch` envelope is unbatched into one task per payload, so
+everything above this layer is batching-agnostic.
 """
 
 from __future__ import annotations
@@ -66,14 +67,19 @@ class UnreliableTransport(Protocol):
         A coalesced envelope fans out into one task per inner message,
         preserving arrival order at the same instant while keeping the
         per-message execution model: one blocked handler chain must not
-        stall the rest of the batch.
+        stall the rest of the batch.  Payloads no route claims are
+        dropped.
         """
         payload = envelope.payload
         if isinstance(payload, WireBatch):
             for i, msg in enumerate(payload):
-                self.node.scope.spawn(
-                    self.pop(msg, sender=envelope.src),
-                    name=f"{self.node.name}-msg-{envelope.seq}.{i}",
-                    daemon=True)
+                target = self.upper.resolve_up(msg)
+                if target is not None:
+                    self.node.scope.spawn(
+                        target.pop(msg, envelope.src),
+                        name=f"{self.node.name}-msg-{envelope.seq}.{i}",
+                        daemon=True)
             return
-        await self.pop(payload, sender=envelope.src)
+        target = self.upper.resolve_up(payload)
+        if target is not None:
+            await target.pop(payload, envelope.src)

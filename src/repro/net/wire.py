@@ -260,7 +260,13 @@ class WirePipeline:
     async def multicast(self, src: ProcessId, dests: Iterable[ProcessId],
                         payload: Any) -> None:
         """Fan ``payload`` out over independent per-member links."""
-        if not self.batch or (self.fast_lane and is_control(payload)):
+        control = self.fast_lane and is_control(payload)
+        if self._passthrough and not control:
+            send = self.fabric.send
+            for member in dests:
+                send(src, member, payload)
+            return
+        if not self.batch or control:
             for member in dests:
                 await self.send(src, member, payload)
             return

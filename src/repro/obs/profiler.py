@@ -60,7 +60,7 @@ def task_kind(name: str) -> str:
     of a batched envelope, ``timeout-1223``) and all do one kind of work,
     so they share one site (``node-101-msg``, ``timeout``).  Only that
     last field is dropped: long-lived tasks keep their identity
-    (``node-101-recv`` vs ``node-2-recv``, ``heartbeat@5-send``).
+    (``heartbeat@5-send`` vs ``heartbeat@5-mon``, ``main``).
     """
     kind, dash, seq = name.rpartition("-")
     return kind if dash and seq.replace(".", "").isdigit() else name

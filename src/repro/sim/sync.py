@@ -191,11 +191,8 @@ class Condition:
 
 
 class Queue:
-    """An unbounded FIFO queue with blocking ``get``.
-
-    Used to hand messages from the network fabric to per-node receiver
-    tasks and as the mailbox behind the asynchronous-call example.
-    """
+    """An unbounded FIFO queue with blocking ``get`` (the sim runtime's
+    :meth:`~repro.runtime.base.Runtime.queue`)."""
 
     def __init__(self) -> None:
         self._items: Deque[Any] = deque()

@@ -11,6 +11,10 @@ sits between the type demux and the composites and routes each ``NetMsg``
 by the service key stamped into it on transmission — the x-kernel's
 "relative protocol id" reduced to a service name.  Pushes from any of the
 uppers pass straight down through both stages.
+
+Both stages only route, so they answer ``resolve_up`` (the type demux
+caches it per exact payload class) and ``resolve_down``: no arrival or
+send passes through either as a coroutine of its own.
 """
 
 from __future__ import annotations
@@ -23,29 +27,51 @@ from repro.xkernel.upi import Protocol
 __all__ = ["TypeDemux", "ServiceDemux"]
 
 
-class TypeDemux(Protocol):
+class _Demux(Protocol):
+    """A routing-only layer: a pop goes to the resolved upper, a push
+    to the lower."""
+
+    async def pop(self, payload: Any, *args: Any, **kwargs: Any) -> Any:
+        target = self.resolve_up(payload)
+        if target is None:
+            # Unclaimed payloads are dropped silently, like a port with
+            # no listener.
+            return None
+        return await target.pop(payload, *args, **kwargs)
+
+    def resolve_down(self) -> Protocol:
+        return self if self.lower is None else self.lower.resolve_down()
+
+
+class TypeDemux(_Demux):
     """Routes popped payloads by their Python type."""
 
     def __init__(self, name: str = "demux"):
         super().__init__(name)
         self._routes: Dict[Type, Protocol] = {}
+        # Exact payload class -> its route (None: unclaimed), found by
+        # the first arrival of that class; attach() starts it afresh.
+        self._by_class: Dict[Type, Optional[Protocol]] = {}
 
     def attach(self, payload_type: Type, upper: Protocol) -> None:
         """Deliver payloads of ``payload_type`` (or subclasses) to
         ``upper``; also wires ``upper.lower`` to this demux for pushes."""
         self._routes[payload_type] = upper
+        self._by_class.clear()
         upper.lower = self
 
-    async def pop(self, payload: Any, **kwargs: Any) -> Any:
-        for payload_type, upper in self._routes.items():
-            if isinstance(payload, payload_type):
-                return await upper.pop(payload, **kwargs)
-        # Unclaimed payload types are dropped silently, like a port with
-        # no listener.
-        return None
+    def resolve_up(self, payload: Any) -> Optional[Protocol]:
+        cls = type(payload)
+        try:
+            upper = self._by_class[cls]
+        except KeyError:
+            upper = self._by_class[cls] = next(
+                (route for payload_type, route in self._routes.items()
+                 if issubclass(cls, payload_type)), None)
+        return None if upper is None else upper.resolve_up(payload)
 
 
-class ServiceDemux(Protocol):
+class ServiceDemux(_Demux):
     """Routes popped payloads by their ``service`` key.
 
     Sits between a :class:`TypeDemux` and the per-service gRPC composites
@@ -91,9 +117,7 @@ class ServiceDemux(Protocol):
     def route(self, service: str) -> Optional[Protocol]:
         return self._routes.get(service)
 
-    async def pop(self, payload: Any, **kwargs: Any) -> Any:
+    def resolve_up(self, payload: Any) -> Optional[Protocol]:
         upper = self._routes.get(getattr(payload, "service", ""),
                                  self.default_upper)
-        if upper is None:
-            return None
-        return await upper.pop(payload, **kwargs)
+        return None if upper is None else upper.resolve_up(payload)

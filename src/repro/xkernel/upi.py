@@ -13,6 +13,13 @@ stack together.  Sessions, participant lists and the x-kernel's open/demux
 machinery are collapsed into keyword arguments on push/pop, which is
 sufficient because gRPC's demultiplexing is done with call identifiers
 carried in the messages themselves.
+
+A layer that only routes (the demuxes) also answers :meth:`Protocol.
+resolve_up` / :meth:`Protocol.resolve_down`: which protocol a message
+really ends up at.  The transport walks that chain once, synchronously,
+and awaits the target's ``pop`` directly; senders push to the resolved
+bottom the same way — one coroutine per message instead of one per
+layer.
 """
 
 from __future__ import annotations
@@ -49,6 +56,16 @@ class Protocol:
         if self.upper is None:
             raise ReproError(f"{self.name}: pop with no upper protocol")
         return await self.upper.pop(*args, **kwargs)
+
+    def resolve_up(self, payload: Any) -> Optional["Protocol"]:
+        """The protocol whose ``pop`` handles ``payload`` arriving here
+        (``None``: dropped unclaimed).  Default: this one."""
+        return self
+
+    def resolve_down(self) -> "Protocol":
+        """The protocol whose ``push`` handles a message pushed here.
+        Default: this one."""
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Protocol {self.name}>"

@@ -530,3 +530,139 @@ def test_handler_names_are_resolved_at_registration():
     assert [c[3] for c in prof.calls if c[0] == "enter"].count(
         "<nameless>") == 3
     assert bus.deregister("E", target.handle)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch records: one per trigger, linked to the dispatch it nests in
+# ---------------------------------------------------------------------------
+
+def test_nested_records_unwind_to_the_enclosing_dispatch():
+    rt, bus = make_bus()
+    seen = []
+
+    async def outer_first():
+        seen.append(bus.in_dispatch())
+        assert await bus.trigger("INNER") is False
+        seen.append(bus.in_dispatch())       # back on the outer record
+        bus.cancel_event()                   # ... so this cancels OUTER
+
+    async def inner():
+        seen.append(bus.in_dispatch())
+        bus.cancel_event()
+
+    async def outer_second():
+        raise AssertionError("ran after the outer dispatch was cancelled")
+
+    bus.register("OUTER", outer_first, 1)
+    bus.register("OUTER", outer_second, 2)
+    bus.register("INNER", inner, 1)
+
+    async def main():
+        assert bus.in_dispatch() is None
+        assert await bus.trigger("OUTER") is False
+        assert bus.in_dispatch() is None
+        assert bus._active == {}
+
+    rt.run(main())
+    assert seen == ["OUTER", "INNER", "OUTER"]
+
+
+def test_nesting_across_two_buses_in_one_task():
+    rt = SimRuntime()
+    first, second = EventBus(rt), EventBus(rt)
+    order = []
+
+    async def a1():
+        order.append("a1")
+        assert await second.trigger("B") is True
+        order.append(("after-B", first.in_dispatch(), second.in_dispatch()))
+
+    async def a2():
+        order.append("a2")
+
+    async def b1():
+        order.append(("b1", first.in_dispatch(), second.in_dispatch()))
+        first.cancel_event()          # the enclosing A dispatch, not B
+
+    async def b2():
+        order.append("b2")
+
+    first.register("A", a1, 1)
+    first.register("A", a2, 2)
+    second.register("B", b1, 1)
+    second.register("B", b2, 2)
+
+    async def main():
+        assert await first.trigger("A") is False
+
+    rt.run(main())
+    assert order == ["a1", ("b1", "A", "B"), "b2", ("after-B", "A", None)]
+    assert first._active == {} and second._active == {}
+
+
+def test_interleaved_tasks_keep_their_own_records():
+    from repro.sim import spawn
+
+    rt, bus = make_bus()
+    seen = []
+
+    async def slow(tag):
+        await rt.sleep(1.0 if tag == "a" else 0.5)
+        seen.append((tag, bus.in_dispatch()))
+        if tag == "b":
+            assert await bus.trigger("NESTED", tag) is False
+            seen.append((tag, bus.in_dispatch()))
+
+    async def nested(tag):
+        await rt.sleep(1.0)                   # task "a" resumes meanwhile
+        seen.append((tag, bus.in_dispatch()))
+        bus.cancel_event()
+
+    bus.register("E", slow, 1)
+    bus.register("NESTED", nested, 1)
+
+    async def main():
+        ta = await spawn(bus.trigger("E", "a"))
+        tb = await spawn(bus.trigger("E", "b"))
+        assert await ta.join() is True
+        assert await tb.join() is True
+
+    rt.run(main())
+    assert seen == [("b", "E"), ("a", "E"), ("b", "NESTED"), ("b", "E")]
+    assert bus._active == {}
+
+
+def test_dispatch_records_do_not_outlive_crashed_tasks():
+    """A crash clears the composite's bus while its client task is parked
+    inside a dispatch: the cancelled task unwinds without restoring a
+    record, so ``_active`` holds nothing for a dead task however many
+    crash/recover rounds pass."""
+    from repro import Deployment, ServiceSpec
+    from repro.apps import KVStore
+
+    deployment = Deployment(seed=5, membership="oracle")
+    service = deployment.add_service(
+        "kv", ServiceSpec(reliable=True, bounded=50.0), KVStore,
+        servers=1, clients=1)
+    client, server = service.client_pids[0], service.server_pids[0]
+    bus = service.grpc(client).bus
+    parked = []
+
+    async def rounds():
+        for i in range(100):
+            deployment.crash(server)       # the call below cannot finish
+            deployment.spawn_client(client, service.call(
+                client, "put", {"key": "k", "value": i}))
+            await deployment.runtime.sleep(0.05)
+            parked.append(len(bus._active))
+            deployment.crash(client)
+            await deployment.runtime.sleep(0.05)
+            assert bus._active == {}, i
+            deployment.recover(client)
+            deployment.recover(server)
+            await deployment.runtime.sleep(0.05)
+
+    deployment.run_scenario(rounds())
+    assert parked == [1] * 100
+    assert bus._active == {}
+    deployment.shutdown()

@@ -195,7 +195,7 @@ def test_delivery_to_down_node_dropped():
     assert fabric.trace.counts["drop-dead"] == 1
 
 
-def test_crash_cancels_node_tasks_and_clears_inbox():
+def test_crash_cancels_node_tasks():
     rt = SimRuntime()
     fabric, nodes, tops = build_pair(rt)
     progress = []

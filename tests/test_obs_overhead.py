@@ -33,24 +33,28 @@ THRESHOLD = 1.05
 
 
 async def _raw_trigger(self, event, *args):
-    """The pre-instrumentation trigger loop: EventBus.trigger exactly as
-    it stood before the obs layer — no ``_obs``/``_prof`` test, no
-    compiled tables, no pooled records.  It is the timing baseline only;
-    the bus itself has a single path that serves both cases."""
+    """The pre-instrumentation trigger loop: EventBus.trigger as it would
+    stand without the obs layer — no ``_obs``/``_prof`` test, no compiled
+    tables — keeping the bus's bookkeeping, one ``_Dispatch`` record per
+    trigger linked to the task's enclosing one.  It is the timing
+    baseline only; the bus itself has a single path that serves both
+    cases."""
     snapshot = list(self._handlers.get(event, []))
     if not snapshot:
         return True
-    dispatch = _Dispatch(event)
     task_key = id(self.runtime.current_handle_nowait())
-    stack = self._active.setdefault(task_key, [])
-    stack.append(dispatch)
+    dispatch = self._active[task_key] = _Dispatch(
+        event, self._active.get(task_key))
     try:
         for reg in snapshot:
             if dispatch.cancelled:
                 break
             await reg.handler(*args)
     finally:
-        self._pop_dispatch(task_key, stack, dispatch)
+        if dispatch.outer is None:
+            del self._active[task_key]
+        else:
+            self._active[task_key] = dispatch.outer
     return not dispatch.cancelled
 
 

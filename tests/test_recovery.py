@@ -127,7 +127,7 @@ def test_double_crash_is_idempotent():
     cluster.crash(1)
     cluster.recover(1)
     cluster.recover(1)
-    cluster.settle(0.05)  # let the respawned receive loop start
+    cluster.settle(0.05)  # let the RECOVERY event run
     assert cluster.node(1).incarnation == 2
 
 

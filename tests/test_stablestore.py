@@ -98,5 +98,5 @@ def test_survives_node_crash():
     node.stable.put("persisted", "yes")
     node.crash()
     node.recover()
-    rt.kernel.run_until(0.01)  # let the respawned receive loop start
+    rt.kernel.run_until(0.01)  # time passes after the reboot
     assert node.stable.get("persisted") == "yes"
