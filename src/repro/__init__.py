@@ -48,7 +48,7 @@ from repro.replication import (
     active_replicas,
     primary_backup,
 )
-from repro.runtime import AsyncioRuntime, SimRuntime
+from repro.runtime import SimRuntime
 
 __version__ = "1.0.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "LinkSpec",
     "WireConfig",
     "SimRuntime",
-    "AsyncioRuntime",
     "PendingCall",
     "gather_calls",
     "Recorder",

@@ -51,7 +51,7 @@ from __future__ import annotations
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import KernelError
-from repro.runtime.base import Runtime
+from repro.runtime.sim_runtime import SimRuntime
 
 __all__ = ["EventBus", "TIMEOUT", "LOWEST_PRIORITY", "Registration"]
 
@@ -107,7 +107,7 @@ class _Dispatch:
 class EventBus:
     """Per-composite-protocol event registry and dispatcher."""
 
-    def __init__(self, runtime: Runtime, spawner: Optional[Callable] = None):
+    def __init__(self, runtime: SimRuntime, spawner: Optional[Callable] = None):
         self.runtime = runtime
         # Expired TIMEOUT handlers run in fresh tasks created through this
         # spawner; composites owned by a node pass a node-scoped spawner so
@@ -139,11 +139,11 @@ class EventBus:
         # timers back into the bus.  Empty for never-adapted composites.
         self._retired_owners: set = set()
         # Observability: the recorder and the kernel profiler are
-        # resolved ONCE here (attach-time check; see Runtime.attach_obs
-        # and Runtime.attach_profiler).  ``None`` keeps every dispatch
+        # resolved ONCE here (attach-time check; see SimRuntime.attach_obs
+        # and SimRuntime.attach_profiler).  ``None`` keeps every dispatch
         # on the untraced fast path.
-        self._obs = getattr(runtime, "obs", None)
-        self._prof = getattr(runtime, "profiler", None)
+        self._obs = runtime.obs
+        self._prof = runtime.profiler
         #: Process id of the owning node, for trace attribution;
         #: composites bound to a node set this (-1 = unowned bus).
         self.node_id = -1

@@ -20,7 +20,7 @@ from typing import Any, List, Optional
 
 from repro.core.events import EventBus, Handler, Registration
 from repro.errors import ConfigurationError
-from repro.runtime.base import Runtime
+from repro.runtime.sim_runtime import SimRuntime
 from repro.xkernel.upi import Protocol
 
 __all__ = ["MicroProtocol", "CompositeProtocol"]
@@ -110,7 +110,7 @@ class MicroProtocol:
         return self.composite.bus
 
     @property
-    def runtime(self) -> Runtime:
+    def runtime(self) -> SimRuntime:
         assert self.composite is not None
         return self.composite.runtime
 
@@ -147,7 +147,7 @@ class CompositeProtocol(Protocol):
     structures their micro-protocols need.
     """
 
-    def __init__(self, name: str, runtime: Runtime,
+    def __init__(self, name: str, runtime: SimRuntime,
                  spawner: Optional[Any] = None):
         super().__init__(name)
         self.runtime = runtime
@@ -155,7 +155,7 @@ class CompositeProtocol(Protocol):
         self.micro_protocols: List[MicroProtocol] = []
         # Resolved once at construction (attach-time check; ``None``
         # means tracing is disabled and no span code runs).
-        self.obs = getattr(runtime, "obs", None)
+        self.obs = runtime.obs
 
     def add(self, *micros: MicroProtocol) -> "CompositeProtocol":
         """Link micro-protocols into this composite (order preserved).

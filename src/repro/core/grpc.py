@@ -121,8 +121,6 @@ class GroupRPC(CompositeProtocol):
         #: When set (by Serial Execution), ``forward_up`` acquires this
         #: semaphore around each server-procedure execution.
         self.execution_gate: Optional[Any] = None
-        #: Task currently holding the gate (for orphan-kill cleanup).
-        self.serial_holder: Any = None
 
         #: Installed by RPC Main at configure time; other micro-protocols
         #: (FIFO Order, Total Order) call it to release gated calls.
@@ -325,7 +323,6 @@ class GroupRPC(CompositeProtocol):
         self.serial = self.runtime.semaphore(1)
         if self.execution_gate is not None:
             self.execution_gate = self.serial
-        self.serial_holder = None
         self.pRPC_mutex = self.runtime.lock()
         self.sRPC_mutex = self.runtime.lock()
 

@@ -112,7 +112,6 @@ class RPCMain(GRPCMicroProtocol):
         gate = grpc.execution_gate
         if gate is not None:
             await gate.acquire()
-            grpc.serial_holder = self.current_task()
         record.executor = self.current_task()
         obs = grpc.obs
         span = None
@@ -130,14 +129,19 @@ class RPCMain(GRPCMicroProtocol):
                 parent=obs.current() or record.obs_ctx,
                 attrs=attrs)
         try:
-            record.args = await grpc.deliver_to_server(record.op,
-                                                       record.args)
+            # The gate covers the procedure only: an ordering protocol's
+            # REPLY_FROM_SERVER handler releases the next held call by
+            # calling forward_up in this same task, which must not find
+            # the gate still taken (deviation #6 in DESIGN.md).
+            try:
+                record.args = await grpc.deliver_to_server(record.op,
+                                                           record.args)
+            finally:
+                if gate is not None:
+                    gate.release()
             await self.trigger(REPLY_FROM_SERVER, key)
         finally:
             record.executor = None
-            if gate is not None:
-                grpc.serial_holder = None
-                gate.release()
             if obs is not None:
                 obs.end_span(span)
         # The reply carries the execute span's context so the client-side

@@ -32,7 +32,7 @@ from repro.net.node import Node
 from repro.net.trace import NetTrace
 from repro.net.wire import WireBatch, WireConfig, WirePipeline
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.base import Runtime
+from repro.runtime.sim_runtime import SimRuntime
 from repro.sim.rand import RandomSource
 
 __all__ = ["LinkSpec", "NetworkFabric"]
@@ -70,7 +70,7 @@ MessageFilter = Callable[[Envelope], bool]
 class NetworkFabric:
     """Connects :class:`~repro.net.node.Node` objects with lossy links."""
 
-    def __init__(self, runtime: Runtime, *,
+    def __init__(self, runtime: SimRuntime, *,
                  rand: Optional[RandomSource] = None,
                  default_link: LinkSpec = LinkSpec(),
                  trace: Optional[NetTrace] = None,

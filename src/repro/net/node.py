@@ -28,7 +28,7 @@ from typing import Any, Callable, Coroutine, List
 
 from repro.errors import NodeDown
 from repro.net.message import Envelope, ProcessId
-from repro.runtime.base import CancelScope, Runtime
+from repro.runtime.sim_runtime import CancelScope, SimRuntime
 from repro.stablestore import StableStore
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -40,7 +40,7 @@ __all__ = ["Node"]
 class Node:
     """One simulated site: a process id, a stable store, a task scope."""
 
-    def __init__(self, pid: ProcessId, runtime: Runtime,
+    def __init__(self, pid: ProcessId, runtime: SimRuntime,
                  fabric: "NetworkFabric", *, name: str = ""):
         self.pid = pid
         self.name = name or f"node-{pid}"

@@ -29,9 +29,8 @@ The pipeline is composed of small, configurable stages::
   dst)`` link within one scheduling round travel in a single
   :class:`WireBatch` envelope, so co-hosted composites pay one envelope
   per link per round instead of one per message.  The flush point is a
-  zero-delay timer: on the virtual-time kernel it fires exactly when the
-  current instant's ready queue drains (the end of the scheduling
-  round), and on asyncio at the next loop iteration.  A buffer is also
+  zero-delay timer: it fires exactly when the current instant's ready
+  queue drains (the end of the scheduling round).  A buffer is also
   flushed early when it reaches ``max_batch_msgs`` messages or
   ``max_batch_bytes`` estimated bytes (:func:`repro.net.message.
   wire_size`).
@@ -301,9 +300,8 @@ class WirePipeline:
             self._flush(link)
         elif not link.flush_pending:
             link.flush_pending = True
-            # Zero-delay timer = end of the current scheduling round on
-            # the sim kernel (timers fire only once the ready queue
-            # drains), next loop iteration on asyncio.
+            # Zero-delay timer = end of the current scheduling round
+            # (timers fire only once the ready queue drains).
             self.runtime.call_later(0.0,
                                     lambda: self._round_flush(link))
         if self.auto_tune and not self._tune_armed:

@@ -23,7 +23,7 @@ fabric:
   (:mod:`repro.obs.flight`), and the ``python -m repro report`` CLI.
 
 Disabled is the default and costs (nearly) nothing: the recorder is
-checked once at :meth:`~repro.runtime.base.Runtime.attach_obs` time and
+checked once at :meth:`~repro.runtime.SimRuntime.attach_obs` time and
 instrumented components store ``None``, leaving their hot paths on the
 untraced branch (see ``tests/test_obs_overhead.py``).
 """

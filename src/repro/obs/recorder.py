@@ -22,7 +22,7 @@ Zero overhead when disabled
 ---------------------------
 
 Instrumented components never consult a recorder per operation.
-:meth:`repro.runtime.base.Runtime.attach_obs` performs the enabled check
+:meth:`repro.runtime.SimRuntime.attach_obs` performs the enabled check
 *once at attach time* and stores ``None`` for a disabled (or absent)
 recorder; each component captures that reference at construction, so the
 disabled hot path is a single ``is None`` test — guarded by
@@ -95,7 +95,7 @@ class Recorder:
 
     Construct with ``enabled=False`` for a no-op recorder: every record
     method returns immediately, and
-    :meth:`~repro.runtime.base.Runtime.attach_obs` refuses to install it
+    :meth:`~repro.runtime.SimRuntime.attach_obs` refuses to install it
     at all, keeping instrumented code on its untraced path.
     """
 
@@ -119,7 +119,7 @@ class Recorder:
     def bind(self, runtime: Any) -> None:
         """Adopt ``runtime``'s clock and task identity.
 
-        Called by :meth:`Runtime.attach_obs`; until bound, timestamps
+        Called by :meth:`SimRuntime.attach_obs`; until bound, timestamps
         are 0 and context is process-global (fine for unit tests that
         exercise the recorder standalone).
         """

@@ -1,7 +1,5 @@
-"""Runtime abstraction over the sim kernel and asyncio."""
+"""The simulation runtime and its task-group scope."""
 
-from repro.runtime.asyncio_runtime import AsyncioRuntime
-from repro.runtime.base import CancelScope, Runtime
-from repro.runtime.sim_runtime import SimRuntime
+from repro.runtime.sim_runtime import CancelScope, SimRuntime
 
-__all__ = ["Runtime", "CancelScope", "SimRuntime", "AsyncioRuntime"]
+__all__ = ["CancelScope", "SimRuntime"]

@@ -1,30 +1,37 @@
-"""Runtime adapter for the deterministic simulation kernel."""
+"""The runtime: the deterministic simulation kernel behind one facade.
+
+Protocol code obtains every primitive it blocks on from the runtime
+(``rt.semaphore()``, ``rt.queue()``, ``await rt.sleep(...)``) rather than
+from :mod:`repro.sim` directly, so a stack is built against one object
+that also carries the attached recorder and profiler.
+"""
 
 from __future__ import annotations
 
 from typing import Any, Callable, Coroutine
 
-from repro.errors import NoCurrentTask, TaskCancelled
-from repro.runtime.base import Runtime
+from repro.errors import NoCurrentTask
 from repro.sim import kernel as _kernel
 from repro.sim.kernel import Kernel, Task, Timer
 from repro.sim.sync import Event, Lock, Queue, Semaphore
 
-__all__ = ["SimRuntime"]
+__all__ = ["SimRuntime", "CancelScope"]
 
 
-class SimRuntime(Runtime):
-    """The default runtime: virtual time, deterministic scheduling.
+class SimRuntime:
+    """Virtual time, deterministic scheduling.
 
     Wraps a :class:`repro.sim.kernel.Kernel`.  Experiments construct one
     runtime, build the simulated network and protocol stacks against it,
     then drive it with :meth:`run`/:meth:`run_for`.
     """
 
-    cancelled_exceptions = (TaskCancelled,)
-
     def __init__(self, kernel: Kernel | None = None):
         self.kernel = kernel or Kernel()
+        #: The enabled recorder, or ``None`` (tracing disabled).
+        self.obs: Any = None
+        #: The attached profiler, or ``None`` (profiling disabled).
+        self.profiler: Any = None
 
     # -- time -----------------------------------------------------------
 
@@ -48,9 +55,12 @@ class SimRuntime(Runtime):
         handle.cancel()
 
     async def current_handle(self) -> Task:
+        """Handle for the calling task (the paper's ``my_thread()``)."""
         return await _kernel.current_task()
 
     def current_handle_nowait(self) -> Task:
+        """Synchronous :meth:`current_handle`, valid only while a task runs
+        (the framework's ``cancel_event`` is a plain operation)."""
         task = self.kernel._current
         if task is None:
             raise NoCurrentTask("no task is currently executing")
@@ -75,7 +85,7 @@ class SimRuntime(Runtime):
     def queue(self) -> Queue:
         return Queue()
 
-    # -- drivers (sim-only conveniences) --------------------------------
+    # -- drivers --------------------------------------------------------
 
     def run(self, coro: Coroutine | None = None, *, strict: bool = True,
             shutdown: bool = True):
@@ -90,12 +100,80 @@ class SimRuntime(Runtime):
 
     # -- observability ---------------------------------------------------
 
-    def attach_profiler(self, profiler) -> None:
-        """Install the profiler and hook the kernel's step path."""
-        super().attach_profiler(profiler)
+    def attach_obs(self, recorder: Any) -> None:
+        """Install an observability recorder for this runtime's stacks.
+
+        The enabled check happens HERE, once: a disabled (or ``None``)
+        recorder is stored as ``None``, and every instrumented component
+        (event buses, composites, the fabric) captures that reference at
+        construction time — so the disabled hot path is a single
+        ``is None`` test.  Attach before building protocol stacks.
+        """
+        if recorder is not None and getattr(recorder, "enabled", False):
+            self.obs = recorder
+            recorder.bind(self)
+        else:
+            self.obs = None
+
+    def attach_profiler(self, profiler: Any) -> None:
+        """Install a :class:`~repro.obs.profiler.KernelProfiler` and hook
+        the kernel's step path.
+
+        Same contract as :meth:`attach_obs`: event buses capture
+        ``runtime.profiler`` once at construction, so attach before
+        building protocol stacks.
+        """
+        self.profiler = profiler
         self.kernel.profile_hook = (profiler.on_step
                                     if profiler is not None else None)
 
     def stats(self) -> dict:
         """The kernel's scheduler counters (steps, spawns, timer fires)."""
         return self.kernel.stats()
+
+
+class CancelScope:
+    """Tracks spawned task handles so a group can be torn down together.
+
+    Simulated node crashes use one scope per node: crash = cancel every
+    handle registered in the scope.  Handles that finish are pruned lazily.
+    """
+
+    def __init__(self, runtime: SimRuntime):
+        self._runtime = runtime
+        self._handles: list[Task] = []
+        # Prune finished handles once the list reaches this length, then
+        # re-arm at twice the surviving count: amortized O(1) per spawn,
+        # and a long-lived node's scope stays proportional to its *live*
+        # tasks instead of retaining every task it ever ran (a per-message
+        # task model spawns millions over a long run; keeping them all
+        # also inflates every gc generation-2 sweep).
+        self._prune_at = 64
+
+    def _register(self, handle: Task) -> None:
+        handles = self._handles
+        handles.append(handle)
+        if len(handles) >= self._prune_at:
+            self._handles = [h for h in handles if not h.done]
+            self._prune_at = max(64, 2 * len(self._handles))
+
+    def spawn(self, coro: Coroutine, *, name: str = "",
+              daemon: bool = False) -> Task:
+        handle = self._runtime.spawn(coro, name=name, daemon=daemon)
+        self._register(handle)
+        return handle
+
+    def adopt(self, handle: Task) -> None:
+        """Register an externally spawned handle with this scope."""
+        self._register(handle)
+
+    def cancel_all(self) -> int:
+        """Cancel every live handle; returns how many were cancelled."""
+        cancelled = 0
+        for handle in self._handles:
+            if not handle.done:
+                handle.cancel()
+                cancelled += 1
+        self._handles.clear()
+        self._prune_at = 64
+        return cancelled

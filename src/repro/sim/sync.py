@@ -191,8 +191,8 @@ class Condition:
 
 
 class Queue:
-    """An unbounded FIFO queue with blocking ``get`` (the sim runtime's
-    :meth:`~repro.runtime.base.Runtime.queue`)."""
+    """An unbounded FIFO queue with blocking ``get`` (the runtime's
+    :meth:`~repro.runtime.SimRuntime.queue`)."""
 
     def __init__(self) -> None:
         self._items: Deque[Any] = deque()

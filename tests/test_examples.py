@@ -20,7 +20,6 @@ EXAMPLES = {
     "fault_tolerant_reads.py": "acceptance=ALL",
     "orphan_handling.py": "orphans killed: 1",
     "atomic_bank.py": "money conserved: execution was ATOMIC",
-    "asyncio_live.py": "server keys:",
     "causal_pipeline.py": "causal ordering",
     "stub_service.py": "RPCTimeout",
     "wan_replication.py": "acceptance=ALL (cross-DC)",

@@ -13,8 +13,9 @@ and replica groups under the elastic placement plane.
 
 import pytest
 
-from repro import Deployment, ServiceSpec, build_elastic_kv
-from repro.apps import KVStore, StableKVStore, build_sharded_kv
+from repro import Deployment, LinkSpec, ServiceSpec, build_elastic_kv
+from repro.apps import KVStore, ShardedKV, StableKVStore, build_sharded_kv
+from repro.core.microprotocols import ALL
 from repro.errors import ConfigurationError, DependencyError, ReproError
 from repro.replication import (
     ReplicaSpec,
@@ -198,6 +199,37 @@ def test_ordered_composition_serves_reads_through_full_group():
 
     dep.run_scenario(scenario())
     assert dep.metrics.value("repl.reads.routed") == 0   # never narrowed
+
+
+@pytest.mark.parametrize("ordering", ["total", "fifo"])
+def test_serial_execution_under_ordering_with_concurrent_clients(ordering):
+    """Regression: Serial_Execution's gate was held through the
+    REPLY_FROM_SERVER chain, where Total_Order releases the next held
+    call by re-entering forward_up in the same task.  That task then
+    waited on the gate it was holding, and with two concurrent clients
+    no put ever completed."""
+    clients, puts_each = 2, 20
+    dep = Deployment(seed=1, default_link=LinkSpec(delay=0.001,
+                                                   jitter=0.0005))
+    rspec = active_replicas(3, acceptance=ALL, ordering=ordering)
+    assert rspec.spec.execution == "serial"
+    kv = build_sharded_kv(dep, 1, clients=clients, replication=rspec)
+    completed = []
+
+    async def writer(pid, lane):
+        view = ShardedKV(dep, pid, kv.router)
+        for i in range(puts_each):
+            completed.append((await view.put(f"k{lane}-{i}", i)).ok)
+
+    svc = dep.services["shard-0"]
+    for lane, pid in enumerate(svc.client_pids):
+        dep.spawn_client(pid, writer(pid, lane))
+    dep.settle(30.0)
+    assert completed == [True] * (clients * puts_each)
+    expected = {f"k{lane}-{i}": i
+                for lane in range(clients) for i in range(puts_each)}
+    for pid in svc.server_pids:
+        assert svc.app(pid).data == expected
 
 
 def test_active_group_survives_replica_crash():

@@ -1,7 +1,5 @@
 """The wire pipeline: coalescing, backpressure, fast lane, crash safety."""
 
-import asyncio
-
 import pytest
 
 from repro import LinkSpec, ServiceCluster, ServiceSpec, Status, WireConfig
@@ -16,7 +14,7 @@ from repro.net import (
     WireBatch,
     wire_size,
 )
-from repro.runtime import AsyncioRuntime, SimRuntime
+from repro.runtime import SimRuntime
 from repro.sim import RandomSource
 from repro.stubs.marshal import marshalled_size
 from repro.xkernel import Protocol, TypeDemux, compose_stack
@@ -542,25 +540,6 @@ def test_full_cluster_calls_work_over_batching_and_backpressure():
     assert metrics.value("net.batch.envelopes") > 0
     # Coalescing never costs envelopes (it only merges shared links).
     assert metrics.value("net.envelopes") <= metrics.value("net.send")
-
-
-def test_asyncio_runtime_drives_the_same_pipeline():
-    async def main():
-        cluster = ServiceCluster(
-            ServiceSpec(bounded=2.0), KVStore, n_servers=3,
-            default_link=LinkSpec(delay=0.002, jitter=0.001),
-            runtime=AsyncioRuntime(),
-            wire=WireConfig(batch=True, queue_depth=8))
-        result = await cluster.call(cluster.client, "put",
-                                    {"key": "k", "value": "v"})
-        assert result.status is Status.OK
-        result = await cluster.call(cluster.client, "get", {"key": "k"})
-        assert result.args == "v"
-        await asyncio.sleep(0.05)
-        assert cluster.metrics.value("net.envelopes") <= \
-            cluster.metrics.value("net.send")
-
-    asyncio.run(main())
 
 
 # ----------------------------------------------------------------------
