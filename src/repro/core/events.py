@@ -37,20 +37,26 @@ comes from each network arrival being dispatched in its own task.
 ``cancel_event`` affects only sequential dispatch, as the paper notes
 ("mostly useful for sequential events").
 
-Instrumentation resolves per registration what the composition fixes
-and pays per message only for what varies: a handler's trace name is
-fixed when it registers (:attr:`Registration.name`), and every dispatch —
-sequential, concurrent or expired TIMEOUT, observed or not — runs the
-one body of :meth:`EventBus.trigger` off the same compiled tables.  An
-instrumented bus adds, per handler, one ``handler_enter``/``handler_exit``
-pair on the runtime's profiler, one clock read and one recorder record.
+Dispatch resolves per registration what the composition fixes and pays
+per message only for what varies.  A handler's trace name is fixed when
+it registers (:attr:`Registration.name`), and so are the message kinds it
+acts on (:attr:`Registration.kinds`): a trigger that names the kind of
+its message (``trigger(event, msg, kind=msg.type)``) runs a chain
+compiled once per ``(event, kind)`` that holds only the registrations
+declaring that kind, plus every registration that declared none.  Every
+dispatch — sequential, concurrent or expired TIMEOUT, observed or not —
+runs the one body of :meth:`EventBus.trigger` off these compiled tables.
+An instrumented bus adds, per handler it runs, one ``handler_enter``/
+``handler_exit`` pair on the runtime's profiler, one clock read and one
+recorder record.
 """
 
 from __future__ import annotations
 
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import (Any, Awaitable, Callable, Dict, FrozenSet, Hashable,
+                    Iterable, List, Optional, Tuple)
 
-from repro.errors import KernelError
+from repro.errors import KernelError, NoCurrentTask
 from repro.runtime.sim_runtime import SimRuntime
 
 __all__ = ["EventBus", "TIMEOUT", "LOWEST_PRIORITY", "Registration"]
@@ -69,10 +75,11 @@ class Registration:
     """One (event, handler, priority) registration record."""
 
     __slots__ = ("event", "handler", "name", "priority", "seq", "timer",
-                 "owner")
+                 "owner", "kinds")
 
     def __init__(self, event: str, handler: Handler, priority: float,
-                 seq: int, owner: str = ""):
+                 seq: int, owner: str = "",
+                 kinds: Optional[Iterable[Hashable]] = None):
         self.event = event
         self.handler = handler
         #: Qualified handler name for trace records and profiler sites
@@ -87,6 +94,10 @@ class Registration:
         #: ("" for framework/application registrations); the obs layer
         #: attributes dispatch records and handler timings to it.
         self.owner = owner
+        #: The message kinds the handler acts on, or ``None`` for every
+        #: kind; a kind-naming trigger skips it for any other kind.
+        self.kinds: Optional[FrozenSet[Hashable]] = \
+            None if kinds is None else frozenset(kinds)
 
     def sort_key(self) -> Tuple[float, int]:
         return (self.priority, self.seq)
@@ -116,16 +127,22 @@ class EventBus:
         self._handlers: Dict[str, List[Registration]] = {}
         # Precompiled dispatch tables: event -> priority-ordered tuple of
         # registrations.  Built lazily on first trigger, invalidated by
-        # register/deregister/clear; ``trigger`` then dispatches straight
-        # off the immutable tuple instead of copying the handler list on
-        # every call (the tuple IS the snapshot).
+        # register/deregister/retire_owner/clear; ``trigger`` then
+        # dispatches straight off the immutable tuple instead of copying
+        # the handler list on every call (the tuple IS the snapshot).
         self._tables: Dict[str, Tuple[Registration, ...]] = {}
+        # Kind chains: (event, kind) -> the event's table filtered to the
+        # registrations that act on ``kind``.  Built and dropped with the
+        # event's own table.
+        self._chains: Dict[Tuple[str, Hashable],
+                           Tuple[Registration, ...]] = {}
         self._seq = 0
         # Innermost active dispatch per task, keyed by id(task handle),
         # so cancel_event() from interleaved tasks cannot cross wires;
         # each record links to the one it nests in.
         self._active: Dict[int, _Dispatch] = {}
-        self._current_task = runtime.current_handle_nowait
+        # The running task is read straight off the kernel.
+        self._kernel = runtime.kernel
         # Armed TIMEOUT registrations keyed by registration seq
         # (insertion-ordered).  A dict so :meth:`disarm` — called once
         # per completed bounded call — is O(1) instead of a list scan.
@@ -154,7 +171,9 @@ class EventBus:
 
     def register(self, event: str, handler: Handler,
                  priority: Optional[float] = None, *,
-                 owner: str = "") -> Registration:
+                 owner: str = "",
+                 kinds: Optional[Iterable[Hashable]] = None
+                 ) -> Registration:
         """Register ``handler`` for ``event``.
 
         For ordinary events ``priority`` orders handlers (lower runs
@@ -163,14 +182,18 @@ class EventBus:
         once, ``interval`` from now, unless deregistered first.
         ``owner`` names the registering micro-protocol for trace
         attribution (filled in by :meth:`MicroProtocol.register`).
+        ``kinds`` declares the message kinds the handler acts on: a
+        trigger naming another kind skips it.  ``None`` (the default)
+        runs it for every kind, and a trigger that names no kind runs
+        every registration.
         """
         self._seq += 1
         if owner and owner in self._retired_owners:
             # A retired owner's in-flight handler trying to re-arm
             # itself; hand back an inert registration (never dispatched,
             # no timer armed) so the caller's code path stays unchanged.
-            return Registration(event, handler,
-                                float(priority or 0.0), self._seq, owner)
+            return Registration(event, handler, float(priority or 0.0),
+                                self._seq, owner, kinds)
         if event == TIMEOUT:
             if priority is None:
                 raise KernelError("TIMEOUT registration requires an interval")
@@ -188,10 +211,10 @@ class EventBus:
         if priority is None:
             priority = LOWEST_PRIORITY
         reg = Registration(event, handler, float(priority), self._seq,
-                           owner)
+                           owner, kinds)
         self._handlers.setdefault(event, []).append(reg)
         self._handlers[event].sort(key=Registration.sort_key)
-        self._tables.pop(event, None)
+        self._invalidate(event)
         if self._obs is not None:
             self._obs.record_event(
                 "register", node=self.node_id, event=event, owner=owner,
@@ -216,7 +239,7 @@ class EventBus:
         for reg in regs:
             if reg.handler == handler:
                 regs.remove(reg)
-                self._tables.pop(event, None)
+                self._invalidate(event)
                 self._record_deregister(reg)
                 return True
         return False
@@ -243,6 +266,7 @@ class EventBus:
     # ------------------------------------------------------------------
 
     async def trigger(self, event: str, *args: Any,
+                      kind: Optional[Hashable] = None,
                       _table: Optional[Tuple[Registration, ...]] = None
                       ) -> bool:
         """Run all handlers for ``event`` sequentially, in priority order.
@@ -254,17 +278,32 @@ class EventBus:
         tuple, so the snapshot is free: a registration mid-dispatch swaps
         in a new table while the in-flight loop keeps the old one).
 
+        With ``kind``, only the registrations acting on that kind run
+        (see :meth:`register`), off a chain compiled once per
+        ``(event, kind)``; their order and ``cancel_event`` are as in
+        the full table.
+
         Instrumented and uninstrumented buses share this body; the
         recorder/profiler pair is tested once per trigger.  ``_table`` is
         the bus's own way in for an occurrence that has exactly one
         handler by construction (see :attr:`_dispatch`).
         """
-        table = self._tables.get(event) if _table is None else _table
-        if table is None:
-            table = self._compile(event)
+        if _table is not None:
+            table = _table
+        elif kind is None:
+            table = self._tables.get(event)
+            if table is None:
+                table = self._compile(event)
+        else:
+            table = self._chains.get((event, kind))
+            if table is None:
+                table = self._compile_chain(event, kind)
         if not table:
             return True
-        task_key = id(self._current_task())
+        task = self._kernel._current
+        if task is None:
+            raise NoCurrentTask("no task is currently executing")
+        task_key = id(task)
         active = self._active
         dispatch = active[task_key] = _Dispatch(event, active.get(task_key))
         obs = self._obs
@@ -326,6 +365,23 @@ class EventBus:
         self._tables[event] = table
         return table
 
+    def _compile_chain(self, event: str,
+                       kind: Hashable) -> Tuple[Registration, ...]:
+        """Build and cache the chain of ``event`` for messages of
+        ``kind``: its table without the registrations that declared
+        other kinds."""
+        chain = tuple(reg for reg in self._handlers.get(event, ())
+                      if reg.kinds is None or kind in reg.kinds)
+        self._chains[(event, kind)] = chain
+        return chain
+
+    def _invalidate(self, event: str) -> None:
+        """Drop ``event``'s table and every kind chain built from it."""
+        self._tables.pop(event, None)
+        chains = self._chains
+        for key in [key for key in chains if key[0] == event]:
+            del chains[key]
+
     def trigger_nonblocking(self, event: str, *args: Any) -> None:
         """Sequential dispatch in a fresh task; the caller continues.
 
@@ -367,7 +423,7 @@ class EventBus:
         handler typically follows it with ``return`` (the paper's
         ``exit()``).
         """
-        dispatch = self._active.get(id(self._current_task()))
+        dispatch = self._active.get(id(self._kernel._current))
         if dispatch is None:
             raise KernelError("cancel_event() outside of event dispatch")
         dispatch.cancelled = True
@@ -377,7 +433,7 @@ class EventBus:
 
     def in_dispatch(self) -> Optional[str]:
         """Name of the event the calling task is dispatching, if any."""
-        dispatch = self._active.get(id(self._current_task()))
+        dispatch = self._active.get(id(self._kernel._current))
         return None if dispatch is None else dispatch.event
 
     # ------------------------------------------------------------------
@@ -429,7 +485,7 @@ class EventBus:
             if len(kept) != len(regs):
                 removed += len(regs) - len(kept)
                 self._handlers[event] = kept
-                self._tables.pop(event, None)
+                self._invalidate(event)
         for seq, reg in list(self._timeout_regs.items()):
             if reg.owner == owner:
                 reg.timer.cancel()
@@ -463,6 +519,7 @@ class EventBus:
         """
         self._handlers.clear()
         self._tables.clear()
+        self._chains.clear()
         for reg in self._timeout_regs.values():
             reg.timer.cancel()
         self._timeout_regs.clear()

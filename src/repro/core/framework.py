@@ -16,7 +16,7 @@ micro-protocols operate on.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Hashable, Iterable, List, Optional
 
 from repro.core.events import EventBus, Handler, Registration
 from repro.errors import ConfigurationError
@@ -39,6 +39,11 @@ class MicroProtocol:
     #: Human-readable name; doubles as the configuration-graph key.
     protocol_name: str = ""
 
+    #: The composite's event bus and runtime, resolved once by
+    #: :meth:`attach` (handlers reach them on every message).
+    bus: EventBus
+    runtime: SimRuntime
+
     def __init__(self) -> None:
         self.composite: Optional["CompositeProtocol"] = None
         #: Set by :meth:`detach` when a live adaptation swaps this
@@ -60,6 +65,8 @@ class MicroProtocol:
             raise ConfigurationError(
                 f"{self.name} is already attached to a composite")
         self.composite = composite
+        self.bus = composite.bus
+        self.runtime = composite.runtime
         self.configure()
 
     def configure(self) -> None:
@@ -104,26 +111,21 @@ class MicroProtocol:
 
     # -- framework operations (Section 3) --------------------------------
 
-    @property
-    def bus(self) -> EventBus:
-        assert self.composite is not None
-        return self.composite.bus
-
-    @property
-    def runtime(self) -> SimRuntime:
-        assert self.composite is not None
-        return self.composite.runtime
-
     def register(self, event: str, handler: Handler,
-                 priority: Optional[float] = None) -> Registration:
+                 priority: Optional[float] = None, *,
+                 kinds: Optional[Iterable[Hashable]] = None
+                 ) -> Registration:
+        """Register ``handler``; ``kinds`` declares the message kinds it
+        acts on (see :meth:`EventBus.register`)."""
         if self.detached:
             # A swapped-out instance's handler unwinding after detach():
             # hand back an inert registration instead of re-wiring it.
             return Registration(event, handler, priority or 0.0, -1,
-                                self.name)
+                                self.name, kinds)
         # The owner tag attributes dispatch records (and per-handler
         # virtual-time costs) to this micro-protocol in the obs layer.
-        return self.bus.register(event, handler, priority, owner=self.name)
+        return self.bus.register(event, handler, priority, owner=self.name,
+                                 kinds=kinds)
 
     def deregister(self, event: str, handler: Handler) -> bool:
         return self.bus.deregister(event, handler)

@@ -223,22 +223,25 @@ class GroupRPC(CompositeProtocol):
     async def pop(self, payload: Any, sender: ProcessId) -> None:
         """A message arrived from the transport below.
 
-        Each arrival runs in its own task (spawned by the node as the
+        Each arrival runs in its own task (started by the node as the
         fabric delivers it), so a chain blocked on ``serial`` or an
         ordering gate does not stall later arrivals — the paper's
-        execution model.
+        execution model.  The dispatch runs the message kind's chain:
+        only the handlers that act on ``payload.type``.
         """
         if not isinstance(payload, NetMsg):
             return
         obs = self.obs
         if obs is None:
-            await self.bus.trigger(MSG_FROM_NETWORK, payload)
+            await self.bus.trigger(MSG_FROM_NETWORK, payload,
+                                   kind=payload.type)
             return
         ctx = payload.annotation(OBS_CTX)
         if ctx is None:
             # A message outside any trace (e.g. a bare ACK): dispatch
             # untraced rather than minting a disconnected trace.
-            await self.bus.trigger(MSG_FROM_NETWORK, payload)
+            await self.bus.trigger(MSG_FROM_NETWORK, payload,
+                                   kind=payload.type)
             return
         attrs = {"sender": payload.sender, "call_id": payload.id}
         if self.service:
@@ -248,7 +251,8 @@ class GroupRPC(CompositeProtocol):
                               attrs=attrs)
         obs.push_ctx(span.ctx)
         try:
-            await self.bus.trigger(MSG_FROM_NETWORK, payload)
+            await self.bus.trigger(MSG_FROM_NETWORK, payload,
+                                   kind=payload.type)
         finally:
             obs.pop_ctx()
             obs.end_span(span)

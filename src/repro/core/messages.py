@@ -83,7 +83,7 @@ class Status(enum.Enum):
 CallKey = Tuple[ProcessId, int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class NetMsg:
     """One gRPC wire message (the paper's ``Net_Msgtype``)."""
 

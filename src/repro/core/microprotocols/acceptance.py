@@ -44,7 +44,8 @@ class Acceptance(GRPCMicroProtocol):
     def configure(self) -> None:
         self.register(NEW_RPC_CALL, self.handle_new_call)
         self.register(MEMBERSHIP_CHANGE, self.server_failure)
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.ACCEPTANCE)
+        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.ACCEPTANCE,
+                      kinds=(NetOp.REPLY,))
 
     async def handle_new_call(self, call_id: int) -> None:
         grpc = self.grpc
@@ -61,8 +62,6 @@ class Acceptance(GRPCMicroProtocol):
         record.nres = min(self.acceptance_limit, alive)
 
     async def msg_from_net(self, msg: NetMsg) -> None:
-        if msg.type is not NetOp.REPLY:
-            return
         record = self.client_record_for(msg)
         if record is not None and msg.sender in record.pending \
                 and not record.pending[msg.sender].done:

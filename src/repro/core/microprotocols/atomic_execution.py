@@ -111,7 +111,8 @@ class AtomicExecution(GRPCMicroProtocol):
     def configure(self) -> None:
         # Runs before any handler that could start an execution, so the
         # initial checkpoint exists before the first call runs.
-        self.register(MSG_FROM_NETWORK, self.ensure_initial_checkpoint, 0)
+        self.register(MSG_FROM_NETWORK, self.ensure_initial_checkpoint, 0,
+                      kinds=(NetOp.CALL,))
         self.register(REPLY_FROM_SERVER, self.handle_reply, 2)
         self.register(RECOVERY, self.handle_recovery)
 
@@ -138,7 +139,7 @@ class AtomicExecution(GRPCMicroProtocol):
     # -- handlers --------------------------------------------------------
 
     async def ensure_initial_checkpoint(self, msg: NetMsg) -> None:
-        if self._old is None and msg.type is NetOp.CALL:
+        if self._old is None:
             self._old = self.checkpoint()
             if self.delta:
                 self._last_state = \

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.core.framework import MicroProtocol
+from repro.core.framework import CompositeProtocol, MicroProtocol
 from repro.core.grpc import GroupRPC
-from repro.core.messages import CallKey, NetMsg, NetOp
+from repro.core.messages import CallKey, NetMsg
 from repro.core.state import ClientRecord
 
 __all__ = ["GRPCMicroProtocol", "Prio"]
@@ -48,22 +48,22 @@ class Prio:
 class GRPCMicroProtocol(MicroProtocol):
     """Micro-protocol specialized to the gRPC composite's shared data."""
 
-    @property
-    def grpc(self) -> GroupRPC:
-        # Hot accessor (several times per handler): trust the add-time
-        # wiring instead of re-checking the composite's type on every use.
-        return self.composite  # type: ignore[return-value]
+    #: The composite and its site's process id, resolved once by
+    #: :meth:`attach` (handlers reach them several times per message).
+    grpc: GroupRPC
+    my_id: int
 
-    @property
-    def my_id(self) -> int:
-        return self.grpc.my_id
+    def attach(self, composite: CompositeProtocol) -> None:
+        if self.composite is None:
+            self.grpc = composite  # type: ignore[assignment]
+            self.my_id = composite.my_id  # type: ignore[attr-defined]
+        super().attach(composite)
 
     # -- shared-state helpers -------------------------------------------
 
     @staticmethod
     def call_key(msg: NetMsg) -> CallKey:
         """Server-side key of the call a CALL message carries."""
-        assert msg.type is NetOp.CALL
         return (msg.sender, msg.inc, msg.id)
 
     def client_record_for(self, msg: NetMsg) -> Optional[ClientRecord]:

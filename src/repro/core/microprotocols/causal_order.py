@@ -74,7 +74,8 @@ class CausalOrder(GRPCMicroProtocol):
     def configure(self) -> None:
         self.grpc.hold.declare(CAUSAL)
         self.register(NEW_RPC_CALL, self.handle_new_call, 1)
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, _PRIO_CAUSAL)
+        self.register(MSG_FROM_NETWORK, self.msg_from_net, _PRIO_CAUSAL,
+                      kinds=(NetOp.CALL, NetOp.REPLY))
         self.register(REPLY_FROM_SERVER, self.handle_reply, 1)
         self.register(CALL_ABORTED, self.handle_abort)
 
@@ -118,8 +119,6 @@ class CausalOrder(GRPCMicroProtocol):
             record = self.client_record_for(msg)
             if record is not None:
                 self._context.add((self.my_id, record.inc, record.id))
-            return
-        if msg.type is not NetOp.CALL:
             return
         key = self.call_key(msg)
         if self.grpc.sRPC.get(key) is None:

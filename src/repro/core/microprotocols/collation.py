@@ -50,7 +50,8 @@ class Collation(GRPCMicroProtocol):
         return self.init() if callable(self.init) else self.init
 
     def configure(self) -> None:
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.COLLATION)
+        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.COLLATION,
+                      kinds=(NetOp.REPLY,))
         self.register(NEW_RPC_CALL, self.handle_new_call)
 
     async def handle_new_call(self, call_id: int) -> None:
@@ -59,8 +60,6 @@ class Collation(GRPCMicroProtocol):
             record.args = self._initial()
 
     async def msg_from_net(self, msg: NetMsg) -> None:
-        if msg.type is not NetOp.REPLY:
-            return
         record = self.client_record_for(msg)
         if record is None:
             return

@@ -57,7 +57,8 @@ class FIFOOrder(GRPCMicroProtocol):
 
     def configure(self) -> None:
         self.grpc.hold.declare(FIFO)
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.FIFO)
+        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.FIFO,
+                      kinds=(NetOp.CALL,))
         self.register(REPLY_FROM_SERVER, self.handle_reply, 1)
 
     def unconfigure(self) -> None:
@@ -80,8 +81,6 @@ class FIFOOrder(GRPCMicroProtocol):
             self.in_progress[client] = _ClientProgress(inc, next_id)
 
     async def msg_from_net(self, msg: NetMsg) -> None:
-        if msg.type is not NetOp.CALL:
-            return
         grpc = self.grpc
         key = self.call_key(msg)
         client = msg.sender

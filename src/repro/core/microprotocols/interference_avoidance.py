@@ -54,12 +54,11 @@ class InterferenceAvoidance(GRPCMicroProtocol):
         self.cinfo.clear()
 
     def configure(self) -> None:
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.ORPHAN)
+        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.ORPHAN,
+                      kinds=(NetOp.CALL,))
         self.register(REPLY_FROM_SERVER, self.handle_reply, 1)
 
     async def msg_from_net(self, msg: NetMsg) -> None:
-        if msg.type is not NetOp.CALL:
-            return
         client = msg.sender
         info = self.cinfo.get(client)
         if info is None:

@@ -120,7 +120,8 @@ class CallObserver(GRPCMicroProtocol):
         self.register(CALL_FROM_USER, self.on_issue, _FIRST)
         self.register(CALL_FROM_USER, self.on_return, _LAST)
         self.register(NEW_RPC_CALL, self.on_recorded, _LAST)
-        self.register(MSG_FROM_NETWORK, self.on_message, _FIRST)
+        self.register(MSG_FROM_NETWORK, self.on_message, _FIRST,
+                      kinds=(NetOp.CALL, NetOp.REPLY, NetOp.ORDER))
         self.register(REPLY_FROM_SERVER, self.on_executed, _FIRST)
 
     # -- helpers ---------------------------------------------------------
@@ -150,15 +151,13 @@ class CallObserver(GRPCMicroProtocol):
                                         umsg.status.value))
 
     async def on_message(self, msg: NetMsg) -> None:
-        if msg.type in (NetOp.CALL, NetOp.REPLY, NetOp.ORDER):
-            if msg.type is NetOp.CALL:
-                key = self.call_key(msg)
-            else:
-                key = (msg.client if msg.type is NetOp.ORDER
-                       else self.my_id, msg.inc, msg.id)
-            self.log.record(key,
-                            self._point(f"received-{msg.type.value}",
-                                        f"from {msg.sender}"))
+        if msg.type is NetOp.CALL:
+            key = self.call_key(msg)
+        else:
+            key = (msg.client if msg.type is NetOp.ORDER
+                   else self.my_id, msg.inc, msg.id)
+        self.log.record(key, self._point(f"received-{msg.type.value}",
+                                         f"from {msg.sender}"))
 
     async def on_executed(self, key: CallKey) -> None:
         record = self.grpc.sRPC.get(key)

@@ -67,7 +67,7 @@ class ProbeOrphanTermination(TerminateOrphan):
     def configure(self) -> None:
         super().configure()
         self.register(MSG_FROM_NETWORK, self.handle_probe_traffic,
-                      Prio.RELIABLE)
+                      Prio.RELIABLE, kinds=(NetOp.PING, NetOp.PONG))
         self.register(TIMEOUT, self.probe_round, self.probe_interval)
 
     # ------------------------------------------------------------------
@@ -80,7 +80,7 @@ class ProbeOrphanTermination(TerminateOrphan):
                           sender=self.my_id,
                           inc=self.grpc.inc_number)
             await self.grpc.net_push(msg.sender, pong)
-        elif msg.type is NetOp.PONG:
+        else:  # PONG
             state = self._probes.get(msg.sender)
             if state is not None:
                 state.outstanding = False

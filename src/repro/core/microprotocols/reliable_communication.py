@@ -34,7 +34,8 @@ class ReliableCommunication(GRPCMicroProtocol):
         self.retrans_timeout = retrans_timeout
 
     def configure(self) -> None:
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.RELIABLE)
+        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.RELIABLE,
+                      kinds=(NetOp.REPLY, NetOp.ACK))
         self.register(NEW_RPC_CALL, self.handle_new_call)
         self.register(TIMEOUT, self.handle_timeout, self.retrans_timeout)
         # The paper's recovery story re-links the composite at reboot,
@@ -53,7 +54,7 @@ class ReliableCommunication(GRPCMicroProtocol):
             record = self.client_record_for(msg)
             if record is not None and msg.sender in record.pending:
                 record.pending[msg.sender].acked = True
-        elif msg.type is NetOp.ACK:
+        else:  # ACK
             record = self.grpc.pRPC.get(msg.ackid)
             if record is not None and record.inc == msg.ack_inc \
                     and msg.sender in record.pending:

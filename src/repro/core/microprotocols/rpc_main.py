@@ -60,8 +60,9 @@ class RPCMain(GRPCMicroProtocol):
         grpc.hold.declare(MAIN)
         grpc.forward_up = self.forward_up
         self.register(MSG_FROM_NETWORK, self.drop_in_progress_duplicates,
-                      Prio.MAIN_DEDUP)
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.MAIN)
+                      Prio.MAIN_DEDUP, kinds=(NetOp.CALL,))
+        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.MAIN,
+                      kinds=(NetOp.CALL,))
         self.register(CALL_FROM_USER, self.msg_from_user, 1)
         self.register(RECOVERY, self.handle_recovery)
 
@@ -77,12 +78,10 @@ class RPCMain(GRPCMicroProtocol):
         a retransmission racing the original are not; the retransmission is
         simply discarded (the client keeps retrying until a reply lands).
         """
-        if msg.type is NetOp.CALL and self.call_key(msg) in self.grpc.sRPC:
+        if self.call_key(msg) in self.grpc.sRPC:
             self.cancel_event()
 
     async def msg_from_net(self, msg: NetMsg) -> None:
-        if msg.type is not NetOp.CALL:
-            return
         key = self.call_key(msg)
         record = ServerRecord(key=key, op=msg.op, args=msg.args,
                               server=msg.server, client=msg.sender,

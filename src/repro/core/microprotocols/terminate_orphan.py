@@ -49,12 +49,11 @@ class TerminateOrphan(GRPCMicroProtocol):
         self.client_inc.clear()
 
     def configure(self) -> None:
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.ORPHAN)
+        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.ORPHAN,
+                      kinds=(NetOp.CALL,))
         self.register(REPLY_FROM_SERVER, self.handle_reply, 1)
 
     async def msg_from_net(self, msg: NetMsg) -> None:
-        if msg.type is not NetOp.CALL:
-            return
         client = msg.sender
         known = self.client_inc.get(client)
         if known is None:

@@ -98,13 +98,14 @@ class TotalOrder(GRPCMicroProtocol):
     def configure(self) -> None:
         self.grpc.hold.declare(TOTAL)
         self.register(MSG_FROM_NETWORK, self.assign_order,
-                      Prio.TOTAL_ASSIGN)
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.TOTAL)
+                      Prio.TOTAL_ASSIGN, kinds=(NetOp.CALL,))
+        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.TOTAL,
+                      kinds=(NetOp.CALL, NetOp.ORDER))
         self.register(REPLY_FROM_SERVER, self.handle_reply, 1)
         if self.resync:
             from repro.core.grpc import MEMBERSHIP_CHANGE
             self.register(MSG_FROM_NETWORK, self.handle_resync_traffic,
-                          0.5)
+                          0.5, kinds=(NetOp.ORDER_QUERY, NetOp.ORDER_INFO))
             self.register(MEMBERSHIP_CHANGE, self.handle_membership)
 
     def unconfigure(self) -> None:
@@ -127,8 +128,6 @@ class TotalOrder(GRPCMicroProtocol):
     # ------------------------------------------------------------------
 
     async def assign_order(self, msg: NetMsg) -> None:
-        if msg.type is not NetOp.CALL:
-            return
         grpc = self.grpc
         key = self.call_key(msg)
         self._note_group(msg.server)
@@ -167,7 +166,7 @@ class TotalOrder(GRPCMicroProtocol):
                 await grpc.forward_up(key, TOTAL)
             else:
                 self.ready_list[rank] = key
-        elif msg.type is NetOp.ORDER:
+        else:  # ORDER
             self._note_group(msg.server)
             await self._learn((msg.client, msg.inc, msg.id), msg.order)
 
@@ -264,7 +263,7 @@ class TotalOrder(GRPCMicroProtocol):
             info = NetMsg(type=NetOp.ORDER_INFO, sender=self.my_id,
                           server=msg.server, args=entries)
             await self.grpc.net_push(msg.sender, info)
-        elif msg.type is NetOp.ORDER_INFO:
+        else:  # ORDER_INFO
             for c, i, cid, rank in (msg.args or []):
                 await self._learn((c, i, cid), rank)
             if self._resyncing:

@@ -47,8 +47,10 @@ class UniqueExecution(GRPCMicroProtocol):
         self.old_results.clear()
 
     def configure(self) -> None:
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.UNIQUE)
-        self.register(MSG_FROM_NETWORK, self.admit_call, Prio.UNIQUE_ADMIT)
+        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.UNIQUE,
+                      kinds=(NetOp.CALL, NetOp.REPLY, NetOp.ACK))
+        self.register(MSG_FROM_NETWORK, self.admit_call, Prio.UNIQUE_ADMIT,
+                      kinds=(NetOp.CALL,))
         self.register(REPLY_FROM_SERVER, self.handle_reply, 1)
         self.register(CALL_ABORTED, self.handle_abort)
 
@@ -87,7 +89,7 @@ class UniqueExecution(GRPCMicroProtocol):
                          sender=self.my_id, inc=grpc.inc_number,
                          ackid=msg.id, ack_inc=msg.inc)
             await grpc.net_push(msg.sender, ack)
-        elif msg.type is NetOp.ACK:
+        else:  # ACK
             self.old_results.pop((msg.sender, msg.ack_inc, msg.ackid), None)
 
     async def admit_call(self, msg: NetMsg) -> None:
@@ -98,8 +100,7 @@ class UniqueExecution(GRPCMicroProtocol):
         retransmissions get a fresh decision instead of being discarded
         as duplicates.
         """
-        if msg.type is NetOp.CALL:
-            self.old_calls.add(self.call_key(msg))
+        self.old_calls.add(self.call_key(msg))
 
 
 register_protocol(UniqueExecution.protocol_name)

@@ -17,7 +17,7 @@ framework".  For gRPC that shared data is:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.messages import CallKey, Status
 from repro.net.message import Group, ProcessId
@@ -26,7 +26,7 @@ __all__ = ["PendingEntry", "ClientRecord", "ClientTable",
            "ServerRecord", "ServerTable", "HoldRegistry"]
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingEntry:
     """Per-server state within a client record (the ``waiting_list``).
 
@@ -40,7 +40,7 @@ class PendingEntry:
     done: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ClientRecord:
     """One pending call at the client (the paper's ``Client_Record``)."""
 
@@ -131,7 +131,7 @@ class ClientTable:
         self._records.clear()
 
 
-@dataclass
+@dataclass(slots=True)
 class ServerRecord:
     """One pending call at a server (the paper's ``Server_Record``)."""
 
@@ -206,14 +206,18 @@ class HoldRegistry:
     Main itself, FIFO Order, Total Order) declare their property here;
     :meth:`satisfied` compares a call's per-record hold array against the
     registry, which is exactly the loop in the paper's ``forward_up``.
+    The required names are kept as a tuple in declaration order, rebuilt
+    by :meth:`declare`/:meth:`retract`, so the per-call check builds
+    nothing.
     """
 
     def __init__(self) -> None:
-        self._required: Dict[str, bool] = {}
+        self._required: Tuple[str, ...] = ()
 
     def declare(self, prop: str) -> None:
         """Set ``HOLD[prop] = true``: calls wait for this property."""
-        self._required[prop] = True
+        if prop not in self._required:
+            self._required += (prop,)
 
     def retract(self, prop: str) -> None:
         """Set ``HOLD[prop] = false``: stop gating calls on it.
@@ -222,14 +226,16 @@ class HoldRegistry:
         declared the property — without this, every post-swap call would
         wait forever for a signature no handler will ever provide.
         """
-        self._required.pop(prop, None)
+        self._required = tuple(name for name in self._required
+                               if name != prop)
 
     def required(self) -> List[str]:
-        return [name for name, needed in self._required.items() if needed]
+        return list(self._required)
 
     def satisfied(self, hold: Dict[str, bool]) -> bool:
-        """True when every required property is marked in ``hold``."""
-        return all(hold.get(name, False) for name in self.required())
+        """True when every required property is marked in ``hold``
+        (a hold array only ever marks properties ``True``)."""
+        return all(map(hold.get, self._required))
 
     def __contains__(self, prop: str) -> bool:
-        return self._required.get(prop, False)
+        return prop in self._required

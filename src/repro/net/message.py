@@ -116,7 +116,7 @@ def wire_size(value: Any) -> int:
 _ENVELOPE_SEQ = 0
 
 
-@dataclass(repr=False)
+@dataclass(repr=False, slots=True)
 class Envelope:
     """A payload in flight through the simulated fabric.
 

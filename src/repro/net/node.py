@@ -12,9 +12,12 @@ calls into generations (Interference Avoidance, Terminate Orphan).  A
 * **recover** — the incarnation number is bumped and recovery listeners
   fire (gRPC turns this into the ``RECOVERY`` event of Section 4.3).
 
-Every arrival runs up the stack in its own task, spawned straight from
-the fabric's delivery (:meth:`Node.deliver`), so one blocked handler
-chain never stalls the next message — the paper's execution model.
+Every arrival runs up the stack in its own task, started inside the
+fabric's delivery (:meth:`Node.deliver`), so one blocked handler chain
+never stalls the next message — the paper's execution model.  The
+task's first step runs in the delivery itself (:meth:`~repro.sim.
+kernel.Kernel.start`); an arrival that completes there never touches
+the ready queue or the node's scope.
 
 The incarnation counter survives crashes.  On real hardware it would be
 read from stable storage at reboot; here the :class:`Node` object plays the
@@ -45,6 +48,7 @@ class Node:
         self.pid = pid
         self.name = name or f"node-{pid}"
         self.runtime = runtime
+        self._kernel = runtime.kernel
         self.fabric = fabric
         self.incarnation = 1
         self.up = False
@@ -113,11 +117,16 @@ class Node:
     def deliver(self, envelope: Envelope) -> None:
         """Called by the fabric to hand over an arrived envelope: it runs
         up the stack in its own task, so a chain that blocks cannot stall
-        later arrivals."""
+        later arrivals.  The delivery is the last act of the fabric's
+        timer action, so the task is started in place; the scope adopts
+        it only if it is still live after that first step, which is the
+        only way a crash can find it."""
         if self.transport is not None:
-            self.scope.spawn(
+            task = self._kernel.start(
                 self.transport.handle_arrival(envelope),
                 name=f"{self.name}-msg-{envelope.seq}", daemon=True)
+            if not task.done:
+                self.scope.adopt(task)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "down"

@@ -36,7 +36,7 @@ class SimRuntime:
     # -- time -----------------------------------------------------------
 
     def now(self) -> float:
-        return self.kernel.now
+        return self.kernel._now
 
     async def sleep(self, delay: float) -> None:
         await _kernel.sleep(delay)

@@ -223,6 +223,10 @@ class Timer:
     plain sleep parks the sleeping task in :attr:`task` instead of
     carrying an action closure.  Cancelling a kernel-attached timer
     feeds the kernel's dead-entry count, which drives the lazy purge.
+    A timer lets go of its action once it has fired or been cancelled:
+    an action that refers back to its own timer (a registration that
+    keeps its timer handle, say) would otherwise hold both in a
+    reference cycle until the cycle collector ran.
     """
 
     __slots__ = ("when", "seq", "action", "cancelled", "task", "_kernel")
@@ -240,6 +244,7 @@ class Timer:
     def cancel(self) -> None:
         if not self.cancelled:
             self.cancelled = True
+            self.action = None
             kernel = self._kernel
             if kernel is not None:
                 kernel._note_dead_timer()
@@ -312,6 +317,33 @@ class Kernel:
         self._tasks[task.id] = task
         self._ready.append((task, None))
         self.tasks_spawned += 1
+        return task
+
+    def start(self, coro: Coroutine, *, name: str = "",
+              daemon: bool = False) -> Task:
+        """Create a task and, when the loop would step it next anyway,
+        take that first step now.
+
+        That is the case inside a timer action (the kernel is running,
+        no task is) while the ready queue is empty: the loop drains the
+        ready queue right after the action returns, so a task spawned
+        there runs first.  Stepping it in place saves the queue round
+        trip and leaves the schedule, the step count and the task count
+        exactly as :meth:`spawn` would.  Everywhere else — setup code,
+        inside a task, or behind already-queued work — this *is*
+        :meth:`spawn`.
+
+        The caller must make this the action's last scheduling act: a
+        task spawned later in the same action would run after whatever
+        this step queued instead of before it.  (This is why ``spawn``
+        itself never steps.)
+        """
+        if self._current is not None or not self._running or self._ready:
+            return self.spawn(coro, name=name, daemon=daemon)
+        task = Task(coro, name, daemon, self)
+        self._tasks[task.id] = task
+        self.tasks_spawned += 1
+        self._step(task, None)
         return task
 
     def call_later(self, delay: float, action: Callable[[], None]) -> Timer:
@@ -494,7 +526,9 @@ class Kernel:
                         sleeper._unpark = None
                         ready.append((sleeper, None))
                 else:
-                    timer.action()
+                    action = timer.action
+                    timer.action = None
+                    action()
         finally:
             self._running = False
             _KERNEL = prev

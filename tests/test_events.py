@@ -666,3 +666,143 @@ def test_dispatch_records_do_not_outlive_crashed_tasks():
     assert parked == [1] * 100
     assert bus._active == {}
     deployment.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Kind chains: a trigger that names its message kind runs only the
+# registrations acting on that kind
+# ---------------------------------------------------------------------------
+
+def make_kinded_bus(order):
+    """``E`` with a CALL handler, a REPLY/ACK handler and a kind-less one,
+    registered out of priority order."""
+    rt, bus = make_bus()
+
+    def handler(name):
+        async def run(msg):
+            order.append((name, msg))
+        return run
+
+    bus.register("E", handler("any"), 3)
+    bus.register("E", handler("call"), 1, kinds=("CALL",))
+    bus.register("E", handler("reply"), 2, kinds=("REPLY", "ACK"))
+    return rt, bus, handler
+
+
+def test_kind_chain_runs_only_the_handlers_acting_on_the_kind():
+    order = []
+    rt, bus, _ = make_kinded_bus(order)
+
+    async def main():
+        for kind in ("CALL", "ACK", "PING"):
+            assert await bus.trigger("E", kind, kind=kind)
+        assert await bus.trigger("E", "none")
+
+    rt.run(main())
+    assert order == [
+        ("call", "CALL"), ("any", "CALL"),
+        ("reply", "ACK"), ("any", "ACK"),
+        ("any", "PING"),                        # kind-less: every kind
+        ("call", "none"), ("reply", "none"), ("any", "none")]
+
+
+def test_kind_chains_follow_every_change_to_the_registrations():
+    order = []
+    rt, bus, handler = make_kinded_bus(order)
+
+    def ran(kind):
+        order.clear()
+        rt.kernel.run(bus.trigger("E", kind, kind=kind))
+        return [name for name, _ in order]
+
+    assert ran("CALL") == ["call", "any"]       # compiles the CALL chain
+    late = handler("late")
+    bus.register("E", late, 0, kinds=("CALL",), owner="mp")
+    assert ran("CALL") == ["late", "call", "any"]
+    assert bus.deregister("E", late)
+    assert ran("CALL") == ["call", "any"]
+    bus.register("E", handler("owned"), 0, kinds=("CALL",), owner="mp")
+    assert ran("CALL") == ["owned", "call", "any"]
+    assert bus.retire_owner("mp") == 1
+    assert ran("CALL") == ["call", "any"]
+    bus.register("E", handler("ghost"), 0, kinds=("CALL",), owner="mp")
+    assert ran("CALL") == ["call", "any"]       # retired: not wired
+    bus.unretire_owner("mp")
+    bus.register("E", handler("back"), 0, kinds=("CALL",), owner="mp")
+    assert ran("CALL") == ["back", "call", "any"]
+    bus.clear()
+    assert bus._chains == {}
+    assert ran("CALL") == []
+
+
+def test_cancel_event_inside_a_kind_chain():
+    rt, bus = make_bus()
+    order = []
+
+    async def gate(msg):
+        order.append("gate")
+        bus.cancel_event()
+
+    async def after(msg):
+        order.append(f"after-{msg}")
+
+    bus.register("E", gate, 1, kinds=("CALL",))
+    bus.register("E", after, 2)
+    results = []
+
+    async def main():
+        results.append(await bus.trigger("E", "CALL", kind="CALL"))
+        results.append(await bus.trigger("E", "REPLY", kind="REPLY"))
+
+    rt.run(main())
+    assert results == [False, True]
+    assert order == ["gate", "after-REPLY"]
+    assert bus._active == {}
+
+
+def test_instrumented_bus_takes_the_same_kind_chain():
+    from repro.obs import Recorder
+
+    rt = SimRuntime()
+    rec = Recorder()
+    rt.attach_obs(rec)
+    prof = SeamProfiler()
+    rt.attach_profiler(prof)
+    bus = EventBus(rt)
+
+    async def on_call(msg):
+        pass
+
+    async def on_reply(msg):
+        pass
+
+    bus.register("E", on_call, 1, owner="c", kinds=("CALL",))
+    bus.register("E", on_reply, 2, owner="r", kinds=("REPLY",))
+    rt.run(bus.trigger("E", "m", kind="REPLY"))
+    assert [(c[0], c[2]) for c in prof.calls] == [("enter", "r"),
+                                                  ("exit", 0.0)]
+    handled = [e.fields["owner"] for e in rec.events if e.kind == "handler"]
+    assert handled == ["r"]
+
+
+def test_registration_table_ignores_kinds():
+    """Figure 3's wiring lists every registration of an event in
+    dispatch order, whatever kinds each declared."""
+    _, bus = make_bus()
+
+    async def any_kind(msg):
+        pass
+
+    async def on_call(msg):
+        pass
+
+    async def on_reply(msg):
+        pass
+
+    bus.register("E", any_kind, 3)
+    bus.register("E", on_call, 1, kinds=("CALL",))
+    bus.register("E", on_reply, 2, kinds=("REPLY", "ACK"))
+    assert bus.registration_table() == {"E": [
+        on_call.__qualname__, on_reply.__qualname__, any_kind.__qualname__]}
+    assert [reg.kinds for reg in bus.registrations("E")] == [
+        frozenset({"CALL"}), frozenset({"REPLY", "ACK"}), None]

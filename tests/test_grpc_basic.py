@@ -299,3 +299,29 @@ def test_bounded_timeout_still_fires_for_stuck_calls():
     result = cluster.call_and_run("get", {"key": "x"}, extra_time=1.0)
     assert result.status is Status.TIMEOUT
     assert cluster.runtime.now() >= 0.5
+
+
+def test_arrivals_dispatch_the_chain_of_their_message_kind():
+    """``GroupRPC.pop`` runs the chain of the arrival's ``NetOp``: a
+    handler declaring ACK sees only ACKs and a kind-less one sees every
+    arrival."""
+    from repro.core.grpc import MSG_FROM_NETWORK
+    from repro.core.messages import NetOp
+
+    cluster = ServiceCluster(ServiceSpec(unique=True), KVStore,
+                             n_servers=2, default_link=LinkSpec(jitter=0.0))
+    server = cluster.grpc(1)
+    seen = {"acks": [], "any": []}
+
+    async def acks(msg):
+        seen["acks"].append(msg.type)
+
+    async def anything(msg):
+        seen["any"].append(msg.type)
+
+    server.bus.register(MSG_FROM_NETWORK, acks, 0, kinds=(NetOp.ACK,))
+    server.bus.register(MSG_FROM_NETWORK, anything, 0)
+    assert cluster.call_and_run("put", {"key": "k", "value": 1},
+                                extra_time=0.1).ok
+    assert seen == {"acks": [NetOp.ACK],
+                    "any": [NetOp.CALL, NetOp.ACK]}

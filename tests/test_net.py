@@ -369,3 +369,51 @@ def test_alive_pids_tracks_crashes():
 
     rt.run(main())
     assert fabric.alive_pids() == {2}
+
+
+class Parker(Protocol):
+    """Top protocol whose ``pop`` parks on "park" payloads until the
+    site crashes, and returns at once for anything else."""
+
+    def __init__(self, runtime):
+        super().__init__("parker")
+        self.runtime = runtime
+        self.log = []
+
+    async def pop(self, payload, sender):
+        if payload != "park":
+            self.log.append(("done", payload))
+            return
+        try:
+            await self.runtime.sleep(100.0)
+        finally:
+            self.log.append(("unwound", self.runtime.now()))
+
+
+def test_arrival_scope_keeps_only_parked_arrivals():
+    """An arrival's task takes its first step inside the delivery; the
+    node's scope adopts it only if it is still live afterwards, so a
+    crash still kills a parked arrival while a finished one is never
+    retained."""
+    rt = SimRuntime()
+    fabric = NetworkFabric(rt, default_link=LinkSpec(delay=0.1, jitter=0.0))
+    nodes, tops = {}, {}
+    for pid in (1, 2):
+        node = Node(pid, rt, fabric)
+        tops[pid] = Parker(rt)
+        compose_stack(tops[pid], UnreliableTransport(node))
+        node.start()
+        nodes[pid] = node
+
+    async def main():
+        await nodes[1].transport.push(2, "quick")
+        await nodes[1].transport.push(2, "park")
+        await rt.sleep(0.5)
+        kept = list(nodes[2].scope._handles)
+        nodes[2].crash()
+        await rt.sleep(0.1)
+        return kept
+
+    kept = rt.run(main())
+    assert [task.name.rsplit("-", 1)[0] for task in kept] == ["node-2-msg"]
+    assert tops[2].log == [("done", "quick"), ("unwound", 0.5)]

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import KernelError, TaskCancelled
 from repro.sim import (
     Kernel,
+    Semaphore,
     checkpoint_yield,
     current_kernel,
     current_task,
@@ -280,3 +281,118 @@ def test_determinism_same_program_same_schedule():
         return trace
 
     assert run_once() == run_once()
+
+
+# ---------------------------------------------------------------------------
+# Kernel.start: a task's first step, taken where the loop would take it next
+# ---------------------------------------------------------------------------
+
+def test_start_steps_at_once_from_a_timer_action():
+    kernel = Kernel()
+    log = []
+
+    async def arrival():
+        log.append("stepped")
+        await sleep(1.0)
+        log.append("resumed")
+
+    def deliver():
+        task = kernel.start(arrival(), name="arrival")
+        log.append(("returned", task.done))
+
+    kernel.call_later(0.5, deliver)
+    kernel.run_until_idle()
+    assert log == ["stepped", ("returned", False), "resumed"]
+    assert kernel.now == 1.5
+
+
+def test_start_is_spawn_from_setup_code_and_inside_a_task():
+    kernel = Kernel()
+    log = []
+
+    async def child(tag):
+        log.append(tag)
+
+    task = kernel.start(child("setup"))
+    assert log == [] and not task.done
+
+    async def main():
+        kernel.start(child("in-task"))
+        log.append("main")
+        await checkpoint_yield()
+
+    kernel.run(main())
+    assert log == ["setup", "main", "in-task"]
+
+
+def test_start_behind_queued_work_is_spawn():
+    kernel = Kernel()
+    log = []
+
+    async def tagged(tag):
+        log.append(tag)
+
+    def action():
+        kernel.spawn(tagged("queued first"))
+        kernel.start(tagged("started second"))
+        log.append("action done")
+
+    kernel.call_later(1.0, action)
+    kernel.run_until_idle()
+    assert log == ["action done", "queued first", "started second"]
+
+
+def _same_instant_deliveries(launch_with):
+    """Two deliveries due at one instant, each waking a parked task and
+    spawning a child; returns what ran, in order, and the counters."""
+    kernel = Kernel()
+    log, stepped_in_action = [], []
+    gate = Semaphore(0)
+
+    async def waiter(tag):
+        await gate.acquire()
+        log.append((tag, "woken"))
+        await checkpoint_yield()
+        log.append((tag, "done"))
+
+    async def echo(tag):
+        log.append((tag, "child"))
+
+    async def arrival(tag):
+        log.append((tag, "in"))
+        gate.release()
+        await spawn(echo(tag))
+        await checkpoint_yield()
+        log.append((tag, "out"))
+
+    def deliver(tag):
+        getattr(kernel, launch_with)(arrival(tag), name=f"msg-{tag}",
+                                     daemon=True)
+        stepped_in_action.append((tag, "in") in log)
+
+    for tag in ("w1", "w2"):
+        kernel.spawn(waiter(tag))
+    for tag in ("a", "b"):
+        kernel.call_later(1.0, lambda tag=tag: deliver(tag))
+    kernel.run_until_idle()
+    stats = kernel.stats()
+    return (log, stats["steps_executed"], stats["tasks_spawned"],
+            stepped_in_action)
+
+
+def test_same_instant_deliveries_run_exactly_as_spawned():
+    *started, immediate = _same_instant_deliveries("start")
+    *spawned, deferred = _same_instant_deliveries("spawn")
+    assert immediate == [True, True] and deferred == [False, False]
+    assert started == spawned
+
+
+def test_timer_drops_its_action_once_fired_or_cancelled():
+    """An action that refers back to its own timer must not keep both
+    alive in a reference cycle after the timer is spent."""
+    kernel = Kernel()
+    fired = kernel.call_later(1.0, lambda: None)
+    cancelled = kernel.call_later(1.0, lambda: None)
+    cancelled.cancel()
+    kernel.run_until_idle()
+    assert fired.action is None and cancelled.action is None
