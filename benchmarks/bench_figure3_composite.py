@@ -54,9 +54,10 @@ def test_figure3_composite_wiring(benchmark):
 
     msg_net = [short(h) for h in table["MSG_FROM_NETWORK"]]
     # Figure 3: message arrival dispatches to R and U — and U's duplicate
-    # filter runs before R's main handler, per the paper's priorities
-    # (U=2 < R=3).  R also appears earlier with its dedup pre-check, so
-    # compare against R's *last* (main) position.
+    # filter runs before R's main handler, as the paper's priorities (U=2
+    # before R=3) and the handler-order table put it.  R also appears
+    # earlier with its dedup pre-check, so compare against R's *last*
+    # (main) position.
     last_main = len(msg_net) - 1 - msg_net[::-1].index("RPCMain")
     assert msg_net.index("UniqueExecution") < last_main
     call_user = [short(h) for h in table["CALL_FROM_USER"]]

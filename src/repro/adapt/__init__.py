@@ -14,7 +14,7 @@ running group's micro-protocols with **zero acknowledged-call loss**:
 2. **drain** — in-flight calls run to completion under the old
    composition (no ``WAITING`` client records, empty server tables);
 3. **switch** — every member's composite atomically re-registers the
-   target micro-protocols' handlers at their priorities, transferring
+   target micro-protocols' handlers at their fixed ranks, transferring
    the shared gRPC state that must survive (call-id cursors, HOLD
    declarations, incarnations, reply stores of kept protocols), and the
    group-wide *adaptation epoch* is bumped in the same synchronous step

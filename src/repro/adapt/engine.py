@@ -24,8 +24,8 @@ loss.  The protocol:
    while the rest are detached (handlers retired via
    :meth:`~repro.core.events.EventBus.retire_owner`, shared-state side
    effects undone via ``unconfigure``) and the target's fresh instances
-   attached at their usual priorities.  Freshly installed FIFO gates
-   are seeded from every client's live call-id cursor
+   attached at their table ranks (as a fresh build).  Freshly installed
+   FIFO gates are seeded from every client's live call-id cursor
    (:meth:`~repro.core.microprotocols.fifo_order.FIFOOrder.
    seed_progress`), because a mid-run gate seeded at 1 would wait
    forever for calls that completed under the old composition.  Then
@@ -36,12 +36,12 @@ loss.  The protocol:
 
 The :class:`AdaptationFence` makes the epoch bump safe: while a
 composite's epoch is non-zero every outgoing message is stamped with it
-(:meth:`~repro.core.grpc.GroupRPC.net_push`), and the fence — the
-earliest ``MSG_FROM_NETWORK`` handler of every adapted composite —
-drops arrivals carrying a different epoch.  A retransmission sent under
-the old composition can therefore never be dispatched into the new one
-(where, e.g., a fresh Total Order sequencer would wedge on a stale
-duplicate); reliable clients simply retransmit under the new epoch.
+(:meth:`~repro.core.grpc.GroupRPC.net_push`), and the fence — first on
+``MSG_FROM_NETWORK`` after the read-only Call Observer — drops arrivals
+carrying a different epoch.  A retransmission sent under the old
+composition can therefore never be dispatched into the new one (where,
+e.g., a fresh Total Order sequencer would wedge on a stale duplicate);
+reliable clients simply retransmit under the new epoch.
 """
 
 from __future__ import annotations
@@ -59,12 +59,6 @@ from repro.errors import AdaptationError, ConfigurationError, ReproError
 from repro.obs import register_protocol
 
 __all__ = ["AdaptationFence", "AdaptationManager", "AdaptationReport"]
-
-#: The fence dispatches before everything else (Reliable Communication's
-#: ack handling runs at 1.0; see :class:`~repro.core.microprotocols.
-#: base.Prio`): a cross-epoch arrival must not touch any micro-protocol
-#: state.
-_PRIO_FENCE = 0.05
 
 #: Construction parameters per micro-protocol name.  An instance is
 #: *kept* across a switch (registrations and state intact) only when its
@@ -102,7 +96,7 @@ class AdaptationFence(GRPCMicroProtocol):
         self.dropped = 0
 
     def configure(self) -> None:
-        self.register(MSG_FROM_NETWORK, self.fence, _PRIO_FENCE)
+        self.register(MSG_FROM_NETWORK, self.fence)
 
     async def fence(self, msg: NetMsg) -> None:
         if msg.annotation(ADAPT_EPOCH_KEY, 0) != self.grpc.adapt_epoch:
@@ -428,11 +422,6 @@ class AdaptationManager:
                     and not survivor.detached:
                 new_list.append(survivor)
                 continue
-            # retire_owner() blacklisted the name against ghost
-            # re-registrations from the old instance's unwinding
-            # handlers; lift it for the fresh instance (the old one is
-            # still blocked by its per-instance ``detached`` flag).
-            grpc.bus.unretire_owner(name)
             if isinstance(micro, FIFOOrder):
                 # A mid-run FIFO gate must start at each client's live
                 # cursor, not at 1.
@@ -442,7 +431,7 @@ class AdaptationManager:
             micro.attach(grpc)
 
         # Unmanaged riders (the deployment's CallObserver, a previously
-        # installed fence) keep their place at the end of the chain.
+        # installed fence) stay linked, after the managed protocols.
         for micro in grpc.micro_protocols:
             if micro.name not in from_managed and micro not in new_list:
                 new_list.append(micro)

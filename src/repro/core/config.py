@@ -130,11 +130,9 @@ class ServiceSpec:
     # -- building --------------------------------------------------------
 
     def build(self) -> List[MicroProtocol]:
-        """Fresh micro-protocol instances for one composite.
-
-        Validates first; composition order keeps equal-priority handlers
-        (e.g. the orphan protocols at 2.2) in a deterministic sequence.
-        """
+        """Fresh micro-protocol instances for one composite (validated
+        first).  Handler order does not depend on this list's order: it
+        is the one table in :mod:`repro.core.microprotocols.base`."""
         validate(self)
         micros: List[MicroProtocol] = [RPCMain()]
         if self.call == "synchronous":

@@ -9,7 +9,7 @@ It provides exactly the four framework operations of Section 3:
     priority registers at the *lowest* priority (runs last).  Registering
     for the special :data:`TIMEOUT` event interprets the priority argument
     as a time interval and arms a **one-shot** timer, exactly as in the
-    paper.
+    paper.  gRPC micro-protocols pass their rank in ``HANDLER_ORDER``.
 
 ``trigger(event, *args)``
     Execute every handler registered for ``event``, passing ``args``.
@@ -53,6 +53,7 @@ recorder record.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import (Any, Awaitable, Callable, Dict, FrozenSet, Hashable,
                     Iterable, List, Optional, Tuple)
 
@@ -147,14 +148,6 @@ class EventBus:
         # (insertion-ordered).  A dict so :meth:`disarm` — called once
         # per completed bounded call — is O(1) instead of a list scan.
         self._timeout_regs: Dict[int, Registration] = {}
-        # Owners whose registrations have been retired by a live
-        # adaptation (:meth:`retire_owner`).  Self-rearming handlers of a
-        # removed micro-protocol (Reliable Communication's retransmit
-        # loop, Probe Orphan's probe rounds) may still be mid-flight when
-        # the owner is retired; their re-registration attempts land here
-        # and are dropped, so a swapped-out protocol cannot ghost its
-        # timers back into the bus.  Empty for never-adapted composites.
-        self._retired_owners: set = set()
         # Observability: the recorder and the kernel profiler are
         # resolved ONCE here (attach-time check; see SimRuntime.attach_obs
         # and SimRuntime.attach_profiler).  ``None`` keeps every dispatch
@@ -188,12 +181,6 @@ class EventBus:
         every registration.
         """
         self._seq += 1
-        if owner and owner in self._retired_owners:
-            # A retired owner's in-flight handler trying to re-arm
-            # itself; hand back an inert registration (never dispatched,
-            # no timer armed) so the caller's code path stays unchanged.
-            return Registration(event, handler, float(priority or 0.0),
-                                self._seq, owner, kinds)
         if event == TIMEOUT:
             if priority is None:
                 raise KernelError("TIMEOUT registration requires an interval")
@@ -212,8 +199,8 @@ class EventBus:
             priority = LOWEST_PRIORITY
         reg = Registration(event, handler, float(priority), self._seq,
                            owner, kinds)
-        self._handlers.setdefault(event, []).append(reg)
-        self._handlers[event].sort(key=Registration.sort_key)
+        insort(self._handlers.setdefault(event, []), reg,
+               key=Registration.sort_key)
         self._invalidate(event)
         if self._obs is not None:
             self._obs.record_event(
@@ -467,13 +454,12 @@ class EventBus:
     # ------------------------------------------------------------------
 
     def retire_owner(self, owner: str) -> int:
-        """Remove every registration tagged ``owner`` and bar new ones.
+        """Remove every registration tagged ``owner``.
 
         The bus half of swapping a micro-protocol out of a running
-        composite: all its event handlers are deregistered, its pending
-        TIMEOUTs disarmed, and — until :meth:`unretire_owner` — any
-        re-registration attempt from a still-unwinding handler of that
-        owner is silently dropped.  Returns the number of registrations
+        composite: its event handlers are deregistered and its pending
+        TIMEOUTs disarmed (its unwinding handlers cannot re-register:
+        the instance is detached).  Returns the number of registrations
         removed.  ``owner`` must be non-empty (framework registrations
         carry no owner and are never retired).
         """
@@ -491,25 +477,14 @@ class EventBus:
                 reg.timer.cancel()
                 del self._timeout_regs[seq]
                 removed += 1
-        self._retired_owners.add(owner)
         if self._obs is not None:
             self._obs.record_event("retire_owner", node=self.node_id,
                                    owner=owner, removed=removed)
         return removed
 
-    def unretire_owner(self, owner: str) -> None:
-        """Allow ``owner`` to register again (it is being swapped in)."""
-        self._retired_owners.discard(owner)
-
     def pending_timeouts(self) -> int:
         """Number of armed TIMEOUT registrations (test/debug aid)."""
         return len(self._timeout_regs)
-
-    def cancel_pending_timeouts(self) -> None:
-        """Disarm every pending TIMEOUT (part of crash teardown)."""
-        for reg in self._timeout_regs.values():
-            reg.timer.cancel()
-        self._timeout_regs.clear()
 
     def clear(self) -> None:
         """Drop every registration and cancel pending timers.

@@ -116,16 +116,23 @@ class MicroProtocol:
                  kinds: Optional[Iterable[Hashable]] = None
                  ) -> Registration:
         """Register ``handler``; ``kinds`` declares the message kinds it
-        acts on (see :meth:`EventBus.register`)."""
+        acts on (see :meth:`EventBus.register`).  Without a priority the
+        handler registers at its :meth:`rank`."""
         if self.detached:
             # A swapped-out instance's handler unwinding after detach():
             # hand back an inert registration instead of re-wiring it.
             return Registration(event, handler, priority or 0.0, -1,
                                 self.name, kinds)
+        if priority is None:
+            priority = self.rank(event, handler)
         # The owner tag attributes dispatch records (and per-handler
         # virtual-time costs) to this micro-protocol in the obs layer.
         return self.bus.register(event, handler, priority, owner=self.name,
                                  kinds=kinds)
+
+    def rank(self, event: str, handler: Handler) -> Optional[float]:
+        """Priority for a registration that gives none (``None``: last)."""
+        return None
 
     def deregister(self, event: str, handler: Handler) -> bool:
         return self.bus.deregister(event, handler)
@@ -173,22 +180,6 @@ class CompositeProtocol(Protocol):
                                       micro=micro.name,
                                       composite=self.name)
         return self
-
-    def unlink(self, micro: MicroProtocol) -> None:
-        """Swap one micro-protocol out of the running composite.
-
-        The inverse of :meth:`add` for live adaptation: the instance is
-        detached (handlers retired, shared-state side effects undone) and
-        dropped from the linked list.  Callers are responsible for the
-        protocol-level safety of removing it (the adaptation engine
-        drains the composite first).
-        """
-        micro.detach()
-        if micro in self.micro_protocols:
-            self.micro_protocols.remove(micro)
-        if self.obs is not None:
-            self.obs.record_event("micro.detach", node=self.bus.node_id,
-                                  micro=micro.name, composite=self.name)
 
     def micro(self, name: str) -> MicroProtocol:
         """Look up a linked micro-protocol by name."""

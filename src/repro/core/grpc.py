@@ -322,7 +322,6 @@ class GroupRPC(CompositeProtocol):
         """Volatile state dies with the site."""
         self.pRPC.clear()
         self.sRPC.clear()
-        self.bus.cancel_pending_timeouts()
         self.bus.clear()
         self.serial = self.runtime.semaphore(1)
         if self.execution_gate is not None:

@@ -3,7 +3,7 @@
 from repro.core.microprotocols.acceptance import ALL, Acceptance
 from repro.core.microprotocols.asynchronous_call import AsynchronousCall
 from repro.core.microprotocols.atomic_execution import AtomicExecution
-from repro.core.microprotocols.base import GRPCMicroProtocol, Prio
+from repro.core.microprotocols.base import GRPCMicroProtocol, HANDLER_ORDER
 from repro.core.microprotocols.bounded_termination import BoundedTermination
 from repro.core.microprotocols.causal_order import CausalOrder, CausalToken
 from repro.core.microprotocols.collation import (
@@ -36,7 +36,7 @@ from repro.core.microprotocols.unique_execution import UniqueExecution
 
 __all__ = [
     "GRPCMicroProtocol",
-    "Prio",
+    "HANDLER_ORDER",
     "RPCMain",
     "SynchronousCall",
     "AsynchronousCall",

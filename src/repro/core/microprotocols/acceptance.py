@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.core.grpc import MEMBERSHIP_CHANGE, MSG_FROM_NETWORK, NEW_RPC_CALL
 from repro.core.messages import MemChange, NetMsg, NetOp, Status
-from repro.core.microprotocols.base import GRPCMicroProtocol, Prio
+from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.net.message import ProcessId
 from repro.obs import register_protocol
 
@@ -44,7 +44,7 @@ class Acceptance(GRPCMicroProtocol):
     def configure(self) -> None:
         self.register(NEW_RPC_CALL, self.handle_new_call)
         self.register(MEMBERSHIP_CHANGE, self.server_failure)
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.ACCEPTANCE,
+        self.register(MSG_FROM_NETWORK, self.msg_from_net,
                       kinds=(NetOp.REPLY,))
 
     async def handle_new_call(self, call_id: int) -> None:

@@ -109,11 +109,9 @@ class AtomicExecution(GRPCMicroProtocol):
         self._last_state = None
 
     def configure(self) -> None:
-        # Runs before any handler that could start an execution, so the
-        # initial checkpoint exists before the first call runs.
-        self.register(MSG_FROM_NETWORK, self.ensure_initial_checkpoint, 0,
+        self.register(MSG_FROM_NETWORK, self.ensure_initial_checkpoint,
                       kinds=(NetOp.CALL,))
-        self.register(REPLY_FROM_SERVER, self.handle_reply, 2)
+        self.register(REPLY_FROM_SERVER, self.handle_reply)
         self.register(RECOVERY, self.handle_recovery)
 
     # -- checkpoint()/load() (the paper's assumed operations) -----------

@@ -1,48 +1,101 @@
-"""Common base class and handler priorities for gRPC micro-protocols.
+"""Common base class and the one handler-order table of gRPC.
 
-Handler priorities follow the paper's registrations where it gives them
-(Reliable Communication at 1, Unique Execution at 2, RPC Main at 3,
-Collation at 4, FIFO Order at 10, Total Order's ``assign_order`` at 1 and
-``msg_from_net`` at 4).  Two placements the paper leaves implicit or gets
-wrong are pinned down here and documented in DESIGN.md:
-
-* orphan handlers run at 2.2, strictly after Unique Execution's duplicate
-  filtering so duplicates are never counted as new work;
-* RPC Main performs its in-progress-duplicate check at 1.5, before any
-  micro-protocol that accumulates per-call state;
-* Unique Execution *admits* a call (records it in OldCalls) at 2.5, only
-  after the orphan micro-protocols have had their chance to defer or drop
-  it — admitting at filter time (as the paper's single handler does)
-  makes every retransmission of a deferred call look like a duplicate and
-  starves the recovered client.
+The paper runs an event's handlers "in priority order", giving each
+``register`` call a number; here :data:`HANDLER_ORDER` decides.  For
+each sequential event it lists every shipped handler's
+``"Owner.handler"`` name in run order, and a handler registers at its
+rank there.  Ranks are unique, so a composition's order is the table
+restricted to its micro-protocols: fresh, adapted and recovered
+composites run the same chains.  Alternatives that never share a
+composition each keep their own slot.  The paper's priorities survive
+as the table's relative order; an entry it leaves implicit or gets
+wrong says why it sits where it does (DESIGN.md §3).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Dict, Optional, Tuple
 
+from repro.core.events import Handler
 from repro.core.framework import CompositeProtocol, MicroProtocol
-from repro.core.grpc import GroupRPC
+from repro.core.grpc import (CALL_ABORTED, CALL_FROM_USER, MEMBERSHIP_CHANGE,
+                             MSG_FROM_NETWORK, NEW_RPC_CALL, RECOVERY,
+                             REPLY_FROM_SERVER, GroupRPC)
 from repro.core.messages import CallKey, NetMsg
 from repro.core.state import ClientRecord
+from repro.errors import ConfigurationError
 
-__all__ = ["GRPCMicroProtocol", "Prio"]
+__all__ = ["GRPCMicroProtocol", "HANDLER_ORDER"]
 
+#: Event -> ``"Owner.handler"`` names, first to run first.
+HANDLER_ORDER: Dict[str, Tuple[str, ...]] = {
+    MSG_FROM_NETWORK: (
+        "Call_Observer.on_message",                     # read-only
+        # Adapted composites only: drops cross-epoch arrivals untouched.
+        "Adaptation_Fence.fence",
+        # The initial checkpoint precedes anything that can execute.
+        "Atomic_Execution.ensure_initial_checkpoint",
+        "Total_Order.handle_resync_traffic",
+        "Reliable_Communication.msg_from_net",          # the paper's 1
+        "Total_Order.assign_order",                     # the paper's 1
+        "Probe_Orphan_Termination.handle_probe_traffic",
+        # A still-pending call's retransmission dies before any state.
+        "RPC_Main.drop_in_progress_duplicates",
+        # The paper's 2; replays before Total Order's stale-cancel (#7).
+        "Unique_Execution.msg_from_net",
+        # After Unique's filter: duplicates never count as new work.
+        "Interference_Avoidance.msg_from_net",
+        "Terminate_Orphan.msg_from_net",
+        "Probe_Orphan_Termination.msg_from_net",
+        # After the orphan filters: a deferred call is never admitted.
+        "Unique_Execution.admit_call",
+        "RPC_Main.msg_from_net",                        # the paper's 3
+        # Cancels a late or duplicate reply before Collation folds it in.
+        "Acceptance.msg_from_net",
+        "Total_Order.msg_from_net",                     # the paper's 4
+        "Collation.msg_from_net",                       # the paper's 4
+        "Causal_Order.msg_from_net",
+        "FIFO_Order.msg_from_net",                      # the paper's 10
+    ),
+    REPLY_FROM_SERVER: (
+        "Call_Observer.on_executed",
+        # Unique stores before an ordering gate releases (deviation #6).
+        "Unique_Execution.handle_reply",
+        "FIFO_Order.handle_reply",
+        "Total_Order.handle_reply",
+        "Causal_Order.handle_reply",
+        "Interference_Avoidance.handle_reply",
+        "Terminate_Orphan.handle_reply",
+        "Probe_Orphan_Termination.handle_reply",
+        "Atomic_Execution.handle_reply",
+    ),
+    CALL_FROM_USER: (
+        "Call_Observer.on_issue",
+        # Figure 3: R records and transmits, then S blocks the caller.
+        "RPC_Main.msg_from_user",
+        "Synchronous_Call.msg_from_user",
+        "Asynchronous_Call.msg_from_user",
+        "Call_Observer.on_return",
+    ),
+    NEW_RPC_CALL: (
+        "Causal_Order.handle_new_call",
+        "Reliable_Communication.handle_new_call",
+        "Bounded_Termination.handle_new_call",
+        "Collation.handle_new_call",
+        "Acceptance.handle_new_call",
+        "Call_Observer.on_recorded",
+    ),
+    RECOVERY: ("RPC_Main.handle_recovery",
+               "Reliable_Communication.handle_recovery",
+               "Atomic_Execution.handle_recovery"),
+    MEMBERSHIP_CHANGE: ("Total_Order.handle_membership",
+                        "Acceptance.server_failure"),
+    CALL_ABORTED: ("Unique_Execution.handle_abort",
+                   "Causal_Order.handle_abort"),
+}
 
-class Prio:
-    """Dispatch priorities for ``MSG_FROM_NETWORK`` handlers (low = early)."""
-
-    TOTAL_ASSIGN = 1.0      # Total Order leader assigns/reannounces orders
-    RELIABLE = 1.0          # Reliable Communication marks acks
-    MAIN_DEDUP = 1.5        # RPC Main drops in-progress duplicates
-    UNIQUE = 2.0            # Unique Execution filters executed duplicates
-    ORPHAN = 2.2            # Interference Avoidance / Terminate Orphan
-    UNIQUE_ADMIT = 2.5      # Unique Execution records the admitted call
-    MAIN = 3.0              # RPC Main stores and forwards calls
-    ACCEPTANCE = 3.0        # Acceptance counts replies (client side)
-    COLLATION = 4.0         # Collation folds replies (client side)
-    TOTAL = 4.0             # Total Order gates execution order
-    FIFO = 10.0             # FIFO Order gates per-client order
+_RANKS = {event: {name: rank for rank, name in enumerate(names)}
+          for event, names in HANDLER_ORDER.items()}
 
 
 class GRPCMicroProtocol(MicroProtocol):
@@ -58,6 +111,15 @@ class GRPCMicroProtocol(MicroProtocol):
             self.grpc = composite  # type: ignore[assignment]
             self.my_id = composite.my_id  # type: ignore[attr-defined]
         super().attach(composite)
+
+    def rank(self, event: str, handler: Handler) -> int:
+        """``handler``'s place in :data:`HANDLER_ORDER`; unplaced: an error."""
+        name = f"{self.name}.{handler.__name__}"
+        rank = _RANKS.get(event, {}).get(name)
+        if rank is None:
+            raise ConfigurationError(
+                f"HANDLER_ORDER does not place {name} on {event}")
+        return rank
 
     # -- shared-state helpers -------------------------------------------
 

@@ -48,10 +48,6 @@ CAUSAL = "CAUSAL"
 #: A transferable causal context: a frozen set of call keys.
 CausalToken = FrozenSet[CallKey]
 
-#: Dispatch priority: after RPC Main stored the record (3.0), alongside
-#: the other ordering gates.
-_PRIO_CAUSAL = 4.5
-
 
 class CausalOrder(GRPCMicroProtocol):
     """Gates execution on piggybacked happened-before dependencies."""
@@ -73,10 +69,10 @@ class CausalOrder(GRPCMicroProtocol):
 
     def configure(self) -> None:
         self.grpc.hold.declare(CAUSAL)
-        self.register(NEW_RPC_CALL, self.handle_new_call, 1)
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, _PRIO_CAUSAL,
+        self.register(NEW_RPC_CALL, self.handle_new_call)
+        self.register(MSG_FROM_NETWORK, self.msg_from_net,
                       kinds=(NetOp.CALL, NetOp.REPLY))
-        self.register(REPLY_FROM_SERVER, self.handle_reply, 1)
+        self.register(REPLY_FROM_SERVER, self.handle_reply)
         self.register(CALL_ABORTED, self.handle_abort)
 
     def unconfigure(self) -> None:

@@ -12,9 +12,9 @@ ships the collators the paper names: return-any, return-all, and a
 map-all-into-one example (average).
 
 Duplicate replies from the same server are filtered before this handler
-runs: Acceptance (priority 3) cancels the event chain for replies whose
-sender is already marked done, so Collation (priority 4) folds each
-server's reply at most once.
+runs: Acceptance, ahead of Collation in the handler order, cancels the
+event chain for replies whose sender is already marked done, so
+Collation folds each server's reply at most once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Any, Callable, List
 
 from repro.core.grpc import MSG_FROM_NETWORK, NEW_RPC_CALL
 from repro.core.messages import NetMsg, NetOp
-from repro.core.microprotocols.base import GRPCMicroProtocol, Prio
+from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.obs import register_protocol
 
 __all__ = ["Collation", "last_reply", "first_reply", "all_replies",
@@ -50,7 +50,7 @@ class Collation(GRPCMicroProtocol):
         return self.init() if callable(self.init) else self.init
 
     def configure(self) -> None:
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.COLLATION,
+        self.register(MSG_FROM_NETWORK, self.msg_from_net,
                       kinds=(NetOp.REPLY,))
         self.register(NEW_RPC_CALL, self.handle_new_call)
 

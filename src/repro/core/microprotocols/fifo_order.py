@@ -25,7 +25,7 @@ from typing import Dict
 
 from repro.core.grpc import MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, NetMsg, NetOp
-from repro.core.microprotocols.base import GRPCMicroProtocol, Prio
+from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.net.message import ProcessId
 from repro.obs import register_protocol
 
@@ -57,9 +57,8 @@ class FIFOOrder(GRPCMicroProtocol):
 
     def configure(self) -> None:
         self.grpc.hold.declare(FIFO)
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.FIFO,
-                      kinds=(NetOp.CALL,))
-        self.register(REPLY_FROM_SERVER, self.handle_reply, 1)
+        self.register(MSG_FROM_NETWORK, self.msg_from_net, kinds=(NetOp.CALL,))
+        self.register(REPLY_FROM_SERVER, self.handle_reply)
 
     def unconfigure(self) -> None:
         self.grpc.hold.retract(FIFO)

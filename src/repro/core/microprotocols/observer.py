@@ -1,8 +1,8 @@
 """Call Observer (extension): protocol-level tracing as a micro-protocol.
 
 The framework's composition model makes *observation* just another
-micro-protocol: this one registers read-only handlers at the extreme
-priorities of every event and records a per-call timeline — when the
+micro-protocol: this one registers read-only handlers at the extremes
+of every event's handler order and records a per-call timeline — when the
 call entered gRPC, every network message it generated, when each server
 executed it, and when the client thread resumed.  Linking it into a
 composite changes no behavior (it never writes shared state, never
@@ -36,10 +36,6 @@ from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.obs import register_protocol
 
 __all__ = ["TracePoint", "CallTraceLog", "CallObserver"]
-
-#: Observation priorities bracketing every real handler.
-_FIRST = -1_000.0
-_LAST = 2_000_000.0
 
 
 @dataclass(frozen=True)
@@ -117,12 +113,12 @@ class CallObserver(GRPCMicroProtocol):
         self._pending_issues: List[TracePoint] = []
 
     def configure(self) -> None:
-        self.register(CALL_FROM_USER, self.on_issue, _FIRST)
-        self.register(CALL_FROM_USER, self.on_return, _LAST)
-        self.register(NEW_RPC_CALL, self.on_recorded, _LAST)
-        self.register(MSG_FROM_NETWORK, self.on_message, _FIRST,
+        self.register(CALL_FROM_USER, self.on_issue)
+        self.register(CALL_FROM_USER, self.on_return)
+        self.register(NEW_RPC_CALL, self.on_recorded)
+        self.register(MSG_FROM_NETWORK, self.on_message,
                       kinds=(NetOp.CALL, NetOp.REPLY, NetOp.ORDER))
-        self.register(REPLY_FROM_SERVER, self.on_executed, _FIRST)
+        self.register(REPLY_FROM_SERVER, self.on_executed)
 
     # -- helpers ---------------------------------------------------------
 

@@ -26,7 +26,6 @@ from typing import Dict
 from repro.core.events import TIMEOUT
 from repro.core.grpc import CALL_ABORTED, MSG_FROM_NETWORK
 from repro.core.messages import NetMsg, NetOp
-from repro.core.microprotocols.base import Prio
 from repro.core.microprotocols.terminate_orphan import TerminateOrphan
 from repro.net.message import ProcessId
 from repro.obs import register_protocol
@@ -67,7 +66,7 @@ class ProbeOrphanTermination(TerminateOrphan):
     def configure(self) -> None:
         super().configure()
         self.register(MSG_FROM_NETWORK, self.handle_probe_traffic,
-                      Prio.RELIABLE, kinds=(NetOp.PING, NetOp.PONG))
+                      kinds=(NetOp.PING, NetOp.PONG))
         self.register(TIMEOUT, self.probe_round, self.probe_interval)
 
     # ------------------------------------------------------------------

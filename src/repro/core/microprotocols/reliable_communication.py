@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.core.events import TIMEOUT
 from repro.core.grpc import MSG_FROM_NETWORK, NEW_RPC_CALL, RECOVERY
 from repro.core.messages import NetMsg, NetOp
-from repro.core.microprotocols.base import GRPCMicroProtocol, Prio
+from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.obs import CTX_KEY, register_protocol
 
 __all__ = ["ReliableCommunication"]
@@ -34,7 +34,7 @@ class ReliableCommunication(GRPCMicroProtocol):
         self.retrans_timeout = retrans_timeout
 
     def configure(self) -> None:
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.RELIABLE,
+        self.register(MSG_FROM_NETWORK, self.msg_from_net,
                       kinds=(NetOp.REPLY, NetOp.ACK))
         self.register(NEW_RPC_CALL, self.handle_new_call)
         self.register(TIMEOUT, self.handle_timeout, self.retrans_timeout)

@@ -20,7 +20,7 @@ from repro.core.grpc import (
     REPLY_FROM_SERVER,
 )
 from repro.core.messages import CallKey, NetMsg, NetOp, UserMsg, UserOp
-from repro.core.microprotocols.base import GRPCMicroProtocol, Prio
+from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.core.state import ClientRecord, ServerRecord
 from repro.obs import CTX_KEY, register_protocol
 
@@ -60,10 +60,9 @@ class RPCMain(GRPCMicroProtocol):
         grpc.hold.declare(MAIN)
         grpc.forward_up = self.forward_up
         self.register(MSG_FROM_NETWORK, self.drop_in_progress_duplicates,
-                      Prio.MAIN_DEDUP, kinds=(NetOp.CALL,))
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.MAIN,
                       kinds=(NetOp.CALL,))
-        self.register(CALL_FROM_USER, self.msg_from_user, 1)
+        self.register(MSG_FROM_NETWORK, self.msg_from_net, kinds=(NetOp.CALL,))
+        self.register(CALL_FROM_USER, self.msg_from_user)
         self.register(RECOVERY, self.handle_recovery)
 
     # ------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Synchronous Call (Section 4.4.2): blocking call semantics.
 
-Registers at the *lowest* priority on ``CALL_FROM_USER`` so it runs after
-RPC Main has recorded and transmitted the call; it then blocks the client
-thread on the per-call semaphore until Acceptance (or Bounded Termination)
-releases it, copies the collated results and status back into the user
-message, and retires the call record.
+Runs on ``CALL_FROM_USER`` after RPC Main has recorded and transmitted
+the call; it then blocks the client thread on the per-call semaphore
+until Acceptance (or Bounded Termination) releases it, copies the
+collated results and status back into the user message, and retires the
+call record.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from typing import Dict
 
 from repro.core.grpc import CALL_ABORTED, MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, NetMsg, NetOp
-from repro.core.microprotocols.base import GRPCMicroProtocol, Prio
+from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.net.message import ProcessId
 from repro.obs import register_protocol
 
@@ -49,9 +49,9 @@ class TerminateOrphan(GRPCMicroProtocol):
         self.client_inc.clear()
 
     def configure(self) -> None:
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.ORPHAN,
+        self.register(MSG_FROM_NETWORK, self.msg_from_net,
                       kinds=(NetOp.CALL,))
-        self.register(REPLY_FROM_SERVER, self.handle_reply, 1)
+        self.register(REPLY_FROM_SERVER, self.handle_reply)
 
     async def msg_from_net(self, msg: NetMsg) -> None:
         client = msg.sender

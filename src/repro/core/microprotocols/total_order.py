@@ -51,7 +51,7 @@ from typing import Dict, Set
 from repro.core.events import TIMEOUT
 from repro.core.grpc import MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, MemChange, NetMsg, NetOp
-from repro.core.microprotocols.base import GRPCMicroProtocol, Prio
+from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.net.message import Group, ProcessId
 from repro.obs import register_protocol
 
@@ -97,15 +97,14 @@ class TotalOrder(GRPCMicroProtocol):
 
     def configure(self) -> None:
         self.grpc.hold.declare(TOTAL)
-        self.register(MSG_FROM_NETWORK, self.assign_order,
-                      Prio.TOTAL_ASSIGN, kinds=(NetOp.CALL,))
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.TOTAL,
+        self.register(MSG_FROM_NETWORK, self.assign_order, kinds=(NetOp.CALL,))
+        self.register(MSG_FROM_NETWORK, self.msg_from_net,
                       kinds=(NetOp.CALL, NetOp.ORDER))
-        self.register(REPLY_FROM_SERVER, self.handle_reply, 1)
+        self.register(REPLY_FROM_SERVER, self.handle_reply)
         if self.resync:
             from repro.core.grpc import MEMBERSHIP_CHANGE
             self.register(MSG_FROM_NETWORK, self.handle_resync_traffic,
-                          0.5, kinds=(NetOp.ORDER_QUERY, NetOp.ORDER_INFO))
+                          kinds=(NetOp.ORDER_QUERY, NetOp.ORDER_INFO))
             self.register(MEMBERSHIP_CHANGE, self.handle_membership)
 
     def unconfigure(self) -> None:

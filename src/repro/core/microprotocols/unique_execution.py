@@ -26,7 +26,7 @@ from typing import Any, Dict, Set
 
 from repro.core.grpc import CALL_ABORTED, MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, NetMsg, NetOp
-from repro.core.microprotocols.base import GRPCMicroProtocol, Prio
+from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.obs import register_protocol
 
 __all__ = ["UniqueExecution"]
@@ -47,11 +47,10 @@ class UniqueExecution(GRPCMicroProtocol):
         self.old_results.clear()
 
     def configure(self) -> None:
-        self.register(MSG_FROM_NETWORK, self.msg_from_net, Prio.UNIQUE,
+        self.register(MSG_FROM_NETWORK, self.msg_from_net,
                       kinds=(NetOp.CALL, NetOp.REPLY, NetOp.ACK))
-        self.register(MSG_FROM_NETWORK, self.admit_call, Prio.UNIQUE_ADMIT,
-                      kinds=(NetOp.CALL,))
-        self.register(REPLY_FROM_SERVER, self.handle_reply, 1)
+        self.register(MSG_FROM_NETWORK, self.admit_call, kinds=(NetOp.CALL,))
+        self.register(REPLY_FROM_SERVER, self.handle_reply)
         self.register(CALL_ABORTED, self.handle_abort)
 
     async def handle_abort(self, key: CallKey) -> None:
@@ -95,8 +94,8 @@ class UniqueExecution(GRPCMicroProtocol):
     async def admit_call(self, msg: NetMsg) -> None:
         """Record a call as seen — *after* the orphan filters ran.
 
-        Runs at priority 2.5 so a call deferred by Interference Avoidance
-        (which cancels the chain at 2.2) is never admitted; its
+        Runs after the orphan filters, so a call deferred by Interference
+        Avoidance (which cancels the chain) is never admitted; its
         retransmissions get a fresh decision instead of being discarded
         as duplicates.
         """

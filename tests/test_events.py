@@ -255,7 +255,9 @@ def test_independent_timeouts_fire_independently():
     assert fired == [("t2", 1.0), ("t1", 3.0)]
 
 
-def test_cancel_pending_timeouts():
+def test_clear_disarms_pending_timeouts():
+    """Crash teardown: ``clear()`` drops the wiring and every armed
+    TIMEOUT with it."""
     rt, bus = make_bus()
     fired = []
 
@@ -264,7 +266,7 @@ def test_cancel_pending_timeouts():
 
     bus.register(TIMEOUT, on_timeout, 1.0)
     bus.register(TIMEOUT, on_timeout, 2.0)
-    bus.cancel_pending_timeouts()
+    bus.clear()
     rt.kernel.run_until(5.0)
     assert fired == []
     assert bus.pending_timeouts() == 0
@@ -725,9 +727,6 @@ def test_kind_chains_follow_every_change_to_the_registrations():
     assert ran("CALL") == ["owned", "call", "any"]
     assert bus.retire_owner("mp") == 1
     assert ran("CALL") == ["call", "any"]
-    bus.register("E", handler("ghost"), 0, kinds=("CALL",), owner="mp")
-    assert ran("CALL") == ["call", "any"]       # retired: not wired
-    bus.unretire_owner("mp")
     bus.register("E", handler("back"), 0, kinds=("CALL",), owner="mp")
     assert ran("CALL") == ["back", "call", "any"]
     bus.clear()

@@ -3,15 +3,28 @@
 import pytest
 
 from repro import Group, LinkSpec, ServiceCluster, ServiceSpec, Status
+from repro.adapt import AdaptationFence
 from repro.apps import KVStore
+from repro.core.enumerate import enumerate_services
+from repro.core.events import TIMEOUT
 from repro.core.framework import CompositeProtocol, MicroProtocol
+from repro.core.grpc import (
+    CALL_FROM_USER,
+    MSG_FROM_NETWORK,
+    REPLY_FROM_SERVER,
+    GroupRPC,
+)
 from repro.core.messages import MemChange
 from repro.core.microprotocols import (
     ALL,
+    HANDLER_ORDER,
     Acceptance,
     BoundedTermination,
-    Prio,
+    CallObserver,
+    CallTraceLog,
+    GRPCMicroProtocol,
     ReliableCommunication,
+    RPCMain,
     all_replies,
     average,
     first_reply,
@@ -19,21 +32,119 @@ from repro.core.microprotocols import (
     majority_vote,
 )
 from repro.errors import ConfigurationError, ReproError
+from repro.net import NetworkFabric, Node
 from repro.runtime import SimRuntime
 
 FAST = LinkSpec(delay=0.005, jitter=0.0)
 
 
 # ----------------------------------------------------------------------
-# Priorities
+# Handler order
 # ----------------------------------------------------------------------
 
-def test_priority_ladder_is_ordered_as_documented():
-    assert Prio.RELIABLE < Prio.MAIN_DEDUP < Prio.UNIQUE \
-        < Prio.ORPHAN < Prio.UNIQUE_ADMIT < Prio.MAIN
-    assert Prio.MAIN <= Prio.ACCEPTANCE < Prio.COLLATION <= Prio.TOTAL \
-        < Prio.FIFO
-    assert Prio.TOTAL_ASSIGN < Prio.MAIN
+_ORPHAN_FILTERS = ["Interference_Avoidance.msg_from_net",
+                   "Terminate_Orphan.msg_from_net",
+                   "Probe_Orphan_Termination.msg_from_net"]
+_ORDERING = ["FIFO_Order", "Total_Order", "Causal_Order"]
+
+#: Must-run-before pairs ``(event, earlier, later, reason)``.  The table
+#: is one total order per event, so a pair it keeps holds in every
+#: composition that links both handlers.
+MUST_RUN_BEFORE = [
+    (MSG_FROM_NETWORK, "RPC_Main.drop_in_progress_duplicates",
+     "Unique_Execution.msg_from_net",
+     "DESIGN.md §3: a retransmission racing its pending original is "
+     "dropped before any micro-protocol keeps per-call state"),
+    *[(MSG_FROM_NETWORK, "Unique_Execution.msg_from_net", orphan,
+       "DESIGN.md §3: duplicates never count as new work")
+      for orphan in _ORPHAN_FILTERS],
+    *[(MSG_FROM_NETWORK, orphan, "Unique_Execution.admit_call",
+       "DESIGN.md §3: a call an orphan filter deferred is never admitted")
+      for orphan in _ORPHAN_FILTERS],
+    (MSG_FROM_NETWORK, "Unique_Execution.admit_call",
+     "RPC_Main.msg_from_net",
+     "§4.4.5 / Figure 3: Unique Execution (2) before RPC Main (3)"),
+    (MSG_FROM_NETWORK, "Unique_Execution.msg_from_net",
+     "Total_Order.msg_from_net",
+     "DESIGN.md §3 deviation 7: the stored reply is replayed before "
+     "Total Order's stale-cancel"),
+    (MSG_FROM_NETWORK, "Acceptance.msg_from_net", "Collation.msg_from_net",
+     "§4.4.4: a duplicate reply is cancelled before it is folded in"),
+    *[(REPLY_FROM_SERVER, "Unique_Execution.handle_reply",
+       f"{ordering}.handle_reply",
+       "DESIGN.md §3 deviation 6: Unique stores before an ordering "
+       "gate releases the next call in the same chain")
+      for ordering in _ORDERING],
+    *[(MSG_FROM_NETWORK, "Atomic_Execution.ensure_initial_checkpoint",
+       starter,
+       "§4.4.5: the initial checkpoint exists before any execution")
+      for starter in ["RPC_Main.msg_from_net",
+                      *[f"{o}.msg_from_net" for o in _ORDERING]]],
+    (CALL_FROM_USER, "RPC_Main.msg_from_user",
+     "Synchronous_Call.msg_from_user",
+     "Figure 3: R records and transmits, then S blocks the caller"),
+    (CALL_FROM_USER, "RPC_Main.msg_from_user",
+     "Asynchronous_Call.msg_from_user", "Figure 3, §4.4.2"),
+]
+
+
+def test_handler_order_keeps_each_must_run_before_pair():
+    broken = [f"{event}: {earlier} < {later} ({reason})"
+              for event, earlier, later, reason in MUST_RUN_BEFORE
+              if HANDLER_ORDER[event].index(earlier)
+              > HANDLER_ORDER[event].index(later)]
+    assert not broken, "\n".join(broken)
+
+
+def test_the_fence_runs_first_after_the_read_only_observer():
+    """A cross-epoch arrival is dropped before it touches any state —
+    Atomic Execution's stable-storage checkpoint included."""
+    assert HANDLER_ORDER[MSG_FROM_NETWORK][:3] == (
+        "Call_Observer.on_message", "Adaptation_Fence.fence",
+        "Atomic_Execution.ensure_initial_checkpoint")
+
+
+def test_every_registration_sits_at_its_table_rank():
+    """Fresh builds of every composition, extensions included: each
+    sequential-event handler registers at its rank in the table, and
+    every table entry is some shipped handler."""
+    specs = list(enumerate_services().strict_specs)
+    specs += [ServiceSpec(orphans="probe", ordering="causal"),
+              ServiceSpec(unique=True, ordering="total", total_resync=True)]
+    rt = SimRuntime()
+    fabric = NetworkFabric(rt)
+    placed = set()
+    for pid, spec in enumerate(specs, start=1):
+        grpc = GroupRPC(Node(pid, rt, fabric))
+        grpc.add(*spec.build(), CallObserver(CallTraceLog()),
+                 AdaptationFence())
+        for event in grpc.bus.registration_table():
+            for reg in grpc.bus.registrations(event):
+                name = f"{reg.owner}.{reg.handler.__name__}"
+                assert reg.priority == HANDLER_ORDER[event].index(name)
+                placed.add((event, name))
+    assert placed == {(event, name) for event, names in
+                      HANDLER_ORDER.items() for name in names}
+
+
+def test_an_unplaced_handler_is_a_configuration_error():
+    class Stray(GRPCMicroProtocol):
+        protocol_name = "Stray"
+
+        def configure(self):
+            self.register(TIMEOUT, self.tick, 1.0)   # intervals need no rank
+            self.register(MSG_FROM_NETWORK, self.tick)
+
+        async def tick(self, *args):
+            pass
+
+    rt = SimRuntime()
+    grpc = GroupRPC(Node(1, rt, NetworkFabric(rt)))
+    with pytest.raises(ConfigurationError, match="Stray.tick"):
+        grpc.add(Stray())
+    # A shipped handler is placed per event, not once for all events.
+    with pytest.raises(ConfigurationError, match="RPC_Main.msg_from_net"):
+        RPCMain().rank(REPLY_FROM_SERVER, RPCMain.msg_from_net)
 
 
 # ----------------------------------------------------------------------
