@@ -132,16 +132,16 @@ class EventBus:
         # dispatches straight off the immutable tuple instead of copying
         # the handler list on every call (the tuple IS the snapshot).
         self._tables: Dict[str, Tuple[Registration, ...]] = {}
-        # Kind chains: (event, kind) -> the event's table filtered to the
+        # Kind chains: event -> kind -> the event's table filtered to the
         # registrations that act on ``kind``.  Built and dropped with the
         # event's own table.
-        self._chains: Dict[Tuple[str, Hashable],
-                           Tuple[Registration, ...]] = {}
+        self._chains: Dict[str, Dict[Hashable,
+                                     Tuple[Registration, ...]]] = {}
         self._seq = 0
-        # Innermost active dispatch per task, keyed by id(task handle),
+        # Innermost active dispatch per task, keyed by the task handle,
         # so cancel_event() from interleaved tasks cannot cross wires;
         # each record links to the one it nests in.
-        self._active: Dict[int, _Dispatch] = {}
+        self._active: Dict[Any, _Dispatch] = {}
         # The running task is read straight off the kernel.
         self._kernel = runtime.kernel
         # Armed TIMEOUT registrations keyed by registration seq
@@ -282,17 +282,17 @@ class EventBus:
             if table is None:
                 table = self._compile(event)
         else:
-            table = self._chains.get((event, kind))
-            if table is None:
+            try:
+                table = self._chains[event][kind]
+            except KeyError:
                 table = self._compile_chain(event, kind)
         if not table:
             return True
         task = self._kernel._current
         if task is None:
             raise NoCurrentTask("no task is currently executing")
-        task_key = id(task)
         active = self._active
-        dispatch = active[task_key] = _Dispatch(event, active.get(task_key))
+        dispatch = active[task] = _Dispatch(event, active.get(task))
         obs = self._obs
         prof = self._prof
         try:
@@ -301,6 +301,7 @@ class EventBus:
                 # in one task, so a handler starts at the instant its
                 # predecessor ended: one clock read per handler.
                 now = self.runtime.now
+                task_key = id(task)
                 end = now()
                 for reg in table:
                     if dispatch.cancelled:
@@ -333,11 +334,11 @@ class EventBus:
             # A node crash clears ``_active`` while cancelled tasks are
             # still unwinding: restore the outer record only if this one
             # is still the task's innermost.
-            if active.get(task_key) is dispatch:
+            if active.get(task) is dispatch:
                 if dispatch.outer is None:
-                    del active[task_key]
+                    del active[task]
                 else:
-                    active[task_key] = dispatch.outer
+                    active[task] = dispatch.outer
         return not dispatch.cancelled
 
     #: ``trigger`` under the name the bus uses for its own one-handler
@@ -359,15 +360,13 @@ class EventBus:
         other kinds."""
         chain = tuple(reg for reg in self._handlers.get(event, ())
                       if reg.kinds is None or kind in reg.kinds)
-        self._chains[(event, kind)] = chain
+        self._chains.setdefault(event, {})[kind] = chain
         return chain
 
     def _invalidate(self, event: str) -> None:
         """Drop ``event``'s table and every kind chain built from it."""
         self._tables.pop(event, None)
-        chains = self._chains
-        for key in [key for key in chains if key[0] == event]:
-            del chains[key]
+        self._chains.pop(event, None)
 
     def trigger_nonblocking(self, event: str, *args: Any) -> None:
         """Sequential dispatch in a fresh task; the caller continues.
@@ -410,7 +409,7 @@ class EventBus:
         handler typically follows it with ``return`` (the paper's
         ``exit()``).
         """
-        dispatch = self._active.get(id(self._kernel._current))
+        dispatch = self._active.get(self._kernel._current)
         if dispatch is None:
             raise KernelError("cancel_event() outside of event dispatch")
         dispatch.cancelled = True
@@ -420,7 +419,7 @@ class EventBus:
 
     def in_dispatch(self) -> Optional[str]:
         """Name of the event the calling task is dispatching, if any."""
-        dispatch = self._active.get(id(self._kernel._current))
+        dispatch = self._active.get(self._kernel._current)
         return None if dispatch is None else dispatch.event
 
     # ------------------------------------------------------------------

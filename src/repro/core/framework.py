@@ -16,7 +16,8 @@ micro-protocols operate on.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, List, Optional
+from typing import (Any, Awaitable, Callable, Hashable, Iterable, List,
+                    Optional)
 
 from repro.core.events import EventBus, Handler, Registration
 from repro.errors import ConfigurationError
@@ -43,6 +44,12 @@ class MicroProtocol:
     #: :meth:`attach` (handlers reach them on every message).
     bus: EventBus
     runtime: SimRuntime
+    #: The framework operations ``trigger(event, *args)`` and
+    #: ``cancel_event()`` (Section 3): the bus's own bound methods, set
+    #: by :meth:`attach`, so a micro-protocol's trigger costs no
+    #: coroutine of its own.
+    trigger: Callable[..., Awaitable[bool]]
+    cancel_event: Callable[[], None]
 
     def __init__(self) -> None:
         self.composite: Optional["CompositeProtocol"] = None
@@ -65,8 +72,10 @@ class MicroProtocol:
             raise ConfigurationError(
                 f"{self.name} is already attached to a composite")
         self.composite = composite
-        self.bus = composite.bus
+        bus = self.bus = composite.bus
         self.runtime = composite.runtime
+        self.trigger = bus.trigger
+        self.cancel_event = bus.cancel_event
         self.configure()
 
     def configure(self) -> None:
@@ -136,12 +145,6 @@ class MicroProtocol:
 
     def deregister(self, event: str, handler: Handler) -> bool:
         return self.bus.deregister(event, handler)
-
-    async def trigger(self, event: str, *args: Any) -> bool:
-        return await self.bus.trigger(event, *args)
-
-    def cancel_event(self) -> None:
-        self.bus.cancel_event()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MicroProtocol {self.name}>"

@@ -38,7 +38,8 @@ event fires with the new incarnation number.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Coroutine, Iterable, Optional, Set
+from typing import (Any, Awaitable, Callable, Coroutine, Iterable, Optional,
+                    Set)
 
 from repro.core.framework import CompositeProtocol, MicroProtocol
 from repro.core.messages import (
@@ -137,6 +138,11 @@ class GroupRPC(CompositeProtocol):
         #: Trace attribution: the bus's dispatch records carry this pid.
         self.bus.node_id = node.pid
 
+        # ``net_push``'s resolved bottom of the stack, and the ``lower``
+        # it was resolved through.
+        self._push_target: Any = None
+        self._wired_lower: Any = None
+
         node.crash_listeners.append(self._on_crash)
         node.recover_listeners.append(self._on_recover)
 
@@ -220,29 +226,37 @@ class GroupRPC(CompositeProtocol):
     # UPI plumbing
     # ------------------------------------------------------------------
 
-    async def pop(self, payload: Any, sender: ProcessId) -> None:
+    def resolve_up(self, payload: Any) -> Optional["GroupRPC"]:
+        """Only gRPC wire messages are this composite's: anything else
+        routed here is dropped unclaimed."""
+        return self if isinstance(payload, NetMsg) else None
+
+    def pop(self, payload: NetMsg, sender: ProcessId) -> Awaitable[bool]:
         """A message arrived from the transport below.
 
         Each arrival runs in its own task (started by the node as the
         fabric delivers it), so a chain blocked on ``serial`` or an
         ordering gate does not stall later arrivals — the paper's
         execution model.  The dispatch runs the message kind's chain:
-        only the handlers that act on ``payload.type``.
+        only the handlers that act on ``payload.type``.  Untraced, the
+        returned awaitable *is* that dispatch, so the arrival's task
+        runs no frame of the composite's own.
         """
-        if not isinstance(payload, NetMsg):
-            return
+        if self.obs is None:
+            return self.bus.trigger(MSG_FROM_NETWORK, payload,
+                                    kind=payload.type)
+        return self._pop_traced(payload)
+
+    async def _pop_traced(self, payload: NetMsg) -> bool:
+        """:meth:`pop` under a recorder: the dispatch in a span of its
+        own, parented on the context the message carries."""
         obs = self.obs
-        if obs is None:
-            await self.bus.trigger(MSG_FROM_NETWORK, payload,
-                                   kind=payload.type)
-            return
         ctx = payload.annotation(OBS_CTX)
         if ctx is None:
             # A message outside any trace (e.g. a bare ACK): dispatch
             # untraced rather than minting a disconnected trace.
-            await self.bus.trigger(MSG_FROM_NETWORK, payload,
-                                   kind=payload.type)
-            return
+            return await self.bus.trigger(MSG_FROM_NETWORK, payload,
+                                          kind=payload.type)
         attrs = {"sender": payload.sender, "call_id": payload.id}
         if self.service:
             attrs["service"] = self.service
@@ -251,8 +265,8 @@ class GroupRPC(CompositeProtocol):
                               attrs=attrs)
         obs.push_ctx(span.ctx)
         try:
-            await self.bus.trigger(MSG_FROM_NETWORK, payload,
-                                   kind=payload.type)
+            return await self.bus.trigger(MSG_FROM_NETWORK, payload,
+                                          kind=payload.type)
         finally:
             obs.pop_ctx()
             obs.end_span(span)
@@ -264,10 +278,17 @@ class GroupRPC(CompositeProtocol):
         :class:`~repro.net.message.Group`, or an iterable of process ids.
         Every transmission is stamped with this composite's service name
         so the receiving node's service demux can deliver it to the
-        composite configured for the same service.
+        composite configured for the same service.  The protocol that
+        really sends (``lower.resolve_down()``) is resolved once per
+        ``lower``, not once per message: the stack below must be wired
+        before this composite first pushes.
         """
-        if self.lower is None:
+        lower = self.lower
+        if lower is None:
             raise ConfigurationError(f"{self.name} has no transport below")
+        if lower is not self._wired_lower:
+            self._push_target = lower.resolve_down()
+            self._wired_lower = lower
         if self.service:
             msg.service = self.service
         if self.adapt_epoch:
@@ -275,7 +296,7 @@ class GroupRPC(CompositeProtocol):
                 msg.annotations = {ADAPT_EPOCH_KEY: self.adapt_epoch}
             else:
                 msg.annotations[ADAPT_EPOCH_KEY] = self.adapt_epoch
-        await self.lower.resolve_down().push(dest, msg)
+        await self._push_target.push(dest, msg)
 
     async def deliver_to_server(self, op: str, args: Any) -> Any:
         """Blocking upcall to the user protocol (the paper's

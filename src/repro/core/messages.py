@@ -53,6 +53,13 @@ class NetOp(enum.Enum):
     ORDER_QUERY = "OrderQuery"
     ORDER_INFO = "OrderInfo"
 
+    # Identity hashing in C instead of ``Enum.__hash__`` (a Python-level
+    # ``hash(self._name_)``): every kind-naming trigger hashes its kind
+    # to find the chain.  Hashes then differ from run to run, which is
+    # safe only while nothing iterates a set of kinds — a registration's
+    # kinds are only tested with ``in`` and compared for equality.
+    __hash__ = object.__hash__
+
 
 class UserOp(enum.Enum):
     """User-to-gRPC message kinds (the paper's ``User_Optype``)."""

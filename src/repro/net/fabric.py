@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from random import Random
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
@@ -161,7 +162,9 @@ class NetworkFabric:
         protocol stacks go through ``fabric.pipeline`` (which stages,
         coalesces and budgets) and the pipeline lands here.  Never
         blocks; the envelope is subjected to the link's loss, duplication
-        and delay models and delivered (or not) later.
+        and delay models and delivered (or not) later.  The link's
+        stream is drawn in a fixed order: loss, then duplication, then
+        per copy its jitter and spike.
 
         A :class:`~repro.net.wire.WireBatch` payload travels (and is
         lost, duplicated or delayed) as one envelope, but every ``net.*``
@@ -175,22 +178,22 @@ class NetworkFabric:
         copy.
         """
         now = self.runtime.now()
-        batched = isinstance(payload, WireBatch)
+        batched = payload.__class__ is WireBatch
         inner = payload.messages if batched else (payload,)
-        self._envelopes_counter.inc()
+        self._envelopes_counter.value += 1
         trace_record = self.trace.record
         for msg in inner:
-            trace_record(now, "send", src, dst, detail=msg)
+            trace_record(now, "send", src, dst, msg)
         if self._filters:
             envelope = Envelope(src, dst, payload, now)
             survivors = []
             for msg in inner:
                 probe = envelope if not batched else \
-                    Envelope(src, dst, msg, now, seq=envelope.seq)
+                    Envelope(src, dst, msg, now, envelope.seq)
                 if all(fltr(probe) for fltr in list(self._filters)):
                     survivors.append(msg)
                 else:
-                    trace_record(now, "drop-filter", src, dst, detail=msg)
+                    trace_record(now, "drop-filter", src, dst, msg)
             if not survivors:
                 if resolve is not None:
                     resolve()
@@ -199,10 +202,10 @@ class NetworkFabric:
                 inner = survivors
                 payload = survivors[0] if len(survivors) == 1 \
                     else WireBatch(survivors)
-        if (src, dst) in self._blocked:
+        key = (src, dst)
+        if key in self._blocked:
             return self._drop("drop-partition", now, src, dst, inner,
                               resolve)
-        key = (src, dst)
         hot = self._hot_links.get(key)
         if hot is None:
             hot = (self._links.get(key, self.default_link),
@@ -211,18 +214,24 @@ class NetworkFabric:
         spec, rng = hot
         if spec.loss and rng.random() < spec.loss:
             return self._drop("drop-loss", now, src, dst, inner, resolve)
-        copies = 1
+        envelope = Envelope(src, dst, payload, now, -1, 0, resolve)
         if spec.duplicate and rng.random() < spec.duplicate:
-            copies = 2
             for msg in inner:
-                trace_record(now, "duplicate", src, dst, detail=msg)
-        for copy in range(copies):
-            delay = spec.delay + rng.uniform(0.0, spec.jitter)
-            if spec.spike_prob and rng.random() < spec.spike_prob:
-                delay += spec.spike_delay
-            self.runtime.call_later(delay, partial(
-                self._deliver, Envelope(src, dst, payload, now, copy=copy,
-                                        on_resolved=resolve)))
+                trace_record(now, "duplicate", src, dst, msg)
+            self._launch(spec, rng, envelope)
+            envelope = Envelope(src, dst, payload, now, -1, 1, resolve)
+        self._launch(spec, rng, envelope)
+
+    def _launch(self, spec: LinkSpec, rng: Random,
+                envelope: Envelope) -> None:
+        """Draw one copy's delay and arm its delivery.
+
+        ``jitter * random()`` is, bit for bit, what ``uniform(0.0,
+        jitter)`` computes (``0.0 + (jitter - 0.0) * random()``)."""
+        delay = spec.delay + spec.jitter * rng.random()
+        if spec.spike_prob and rng.random() < spec.spike_prob:
+            delay += spec.spike_delay
+        self.runtime.call_later(delay, partial(self._deliver, envelope))
 
     def multicast(self, src: ProcessId, group: Group | Iterable[ProcessId],
                   payload: object) -> None:
@@ -237,22 +246,22 @@ class NetworkFabric:
             self.send(src, member, payload)
 
     def _deliver(self, envelope: Envelope) -> None:
-        node = self.nodes.get(envelope.dst)
+        src, dst, payload = envelope.src, envelope.dst, envelope.payload
+        node = self.nodes.get(dst)
         now = self.runtime.now()
-        payload = envelope.payload
-        inner = payload.messages if isinstance(payload, WireBatch) \
+        inner = payload.messages if payload.__class__ is WireBatch \
             else (payload,)
         if node is None or not node.up:
-            return self._drop("drop-dead", now, envelope.src, envelope.dst,
-                              inner, envelope.on_resolved)
+            return self._drop("drop-dead", now, src, dst, inner,
+                              envelope.on_resolved)
         trace_record = self.trace.record
         for msg in inner:
-            trace_record(now, "deliver", envelope.src, envelope.dst,
-                         detail=msg)
-        envelope.resolve()
+            trace_record(now, "deliver", src, dst, msg)
+        resolve = envelope.on_resolved
+        if resolve is not None:
+            resolve()
         if self.pipeline.link_metrics:
-            self.pipeline.on_delivered(envelope.src, envelope.dst,
-                                       len(inner),
+            self.pipeline.on_delivered(src, dst, len(inner),
                                        now - envelope.send_time)
         node.deliver(envelope)
 
@@ -262,7 +271,7 @@ class NetworkFabric:
         """Record one ``kind`` drop per message, then settle the send's
         fate (the pipeline's budget return)."""
         for msg in inner:
-            self.trace.record(now, kind, src, dst, detail=msg)
+            self.trace.record(now, kind, src, dst, msg)
         if resolve is not None:
             resolve()
 

@@ -9,7 +9,8 @@ payload in flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Any, Callable, FrozenSet, Iterable, Optional, Tuple
 
 __all__ = ["ProcessId", "Group", "Envelope", "wire_size"]
@@ -113,40 +114,40 @@ def wire_size(value: Any) -> int:
     return 16
 
 
-_ENVELOPE_SEQ = 0
+#: Envelope sequence numbers, global and increasing.
+_envelope_seq = itertools.count()
 
 
-@dataclass(repr=False, slots=True)
 class Envelope:
     """A payload in flight through the simulated fabric.
 
     ``seq`` is a global sequence number that only names the arrival's
-    task and trace records; ``copy`` distinguishes duplicated
-    deliveries of the same send.  ``on_resolved`` is the wire pipeline's
-    completion hook: called exactly once when the fabric decides the
-    envelope's fate (delivered or dropped), it returns the link's
-    in-flight budget so blocked senders can proceed.
+    task and trace records (a fresh one unless given); ``copy``
+    distinguishes duplicated deliveries of the same send.
+    ``on_resolved`` is the wire pipeline's completion hook: called
+    exactly once when the fabric decides the envelope's fate (delivered
+    or dropped), it returns the link's in-flight budget so blocked
+    senders can proceed (duplicated copies share one hook, which makes
+    itself idempotent).
     """
 
-    src: ProcessId
-    dst: ProcessId
-    payload: Any
-    send_time: float
-    seq: int = field(default=-1)
-    copy: int = 0
-    on_resolved: Optional[Callable[[], None]] = field(default=None,
-                                                      compare=False)
-    # Memoized wire_size(); an envelope's payload never changes once it
-    # is in flight, so the estimate is computed at most once per envelope
-    # (duplicated copies each carry their own cache).
-    _wire_size: Optional[int] = field(default=None, compare=False,
-                                      init=False)
+    __slots__ = ("src", "dst", "payload", "send_time", "seq", "copy",
+                 "on_resolved", "_wire_size")
 
-    def __post_init__(self) -> None:
-        global _ENVELOPE_SEQ
-        if self.seq < 0:
-            self.seq = _ENVELOPE_SEQ
-            _ENVELOPE_SEQ += 1
+    def __init__(self, src: ProcessId, dst: ProcessId, payload: Any,
+                 send_time: float, seq: int = -1, copy: int = 0,
+                 on_resolved: Optional[Callable[[], None]] = None):
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.send_time = send_time
+        self.seq = next(_envelope_seq) if seq < 0 else seq
+        self.copy = copy
+        self.on_resolved = on_resolved
+        # Memoized wire_size(); an envelope's payload never changes once
+        # it is in flight, so the estimate is computed at most once per
+        # envelope (duplicated copies each carry their own cache).
+        self._wire_size: Optional[int] = None
 
     def wire_size(self) -> int:
         """Estimated on-wire size of the carried payload (memoized)."""
@@ -154,12 +155,6 @@ class Envelope:
         if size is None:
             size = self._wire_size = wire_size(self.payload)
         return size
-
-    def resolve(self) -> None:
-        """Fire the pipeline's completion hook (idempotence is the
-        hook's own responsibility — duplicated copies share one)."""
-        if self.on_resolved is not None:
-            self.on_resolved()
 
     def __repr__(self) -> str:
         return (f"<Envelope #{self.seq} {self.src}->{self.dst} "

@@ -14,10 +14,13 @@ calls into generations (Interference Avoidance, Terminate Orphan).  A
 
 Every arrival runs up the stack in its own task, started inside the
 fabric's delivery (:meth:`Node.deliver`), so one blocked handler chain
-never stalls the next message — the paper's execution model.  The
-task's first step runs in the delivery itself (:meth:`~repro.sim.
-kernel.Kernel.start`); an arrival that completes there never touches
-the ready queue or the node's scope.
+never stalls the next message — the paper's execution model.  For a
+single payload that task runs the ``pop`` of the protocol the route
+resolves to, with no transport coroutine around it (a coalesced batch
+is fanned out by the transport's own task).  The task's first step
+runs in the delivery itself (:meth:`~repro.sim.kernel.Kernel.start`);
+an arrival that completes there never touches the ready queue, the
+kernel's live-task table or the node's scope.
 
 The incarnation counter survives crashes.  On real hardware it would be
 read from stable storage at reboot; here the :class:`Node` object plays the
@@ -116,15 +119,19 @@ class Node:
 
     def deliver(self, envelope: Envelope) -> None:
         """Called by the fabric to hand over an arrived envelope: it runs
-        up the stack in its own task, so a chain that blocks cannot stall
-        later arrivals.  The delivery is the last act of the fabric's
-        timer action, so the task is started in place; the scope adopts
-        it only if it is still live after that first step, which is the
-        only way a crash can find it."""
-        if self.transport is not None:
+        up the stack in its own task (:meth:`~repro.net.transport.
+        UnreliableTransport.arrival` says what the task runs), so a chain
+        that blocks cannot stall later arrivals.  The delivery is the
+        last act of the fabric's timer action, so the task is started in
+        place; the scope adopts it only if it is still live after that
+        first step, which is the only way a crash can find it."""
+        transport = self.transport
+        if transport is None:
+            return
+        coro = transport.arrival(envelope)
+        if coro is not None:
             task = self._kernel.start(
-                self.transport.handle_arrival(envelope),
-                name=f"{self.name}-msg-{envelope.seq}", daemon=True)
+                coro, f"{self.name}-msg-{envelope.seq}", True)
             if not task.done:
                 self.scope.adopt(task)
 

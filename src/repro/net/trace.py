@@ -100,7 +100,7 @@ class NetTrace:
         if counter is None:
             counter = self.metrics.counter(NET_PREFIX + kind)
             self._counters[kind] = counter
-        counter.inc()
+        counter.value += 1
         if not self.keep_events and not self.observers:
             # Counters-only mode (the big benchmark runs): no event
             # object is materialized at all.

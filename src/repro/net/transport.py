@@ -15,15 +15,22 @@ Outbound messages are handed to the fabric's
 :class:`~repro.net.wire.WirePipeline` — the single send path shared by
 every protocol stack — so link-level coalescing, backpressure and the
 control fast lane apply uniformly no matter which composite is sending.
-Inbound, the transport resolves the route through the demuxes in one
-walk and awaits the target's ``pop`` directly; a :class:`~repro.net.
-wire.WireBatch` envelope is unbatched into one task per payload, so
-everything above this layer is batching-agnostic.
+The pipeline decides whether a push has to wait (:meth:`~repro.net.wire.
+WirePipeline.submit`); through a pass-through pipeline it reaches the
+fabric with no coroutine of the pipeline's own.
+
+Inbound, :meth:`UnreliableTransport.arrival` turns a delivered envelope
+into the coroutine its task runs.  A single payload's route is resolved
+through the demuxes in one walk and the task runs the target's ``pop``
+itself, with no transport coroutine in between; a :class:`~repro.net.
+wire.WireBatch` envelope is unbatched by :meth:`UnreliableTransport.
+handle_arrival` into one task per payload, so everything above this
+layer is batching-agnostic.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Coroutine, Iterable, Optional, Union
 
 from repro.net.fabric import NetworkFabric
 from repro.net.message import Envelope, Group, ProcessId
@@ -55,31 +62,39 @@ class UnreliableTransport(Protocol):
             # A crashed site cannot transmit; tasks are normally cancelled
             # before reaching here, but timer callbacks may race the crash.
             return
-        pipeline = self.fabric.pipeline
-        if isinstance(dest, (Group, list, tuple, set, frozenset)):
-            await pipeline.multicast(self.node.pid, dest, payload)
-        else:
-            await pipeline.send(self.node.pid, dest, payload)
+        staged = self.fabric.pipeline.submit(self.node.pid, dest, payload)
+        if staged is not None:
+            await staged
 
-    async def handle_arrival(self, envelope: Envelope) -> None:
-        """Deliver one arrived envelope up the stack (its own task).
+    def arrival(self, envelope: Envelope) -> Optional[Coroutine]:
+        """The coroutine that carries one arrived envelope up the stack
+        (the node runs it as the arrival's task), or ``None`` when no
+        route claims the payload: it is dropped.
 
-        A coalesced envelope fans out into one task per inner message,
-        preserving arrival order at the same instant while keeping the
-        per-message execution model: one blocked handler chain must not
-        stall the rest of the batch.  Payloads no route claims are
-        dropped.
+        A single payload goes straight to the ``pop`` of the protocol
+        its route resolves to; a coalesced envelope to
+        :meth:`handle_arrival`.
         """
         payload = envelope.payload
-        if isinstance(payload, WireBatch):
-            for i, msg in enumerate(payload):
-                target = self.upper.resolve_up(msg)
-                if target is not None:
-                    self.node.scope.spawn(
-                        target.pop(msg, envelope.src),
-                        name=f"{self.node.name}-msg-{envelope.seq}.{i}",
-                        daemon=True)
-            return
+        if payload.__class__ is WireBatch:
+            return self.handle_arrival(envelope)
         target = self.upper.resolve_up(payload)
-        if target is not None:
-            await target.pop(payload, envelope.src)
+        if target is None:
+            return None
+        return target.pop(payload, envelope.src)
+
+    async def handle_arrival(self, envelope: Envelope) -> None:
+        """Unbatch a coalesced envelope (its own task).
+
+        The batch fans out into one task per inner message, preserving
+        arrival order at the same instant while keeping the per-message
+        execution model: one blocked handler chain must not stall the
+        rest of the batch.  Payloads no route claims are dropped.
+        """
+        for i, msg in enumerate(envelope.payload):
+            target = self.upper.resolve_up(msg)
+            if target is not None:
+                self.node.scope.spawn(
+                    target.pop(msg, envelope.src),
+                    name=f"{self.node.name}-msg-{envelope.seq}.{i}",
+                    daemon=True)

@@ -54,15 +54,20 @@ With the default :class:`WireConfig` every stage is pass-through and the
 pipeline reproduces the old per-message path exactly — same RNG draws,
 same trace events, same timing — which is what keeps the seeded
 benchmarks and the fault-injection tests byte-identical.
+
+The one entry point is :meth:`WirePipeline.submit`, a plain call: what
+no stage holds back (every pass-through send, every fast-lane beat)
+reaches the fabric inside it, and only a send that a buffer or a budget
+takes over comes back as a coroutine to await.
 """
 
 from __future__ import annotations
 
 import typing
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Coroutine, Dict, Iterable, List, Optional, Tuple
 
-from repro.net.message import ProcessId, wire_size
+from repro.net.message import Group, ProcessId, wire_size
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.fabric import NetworkFabric
@@ -180,8 +185,8 @@ class WirePipeline:
     Owned by (and constructed with) the :class:`~repro.net.fabric.
     NetworkFabric`; the :class:`~repro.net.transport.UnreliableTransport`
     at the bottom of every node's stack routes all pushes through
-    :meth:`send`/:meth:`multicast`.  ``fabric.send`` remains the single
-    internal primitive the pipeline calls to put one envelope on a link.
+    :meth:`submit`.  ``fabric.send`` remains the single internal
+    primitive the pipeline calls to put one envelope on a link.
     """
 
     def __init__(self, fabric: "NetworkFabric",
@@ -231,46 +236,61 @@ class WirePipeline:
     # Sending
     # ------------------------------------------------------------------
 
+    def submit(self, src: ProcessId, dest: Any,
+               payload: Any) -> Optional[Coroutine[Any, Any, None]]:
+        """Send ``payload`` from ``src`` toward ``dest``: a process id,
+        or a :class:`~repro.net.message.Group` or other collection of
+        them (one independent link per member).
+
+        What no stage holds back is handed to the fabric right here and
+        ``None`` is returned: every send of a pass-through pipeline, and
+        each control message on the fast lane.  Otherwise the result is
+        the coroutine that stages the message (:meth:`send` or
+        :meth:`multicast`), which the caller must await: it may block on
+        the link's budget.
+        """
+        control = self.fast_lane and is_control(payload)
+        group = isinstance(dest, (Group, list, tuple, set, frozenset))
+        if not control and not self._passthrough:
+            return (self.multicast(src, dest, payload) if group
+                    else self.send(src, dest, payload))
+        send = self._fast_send if control else self.fabric.send
+        if group:
+            for member in dest:
+                send(src, member, payload)
+        else:
+            send(src, dest, payload)
+        return None
+
+    def _fast_send(self, src: ProcessId, dst: ProcessId,
+                   payload: Any) -> None:
+        """Control fast lane: no coalescing, no budget — a failure
+        detector's beats must not queue behind bulk payloads."""
+        self._ctr_fastlane.value += 1
+        if (self.flight is not None
+                and (src, dst) not in self._fastlane_noted):
+            self._fastlane_noted.add((src, dst))
+            self.flight.note("fastlane", src=src, dst=dst,
+                             payload=type(payload).__name__)
+        self.fabric.send(src, dst, payload)
+
     async def send(self, src: ProcessId, dst: ProcessId,
                    payload: Any) -> None:
-        """Stage ``payload`` for the ``src -> dst`` link.
+        """Stage ``payload`` for the ``src -> dst`` link (the path
+        :meth:`submit` takes when a stage is active).
 
         May block (backpressure) when the link's in-flight budget is
         exhausted; otherwise returns once the message is buffered or
         handed to the fabric.
         """
-        if self.fast_lane and is_control(payload):
-            # Control fast lane: no coalescing, no budget — a failure
-            # detector's beats must not queue behind bulk payloads.
-            self._ctr_fastlane.inc()
-            if (self.flight is not None
-                    and (src, dst) not in self._fastlane_noted):
-                self._fastlane_noted.add((src, dst))
-                self.flight.note("fastlane", src=src, dst=dst,
-                                 payload=type(payload).__name__)
-            self.fabric.send(src, dst, payload)
-            return
-        if self._passthrough:
-            self.fabric.send(src, dst, payload)
-            return
         await self._stage(self._link(src, dst), payload,
                           wire_size(payload) if self.batch else 0)
 
     async def multicast(self, src: ProcessId, dests: Iterable[ProcessId],
                         payload: Any) -> None:
-        """Fan ``payload`` out over independent per-member links."""
-        control = self.fast_lane and is_control(payload)
-        if self._passthrough and not control:
-            send = self.fabric.send
-            for member in dests:
-                send(src, member, payload)
-            return
-        if not self.batch or control:
-            for member in dests:
-                await self.send(src, member, payload)
-            return
-        # One payload, many links: size it once, not once per link.
-        size = wire_size(payload)
+        """Stage ``payload`` on each member's link (:meth:`send` for a
+        group); a batched payload is sized once, not once per link."""
+        size = wire_size(payload) if self.batch else 0
         for member in dests:
             await self._stage(self._link(src, member), payload, size)
 

@@ -28,6 +28,13 @@ class SimRuntime:
 
     def __init__(self, kernel: Kernel | None = None):
         self.kernel = kernel or Kernel()
+        #: ``call_later(delay, action)``: run the plain function
+        #: ``action()`` after ``delay`` seconds; returns a cancellable
+        #: :class:`~repro.sim.kernel.Timer`.  The kernel's own method,
+        #: bound once here (an instance attribute, so a profiler may
+        #: still wrap it per runtime).
+        self.call_later: Callable[[float, Callable[[], None]], Timer] = \
+            self.kernel.call_later
         #: The enabled recorder, or ``None`` (tracing disabled).
         self.obs: Any = None
         #: The attached profiler, or ``None`` (profiling disabled).
@@ -40,10 +47,6 @@ class SimRuntime:
 
     async def sleep(self, delay: float) -> None:
         await _kernel.sleep(delay)
-
-    def call_later(self, delay: float,
-                   action: Callable[[], None]) -> Timer:
-        return self.kernel.call_later(delay, action)
 
     # -- tasks ----------------------------------------------------------
 

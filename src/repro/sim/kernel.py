@@ -41,6 +41,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
+import itertools
 import types
 from collections import deque
 from typing import Any, Callable, Coroutine, Iterable, Optional
@@ -144,6 +145,12 @@ _CANCELLED = 4
 
 _STATE_NAMES = ("READY", "RUNNING", "WAITING", "DONE", "CANCELLED")
 
+# Task ids.  A module-level counter, not a class attribute: writing an
+# attribute of ``Task`` on every spawn would invalidate the class's type
+# version, and with it every specialized ``task.<field>`` read in the
+# step loop.
+_task_ids = itertools.count(1)
+
 
 class Task:
     """A unit of cooperative execution managed by the kernel.
@@ -158,12 +165,9 @@ class Task:
                  "exception", "cancelled", "_kernel", "_joiners",
                  "_unpark", "_sleep_timer", "_pending_exc", "tags")
 
-    _next_id = 1
-
     def __init__(self, coro: Coroutine, name: str, daemon: bool,
                  kernel: "Kernel"):
-        self.id = Task._next_id
-        Task._next_id += 1
+        self.id = next(_task_ids)
         self.coro = coro
         self.name = name or f"task-{self.id}"
         self.daemon = daemon
@@ -172,7 +176,8 @@ class Task:
         self.exception: Optional[BaseException] = None
         self.cancelled = False
         self._kernel = kernel
-        self._joiners: list[Task] = []
+        # Tasks blocked in join(); the list is made by the first joiner.
+        self._joiners: Optional[list[Task]] = None
         # When parked on a _SuspendTrap, the unpark callback used to remove
         # the task from its wait structure if it gets cancelled first.
         self._unpark: Optional[Callable[["Task"], None]] = None
@@ -319,7 +324,7 @@ class Kernel:
         self.tasks_spawned += 1
         return task
 
-    def start(self, coro: Coroutine, *, name: str = "",
+    def start(self, coro: Coroutine, name: str = "",
               daemon: bool = False) -> Task:
         """Create a task and, when the loop would step it next anyway,
         take that first step now.
@@ -329,7 +334,8 @@ class Kernel:
         ready queue right after the action returns, so a task spawned
         there runs first.  Stepping it in place saves the queue round
         trip and leaves the schedule, the step count and the task count
-        exactly as :meth:`spawn` would.  Everywhere else — setup code,
+        exactly as :meth:`spawn` would; a task that finishes in that step
+        never enters the live-task table.  Everywhere else — setup code,
         inside a task, or behind already-queued work — this *is*
         :meth:`spawn`.
 
@@ -341,9 +347,10 @@ class Kernel:
         if self._current is not None or not self._running or self._ready:
             return self.spawn(coro, name=name, daemon=daemon)
         task = Task(coro, name, daemon, self)
-        self._tasks[task.id] = task
         self.tasks_spawned += 1
         self._step(task, None)
+        if task.state < _DONE:
+            self._tasks[task.id] = task
         return task
 
     def call_later(self, delay: float, action: Callable[[], None]) -> Timer:
@@ -570,7 +577,7 @@ class Kernel:
                     else:
                         trap = send(value)
                 except StopIteration as stop:
-                    self._finish(task, result=stop.value)
+                    self._finish(task, stop.value)
                     return
                 except TaskCancelled:
                     task.state = _CANCELLED
@@ -623,8 +630,11 @@ class Kernel:
                         value = None
                     else:
                         task.state = _WAITING
-                        target._joiners.append(task)
-                        task._unpark = target._joiners.remove
+                        joiners = target._joiners
+                        if joiners is None:
+                            joiners = target._joiners = []
+                        joiners.append(task)
+                        task._unpark = joiners.remove
                         return
                 else:
                     raise KernelError(f"unknown trap {trap!r} from "
@@ -644,11 +654,15 @@ class Kernel:
             task.cancelled = True
         else:
             task.state = _DONE
-        del self._tasks[task.id]
-        joiners, task._joiners = task._joiners, []
-        for joiner in joiners:
-            self._reschedule(joiner)
-        if failed and not joiners and not task.daemon:
+        # A task started in place that finished in its first step was
+        # never entered in the table.
+        self._tasks.pop(task.id, None)
+        joiners = task._joiners
+        if joiners:
+            task._joiners = None
+            for joiner in joiners:
+                self._reschedule(joiner)
+        elif failed and not task.daemon:
             self.failures.append((task, task.exception))
 
     def _cancel_task(self, task: Task) -> bool:

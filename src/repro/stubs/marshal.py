@@ -139,6 +139,10 @@ def unmarshal(data: bytes) -> Any:
     except (IndexError, struct.error):
         # Reading a tag, length or float past the end of the field.
         raise MarshalError("truncated value") from None
+    finally:
+        # ``decode`` recurses, so it sits in its own closure: a reference
+        # cycle that would keep the field alive until the collector ran.
+        decode = None
     if pos != end:
         raise MarshalError(f"{end - pos} trailing bytes after value")
     if prof is not None:

@@ -17,9 +17,8 @@ carried in the messages themselves.
 A layer that only routes (the demuxes) also answers :meth:`Protocol.
 resolve_up` / :meth:`Protocol.resolve_down`: which protocol a message
 really ends up at.  The transport walks that chain once, synchronously,
-and awaits the target's ``pop`` directly; senders push to the resolved
-bottom the same way — one coroutine per message instead of one per
-layer.
+and the arrival's task runs the target's ``pop`` itself; senders push
+to the resolved bottom the same way — no coroutine per routing layer.
 """
 
 from __future__ import annotations

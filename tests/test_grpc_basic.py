@@ -325,3 +325,22 @@ def test_arrivals_dispatch_the_chain_of_their_message_kind():
                                 extra_time=0.1).ok
     assert seen == {"acks": [NetOp.ACK],
                     "any": [NetOp.CALL, NetOp.ACK]}
+
+
+def test_the_composite_claims_only_wire_messages_and_pops_its_dispatch():
+    """``GroupRPC.resolve_up`` routes only ``NetMsg`` to the composite;
+    untraced, ``pop`` returns the bus's dispatch itself, and the
+    micro-protocols trigger and cancel through the bus's own methods."""
+    from repro.core.messages import NetMsg, NetOp
+
+    cluster = ServiceCluster(ServiceSpec(), KVStore, n_servers=1)
+    server = cluster.grpc(1)
+    msg = NetMsg(type=NetOp.ACK, sender=2)
+    assert server.resolve_up(msg) is server
+    assert server.resolve_up("not a NetMsg") is None
+    dispatch = server.pop(msg, 2)
+    assert dispatch.cr_code is type(server.bus).trigger.__code__
+    dispatch.close()
+    for micro in server.micro_protocols:
+        assert micro.trigger == server.bus.trigger
+        assert micro.cancel_event == server.bus.cancel_event

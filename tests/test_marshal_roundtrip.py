@@ -19,6 +19,7 @@ manual but the failing value prints in the assertion message.
 
 import collections
 import enum
+import gc
 import hashlib
 import random
 
@@ -397,6 +398,23 @@ def test_unmarshal_accepts_any_bytes_like_field():
         assert unmarshal(field) == value
     decoded = unmarshal(bytearray(marshal(b"blob")))
     assert decoded == b"blob" and type(decoded) is bytes
+
+
+def test_unmarshal_leaves_no_cyclic_garbage():
+    """The recursive decoder must not outlive its call in a reference
+    cycle: with the collector off, decoding leaves nothing for it."""
+    encoded = marshal(_bulk_value(16, 512))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            unmarshal(encoded)
+        for cut in (0, 7, len(encoded) // 2):   # the error paths too
+            with pytest.raises(MarshalError):
+                unmarshal(encoded[:cut])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class _CountingProfiler:

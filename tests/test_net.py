@@ -417,3 +417,61 @@ def test_arrival_scope_keeps_only_parked_arrivals():
     kept = rt.run(main())
     assert [task.name.rsplit("-", 1)[0] for task in kept] == ["node-2-msg"]
     assert tops[2].log == [("done", "quick"), ("unwound", 0.5)]
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.0005, 0.004, 0.1, 1.0 / 3])
+def test_jitter_draw_is_uniform_bit_for_bit(jitter):
+    """A copy's delay is ``delay + jitter * random()``: exactly the float
+    ``delay + uniform(0.0, jitter)`` gives on a twin of the link's
+    stream, draw for draw, jitter 0 included (it still consumes one)."""
+    from repro.net import NetTrace
+
+    rt = SimRuntime()
+    spec = LinkSpec(delay=0.01, jitter=jitter)
+    fabric = NetworkFabric(rt, rand=RandomSource(5), default_link=spec,
+                           trace=NetTrace(keep_events=False))
+    delays = []
+    rt.call_later = lambda delay, action: delays.append(delay)
+    for i in range(10_000):
+        fabric.send(1, 2, i)
+    twin = RandomSource(5).stream("link-1-2")
+    assert delays == [spec.delay + twin.uniform(0.0, jitter)
+                      for _ in range(10_000)]
+
+
+#: Delivery times recorded before the fabric drew jitter as
+#: ``jitter * random()`` and armed its copies without a loop.
+DUPLICATE_SPIKE_DELIVERIES = [
+    ('0.010264184335868867', 0), ('0.012627007792282083', 0),
+    ('0.013419851420434812', 2), ('0.013855045702421888', 3),
+    ('0.014202657782390675', 4), ('0.01462262063876606', 1),
+    ('0.014627731746798933', 3), ('0.017924048028528664', 5),
+    ('0.01883604039878374', 7), ('0.01886237398398327', 6),
+    ('0.511888100312829', 1), ('0.5146035532061818', 4),
+    ('0.5151032117161543', 2), ('0.5162532685495085', 6),
+    ('0.5179401139732248', 5), ('0.5197385927154222', 7),
+]
+
+
+def test_duplicate_and_spike_draw_order_is_pinned():
+    """Loss, then duplication, then per copy its jitter and spike: every
+    send is duplicated, ~30 % of the copies spike."""
+    rt = SimRuntime()
+    fabric, nodes, tops = build_pair(
+        rt, rand=RandomSource(13), default_link=LinkSpec(
+            delay=0.01, jitter=0.004, duplicate=1.0, spike_prob=0.3,
+            spike_delay=0.5))
+    delivered = []
+    fabric.trace.observers.append(
+        lambda e: delivered.append((repr(e.time), e.detail))
+        if e.kind == "deliver" else None)
+
+    async def main():
+        for i in range(8):
+            await nodes[1].transport.push(2, i)
+            await rt.sleep(0.001)
+        await rt.sleep(2.0)
+
+    rt.run(main())
+    assert delivered == DUPLICATE_SPIKE_DELIVERIES
+    assert fabric.trace.duplicates == 8

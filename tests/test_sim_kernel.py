@@ -396,3 +396,52 @@ def test_timer_drops_its_action_once_fired_or_cancelled():
     cancelled.cancel()
     kernel.run_until_idle()
     assert fired.action is None and cancelled.action is None
+
+
+def test_task_ids_and_envelope_seqs_stay_unique_and_increasing():
+    """Ids and sequence numbers come from module-level counters (no class
+    attribute is written per task or per envelope): every new one is
+    larger than the last, across kernels too."""
+    from repro.net.message import Envelope
+
+    ids = []
+    for _ in range(3):
+        kernel = Kernel()
+
+        async def noop():
+            pass
+
+        for _ in range(5):
+            ids.append(kernel.spawn(noop()).id)
+        ids.append(kernel.start(noop()).id)
+        kernel.run_until_idle()
+    assert ids == sorted(set(ids)) and len(ids) == 18
+    seqs = [Envelope(1, 2, None, 0.0).seq for _ in range(10)]
+    assert seqs == sorted(set(seqs))
+    assert Envelope(1, 2, None, 0.0, seq=7).seq == 7
+    assert Envelope(1, 2, None, 0.0).seq > seqs[-1]
+
+
+def test_a_task_finished_in_its_started_step_never_enters_the_table():
+    kernel = Kernel()
+    seen = []
+
+    async def quick():
+        seen.append("quick")
+
+    async def parks():
+        await sleep(1.0)
+
+    def deliver():
+        seen.append(kernel.start(quick()))
+        seen.append(kernel.start(parks()))
+
+    kernel.call_later(0.5, deliver)
+    kernel.run_until(0.75)
+    _, finished, parked = seen
+    assert finished.done and not parked.done
+    assert list(kernel.live_tasks()) == [parked]
+    assert kernel.stats()["tasks_spawned"] == 2
+    assert finished._joiners is None      # nobody joined: no list made
+    kernel.run_until_idle()
+    assert list(kernel.live_tasks()) == []

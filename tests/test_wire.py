@@ -80,6 +80,58 @@ def test_heartbeat_is_a_control_payload():
     assert "wire_control" not in Heartbeat.__dataclass_fields__
 
 
+def test_submit_hands_unstaged_sends_to_the_fabric_at_once():
+    """Pass-through sends and fast-lane beats reach the fabric inside
+    ``submit`` (nothing to await); a staging pipeline returns the
+    coroutine that stages, and sends nothing until it is awaited."""
+    rt = SimRuntime()
+    fabric, _, _ = build_pair(rt, pids=(1, 2, 3))
+    pipeline = fabric.pipeline
+    metrics = fabric.trace.metrics
+    assert pipeline.submit(1, 2, "one") is None
+    assert pipeline.submit(1, Group("g", [2, 3]), "two") is None
+    assert pipeline.submit(1, [2, 3], Heartbeat(1, 1)) is None
+    assert metrics.value("net.send") == 5
+    assert metrics.value("net.fastlane.sends") == 2
+
+    rt = SimRuntime()
+    fabric, _, _ = build_pair(rt, wire=WireConfig(batch=True))
+    pipeline = fabric.pipeline
+    assert pipeline.submit(1, 2, Heartbeat(1, 1)) is None
+    for dest in (2, [2]):
+        staged = pipeline.submit(1, dest, "bulk")
+        assert staged is not None and pipeline.buffered() == 0
+        rt.run(staged, shutdown=False)
+        assert pipeline.buffered() == 1
+        pipeline.drop_source(1)
+    assert fabric.trace.metrics.value("net.send") == 1
+
+
+def test_an_arrival_runs_its_target_pop_or_fans_a_batch_out():
+    """``UnreliableTransport.arrival``: a single payload's task is the
+    resolved target's ``pop`` itself, an unclaimed payload gets no task,
+    and a batch gets the unbatching coroutine."""
+    from repro.net.message import Envelope
+
+    rt = SimRuntime()
+    fabric, nodes, tops = build_pair(rt)
+    demux = TypeDemux("demux@9")
+    node = Node(9, rt, fabric)
+    compose_stack(demux, UnreliableTransport(node))
+    demux.attach(str, tops[1])
+    node.start()
+    transport = node.transport
+    claimed = transport.arrival(Envelope(1, 9, "hello", 0.0))
+    assert claimed.cr_code is Collector.pop.__code__
+    assert transport.arrival(Envelope(1, 9, 42, 0.0)) is None
+    batch = transport.arrival(Envelope(1, 9, WireBatch(["a", 7]), 0.0))
+    assert batch.cr_code is UnreliableTransport.handle_arrival.__code__
+    rt.run(claimed)
+    rt.run(batch, shutdown=False)
+    rt.run_until_idle()
+    assert tops[1].received == [(1, "hello"), (1, "a")]
+
+
 # ----------------------------------------------------------------------
 # Coalescing
 # ----------------------------------------------------------------------
