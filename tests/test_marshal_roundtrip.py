@@ -1,9 +1,10 @@
 """Round-trip, golden-vector and error-path coverage for the codec.
 
-The marshaller has been rebuilt twice (PR 7: size pre-pass +
-preallocated buffer + memoryview decode; PR 23: one-pass emit-and-join
-+ cursor decode) under the promise of a byte-identical wire format.
-Two things pin that promise:
+The marshaller has been rebuilt three times (size pre-pass +
+preallocated buffer + memoryview decode; one-pass emit-and-join +
+cursor decode; key tables + leaves inline in the container loops)
+under the promise of a byte-identical wire format.  Two things pin that
+promise:
 
 * a seeded random-value fuzzer — for every generated value ``v`` it
   must hold that ``unmarshal(marshal(v)) == v`` and that
@@ -21,6 +22,7 @@ import collections
 import enum
 import gc
 import hashlib
+import importlib
 import random
 
 import pytest
@@ -28,6 +30,10 @@ import pytest
 from repro.errors import MarshalError
 from repro.stubs.marshal import (install_profiler, marshal,
                                  marshalled_size, unmarshal)
+
+# The module itself, for its key tables (the package re-exports the
+# ``marshal`` function under the submodule's name).
+codec = importlib.import_module("repro.stubs.marshal")
 
 SEED = 0xC0FFEE
 CASES = 400
@@ -389,6 +395,26 @@ def test_trailing_garbage_and_unknown_tags_raise_marshal_error():
         unmarshal(bytes.fromhex("4d00000001" "530000000161") + b"?")
 
 
+def test_invalid_utf8_raises_marshal_error():
+    # "\xc3(" is a two-byte lead followed by a non-continuation byte.
+    with pytest.raises(MarshalError, match="UTF-8"):
+        unmarshal(bytes.fromhex("5300000002" "c328"))
+    with pytest.raises(MarshalError, match="UTF-8"):      # as a dict key
+        unmarshal(bytes.fromhex("4d00000001" "5300000001ff" "4e"))
+
+
+def test_list_dict_key_raises_marshal_error():
+    # {[]: None}: the key's tag is L, not S.
+    with pytest.raises(MarshalError, match="dict keys must be strings"):
+        unmarshal(bytes.fromhex("4d00000001" "4c00000000" "4e"))
+
+
+def test_int_dict_key_raises_marshal_error():
+    # {5: None} would decode to a value marshal refuses to re-encode.
+    with pytest.raises(MarshalError, match="dict keys must be strings"):
+        unmarshal(bytes.fromhex("4d00000001" "490000000105" "4e"))
+
+
 def test_unmarshal_accepts_any_bytes_like_field():
     value = _bulk_value(2, 8)
     encoded = marshal(value)
@@ -415,6 +441,67 @@ def test_unmarshal_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ----------------------------------------------------------------------
+# The key tables
+# ----------------------------------------------------------------------
+
+def test_decodes_share_dict_keys_but_never_containers():
+    encoded = marshal(_bulk_value(16, 512))
+    a, b = unmarshal(encoded), unmarshal(encoded)
+    assert a == b
+    assert a is not b and a["value"] is not b["value"]
+    assert a["value"]["rows"] is not b["value"]["rows"]
+    assert all(x is y for x, y in zip(a, b))
+    # Every record of either decode holds the same key objects ...
+    rows = a["value"]["rows"] + b["value"]["rows"]
+    names = list(rows[0])
+    for row in rows:
+        assert len(row) == len(names)
+        assert all(key is name for key, name in zip(row, names))
+    # ... and containers of its own.
+    assert len({id(row) for row in rows}) == len(rows)
+    assert len({id(row["tags"]) for row in rows}) == len(rows)
+
+
+def test_decode_key_table_stays_bounded():
+    for i in range(10_000):
+        unmarshal(marshal({f"distinct-key-{i}": i}))
+        assert len(codec._DECODED_KEYS) <= codec._TABLE_MAX
+    long_key = "k" * (codec._KEY_MAX_BYTES + 1)
+    decoded = unmarshal(marshal({long_key: None, "k" * 64: None}))
+    assert decoded == {long_key: None, "k" * 64: None}
+    assert long_key not in codec._DECODED_KEYS
+    assert "k" * 64 in codec._DECODED_KEYS
+    # The bound is on UTF-8 bytes, not code points: 33 x 2 bytes.
+    unmarshal(marshal({"é" * 33: None}))
+    assert "é" * 33 not in codec._DECODED_KEYS
+
+
+def test_encode_key_table_flood_leaves_the_wire_unchanged():
+    marshal({f"flood-{i}": i for i in range(2 * codec._TABLE_MAX)})
+    for i in range(2 * codec._TABLE_MAX):
+        marshal({f"flood-again-{i}": i})
+        assert len(codec._ENCODED_KEYS) <= codec._TABLE_MAX
+    marshal({"k" * 65: None})
+    assert "k" * 65 not in codec._ENCODED_KEYS
+    test_golden_vectors_pin_the_wire_format()
+    test_subclasses_encode_as_their_plain_base()
+
+
+def test_str_subclass_keys_bypass_the_encode_table():
+    class Loud(str):
+        def encode(self, *args):
+            return str.encode(self.upper(), *args)
+
+    codec._ENCODED_KEYS.clear()
+    marshal({Tagged("only-tagged"): 1})
+    assert "only-tagged" not in codec._ENCODED_KEYS
+    # A key equal to a stored one still takes its own class's path.
+    marshal({"shout": 1})
+    assert "shout" in codec._ENCODED_KEYS
+    assert marshal({Loud("shout"): 1}) == marshal({"SHOUT": 1})
 
 
 class _CountingProfiler:
