@@ -27,7 +27,7 @@ elastic sharded KV in one call.
 """
 
 from repro.placement.driver import RebindDriver
-from repro.placement.migration import KeyMigration, MigrationState, ShardMove
+from repro.placement.migration import KeyMigration, ShardMove
 from repro.placement.plane import ElasticKV, PlacementPlane, build_elastic_kv
 from repro.placement.ring import HashRing, plan_moves
 from repro.placement.view import PlacementView, ViewManager
@@ -35,7 +35,6 @@ from repro.placement.view import PlacementView, ViewManager
 __all__ = [
     "HashRing",
     "plan_moves",
-    "MigrationState",
     "ShardMove",
     "KeyMigration",
     "PlacementPlane",

@@ -9,7 +9,7 @@ all through the ordinary group-RPC call path (``snapshot`` / ``ingest``
 inherit whatever semantics the shard's micro-protocol stack provides):
 
 1. **snapshot** — read the source shard's state and restrict it to the
-   moving keys; the snapshot is persisted to the coordinator node's
+   moving keys; the snapshot is persisted to every metadata replica's
    stable store so a coordinator crash mid-migration cannot strand a
    half-transferred range invisibly;
 2. **transfer** — bulk-``ingest`` the snapshot into the destination.
@@ -33,28 +33,33 @@ exactly the acknowledged state.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.apps.kvstore import StableKVStore
 from repro.core.messages import CallResult
 
-__all__ = ["MigrationState", "ShardMove", "KeyMigration"]
+__all__ = ["ShardMove", "KeyMigration", "stable_cells"]
 
 #: Stable-store cell prefix under which migration snapshots are parked on
-#: the coordinator node.
+#: the metadata replicas.
 SNAPSHOT_PREFIX = "placement.migration."
 
 
-class MigrationState(enum.Enum):
-    """Lifecycle of one shard-to-shard move."""
-
-    PLANNED = "PLANNED"
-    SNAPSHOT = "SNAPSHOT"
-    TRANSFER = "TRANSFER"
-    CATCHUP = "CATCHUP"
-    CUTOVER = "CUTOVER"
-    DONE = "DONE"
+def stable_cells(deployment: Any,
+                 shard: str) -> Iterator[Tuple[Any, str, str]]:
+    """Every cell of a shard's stable KV mirror as ``(store, cell,
+    key)``, read straight off its servers' disks, down or not — the
+    simulation's stand-in for mounting a failed site's storage."""
+    service = deployment.services.get(shard)
+    if service is None:
+        return
+    prefix = StableKVStore.STABLE_PREFIX
+    for pid in service.server_pids:
+        node = deployment.nodes.get(pid)
+        if node is not None:
+            for cell in node.stable.keys_with_prefix(prefix):
+                yield node.stable, cell, cell[len(prefix):]
 
 
 @dataclass
@@ -64,7 +69,6 @@ class ShardMove:
     source: str
     dest: str
     keys: List[str]
-    state: MigrationState = MigrationState.PLANNED
     #: Warm-phase snapshot (moving keys only), diffed at catch-up.
     snapshot: Dict[str, Any] = field(default_factory=dict)
     #: Distinct keys actually shipped (warm + catch-up united).
@@ -81,12 +85,10 @@ class KeyMigration:
     """Executes every :class:`ShardMove` of one ring resize."""
 
     def __init__(self, deployment: Any, coordinator: int,
-                 moves: List[ShardMove], *, epoch: int,
+                 moves: List[ShardMove], *, epoch: int, views: Any,
+                 target: Any,
                  dead: Optional[Set[str]] = None,
-                 stable_prefix: str = "",
-                 target: Any = None,
                  sources: Optional[List[str]] = None,
-                 views: Any = None,
                  phase_hook: Any = None):
         self.deployment = deployment
         self.coordinator = coordinator
@@ -96,13 +98,10 @@ class KeyMigration:
         #: with the plane so a mid-migration death is remembered.
         self.dead: Set[str] = dead if dead is not None else set()
         self.metrics = deployment.metrics
-        #: Cell prefix of the shard app's stable mirror, used by salvage.
-        self.stable_prefix = stable_prefix
-        #: Target :class:`~repro.placement.ring.HashRing`.  When given,
-        #: catch-up re-lists every source in full and migrates *any* key
-        #: whose owner changes under it — including keys created after
-        #: the plan was drawn.  Without it (phases driven by hand) the
-        #: protocol is restricted to the planned key sets.
+        #: Target :class:`~repro.placement.ring.HashRing`: catch-up
+        #: re-lists every source in full and migrates *any* key whose
+        #: owner changes under it — including keys created after the
+        #: plan was drawn.
         self.target = target
         #: Every shard that may hold departing keys; defaults to the
         #: planned sources.
@@ -112,10 +111,9 @@ class KeyMigration:
         #: one causal breadcrumb so a post-mortem dump shows where a
         #: migration was when something else went wrong.
         self._flight = getattr(deployment, "flight", None)
-        #: The deployment's :class:`~repro.placement.view.ViewManager`,
-        #: or None.  With views, per-move snapshots are persisted to
-        #: *every* metadata replica's stable store instead of only the
-        #: coordinator node's — a successor coordinator can then resume
+        #: The deployment's :class:`~repro.placement.view.ViewManager`:
+        #: per-move snapshots are persisted to *every* metadata
+        #: replica's stable store, so a successor coordinator can resume
         #: catch-up with the original warm snapshots.
         self.views = views
         #: Optional callable fired at phase boundaries (``"snapshot"``,
@@ -145,10 +143,8 @@ class KeyMigration:
         self._hook("snapshot")
         transferring = False
         for move in self.moves:
-            move.state = MigrationState.SNAPSHOT
             move.snapshot = await self._read_source(move)
-            self._persist_snapshot(move)
-            move.state = MigrationState.TRANSFER
+            self.views.put_cell(self._snapshot_cell(move), move.snapshot)
             if move.snapshot:
                 if not transferring:
                     transferring = True
@@ -171,25 +167,15 @@ class KeyMigration:
                               epoch=self.epoch, sources=len(self.sources))
         by_source: Dict[str, List[ShardMove]] = {}
         for move in self.moves:
-            move.state = MigrationState.CATCHUP
             by_source.setdefault(move.source, []).append(move)
         for source in self.sources:
-            moves = by_source.get(source, [])
-            if not moves and self.target is None:
-                continue
             fresh, salvaged = await self._read_full(source)
             departing: Dict[str, Dict[str, Any]] = {}
-            if self.target is not None:
-                for key, value in fresh.items():
-                    dest = self.target.route(key)
-                    if dest != source:
-                        departing.setdefault(dest, {})[key] = value
-            else:
-                for move in moves:
-                    departing[move.dest] = {
-                        key: fresh[key] for key in move.keys
-                        if key in fresh}
-            for move in moves:
+            for key, value in fresh.items():
+                dest = self.target.route(key)
+                if dest != source:
+                    departing.setdefault(dest, {})[key] = value
+            for move in by_source.get(source, []):
                 entries = departing.pop(move.dest, {})
                 updates = {key: value for key, value in entries.items()
                            if key not in move.snapshot
@@ -211,7 +197,6 @@ class KeyMigration:
                 if not entries:
                     continue
                 move = ShardMove(source, dest, sorted(entries))
-                move.state = MigrationState.CATCHUP
                 move.salvaged = salvaged
                 await self._ingest(dest, entries)
                 move.moved = len(entries)
@@ -223,7 +208,6 @@ class KeyMigration:
             self._flight.note("migration", phase="cutover",
                               epoch=self.epoch, moves=len(self.moves))
         for move in self.moves:
-            move.state = MigrationState.CUTOVER
             if move.source not in self.dead:
                 result = await self._call(move.source, "drop_keys",
                                           {"keys": move.keys})
@@ -233,8 +217,7 @@ class KeyMigration:
                     # and a later rejoin wipes them (PlacementPlane.
                     # add_shard).  Record the death and proceed.
                     self.dead.add(move.source)
-            self._free_snapshot(move)
-            move.state = MigrationState.DONE
+            self.views.del_cell(self._snapshot_cell(move))
             self.metrics.counter("placement.migration.keys_moved").inc(
                 move.moved)
         if self._flight is not None:
@@ -266,20 +249,8 @@ class KeyMigration:
     def _salvage(self, source: str) -> Dict[str, Any]:
         """Read everything off the dead source's "disk"."""
         self.metrics.counter("placement.migration.salvages").inc()
-        out: Dict[str, Any] = {}
-        prefix = self.stable_prefix
-        if not prefix:
-            return out
-        service = self.deployment.services.get(source)
-        if service is None:
-            return out
-        for pid in service.server_pids:
-            node = self.deployment.nodes.get(pid)
-            if node is None:
-                continue
-            for cell, value in node.stable.items_with_prefix(prefix):
-                out[cell[len(prefix):]] = value
-        return out
+        return {key: store.get(cell) for store, cell, key
+                in stable_cells(self.deployment, source)}
 
     # ------------------------------------------------------------------
     # Helpers
@@ -303,22 +274,6 @@ class KeyMigration:
         return (f"{SNAPSHOT_PREFIX}{self.epoch}."
                 f"{move.source}->{move.dest}")
 
-    def _persist_snapshot(self, move: ShardMove) -> None:
-        if self.views is not None:
-            self.views.put_cell(self._snapshot_cell(move), move.snapshot)
-            return
-        node = self.deployment.nodes.get(self.coordinator)
-        if node is not None:
-            node.stable.put(self._snapshot_cell(move), move.snapshot)
-
-    def _free_snapshot(self, move: ShardMove) -> None:
-        if self.views is not None:
-            self.views.del_cell(self._snapshot_cell(move))
-            return
-        node = self.deployment.nodes.get(self.coordinator)
-        if node is not None:
-            node.stable.delete(self._snapshot_cell(move))
-
     def load_snapshots(self) -> None:
         """Reload every move's persisted warm snapshot (successor-side).
 
@@ -327,12 +282,7 @@ class KeyMigration:
         catch-up treats every surviving source key as an update then.
         """
         for move in self.moves:
-            if self.views is not None:
-                snap = self.views.get_cell(self._snapshot_cell(move))
-            else:
-                node = self.deployment.nodes.get(self.coordinator)
-                snap = node.stable.get(self._snapshot_cell(move)) \
-                    if node is not None else None
+            snap = self.views.get_cell(self._snapshot_cell(move))
             move.snapshot = dict(snap) if snap else {}
 
     async def rollback(self) -> None:
@@ -353,13 +303,8 @@ class KeyMigration:
                                           {"keys": list(move.keys)})
                 if not result.ok:
                     self.dead.add(move.dest)
-            self._free_snapshot(move)
-            move.state = MigrationState.PLANNED
+            self.views.del_cell(self._snapshot_cell(move))
 
     @property
     def moved_total(self) -> int:
         return sum(move.moved for move in self.moves)
-
-    @property
-    def pairs(self) -> List[Tuple[str, str]]:
-        return [(move.source, move.dest) for move in self.moves]

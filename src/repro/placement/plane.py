@@ -24,24 +24,32 @@ catch-up snapshot is taken, the plane waits for in-flight calls that
 already passed the gate to drain, so an acknowledged write can never
 slip in between the re-snapshot and the cutover drop.
 
-**Coordinator failover.**  Migration phases run as a task *owned by the
-coordinator node*, so a coordinator crash cancels the run exactly where
-a real site failure would abandon it.  The plan and per-move snapshots
-are replicated (:class:`~repro.placement.view.ViewManager`), so the
-supervising driver elects a successor — the largest live candidate pid,
-the same rule replica groups use to elect a primary — and resumes the
-migration from its last persisted phase, or rolls it back when nothing
-irreversible has happened yet:
+**One runner, one lock.**  Every reshape and every recovery enters
+through one locked entry.  Under the migration lock it first waits out
+a runner that is still live (its supervisor died and released the
+lock), then finishes any plan still persisted in the replicated
+:class:`~repro.placement.view.ViewManager`, and only then derives a
+reshape's target from the ring that is now current.  So no lock holder
+ever runs a migration beside another one or reshapes a ring a pending
+plan is about to replace.
 
-* crash during **snapshot/transfer** (plan phase ``warm``): roll back —
-  the destinations only hold warm-ingested copies, so they are scrubbed
-  and the old view stands (a dead-shard *drain* instead resumes: its
-  source cannot serve the keys anyway);
-* crash during **catch-up**: resume — the sources were never mutated by
-  catch-up, so re-running the full re-list against the persisted warm
-  snapshots is idempotent;
-* crash during **cutover**: resume *cutover only*, from the persisted
-  manifest of final key sets — re-running catch-up here would misread
+The phases of a plan run as one task *owned by the coordinator node*,
+so a coordinator crash cancels the run exactly where a real site
+failure would abandon it.  Its supervisor (the lock holder) then elects
+a successor — the largest live candidate pid, the same rule replica
+groups use to elect a primary — and, in the same scheduler step, starts
+the same runner there on the persisted plan, from its last persisted
+phase:
+
+* plan phase ``warm`` (crash during snapshot/transfer): roll back — the
+  destinations only hold warm-ingested copies, so they are scrubbed and
+  the old view stands (a dead-shard *drain* instead resumes: its source
+  cannot serve the keys anyway);
+* ``catchup``: resume — the sources were never mutated by catch-up, so
+  re-running the full re-list against the persisted warm snapshots is
+  idempotent;
+* ``cutover``: resume *cutover only*, from the persisted manifest of
+  final key sets — re-running catch-up here would misread
   already-dropped source keys as deletions and lose data.
 
 Acknowledged writes always live on exactly one side of the cut, so a
@@ -70,9 +78,9 @@ from repro.apps.kvstore import StableKVStore
 from repro.core.config import ServiceSpec
 from repro.core.messages import CallResult, Status
 from repro.errors import PlacementError, TaskCancelled
-from repro.placement.migration import KeyMigration, ShardMove
+from repro.placement.migration import KeyMigration, ShardMove, stable_cells
 from repro.placement.ring import HashRing, plan_moves
-from repro.placement.view import PlacementView, ViewManager
+from repro.placement.view import PLAN_PHASES, PlacementView, ViewManager
 
 __all__ = ["PlacementPlane", "ElasticKV", "build_elastic_kv"]
 
@@ -120,10 +128,9 @@ class PlacementPlane:
         self._inflight: Dict[str, int] = {}
         self._drain_waiter: Any = None
         self._mig_lock = deployment.runtime.lock()
-        #: True exactly while a phase runner (initial or recovery) is
-        #: executing; lets :meth:`recover` distinguish a stranded plan
-        #: from one an alive runner is still working through.
-        self._runner_active = False
+        #: The task of the latest phase runner; a lock holder joins it
+        #: while it is live, whoever supervised it.
+        self._runner: Any = None
         #: How new shards are built when :meth:`add_shard` is called
         #: without explicit arguments (filled by :func:`build_elastic_kv`).
         self.defaults: Dict[str, Any] = {}
@@ -237,7 +244,7 @@ class PlacementPlane:
         deployment = self.deployment
         if name in deployment.services:
             if self.coordinators:
-                self._ensure_coordinator(reason=f"add:{name}")
+                self._takeover(f"add:{name}")
             await self._wipe(name)
             self.dead.discard(name)
             service = deployment.services[name]
@@ -267,7 +274,7 @@ class PlacementPlane:
             target.add(name)
             return target
 
-        await self._migrate(reshape, reason=f"add:{name}")
+        await self._run(f"add:{name}", reshape)
         return service
 
     async def remove_shard(self, name: str) -> None:
@@ -290,7 +297,7 @@ class PlacementPlane:
             target.remove(name)
             return target
 
-        await self._migrate(reshape, reason=f"remove:{name}")
+        await self._run(f"remove:{name}", reshape)
 
     async def drain_dead_shard(self, name: str) -> None:
         """Re-home a dead shard's key ranges from its stable storage.
@@ -317,148 +324,98 @@ class PlacementPlane:
             target.remove(name)
             return target
 
-        await self._migrate(reshape, reason=f"drain:{name}",
-                            park_early=True)
+        await self._run(f"drain:{name}", reshape, park_early=True)
 
     # ------------------------------------------------------------------
-    # Coordinator election and failover
+    # Coordinator election and recovery
     # ------------------------------------------------------------------
 
-    def _elect(self) -> Optional[int]:
-        """The largest live, unsuspected candidate pid (the replica
-        groups' election rule), or None."""
+    def _takeover(self, reason: str,
+                  plan: Optional[Dict[str, Any]] = None) -> None:
+        """Make sure a live, unsuspected candidate coordinates: the
+        current one while it qualifies, else the largest live one (the
+        replica groups' election rule), counted and taped as a
+        ``coord-takeover``.  With no live candidate the parked calls are
+        released against the old ring and the stranding surfaces; a
+        persisted plan stays for a later :meth:`recover`."""
         deployment = self.deployment
         suspected = deployment.control.suspected
+        previous = self.coordinator
+        node = deployment.nodes.get(previous)
+        if node is not None and node.up and previous not in suspected:
+            return
         live = [pid for pid in self.coordinators
                 if pid in deployment.nodes and deployment.nodes[pid].up
                 and pid not in suspected]
-        return max(live, default=None)
-
-    def _ensure_coordinator(self, *, reason: str = "") -> None:
-        """Re-elect before starting work if the coordinator is down."""
-        deployment = self.deployment
-        node = deployment.nodes.get(self.coordinator) \
-            if self.coordinator is not None else None
-        if (node is not None and node.up
-                and self.coordinator not in deployment.control.suspected):
-            return
-        successor = self._elect()
-        if successor is None:
+        phase = plan["phase"] if plan is not None else None
+        if not live:
+            self._release()
             raise PlacementError(
-                f"no live coordinator candidate "
-                f"(candidates: {self.coordinators})")
-        previous, self.coordinator = self.coordinator, successor
+                f"coordinator {previous} is down ({reason!r}, plan phase "
+                f"{phase!r}) and no candidate is live (candidates: "
+                f"{self.coordinators})")
+        self.coordinator = max(live)
         self.metrics.counter("placement.view.takeovers").inc()
         if self._flight is not None:
             self._flight.note("coord-takeover", previous=previous,
-                              successor=successor, phase=None,
-                              reason=reason or "pre-migration")
+                              successor=self.coordinator, phase=phase,
+                              reason=reason)
 
     def on_member(self, pid: int, alive: bool) -> None:
         """Control-loop ``placement`` slot: the coordinator is
-        suspected.  If a persisted plan is stranded — the migration's
-        supervising caller died with the coordinator — a recovery task
-        picks it up; a live supervisor observes the cancellation itself
-        and needs no help."""
+        suspected.  :meth:`recover` queues on the migration lock, so a
+        live supervisor finishes its own failover first, and a plan with
+        no one left driving it is picked up."""
         if alive or pid != self.coordinator:
             return
         self.deployment.runtime.spawn(
-            self._recover_if_stranded(),
-            name="placement-recover", daemon=True)
+            self.recover(), name="placement-recover", daemon=True)
 
-    async def _recover_if_stranded(self) -> None:
-        runtime = self.deployment.runtime
-        # Let in-flight cancellations unwind: the runner's own teardown
-        # (and a live supervisor's failover) runs first.
-        while self._runner_active:
-            await runtime.sleep(0.0005)
+    async def recover(self) -> bool:
+        """Resume (or roll back) a migration no one is driving, from the
+        replicated plan.  Returns True when there was one to recover.
+
+        Safe to call at any time: this is the locked entry without a
+        reshape, so it waits for a live supervisor to finish and waits
+        out a live runner whose supervisor died — by the time the plan
+        is inspected, its presence really means no one is driving it.
+        """
         try:
-            await self.recover()
+            return await self._run("recover")
         except PlacementError:
             if self._flight is not None:
                 self._flight.note("recover-failed",
                                   coordinator=self.coordinator)
-
-    async def recover(self) -> bool:
-        """Resume (or roll back) a stranded migration from the
-        replicated plan.  Returns True when there was one to recover.
-
-        Safe to call at any time: a migration whose supervisor is alive
-        holds the migration lock until it completes, and an orphaned
-        runner (supervisor died, coordinator didn't) is waited out — by
-        the time the plan is inspected, its presence really means the
-        migration has no one driving it.
-        """
-        runtime = self.deployment.runtime
-        async with self._mig_lock:
-            while self._runner_active:
-                await runtime.sleep(0.0005)
-            if self.views.load_plan() is None:
-                return False
-            started = runtime.now()
-            outcome: Dict[str, Any] = {}
-            task = self._failover("recover", outcome)
-            if task is None:
-                return False
-            await self._supervise(task, "recover", outcome)
-            self.metrics.counter("placement.migration.runs").inc()
-            self.metrics.histogram(
-                "placement.migration.duration").observe(
-                    runtime.now() - started)
-            self._publish_gauges()
-            return True
-
-    def _failover(self, reason: str,
-                  outcome: Dict[str, Any]) -> Optional[Any]:
-        """Elect a successor and hand it the persisted plan.  Returns
-        the spawned recovery runner, or None when there is nothing to
-        recover."""
-        views = self.views
-        previous = self.coordinator
-        successor = self._elect()
-        plan = views.load_plan()
-        phase = plan.get("phase") if plan is not None else None
-        if successor is None:
-            # No live candidate can even issue the rollback RPCs:
-            # release the parked calls against the old ring and surface
-            # the stranding.  The plan stays persisted — a later
-            # :meth:`recover` can still finish the job.
-            self._release()
-            raise PlacementError(
-                f"coordinator {previous} is down mid-migration "
-                f"({reason!r}, phase {phase!r}) and no successor "
-                f"candidate is live")
-        if successor != previous:
-            self.coordinator = successor
-            self.metrics.counter("placement.view.takeovers").inc()
-            if self._flight is not None:
-                self._flight.note("coord-takeover", previous=previous,
-                                  successor=successor, phase=phase,
-                                  reason=reason)
-        if plan is None:
-            # The crash landed before the proposal was persisted (or
-            # after the commit cleared it): the old view stands.
-            self._release()
-            return None
-        node = self.deployment.nodes[successor]
-        return node.spawn(self._recover_phases(plan, reason, outcome),
-                          name=f"placement-recover-{reason}")
+            raise
 
     # ------------------------------------------------------------------
     # The migration driver
     # ------------------------------------------------------------------
 
-    async def _migrate(self, reshape: Any, *, reason: str,
-                       park_early: bool = False) -> Optional[KeyMigration]:
+    async def _run(self, reason: str, reshape: Any = None, *,
+                   park_early: bool = False) -> bool:
+        """The one locked entry, for reshapes and recovery alike.
+
+        Under the migration lock, in order: wait out a runner that is
+        still live (its supervisor died and released the lock), finish
+        a plan that is still persisted, and only then — when a
+        ``reshape`` was asked for — derive its target from the ring now
+        current and run it.  Returns True when a persisted plan was
+        taken over."""
         runtime = self.deployment.runtime
         async with self._mig_lock:
-            # The target ring is derived from the *current* ring only
-            # once the lock is held: a reshape that queued behind another
-            # migration must not clobber its predecessor's outcome.
-            target = reshape()
+            runner = self._runner
+            if runner is not None and not runner.done:
+                await self._supervise(runner, reason)
+            resumed = self.views.load_plan() is not None
+            if resumed:
+                started = runtime.now()
+                await self._supervise(self._resume(reason), reason)
+                self._count_run(started)
+            target = reshape() if reshape is not None else None
             if target is None:
-                return None
-            self._ensure_coordinator(reason=reason)
+                return resumed
+            self._takeover(reason)
             started = runtime.now()
             obs = self.deployment.obs
             span = None
@@ -467,207 +424,167 @@ class PlacementPlane:
                     "placement.migrate", node=self.coordinator,
                     attrs={"reason": reason, "epoch": self.epoch})
                 obs.push_ctx(span.ctx)
-            outcome: Dict[str, Any] = {}
             migration = None
             try:
-                migration = await self._drive(target, park_early, reason,
-                                              outcome)
+                migration = await self._supervise(self._spawn(
+                    self._fresh(target, park_early, reason),
+                    f"placement-migrate-{reason}"), reason)
             finally:
                 if obs is not None:
                     obs.pop_ctx()
                     obs.end_span(span, keys_moved=(
                         migration.moved_total if migration else 0))
-            self.metrics.counter("placement.migration.runs").inc()
-            self.metrics.histogram("placement.migration.duration").observe(
-                runtime.now() - started)
-            self._publish_gauges()
-            return migration
+            self._count_run(started)
+            return resumed
 
-    async def _drive(self, target: HashRing, park_early: bool,
-                     reason: str,
-                     outcome: Dict[str, Any]) -> Optional[KeyMigration]:
-        """Run the phases as a coordinator-owned task and supervise it:
-        a coordinator crash cancels the runner, and the supervisor fails
-        the migration over to an elected successor."""
-        node = self.deployment.nodes[self.coordinator]
-        task = node.spawn(
-            self._run_phases(target, park_early, reason, outcome),
-            name=f"placement-migrate-{reason}")
-        return await self._supervise(task, reason, outcome)
+    def _count_run(self, started: float) -> None:
+        self.metrics.counter("placement.migration.runs").inc()
+        self.metrics.histogram("placement.migration.duration").observe(
+            self.deployment.runtime.now() - started)
+        self._publish_gauges()
 
-    async def _supervise(self, task: Any, reason: str,
-                         outcome: Dict[str, Any]) -> Optional[KeyMigration]:
+    async def _supervise(self, task: Any,
+                         reason: str) -> Optional[KeyMigration]:
+        """Join a runner.  A coordinator crash cancels it: fail the plan
+        over to a successor in the same scheduler step and join that
+        runner instead.  Returns the last runner's migration (None when
+        it rolled back or never persisted its plan)."""
         runtime = self.deployment.runtime
-        deployment = self.deployment
         while True:
             try:
-                await runtime.join(task)
-                return outcome.get("migration")
+                return await runtime.join(task)
             except TaskCancelled:
-                coord = deployment.nodes.get(self.coordinator)
+                coord = self.deployment.nodes.get(self.coordinator)
                 if coord is not None and coord.up:
                     # The *supervisor* was cancelled (its node crashed),
-                    # not the runner: let the cancellation unwind.  An
-                    # orphaned runner finishes on its own; an orphaned
-                    # plan is picked up by on_member.
+                    # not the runner: let the cancellation unwind.  The
+                    # runner carries on; the next lock holder waits it
+                    # out.
                     raise
-                task = self._failover(reason, outcome)
+                task = self._resume(reason)
                 if task is None:
-                    return outcome.get("migration")
+                    return None
 
-    async def _run_phases(self, target: HashRing, park_early: bool,
-                          reason: str, outcome: Dict[str, Any]) -> None:
-        views = self.views
-        self._runner_active = True
-        try:
-            keys_by_shard = {}
-            for name in self.ring.nodes:
-                keys_by_shard[name] = await self._shard_keys(name)
-            moves = [ShardMove(source, dest, keys) for (source, dest), keys
-                     in plan_moves(target, keys_by_shard).items()]
-            migration = KeyMigration(
-                self.deployment, self.coordinator, moves, epoch=self.epoch,
-                dead=self.dead,
-                stable_prefix=StableKVStore.STABLE_PREFIX,
-                target=target, sources=self.ring.nodes,
-                views=views, phase_hook=self._fire_hook)
-            outcome["migration"] = migration
-            views.propose(self._plan_blob(target, migration, park_early,
-                                          reason, phase="warm"),
-                          reason=reason)
-            # Park by ownership change, not by the enumerated plan: a key
-            # created during the migration still parks if its range moves.
-            old = self.ring
+    def _resume(self, reason: str) -> Any:
+        """Hand the persisted plan to a live coordinator: a runner
+        resuming it from its phase, or None when there is no plan (the
+        crash landed before the proposal was persisted, or after the
+        commit cleared it: the view stands as it is)."""
+        plan = self.views.load_plan()
+        self._takeover(reason, plan)
+        if plan is None:
+            self._release()
+            return None
+        return self._spawn(self._phases(plan, reason, resumed=True),
+                           f"placement-recover-{reason}")
 
-            def moving(key: str) -> bool:
-                return old.route(key) != target.route(key)
+    def _spawn(self, runner: Any, name: str) -> Any:
+        self._runner = self.deployment.nodes[self.coordinator].spawn(
+            runner, name=name)
+        return self._runner
 
-            try:
-                if park_early:
-                    self._park(moving)
-                    await self._drain_inflight()
-                await migration.warm_transfer()
-                if not park_early:
-                    self._park(moving)
-                    await self._drain_inflight()
-                views.update_plan(phase="catchup")
-                self._fire_hook("catchup")
-                await migration.catch_up()
-                views.update_plan(phase="cutover",
-                                  moves=self._moves_blob(migration),
-                                  dead=sorted(self.dead))
-                self._fire_hook("cutover")
-                await migration.cutover()
-            except TaskCancelled:
-                # Coordinator crash: leave the gate closed and the plan
-                # persisted — the supervisor (or a recovery task) fails
-                # over to a successor.
-                raise
-            except BaseException:
-                # A migration error (e.g. a destination rejecting its
-                # ingest) aborts the reshape: the old view stands.
-                views.rollback(reason=f"{reason}:error")
-                self._release()
-                raise
-            self._commit(target, migration, reason)
-        finally:
-            self._runner_active = False
+    async def _fresh(self, target: HashRing, park_early: bool,
+                     reason: str) -> Optional[KeyMigration]:
+        """A reshape's runner: enumerate the keys, persist the plan at
+        ``warm``, run it.  The enumeration runs on the coordinator too,
+        so a crash before the proposal dies with it."""
+        keys_by_shard = {}
+        for name in self.ring.nodes:
+            keys_by_shard[name] = await self._shard_keys(name)
+        plan = {
+            "epoch": self.epoch,
+            "target_epoch": self.epoch + 1,
+            "phase": "warm",
+            "reason": reason,
+            "park_early": park_early,
+            "target": {"shards": list(target.nodes),
+                       "vnodes": target.vnodes, "seed": target.seed},
+            "sources": list(self.ring.nodes),
+            "moves": [{"source": source, "dest": dest, "keys": list(keys),
+                       "moved": 0} for (source, dest), keys
+                      in plan_moves(target, keys_by_shard).items()],
+            "dead": sorted(self.dead),
+        }
+        self.views.propose(plan, reason=reason)
+        return await self._phases(plan, reason, resumed=False)
 
-    async def _recover_phases(self, plan: Dict[str, Any], reason: str,
-                              outcome: Dict[str, Any]) -> None:
-        """Successor-side resumption: rebuild the migration from the
-        replicated plan and continue from its last persisted phase (or
-        roll it back)."""
+    async def _phases(self, plan: Dict[str, Any], reason: str,
+                      resumed: bool) -> Optional[KeyMigration]:
+        """The one phase runner: rebuild the migration from the plan and
+        run the steps of :data:`PLAN_PHASES` from the plan's phase on.
+        The only resume-only branch: a resumed ``warm`` plan rolls back
+        (nothing irreversible has happened yet) unless it is a drain,
+        whose dead source cannot serve the moving keys anyway."""
         views = self.views
         spec = plan["target"]
         target = HashRing(spec["shards"], vnodes=spec["vnodes"],
                           seed=spec["seed"])
-        park_early = bool(plan.get("park_early"))
-        phase = plan.get("phase", "warm")
-        self.dead.update(plan.get("dead", ()))
+        park_early = plan["park_early"]
+        phase = plan["phase"]
+        self.dead.update(plan["dead"])
         moves = []
         for blob in plan["moves"]:
             move = ShardMove(blob["source"], blob["dest"],
                              list(blob["keys"]))
-            move.moved = int(blob.get("moved", 0))
+            move.moved = blob["moved"]
             moves.append(move)
         migration = KeyMigration(
-            self.deployment, self.coordinator, moves,
-            epoch=int(plan["epoch"]), dead=self.dead,
-            stable_prefix=StableKVStore.STABLE_PREFIX,
-            target=target, sources=list(plan["sources"]),
-            views=views, phase_hook=self._fire_hook)
-        outcome["migration"] = migration
+            self.deployment, self.coordinator, moves, epoch=plan["epoch"],
+            views=views, target=target, dead=self.dead,
+            sources=list(plan["sources"]), phase_hook=self._fire_hook)
+        # Park by ownership change, not by the enumerated plan: a key
+        # created during the migration still parks if its range moves.
+        # The gate closes before the first step that needs the moving
+        # ranges quiet — a drain's warm transfer, else catch-up — and
+        # survives a coordinator crash (it lives on the plane).
         old = self.ring
 
         def moving(key: str) -> bool:
             return old.route(key) != target.route(key)
 
-        self._runner_active = True
+        quiet = "catchup" if phase == "warm" and not park_early else phase
         try:
-            try:
-                if phase == "warm" and not park_early:
-                    # Nothing irreversible has happened: the sources
-                    # were never mutated and the destinations hold only
-                    # warm-ingested copies.  Roll back.
-                    await migration.rollback()
-                    views.rollback(reason=f"{reason}:coordinator-crash")
-                    self._release()
-                    outcome["migration"] = None
-                    return
-                if phase == "warm":
-                    # A dead-shard drain resumes instead: its source
-                    # cannot serve the moving keys anyway.  Warm work is
-                    # idempotent (snapshot re-reads, ingest overwrites).
-                    if self._gate is None:
-                        self._park(moving)
-                    await self._drain_inflight()
-                    await migration.warm_transfer()
-                    views.update_plan(phase="catchup")
-                    self._fire_hook("catchup")
-                    await migration.catch_up()
-                    views.update_plan(phase="cutover",
-                                      moves=self._moves_blob(migration),
-                                      dead=sorted(self.dead))
-                    self._fire_hook("cutover")
-                    await migration.cutover()
-                elif phase == "catchup":
-                    # Catch-up never mutates the sources, so a full
-                    # re-run against the persisted warm snapshots is
-                    # idempotent.  The gate survived the crash (it lives
-                    # on the plane), so the quiet window still holds.
-                    migration.load_snapshots()
-                    if self._gate is None:
-                        self._park(moving)
-                    await self._drain_inflight()
-                    await migration.catch_up()
-                    views.update_plan(phase="cutover",
-                                      moves=self._moves_blob(migration),
-                                      dead=sorted(self.dead))
-                    self._fire_hook("cutover")
-                    await migration.cutover()
-                else:
-                    # Cutover: catch-up completed, so the persisted
-                    # manifest holds the final key sets.  Only the drops
-                    # may be partial; re-dropping is idempotent.
-                    # Re-running catch-up here would misread keys the
-                    # first cutover already dropped from a source as
-                    # deletions — and drop them from the destination.
-                    if self._gate is None:
-                        self._park(moving)
-                    await migration.cutover()
-            except TaskCancelled:
-                raise                   # next successor takes over
-            except BaseException:
-                views.rollback(reason=f"{reason}:error")
+            if resumed and phase == "warm" and not park_early:
+                await migration.rollback()
+                views.rollback(reason=f"{reason}:coordinator-crash")
                 self._release()
-                raise
-            self._commit(target, migration, reason)
-        finally:
-            self._runner_active = False
+                return None
+            for step in PLAN_PHASES[PLAN_PHASES.index(phase):]:
+                if step == quiet:
+                    if self._gate is None:
+                        self._park(moving)
+                    await self._drain_inflight()
+                if step != phase:
+                    # The marker is persisted before the step runs, so a
+                    # crash from here on resumes this step.
+                    views.update_plan(phase=step,
+                                      moves=self._moves_blob(migration),
+                                      dead=sorted(self.dead))
+                    self._fire_hook(step)
+                if step == "warm":
+                    await migration.warm_transfer()
+                elif step == "catchup":
+                    if phase == "catchup":
+                        migration.load_snapshots()
+                    await migration.catch_up()
+                else:
+                    # Catch-up completed, so the manifest holds the final
+                    # key sets and re-dropping is idempotent.  Re-running
+                    # catch-up here would misread keys an earlier cutover
+                    # already dropped from a source as deletions.
+                    await migration.cutover()
+        except TaskCancelled:
+            raise                       # the supervisor fails it over
+        except BaseException:
+            # A migration error (e.g. a destination rejecting its
+            # ingest) aborts the reshape: the old view stands.
+            views.rollback(reason=f"{reason}:error")
+            self._release()
+            raise
+        self._commit(target, reason)
+        return migration
 
-    def _commit(self, target: HashRing, migration: KeyMigration,
-                reason: str) -> None:
+    def _commit(self, target: HashRing, reason: str) -> None:
         """Cut the metadata over: new ring, epoch+1, plan retired, gate
         released.  Synchronous — no crash window between its steps."""
         views = self.views
@@ -698,22 +615,6 @@ class PlacementPlane:
         if hook is not None:
             hook(phase)
 
-    def _plan_blob(self, target: HashRing, migration: KeyMigration,
-                   park_early: bool, reason: str,
-                   phase: str) -> Dict[str, Any]:
-        return {
-            "epoch": self.epoch,
-            "target_epoch": self.epoch + 1,
-            "phase": phase,
-            "reason": reason,
-            "park_early": park_early,
-            "target": {"shards": list(target.nodes),
-                       "vnodes": target.vnodes, "seed": target.seed},
-            "sources": list(migration.sources),
-            "moves": self._moves_blob(migration),
-            "dead": sorted(self.dead),
-        }
-
     @staticmethod
     def _moves_blob(migration: KeyMigration) -> List[Dict[str, Any]]:
         return [{"source": move.source, "dest": move.dest,
@@ -728,17 +629,8 @@ class PlacementPlane:
             if result.ok:
                 return list(result.args or [])
             self.dead.add(name)
-        prefix = StableKVStore.STABLE_PREFIX
-        service = self.deployment.services.get(name)
-        if service is None:
-            return []
-        keys: Set[str] = set()
-        for pid in service.server_pids:
-            node = self.deployment.nodes.get(pid)
-            if node is not None:
-                keys.update(cell[len(prefix):] for cell
-                            in node.stable.keys_with_prefix(prefix))
-        return sorted(keys)
+        return sorted({key for _, _, key
+                       in stable_cells(self.deployment, name)})
 
     async def _wipe(self, name: str) -> None:
         """Clear a rejoining shard's leftover state (volatile + stable).
@@ -757,16 +649,8 @@ class PlacementPlane:
                                            "drop_keys",
                                            {"keys": leftover})
             return
-        prefix = StableKVStore.STABLE_PREFIX
-        service = self.deployment.services.get(name)
-        if service is None:
-            return
-        for pid in service.server_pids:
-            node = self.deployment.nodes.get(pid)
-            if node is None:
-                continue
-            for cell in list(node.stable.keys_with_prefix(prefix)):
-                node.stable.delete(cell)
+        for store, cell, _ in stable_cells(self.deployment, name):
+            store.delete(cell)
 
     def _park(self, keys: Any) -> None:
         """Close the gate: ``keys`` is a set of key strings or a

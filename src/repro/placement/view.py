@@ -234,9 +234,6 @@ class ViewManager:
     def epoch(self) -> int:
         return self.current.epoch
 
-    def stale(self, view_epoch: int) -> bool:
-        return view_epoch != self.current.epoch
-
     def redirect_result(self) -> CallResult:
         """The bounce a stale-epoch call receives instead of dispatch:
         the args carry the current epoch so the caller can re-pin."""

@@ -16,7 +16,7 @@ import pytest
 from repro import Deployment, HashRing, ServiceSpec, build_elastic_kv
 from repro.apps import StableKVStore
 from repro.errors import MigrationError, PlacementError
-from repro.placement import KeyMigration, MigrationState, ShardMove
+from repro.placement import KeyMigration, ShardMove, ViewManager
 from repro.placement.ring import plan_moves
 
 KEYS = [f"key-{i}" for i in range(400)]
@@ -303,6 +303,15 @@ def test_calls_issued_during_resize_all_complete():
 # ---------------------------------------------------------------------------
 
 
+def _hand_migration(dep, moves):
+    """A migration ``src -> dst`` driven phase by phase, its snapshots
+    persisted on the client node 101 (the one metadata replica)."""
+    views = ViewManager.ensure(dep)
+    views.replicas = [101]
+    return KeyMigration(dep, 101, moves, epoch=0, views=views,
+                        target=HashRing(["dst"]), sources=["src"])
+
+
 def test_catch_up_ships_racing_writes_and_deletes():
     dep = Deployment(seed=26)
     dep.add_service("src", ELASTIC_SPEC, StableKVStore,
@@ -317,11 +326,12 @@ def test_catch_up_ships_racing_writes_and_deletes():
 
     dep.run_scenario(seed())
     move = ShardMove("src", "dst", ["k1", "k2", "k3"])
-    migration = KeyMigration(dep, 101, [move], epoch=0,
-                             stable_prefix=StableKVStore.STABLE_PREFIX)
+    migration = _hand_migration(dep, [move])
 
     async def run():
         await migration.warm_transfer()
+        assert dep.nodes[101].stable.keys_with_prefix(
+            "placement.migration.") != []
         # Writes racing the warm phase: an update and a delete that the
         # destination's warm copy does not know about yet.
         assert (await dep.call(101, "src", "put",
@@ -331,10 +341,9 @@ def test_catch_up_ships_racing_writes_and_deletes():
         await migration.cutover()
 
     dep.run_scenario(run())
-    assert move.state is MigrationState.DONE
     assert dep.services["dst"].app(2).data == {"k1": 99, "k3": 3}
     assert dep.services["src"].app(1).data == {}
-    # The coordinator's crash-safety snapshot was freed at cutover.
+    # The replicated crash-safety snapshot was freed at cutover.
     assert dep.nodes[101].stable.keys_with_prefix(
         "placement.migration.") == []
 
@@ -354,11 +363,8 @@ def test_catch_up_ships_keys_created_after_planning():
                                    {"key": key, "value": value})).ok
 
     dep.run_scenario(seed())
-    target = HashRing(["dst"])           # everything departs src
     move = ShardMove("src", "dst", ["k1", "k2"])
-    migration = KeyMigration(dep, 101, [move], epoch=0,
-                             stable_prefix=StableKVStore.STABLE_PREFIX,
-                             target=target, sources=["src"])
+    migration = _hand_migration(dep, [move])  # everything departs src
 
     async def run():
         await migration.warm_transfer()
@@ -382,9 +388,7 @@ def test_unplanned_departures_get_their_own_move():
                     servers=[1], clients=[101])
     dep.add_service("dst", ELASTIC_SPEC, StableKVStore,
                     servers=[2], clients=[101])
-    migration = KeyMigration(dep, 101, [], epoch=0,
-                             stable_prefix=StableKVStore.STABLE_PREFIX,
-                             target=HashRing(["dst"]), sources=["src"])
+    migration = _hand_migration(dep, [])
 
     async def run():
         await migration.warm_transfer()  # no planned moves: a no-op

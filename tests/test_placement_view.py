@@ -8,7 +8,9 @@ coordinator-failover matrix: a coordinator killed at each migration
 phase is either rolled back or resumed by an elected successor with
 every acknowledged write intact — including when the migration's
 supervising caller dies *with* the coordinator and recovery must start
-from the membership stream alone.
+from the membership stream alone.  The lock rule closes it: a reshape
+queued behind a migration whose supervisor died waits that runner out,
+or takes its plan over, before it reshapes.
 """
 
 import pytest
@@ -384,6 +386,99 @@ def test_orphaned_plan_recovered_without_a_rebind_driver():
     assert len(plane.ring) == 4
     assert plane.coordinator == worker
     assert dep.views.load_plan() is None
+
+
+def _queued_grow_race(phase, *, kill_coordinator):
+    """Grow A runs under a supervisor on a non-coordinator client; grow B
+    queues on the migration lock behind it, from the third client, at
+    A's ``snapshot`` hook.  A's supervisor node is crashed at ``phase``
+    (and, with ``kill_coordinator``, the coordinator 0.1 ms later).
+
+    Returns the plane, B's outcome, and the acknowledged keys that do
+    not read back."""
+    from repro.errors import PlacementError
+    from repro.placement import ElasticKV
+    dep = Deployment(seed=40, observatory=True)
+    plane, kv = build_elastic_kv(dep, 3, clients=3)
+    coordinator = plane.coordinator
+    supervisor, worker = [p for p in plane.coordinators
+                          if p != coordinator]
+    values = {}
+    _preload(dep, kv, values)
+    fired = set()
+    queued = {}
+
+    async def grow_b():
+        try:
+            queued["shard"] = (await plane.add_shard()).name
+        except PlacementError:
+            queued["raised"] = True
+
+    async def killer():
+        dep.crash(supervisor)
+        if kill_coordinator:
+            await dep.runtime.sleep(0.0001)
+            dep.crash(coordinator)
+
+    def hook(p):
+        if p == "snapshot" and "queue" not in fired:
+            fired.add("queue")
+            dep.spawn_client(worker, grow_b(), name="grow-b")
+        if p == phase and "kill" not in fired:
+            fired.add("kill")
+            dep.runtime.spawn(killer(), name="killer", daemon=True)
+
+    plane.phase_hook = hook
+    audit_kv = ElasticKV(plane, worker)
+    missing = []
+
+    async def scenario():
+        runtime = dep.runtime
+        dep.spawn_client(supervisor, plane.add_shard(), name="grow-a")
+        deadline = runtime.now() + 20.0
+        while not queued and runtime.now() < deadline:
+            await runtime.sleep(0.05)
+        assert queued, "the queued grow never finished"
+        for key in KEYS:
+            result = await audit_kv.get(key)
+            if not (result.ok and result.args == values[key]):
+                missing.append(key)
+
+    dep.run_scenario(scenario(), extra_time=0.5)
+    return dep, plane, queued, missing
+
+
+@pytest.mark.parametrize("phase", ["transfer", "catchup"])
+def test_queued_reshape_waits_out_an_orphaned_runner(phase):
+    """A reshape that takes the migration lock from a dead supervisor
+    must let the still-running migration finish, then reshape the ring
+    that migration committed — not run a second migration beside it."""
+    dep, plane, queued, missing = _queued_grow_race(
+        phase, kill_coordinator=False)
+    assert missing == []
+    assert queued == {"shard": "shard-4"}
+    assert {"shard-3", "shard-4"} <= set(plane.ring.nodes)
+    assert plane.epoch == 2
+    assert dep.views.load_plan() is None
+    for key in KEYS:
+        holders = [name for name in plane.ring.nodes
+                   if key in dep.services[name].app(
+                       dep.services[name].server_pids[0]).data]
+        assert holders == [plane.ring.route(key)], key
+
+
+@pytest.mark.parametrize("phase", ["snapshot", "transfer"])
+def test_queued_reshape_finishes_an_orphaned_plan_before_its_own(phase):
+    """Supervisor, then coordinator: the queued reshape holds the lock
+    when the orphaned runner dies, so it must take the orphaned plan
+    over first — and still put its own shard on the ring (or raise),
+    never return with it missing."""
+    dep, plane, queued, missing = _queued_grow_race(
+        phase, kill_coordinator=True)
+    assert missing == []
+    assert dep.views.load_plan() is None
+    if "shard" in queued:
+        assert queued["shard"] in plane.ring
 
 
 def test_idle_coordinator_crash_is_a_quiet_takeover():
