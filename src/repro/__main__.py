@@ -14,7 +14,7 @@ Commands
                 (Zipfian workload + an injected server crash) and print
                 the one-page health report
 ``obslint``     run the static observability lints (micro-protocol
-                registration, metric-namespace catalog)
+                registration, metric-namespace catalog and its emitters)
 ``adapt``       live-adaptation demo: switch a running Total Order
                 group to FIFO under load (and back) with zero lost
                 calls, printing per-phase latency and the switch
@@ -240,9 +240,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_obslint(args: argparse.Namespace) -> int:
     """Static observability lints; exit 1 on any violation."""
-    from repro.analysis.obslint import (check_metric_names,
+    from repro.analysis.obslint import (check_metric_emitters,
+                                        check_metric_names,
                                         check_obs_registration)
-    results = [check_obs_registration()]
+    results = [check_obs_registration(), check_metric_emitters()]
     # Validate a live registry against the namespace catalog: a tiny
     # observatory-enabled deployment exercises every instrument family.
     from repro.core.deployment import Deployment

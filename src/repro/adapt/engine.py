@@ -60,6 +60,9 @@ from repro.obs import register_protocol
 
 __all__ = ["AdaptationFence", "AdaptationManager", "AdaptationReport"]
 
+#: Virtual seconds between two quiescence checks while a switch drains.
+DRAIN_POLL = 0.005
+
 #: Construction parameters per micro-protocol name.  An instance is
 #: *kept* across a switch (registrations and state intact) only when its
 #: protocol appears in both compositions with equal values for all of
@@ -194,8 +197,7 @@ class AdaptationManager:
     async def adapt(self, service: str,
                     target: Union[ServiceSpec, AdaptationPlan], *,
                     reason: str = "",
-                    drain_timeout: Optional[float] = None,
-                    drain_poll: Optional[float] = None
+                    drain_timeout: Optional[float] = None
                     ) -> AdaptationReport:
         """Reconfigure a running service onto ``target``.
 
@@ -212,8 +214,7 @@ class AdaptationManager:
         admitted call would deadlock its own drain).
         """
         svc = self.deployment.service(service)
-        plan = self._as_plan(service, target, reason,
-                             drain_timeout, drain_poll)
+        plan = self._as_plan(service, target, reason, drain_timeout)
         if service in self._gates:
             raise AdaptationError(
                 f"service {service!r} is already mid-adaptation; "
@@ -279,7 +280,7 @@ class AdaptationManager:
                     f"service {service!r} did not quiesce within "
                     f"{plan.drain_timeout} virtual seconds; the running "
                     f"composition is unchanged")
-            await runtime.sleep(plan.drain_poll)
+            await runtime.sleep(DRAIN_POLL)
         drain_s = runtime.now() - start
 
         # -- switch (synchronous: atomic in virtual time) --------------
@@ -326,8 +327,8 @@ class AdaptationManager:
 
     def _as_plan(self, service: str,
                  target: Union[ServiceSpec, AdaptationPlan],
-                 reason: str, drain_timeout: Optional[float],
-                 drain_poll: Optional[float]) -> AdaptationPlan:
+                 reason: str,
+                 drain_timeout: Optional[float]) -> AdaptationPlan:
         if isinstance(target, AdaptationPlan):
             if target.service != service:
                 raise ConfigurationError(
@@ -345,8 +346,6 @@ class AdaptationManager:
             changes["reason"] = reason
         if drain_timeout is not None:
             changes["drain_timeout"] = drain_timeout
-        if drain_poll is not None:
-            changes["drain_poll"] = drain_poll
         return plan.with_(**changes) if changes else plan
 
     def _quiesced(self, svc: Any, require_empty: bool) -> bool:

@@ -34,7 +34,7 @@ class AdaptationPlan:
     ``from_spec`` optionally pins the composition the plan was drawn
     against; the engine rejects the plan if the service has since been
     adapted elsewhere (a stale plan must not silently overwrite a newer
-    composition).  ``drain_timeout``/``drain_poll`` are virtual seconds.
+    composition).  ``drain_timeout`` is in virtual seconds.
     """
 
     service: str
@@ -42,7 +42,6 @@ class AdaptationPlan:
     from_spec: Optional[ServiceSpec] = None
     reason: str = ""
     drain_timeout: float = 30.0
-    drain_poll: float = 0.005
 
     def with_(self, **changes: Any) -> "AdaptationPlan":
         return replace(self, **changes)
@@ -79,8 +78,6 @@ def validate_plan(plan: AdaptationPlan, *,
     """
     if plan.drain_timeout <= 0:
         raise ConfigurationError("adaptation drain_timeout must be > 0")
-    if plan.drain_poll <= 0:
-        raise ConfigurationError("adaptation drain_poll must be > 0")
     if plan.from_spec is not None and plan.from_spec != current:
         raise ConfigurationError(
             f"stale adaptation plan for {plan.service!r}: the plan was "

@@ -12,6 +12,7 @@ from repro.analysis.checkers import (
 )
 from repro.analysis.obslint import (
     METRIC_NAMESPACES,
+    check_metric_emitters,
     check_metric_names,
     check_obs_registration,
     known_metric_prefixes,
@@ -27,6 +28,7 @@ __all__ = [
     "check_total_order_cluster",
     "check_exactly_once_cluster",
     "check_obs_registration",
+    "check_metric_emitters",
     "check_metric_names",
     "known_metric_prefixes",
     "METRIC_NAMESPACES",

@@ -20,18 +20,21 @@ namespaces components may land instruments under
 registry snapshot against it.  Dashboards and exporters key off these
 prefixes, so an instrument outside the catalog is almost always a typo
 or an undocumented namespace that belongs in ``docs/observability.md``.
+The converse drift — a namespace nothing emits any more — is caught by
+:func:`check_metric_emitters`, which scans the package source.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.analysis.checkers import CheckResult
 
 __all__ = [
     "METRIC_NAMESPACES",
+    "check_metric_emitters",
     "check_metric_names",
     "check_obs_registration",
     "known_metric_prefixes",
@@ -48,8 +51,6 @@ METRIC_NAMESPACES: Dict[str, str] = {
                   "blocked-sender waits)",
     "net.fastlane.": "wire pipeline: control messages bypassing "
                      "batching and budgets",
-    "net.link.": "wire pipeline: optional per-link delivery counters "
-                 "and latency histograms",
     "net.": "fabric trace kinds (send, deliver, drop-*, duplicate, "
             "crash, recover) and envelope counts",
     "handler.": "event-bus handler executions per micro-protocol",
@@ -99,6 +100,40 @@ def check_metric_names(names: Iterable[str]) -> CheckResult:
                    for p in prefixes)
     ]
     return CheckResult("metric-names", not violations, violations)
+
+
+def _string_heads(tree: ast.AST) -> Iterator[str]:
+    """Every string literal in ``tree``, f-string heads included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def check_metric_emitters() -> CheckResult:
+    """Every catalog namespace has an emitter in the package source.
+
+    An emitter is a string literal or f-string head (AST, no imports
+    executed) whose longest matching catalog prefix is that namespace:
+    ``"net.batch.messages"`` emits ``net.batch.``, not ``net.``.  The
+    catalog's own module does not count.
+    """
+    this = Path(__file__).resolve()
+    root = this.parents[1]
+    prefixes = known_metric_prefixes()
+    emitted: Set[str] = set()
+    for path in sorted(root.rglob("*.py")):
+        if path.resolve() == this:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for text in _string_heads(tree):
+            prefix = next((p for p in prefixes if text.startswith(p)), None)
+            if prefix is not None:
+                emitted.add(prefix)
+    violations = [f"namespace {prefix!r} is catalogued but nothing under "
+                  f"{root} emits it"
+                  for prefix in sorted(METRIC_NAMESPACES)
+                  if prefix not in emitted]
+    return CheckResult("metric-emitters", not violations, violations)
 
 #: Modules that legitimately define no micro-protocol class of their own.
 _EXEMPT = {"__init__.py", "base.py"}

@@ -252,7 +252,6 @@ def build_sharded_kv(deployment: Any, n_shards: int, *,
                      specs: Optional[Sequence[ServiceSpec]] = None,
                      servers_per_shard: int = 1,
                      clients: Union[int, Sequence[int]] = 1,
-                     name_prefix: str = "shard",
                      app_factory: Any = KVStore,
                      vnodes: int = 64,
                      seed: int = 0,
@@ -306,7 +305,7 @@ def build_sharded_kv(deployment: Any, n_shards: int, *,
     first = None
     names: List[str] = []
     for i in range(n_shards):
-        name = f"{name_prefix}-{i}"
+        name = f"shard-{i}"
         svc = deployment.add_service(
             name, specs[i], app_factory,
             servers=(servers_per_shard if rspecs is None

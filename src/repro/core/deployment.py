@@ -172,7 +172,6 @@ class Deployment:
                  keep_trace: bool = True,
                  obs: Union[bool, Recorder] = False,
                  observatory: Union[bool, ObservatoryConfig] = False,
-                 reply_cache: int = 128,
                  runtime: Optional[SimRuntime] = None,
                  wire: Optional[WireConfig] = None):
         """``membership`` is ``None``, ``"oracle"`` or ``"heartbeat"``,
@@ -180,8 +179,8 @@ class Deployment:
         one detector per node feeds every composite the node hosts.
 
         ``obs`` turns on the observability layer exactly as on
-        :class:`~repro.core.service.ServiceCluster`: ``True`` creates an
-        enabled :class:`~repro.obs.Recorder` sharing the deployment's
+        :class:`~repro.core.service.ServiceCluster`: ``True`` creates a
+        :class:`~repro.obs.Recorder` sharing the deployment's
         metrics registry; pass a pre-built recorder to control it
         yourself.  ``deployment.metrics`` always exists.
 
@@ -207,8 +206,7 @@ class Deployment:
             recorder = None
         #: Deployment-wide instrument table (``net.*``, ``handler.*``,
         #: ``kernel.*``, ``service.<name>.*`` ...).
-        self.metrics = (recorder.metrics
-                        if recorder is not None and recorder.enabled
+        self.metrics = (recorder.metrics if recorder is not None
                         else MetricsRegistry())
         # Must precede node construction: composites and buses capture
         # runtime.obs once, at attach time.
@@ -226,7 +224,7 @@ class Deployment:
         self.services: Dict[str, Service] = {}
         #: Per-service LRU of ``(client, call_id) -> CallResult``:
         #: retried calls after a rebind are answered here without
-        #: re-execution (``reply_cache=0`` disables).
+        #: re-execution.
         self.reply_caches: Dict[str, ReplyCache] = {}
         # Per-service call instruments, resolved once per service name:
         # (calls Counter, latency histogram name, status-value -> Counter).
@@ -234,7 +232,6 @@ class Deployment:
         # objects stay valid; histograms are dropped on reset, so only
         # the prebuilt *name* is cached and the object re-resolved.
         self._call_instruments: Dict[str, tuple] = {}
-        self._reply_cache_capacity = reply_cache
         self.nodes: Dict[int, Node] = {}
         self.demuxes: Dict[int, TypeDemux] = {}
         #: Per-node service router (NetMsg service key -> composite).
@@ -341,7 +338,7 @@ class Deployment:
         for pid in client_pids:
             self._build_composite(svc, pid, None)
         self.services[name] = svc
-        self.reply_caches[name] = ReplyCache(self._reply_cache_capacity)
+        self.reply_caches[name] = ReplyCache()
         self._connect_membership(svc)
         return svc
 
@@ -565,7 +562,7 @@ class Deployment:
         else:
             self.fabric.unwatch_membership(watcher)
 
-    def auto_rebind(self, *, plane: Any = None, regrow: bool = True):
+    def auto_rebind(self, *, plane: Any = None):
         """Drive :meth:`rebind` from the membership service.
 
         Returns the installed :class:`~repro.placement.driver.
@@ -574,7 +571,7 @@ class Deployment:
         whose last server died is drained onto the surviving shards.
         """
         from repro.placement.driver import RebindDriver
-        return RebindDriver(self, plane=plane, regrow=regrow)
+        return RebindDriver(self, plane=plane)
 
     # ------------------------------------------------------------------
     # Live adaptation
@@ -582,8 +579,7 @@ class Deployment:
 
     async def adapt(self, service: str, target: Any, *,
                     reason: str = "",
-                    drain_timeout: Optional[float] = None,
-                    drain_poll: Optional[float] = None) -> Any:
+                    drain_timeout: Optional[float] = None) -> Any:
         """Reconfigure a *running* service's micro-protocol composition.
 
         ``target`` is the new :class:`~repro.core.config.ServiceSpec`
@@ -598,8 +594,7 @@ class Deployment:
         """
         from repro.adapt.engine import AdaptationManager
         return await AdaptationManager.ensure(self).adapt(
-            service, target, reason=reason, drain_timeout=drain_timeout,
-            drain_poll=drain_poll)
+            service, target, reason=reason, drain_timeout=drain_timeout)
 
     def auto_adapt(self, **kwargs: Any):
         """Drive :meth:`adapt` from the membership service.

@@ -51,15 +51,14 @@ class TracePoint:
 class CallTraceLog:
     """Shared sink for every observer in a deployment.
 
-    Optionally mirrors into an enabled
-    :class:`~repro.obs.recorder.Recorder` (as ``call.point`` event
-    records); pass ``recorder=None`` for the standalone behavior.
+    Optionally mirrors into a :class:`~repro.obs.recorder.Recorder` (as
+    ``call.point`` event records); pass ``recorder=None`` for the
+    standalone behavior.
     """
 
     def __init__(self, recorder: Any = None) -> None:
         self._points: Dict[CallKey, List[TracePoint]] = {}
-        self.recorder = (recorder if recorder is not None
-                         and getattr(recorder, "enabled", False) else None)
+        self.recorder = recorder
 
     def record(self, key: CallKey, point: TracePoint) -> None:
         self._points.setdefault(key, []).append(point)

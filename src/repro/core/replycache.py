@@ -32,8 +32,8 @@ class ReplyCache:
     """A bounded LRU of ``(client_pid, call_id) -> CallResult``."""
 
     def __init__(self, capacity: int = 128):
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[Tuple[int, int], CallResult]" = \
             OrderedDict()
@@ -63,8 +63,6 @@ class ReplyCache:
         """Remember a completed reply (successful results only make
         sense here; the caller filters).  ``epoch`` optionally records
         the placement-view epoch the call completed under."""
-        if self.capacity == 0:
-            return
         key = (client_pid, call_id)
         self._entries[key] = result
         self._entries.move_to_end(key)

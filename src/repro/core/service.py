@@ -58,11 +58,10 @@ class ServiceCluster:
         into every composite and exposes the shared timeline as
         ``cluster.call_log``.
 
-        ``obs`` turns on the observability layer: ``True`` creates an
-        enabled :class:`~repro.obs.Recorder` sharing the cluster's
-        metrics registry; pass a pre-built recorder to control it
-        yourself (a recorder with ``enabled=False`` keeps every
-        instrumented component on its untraced path).  The metrics
+        ``obs`` turns on the observability layer: ``True`` creates a
+        :class:`~repro.obs.Recorder` sharing the cluster's metrics
+        registry; pass a pre-built recorder to control it yourself.
+        The metrics
         registry itself (``cluster.metrics``) always exists — the fabric
         counts messages through it regardless.
         """

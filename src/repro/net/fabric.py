@@ -260,9 +260,6 @@ class NetworkFabric:
         resolve = envelope.on_resolved
         if resolve is not None:
             resolve()
-        if self.pipeline.link_metrics:
-            self.pipeline.on_delivered(src, dst, len(inner),
-                                       now - envelope.send_time)
         node.deliver(envelope)
 
     def _drop(self, kind: str, now: float, src: ProcessId, dst: ProcessId,

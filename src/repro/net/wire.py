@@ -41,14 +41,12 @@ The pipeline is composed of small, configurable stages::
   envelope (delivered, or dropped by loss/partition/filter/crash).
 * **Fast lane** — small control messages (payload types carrying a
   truthy ``wire_control`` class attribute, e.g. membership
-  ``Heartbeat``\\ s) bypass both the coalescing buffer and the budget,
-  so failure detectors are not head-of-line blocked behind bulk RPC
-  traffic.
+  ``Heartbeat``\\ s) always bypass both the coalescing buffer and the
+  budget, so failure detectors are not head-of-line blocked behind bulk
+  RPC traffic.
 * **Metrics** — the pipeline lands ``net.batch.*``, ``net.queue.*`` and
   ``net.fastlane.*`` instruments in the deployment's shared registry,
-  plus per-link flush histograms (``net.batch.flush.<src>-<dst>``) and,
-  with ``link_metrics=True``, per-link delivery counters and latency
-  histograms (``net.link.*``).
+  plus per-link flush histograms (``net.batch.flush.<src>-<dst>``).
 
 With the default :class:`WireConfig` every stage is pass-through and the
 pipeline reproduces the old per-message path exactly — same RNG draws,
@@ -93,19 +91,6 @@ class WireConfig:
     max_batch_bytes: int = 4096
     #: Per-link in-flight budget; senders await above it.  0 = unbounded.
     queue_depth: int = 0
-    #: Let ``wire_control`` payloads (heartbeats) bypass batching and
-    #: the queue budget.
-    fast_lane: bool = True
-    #: Record per-link delivery counters and latency histograms
-    #: (``net.link.*``); off by default to keep big runs lean.
-    link_metrics: bool = False
-    #: Adapt the batch caps at runtime from the observed ``net.batch.*``
-    #: / ``net.queue.*`` metrics (see :meth:`WirePipeline._tune_tick`).
-    #: Off by default: the static config stays the reference behaviour.
-    #: Only meaningful together with ``batch=True``.
-    auto_tune: bool = False
-    #: Virtual-time spacing of auto-tune adjustments.
-    tune_interval: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_batch_msgs < 1:
@@ -114,8 +99,6 @@ class WireConfig:
             raise ValueError("max_batch_bytes must be >= 1")
         if self.queue_depth < 0:
             raise ValueError("queue_depth must be >= 0")
-        if self.tune_interval <= 0:
-            raise ValueError("tune_interval must be > 0")
 
 
 class WireBatch:
@@ -198,8 +181,6 @@ class WirePipeline:
         # Unpacked for the hot path.
         self.batch = self.config.batch
         self.queue_depth = self.config.queue_depth
-        self.fast_lane = self.config.fast_lane
-        self.link_metrics = self.config.link_metrics
         self.max_batch_msgs = self.config.max_batch_msgs
         self.max_batch_bytes = self.config.max_batch_bytes
         #: Plain path: no stage is active, sends go straight down.
@@ -219,18 +200,6 @@ class WirePipeline:
         self._ctr_flush_round = self.metrics.counter(
             "net.batch.flush.round")
         self._ctr_batch_envs = self.metrics.counter("net.batch.envelopes")
-        # Per-link delivery instruments (link_metrics mode), cached so a
-        # delivery doesn't rebuild the instrument names each time.
-        self._delivery_instruments: Dict[Tuple[ProcessId, ProcessId],
-                                         tuple] = {}
-        # Auto-tune state: the tick timer is armed lazily by traffic and
-        # disarms itself when the link goes quiet, so an idle deployment
-        # schedules no timers (run_until_idle still terminates).
-        self.auto_tune = self.config.auto_tune and self.batch
-        self.tune_interval = self.config.tune_interval
-        self._tune_armed = False
-        self._tune_last: Dict[str, float] = {}
-        self.tune_adjustments = 0
 
     # ------------------------------------------------------------------
     # Sending
@@ -249,7 +218,7 @@ class WirePipeline:
         :meth:`multicast`), which the caller must await: it may block on
         the link's budget.
         """
-        control = self.fast_lane and is_control(payload)
+        control = is_control(payload)
         group = isinstance(dest, (Group, list, tuple, set, frozenset))
         if not control and not self._passthrough:
             return (self.multicast(src, dest, payload) if group
@@ -324,9 +293,6 @@ class WirePipeline:
             # (timers fire only once the ready queue drains).
             self.runtime.call_later(0.0,
                                     lambda: self._round_flush(link))
-        if self.auto_tune and not self._tune_armed:
-            self._tune_armed = True
-            self.runtime.call_later(self.tune_interval, self._tune_tick)
 
     # ------------------------------------------------------------------
     # Coalescing internals
@@ -378,74 +344,6 @@ class WirePipeline:
         self.fabric.send(link.src, link.dst, payload,
                          resolve=self._resolver(link, n))
 
-    # ------------------------------------------------------------------
-    # Batch-cap auto-tuning
-    # ------------------------------------------------------------------
-
-    #: Hard bounds the tuner never leaves, whatever the load looks like.
-    TUNE_MIN_MSGS = 2
-    TUNE_MAX_MSGS = 256
-    TUNE_MIN_BYTES = 512
-    TUNE_MAX_BYTES = 1 << 16
-
-    def _tune_tick(self) -> None:
-        """One deterministic adjustment of the live batch caps.
-
-        Driven entirely by virtual time and the deployment's own
-        ``net.batch.*`` / ``net.queue.*`` counters — no wall clock, no
-        randomness — so a seeded run tunes identically every time.  The
-        policy reads the interval's deltas:
-
-        * cap-flush dominated (or senders hit backpressure): the caps
-          are throttling an offered load that could coalesce further —
-          double both caps;
-        * round-flush dominated with batches far below the message cap:
-          the caps are oversized for the traffic — halve them toward
-          the observed occupancy;
-
-        always staying inside ``TUNE_MIN/MAX``.  The static
-        :class:`WireConfig` is never mutated; the live caps are the
-        pipeline's own unpacked attributes, and ``config`` remains the
-        reference the pipeline was built from.
-        """
-        self._tune_armed = False
-        cap = self._ctr_flush_cap.value
-        rnd = self._ctr_flush_round.value
-        msgs = self._ctr_batch_msgs.value
-        waits = self._ctr_waits.value
-        last = self._tune_last
-        d_cap = cap - last.get("cap", 0)
-        d_rnd = rnd - last.get("rnd", 0)
-        d_msgs = msgs - last.get("msgs", 0)
-        d_waits = waits - last.get("waits", 0)
-        self._tune_last = {"cap": cap, "rnd": rnd, "msgs": msgs,
-                           "waits": waits}
-        flushes = d_cap + d_rnd
-        if not flushes:
-            return
-        occupancy = d_msgs / flushes
-        if d_cap > d_rnd or d_waits > 0:
-            new_msgs = min(self.TUNE_MAX_MSGS, self.max_batch_msgs * 2)
-            new_bytes = min(self.TUNE_MAX_BYTES, self.max_batch_bytes * 2)
-        elif occupancy * 4 <= self.max_batch_msgs:
-            new_msgs = max(self.TUNE_MIN_MSGS, self.max_batch_msgs // 2)
-            new_bytes = max(self.TUNE_MIN_BYTES, self.max_batch_bytes // 2)
-        else:
-            return
-        if (new_msgs, new_bytes) == (self.max_batch_msgs,
-                                     self.max_batch_bytes):
-            return
-        self.max_batch_msgs = new_msgs
-        self.max_batch_bytes = new_bytes
-        self.tune_adjustments += 1
-        self.metrics.counter("net.batch.tune.adjust").inc()
-        self.metrics.gauge("net.batch.tuned.msgs").set(new_msgs)
-        self.metrics.gauge("net.batch.tuned.bytes").set(new_bytes)
-        if self.flight is not None:
-            self.flight.note("wire-tune", max_batch_msgs=new_msgs,
-                             max_batch_bytes=new_bytes,
-                             occupancy=round(occupancy, 2))
-
     def drop_source(self, pid: ProcessId) -> int:
         """Discard every message ``pid`` still has buffered (it crashed).
 
@@ -494,24 +392,6 @@ class WirePipeline:
         link.depth_gauge.set(link.inflight)
         for _ in range(n):
             link.credits.release()
-
-    # ------------------------------------------------------------------
-    # Delivery-side accounting (called by the fabric)
-    # ------------------------------------------------------------------
-
-    def on_delivered(self, src: ProcessId, dst: ProcessId, n_messages: int,
-                     latency: float) -> None:
-        """Per-link delivery instruments (only when ``link_metrics``)."""
-        key = (src, dst)
-        instruments = self._delivery_instruments.get(key)
-        if instruments is None:
-            instruments = (
-                self.metrics.counter(f"net.link.delivered.{src}-{dst}"),
-                self.metrics.histogram(f"net.link.latency.{src}-{dst}"))
-            self._delivery_instruments[key] = instruments
-        counter, hist = instruments
-        counter.inc(n_messages)
-        hist.observe(latency)
 
     # ------------------------------------------------------------------
     # Introspection (tests, benchmarks)

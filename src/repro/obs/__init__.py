@@ -22,10 +22,10 @@ fabric:
   (:mod:`repro.obs.slo`), a bounded flight recorder
   (:mod:`repro.obs.flight`), and the ``python -m repro report`` CLI.
 
-Disabled is the default and costs (nearly) nothing: the recorder is
-checked once at :meth:`~repro.runtime.SimRuntime.attach_obs` time and
-instrumented components store ``None``, leaving their hot paths on the
-untraced branch (see ``tests/test_obs_overhead.py``).
+Disabled is the default and costs (nearly) nothing: no recorder is
+attached (:meth:`~repro.runtime.SimRuntime.attach_obs` with ``None``)
+and instrumented components store ``None``, leaving their hot paths on
+the untraced branch (see ``tests/test_obs_overhead.py``).
 """
 
 from repro.obs.export import (

@@ -166,11 +166,10 @@ class MetricsRegistry:
     ``net.send`` or ``handler.Reliable_Communication``).
     """
 
-    def __init__(self, *, default_reservoir: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._default_reservoir = default_reservoir
 
     # -- instrument access (create on first use) -------------------------
 
@@ -189,8 +188,7 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         inst = self._histograms.get(name)
         if inst is None:
-            inst = self._histograms[name] = Histogram(
-                name, reservoir=self._default_reservoir)
+            inst = self._histograms[name] = Histogram(name)
         return inst
 
     # -- read-only views --------------------------------------------------

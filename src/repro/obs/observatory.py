@@ -54,23 +54,14 @@ def _marshal_module():
 
 @dataclass(frozen=True)
 class ObservatoryConfig:
-    """Knobs for the measurement plane."""
+    """The SLO breach rule; every instrument keeps its default size,
+    and every breach dumps the flight recorder."""
 
-    #: Kernel step sampling period (1 = every step).
-    sample_every: int = 1
-    #: Hot-key counters per shard (space-saving sketch budget).
-    top_k: int = 8
-    #: Rolling latency window size per service.
-    slo_window: int = 128
     #: Percentile -> latency bound in virtual seconds ({} = watermarks
     #: only, no breach detection).
     slo_thresholds: Dict[int, float] = field(default_factory=dict)
     #: Observations a window needs before breaches are judged.
     slo_min_samples: int = 16
-    #: Flight-recorder ring capacity.
-    recorder_capacity: int = 256
-    #: Dump the flight recorder automatically on an SLO breach.
-    dump_on_breach: bool = True
 
 
 class Observatory:
@@ -82,17 +73,13 @@ class Observatory:
         self.deployment = deployment
         metrics = deployment.metrics
         runtime = deployment.runtime
-        self.profiler = KernelProfiler(sample_every=cfg.sample_every)
-        self.load = KeyLoadTracker(metrics, top_k=cfg.top_k)
-        self.slo = SloTracker(metrics, window=cfg.slo_window,
-                              thresholds=cfg.slo_thresholds,
+        self.profiler = KernelProfiler()
+        self.load = KeyLoadTracker(metrics)
+        self.slo = SloTracker(metrics, thresholds=cfg.slo_thresholds,
                               min_samples=cfg.slo_min_samples,
                               clock=runtime.now)
-        self.flight = FlightRecorder(metrics,
-                                     capacity=cfg.recorder_capacity,
-                                     clock=runtime.now)
-        if cfg.dump_on_breach:
-            self.slo.on_breach = self._dump_on_breach
+        self.flight = FlightRecorder(metrics, clock=runtime.now)
+        self.slo.on_breach = self._dump_on_breach
         # Hook installation.  Order matters only for the profiler: it
         # must be attached before composites (and their event buses) are
         # built, which Deployment guarantees by constructing the

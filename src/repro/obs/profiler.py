@@ -8,10 +8,10 @@ handler), not the Python frame.  :class:`KernelProfiler` therefore
 profiles at the seams the framework already has:
 
 * **kernel steps** — a sampling hook in :meth:`repro.sim.kernel.Kernel.
-  _step`: every ``sample_every``-th step captures ``perf_counter``, and
-  the wall-clock delta between consecutive samples is attributed to the
-  earlier sample's task *kind* (:func:`task_kind`; start-to-start
-  attribution, the classic sampling-profiler scheme).  A task's site is
+  _step`: every step captures ``perf_counter``, and the wall-clock delta
+  between consecutive samples is attributed to the earlier sample's
+  task *kind* (:func:`task_kind`; start-to-start attribution, the
+  classic sampling-profiler scheme).  A task's site is
   resolved once and cached in ``task.tags``, so the table is as large as
   the deployment's shape, not its call count.  This is the only
   wall-clock measurement in the system — everything else is virtual
@@ -120,10 +120,7 @@ class KernelProfiler:
     marshaller.  One instance per deployment, owned by the observatory.
     """
 
-    def __init__(self, *, sample_every: int = 1):
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        self.sample_every = sample_every
+    def __init__(self) -> None:
         # -- step sampler (wall clock) --
         self.steps_seen = 0
         #: The site of the latest sample and when it was taken.
@@ -150,14 +147,12 @@ class KernelProfiler:
     def on_step(self, task: Any) -> None:
         """Installed as ``kernel.profile_hook``; called once per step."""
         self.steps_seen += 1
-        if self.steps_seen % self.sample_every:
-            return
         now = perf_counter()
         site = self._pending
         if site is not None:
             site.samples += 1
             site.wall += now - self._pending_since
-        # A task's site is resolved on its first sampled step and kept
+        # A task's site is resolved on its first step and kept
         # in its tags; every later step is one dict lookup.
         site = task.tags.get(_SITE_TAG)
         if site is None:
@@ -276,8 +271,7 @@ class KernelProfiler:
 
     def report_lines(self, *, top: int = 8) -> List[str]:
         """The profiler section of the deployment health report."""
-        lines = [f"kernel steps seen: {self.steps_seen} "
-                 f"(sampling 1/{self.sample_every})"]
+        lines = [f"kernel steps seen: {self.steps_seen} (sampling 1/1)"]
         sites = self.handler_sites()
         if sites:
             lines.append(f"top handler sites by virtual time "

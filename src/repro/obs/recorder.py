@@ -22,11 +22,10 @@ Zero overhead when disabled
 ---------------------------
 
 Instrumented components never consult a recorder per operation.
-:meth:`repro.runtime.SimRuntime.attach_obs` performs the enabled check
-*once at attach time* and stores ``None`` for a disabled (or absent)
-recorder; each component captures that reference at construction, so the
-disabled hot path is a single ``is None`` test — guarded by
-``tests/test_obs_overhead.py``.
+:meth:`repro.runtime.SimRuntime.attach_obs` stores the recorder (or
+``None``) *once at attach time*; each component captures that reference
+at construction, so the disabled hot path is a single ``is None`` test —
+guarded by ``tests/test_obs_overhead.py``.
 
 Context propagation within a process uses a per-task stack keyed by the
 runtime's current task handle, so concurrent dispatch chains (one per
@@ -93,15 +92,12 @@ def _zero_clock() -> float:
 class Recorder:
     """Collects spans and event records for one deployment.
 
-    Construct with ``enabled=False`` for a no-op recorder: every record
-    method returns immediately, and
-    :meth:`~repro.runtime.SimRuntime.attach_obs` refuses to install it
-    at all, keeping instrumented code on its untraced path.
+    There is no disabled recorder: tracing is off where no recorder is
+    attached (:meth:`~repro.runtime.SimRuntime.attach_obs` with
+    ``None``), which keeps instrumented code on its untraced path.
     """
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None, *,
-                 enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self, metrics: Optional[MetricsRegistry] = None):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans: List[Span] = []
         self.events: List[EventRecord] = []
@@ -145,14 +141,12 @@ class Recorder:
 
     def start_span(self, name: str, *, node: int = -1,
                    parent: Optional[SpanContext] = None,
-                   attrs: Optional[Dict[str, Any]] = None) -> Optional[Span]:
+                   attrs: Optional[Dict[str, Any]] = None) -> Span:
         """Open a span; parent defaults to the calling task's context.
 
         With no parent anywhere a fresh trace is minted (this is the
         root-span case, e.g. ``rpc.call``).
         """
-        if not self.enabled:
-            return None
         if parent is None:
             parent = self.current()
         if parent is not None:
@@ -174,11 +168,10 @@ class Recorder:
 
     def span_event(self, name: str, *, node: int = -1,
                    parent: Optional[SpanContext] = None,
-                   **attrs: Any) -> Optional[Span]:
+                   **attrs: Any) -> Span:
         """A zero-duration span (an instantaneous action like a send)."""
         span = self.start_span(name, node=node, parent=parent, attrs=attrs)
-        if span is not None:
-            span.end = span.start
+        span.end = span.start
         return span
 
     # ------------------------------------------------------------------
@@ -207,8 +200,6 @@ class Recorder:
 
     def record_event(self, kind: str, *, node: int = -1,
                      time: Optional[float] = None, **fields: Any) -> None:
-        if not self.enabled:
-            return
         self.events.append(EventRecord(
             time=self.now() if time is None else time,
             kind=kind, node=node, fields=fields))
@@ -223,8 +214,6 @@ class Recorder:
         folded into the ``handler.<owner>`` histogram — the per-micro-
         protocol cost accounting the benchmarks decompose.
         """
-        if not self.enabled:
-            return
         ctx = self.current()
         self.events.append(EventRecord(
             time=start, kind="handler", node=node,

@@ -41,15 +41,11 @@ class RebindDriver:
     """Automatic group rebinding (and dead-shard draining) for one
     deployment."""
 
-    def __init__(self, deployment: Any, *,
-                 plane: Optional[Any] = None,
-                 regrow: bool = True):
+    def __init__(self, deployment: Any, *, plane: Optional[Any] = None):
         self.deployment = deployment
         #: The placement plane to notify when a whole shard dies; None
         #: disables draining (bindings still shrink and regrow).
         self.plane = plane
-        #: Whether recoveries regrow bindings toward the full server set.
-        self.regrow = regrow
         self.metrics = deployment.metrics
         #: Shards with a drain scheduled or running (no double drains).
         self._draining: Set[str] = set()
@@ -79,9 +75,9 @@ class RebindDriver:
             self.metrics.counter("placement.rebind.shrink").inc()
             return
         # Last bound server suspected.  A replica group may still have
-        # live replicas *outside* the binding (suspected earlier and
-        # recovered without a regrow): shrinking the binding onto them
-        # is strictly cheaper than draining the shard, so it wins.
+        # live replicas *outside* the binding (an operator's rebind left
+        # them out): shrinking the binding onto them is strictly cheaper
+        # than draining the shard, so it wins.
         repl = getattr(self.deployment, "replication", None)
         if repl is not None and repl.group(service.name) is not None:
             survivors = sorted(set(repl.live_members(service.name))
@@ -108,8 +104,6 @@ class RebindDriver:
                 name=f"drain-{service.name}", daemon=True)
 
     def _on_recovery(self, service: Any, pid: int) -> None:
-        if not self.regrow:
-            return
         members = set(service.group.members)
         if pid in members:
             return

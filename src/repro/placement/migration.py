@@ -73,8 +73,6 @@ class ShardMove:
     snapshot: Dict[str, Any] = field(default_factory=dict)
     #: Distinct keys actually shipped (warm + catch-up united).
     moved: int = 0
-    #: True when the source was read from stable storage, not via RPC.
-    salvaged: bool = False
 
     @property
     def key_set(self) -> Set[str]:
@@ -190,14 +188,12 @@ class KeyMigration:
                     # the warm copy rather than guessing a deletion.
                     await self._call(move.dest, "drop_keys",
                                      {"keys": deletions})
-                move.salvaged = move.salvaged or salvaged
                 move.keys = sorted(move.key_set | set(entries))
                 move.moved = len(set(move.snapshot) | set(entries))
             for dest, entries in sorted(departing.items()):
                 if not entries:
                     continue
                 move = ShardMove(source, dest, sorted(entries))
-                move.salvaged = salvaged
                 await self._ingest(dest, entries)
                 move.moved = len(entries)
                 self.moves.append(move)
@@ -231,8 +227,7 @@ class KeyMigration:
 
     async def _read_source(self, move: ShardMove) -> Dict[str, Any]:
         """Warm-phase read of one move's planned keys."""
-        data, salvaged = await self._read_full(move.source)
-        move.salvaged = move.salvaged or salvaged
+        data, _ = await self._read_full(move.source)
         return {key: data[key] for key in move.keys if key in data}
 
     async def _read_full(self, source: str) -> Tuple[Dict[str, Any], bool]:

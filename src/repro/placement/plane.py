@@ -234,10 +234,9 @@ class PlacementPlane:
         defaults = self.defaults
         rspec = defaults.get("replication")
         if name is None:
-            prefix = defaults.get("name_prefix", "shard")
-            while f"{prefix}-{self._next_index}" in self.ring:
+            while f"shard-{self._next_index}" in self.ring:
                 self._next_index += 1
-            name = f"{prefix}-{self._next_index}"
+            name = f"shard-{self._next_index}"
             self._next_index += 1
         if name in self.ring:
             raise PlacementError(f"shard {name!r} is already on the ring")
@@ -741,7 +740,6 @@ def build_elastic_kv(deployment: Any, n_shards: int, *,
                      clients: Union[int, Sequence[int]] = 1,
                      vnodes: int = 64,
                      seed: int = 0,
-                     name_prefix: str = "shard",
                      app_factory: Any = StableKVStore,
                      replication: Any = None):
     """Deploy ``n_shards`` stable-backed KV services under a placement
@@ -781,7 +779,7 @@ def build_elastic_kv(deployment: Any, n_shards: int, *,
     plane = PlacementPlane(deployment, vnodes=vnodes, seed=seed)
     first = None
     for i in range(n_shards):
-        name = f"{name_prefix}-{i}"
+        name = f"shard-{i}"
         service = deployment.add_service(
             name, spec, app_factory, servers=servers_per_shard,
             clients=clients if first is None else first.client_pids)
@@ -792,13 +790,12 @@ def build_elastic_kv(deployment: Any, n_shards: int, *,
         from repro.replication import ReplicationManager
         manager = ReplicationManager.ensure(deployment)
         for i in range(n_shards):
-            manager.replicate(f"{name_prefix}-{i}", replication)
+            manager.replicate(f"shard-{i}", replication)
     plane.defaults = {
         "spec": spec,
         "app_factory": app_factory,
         "servers_per_shard": servers_per_shard,
         "client_pids": list(first.client_pids),
-        "name_prefix": name_prefix,
         "replication": replication,
     }
     plane._next_index = n_shards

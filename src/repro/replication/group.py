@@ -26,7 +26,7 @@ the largest-pid live, in-sync replica (the paper's leader rule).  When
 the primary is suspected the group **parks** incoming writes, promotes
 the next eligible backup, and releases the parked calls; a write that
 was already in flight surfaces as a TIMEOUT and is transparently
-re-issued against the new primary (``failover_retry``).  A recovered
+re-issued against the new primary (the failover retry).  A recovered
 replica is *resynced* — writes parked, state snapshot transferred,
 leftover keys dropped — before it serves reads or stands for election;
 a rejoining larger pid then deterministically takes the primary role
@@ -129,9 +129,8 @@ class ReplicaGroup:
         sent_to: Optional[int] = (target.members[0]
                                   if target.members else None)
         attempts = 0
-        while (self.rspec.failover_retry
-               and (not result.ok
-                    or (sent_to is not None and sent_to in self.down))
+        while ((not result.ok
+                or (sent_to is not None and sent_to in self.down))
                and attempts < len(self.members)):
             # The primary (probably) died under the call.  Wait out the
             # promotion, then re-issue against the new primary.  Only
@@ -237,13 +236,9 @@ class ReplicaGroup:
         self._c_regrows.inc()
         if self._flight is not None:
             self._flight.note("repl-regrow", service=self.name, pid=pid)
-        if self.rspec.resync:
-            self.deployment.runtime.spawn(
-                self._resync(pid), name=f"resync-{self.name}-{pid}",
-                daemon=True)
-        else:
-            self.synced.add(pid)
-            self._reconsider()
+        self.deployment.runtime.spawn(
+            self._resync(pid), name=f"resync-{self.name}-{pid}",
+            daemon=True)
         self._publish()
 
     def _elect(self, *, reason: str) -> None:

@@ -50,6 +50,10 @@ __all__ = [
 MODES = ("active", "passive")
 READ_FROM = ("any", "primary")
 
+#: Operations routed to a single replica instead of the write path;
+#: anything else is a write.
+READ_OPS: FrozenSet[str] = frozenset({"get", "keys", "snapshot"})
+
 #: How a passive primary's successful write is turned into the state
 #: update shipped to the backups: write op -> sync op.  The argument
 #: translation lives in :func:`forward_state`; the default table covers
@@ -70,8 +74,10 @@ class ReplicaSpec:
 
     ``spec`` is the micro-protocol composition of every replica's
     composite — the knob that makes a replica group's write semantics
-    configurable per shard.  ``read_ops`` classifies operations for the
-    read/write routing split; anything not listed is treated as a write.
+    configurable per shard.  :data:`READ_OPS` classifies operations for
+    the read/write routing split.  A passive group always re-issues a
+    write whose primary died mid-call, and every group resyncs a
+    recovered replica before it serves reads or stands for election.
     """
 
     replicas: int = 3
@@ -79,17 +85,9 @@ class ReplicaSpec:
     spec: ServiceSpec = field(default_factory=lambda: ServiceSpec(
         reliable=True, unique=True, execution="serial",
         ordering="none", acceptance=1))
-    #: Operations routed to a single replica instead of the write path.
-    read_ops: FrozenSet[str] = frozenset({"get", "keys", "snapshot"})
     #: Where reads land: ``"any"`` round-robins over in-sync replicas
     #: (read scaling); ``"primary"`` pins reads to the passive primary.
     read_from: str = "any"
-    #: Passive mode: transparently park and re-issue a write whose
-    #: primary died mid-call once a backup has been promoted.
-    failover_retry: bool = True
-    #: Re-transfer state to a recovered replica before it serves reads
-    #: or becomes electable again.
-    resync: bool = True
 
     def with_(self, **changes: Any) -> "ReplicaSpec":
         return replace(self, **changes)
@@ -99,7 +97,7 @@ class ReplicaSpec:
         return self.mode == "passive"
 
     def is_read(self, op: str) -> bool:
-        return op in self.read_ops
+        return op in READ_OPS
 
     @property
     def reads_narrow(self) -> bool:

@@ -35,7 +35,7 @@ class SimRuntime:
         #: still wrap it per runtime).
         self.call_later: Callable[[float, Callable[[], None]], Timer] = \
             self.kernel.call_later
-        #: The enabled recorder, or ``None`` (tracing disabled).
+        #: The attached recorder, or ``None`` (tracing disabled).
         self.obs: Any = None
         #: The attached profiler, or ``None`` (profiling disabled).
         self.profiler: Any = None
@@ -104,19 +104,17 @@ class SimRuntime:
     # -- observability ---------------------------------------------------
 
     def attach_obs(self, recorder: Any) -> None:
-        """Install an observability recorder for this runtime's stacks.
+        """Install an observability recorder (``None`` = tracing off)
+        for this runtime's stacks.
 
-        The enabled check happens HERE, once: a disabled (or ``None``)
-        recorder is stored as ``None``, and every instrumented component
-        (event buses, composites, the fabric) captures that reference at
-        construction time — so the disabled hot path is a single
-        ``is None`` test.  Attach before building protocol stacks.
+        Every instrumented component (event buses, composites, the
+        fabric) captures ``runtime.obs`` at construction time — so the
+        disabled hot path is a single ``is None`` test.  Attach before
+        building protocol stacks.
         """
-        if recorder is not None and getattr(recorder, "enabled", False):
-            self.obs = recorder
+        self.obs = recorder
+        if recorder is not None:
             recorder.bind(self)
-        else:
-            self.obs = None
 
     def attach_profiler(self, profiler: Any) -> None:
         """Install a :class:`~repro.obs.profiler.KernelProfiler` and hook

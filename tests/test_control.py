@@ -140,7 +140,7 @@ def test_auto_installers_replace_instead_of_stacking():
     dep, svc = _deploy()
     live = _subscriptions(dep)
     dep.auto_rebind()
-    rebind = dep.auto_rebind(regrow=False)
+    rebind = dep.auto_rebind()
     dep.auto_adapt()
     adapt = dep.auto_adapt(hysteresis=0.05)
     assert dep.control.policies == {"rebind": rebind, "adapt": adapt}

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import (
     METRIC_NAMESPACES,
+    check_metric_emitters,
     check_metric_names,
     check_obs_registration,
     known_metric_prefixes,
@@ -78,7 +79,7 @@ def test_lint_targets_the_installed_package():
 
 def test_metric_catalog_includes_the_wire_pipeline_namespaces():
     for prefix in ("net.batch.", "net.queue.", "net.fastlane.",
-                   "net.link.", "net.", "handler.", "kernel.",
+                   "net.", "handler.", "kernel.",
                    "service.", "placement."):
         assert prefix in METRIC_NAMESPACES
     # Longest-first so the specific wire namespaces win over "net.".
@@ -109,6 +110,29 @@ def test_check_metric_names_accepts_and_flags():
     assert len(bad.violations) == 2
 
 
+def test_every_catalogued_namespace_has_an_emitter():
+    check_metric_emitters().raise_if_failed()
+
+
+def test_emitter_lint_flags_a_namespace_nothing_emits(monkeypatch):
+    monkeypatch.setitem(METRIC_NAMESPACES, "net.link.",
+                        "per-link delivery counters")
+    result = check_metric_emitters()
+    assert not result.ok
+    assert len(result.violations) == 1
+    assert "'net.link.'" in result.violations[0]
+
+
+def test_emitter_lint_credits_the_longest_matching_prefix(monkeypatch):
+    # "net.batch.messages" emits net.batch., so a catalogued
+    # "net.batch.messages." would still have no emitter of its own.
+    monkeypatch.setitem(METRIC_NAMESPACES, "net.batch.messages.", "nested")
+    assert check_metric_emitters().ok is False
+    monkeypatch.delitem(METRIC_NAMESPACES, "net.batch.messages.")
+    monkeypatch.setitem(METRIC_NAMESPACES, "net.batch.flush.", "nested")
+    assert check_metric_emitters().ok   # "net.batch.flush.cap" emits it
+
+
 def test_live_deployment_instruments_stay_inside_the_catalog():
     from repro import LinkSpec, ServiceCluster, ServiceSpec, WireConfig
     from repro.apps import KVStore
@@ -117,7 +141,7 @@ def test_live_deployment_instruments_stay_inside_the_catalog():
         ServiceSpec(bounded=5.0, unique=True), KVStore, n_servers=3,
         default_link=LinkSpec(delay=0.005, jitter=0.0),
         membership="heartbeat",
-        wire=WireConfig(batch=True, queue_depth=8, link_metrics=True))
+        wire=WireConfig(batch=True, queue_depth=8))
     cluster.call_and_run("put", {"key": "k", "value": 1}, extra_time=0.3)
     cluster.deployment.publish_runtime_stats()
     snap = cluster.metrics.snapshot()

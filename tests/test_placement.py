@@ -622,16 +622,6 @@ def test_driver_shrinks_and_regrows_bindings():
     assert dep.metrics.value("placement.rebind.regrow") == 1
 
 
-def test_driver_regrow_can_be_disabled():
-    dep = Deployment(seed=31, membership="oracle")
-    dep.add_service("kv", ELASTIC_SPEC, StableKVStore,
-                    servers=[1, 2], clients=[101])
-    dep.auto_rebind(regrow=False)
-    dep.crash(2)
-    dep.recover(2)
-    assert dep.registry.lookup("kv").members == (1,)
-
-
 def test_heartbeat_watch_fires_once_per_state_change():
     dep = Deployment(seed=32, membership="heartbeat",
                      heartbeat_interval=0.05, suspect_after=3)

@@ -501,7 +501,7 @@ def test_writes_park_during_resync_and_drain():
 def test_driver_revives_binding_from_unbound_live_replica():
     dep = Deployment(seed=52, membership="oracle")
     kv = build_sharded_kv(dep, 1, replication=active_replicas(3))
-    dep.auto_rebind(regrow=False)
+    dep.auto_rebind()
     group = dep.replication.group("shard-0")
     p1, p2, p3 = sorted(group.members)
 
@@ -511,8 +511,9 @@ def test_driver_revives_binding_from_unbound_live_replica():
     dep.run_scenario(seed_data())
     dep.crash(p1)
     dep.recover(p1)
-    dep.settle(2.0)            # p1 resyncs but stays out of the binding
-    assert dep.registry.lookup("shard-0").members == (p2, p3)
+    dep.settle(2.0)            # p1 resyncs and the binding regrows
+    assert dep.registry.lookup("shard-0").members == (p1, p2, p3)
+    dep.rebind("shard-0", [p2, p3])   # an operator leaves p1 unbound
     dep.crash(p2)
     assert dep.registry.lookup("shard-0").members == (p3,)
     # Last bound server dies; p1 is alive outside the binding, so the

@@ -44,15 +44,8 @@ def test_cache_evicts_least_recently_used():
     assert (101, 2) not in cache
     assert (101, 3) in cache
     assert len(cache) == 2
-
-
-def test_capacity_zero_disables_caching():
-    cache = ReplyCache(capacity=0)
-    cache.put(101, 1, result(1))
-    assert len(cache) == 0
-    assert cache.get(101, 1) is None
     with pytest.raises(ValueError):
-        ReplyCache(capacity=-1)
+        ReplyCache(capacity=0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +109,23 @@ def test_retry_miss_executes_then_aliases_the_original_id():
     assert dep.metrics.value("service.kv.calls") == 1
 
 
-def test_caches_are_per_service_and_can_be_disabled():
-    dep = Deployment(seed=42, reply_cache=0)
-    dep.add_service("kv", replicated_state_machine(2), KVStore,
-                    servers=[1, 2], clients=[101])
+def test_caches_are_per_service():
+    dep = Deployment(seed=42)
+    for name, servers in (("kv", [1, 2]), ("other", [3, 4])):
+        dep.add_service(name, replicated_state_machine(2), KVStore,
+                        servers=servers, clients=[101])
     first = []
 
     async def scenario():
         first.append(await dep.call(101, "kv", "put",
                                     {"key": "a", "value": 1}))
-        # With caching disabled the retry re-executes like a fresh call.
-        again = await dep.call(101, "kv", "put", {"key": "a", "value": 1},
+        # The same (client, call id) names nothing in another service's
+        # cache: the retry there re-executes like a fresh call.
+        again = await dep.call(101, "other", "put",
+                               {"key": "a", "value": 1},
                                retry_of=first[0].id)
         assert again.ok and again is not first[0]
 
     dep.run_scenario(scenario())
-    assert dep.metrics.value("service.kv.reply_cache.hits") == 0
+    assert dep.metrics.value("service.other.reply_cache.hits") == 0
+    assert dep.metrics.value("service.other.reply_cache.misses") == 1

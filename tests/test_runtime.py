@@ -1,6 +1,9 @@
 """The runtime: SimRuntime surface and CancelScope."""
 
 import importlib
+import importlib.util
+import inspect
+from pathlib import Path
 
 import pytest
 
@@ -154,11 +157,61 @@ def test_run_until_idle_via_runtime():
     assert fired == [3.0]
 
 
+def _perf_tracer():
+    """``benchmarks/perf/tracer.py``, loaded by path (it is not part of
+    the ``repro`` package)."""
+    path = (Path(__file__).resolve().parents[1]
+            / "benchmarks" / "perf" / "tracer.py")
+    spec = importlib.util.spec_from_file_location("perf_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: Plain methods that return a coroutine, which the tracer wraps as
+#: async: ``GroupRPC.pop`` hands back the bus's dispatch, and the async
+#: wrapper awaits it like a coroutine function's result.
+_RETURN_COROUTINES = {"GroupRPC.pop"}
+
+
+def _shape(fn, qualname=""):
+    if qualname in _RETURN_COROUTINES or inspect.iscoroutinefunction(fn):
+        return "async"
+    return "sync"
+
+
 def test_tracer_patch_seams_exist():
-    """``benchmarks/perf/tracer.py`` imports this module path and patches
-    these three methods in the class dict; renaming or inheriting them
-    would silently drop the ``sim`` layer from the perf ledger."""
-    module = importlib.import_module("repro.runtime.sim_runtime")
-    assert module.SimRuntime is SimRuntime
-    for name in ("sleep", "join", "spawn"):
-        assert name in SimRuntime.__dict__
+    """Every seam the perf tracer wraps is its owner's own class-dict
+    entry, keeps the sync/async shape the tracer wraps it with, and is
+    restored when the tracer is uninstalled.  A renamed, inherited or
+    sync-flipped seam would otherwise fail only the perf smoke run, or
+    silently drop a layer from its ledger."""
+    tracer = _perf_tracer().LayerTracer()
+    patch_layers = tracer._patch_layers
+    patched, missing = [], []
+
+    def checked_patch_layers(patch, undo):
+        def checked(owner, name, layer, **kwargs):
+            if name in vars(owner):
+                patch(owner, name, layer, **kwargs)
+            else:
+                missing.append(f"{owner.__name__}.{name}")
+        patch_layers(checked, undo)
+        patched.extend(undo)
+
+    tracer._patch_layers = checked_patch_layers
+    marshal = importlib.import_module("repro.stubs.marshal")
+    hook = marshal._PROFILER
+    with tracer.installed():
+        assert missing == []
+        assert len(patched) > 40
+        for owner, name, original in patched:
+            wrapped = vars(owner)[name]
+            seam = f"{owner.__name__}.{name}"
+            assert wrapped is not original
+            assert _shape(wrapped) == _shape(original, seam), (
+                f"{seam} is {_shape(original, seam)}; the tracer wraps "
+                f"it as {_shape(wrapped)}")
+    for owner, name, original in patched:
+        assert vars(owner)[name] is original, f"{owner.__name__}.{name}"
+    assert marshal._PROFILER is hook

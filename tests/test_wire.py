@@ -340,12 +340,11 @@ def test_backpressure_credits_survive_duplication():
 # Control fast lane (the heartbeat head-of-line regression)
 # ----------------------------------------------------------------------
 
-def _run_heartbeats_under_bulk_load(fast_lane):
+def test_fast_lane_prevents_false_suspicion_under_bulk_load():
     """Node 1 heartbeats node 2 while drowning the 1->2 link in bulk
-    sends; returns the membership changes node 2's detector observed."""
+    sends; node 2's detector must never suspect node 1."""
     rt = SimRuntime()
-    fabric, nodes, _ = build_pair(
-        rt, wire=WireConfig(queue_depth=2, fast_lane=fast_lane))
+    fabric, nodes, _ = build_pair(rt, wire=WireConfig(queue_depth=2))
     demuxes = {}
     for pid, node in nodes.items():
         demux = TypeDemux(f"hb-demux@{pid}")
@@ -374,21 +373,7 @@ def _run_heartbeats_under_bulk_load(fast_lane):
         await rt.sleep(1.2)
 
     rt.run(main())
-    return changes, fabric.trace.metrics.value("net.fastlane.sends")
-
-
-def test_heartbeats_queued_behind_bulk_cause_false_suspicion():
-    changes, fastlane_sends = _run_heartbeats_under_bulk_load(
-        fast_lane=False)
-    assert fastlane_sends == 0
-    from repro.core.messages import MemChange
-    assert MemChange.FAILURE in changes   # the regression
-
-
-def test_fast_lane_prevents_false_suspicion_under_bulk_load():
-    changes, fastlane_sends = _run_heartbeats_under_bulk_load(
-        fast_lane=True)
-    assert fastlane_sends > 0
+    assert fabric.trace.metrics.value("net.fastlane.sends") > 0
     from repro.core.messages import MemChange
     assert MemChange.FAILURE not in changes
 
@@ -430,28 +415,6 @@ def test_recovered_node_sends_again_through_the_pipeline():
 
     rt.run(main())
     assert [p for _, p in tops[2].received] == ["post"]
-
-
-# ----------------------------------------------------------------------
-# Per-link delivery metrics
-# ----------------------------------------------------------------------
-
-def test_link_metrics_record_per_link_delivery_and_latency():
-    rt = SimRuntime()
-    fabric, nodes, tops = build_pair(
-        rt, wire=WireConfig(batch=True, link_metrics=True))
-    metrics = fabric.trace.metrics
-
-    async def main():
-        for i in range(5):
-            await nodes[1].transport.push(2, i)
-        await rt.sleep(1.0)
-
-    rt.run(main())
-    assert metrics.value("net.link.delivered.1-2") == 5
-    hist = metrics.histogram("net.link.latency.1-2")
-    assert hist.count == 1    # one coalesced envelope
-    assert hist.mean == pytest.approx(0.02)
 
 
 # ----------------------------------------------------------------------
@@ -592,90 +555,3 @@ def test_full_cluster_calls_work_over_batching_and_backpressure():
     assert metrics.value("net.batch.envelopes") > 0
     # Coalescing never costs envelopes (it only merges shared links).
     assert metrics.value("net.envelopes") <= metrics.value("net.send")
-
-
-# ----------------------------------------------------------------------
-# Batch-cap auto-tuning
-# ----------------------------------------------------------------------
-
-def test_auto_tune_defaults_off_and_validates():
-    assert WireConfig().auto_tune is False
-    rt = SimRuntime()
-    fabric, _, _ = build_pair(rt, wire=WireConfig(batch=True))
-    assert fabric.pipeline.auto_tune is False
-    with pytest.raises(ValueError):
-        WireConfig(tune_interval=0.0)
-
-
-def test_auto_tune_grows_caps_under_cap_flush_load():
-    rt = SimRuntime()
-    fabric, nodes, tops = build_pair(
-        rt, wire=WireConfig(batch=True, max_batch_msgs=4,
-                            auto_tune=True, tune_interval=0.05))
-    pipeline = fabric.pipeline
-
-    async def main():
-        # Sustained bursts well past the message cap: every flush is a
-        # cap flush, so each tune tick should double the caps.
-        for _ in range(40):
-            for i in range(16):
-                await nodes[1].transport.push(2, i)
-            await rt.sleep(0.02)
-        await rt.sleep(1.0)
-
-    rt.run(main())
-    assert pipeline.max_batch_msgs > 4
-    assert pipeline.tune_adjustments >= 1
-    metrics = fabric.trace.metrics
-    assert metrics.value("net.batch.tune.adjust") >= 1
-    assert metrics.gauge("net.batch.tuned.msgs").value == \
-        pipeline.max_batch_msgs
-    # Everything still arrived exactly once.
-    assert len(tops[2].received) == 40 * 16
-
-
-def test_auto_tune_shrinks_oversized_caps():
-    rt = SimRuntime()
-    fabric, nodes, tops = build_pair(
-        rt, wire=WireConfig(batch=True, max_batch_msgs=128,
-                            max_batch_bytes=1 << 16,
-                            auto_tune=True, tune_interval=0.05))
-    pipeline = fabric.pipeline
-
-    async def main():
-        # A trickle: one or two messages per round, far below the cap.
-        for _ in range(60):
-            await nodes[1].transport.push(2, "tick")
-            await rt.sleep(0.01)
-        await rt.sleep(1.0)
-
-    rt.run(main())
-    assert pipeline.max_batch_msgs < 128
-    assert pipeline.max_batch_msgs >= pipeline.TUNE_MIN_MSGS
-    assert len(tops[2].received) == 60
-
-
-def test_auto_tune_is_deterministic_and_idles_quietly():
-    def run_once():
-        rt = SimRuntime()
-        fabric, nodes, tops = build_pair(
-            rt, wire=WireConfig(batch=True, max_batch_msgs=4,
-                                auto_tune=True, tune_interval=0.05))
-
-        async def main():
-            for _ in range(10):
-                for i in range(12):
-                    await nodes[1].transport.push(2, i)
-                await rt.sleep(0.02)
-            await rt.sleep(1.0)
-
-        rt.run(main())
-        # The tick timer rearms only on traffic: once the run drains,
-        # the kernel has no pending tune timers and idles out.
-        rt.run_until_idle()
-        return (fabric.pipeline.max_batch_msgs,
-                fabric.pipeline.max_batch_bytes,
-                fabric.pipeline.tune_adjustments,
-                [p for _, p in tops[2].received])
-
-    assert run_once() == run_once()
