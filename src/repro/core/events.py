@@ -33,7 +33,7 @@ combinations are provided (:meth:`EventBus.trigger`,
 :meth:`EventBus.trigger_nonblocking`,
 :meth:`EventBus.trigger_concurrent`); the micro-protocols of Section 4
 use only blocking-sequential dispatch, and concurrency across *messages*
-comes from each network arrival being dispatched in its own task.
+comes from each network arrival dispatching in its own thread of control.
 ``cancel_event`` affects only sequential dispatch, as the paper notes
 ("mostly useful for sequential events").
 
@@ -105,12 +105,15 @@ class Registration:
 
 
 class _Dispatch:
-    """Bookkeeping for one in-progress ``trigger`` call, linked to the
-    dispatch it nests in (``None`` at a task's outermost trigger)."""
+    """Bookkeeping for one in-progress ``trigger`` call on ``bus``, linked
+    to the dispatch it nests in on any bus.  The innermost one is the
+    kernel's ``_dispatch`` while its task runs, the task's while parked."""
 
-    __slots__ = ("event", "cancelled", "outer")
+    __slots__ = ("bus", "event", "cancelled", "outer")
 
-    def __init__(self, event: str, outer: Optional["_Dispatch"]):
+    def __init__(self, bus: "EventBus", event: str,
+                 outer: Optional["_Dispatch"]):
+        self.bus = bus
         self.event = event
         self.cancelled = False
         self.outer = outer
@@ -138,11 +141,7 @@ class EventBus:
         self._chains: Dict[str, Dict[Hashable,
                                      Tuple[Registration, ...]]] = {}
         self._seq = 0
-        # Innermost active dispatch per task, keyed by the task handle,
-        # so cancel_event() from interleaved tasks cannot cross wires;
-        # each record links to the one it nests in.
-        self._active: Dict[Any, _Dispatch] = {}
-        # The running task is read straight off the kernel.
+        # What runs, and its dispatch records, are read off the kernel.
         self._kernel = runtime.kernel
         # Armed TIMEOUT registrations keyed by registration seq
         # (insertion-ordered).  A dict so :meth:`disarm` — called once
@@ -288,11 +287,11 @@ class EventBus:
                 table = self._compile_chain(event, kind)
         if not table:
             return True
-        task = self._kernel._current
-        if task is None:
+        kernel = self._kernel
+        if kernel._current is None:
             raise NoCurrentTask("no task is currently executing")
-        active = self._active
-        dispatch = active[task] = _Dispatch(event, active.get(task))
+        dispatch = kernel._dispatch = _Dispatch(self, event,
+                                                kernel._dispatch)
         obs = self._obs
         prof = self._prof
         try:
@@ -301,7 +300,8 @@ class EventBus:
                 # in one task, so a handler starts at the instant its
                 # predecessor ended: one clock read per handler.
                 now = self.runtime.now
-                task_key = id(task)
+                # A profiled arrival is a task from its first step.
+                task_key = id(kernel._current)
                 end = now()
                 for reg in table:
                     if dispatch.cancelled:
@@ -331,14 +331,7 @@ class EventBus:
                         break
                     await reg.handler(*args)
         finally:
-            # A node crash clears ``_active`` while cancelled tasks are
-            # still unwinding: restore the outer record only if this one
-            # is still the task's innermost.
-            if active.get(task) is dispatch:
-                if dispatch.outer is None:
-                    del active[task]
-                else:
-                    active[task] = dispatch.outer
+            kernel._dispatch = dispatch.outer
         return not dispatch.cancelled
 
     #: ``trigger`` under the name the bus uses for its own one-handler
@@ -409,7 +402,7 @@ class EventBus:
         handler typically follows it with ``return`` (the paper's
         ``exit()``).
         """
-        dispatch = self._active.get(self._kernel._current)
+        dispatch = self._innermost()
         if dispatch is None:
             raise KernelError("cancel_event() outside of event dispatch")
         dispatch.cancelled = True
@@ -419,8 +412,15 @@ class EventBus:
 
     def in_dispatch(self) -> Optional[str]:
         """Name of the event the calling task is dispatching, if any."""
-        dispatch = self._active.get(self._kernel._current)
+        dispatch = self._innermost()
         return None if dispatch is None else dispatch.event
+
+    def _innermost(self) -> Optional[_Dispatch]:
+        """This bus's innermost dispatch in the running context."""
+        dispatch = self._kernel._dispatch
+        while dispatch is not None and dispatch.bus is not self:
+            dispatch = dispatch.outer
+        return dispatch
 
     # ------------------------------------------------------------------
     # TIMEOUT plumbing
@@ -497,4 +497,3 @@ class EventBus:
         for reg in self._timeout_regs.values():
             reg.timer.cancel()
         self._timeout_regs.clear()
-        self._active.clear()

@@ -12,15 +12,15 @@ calls into generations (Interference Avoidance, Terminate Orphan).  A
 * **recover** — the incarnation number is bumped and recovery listeners
   fire (gRPC turns this into the ``RECOVERY`` event of Section 4.3).
 
-Every arrival runs up the stack in its own task, started inside the
-fabric's delivery (:meth:`Node.deliver`), so one blocked handler chain
-never stalls the next message — the paper's execution model.  For a
-single payload that task runs the ``pop`` of the protocol the route
-resolves to, with no transport coroutine around it (a coalesced batch
-is fanned out by the transport's own task).  The task's first step
-runs in the delivery itself (:meth:`~repro.sim.kernel.Kernel.start`);
-an arrival that completes there never touches the ready queue, the
-kernel's live-task table or the node's scope.
+Every arrival runs up the stack in its own thread of control, started
+inside the fabric's delivery (:meth:`Node.deliver`), so one blocked
+handler chain never stalls the next message — the paper's execution
+model.  For a single payload it runs the ``pop`` of the protocol the
+route resolves to, with no transport coroutine around it (a coalesced
+batch is fanned out by the transport's own task).  It runs inline in
+the delivery (:meth:`~repro.sim.kernel.Kernel.start`) and is a task,
+in the node's scope, only once it parks; one that completes first
+never touches the ready queue, the live-task table or the scope.
 
 The incarnation counter survives crashes.  On real hardware it would be
 read from stable storage at reboot; here the :class:`Node` object plays the
@@ -50,6 +50,7 @@ class Node:
                  fabric: "NetworkFabric", *, name: str = ""):
         self.pid = pid
         self.name = name or f"node-{pid}"
+        self._arrival_name = f"{self.name}-msg"
         self.runtime = runtime
         self._kernel = runtime.kernel
         self.fabric = fabric
@@ -119,20 +120,20 @@ class Node:
 
     def deliver(self, envelope: Envelope) -> None:
         """Called by the fabric to hand over an arrived envelope: it runs
-        up the stack in its own task (:meth:`~repro.net.transport.
-        UnreliableTransport.arrival` says what the task runs), so a chain
-        that blocks cannot stall later arrivals.  The delivery is the
-        last act of the fabric's timer action, so the task is started in
-        place; the scope adopts it only if it is still live after that
-        first step, which is the only way a crash can find it."""
+        up the stack under its own thread of control (:meth:`~repro.net.
+        transport.UnreliableTransport.arrival` says what runs), so a
+        chain that blocks cannot stall later arrivals.  The delivery is
+        the last act of the fabric's timer action, so the arrival is
+        started in place; the scope adopts it if it is a live task after
+        that first step, which is the only way a crash can find it."""
         transport = self.transport
         if transport is None:
             return
         coro = transport.arrival(envelope)
         if coro is not None:
-            task = self._kernel.start(
-                coro, f"{self.name}-msg-{envelope.seq}", True)
-            if not task.done:
+            task = self._kernel.start(coro, self._arrival_name, True,
+                                      envelope.seq)
+            if task is not None:
                 self.scope.adopt(task)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

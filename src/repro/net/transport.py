@@ -20,12 +20,12 @@ WirePipeline.submit`); through a pass-through pipeline it reaches the
 fabric with no coroutine of the pipeline's own.
 
 Inbound, :meth:`UnreliableTransport.arrival` turns a delivered envelope
-into the coroutine its task runs.  A single payload's route is resolved
-through the demuxes in one walk and the task runs the target's ``pop``
-itself, with no transport coroutine in between; a :class:`~repro.net.
-wire.WireBatch` envelope is unbatched by :meth:`UnreliableTransport.
-handle_arrival` into one task per payload, so everything above this
-layer is batching-agnostic.
+into the coroutine the node starts for it.  A single payload's route is
+resolved through the demuxes in one walk and the arrival runs the
+target's ``pop`` itself, with no transport coroutine in between; a
+:class:`~repro.net.wire.WireBatch` envelope is unbatched by
+:meth:`UnreliableTransport.handle_arrival` into one task per payload,
+so everything above this layer is batching-agnostic.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class UnreliableTransport(Protocol):
 
     def arrival(self, envelope: Envelope) -> Optional[Coroutine]:
         """The coroutine that carries one arrived envelope up the stack
-        (the node runs it as the arrival's task), or ``None`` when no
-        route claims the payload: it is dropped.
+        (the node starts it, and it is a task only if it parks), or
+        ``None`` when no route claims the payload: it is dropped.
 
         A single payload goes straight to the ``pop`` of the protocol
         its route resolves to; a coalesced envelope to

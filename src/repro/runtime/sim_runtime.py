@@ -63,8 +63,8 @@ class SimRuntime:
 
     def current_handle_nowait(self) -> Task:
         """Synchronous :meth:`current_handle`, valid only while a task runs
-        (the framework's ``cancel_event`` is a plain operation)."""
-        task = self.kernel._current
+        (``cancel_event`` is a plain operation); an inline run's is made."""
+        task = self.kernel._promote()
         if task is None:
             raise NoCurrentTask("no task is currently executing")
         return task

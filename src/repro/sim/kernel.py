@@ -145,6 +145,8 @@ _CANCELLED = 4
 
 _STATE_NAMES = ("READY", "RUNNING", "WAITING", "DONE", "CANCELLED")
 
+_INLINE: Any = object()   # Kernel._current while start() runs inline
+
 # Task ids.  A module-level counter, not a class attribute: writing an
 # attribute of ``Task`` on every spawn would invalidate the class's type
 # version, and with it every specialized ``task.<field>`` read in the
@@ -163,7 +165,7 @@ class Task:
 
     __slots__ = ("id", "coro", "name", "daemon", "state", "result",
                  "exception", "cancelled", "_kernel", "_joiners",
-                 "_unpark", "_sleep_timer", "_pending_exc", "tags")
+                 "_unpark", "_sleep_timer", "_pending_exc", "tags", "dispatch")
 
     def __init__(self, coro: Coroutine, name: str, daemon: bool,
                  kernel: "Kernel"):
@@ -178,8 +180,8 @@ class Task:
         self._kernel = kernel
         # Tasks blocked in join(); the list is made by the first joiner.
         self._joiners: Optional[list[Task]] = None
-        # When parked on a _SuspendTrap, the unpark callback used to remove
-        # the task from its wait structure if it gets cancelled first.
+        # Called if it is cancelled first: parked on a _SuspendTrap, removes
+        # it from the wait structure; woken, passes on what it was handed.
         self._unpark: Optional[Callable[["Task"], None]] = None
         # Timer associated with a sleep, so cancellation can void it.
         self._sleep_timer: Optional[Timer] = None
@@ -187,6 +189,7 @@ class Task:
         self._pending_exc: Optional[BaseException] = None
         # Arbitrary annotations (e.g. owning node) set by higher layers.
         self.tags: dict[str, Any] = {}
+        self.dispatch: Any = None   # parked in a dispatch: its record
 
     @property
     def done(self) -> bool:
@@ -254,9 +257,6 @@ class Timer:
             if kernel is not None:
                 kernel._note_dead_timer()
 
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
-
 
 class Kernel:
     """Deterministic virtual-time scheduler for cooperative tasks.
@@ -284,7 +284,9 @@ class Kernel:
         self._timer_seq = 0
         #: Cancelled-but-not-popped entries still sitting in the heap.
         self._timers_dead = 0
-        self._current: Optional[Task] = None
+        self._current: Optional[Task] = None      # or _INLINE
+        self._inline: Optional[tuple] = None      # start()'s arguments
+        self._dispatch: Any = None    # innermost event dispatch record
         self._tasks: dict[int, Task] = {}
         self._running = False
         #: Exceptions from tasks that finished with an error and were never
@@ -325,32 +327,36 @@ class Kernel:
         return task
 
     def start(self, coro: Coroutine, name: str = "",
-              daemon: bool = False) -> Task:
-        """Create a task and, when the loop would step it next anyway,
-        take that first step now.
+              daemon: bool = False, serial: Any = None) -> Optional[Task]:
+        """Take ``coro``'s first step now when the loop would take it next
+        anyway, and make it a task only if it needs one.
 
         That is the case inside a timer action (the kernel is running,
-        no task is) while the ready queue is empty: the loop drains the
-        ready queue right after the action returns, so a task spawned
-        there runs first.  Stepping it in place saves the queue round
-        trip and leaves the schedule, the step count and the task count
-        exactly as :meth:`spawn` would; a task that finishes in that step
-        never enters the live-task table.  Everywhere else — setup code,
-        inside a task, or behind already-queued work — this *is*
-        :meth:`spawn`.
+        nothing else is) while the ready queue is empty: the loop drains
+        the ready queue right after the action returns, so a coroutine
+        spawned there runs first.  It runs *inline*, with no task, until
+        it asks for its identity, yields a trap or fails (a profile hook
+        gets a task at once); schedule and step count are as if spawned.
+        Returns the task if it is live after that step, else ``None``; a
+        task is named ``f"{name}-{serial}"`` if ``serial`` is given.
+        Anywhere else (setup, in a task, behind queued work): :meth:`spawn`.
 
         The caller must make this the action's last scheduling act: a
-        task spawned later in the same action would run after whatever
-        this step queued instead of before it.  (This is why ``spawn``
-        itself never steps.)
+        coroutine started later in the same action would run after
+        whatever this step queued instead of before it.  (This is why
+        ``spawn`` itself never steps.)
         """
         if self._current is not None or not self._running or self._ready:
-            return self.spawn(coro, name=name, daemon=daemon)
-        task = Task(coro, name, daemon, self)
-        self.tasks_spawned += 1
-        self._step(task, None)
-        if task.state < _DONE:
-            self._tasks[task.id] = task
+            return self.spawn(coro, daemon=daemon, name=name if serial is None
+                              else f"{name}-{serial}")
+        self._current = _INLINE
+        self._inline = (coro, name, daemon, serial)
+        task = self._step(self._promote() if self.profile_hook else _INLINE,
+                          None)
+        self._inline = None
+        if task is _INLINE or task.state >= _DONE:
+            return None
+        self._tasks[task.id] = task
         return task
 
     def call_later(self, delay: float, action: Callable[[], None]) -> Timer:
@@ -530,7 +536,6 @@ class Kernel:
                     sleeper._sleep_timer = None
                     if sleeper.state < _DONE:
                         sleeper.state = _READY
-                        sleeper._unpark = None
                         ready.append((sleeper, None))
                 else:
                     action = timer.action
@@ -549,45 +554,70 @@ class Kernel:
             self._timers_dead -= 1
         return None
 
-    def _reschedule(self, task: Task, value: Any = None) -> None:
+    def _reschedule(self, task: Task, value: Any = None,
+                    unpark: Optional[Callable[[Task], None]] = None) -> None:
         """Make a parked task runnable again with ``value`` as the await
-        result."""
+        result; ``unpark`` is its ``_unpark`` until it runs."""
         if task.state >= _DONE:
             return
         task.state = _READY
-        task._unpark = None
+        task._unpark = unpark
         self._ready.append((task, value))
 
-    def _step(self, task: Task, value: Any) -> None:
-        """Run one task until it blocks, yields, or finishes."""
+    def _promote(self) -> Optional[Task]:
+        """The running task; an inline run's is made now."""
+        task = self._current
+        if task is _INLINE:
+            coro, name, daemon, serial = self._inline
+            task = self._current = Task(coro, name if serial is None
+                                        else f"{name}-{serial}", daemon, self)
+            task.state = _RUNNING
+            self.tasks_spawned += 1
+        return task
+
+    def _step(self, task: Task, value: Any) -> Task:
+        """Run one task (``_INLINE``: :meth:`start`'s coroutine) until it
+        blocks, yields, or finishes; return it, or the task it made."""
         self._current = task
-        task.state = _RUNNING
         self.steps_executed += 1
-        if self.profile_hook is not None:
-            self.profile_hook(task)
-        coro = task.coro
+        if task is _INLINE:
+            coro, pending = self._inline[0], None
+        else:
+            task.state = _RUNNING
+            task._unpark = None
+            if task.dispatch is not None:
+                self._dispatch, task.dispatch = task.dispatch, None
+            if self.profile_hook is not None:
+                self.profile_hook(task)
+            coro = task.coro
+            pending = task._pending_exc
         send = coro.send
         try:
             while True:
                 try:
-                    if task._pending_exc is not None:
-                        exc = task._pending_exc
-                        task._pending_exc = None
-                        trap = coro.throw(exc)
-                    else:
+                    if pending is None:
                         trap = send(value)
+                    else:
+                        task._pending_exc = None
+                        trap = coro.throw(pending)
+                        pending = None
                 except StopIteration as stop:
-                    self._finish(task, stop.value)
-                    return
+                    task = self._current    # an inline run's, if it made one
+                    if task is not _INLINE:
+                        self._finish(task, stop.value)
+                    return task
                 except TaskCancelled:
-                    task.state = _CANCELLED
+                    task = self._promote()
                     self._finish(task, cancelled=True)
-                    return
+                    return task
                 except BaseException as exc:  # noqa: BLE001 - task crash
+                    task = self._promote()
                     task.exception = exc
                     self._finish(task, failed=True)
-                    return
+                    return task
 
+                if task is _INLINE:
+                    task = self._promote()
                 # Immediate traps keep the task running without a yield;
                 # blocking traps park it and return to the loop.  Ordered
                 # by observed frequency: suspends (sync primitives) and
@@ -597,7 +627,7 @@ class Kernel:
                     task.state = _WAITING
                     task._unpark = trap.unpark
                     trap.park(task)
-                    return
+                    return task
                 elif cls is _SleepTrap:
                     delay = trap.delay
                     if delay < 0:
@@ -614,11 +644,11 @@ class Kernel:
                                    (timer.when, seq, timer))
                     self.timers_scheduled += 1
                     task._sleep_timer = timer
-                    return
+                    return task
                 elif cls is _YieldTrap:
                     task.state = _READY
                     self._ready.append((task, None))
-                    return
+                    return task
                 elif cls is _SpawnTrap:
                     value = self.spawn(trap.coro, name=trap.name,
                                        daemon=trap.daemon)
@@ -635,16 +665,14 @@ class Kernel:
                             joiners = target._joiners = []
                         joiners.append(task)
                         task._unpark = joiners.remove
-                        return
+                        return task
                 else:
                     raise KernelError(f"unknown trap {trap!r} from "
                                       f"{task.name}")
         finally:
             self._current = None
-
-    def _wake_sleeper(self, task: Task) -> None:
-        task._sleep_timer = None
-        self._reschedule(task)
+            if self._dispatch is not None:    # it parked inside a dispatch
+                task.dispatch, self._dispatch = self._dispatch, None
 
     def _finish(self, task: Task, result: Any = None, failed: bool = False,
                 cancelled: bool = False) -> None:
@@ -672,21 +700,18 @@ class Kernel:
             raise KernelError("a task cannot cancel() itself; raise "
                               "TaskCancelled instead")
         task.cancelled = True
-        exc = TaskCancelled(f"{task.name} cancelled")
+        unpark = task._unpark
+        if unpark is not None:
+            task._unpark = None
+            unpark(task)
+        task._pending_exc = TaskCancelled(f"{task.name} cancelled")
         if task.state == _WAITING:
-            if task._unpark is not None:
-                task._unpark(task)
-                task._unpark = None
             if task._sleep_timer is not None:
                 task._sleep_timer.task = None
                 task._sleep_timer.cancel()
                 task._sleep_timer = None
             task.state = _READY
-            task._pending_exc = exc
             self._ready.append((task, None))
-        else:
-            # READY (queued) — deliver the exception when it next runs.
-            task._pending_exc = exc
         return True
 
     def _cancel_all(self, except_task: Optional[Task] = None) -> None:

@@ -13,6 +13,8 @@ These primitives provide the same blocking semantics on top of
   keeps running, so (for example) the Collation micro-protocol still gets to
   fold in the final reply after Acceptance has released the client's
   semaphore but before the client thread resumes.
+* **A wakeup is never lost.**  A waiter handed a permit, an item or a
+  notification but cancelled before it runs passes it on.
 """
 
 from __future__ import annotations
@@ -65,9 +67,12 @@ class Semaphore:
         """
         if self._waiters:
             task = self._waiters.popleft()
-            current_kernel()._reschedule(task)
+            task._kernel._reschedule(task, None, self._pass_on)
         else:
             self._value += 1
+
+    def _pass_on(self, task: Task) -> None:
+        self.release()      # ``task`` was cancelled before it could run
 
     def reset(self, value: int) -> None:
         """Forcibly set the counter, waking waiters while value allows.
@@ -81,7 +86,7 @@ class Semaphore:
         while self._value > 0 and self._waiters:
             self._value -= 1
             task = self._waiters.popleft()
-            current_kernel()._reschedule(task)
+            current_kernel()._reschedule(task, None, self._pass_on)
 
     async def __aenter__(self) -> "Semaphore":
         await self.acquire()
@@ -175,9 +180,12 @@ class Condition:
             await self._lock.acquire()
 
     def notify(self, n: int = 1) -> None:
-        kernel = current_kernel()
         for _ in range(min(n, len(self._waiters))):
-            kernel._reschedule(self._waiters.popleft())
+            task = self._waiters.popleft()
+            task._kernel._reschedule(task, None, self._pass_on)
+
+    def _pass_on(self, task: Task) -> None:
+        self.notify()       # ``task`` was cancelled before it could run
 
     def notify_all(self) -> None:
         self.notify(len(self._waiters))
@@ -208,9 +216,16 @@ class Queue:
         """Enqueue ``item``; never blocks."""
         if self._getters:
             task = self._getters.popleft()
-            current_kernel()._reschedule(task, item)
+            task._kernel._reschedule(task, item, lambda _: self._unget(item))
         else:
             self._items.append(item)
+
+    def _unget(self, item: Any) -> None:
+        # Its getter was cancelled before it ran: next getter, or the head.
+        if self._getters:
+            self.put(item)
+        else:
+            self._items.appendleft(item)
 
     async def get(self) -> Any:
         """Dequeue the oldest item, blocking while the queue is empty."""

@@ -12,6 +12,15 @@ def make_bus():
     return rt, EventBus(rt)
 
 
+def assert_no_record_survives(rt, *tasks):
+    """No dispatch record outlives its dispatch: the kernel holds none for
+    the running context (none at all between steps), and neither do the
+    given tasks nor any live one."""
+    assert rt.kernel._dispatch is None
+    for task in (*tasks, *rt.kernel.live_tasks()):
+        assert task.dispatch is None, task
+
+
 def test_trigger_runs_handlers_in_priority_order():
     rt, bus = make_bus()
     order = []
@@ -417,11 +426,12 @@ def test_raising_handler_still_gets_exactly_one_exit():
 
     bus.register("E", boom, 1, owner="b")
     bus.register("E", never, 2, owner="n")
-    with pytest.raises(ValueError):
-        rt.run(bus.trigger("E"))
+    main = rt.spawn(bus.trigger("E"), name="main")
+    rt.run_until_idle(strict=False)
+    assert isinstance(main.exception, ValueError)
     assert [(c[0], c[2]) for c in prof.calls] == [("enter", "b"),
                                                   ("exit", 0.0)]
-    assert bus._active == {}
+    assert_no_record_survives(rt, main)
 
 
 def test_cancel_event_skips_the_bracket_for_the_rest():
@@ -563,10 +573,11 @@ def test_nested_records_unwind_to_the_enclosing_dispatch():
         assert bus.in_dispatch() is None
         assert await bus.trigger("OUTER") is False
         assert bus.in_dispatch() is None
-        assert bus._active == {}
+        assert_no_record_survives(rt)
 
     rt.run(main())
     assert seen == ["OUTER", "INNER", "OUTER"]
+    assert_no_record_survives(rt)
 
 
 def test_nesting_across_two_buses_in_one_task():
@@ -596,10 +607,11 @@ def test_nesting_across_two_buses_in_one_task():
 
     async def main():
         assert await first.trigger("A") is False
+        assert_no_record_survives(rt)
 
     rt.run(main())
     assert order == ["a1", ("b1", "A", "B"), "b2", ("after-B", "A", None)]
-    assert first._active == {} and second._active == {}
+    assert_no_record_survives(rt)
 
 
 def test_interleaved_tasks_keep_their_own_records():
@@ -623,22 +635,24 @@ def test_interleaved_tasks_keep_their_own_records():
     bus.register("E", slow, 1)
     bus.register("NESTED", nested, 1)
 
+    tasks = []
+
     async def main():
         ta = await spawn(bus.trigger("E", "a"))
         tb = await spawn(bus.trigger("E", "b"))
+        tasks.extend((ta, tb))
         assert await ta.join() is True
         assert await tb.join() is True
 
     rt.run(main())
     assert seen == [("b", "E"), ("a", "E"), ("b", "NESTED"), ("b", "E")]
-    assert bus._active == {}
+    assert_no_record_survives(rt, *tasks)
 
 
 def test_dispatch_records_do_not_outlive_crashed_tasks():
-    """A crash clears the composite's bus while its client task is parked
-    inside a dispatch: the cancelled task unwinds without restoring a
-    record, so ``_active`` holds nothing for a dead task however many
-    crash/recover rounds pass."""
+    """A crash cancels the client task while it is parked inside a
+    dispatch: the task unwinds its record with it, so nothing holds a
+    record for a dead task however many crash/recover rounds pass."""
     from repro import Deployment, ServiceSpec
     from repro.apps import KVStore
 
@@ -648,25 +662,34 @@ def test_dispatch_records_do_not_outlive_crashed_tasks():
         servers=1, clients=1)
     client, server = service.client_pids[0], service.server_pids[0]
     bus = service.grpc(client).bus
+    rt = deployment.runtime
     parked = []
+
+    def records(task):
+        chain, dispatch = [], task.dispatch
+        while dispatch is not None:
+            chain.append(dispatch.bus)
+            dispatch = dispatch.outer
+        return chain
 
     async def rounds():
         for i in range(100):
             deployment.crash(server)       # the call below cannot finish
-            deployment.spawn_client(client, service.call(
+            task = deployment.spawn_client(client, service.call(
                 client, "put", {"key": "k", "value": i}))
-            await deployment.runtime.sleep(0.05)
-            parked.append(len(bus._active))
+            await rt.sleep(0.05)
+            parked.append(records(task) == [bus])
             deployment.crash(client)
-            await deployment.runtime.sleep(0.05)
-            assert bus._active == {}, i
+            await rt.sleep(0.05)
+            assert task.done and task.dispatch is None, i
+            assert_no_record_survives(rt)
             deployment.recover(client)
             deployment.recover(server)
-            await deployment.runtime.sleep(0.05)
+            await rt.sleep(0.05)
 
     deployment.run_scenario(rounds())
-    assert parked == [1] * 100
-    assert bus._active == {}
+    assert parked == [True] * 100
+    assert_no_record_survives(rt)
     deployment.shutdown()
 
 
@@ -752,11 +775,12 @@ def test_cancel_event_inside_a_kind_chain():
     async def main():
         results.append(await bus.trigger("E", "CALL", kind="CALL"))
         results.append(await bus.trigger("E", "REPLY", kind="REPLY"))
+        assert_no_record_survives(rt)
 
     rt.run(main())
     assert results == [False, True]
     assert order == ["gate", "after-REPLY"]
-    assert bus._active == {}
+    assert_no_record_survives(rt)
 
 
 def test_instrumented_bus_takes_the_same_kind_chain():
@@ -805,3 +829,38 @@ def test_registration_table_ignores_kinds():
         on_call.__qualname__, on_reply.__qualname__, any_kind.__qualname__]}
     assert [reg.kinds for reg in bus.registrations("E")] == [
         frozenset({"CALL"}), frozenset({"REPLY", "ACK"}), None]
+
+
+def test_cancel_event_after_a_promotion_cancels_the_right_dispatch():
+    """An arrival dispatches inline and parks in its first handler, which
+    makes it a task; on resuming it cancels its own dispatch.  Another
+    arrival dispatching inline on the same bus meanwhile keeps its own
+    record."""
+    rt, bus = make_bus()
+    order, results, started = [], [], []
+
+    async def first(tag):
+        order.append((tag, "first", bus.in_dispatch()))
+        if tag == "parks":
+            await rt.sleep(1.0)
+            bus.cancel_event()
+
+    async def second(tag):
+        order.append((tag, "second"))
+
+    bus.register("E", first, 1)
+    bus.register("E", second, 2)
+
+    async def arrival(tag):
+        results.append((tag, await bus.trigger("E", tag)))
+
+    for when, tag in ((0.5, "parks"), (1.0, "inline")):
+        rt.call_later(when, lambda tag=tag: started.append(
+            rt.kernel.start(arrival(tag))))
+    rt.run_until_idle()
+    assert order == [("parks", "first", "E"), ("inline", "first", "E"),
+                     ("inline", "second")]
+    assert results == [("inline", True), ("parks", False)]
+    promoted, inline = started
+    assert inline is None and promoted.done
+    assert_no_record_survives(rt, promoted)

@@ -23,6 +23,7 @@ import time
 import pytest
 
 from repro.core.events import EventBus, _Dispatch
+from repro.errors import NoCurrentTask
 from repro.obs import Recorder
 from repro.runtime import SimRuntime
 
@@ -36,25 +37,23 @@ async def _raw_trigger(self, event, *args):
     """The pre-instrumentation trigger loop: EventBus.trigger as it would
     stand without the obs layer — no ``_obs``/``_prof`` test, no compiled
     tables — keeping the bus's bookkeeping, one ``_Dispatch`` record per
-    trigger linked to the task's enclosing one.  It is the timing
-    baseline only; the bus itself has a single path that serves both
-    cases."""
+    trigger linked to the running context's enclosing one on the kernel.
+    It is the timing baseline only; the bus itself has a single path
+    that serves both cases."""
     snapshot = list(self._handlers.get(event, []))
     if not snapshot:
         return True
-    task_key = id(self.runtime.current_handle_nowait())
-    dispatch = self._active[task_key] = _Dispatch(
-        event, self._active.get(task_key))
+    kernel = self._kernel
+    if kernel._current is None:
+        raise NoCurrentTask("no task is currently executing")
+    dispatch = kernel._dispatch = _Dispatch(self, event, kernel._dispatch)
     try:
         for reg in snapshot:
             if dispatch.cancelled:
                 break
             await reg.handler(*args)
     finally:
-        if dispatch.outer is None:
-            del self._active[task_key]
-        else:
-            self._active[task_key] = dispatch.outer
+        kernel._dispatch = dispatch.outer
     return not dispatch.cancelled
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the simulation kernel: scheduling, time, cancellation."""
 
+import weakref
+
 import pytest
 
 from repro.errors import KernelError, TaskCancelled
@@ -423,6 +425,8 @@ def test_task_ids_and_envelope_seqs_stay_unique_and_increasing():
 
 
 def test_a_task_finished_in_its_started_step_never_enters_the_table():
+    """An inline start that finishes in its first step is no task at
+    all; one that parks enters the table as a task."""
     kernel = Kernel()
     seen = []
 
@@ -439,9 +443,147 @@ def test_a_task_finished_in_its_started_step_never_enters_the_table():
     kernel.call_later(0.5, deliver)
     kernel.run_until(0.75)
     _, finished, parked = seen
-    assert finished.done and not parked.done
+    assert finished is None and not parked.done
     assert list(kernel.live_tasks()) == [parked]
-    assert kernel.stats()["tasks_spawned"] == 2
-    assert finished._joiners is None      # nobody joined: no list made
+    assert kernel.stats()["tasks_spawned"] == 1
     kernel.run_until_idle()
     assert list(kernel.live_tasks()) == []
+
+
+# ---------------------------------------------------------------------------
+# Inline runs: a started coroutine becomes a task only when it needs one
+# ---------------------------------------------------------------------------
+
+def _start_at(kernel, when, coro, **kwargs):
+    """Start ``coro`` from a timer action at ``when``; the returned list
+    receives what ``start`` returned."""
+    started = []
+    kernel.call_later(
+        when, lambda: started.append(kernel.start(coro, **kwargs)))
+    return started
+
+
+def test_an_inline_run_keeps_one_task_across_a_park():
+    kernel = Kernel()
+    seen = []
+
+    async def arrival():
+        before = await current_task()
+        await sleep(1.0)
+        seen.extend((before, await current_task()))
+
+    started = _start_at(kernel, 0.5, arrival(), name="msg", serial=7)
+    kernel.run_until_idle()
+    task, = started
+    assert seen == [task, task] and task.name == "msg-7"
+    assert kernel.stats()["tasks_spawned"] == 1
+
+
+def test_asking_for_the_handle_makes_the_task_on_the_spot():
+    from repro.runtime import SimRuntime
+
+    rt = SimRuntime()
+    seen = []
+
+    async def arrival():
+        seen.append(rt.current_handle_nowait())
+        seen.append(await current_task())
+
+    started = _start_at(rt.kernel, 0.5, arrival(), name="msg")
+    rt.run_until_idle()
+    assert started == [None]                  # not live after its step
+    first, second = seen
+    assert first is second and first.done and first.name == "msg"
+    assert rt.kernel.stats()["tasks_spawned"] == 1
+
+
+@pytest.mark.parametrize("exc", [ValueError("boom"), TaskCancelled()])
+@pytest.mark.parametrize("daemon", [False, True])
+def test_an_inline_failure_is_accounted_as_a_tasks(daemon, exc):
+    def failures(launch):
+        kernel = Kernel()
+
+        async def arrival():
+            raise exc
+
+        kernel.call_later(0.5, lambda: getattr(kernel, launch)(
+            arrival(), name="msg", daemon=daemon))
+        kernel.run_until_idle(strict=False)
+        stats = kernel.stats()
+        return ([(task.name, task.done, repr(err))
+                 for task, err in kernel.failures],
+                stats["steps_executed"], stats["tasks_spawned"])
+
+    expected = [("msg", True, "ValueError('boom')")]
+    if daemon or isinstance(exc, TaskCancelled):
+        expected = []
+    assert failures("start") == failures("spawn") == (expected, 1, 1)
+
+
+def test_a_profile_hook_sees_every_step_with_its_task():
+    kernel = Kernel()
+    steps = []
+    kernel.profile_hook = steps.append
+
+    async def parks():
+        await sleep(1.0)
+
+    async def quick():
+        pass
+
+    parked = _start_at(kernel, 0.5, parks(), name="parks")
+    finished = _start_at(kernel, 2.0, quick(), name="quick")
+    kernel.run_until_idle()
+    task, = parked
+    assert finished == [None]
+    assert [step.name for step in steps] == ["parks", "parks", "quick"]
+    assert steps[0] is steps[1] is task
+    assert kernel.stats()["steps_executed"] == len(steps)
+    assert kernel.stats()["tasks_spawned"] == 2
+
+
+def test_a_parked_arrival_is_in_its_nodes_scope_and_dies_with_it():
+    from repro.net import Envelope, NetworkFabric, Node
+    from repro.runtime import SimRuntime
+
+    rt = SimRuntime()
+    node = Node(1, rt, NetworkFabric(rt))
+    node.start()
+    log = []
+
+    async def handle(payload):
+        log.append(payload)
+        if payload == "parks":
+            try:
+                await sleep(10.0)
+            except TaskCancelled:
+                log.append("cancelled")
+                raise
+
+    class Transport:
+        def arrival(self, envelope):
+            return handle(envelope.payload)
+
+    node.transport = Transport()
+    for when, payload in ((0.5, "quick"), (1.0, "parks")):
+        rt.call_later(when, lambda payload=payload: node.deliver(
+            Envelope(2, 1, payload, 0.0)))
+    rt.call_later(2.0, node.crash)
+    rt.run_until_idle()
+    assert log == ["quick", "parks", "cancelled"]
+    assert rt.kernel.stats()["tasks_spawned"] == 1     # "quick" was none
+    assert rt.now() == 2.0
+
+
+def test_a_finished_inline_run_leaves_nothing_behind():
+    kernel = Kernel()
+
+    async def quick():
+        pass
+
+    coro = quick()
+    ref = weakref.ref(coro)
+    started = _start_at(kernel, 0.5, coro)
+    del coro
+    kernel.run_until_idle()
+    assert started == [None] and ref() is None

@@ -336,3 +336,172 @@ def test_queue_handoff_to_waiting_getter():
 
     kernel.run(main())
     assert got == ["direct"]
+
+
+# ---------------------------------------------------------------------------
+# A waiter woken and then cancelled before it runs passes its wakeup on
+# ---------------------------------------------------------------------------
+
+def _woken_then_cancelled(wait, wake):
+    """Two tasks wait; ``wake()`` hands one wakeup to the first, which is
+    cancelled in the same instant, before it runs.  Returns what each
+    waiter got."""
+    kernel = Kernel()
+    got = []
+
+    async def waiter(tag):
+        try:
+            got.append((tag, await wait()))
+        except TaskCancelled:
+            got.append((tag, "cancelled"))
+            raise
+
+    async def main():
+        first = await spawn(waiter("A"))
+        await spawn(waiter("B"))
+        await sleep(1)
+        wake()
+        first.cancel()
+        await sleep(1)
+
+    kernel.run(main())
+    return got
+
+
+def test_a_cancelled_waiter_passes_its_semaphore_permit_on():
+    sem = Semaphore(0)
+    got = _woken_then_cancelled(sem.acquire, sem.release)
+    assert got == [("A", "cancelled"), ("B", None)]
+    assert sem.value == 0
+
+
+def test_a_permit_handed_to_a_cancelled_lone_waiter_returns():
+    kernel = Kernel()
+    sem = Semaphore(0)
+
+    async def main():
+        waiter = await spawn(sem.acquire())
+        await sleep(1)
+        sem.release()
+        waiter.cancel()
+        await sleep(1)
+        assert waiter.cancelled and sem.value == 1
+
+    kernel.run(main())
+
+
+def test_a_cancelled_waiter_passes_the_lock_on():
+    lock = Lock()
+    kernel = Kernel()
+
+    async def hold():
+        await lock.acquire()
+
+    kernel.run(hold())
+    got = _woken_then_cancelled(lock.acquire, lock.release)
+    assert got == [("A", "cancelled"), ("B", None)]
+    assert lock.locked()
+
+
+def test_a_cancelled_getter_passes_its_item_on():
+    queue = Queue()
+    got = _woken_then_cancelled(queue.get, lambda: queue.put("item"))
+    assert got == [("A", "cancelled"), ("B", "item")]
+    assert queue.empty()
+
+
+def test_an_item_handed_to_a_cancelled_lone_getter_is_requeued_first():
+    kernel = Kernel()
+    queue = Queue()
+
+    async def main():
+        getter = await spawn(queue.get())
+        await sleep(1)
+        queue.put("first")
+        queue.put("second")
+        getter.cancel()
+        await sleep(1)
+        assert [queue.get_nowait(), queue.get_nowait()] == ["first",
+                                                            "second"]
+
+    kernel.run(main())
+
+
+def test_a_cancelled_waiter_passes_a_notification_on():
+    cond = Condition()
+    kernel = Kernel()
+    got = []
+
+    async def waiter(tag):
+        async with cond:
+            try:
+                await cond.wait()
+            except TaskCancelled:
+                got.append((tag, "cancelled"))
+                raise
+            got.append((tag, "notified"))
+
+    async def main():
+        first = await spawn(waiter("A"))
+        await spawn(waiter("B"))
+        await sleep(1)
+        async with cond:
+            cond.notify()
+        first.cancel()
+        await sleep(1)
+
+    kernel.run(main())
+    assert got == [("A", "cancelled"), ("B", "notified")]
+
+
+def test_a_waiter_woken_by_an_event_may_be_cancelled():
+    kernel = Kernel()
+    event = Event()
+
+    async def main():
+        waiter = await spawn(event.wait())
+        await sleep(1)
+        event.set()
+        waiter.cancel()
+        await sleep(1)
+        assert waiter.cancelled
+
+    kernel.run(main())
+
+
+def test_a_waiter_that_ran_with_its_permit_passes_nothing_on_later():
+    kernel = Kernel()
+    sem = Semaphore(0)
+
+    async def holder():
+        await sem.acquire()
+        await sleep(5)          # holds the permit, then is cancelled
+
+    async def main():
+        task = await spawn(holder())
+        await sleep(1)
+        sem.release()
+        await sleep(1)
+        task.cancel()
+        await sleep(1)
+        assert task.cancelled and sem.value == 0
+
+    kernel.run(main())
+
+
+def test_a_wakeup_is_passed_on_when_cancelled_between_runs():
+    kernel = Kernel()
+    sem = Semaphore(0)
+
+    async def setup():
+        first = await spawn(sem.acquire())
+        second = await spawn(sem.acquire())
+        await sleep(1)
+        return first, second
+
+    first, second = kernel.run(setup(), shutdown=False)
+    sem.release()
+    first.cancel()
+    kernel.run_until_idle()
+    assert first.cancelled
+    assert second.done and not second.cancelled and sem.value == 0
