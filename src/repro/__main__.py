@@ -6,10 +6,10 @@ Commands
 ``info``        library version, micro-protocol catalog, presets
 ``enumerate``   Figure-4 service counts (the paper's 198)
 ``demo``        run a quick replicated-KV demo on the simulator
-``trace``       run one observed call and print its protocol timeline,
-                or — given a configuration preset — run a traced
-                workload and dump the span tree as JSONL (``--flame``
-                for the human-readable tree)
+``trace``       run one traced call and print its span tree and when a
+                server first executed it, or — given a configuration
+                preset — run a traced workload and dump the span tree as
+                JSONL (``--flame`` for the human-readable tree)
 ``report``      run a preset deployment with the observatory enabled
                 (Zipfian workload + an injected server crash) and print
                 the one-page health report
@@ -106,7 +106,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     if args.config is not None:
         return _trace_config(args)
-    # Legacy mode: one observed call, protocol-timeline output.
     # Total Order forbids Bounded Termination (Figure 4).
     bounded = 0.0 if args.ordering == "total" else 5.0
     spec = ServiceSpec(acceptance=3, bounded=bounded, unique=True,
@@ -114,14 +113,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
     cluster = ServiceCluster(spec, KVStore, n_servers=3,
                              default_link=LinkSpec(delay=0.01,
                                                    jitter=0.005),
-                             observe=True)
+                             obs=True)
     result = cluster.call_and_run("put", {"key": "traced", "value": 1},
                                   extra_time=0.3)
-    key = (cluster.client, 1, result.id)
-    print(cluster.call_log.format_timeline(key))
-    latency = cluster.call_log.first_execution_latency(key)
-    print(f"\nfirst execution after {latency * 1000:.2f} ms; "
-          f"status {result.status.value}")
+    spans = cluster.obs.spans
+    root = next(s for s in spans if s.name == "rpc.call")
+    executed = min(s.start for s in spans if s.trace == root.trace
+                   and s.name == "server.execute")
+    print(cluster.format_flame(root.trace))
+    print(f"\nfirst execution after {(executed - root.start) * 1000:.2f} "
+          f"ms; status {result.status.value}")
     return 0
 
 
@@ -350,12 +351,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     trace = sub.add_parser(
         "trace",
-        help="trace one call's timeline, or dump a configuration's "
+        help="trace one call's span tree, or dump a configuration's "
              "span-tree trace as JSONL")
     trace.add_argument("config", nargs="?", default=None,
                        choices=sorted(TRACE_CONFIGS),
                        help="preset to run with the obs layer on; "
-                            "omit for the legacy single-call timeline")
+                            "omit for one call's span tree")
     trace.add_argument("--ordering", default="none",
                        choices=["none", "fifo", "total", "causal"])
     trace.add_argument("--servers", type=int, default=3)

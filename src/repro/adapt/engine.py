@@ -37,11 +37,11 @@ loss.  The protocol:
 The :class:`AdaptationFence` makes the epoch bump safe: while a
 composite's epoch is non-zero every outgoing message is stamped with it
 (:meth:`~repro.core.grpc.GroupRPC.net_push`), and the fence — first on
-``MSG_FROM_NETWORK`` after the read-only Call Observer — drops arrivals
-carrying a different epoch.  A retransmission sent under the old
-composition can therefore never be dispatched into the new one (where,
-e.g., a fresh Total Order sequencer would wedge on a stale duplicate);
-reliable clients simply retransmit under the new epoch.
+``MSG_FROM_NETWORK`` — drops arrivals carrying a different epoch.  A
+retransmission sent under the old composition can therefore never be
+dispatched into the new one (where, e.g., a fresh Total Order sequencer
+would wedge on a stale duplicate); reliable clients simply retransmit
+under the new epoch.
 """
 
 from __future__ import annotations
@@ -290,10 +290,8 @@ class AdaptationManager:
         cursors = {pid: (grpc.inc_number,
                          grpc.micro("RPC_Main").next_call_id)
                    for pid, grpc in svc.grpcs.items()}
-        from_managed = set(from_names)
         for grpc in svc.grpcs.values():
-            self._switch_composite(grpc, plan.to_spec, from_managed,
-                                   kept, cursors)
+            self._switch_composite(grpc, plan.to_spec, kept, cursors)
         for grpc in svc.grpcs.values():
             grpc.adapt_epoch = epoch
         self.epochs[service] = epoch
@@ -388,8 +386,7 @@ class AdaptationManager:
         return kept
 
     def _switch_composite(self, grpc: GroupRPC, to_spec: ServiceSpec,
-                          from_managed: set, kept: set,
-                          cursors: Dict[int, tuple]) -> None:
+                          kept: set, cursors: Dict[int, tuple]) -> None:
         """Re-link one member's composite onto the target composition.
 
         Runs with the group quiescent and without awaiting: dispatch
@@ -404,10 +401,12 @@ class AdaptationManager:
         # parameters changed.  detach() retires the instance's bus
         # registrations (cancelling its pending TIMEOUTs) and undoes
         # configure()'s shared-state side effects.
+        fence = None
         for micro in grpc.micro_protocols:
             name = micro.name
-            if name not in from_managed:
-                continue                    # CallObserver, fence, ...
+            if isinstance(micro, AdaptationFence):
+                fence = micro
+                continue
             if name in kept and name in fresh_names:
                 continue                    # survives with state intact
             micro.detach()
@@ -429,17 +428,13 @@ class AdaptationManager:
             new_list.append(micro)
             micro.attach(grpc)
 
-        # Unmanaged riders (the deployment's CallObserver, a previously
-        # installed fence) stay linked, after the managed protocols.
-        for micro in grpc.micro_protocols:
-            if micro.name not in from_managed and micro not in new_list:
-                new_list.append(micro)
-        if not any(m.name == AdaptationFence.protocol_name
-                   for m in new_list):
+        # The fence, the one protocol no spec manages, stays linked after
+        # the managed ones; the first switch installs it.
+        if fence is None:
             fence = AdaptationFence(
                 self.metrics.counter("adapt.fence.dropped"))
-            new_list.append(fence)
             fence.attach(grpc)
+        new_list.append(fence)
         grpc.micro_protocols[:] = new_list
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -128,12 +128,11 @@ class RingRouter(ShardRouter):
     callers that index by shard number.
     """
 
-    def __init__(self, services: Sequence[str], *,
-                 vnodes: int = 64, seed: int = 0,
+    def __init__(self, services: Sequence[str], *, seed: int = 0,
                  metrics: Optional[MetricsRegistry] = None):
         super().__init__(services, metrics=metrics)
         self._metrics = metrics
-        self.ring = HashRing(self.services, vnodes=vnodes, seed=seed)
+        self.ring = HashRing(self.services, seed=seed)
         #: name -> position in ``services``; O(1) shard_index instead of
         #: an O(N) list scan per routed call.
         self._index = {name: i for i, name in enumerate(self.services)}
@@ -253,9 +252,6 @@ def build_sharded_kv(deployment: Any, n_shards: int, *,
                      servers_per_shard: int = 1,
                      clients: Union[int, Sequence[int]] = 1,
                      app_factory: Any = KVStore,
-                     vnodes: int = 64,
-                     seed: int = 0,
-                     observe: bool = False,
                      replication: Any = None) -> ShardedKV:
     """Deploy ``n_shards`` KV services and return a routed client.
 
@@ -264,7 +260,7 @@ def build_sharded_kv(deployment: Any, n_shards: int, *,
     independently.  Server pids are auto-allocated per shard; ``clients``
     (a count or explicit pids) are shared by every shard, so any of those
     nodes can drive the whole keyspace.  Keys are placed by consistent
-    hashing (a :class:`RingRouter` over ``vnodes``/``seed``).  Returns a
+    hashing (a :class:`RingRouter` with its default seed).  Returns a
     :class:`ShardedKV` bound to the first client; build more views over
     the same router for the other client pids.
 
@@ -310,8 +306,7 @@ def build_sharded_kv(deployment: Any, n_shards: int, *,
             name, specs[i], app_factory,
             servers=(servers_per_shard if rspecs is None
                      else rspecs[i].replicas),
-            clients=clients if first is None else first.client_pids,
-            observe=observe)
+            clients=clients if first is None else first.client_pids)
         if first is None:
             first = svc
         names.append(name)
@@ -320,8 +315,7 @@ def build_sharded_kv(deployment: Any, n_shards: int, *,
         manager = ReplicationManager.ensure(deployment)
         for name, rspec in zip(names, rspecs):
             manager.replicate(name, rspec)
-    routed = RingRouter(names, vnodes=vnodes, seed=seed,
-                        metrics=deployment.metrics)
+    routed = RingRouter(names, metrics=deployment.metrics)
     observatory = getattr(deployment, "observatory", None)
     if observatory is not None:
         routed.attach_load(observatory.load)

@@ -51,7 +51,6 @@ from repro.core.config import ServiceSpec
 from repro.core.control import ControlLoop
 from repro.core.grpc import GroupRPC
 from repro.core.messages import CallResult, NetMsg
-from repro.core.microprotocols import CallObserver, CallTraceLog
 from repro.errors import (
     BindingError,
     ConfigurationError,
@@ -111,8 +110,7 @@ class Service:
 
     def __init__(self, deployment: "Deployment", name: str,
                  spec: ServiceSpec, group: Group,
-                 server_pids: List[int], client_pids: List[int],
-                 call_log: Optional[CallTraceLog]):
+                 server_pids: List[int], client_pids: List[int]):
         self.deployment = deployment
         self.name = name
         self.spec = spec
@@ -123,8 +121,6 @@ class Service:
         self.grpcs: Dict[int, GroupRPC] = {}
         self.dispatchers: Dict[int, ServerDispatcher] = {}
         self.apps: Dict[int, ServerApp] = {}
-        #: Shared per-call timeline when built with ``observe=True``.
-        self.call_log = call_log
 
     # -- accessors -------------------------------------------------------
 
@@ -296,8 +292,7 @@ class Deployment:
     def add_service(self, name: str, spec: ServiceSpec,
                     app_factory: Callable[..., ServerApp], *,
                     servers: Union[int, Iterable[int]] = 3,
-                    clients: Union[int, Iterable[int]] = 1,
-                    observe: bool = False) -> Service:
+                    clients: Union[int, Iterable[int]] = 1) -> Service:
         """Wire one named service into the deployment.
 
         ``servers``/``clients`` are either explicit pid iterables (pids
@@ -330,8 +325,7 @@ class Deployment:
 
         group = Group(name, server_pids)
         self.registry.bind(name, group)
-        svc = Service(self, name, spec, group, server_pids, client_pids,
-                      CallTraceLog(self.obs) if observe else None)
+        svc = Service(self, name, spec, group, server_pids, client_pids)
         for pid in server_pids:
             self._build_composite(svc, pid,
                                   _instantiate_app(app_factory, pid))
@@ -391,8 +385,6 @@ class Deployment:
         grpc = GroupRPC(node, name=f"gRPC:{svc.name}@{pid}",
                         service=svc.name)
         grpc.add(*svc.spec.build())
-        if svc.call_log is not None:
-            grpc.add(CallObserver(svc.call_log))
         self.routers[pid].attach(svc.name, grpc)
         if app is not None:
             dispatcher = ServerDispatcher(

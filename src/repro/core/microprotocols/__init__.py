@@ -18,11 +18,6 @@ from repro.core.microprotocols.fifo_order import FIFOOrder
 from repro.core.microprotocols.interference_avoidance import (
     InterferenceAvoidance,
 )
-from repro.core.microprotocols.observer import (
-    CallObserver,
-    CallTraceLog,
-    TracePoint,
-)
 from repro.core.microprotocols.probe_orphan import ProbeOrphanTermination
 from repro.core.microprotocols.reliable_communication import (
     ReliableCommunication,
@@ -60,7 +55,4 @@ __all__ = [
     "InterferenceAvoidance",
     "TerminateOrphan",
     "ProbeOrphanTermination",
-    "CallObserver",
-    "CallTraceLog",
-    "TracePoint",
 ]

@@ -30,7 +30,6 @@ __all__ = ["GRPCMicroProtocol", "HANDLER_ORDER"]
 #: Event -> ``"Owner.handler"`` names, first to run first.
 HANDLER_ORDER: Dict[str, Tuple[str, ...]] = {
     MSG_FROM_NETWORK: (
-        "Call_Observer.on_message",                     # read-only
         # Adapted composites only: drops cross-epoch arrivals untouched.
         "Adaptation_Fence.fence",
         # The initial checkpoint precedes anything that can execute.
@@ -58,7 +57,6 @@ HANDLER_ORDER: Dict[str, Tuple[str, ...]] = {
         "FIFO_Order.msg_from_net",                      # the paper's 10
     ),
     REPLY_FROM_SERVER: (
-        "Call_Observer.on_executed",
         # Unique stores before an ordering gate releases (deviation #6).
         "Unique_Execution.handle_reply",
         "FIFO_Order.handle_reply",
@@ -70,12 +68,10 @@ HANDLER_ORDER: Dict[str, Tuple[str, ...]] = {
         "Atomic_Execution.handle_reply",
     ),
     CALL_FROM_USER: (
-        "Call_Observer.on_issue",
         # Figure 3: R records and transmits, then S blocks the caller.
         "RPC_Main.msg_from_user",
         "Synchronous_Call.msg_from_user",
         "Asynchronous_Call.msg_from_user",
-        "Call_Observer.on_return",
     ),
     NEW_RPC_CALL: (
         "Causal_Order.handle_new_call",
@@ -83,7 +79,6 @@ HANDLER_ORDER: Dict[str, Tuple[str, ...]] = {
         "Bounded_Termination.handle_new_call",
         "Collation.handle_new_call",
         "Acceptance.handle_new_call",
-        "Call_Observer.on_recorded",
     ),
     RECOVERY: ("RPC_Main.handle_recovery",
                "Reliable_Communication.handle_recovery",

@@ -53,7 +53,7 @@ from repro.core.grpc import MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, MemChange, NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.net.message import Group, ProcessId
-from repro.obs import register_protocol
+from repro.obs import CTX_KEY, register_protocol
 
 __all__ = ["TotalOrder"]
 
@@ -141,9 +141,14 @@ class TotalOrder(GRPCMicroProtocol):
                 rank = self.next_order
                 self.old_orders[key] = rank
                 self.next_order += 1
+            # The ORDER joins the call's trace; untraced, it carries
+            # no annotations at all.
+            ctx = msg.annotation(CTX_KEY)
             order_msg = NetMsg(type=NetOp.ORDER, id=msg.id,
                                server=msg.server, sender=self.my_id,
-                               inc=msg.inc, order=rank, client=msg.sender)
+                               inc=msg.inc, order=rank, client=msg.sender,
+                               annotations=(None if ctx is None
+                                            else {CTX_KEY: ctx}))
             await grpc.net_push(msg.server, order_msg)
         elif key in self.waiting_set:
             # Retransmitted but still unordered here: nudge the leader in

@@ -25,7 +25,6 @@ from repro.apps.dispatcher import ServerApp
 from repro.core.config import ServiceSpec
 from repro.core.deployment import CLIENT_BASE_PID, Deployment
 from repro.core.messages import CallResult
-from repro.errors import ConfigurationError, ReproError
 from repro.net import LinkSpec, WireConfig
 from repro.obs import Recorder
 from repro.runtime import SimRuntime
@@ -48,15 +47,10 @@ class ServiceCluster:
                  membership_delay: float = 0.0,
                  heartbeat_interval: float = 0.05,
                  keep_trace: bool = True,
-                 observe: bool = False,
                  obs: Union[bool, Recorder] = False,
                  runtime: Optional[SimRuntime] = None,
                  wire: Optional[WireConfig] = None):
         """``membership`` is ``None``, ``"oracle"`` or ``"heartbeat"``.
-
-        ``observe=True`` links a read-only Call Observer micro-protocol
-        into every composite and exposes the shared timeline as
-        ``cluster.call_log``.
 
         ``obs`` turns on the observability layer: ``True`` creates a
         :class:`~repro.obs.Recorder` sharing the cluster's metrics
@@ -65,13 +59,6 @@ class ServiceCluster:
         registry itself (``cluster.metrics``) always exists — the fabric
         counts messages through it regardless.
         """
-        if n_servers < 1:
-            raise ReproError("need at least one server")
-        if n_servers >= CLIENT_BASE_PID:
-            raise ConfigurationError(
-                f"n_servers={n_servers} reaches the client pid range "
-                f"(client pids start at CLIENT_BASE_PID={CLIENT_BASE_PID}); "
-                f"server and client pids would collide")
         self.spec = spec
         self.deployment = Deployment(
             seed=seed, default_link=default_link, membership=membership,
@@ -81,8 +68,7 @@ class ServiceCluster:
         self._service = self.deployment.add_service(
             _SERVICE_NAME, spec, app_factory,
             servers=range(1, n_servers + 1),
-            clients=range(CLIENT_BASE_PID, CLIENT_BASE_PID + n_clients),
-            observe=observe)
+            clients=range(CLIENT_BASE_PID, CLIENT_BASE_PID + n_clients))
 
         # The historical flat surface, aliased onto the deployment's
         # shared substrate and the single service's wiring.
@@ -97,7 +83,6 @@ class ServiceCluster:
         self.grpcs = self._service.grpcs
         self.dispatchers = self._service.dispatchers
         self.apps = self._service.apps
-        self.call_log = self._service.call_log
         self._membership = self.deployment._membership
 
     # ------------------------------------------------------------------

@@ -7,15 +7,13 @@ invariant checking in tests.
 
 The per-kind counters live in a :class:`~repro.obs.metrics.MetricsRegistry`
 under ``net.<kind>`` (one registry per deployment, shared with the rest of
-the observability layer).  The legacy ``trace.counts[...]`` mapping is kept
-as a read-only view over those counters so existing callers and tests keep
-working; new code should read ``metrics.counter("net.send")`` &c. directly.
+the observability layer); read them as ``metrics.value("net.send")`` &c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -42,35 +40,6 @@ class TraceEvent:
     src: int
     dst: int
     detail: Any = None
-
-
-class _CountsView(Mapping):
-    """Read-only ``Counter``-style view over the ``net.*`` counters.
-
-    Preserves the old interface: missing kinds read as 0, iteration and
-    ``dict(...)`` cover only kinds that have actually been counted (zeroed
-    counters — e.g. after :meth:`NetTrace.clear` — are skipped, matching
-    ``collections.Counter`` semantics where ``clear`` empties the dict).
-    """
-
-    __slots__ = ("_metrics",)
-
-    def __init__(self, metrics: MetricsRegistry):
-        self._metrics = metrics
-
-    def __getitem__(self, kind: str) -> int:
-        return int(self._metrics.value(NET_PREFIX + kind, 0))
-
-    def __iter__(self) -> Iterator[str]:
-        for name in self._metrics.counter_names(NET_PREFIX):
-            if self._metrics.value(name, 0) > 0:
-                yield name[len(NET_PREFIX):]
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_CountsView({dict(self)!r})"
 
 
 class NetTrace:
@@ -112,15 +81,6 @@ class NetTrace:
             observer(event)
 
     # -- convenience accessors -------------------------------------------
-
-    @property
-    def counts(self) -> Mapping:
-        """Deprecated per-kind counter mapping (kind -> count).
-
-        A live read-only view over the registry's ``net.*`` counters; kept
-        for backward compatibility with pre-registry callers.
-        """
-        return _CountsView(self.metrics)
 
     @property
     def sends(self) -> int:

@@ -199,10 +199,9 @@ class Recorder:
     # ------------------------------------------------------------------
 
     def record_event(self, kind: str, *, node: int = -1,
-                     time: Optional[float] = None, **fields: Any) -> None:
+                     **fields: Any) -> None:
         self.events.append(EventRecord(
-            time=self.now() if time is None else time,
-            kind=kind, node=node, fields=fields))
+            time=self.now(), kind=kind, node=node, fields=fields))
 
     def record_handler(self, event: str, owner: str, handler: str,
                        priority: float, start: float, end: float, *,

@@ -66,7 +66,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -88,10 +87,10 @@ __all__ = ["PlacementPlane", "ElasticKV", "build_elastic_kv"]
 class PlacementPlane:
     """Owns key placement for a set of shard services of one deployment."""
 
-    def __init__(self, deployment: Any, *, vnodes: int = 64, seed: int = 0,
+    def __init__(self, deployment: Any, *,
                  coordinator: Optional[int] = None):
         self.deployment = deployment
-        self.ring = HashRing(vnodes=vnodes, seed=seed)
+        self.ring = HashRing()
         #: The replicated metadata plane; the view's epoch is the
         #: routing-table version every stamped call carries.
         self.views = ViewManager.ensure(deployment)
@@ -210,13 +209,10 @@ class PlacementPlane:
     # Reshaping
     # ------------------------------------------------------------------
 
-    async def add_shard(self, name: Optional[str] = None, *,
-                        spec: Optional[ServiceSpec] = None,
-                        servers: Union[int, Iterable[int], None] = None,
-                        app_factory: Any = None) -> Any:
+    async def add_shard(self, name: Optional[str] = None) -> Any:
         """Grow the ring by one shard, migrating its key ranges in.
 
-        Unspecified arguments fall back to the defaults recorded by
+        A new shard takes the spec, server count and clients recorded by
         :func:`build_elastic_kv`.  Re-adding a previously drained or
         removed shard reuses its deployed service; any stale pre-crash
         state is wiped before the shard rejoins the ring, so it can never
@@ -252,15 +248,9 @@ class PlacementPlane:
                 raise PlacementError(
                     "adopt at least one shard before growing the ring")
             service = deployment.add_service(
-                name,
-                spec if spec is not None else defaults.get(
-                    "spec", ServiceSpec()),
-                app_factory if app_factory is not None else defaults.get(
-                    "app_factory", StableKVStore),
-                servers=servers if servers is not None else defaults.get(
-                    "servers_per_shard", 1),
-                clients=defaults.get("client_pids",
-                                     [self.coordinator]))
+                name, defaults.get("spec", ServiceSpec()), StableKVStore,
+                servers=defaults.get("servers_per_shard", 1),
+                clients=defaults.get("client_pids", [self.coordinator]))
             if rspec is not None:
                 from repro.replication import ReplicationManager
                 ReplicationManager.ensure(deployment).replicate(
@@ -738,9 +728,6 @@ def build_elastic_kv(deployment: Any, n_shards: int, *,
                      spec: Optional[ServiceSpec] = None,
                      servers_per_shard: int = 1,
                      clients: Union[int, Sequence[int]] = 1,
-                     vnodes: int = 64,
-                     seed: int = 0,
-                     app_factory: Any = StableKVStore,
                      replication: Any = None):
     """Deploy ``n_shards`` stable-backed KV services under a placement
     plane; returns ``(plane, kv)``.
@@ -748,7 +735,7 @@ def build_elastic_kv(deployment: Any, n_shards: int, *,
     The default spec gives every shard exactly-once, serially-executed
     semantics with bounded termination — bounded termination is what
     turns a call to a dead shard into a TIMEOUT the migration machinery
-    can observe, rather than a hang.  The default application is
+    can observe, rather than a hang.  Every shard runs a
     :class:`~repro.apps.kvstore.StableKVStore`, whose acknowledged
     writes survive crashes and are therefore salvageable when a shard
     dies mid-migration.
@@ -776,12 +763,12 @@ def build_elastic_kv(deployment: Any, n_shards: int, *,
     elif spec is None:
         spec = ServiceSpec(reliable=True, unique=True, execution="serial",
                            bounded=2.0, acceptance=1)
-    plane = PlacementPlane(deployment, vnodes=vnodes, seed=seed)
+    plane = PlacementPlane(deployment)
     first = None
     for i in range(n_shards):
         name = f"shard-{i}"
         service = deployment.add_service(
-            name, spec, app_factory, servers=servers_per_shard,
+            name, spec, StableKVStore, servers=servers_per_shard,
             clients=clients if first is None else first.client_pids)
         if first is None:
             first = service
@@ -793,7 +780,6 @@ def build_elastic_kv(deployment: Any, n_shards: int, *,
             manager.replicate(f"shard-{i}", replication)
     plane.defaults = {
         "spec": spec,
-        "app_factory": app_factory,
         "servers_per_shard": servers_per_shard,
         "client_pids": list(first.client_pids),
         "replication": replication,

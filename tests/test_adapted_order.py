@@ -31,8 +31,7 @@ SEED = 29
 
 def deploy(spec):
     dep = Deployment(seed=SEED)
-    svc = dep.add_service("s", spec, KVStore, servers=1, clients=1,
-                          observe=True)
+    svc = dep.add_service("s", spec, KVStore, servers=1, clients=1)
     return dep, svc
 
 
@@ -98,8 +97,7 @@ def test_fifo_atomic_gaining_unique_stores_before_the_gate_releases():
     throughout, on the server and the client."""
     source = ServiceSpec(execution="atomic", ordering="fifo")
     dep, svc = adapted(source, source.with_(unique=True))
-    expected = ["Call_Observer", "Unique_Execution", "FIFO_Order",
-                "Atomic_Execution"]
+    expected = ["Unique_Execution", "FIFO_Order", "Atomic_Execution"]
 
     def reply_chains():
         return [[reg.owner for reg in

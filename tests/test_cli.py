@@ -32,10 +32,9 @@ def test_demo(capsys):
 def test_trace(capsys, ordering):
     assert main(["trace", "--ordering", ordering]) == 0
     out = capsys.readouterr().out
-    assert "issued" in out and "executed" in out
-    assert "status OK" in out
-    if ordering == "total":
-        assert "received-Order" in out
+    assert "rpc.call" in out and "server.execute" in out
+    assert "first execution after" in out and "status OK" in out
+    assert ("msg.Order" in out) == (ordering == "total")
 
 
 def test_trace_config_emits_jsonl(capsys):

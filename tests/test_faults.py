@@ -176,7 +176,7 @@ def test_drop_filters_probe_each_inner_message_of_a_batch():
     # continued in a rebuilt batch.
     assert fault.matched == 2 and fault.dropped == 2
     assert tops[2].received == ["a", "b", "c"]
-    assert fabric.trace.counts["drop-filter"] == 2
+    assert fabric.trace.metrics.value("net.drop-filter") == 2
     assert fabric.trace.deliveries == 3
     assert fabric.trace.metrics.value("net.envelopes") == 1
 

@@ -20,8 +20,6 @@ from repro.core.microprotocols import (
     HANDLER_ORDER,
     Acceptance,
     BoundedTermination,
-    CallObserver,
-    CallTraceLog,
     GRPCMicroProtocol,
     ReliableCommunication,
     RPCMain,
@@ -96,11 +94,11 @@ def test_handler_order_keeps_each_must_run_before_pair():
     assert not broken, "\n".join(broken)
 
 
-def test_the_fence_runs_first_after_the_read_only_observer():
+def test_the_fence_runs_first():
     """A cross-epoch arrival is dropped before it touches any state —
     Atomic Execution's stable-storage checkpoint included."""
-    assert HANDLER_ORDER[MSG_FROM_NETWORK][:3] == (
-        "Call_Observer.on_message", "Adaptation_Fence.fence",
+    assert HANDLER_ORDER[MSG_FROM_NETWORK][:2] == (
+        "Adaptation_Fence.fence",
         "Atomic_Execution.ensure_initial_checkpoint")
 
 
@@ -116,8 +114,7 @@ def test_every_registration_sits_at_its_table_rank():
     placed = set()
     for pid, spec in enumerate(specs, start=1):
         grpc = GroupRPC(Node(pid, rt, fabric))
-        grpc.add(*spec.build(), CallObserver(CallTraceLog()),
-                 AdaptationFence())
+        grpc.add(*spec.build(), AdaptationFence())
         for event in grpc.bus.registration_table():
             for reg in grpc.bus.registrations(event):
                 name = f"{reg.owner}.{reg.handler.__name__}"

@@ -161,7 +161,7 @@ def test_partition_blocks_and_heals():
 
     rt.run(main())
     assert tops[2].received == [(1, "through")]
-    assert fabric.trace.counts["drop-partition"] == 1
+    assert fabric.trace.metrics.value("net.drop-partition") == 1
 
 
 def test_filter_drop_and_removal():
@@ -192,7 +192,7 @@ def test_delivery_to_down_node_dropped():
 
     rt.run(main())
     assert tops[2].received == []
-    assert fabric.trace.counts["drop-dead"] == 1
+    assert fabric.trace.metrics.value("net.drop-dead") == 1
 
 
 def test_crash_cancels_node_tasks():

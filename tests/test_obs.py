@@ -14,6 +14,7 @@ import pytest
 
 from repro import LinkSpec, ServiceCluster, ServiceSpec
 from repro.apps import KVStore
+from repro.core.messages import NetMsg, NetOp
 from repro.obs import (
     MetricsRegistry,
     Recorder,
@@ -28,10 +29,10 @@ from repro.obs import (
 LOSSY = LinkSpec(delay=0.01, jitter=0.002, loss=0.25)
 
 
-def lossy_cluster(obs=True, seed=0):
-    return ServiceCluster(ServiceSpec(acceptance=5, unique=True), KVStore,
-                          n_servers=5, seed=seed, default_link=LOSSY,
-                          obs=obs)
+def lossy_cluster(obs=True, seed=0, spec=ServiceSpec(acceptance=5,
+                                                      unique=True)):
+    return ServiceCluster(spec, KVStore, n_servers=5, seed=seed,
+                          default_link=LOSSY, obs=obs)
 
 
 @pytest.fixture(scope="module")
@@ -136,10 +137,7 @@ def test_network_counters_live_in_the_registry(traced):
     assert cluster.metrics is cluster.obs.metrics
     assert cluster.metrics.value("net.send") == cluster.trace.sends
     assert cluster.metrics.value("net.drop-loss") == cluster.trace.losses
-    # The legacy mapping view agrees with the registry.
-    assert cluster.trace.counts["send"] == cluster.metrics.value("net.send")
-    assert dict(cluster.trace.counts)["deliver"] == \
-        cluster.trace.deliveries
+    assert cluster.metrics.value("net.deliver") == cluster.trace.deliveries
 
 
 def test_runtime_stats_publish_as_gauges(traced):
@@ -223,16 +221,48 @@ def test_obs_off_by_default():
 
 
 def test_behavior_identical_with_and_without_tracing():
-    """Tracing must be read-only: same results, same message pattern."""
-    runs = []
-    for obs in (False, True):
-        cluster = lossy_cluster(obs=obs)
-        result = cluster.call_and_run("put", {"key": "k", "value": 1},
-                                      extra_time=1.0)
-        runs.append((result.status, result.args,
-                     cluster.trace.sends, cluster.trace.losses,
-                     cluster.runtime.now()))
-    assert runs[0] == runs[1]
+    """Tracing must be read-only: same results, same message pattern,
+    Total Order's span-carrying ORDER messages included."""
+    for spec in (ServiceSpec(acceptance=5, unique=True),
+                 ServiceSpec(acceptance=5, unique=True, ordering="total")):
+        runs = []
+        for obs in (False, True):
+            cluster = lossy_cluster(obs=obs, spec=spec)
+            result = cluster.call_and_run("put", {"key": "k", "value": 1},
+                                          extra_time=1.0)
+            runs.append((result.status, result.args,
+                         cluster.trace.sends, cluster.trace.losses,
+                         cluster.runtime.now(),
+                         [cluster.app(pid).data
+                          for pid in cluster.server_pids]))
+        assert runs[0] == runs[1], spec
+
+
+def order_sends(cluster):
+    return [e.detail for e in cluster.trace.of_kind("send")
+            if isinstance(e.detail, NetMsg)
+            and e.detail.type is NetOp.ORDER]
+
+
+def test_order_arrivals_are_spans_of_the_call_trace():
+    """Each server's ORDER arrival is one ``msg.Order`` span in the
+    call's own trace; untraced, the ORDER carries no annotations."""
+    spec = ServiceSpec(acceptance=3, unique=True, ordering="total")
+    cluster = ServiceCluster(spec, KVStore, n_servers=3,
+                             default_link=LinkSpec(delay=0.005), obs=True)
+    result = cluster.call_and_run("put", {"key": "k", "value": 1},
+                                  extra_time=0.3)
+    assert result.ok
+    root, = cluster.obs.roots()
+    orders = [s for s in cluster.obs.spans if s.name == "msg.Order"]
+    assert sorted(s.node for s in orders) == cluster.server_pids
+    assert {s.trace for s in orders} == {root.trace}
+
+    plain = ServiceCluster(spec, KVStore, n_servers=3,
+                           default_link=LinkSpec(delay=0.005))
+    assert plain.call_and_run("put", {"key": "k", "value": 1}).ok
+    assert order_sends(plain)
+    assert all(msg.annotations is None for msg in order_sends(plain))
 
 
 # ----------------------------------------------------------------------

@@ -54,8 +54,7 @@ def test_catalog_covers_the_full_composition_space():
             "Unique_Execution", "Serial_Execution", "Atomic_Execution",
             "Terminate_Orphan", "Probe_Orphan_Termination",
             "FIFO_Order", "Total_Order", "Causal_Order",
-            "Acceptance", "Collation", "Interference_Avoidance",
-            "Call_Observer"} <= names
+            "Acceptance", "Collation", "Interference_Avoidance"} <= names
     assert is_registered("RPC_Main")
     assert not is_registered("Not_A_Protocol")
 

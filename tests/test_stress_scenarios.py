@@ -178,7 +178,7 @@ def test_determinism_of_an_entire_chaos_scenario():
         for i in range(8):
             statuses.append(cluster.call_and_run(
                 "inc", {"amount": 1, "tag": i}, extra_time=0.2).status)
-        return statuses, dict(cluster.trace.counts), \
+        return statuses, cluster.metrics.snapshot()["counters"], \
             cluster.app(1).value
 
     assert run() == run()

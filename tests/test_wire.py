@@ -237,14 +237,15 @@ def test_batching_defaults_off_with_identical_accounting():
             await rt.sleep(1.0)
 
         rt.run(main())
-        return ([p for _, p in tops[2].received], dict(fabric.trace.counts),
+        return ([p for _, p in tops[2].received],
+                fabric.trace.metrics.snapshot()["counters"],
                 fabric.trace.metrics.value("net.envelopes"))
 
     default_payloads, default_counts, default_envelopes = run(None)
     explicit_payloads, explicit_counts, _ = run(WireConfig())
     # The default config IS the old per-message path: one envelope per
     # send, and an explicitly-constructed default behaves identically.
-    assert default_envelopes == default_counts["send"]
+    assert default_envelopes == default_counts["net.send"]
     assert explicit_payloads == default_payloads
     assert explicit_counts == default_counts
 
@@ -397,7 +398,7 @@ def test_crash_drops_buffered_outbound_messages():
     # A down site cannot transmit: nothing escaped on the flush timer.
     assert tops[2].received == []
     assert fabric.pipeline.buffered() == 0
-    assert fabric.trace.counts["drop-src-down"] == 3
+    assert fabric.trace.metrics.value("net.drop-src-down") == 3
     assert fabric.trace.metrics.value("net.batch.envelopes") == 0
 
 
