@@ -22,17 +22,10 @@ running group's micro-protocols with **zero acknowledged-call loss**:
    handler drops stale cross-epoch messages;
 4. **release** — parked calls proceed under the new composition.
 
-The :class:`AdaptationDriver` closes the loop with the membership
-stream: built-in policies drop Total Order to FIFO while members are
-suspected (and restore the baseline after heal) and can raise the
-acceptance threshold under suspicion, with hysteresis so a flapping
-detector cannot thrash the group.
-
 See ``docs/adaptation.md`` for the protocol walk-through and its
 guarantees.
 """
 
-from repro.adapt.driver import AdaptationDriver
 from repro.adapt.engine import (
     AdaptationFence,
     AdaptationManager,
@@ -42,7 +35,6 @@ from repro.adapt.plan import AdaptationPlan, adaptation_edges, validate_plan
 from repro.errors import AdaptationError
 
 __all__ = [
-    "AdaptationDriver",
     "AdaptationError",
     "AdaptationFence",
     "AdaptationManager",

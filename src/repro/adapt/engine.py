@@ -436,7 +436,3 @@ class AdaptationManager:
             fence.attach(grpc)
         new_list.append(fence)
         grpc.micro_protocols[:] = new_list
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<AdaptationManager epochs={dict(self.epochs)} "
-                f"switching={sorted(self._gates)}>")

@@ -38,7 +38,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.apps.kvstore import KVStore
 from repro.core.config import ServiceSpec
-from repro.core.messages import CallResult, Status
+from repro.core.messages import CallResult
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.placement.ring import HashRing
@@ -62,11 +62,6 @@ class ShardRouter:
             raise ReproError("a shard router needs at least one service")
         self._lookups = None
         self._routed: Dict[str, Any] = {}
-        #: The placement-view epoch this router's layout was pinned
-        #: against (:meth:`RingRouter.pin`); None for static routers.
-        #: Stamped on every call the router issues, so a layout that
-        #: moved underneath bounces instead of mis-routing.
-        self.view_epoch: Optional[int] = None
         #: Per-key load tracker (the observatory's), or None — the
         #: usual attach-once obs contract.
         self._load = None
@@ -122,71 +117,25 @@ class RingRouter(ShardRouter):
 
     Same surface as :class:`ShardRouter` (``route``/``shard_index``/
     ``partition``/lookup metrics), but placement comes from a seeded
-    :class:`~repro.placement.ring.HashRing`, so :meth:`add` and
-    :meth:`remove` disturb only the ranges adjacent to the changed
-    shard.  ``shard_index`` remains the position in ``services`` for
-    callers that index by shard number.
+    :class:`~repro.placement.ring.HashRing`, so adding or removing a
+    shard disturbs only the ranges adjacent to it.  ``shard_index``
+    remains the position in ``services`` for callers that index by
+    shard number.
     """
 
     def __init__(self, services: Sequence[str], *, seed: int = 0,
                  metrics: Optional[MetricsRegistry] = None):
         super().__init__(services, metrics=metrics)
-        self._metrics = metrics
         self.ring = HashRing(self.services, seed=seed)
         #: name -> position in ``services``; O(1) shard_index instead of
         #: an O(N) list scan per routed call.
         self._index = {name: i for i, name in enumerate(self.services)}
-        #: The :class:`~repro.placement.view.ViewManager` this router is
-        #: pinned to, or None for a standalone (viewless) router.
-        self._views: Any = None
-
-    def pin(self, views: Any) -> None:
-        """Pin the router to a deployment's placement-view plane.
-
-        The router snapshots the current view's ring and remembers its
-        epoch (stamped on every call via :attr:`view_epoch`).  When the
-        view advances underneath, stamped calls bounce with
-        ``Status.REDIRECT`` and the caller :meth:`repin`\\ s — the
-        router can never silently mis-route against a retired layout.
-        """
-        self._views = views
-        self.repin()
-
-    def repin(self) -> None:
-        """Re-snapshot the pinned view (after a redirect bounce)."""
-        if self._views is None:
-            return
-        view = self._views.current
-        self.ring = view.ring()
-        self.services = list(view.shards)
-        self._index = {name: i for i, name in enumerate(self.services)}
-        self.view_epoch = view.epoch
-        if self._metrics is not None:
-            for name in self.services:
-                if name not in self._routed:
-                    self._routed[name] = self._metrics.counter(
-                        f"placement.router.keys_routed.{name}")
 
     def shard_index(self, key: Any) -> int:
         return self._index[self.ring.route(str(key))]
 
     def _route(self, key: Any) -> str:
         return self.ring.route(str(key))
-
-    def add(self, name: str) -> None:
-        """Start routing a share of the keyspace to ``name``."""
-        self.ring.add(name)
-        self.services.append(name)
-        self._index[name] = len(self.services) - 1
-        if self._metrics is not None:
-            self._routed[name] = self._metrics.counter(
-                f"placement.router.keys_routed.{name}")
-
-    def remove(self, name: str) -> None:
-        """Stop routing to ``name``; its ranges fall to ring successors."""
-        self.ring.remove(name)
-        self.services.remove(name)
-        self._index = {n: i for i, n in enumerate(self.services)}
 
 
 class ShardedKV:
@@ -210,19 +159,8 @@ class ShardedKV:
 
     async def _call(self, key: Any, op: str,
                     args: Dict[str, Any]) -> CallResult:
-        while True:
-            result = await self.deployment.call(
-                self.client_pid, self.router.route(key), op, args,
-                view_epoch=self.router.view_epoch)
-            if result.status is not Status.REDIRECT:
-                return result
-            # The placement view advanced under our pinned layout: the
-            # bounce is deployment-side (nothing was dispatched), so
-            # re-pinning and re-routing is always safe.
-            repin = getattr(self.router, "repin", None)
-            if repin is None:
-                return result
-            repin()
+        return await self.deployment.call(
+            self.client_pid, self.router.route(key), op, args)
 
     async def put(self, key: Any, value: Any,
                   **extra: Any) -> CallResult:

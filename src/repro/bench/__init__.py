@@ -1,39 +1,24 @@
-"""Benchmark support: workloads, statistics, harness, reporting."""
+"""Benchmark support: workloads, statistics, reporting."""
 
-from repro.bench.harness import Experiment, RunConfig, RunOutcome, run_one
 from repro.bench.reporting import banner, render_series, render_table
-from repro.bench.seeds import (
-    Replication,
-    replicate,
-    significantly_different,
-)
 from repro.bench.stats import LatencyStats, summarize
 from repro.bench.workload import (
     ClosedLoopWorkload,
     OpenLoopWorkload,
     WorkloadResult,
-    counter_workload,
     kv_workload,
     read_only_workload,
 )
 
 __all__ = [
-    "Experiment",
-    "RunConfig",
-    "RunOutcome",
-    "run_one",
     "banner",
     "render_table",
     "render_series",
     "LatencyStats",
     "summarize",
-    "Replication",
-    "replicate",
-    "significantly_different",
     "ClosedLoopWorkload",
     "OpenLoopWorkload",
     "WorkloadResult",
     "kv_workload",
     "read_only_workload",
-    "counter_workload",
 ]

@@ -16,8 +16,8 @@ from repro.core.messages import CallResult, Status
 from repro.core.service import ServiceCluster
 from repro.bench.stats import LatencyStats, summarize
 
-__all__ = ["Op", "kv_workload", "read_only_workload", "counter_workload",
-           "WorkloadResult", "ClosedLoopWorkload", "OpenLoopWorkload"]
+__all__ = ["Op", "kv_workload", "read_only_workload", "WorkloadResult",
+           "ClosedLoopWorkload", "OpenLoopWorkload"]
 
 #: One operation to issue: (op name, args).
 Op = Tuple[str, Any]
@@ -46,14 +46,6 @@ def read_only_workload(*, key_space: int = 16, seed: int = 0
         yield ("get", {"key": f"key-{rng.randrange(key_space)}"})
 
 
-def counter_workload() -> Iterator[Op]:
-    """Endless non-idempotent increments (failure-semantics probes)."""
-    tag = 0
-    while True:
-        yield ("inc", {"amount": 1, "tag": tag})
-        tag += 1
-
-
 @dataclass
 class WorkloadResult:
     """Everything a closed-loop run measured."""
@@ -74,11 +66,6 @@ class WorkloadResult:
     @property
     def calls(self) -> int:
         return len(self.latencies)
-
-    @property
-    def throughput(self) -> float:
-        """Completed calls per simulated second."""
-        return self.calls / self.duration if self.duration > 0 else 0.0
 
     @property
     def ok_ratio(self) -> float:

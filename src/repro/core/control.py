@@ -25,11 +25,10 @@ from repro.errors import ReproError
 __all__ = ["ControlLoop", "SLOTS"]
 
 #: Slot names in dispatch order.  The order is the contract: the
-#: observatory tapes a flip before any reaction to it; replica groups
+#: observatory tapes a flip before any reaction to it, and replica groups
 #: have shrunk or promoted before ``rebind`` reads their
-#: ``live_members()``; and ``adapt`` judges the settled suspicion set
-#: and the bindings ``rebind`` has already moved.
-SLOTS = ("observe", "views", "replication", "placement", "rebind", "adapt")
+#: ``live_members()``.
+SLOTS = ("observe", "views", "replication", "placement", "rebind")
 
 
 class ControlLoop:

@@ -135,25 +135,10 @@ class Service:
     def app(self, pid: int) -> ServerApp:
         return self.apps[pid]
 
-    def dispatcher(self, pid: int) -> ServerDispatcher:
-        return self.dispatchers[pid]
-
     # -- calling ---------------------------------------------------------
 
     async def call(self, client_pid: int, op: str, args: Any) -> CallResult:
         return await self.deployment.call(client_pid, self.name, op, args)
-
-    def call_and_run(self, op: str, args: Any, *,
-                     client_pid: Optional[int] = None,
-                     extra_time: float = 0.0) -> CallResult:
-        return self.deployment.call_and_run(
-            self.name, op, args,
-            client_pid=client_pid if client_pid is not None else self.client,
-            extra_time=extra_time)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Service {self.name!r} servers={self.server_pids} "
-                f"clients={self.client_pids}>")
 
 
 class Deployment:
@@ -252,8 +237,8 @@ class Deployment:
 
         #: The live-adaptation engine (:class:`~repro.adapt.engine.
         #: AdaptationManager`), installed by its constructor on first
-        #: use (:meth:`adapt`/:meth:`auto_adapt`); None keeps the call
-        #: path's adaptation check to a single is-None test.
+        #: use (:meth:`adapt`); None keeps the call path's adaptation
+        #: check to a single is-None test.
         self.adaptation: Any = None
 
         #: The replicated placement-metadata plane (:class:`~repro.
@@ -450,10 +435,10 @@ class Deployment:
         result is returned.
 
         ``view_epoch`` is the placement-view epoch the caller routed
-        under (stamped by the routers).  A stale epoch bounces with
-        ``Status.REDIRECT`` *before* any message is built — the caller
-        re-routes against the current view instead of dispatching to a
-        shard that may no longer own the key.
+        under (stamped by the placement plane).  A stale epoch bounces
+        with ``Status.REDIRECT`` *before* any message is built — the
+        caller re-routes against the current view instead of dispatching
+        to a shard that may no longer own the key.
         """
         if view_epoch is not None:
             views = self.views
@@ -588,19 +573,6 @@ class Deployment:
         return await AdaptationManager.ensure(self).adapt(
             service, target, reason=reason, drain_timeout=drain_timeout)
 
-    def auto_adapt(self, **kwargs: Any):
-        """Drive :meth:`adapt` from the membership service.
-
-        Returns the installed :class:`~repro.adapt.driver.
-        AdaptationDriver`: suspicion of a service's server degrades its
-        ordering (Total Order pays a leader round per call — the wrong
-        protocol while the leader may be the suspect), healing restores
-        the original composition, both with hysteresis.  Keyword
-        arguments are forwarded to the driver.
-        """
-        from repro.adapt.driver import AdaptationDriver
-        return AdaptationDriver(self, **kwargs)
-
     def rebind(self, service: str,
                target: Union[Group, Iterable[int]]) -> Group:
         """Atomically repoint ``service`` at a new server group.
@@ -628,15 +600,6 @@ class Deployment:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-
-    @property
-    def trace(self):
-        return self.fabric.trace
-
-    @property
-    def pipeline(self):
-        """The fabric's wire pipeline (one per deployment)."""
-        return self.fabric.pipeline
 
     def publish_runtime_stats(self) -> None:
         """Snapshot the runtime's scheduler counters into ``kernel.*``
@@ -674,9 +637,6 @@ class Deployment:
     # ------------------------------------------------------------------
     # Driving the simulation
     # ------------------------------------------------------------------
-
-    def node(self, pid: int) -> Node:
-        return self.nodes[pid]
 
     def spawn_client(self, pid: int, coro: Coroutine, *,
                      name: str = "") -> Any:
@@ -767,7 +727,3 @@ class Deployment:
         """Give every link toward ``pid`` a large delay (performance
         failure)."""
         self.fabric.set_links_to(pid, LinkSpec(delay=delay, jitter=0.0))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Deployment services={sorted(self.services)} "
-                f"nodes={len(self.nodes)}>")

@@ -146,9 +146,6 @@ class MicroProtocol:
     def deregister(self, event: str, handler: Handler) -> bool:
         return self.bus.deregister(event, handler)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MicroProtocol {self.name}>"
-
 
 class CompositeProtocol(Protocol):
     """A framework instance plus the micro-protocols linked into it.

@@ -376,11 +376,6 @@ class GroupRPC(CompositeProtocol):
         except NodeDown:
             return None
 
-    def spawn(self, coro: Coroutine, *, name: str = "",
-              daemon: bool = False) -> Any:
-        """Public alias of the node-scoped spawner for client/app code."""
-        return self._node_spawn(coro, name=name, daemon=daemon)
-
 
 class PendingCall:
     """A promise for an asynchronous call's eventual result.
@@ -413,9 +408,6 @@ class PendingCall:
         if self._redeemed is None:
             self._redeemed = await self.grpc.request(self.id)
         return self._redeemed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PendingCall {self.op!r} id={self.id}>"
 
 
 async def gather_calls(grpc: GroupRPC, calls: Iterable[tuple],

@@ -17,7 +17,7 @@ produced by the stubs; we carry any Python object and let
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
 from repro.net.message import Group, ProcessId, wire_size
@@ -134,11 +134,6 @@ class NetMsg:
         ctx = self.annotation("obs.ctx")
         return (int(ctx[0]), int(ctx[1])) if ctx is not None else None
 
-    @property
-    def call_key(self) -> CallKey:
-        """Key of the call this CALL/REPLY message belongs to."""
-        return (self.sender, self.inc, self.id)
-
     def wire_size(self) -> int:
         """Exactly what :func:`repro.net.message.wire_size` would get by
         walking all 13 fields, sizing only the five that vary: 2 of
@@ -147,9 +142,6 @@ class NetMsg:
         return (81 + wire_size(self.op) + wire_size(self.args)
                 + wire_size(self.server) + wire_size(self.service)
                 + wire_size(self.annotations))
-
-    def copy(self, **changes: Any) -> "NetMsg":
-        return replace(self, **changes)
 
 
 @dataclass

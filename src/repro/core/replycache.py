@@ -78,7 +78,3 @@ class ReplyCache:
 
     def __contains__(self, key: Tuple[int, int]) -> bool:
         return key in self._entries
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ReplyCache {len(self._entries)}/{self.capacity} "
-                f"hits={self.hits} misses={self.misses}>")

@@ -17,7 +17,7 @@ framework".  For gRPC that shared data is:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.messages import CallKey, Status
 from repro.net.message import Group, ProcessId
@@ -98,12 +98,6 @@ class ClientTable:
     def __init__(self) -> None:
         self._records: Dict[int, ClientRecord] = {}
 
-    def __contains__(self, call_id: int) -> bool:
-        return call_id in self._records
-
-    def __getitem__(self, call_id: int) -> ClientRecord:
-        return self._records[call_id]
-
     def get(self, call_id: int) -> Optional[ClientRecord]:
         return self._records.get(call_id)
 
@@ -117,9 +111,6 @@ class ClientTable:
                 dispose()
             record.disposers = None
         return record
-
-    def ids(self) -> List[int]:
-        return list(self._records)
 
     def records(self) -> List[ClientRecord]:
         return list(self._records.values())
@@ -171,9 +162,6 @@ class ServerTable:
     def __contains__(self, key: CallKey) -> bool:
         return key in self._records
 
-    def __getitem__(self, key: CallKey) -> ServerRecord:
-        return self._records[key]
-
     def get(self, key: CallKey) -> Optional[ServerRecord]:
         return self._records.get(key)
 
@@ -183,14 +171,8 @@ class ServerTable:
     def remove(self, key: CallKey) -> Optional[ServerRecord]:
         return self._records.pop(key, None)
 
-    def keys(self) -> List[CallKey]:
-        return list(self._records)
-
     def records(self) -> List[ServerRecord]:
         return list(self._records.values())
-
-    def __iter__(self) -> Iterator[ServerRecord]:
-        return iter(list(self._records.values()))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -229,13 +211,7 @@ class HoldRegistry:
         self._required = tuple(name for name in self._required
                                if name != prop)
 
-    def required(self) -> List[str]:
-        return list(self._required)
-
     def satisfied(self, hold: Dict[str, bool]) -> bool:
         """True when every required property is marked in ``hold``
         (a hold array only ever marks properties ``True``)."""
         return all(map(hold.get, self._required))
-
-    def __contains__(self, prop: str) -> bool:
-        return prop in self._required

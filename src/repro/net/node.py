@@ -135,8 +135,3 @@ class Node:
                                       envelope.seq)
             if task is not None:
                 self.scope.adopt(task)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self.up else "down"
-        return (f"<Node {self.pid} {self.name!r} {state} "
-                f"inc={self.incarnation}>")

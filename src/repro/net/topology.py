@@ -1,25 +1,24 @@
 """Standard network topologies for experiments.
 
 The fabric's per-link overrides are flexible but verbose; these helpers
-install the common shapes in one call: a uniform LAN, a two-datacenter
-WAN (fast intra-DC links, slow inter-DC links), and a star around a hub.
-All of them only touch links between the process ids they are given, so
-they compose (e.g. a WAN of two LANs with one degraded site).
+install the common shapes in one call: a uniform LAN and a
+two-datacenter WAN (fast intra-DC links, slow inter-DC links).  Both
+only touch links between the process ids they are given, so they
+compose.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.net.fabric import LinkSpec, NetworkFabric
 from repro.net.message import ProcessId
 
-__all__ = ["uniform_lan", "two_datacenters", "star", "degrade_site"]
+__all__ = ["uniform_lan", "two_datacenters"]
 
 #: Typical latency profiles, reusable as starting points.
 LAN = LinkSpec(delay=0.0005, jitter=0.0003)
-METRO = LinkSpec(delay=0.005, jitter=0.002)
 WAN = LinkSpec(delay=0.040, jitter=0.010)
 
 
@@ -44,37 +43,3 @@ def two_datacenters(fabric: NetworkFabric,
         for b in dc_b:
             fabric.set_link(a, b, wan)
             fabric.set_link(b, a, wan)
-
-
-def star(fabric: NetworkFabric, hub: ProcessId,
-         spokes: Iterable[ProcessId], *,
-         spoke_link: LinkSpec = METRO,
-         blocked_spoke_to_spoke: bool = True) -> None:
-    """Spokes reach the hub directly; spoke-to-spoke is partitioned
-    (all traffic must be application-relayed through the hub) unless
-    ``blocked_spoke_to_spoke=False``."""
-    spokes = list(spokes)
-    for spoke in spokes:
-        fabric.set_link(spoke, hub, spoke_link)
-        fabric.set_link(hub, spoke, spoke_link)
-    if blocked_spoke_to_spoke:
-        for a in spokes:
-            for b in spokes:
-                if a != b:
-                    fabric.partition([a], [b])
-
-
-def degrade_site(fabric: NetworkFabric, pid: ProcessId, *,
-                 extra_delay: float = 0.2,
-                 loss: float = 0.0) -> None:
-    """Layer a performance failure onto every link touching ``pid``."""
-    for other in list(fabric.nodes):
-        if other == pid:
-            continue
-        for src, dst in ((other, pid), (pid, other)):
-            base = fabric.link(src, dst)
-            fabric.set_link(src, dst, LinkSpec(
-                delay=base.delay + extra_delay, jitter=base.jitter,
-                loss=max(base.loss, loss), duplicate=base.duplicate,
-                spike_prob=base.spike_prob,
-                spike_delay=base.spike_delay))

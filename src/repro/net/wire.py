@@ -408,8 +408,3 @@ class WirePipeline:
         """Messages currently charged against the link's budget."""
         link = self._links.get((src, dst))
         return link.inflight if link is not None else 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<WirePipeline batch={self.batch} "
-                f"queue_depth={self.queue_depth} "
-                f"links={len(self._links)}>")

@@ -112,7 +112,3 @@ class FlightRecorder:
     def publish(self) -> None:
         self.metrics.gauge("obs.recorder.retained").set(len(self))
         self.metrics.gauge("obs.recorder.seq").set(self._seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<FlightRecorder {len(self)}/{self.capacity} "
-                f"seq={self._seq}>")

@@ -39,9 +39,6 @@ class Counter:
     def inc(self, n: int = 1) -> None:
         self.value += n
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Counter {self.name}={self.value}>"
-
 
 class Gauge:
     """A point-in-time value (queue depth, kernel step count, ...)."""
@@ -54,9 +51,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Gauge {self.name}={self.value}>"
 
 
 class Histogram:
@@ -152,9 +146,6 @@ class Histogram:
             "p95": self.percentile(95),
             "p99": self.percentile(99),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Histogram {self.name} n={self.count}>"
 
 
 class MetricsRegistry:

@@ -228,14 +228,6 @@ class Recorder:
     # Queries / maintenance
     # ------------------------------------------------------------------
 
-    def trace_spans(self, trace: int) -> List[Span]:
-        return [s for s in self.spans if s.trace == trace]
-
     def roots(self) -> List[Span]:
         """Spans that start their trace (no parent)."""
         return [s for s in self.spans if s.parent is None]
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.events.clear()
-        self._ctx.clear()

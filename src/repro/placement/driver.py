@@ -115,8 +115,3 @@ class RebindDriver:
             await self.plane.drain_dead_shard(name)
         finally:
             self._draining.discard(name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<RebindDriver services="
-                f"{sorted(self.deployment.services)} "
-                f"plane={'yes' if self.plane is not None else 'no'}>")

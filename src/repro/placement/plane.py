@@ -680,10 +680,6 @@ class PlacementPlane:
         self.metrics.gauge("placement.ring.epoch").set(self.epoch)
         self.metrics.gauge("placement.ring.shards").set(len(self.ring))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<PlacementPlane shards={self.ring.nodes} "
-                f"epoch={self.epoch}>")
-
 
 class ElasticKV:
     """Client view of one keyspace whose shard set can change live.
@@ -697,9 +693,6 @@ class ElasticKV:
     def __init__(self, plane: PlacementPlane, client_pid: int):
         self.plane = plane
         self.client_pid = client_pid
-
-    def shard_of(self, key: Any) -> str:
-        return self.plane.ring.route(str(key))
 
     async def put(self, key: Any, value: Any, **extra: Any) -> CallResult:
         return await self.plane.call(self.client_pid, key, "put",

@@ -119,10 +119,6 @@ class HashRing:
                 moves[key] = (old, new)
         return moves
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<HashRing nodes={self.nodes} vnodes={self.vnodes} "
-                f"seed={self.seed}>")
-
 
 def plan_moves(after: HashRing, keys_by_node: Dict[str, Iterable[Any]]
                ) -> Dict[Tuple[str, str], List[Any]]:

@@ -25,10 +25,11 @@ replicated object:
   the deployment's :class:`~repro.core.control.ControlLoop`, which is
   where suspicion is tracked and what tears it down.
 
-Stale-epoch call fencing rides on the same object: routers pin a view
-and stamp its epoch on calls (``Deployment.call(view_epoch=...)``); a
-stamped call whose epoch no longer matches bounces with
-``Status.REDIRECT`` instead of mis-routing mid-migration.
+Stale-epoch call fencing rides on the same object: the placement plane
+stamps each call with the epoch it routed under
+(``Deployment.call(view_epoch=...)``); a stamped call whose epoch no
+longer matches bounces with ``Status.REDIRECT`` instead of mis-routing
+mid-migration.
 
 All persistence is synchronous stable-store access — zero virtual time,
 zero messages — so enabling views does not perturb seeded workloads.
@@ -399,7 +400,3 @@ class ViewManager:
         self._put_all(CURRENT_CELL, blob)
         if history:
             self._put_all(f"{EPOCH_PREFIX}{view.epoch}", blob)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ViewManager epoch={self.current.epoch} "
-                f"replicas={self.replicas}>")

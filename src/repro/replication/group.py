@@ -360,17 +360,8 @@ class ReplicaGroup:
     def live_members(self) -> List[int]:
         return [pid for pid in self.members if pid not in self.down]
 
-    @property
-    def is_dead(self) -> bool:
-        return not self.live_members()
-
     def _publish(self) -> None:
         self.metrics.gauge(f"repl.group.{self.name}.synced").set(
             len(self.synced))
         self.metrics.gauge(f"repl.group.{self.name}.primary").set(
             self.primary if self.primary is not None else -1)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ReplicaGroup {self.name!r} mode={self.rspec.mode} "
-                f"members={self.members} primary={self.primary} "
-                f"down={sorted(self.down)}>")

@@ -73,11 +73,6 @@ class ReplicationManager:
         group = self.groups.get(service)
         return group.live_members() if group is not None else []
 
-    def group_is_dead(self, service: str) -> bool:
-        """True when every replica of a *registered* group is down."""
-        group = self.groups.get(service)
-        return group is not None and group.is_dead
-
     # ------------------------------------------------------------------
 
     def on_member(self, pid: int, alive: bool) -> None:
@@ -90,6 +85,3 @@ class ReplicationManager:
                 group.on_recover(pid)
             else:
                 group.on_suspect(pid)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ReplicationManager groups={sorted(self.groups)}>"

@@ -143,8 +143,6 @@ _WAITING = 2
 _DONE = 3
 _CANCELLED = 4
 
-_STATE_NAMES = ("READY", "RUNNING", "WAITING", "DONE", "CANCELLED")
-
 _INLINE: Any = object()   # Kernel._current while start() runs inline
 
 # Task ids.  A module-level counter, not a class attribute: writing an
@@ -218,9 +216,6 @@ class Task:
         if self.state == _CANCELLED:
             raise TaskCancelled(f"{self.name} was cancelled")
         return self.result
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Task {self.id} {self.name!r} {_STATE_NAMES[self.state]}>"
 
 
 class Timer:

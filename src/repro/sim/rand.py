@@ -37,9 +37,3 @@ class RandomSource:
             rng = random.Random(mixed)
             self._streams[name] = rng
         return rng
-
-    def fork(self, name: str) -> "RandomSource":
-        """Derive a child source (e.g. one per node) from this one."""
-        mixed = (self.seed * 0x85EBCA77 + zlib.crc32(name.encode())) \
-            & 0xFFFFFFFFFFFFFFFF
-        return RandomSource(mixed)

@@ -160,10 +160,6 @@ class Condition:
         self._lock = lock or Lock()
         self._waiters: Deque[Task] = deque()
 
-    @property
-    def lock(self) -> Lock:
-        return self._lock
-
     async def acquire(self) -> None:
         await self._lock.acquire()
 

@@ -104,10 +104,6 @@ class StableStore:
                      for k, v in sorted(self._cells.items())
                      if k.startswith(prefix)])
 
-    def items(self) -> Iterator:
-        return iter({k: copy.deepcopy(v)
-                     for k, v in self._cells.items()}.items())
-
     def snapshot_cells(self) -> Dict[str, Any]:
         """A copy of every named cell (used by checkpoints of apps whose
         stable state lives here)."""

@@ -1,7 +1,7 @@
 """Stubs and binding: marshalling, generated proxies, name resolution."""
 
 from repro.stubs.binding import BindingRegistry
-from repro.stubs.marshal import marshal, marshalled_size, unmarshal
+from repro.stubs.marshal import marshal, unmarshal
 from repro.stubs.stubgen import (
     ClientStub,
     MarshallingApp,
@@ -13,7 +13,6 @@ __all__ = [
     "BindingRegistry",
     "marshal",
     "unmarshal",
-    "marshalled_size",
     "ServiceInterface",
     "ClientStub",
     "client_stub",

@@ -44,7 +44,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import MarshalError
 
-__all__ = ["marshal", "unmarshal", "marshalled_size", "install_profiler"]
+__all__ = ["marshal", "unmarshal", "install_profiler"]
 
 #: The installed profiler (``on_marshal``/``on_unmarshal`` hooks), or
 #: ``None``.  Owned by :class:`repro.obs.observatory.Observatory`.
@@ -123,43 +123,6 @@ def unmarshal(data: bytes) -> Any:
     if prof is not None:
         prof.on_unmarshal(end, perf_counter() - started)
     return out[0]
-
-
-def marshalled_size(value: Any) -> int:
-    """Size in bytes of the encoded value — a pure counting pass.
-
-    Never materializes the encoding, so a size query costs arithmetic,
-    not allocation.
-    """
-    cls = value.__class__
-    while True:     # a second trip only for an instance of a subclass
-        if cls is str:
-            return 5 + _utf8_len(value)
-        if cls is int:
-            return 5 + ((value.bit_length() + 8) // 8 or 1)
-        if cls is float:
-            return 9
-        if cls is dict:
-            total = 5
-            for key in value:
-                if not isinstance(key, str):
-                    raise MarshalError("dict keys must be strings")
-                total += 5 + _utf8_len(key) + marshalled_size(value[key])
-            return total
-        if cls is list or cls is tuple:
-            return 5 + sum(map(marshalled_size, value))
-        if cls is bool or value is None:
-            return 1
-        if cls is bytes:
-            return 5 + len(value)
-        cls = _plain_class(value)
-
-
-def _utf8_len(s: str) -> int:
-    # ASCII (the overwhelmingly common case) needs no encode to measure.
-    if s.isascii():
-        return len(s)
-    return len(s.encode("utf-8"))
 
 
 def _plain_class(value: Any) -> type:

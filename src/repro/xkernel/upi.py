@@ -66,9 +66,6 @@ class Protocol:
         Default: this one."""
         return self
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Protocol {self.name}>"
-
 
 def compose_stack(*protocols: Protocol) -> List[Protocol]:
     """Wire protocols top-to-bottom into a stack and return them.

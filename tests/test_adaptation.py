@@ -4,11 +4,10 @@ running groups.
 Covers the switch engine end to end (park/drain/switch/release with
 zero acknowledged-call loss on a Total Order -> FIFO -> Total Order
 round trip), kept-instance state preservation, mid-run FIFO gate
-seeding, the cross-epoch message fence, drain-timeout aborts that leave
-the running composition untouched, plan validation (Figure-4 edges,
-replication-mode edges, stale plans) strictly before any handler is
-touched, the membership-driven :class:`~repro.adapt.driver.
-AdaptationDriver` (degrade/restore with hysteresis), and
+seeding, Causal Order's HOLD retraction, the cross-epoch message
+fence, drain-timeout aborts that leave the running composition
+untouched, plan validation (Figure-4 edges, replication-mode edges,
+stale plans) strictly before any handler is touched, and
 ``Deployment.unwatch_membership``.
 """
 
@@ -169,6 +168,24 @@ def test_fresh_fifo_gate_is_seeded_from_live_cursors():
 
     dep.run_scenario(scenario(), extra_time=1.0)
     assert svc.spec.ordering == "fifo"
+    dep.shutdown()
+
+
+def test_switch_away_from_causal_order_retracts_its_hold():
+    """Causal Order declares a HOLD property; swapped out, it must
+    retract it, or every later call waits for a mark no handler gives."""
+    spec = ServiceSpec(reliable=True, unique=True, ordering="causal",
+                       bounded=1.0)
+    dep, svc = _deploy(spec)
+    pid = svc.client
+
+    async def scenario():
+        assert await _puts(dep, pid, 3, tag="pre") == 3
+        await dep.adapt("s", spec.with_(ordering="none"))
+        assert await _puts(dep, pid, 3, tag="post") == 3
+
+    dep.run_scenario(scenario(), extra_time=1.0)
+    assert svc.spec.ordering == "none"
     dep.shutdown()
 
 
@@ -351,84 +368,6 @@ def test_passive_group_rejects_ordered_target():
 
 
 # ---------------------------------------------------------------------------
-# The membership-driven driver: degrade / restore with hysteresis
-# ---------------------------------------------------------------------------
-
-
-def test_driver_degrades_and_restores():
-    dep, svc = _deploy()
-    driver = dep.auto_adapt(hysteresis=0.05, heal_grace=0.05)
-    victim = svc.server_pids[0]
-
-    async def scenario():
-        assert await _puts(dep, svc.client, 3) == 3
-        dep.crash(victim)
-        await dep.runtime.sleep(1.0)
-        assert svc.spec.ordering == "fifo"
-        assert driver.degraded_services() == {"s"}
-        dep.recover(victim)
-        await dep.runtime.sleep(1.0)
-
-    dep.run_scenario(scenario(), extra_time=1.0)
-    assert svc.spec == TOTAL                 # baseline restored
-    assert driver.degraded_services() == set()
-    assert int(dep.metrics.counter("adapt.policy.degrade").value) == 1
-    assert int(dep.metrics.counter("adapt.policy.restore").value) == 1
-    dep.shutdown()
-
-
-def test_driver_hysteresis_swallows_flaps():
-    """A crash-recover flap inside the hysteresis window cancels the
-    pending degrade: a flapping detector changes nothing."""
-    dep, svc = _deploy()
-    dep.auto_adapt(hysteresis=0.5, heal_grace=0.5)
-    victim = svc.server_pids[0]
-
-    async def scenario():
-        dep.crash(victim)
-        await dep.runtime.sleep(0.1)        # < hysteresis
-        dep.recover(victim)
-        await dep.runtime.sleep(2.0)
-
-    dep.run_scenario(scenario(), extra_time=0.5)
-    assert svc.spec == TOTAL
-    assert int(dep.metrics.counter("adapt.policy.cancelled").value) >= 1
-    assert int(dep.metrics.counter("adapt.switches").value) == 0
-    dep.shutdown()
-
-
-def test_driver_raises_acceptance_during_suspicion():
-    """The degrade policy composes with automatic rebinding: suspicion
-    shrinks the bound group (so no call waits on the dead member's
-    replies) *and* degrades the composition."""
-    dep, svc = _deploy()
-    dep.auto_rebind()
-    dep.auto_adapt(hysteresis=0.05, heal_grace=0.05,
-                   suspicion_acceptance=1)
-    victim = svc.server_pids[0]
-
-    async def scenario():
-        dep.crash(victim)
-        await dep.runtime.sleep(1.0)
-        assert svc.spec.ordering == "fifo"
-        assert svc.spec.acceptance == 1
-        assert await _puts(dep, svc.client, 3) == 3
-        dep.recover(victim)
-        await dep.runtime.sleep(1.0)
-
-    dep.run_scenario(scenario(), extra_time=1.0)
-    assert svc.spec == TOTAL
-    dep.shutdown()
-
-
-def test_driver_rejects_bad_degrade_ordering():
-    dep, _ = _deploy()
-    with pytest.raises(AdaptationError, match="degrade_ordering"):
-        dep.auto_adapt(degrade_ordering="total")
-    dep.shutdown()
-
-
-# ---------------------------------------------------------------------------
 # Listener lifecycle (the drivers' own is covered by tests/test_control.py)
 # ---------------------------------------------------------------------------
 
@@ -447,20 +386,4 @@ def test_unwatch_membership_detaches_the_watcher():
     dep.unwatch_membership(watcher)
     dep.recover(svc.server_pids[0])
     assert seen == [(svc.server_pids[0], False)]
-    dep.shutdown()
-
-
-def test_auto_adapt_reinstall_drops_the_pending_decision():
-    dep, svc = _deploy()
-    dep.auto_adapt(hysteresis=0.2)
-
-    async def scenario():
-        dep.crash(svc.server_pids[0])        # arms the first driver
-        await dep.runtime.sleep(0.05)
-        dep.auto_adapt(hysteresis=5.0)       # replaces it mid-window
-        await dep.runtime.sleep(1.0)
-
-    dep.run_scenario(scenario(), extra_time=0.5)
-    assert svc.spec == TOTAL                 # the old timer never fired
-    assert int(dep.metrics.counter("adapt.switches").value) == 0
     dep.shutdown()

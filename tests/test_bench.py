@@ -6,15 +6,11 @@ from repro import LinkSpec
 from repro.apps import KVStore
 from repro.bench import (
     ClosedLoopWorkload,
-    Experiment,
-    RunConfig,
     banner,
-    counter_workload,
     kv_workload,
     read_only_workload,
     render_series,
     render_table,
-    run_one,
     summarize,
 )
 from repro.core.config import read_optimized
@@ -81,12 +77,6 @@ def test_read_only_workload_only_reads():
     assert all(next(gen)[0] == "get" for _ in range(20))
 
 
-def test_counter_workload_unique_tags():
-    gen = counter_workload()
-    tags = [next(gen)[1]["tag"] for _ in range(10)]
-    assert tags == list(range(10))
-
-
 # ----------------------------------------------------------------------
 # Reporting
 # ----------------------------------------------------------------------
@@ -116,61 +106,8 @@ def test_banner_contains_title():
 
 
 # ----------------------------------------------------------------------
-# Harness
+# Closed-loop driver
 # ----------------------------------------------------------------------
-
-def small_config(label="run", **overrides):
-    defaults = dict(
-        label=label, spec=read_optimized(timebound=5.0),
-        app_factory=KVStore, n_servers=2, calls_per_client=10,
-        make_ops=lambda i: kv_workload(seed=i),
-        default_link=LinkSpec(delay=0.005, jitter=0.002))
-    defaults.update(overrides)
-    return RunConfig(**defaults)
-
-
-def test_run_one_produces_measurements():
-    outcome = run_one(small_config())
-    assert outcome.result.calls == 10
-    assert outcome.result.ok_ratio == 1.0
-    assert outcome.result.throughput > 0
-    assert outcome.result.messages_per_call > 0
-    assert outcome.latency.count == 10
-    assert outcome.metric("throughput") == outcome.result.throughput
-    assert outcome.metric("mean") == outcome.latency.mean
-    with pytest.raises(KeyError):
-        outcome.metric("nonsense")
-
-
-def test_run_one_requires_workload():
-    with pytest.raises(ValueError):
-        run_one(small_config(make_ops=None))
-
-
-def test_run_one_is_deterministic():
-    first = run_one(small_config())
-    second = run_one(small_config())
-    assert first.result.latencies == second.result.latencies
-
-
-def test_mutate_cluster_hook():
-    slowed = []
-    outcome = run_one(small_config(
-        mutate_cluster=lambda c: (c.make_slow(2, 0.5),
-                                  slowed.append(True))))
-    assert slowed == [True]
-    assert outcome.result.ok_ratio == 1.0
-
-
-def test_experiment_table_renders_all_runs():
-    exp = Experiment("unit", "test experiment")
-    exp.run(small_config(label="alpha"))
-    exp.run(small_config(label="beta", n_servers=3))
-    table = exp.table(extra_columns={"servers":
-                                     lambda o: o.config.n_servers})
-    assert "alpha" in table and "beta" in table
-    assert "servers" in table
-    assert "unit" in table
 
 
 def test_closed_loop_think_time_stretches_duration():

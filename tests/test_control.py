@@ -141,9 +141,7 @@ def test_auto_installers_replace_instead_of_stacking():
     live = _subscriptions(dep)
     dep.auto_rebind()
     rebind = dep.auto_rebind()
-    dep.auto_adapt()
-    adapt = dep.auto_adapt(hysteresis=0.05)
-    assert dep.control.policies == {"rebind": rebind, "adapt": adapt}
+    assert dep.control.policies == {"rebind": rebind}
     assert len(live) == 1
     dep.shutdown()
 
@@ -213,21 +211,4 @@ def test_closed_rebind_driver_leaves_bindings_alone():
     _flip(dep, svc.server_pids[0])
     assert set(svc.group.members) == set(svc.server_pids)
     assert dep.metrics.value("placement.rebind.shrink") == 0
-    dep.shutdown()
-
-
-def test_closed_adapt_driver_cancels_its_pending_decision():
-    dep, svc = _deploy()
-    dep.auto_adapt(hysteresis=0.2)
-
-    async def scenario():
-        dep.crash(svc.server_pids[0])    # arms the degrade timer
-        await dep.runtime.sleep(0.05)
-        dep.control.uninstall("adapt")   # inside the grace window
-        dep.crash(svc.server_pids[1])
-        await dep.runtime.sleep(1.0)
-
-    dep.run_scenario(scenario(), extra_time=0.5)
-    assert svc.spec == TOTAL             # no degrade fired
-    assert int(dep.metrics.counter("adapt.switches").value) == 0
     dep.shutdown()

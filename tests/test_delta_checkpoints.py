@@ -3,7 +3,7 @@
 import pytest
 
 from repro import LinkSpec, ServiceCluster, ServiceSpec, Status
-from repro.apps import BankApp, KVStore
+from repro.apps import BankApp, KVStore, LockService, WorkQueue
 from repro.core.config import at_most_once
 from repro.core.microprotocols.atomic_execution import (
     AtomicExecution,
@@ -116,23 +116,45 @@ def test_delta_chain_compacts():
     assert atomic.delta_chain_length == 1
 
 
+#: app factory, six state-changing calls, the read-back after a crash
+#: and recovery, and what it must return: the checkpointed state.
+APPS = {
+    "kvstore": (lambda pid: KVStore(keep_log=False),
+                [("put", {"key": f"k{i % 2}", "value": i})
+                 for i in range(6)],
+                ("snapshot", {}), {"k0": 4, "k1": 5}),
+    "locks": (lambda pid: LockService(),
+              [("acquire", {"lock": f"l{i % 3}", "owner": f"c{i}"})
+               for i in range(6)],
+              ("locks", {}), {"l0": "c0", "l1": "c1", "l2": "c2"}),
+    "workqueue": (lambda pid: WorkQueue(),
+                  [("enqueue", {"job": i}) for i in range(5)]
+                  + [("dequeue", {})],
+                  ("peek", {}), 1),
+}
+
+
 def test_delta_and_whole_state_agree():
-    def run(delta):
+    """A server crash wipes the app (``on_crash``); recovery restores
+    its last checkpoint (``get_state`` at commit, ``set_state`` at
+    reboot), whole or replayed from deltas."""
+    def run(app, delta):
+        factory, calls, read, _ = APPS[app]
         spec = at_most_once(acceptance=1, bounded=5.0,
                             atomic_delta=delta)
-        cluster = ServiceCluster(
-            spec, lambda pid: KVStore(keep_log=False), n_servers=1,
-            seed=4, default_link=FAST)
-        for i in range(6):
-            cluster.call_and_run("put", {"key": f"k{i % 2}", "value": i},
-                                 extra_time=0.2)
+        cluster = ServiceCluster(spec, factory, n_servers=1, seed=4,
+                                 default_link=FAST)
+        for op, args in calls:
+            assert cluster.call_and_run(op, args, extra_time=0.2).ok
         cluster.crash(1)
         cluster.recover(1)
         cluster.settle(0.2)
-        result = cluster.call_and_run("snapshot", {}, extra_time=0.2)
+        result = cluster.call_and_run(*read, extra_time=0.2)
         return result.args
 
-    assert run(delta=False) == run(delta=True)
+    for app, (*_, expected) in APPS.items():
+        assert run(app, delta=False) == run(app, delta=True) == expected, \
+            app
 
 
 def test_delta_writes_less_checkpoint_data():

@@ -7,8 +7,7 @@ under the promise of a byte-identical wire format.  Two things pin that
 promise:
 
 * a seeded random-value fuzzer — for every generated value ``v`` it
-  must hold that ``unmarshal(marshal(v)) == v`` and that
-  ``marshalled_size(v) == len(marshal(v))``;
+  must hold that ``unmarshal(marshal(v)) == v``;
 * golden vectors — encodings produced by the PR 7 encoder at the last
   commit that had it, committed below as hex (encodings above 256
   bytes as their SHA-256, which pins the bytes just as hard), so the
@@ -28,8 +27,7 @@ import random
 import pytest
 
 from repro.errors import MarshalError
-from repro.stubs.marshal import (install_profiler, marshal,
-                                 marshalled_size, unmarshal)
+from repro.stubs.marshal import install_profiler, marshal, unmarshal
 
 # The module itself, for its key tables (the package re-exports the
 # ``marshal`` function under the submodule's name).
@@ -80,7 +78,7 @@ def _gen_value(rng: random.Random, depth: int = 0):
             for i in range(rng.randrange(0, 6))}
 
 
-def test_seeded_fuzz_roundtrip_and_size():
+def test_seeded_fuzz_roundtrip():
     rng = random.Random(SEED)
     for case in range(CASES):
         value = _gen_value(rng)
@@ -92,7 +90,6 @@ def test_seeded_fuzz_roundtrip_and_size():
         # the top level explicitly).
         assert type(decoded) is type(value) or isinstance(value, bool), \
             (case, value)
-        assert marshalled_size(value) == len(encoded), (case, value)
 
 
 EDGE_VALUES = [
@@ -112,7 +109,6 @@ def test_explicit_edge_values():
     for value in EDGE_VALUES:
         encoded = marshal(value)
         assert unmarshal(encoded) == value
-        assert marshalled_size(value) == len(encoded)
 
 
 def test_sorted_dict_keys_keep_encoding_deterministic():
@@ -121,20 +117,13 @@ def test_sorted_dict_keys_keep_encoding_deterministic():
     assert a == b
 
 
-def test_size_pass_rejects_what_encode_rejects():
-    with pytest.raises(MarshalError):
-        marshalled_size({1: "non-string key"})
-    with pytest.raises(MarshalError):
-        marshalled_size(object())
+def test_encode_rejects_non_plain_values_and_keys():
     with pytest.raises(MarshalError):
         marshal(object())
-    # marshal has no size pre-pass to reject these for it.
     for keys in ({1: "int key"}, {1: "mixed", "a": "keys"},
                  {b"k": "bytes key"}, {"ok": {None: "nested"}}):
         with pytest.raises(MarshalError, match="dict keys"):
             marshal(keys)
-        with pytest.raises(MarshalError, match="dict keys"):
-            marshalled_size(keys)
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +339,6 @@ def test_golden_vectors_pin_the_wire_format():
             # not by whatever today's encoder emits.
             assert unmarshal(bytes.fromhex(pinned)) == value, (case, value)
         assert unmarshal(encoded) == value, (case, value)
-        assert marshalled_size(value) == len(encoded), (case, value)
 
 
 def test_subclasses_encode_as_their_plain_base():
@@ -359,7 +347,6 @@ def test_subclasses_encode_as_their_plain_base():
         encoded = marshal(value)
         assert encoded.hex() == pinned, value
         assert encoded == marshal(plain), value
-        assert marshalled_size(value) == len(encoded), value
         decoded = unmarshal(encoded)
         assert decoded == plain and type(decoded) is type(plain), value
 

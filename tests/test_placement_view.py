@@ -1,12 +1,12 @@
 """The replicated placement metadata plane: views, epochs, failover.
 
 Covers the :class:`~repro.placement.view.PlacementView` lattice laws,
-blob round-tripping, epoch monotonicity, stale-epoch call fencing
-through a pinned :class:`~repro.apps.sharding.RingRouter`, the reply
-cache's epoch stamping, the control-loop slots the plane takes, and the
-coordinator-failover matrix: a coordinator killed at each migration
-phase is either rolled back or resumed by an elected successor with
-every acknowledged write intact — including when the migration's
+blob round-tripping, epoch monotonicity, stale-epoch call fencing in
+``Deployment.call(view_epoch=)``, the reply cache's epoch stamping, the
+control-loop slots the plane takes, and the coordinator-failover
+matrix: a coordinator killed at each migration phase is either rolled
+back or resumed by an elected successor with every acknowledged write
+intact — including when the migration's
 supervising caller dies *with* the coordinator and recovery must start
 from the membership stream alone.  The lock rule closes it: a reshape
 queued behind a migration whose supervisor died waits that runner out,
@@ -16,7 +16,6 @@ or takes its plan over, before it reshapes.
 import pytest
 
 from repro import Deployment, HashRing, build_elastic_kv
-from repro.apps.sharding import RingRouter, ShardedKV
 from repro.core.messages import Status
 from repro.core.replycache import ReplyCache
 from repro.errors import ViewError
@@ -132,31 +131,29 @@ def test_recovery_joins_every_replica_copy():
 # ---------------------------------------------------------------------------
 
 
-def test_stale_epoch_call_bounces_and_router_repins():
+def test_stale_epoch_call_bounces_before_dispatch():
+    """A call stamped with a retired view epoch bounces with REDIRECT
+    before any message is built; the current epoch goes through."""
     dep = Deployment(seed=33)
     plane, kv = build_elastic_kv(dep, 3, clients=2)
-    router = RingRouter(plane.shards, metrics=dep.metrics)
-    router.pin(dep.views)
-    assert router.view_epoch == 0
-    skv = ShardedKV(dep, plane.coordinator, router)
+    pid = plane.coordinator
+    calls = dep.metrics.counter("service.shard-0.calls")
 
     async def scenario():
-        for i, key in enumerate(KEYS):
-            assert (await skv.put(key, i)).ok
-        await plane.add_shard()          # epoch 0 -> 1 under the router
-        assert router.view_epoch == 0    # still pinned to the old view
-        for i, key in enumerate(KEYS):
-            result = await skv.get(key)
-            assert result.ok and result.args == i
+        await plane.add_shard()          # epoch 0 -> 1
+        before = calls.value
+        stale = await dep.call(pid, "shard-0", "get", {"key": "k"},
+                               view_epoch=0)
+        assert calls.value == before     # nothing was dispatched
+        fresh = await dep.call(pid, "shard-0", "get", {"key": "k"},
+                               view_epoch=1)
+        return stale, fresh
 
-    dep.run_scenario(scenario())
-    # The first post-migration call bounced (REDIRECT, nothing
-    # dispatched), the router re-pinned, and every later call sailed.
-    assert router.view_epoch == 1
+    stale, fresh = dep.run_scenario(scenario())
+    assert stale.status is Status.REDIRECT and not stale.ok
+    assert stale.args == {"epoch": 1}
+    assert fresh.ok
     assert dep.metrics.value("placement.view.stale_bounces") == 1
-    bounce = dep.views.redirect_result()
-    assert bounce.status is Status.REDIRECT and not bounce.ok
-    assert bounce.args == {"epoch": 1}
 
 
 def test_reply_cache_records_the_completion_epoch():

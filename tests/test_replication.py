@@ -464,6 +464,45 @@ def test_recovered_replica_resyncs_before_serving():
     dep.run_scenario(phase3())
 
 
+def test_sole_survivor_rejoin_is_promoted_with_every_acked_write():
+    """Every replica of a passive group crashes, then one recovers.
+    Nobody holds a better copy, so it rejoins from its stable store and
+    is promoted at once; writes resume and no acknowledged put is lost.
+    """
+    dep = Deployment(seed=52, membership="oracle", observatory=True)
+    kv = build_sharded_kv(dep, 1, replication=primary_backup(3),
+                          app_factory=StableKVStore)
+    group = dep.replication.group("shard-0")
+    writes = {f"k{i}": i for i in range(6)}
+
+    async def phase1():
+        for key, value in writes.items():
+            assert (await kv.put(key, value)).ok
+
+    dep.run_scenario(phase1())
+    for pid in group.members:
+        dep.crash(pid)
+    assert group.primary is None and not group.live_members()
+    survivor = min(group.members)         # not the natural primary
+    dep.recover(survivor)
+    dep.settle(1.0)
+    assert group.primary == survivor
+    assert group.synced == {survivor}
+    promotions = [fields for (_seq, _t, kind, fields)
+                  in dep.flight.entries() if kind == "repl-promote"]
+    assert promotions[-1] == {"service": "shard-0", "primary": survivor,
+                              "reason": "sole-survivor"}
+
+    async def phase2():
+        for key, value in writes.items():
+            result = await kv.get(key)
+            assert result.ok and result.args == value, key
+        assert (await kv.put("after", 99)).ok
+        assert (await kv.get("after")).args == 99
+
+    dep.run_scenario(phase2())
+
+
 def test_writes_park_during_resync_and_drain():
     dep = Deployment(seed=51, membership="oracle")
     kv = build_sharded_kv(dep, 1, replication=primary_backup(3))

@@ -16,7 +16,6 @@ from repro.stubs import (
     ServiceInterface,
     client_stub,
     marshal,
-    marshalled_size,
     unmarshal,
 )
 from repro.stubs.stubgen import unmarshalled_collation
@@ -81,11 +80,6 @@ def test_unmarshal_rejects_garbage():
         unmarshal(marshal(1) + b"trailing")
     with pytest.raises(MarshalError):
         unmarshal(marshal("hello")[:-1])
-
-
-def test_marshalled_size():
-    assert marshalled_size(None) == 1
-    assert marshalled_size("ab") == 1 + 4 + 2
 
 
 @settings(max_examples=200, deadline=None)

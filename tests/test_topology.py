@@ -1,6 +1,4 @@
-"""Topology helpers: LAN, two-datacenter WAN, star, degraded sites."""
-
-import pytest
+"""Topology helpers: LAN and two-datacenter WAN."""
 
 from repro import LinkSpec, ServiceCluster, ServiceSpec
 from repro.apps import KVStore
@@ -8,8 +6,6 @@ from repro.net import NetworkFabric, Node
 from repro.net.topology import (
     LAN,
     WAN,
-    degrade_site,
-    star,
     two_datacenters,
     uniform_lan,
 )
@@ -38,30 +34,6 @@ def test_two_datacenters_split():
     assert fabric.link(3, 4) == LAN
     assert fabric.link(1, 3) == WAN
     assert fabric.link(4, 2) == WAN
-
-
-def test_star_blocks_spoke_to_spoke():
-    rt, fabric = make_fabric(3)
-    star(fabric, hub=1, spokes=[2, 3])
-    sent = []
-    fabric.trace.observers.append(
-        lambda e: sent.append((e.kind, e.src, e.dst)))
-    fabric.send(2, 1, "to-hub")
-    fabric.send(2, 3, "to-spoke")
-    rt.kernel.run_until(1.0)
-    assert ("deliver", 2, 1) in sent
-    assert ("drop-partition", 2, 3) in sent
-
-
-def test_degrade_site_layers_on_existing_links():
-    rt, fabric = make_fabric(2)
-    uniform_lan(fabric, [1, 2])
-    degrade_site(fabric, 2, extra_delay=0.5, loss=0.25)
-    degraded = fabric.link(1, 2)
-    assert degraded.delay == pytest.approx(LAN.delay + 0.5)
-    assert degraded.loss == 0.25
-    # Links not touching the site are unchanged.
-    assert fabric.link(2, 1).delay == pytest.approx(LAN.delay + 0.5)
 
 
 def test_wan_cluster_latency_split_end_to_end():

@@ -16,7 +16,7 @@ from repro.net import (
 )
 from repro.runtime import SimRuntime
 from repro.sim import RandomSource
-from repro.stubs.marshal import marshalled_size
+from repro.stubs import marshal
 from repro.xkernel import Protocol, TypeDemux, compose_stack
 
 FAST = LinkSpec(delay=0.02, jitter=0.0)
@@ -458,10 +458,10 @@ def test_wire_size_charges_strings_their_utf8_length():
     """The estimate mirrors the marshaller's framing, which counts
     bytes, not code points (ASCII — every seeded bench — is the same
     either way)."""
-    assert wire_size("plain") == marshalled_size("plain") == 10
-    assert wire_size("é縦🚀") == marshalled_size("é縦🚀") == 5 + 2 + 3 + 4
+    assert wire_size("plain") == len(marshal("plain")) == 10
+    assert wire_size("é縦🚀") == len(marshal("é縦🚀")) == 5 + 2 + 3 + 4
     assert wire_size({"ключ": "значение"}) == \
-        marshalled_size({"ключ": "значение"})
+        len(marshal({"ключ": "значение"}))
     plain = NetMsg(NetOp.CALL, op="put", service="kv",
                    annotations={"k": 1})
     wide = NetMsg(NetOp.CALL, op="püt", service="kv-東",
