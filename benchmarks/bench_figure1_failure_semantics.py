@@ -42,7 +42,7 @@ def measure_execution_counts(spec):
         for pid in cluster.server_pids:
             for tag in range(N_CALLS):
                 max_exec = max(max_exec,
-                               cluster.dispatcher(pid).executions(tag))
+                               cluster.dispatchers[pid].executions(tag))
     return max_exec, ok / total
 
 
@@ -54,12 +54,13 @@ def measure_atomicity(spec):
         lambda pid: BankApp({"alice": 100, "bob": 100},
                             transfer_delay=0.05),
         n_servers=1, default_link=LinkSpec(delay=0.01, jitter=0.0))
-    cluster.runtime.call_later(0.035, lambda: cluster.crash(1))
+    cluster.deployment.runtime.call_later(
+        0.035, lambda: cluster.deployment.crash(1))
     cluster.call_and_run("transfer",
                          {"src": "alice", "dst": "bob", "amount": 30})
-    cluster.recover(1)
-    cluster.settle(0.3)
-    stable = cluster.node(1).stable
+    cluster.deployment.recover(1)
+    cluster.deployment.settle(0.3)
+    stable = cluster.deployment.nodes[1].stable
     total = stable.get("acct:alice") + stable.get("acct:bob")
     return total == 200
 

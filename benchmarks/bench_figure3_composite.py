@@ -68,6 +68,6 @@ def test_figure3_composite_wiring(benchmark):
     # B's TIMEOUT registration is a per-call one-shot; once the bound
     # passes, only Reliable Communication's perpetual retransmission
     # timer stays armed.
-    cluster.settle(SPEC.bounded + 0.1)
+    cluster.deployment.settle(SPEC.bounded + 0.1)
     assert cluster.grpc(cluster.client).bus.pending_timeouts() == 1
     assert result.ok

@@ -36,7 +36,7 @@ CALLS = 60
 def run_variant(label, spec):
     cluster = ServiceCluster(spec, KVStore, n_servers=5, seed=1,
                              default_link=LINK, keep_trace=False)
-    cluster.make_slow(5, SLOW_REPLICA_DELAY)
+    cluster.deployment.make_slow(5, SLOW_REPLICA_DELAY)
     workload = ClosedLoopWorkload(
         lambda i: read_only_workload(seed=i), calls_per_client=CALLS)
     result = workload.run(cluster)
@@ -55,10 +55,10 @@ def test_section5_read_optimized(benchmark):
         # Bounded termination in action: total outage -> 1.0s TIMEOUT.
         cluster = ServiceCluster(read_optimized(timebound=1.0), KVStore,
                                  n_servers=5, default_link=LINK)
-        cluster.partition([cluster.client], cluster.server_pids)
-        t0 = cluster.runtime.now()
+        cluster.deployment.partition([cluster.client], cluster.server_pids)
+        t0 = cluster.deployment.runtime.now()
         outage = cluster.call_and_run("get", {"key": "k"})
-        outage_latency = cluster.runtime.now() - t0
+        outage_latency = cluster.deployment.runtime.now() - t0
         return fast, slow, outage, outage_latency
 
     fast, slow, outage, outage_latency = run_once(benchmark, experiment)

@@ -36,23 +36,23 @@ def run_point(resync, grace, seed=0):
 
     async def client_loop():
         i = 0
-        while cluster.runtime.now() < CRASH_AT + 8.0:
+        while cluster.deployment.runtime.now() < CRASH_AT + 8.0:
             result = await cluster.call(cluster.client, "put",
                                         {"key": f"k{i % 4}", "value": i})
             if result.ok:
-                completions.append(cluster.runtime.now())
+                completions.append(cluster.deployment.runtime.now())
             i += 1
 
     async def scenario():
         task = cluster.spawn_client(cluster.client, client_loop())
-        await cluster.runtime.sleep(CRASH_AT)
-        cluster.crash(3)
+        await cluster.deployment.runtime.sleep(CRASH_AT)
+        cluster.deployment.crash(3)
         try:
-            await cluster.runtime.join(task)
+            await cluster.deployment.runtime.join(task)
         except BaseException:
             pass
 
-    cluster.run_scenario(scenario(), extra_time=1.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=1.0)
     before = max((t for t in completions if t <= CRASH_AT), default=None)
     after = min((t for t in completions if t > CRASH_AT), default=None)
     downtime = (after - CRASH_AT) if after is not None else None

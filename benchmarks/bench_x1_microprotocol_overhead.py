@@ -62,7 +62,7 @@ def run_rung(label, spec):
     # Message cost straight from the metrics registry (the workload's
     # messages_per_call reads the same counter; asserting they agree
     # keeps the two reporting paths honest).
-    sends = cluster.metrics.value("net.send")
+    sends = cluster.deployment.metrics.value("net.send")
     assert sends / result.calls == result.messages_per_call
     return {"label": label,
             "micros": len(spec.build()),

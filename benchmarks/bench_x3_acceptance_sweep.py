@@ -28,7 +28,7 @@ def run_point(k):
     spec = ServiceSpec(acceptance=k, bounded=10.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=N_SERVERS, seed=5,
                              default_link=LINK, keep_trace=False)
-    cluster.make_slow(N_SERVERS, SLOW_DELAY)
+    cluster.deployment.make_slow(N_SERVERS, SLOW_DELAY)
     workload = ClosedLoopWorkload(lambda i: read_only_workload(seed=i),
                                   calls_per_client=CALLS)
     result = workload.run(cluster, settle_time=0.5)

@@ -47,14 +47,14 @@ def run_policy(policy, seed=0):
     async def scenario():
         for i in range(ROUNDS):
             cluster.spawn_client(client, doomed(i))
-            await cluster.runtime.sleep(0.1)   # mid-execution
-            cluster.crash(client)
-            await cluster.runtime.sleep(0.05)
-            cluster.recover(client)
+            await cluster.deployment.runtime.sleep(0.1)   # mid-execution
+            cluster.deployment.crash(client)
+            await cluster.deployment.runtime.sleep(0.05)
+            cluster.deployment.recover(client)
             task = cluster.spawn_client(client, fresh(i))
-            await cluster.runtime.join(task)
+            await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=3.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=3.0)
 
     app = cluster.app(1)
     log = [key for kind, key, _ in app.apply_log]

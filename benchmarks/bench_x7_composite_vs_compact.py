@@ -38,15 +38,15 @@ def run_composite():
 
     async def client():
         for i in range(CALLS):
-            t0 = cluster.runtime.now()
+            t0 = cluster.deployment.runtime.now()
             result = await cluster.call(cluster.client, "put",
                                         {"key": f"k{i % 8}", "value": i})
             assert result.status is Status.OK
-            latencies.append(cluster.runtime.now() - t0)
+            latencies.append(cluster.deployment.runtime.now() - t0)
 
     task = cluster.spawn_client(cluster.client, client())
     wall0 = time.perf_counter()
-    cluster.run_scenario(_join(cluster.runtime, task))
+    cluster.deployment.run_scenario(_join(cluster.deployment.runtime, task))
     wall = time.perf_counter() - wall0
     return latencies, wall
 

@@ -43,15 +43,16 @@ def run_point(n_keys, delta=False):
             assert result.ok
 
     task = cluster.spawn_client(cluster.client, client())
-    before_writes = cluster.node(1).stable.checkpoint_writes
+    before_writes = cluster.deployment.nodes[1].stable.checkpoint_writes
     wall0 = time.perf_counter()
 
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(waiter(), extra_time=0.3)
+    cluster.deployment.run_scenario(waiter(), extra_time=0.3)
     wall = time.perf_counter() - wall0
-    writes = cluster.node(1).stable.checkpoint_writes - before_writes
+    stable = cluster.deployment.nodes[1].stable
+    writes = stable.checkpoint_writes - before_writes
     return {"state_keys": n_keys, "delta": delta,
             "checkpoint_writes_per_call": writes / CALLS,
             "cpu_us_per_call": wall / CALLS * 1e6}

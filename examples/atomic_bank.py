@@ -22,13 +22,14 @@ def run(label: str, spec) -> None:
                             transfer_delay=0.05),
         n_servers=1, default_link=LinkSpec(delay=0.01, jitter=0.0))
     # Crash the server squarely inside the transfer's non-atomic window.
-    cluster.runtime.call_later(0.035, lambda: cluster.crash(1))
+    cluster.deployment.runtime.call_later(
+        0.035, lambda: cluster.deployment.crash(1))
     result = cluster.call_and_run(
         "transfer", {"src": "alice", "dst": "bob", "amount": 30})
-    cluster.recover(1)
-    cluster.settle(0.3)
+    cluster.deployment.recover(1)
+    cluster.deployment.settle(0.3)
 
-    stable = cluster.node(1).stable
+    stable = cluster.deployment.nodes[1].stable
     alice = stable.get("acct:alice")
     bob = stable.get("acct:bob")
     print(f"\n== {label}")

@@ -24,7 +24,7 @@ def run(ordering: str, seed: int) -> int:
                              default_link=LinkSpec(delay=0.01,
                                                    jitter=0.12))
     # One replica suffers performance failures: huge delay variance.
-    cluster.fabric.set_links_to(3, LinkSpec(delay=0.02, jitter=0.5))
+    cluster.deployment.fabric.set_links_to(3, LinkSpec(delay=0.02, jitter=0.5))
     producer, consumer = cluster.client_pids
 
     async def scenario():
@@ -33,7 +33,7 @@ def run(ordering: str, seed: int) -> int:
                                {"key": "record:42", "value": "payload"})
 
         task = cluster.spawn_client(producer, produce())
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
         if ordering == "causal":
             token = cluster.grpc(producer).micro("Causal_Order").token()
@@ -44,9 +44,9 @@ def run(ordering: str, seed: int) -> int:
                                {"key": "index:latest", "value": "record:42"})
 
         task = cluster.spawn_client(consumer, consume())
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=3.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=3.0)
 
     dangling = 0
     for pid in cluster.server_pids:

@@ -33,9 +33,9 @@ def race(ordering: str, seed: int):
         tasks = [cluster.spawn_client(a, contender(a, "alice")),
                  cluster.spawn_client(b, contender(b, "bob"))]
         for task in tasks:
-            await cluster.runtime.join(task)
+            await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=2.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=2.0)
     return [cluster.app(pid).holders.get("leader")
             for pid in cluster.server_pids]
 

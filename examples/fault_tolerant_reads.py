@@ -32,9 +32,9 @@ def measure(label: str, acceptance: int, *, crash_slow: bool = False,
                              default_link=LinkSpec(delay=0.01,
                                                    jitter=0.005),
                              membership=membership)
-    cluster.make_slow(N_SERVERS, SLOW)
+    cluster.deployment.make_slow(N_SERVERS, SLOW)
     if crash_slow:
-        cluster.crash(N_SERVERS)
+        cluster.deployment.crash(N_SERVERS)
     workload = ClosedLoopWorkload(lambda i: read_only_workload(seed=i),
                                   calls_per_client=CALLS)
     result = workload.run(cluster)

@@ -36,19 +36,19 @@ def run_policy(policy: str) -> None:
                                     {"key": "from-new-incarnation",
                                      "value": 2})
         print(f"   new incarnation's call: {result.status.value} at "
-              f"t={cluster.runtime.now() * 1000:.0f} ms")
+              f"t={cluster.deployment.runtime.now() * 1000:.0f} ms")
 
     async def scenario():
         cluster.spawn_client(client, doomed())
-        await cluster.runtime.sleep(0.1)
-        cluster.crash(client)       # the slow put is now an orphan
-        await cluster.runtime.sleep(0.05)
-        cluster.recover(client)
+        await cluster.deployment.runtime.sleep(0.1)
+        cluster.deployment.crash(client)       # the slow put is now an orphan
+        await cluster.deployment.runtime.sleep(0.05)
+        cluster.deployment.recover(client)
         task = cluster.spawn_client(client, fresh())
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
     print(f"\n== orphans={policy!r}: {POLICY_NOTES[policy]}")
-    cluster.run_scenario(scenario(), extra_time=2.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=2.0)
     log = [key for _, key, _ in cluster.app(1).apply_log]
     print(f"   server apply log: {log}")
     if policy == "terminate":

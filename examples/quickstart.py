@@ -23,6 +23,7 @@ def main() -> None:
     print()
 
     cluster = ServiceCluster(spec, KVStore, n_servers=3)
+    dep = cluster.deployment
 
     result = cluster.call_and_run("put", {"key": "city", "value": "Tucson"})
     print(f"put city=Tucson        -> {result.status.value} "
@@ -36,15 +37,15 @@ def main() -> None:
     print(f"keys                   -> {result.args}")
 
     # Crash two replicas; acceptance-one keeps the service available.
-    cluster.crash(2)
-    cluster.crash(3)
+    dep.crash(2)
+    dep.crash(3)
     result = cluster.call_and_run("get", {"key": "city"})
     print(f"get with 2/3 replicas crashed -> {result.status.value}, "
           f"value={result.args!r}")
 
     print()
-    print(f"simulated time elapsed: {cluster.runtime.now() * 1000:.1f} ms")
-    print(f"network messages sent:  {cluster.trace.sends}")
+    print(f"simulated time elapsed: {dep.runtime.now() * 1000:.1f} ms")
+    print(f"network messages sent:  {dep.metrics.value('net.send')}")
 
 
 if __name__ == "__main__":

@@ -39,16 +39,16 @@ def main() -> None:
         tasks = [cluster.spawn_client(pid, client_loop(pid, 4))
                  for pid in cluster.client_pids]
         for task in tasks:
-            await cluster.runtime.join(task)
+            await cluster.deployment.runtime.join(task)
         print("!! crashing leader (server 3) between rounds")
-        cluster.crash(3)
+        cluster.deployment.crash(3)
         # Round 2: the next-highest member (pid 2) assigns orders now.
         tasks = [cluster.spawn_client(pid, client_loop(pid, 4))
                  for pid in cluster.client_pids]
         for task in tasks:
-            await cluster.runtime.join(task)
+            await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=3.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=3.0)
 
     print()
     logs = {}

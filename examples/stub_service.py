@@ -3,9 +3,9 @@
 
 The paper assumes stubs that "marshall arguments and do binding" above
 gRPC.  This example shows the full developer workflow: declare a service
-interface, register the server group in the binding registry, generate a
-client proxy, and call it like a local object — timeouts surfacing as
-exceptions rather than status codes.
+interface, bind a client proxy to the service's server group, and call
+it like a local object — timeouts surfacing as exceptions rather than
+status codes.
 
 Run:  python examples/stub_service.py
 """
@@ -14,7 +14,6 @@ from repro import ServiceCluster, ServiceSpec
 from repro.apps import KVStore
 from repro.errors import RPCTimeout
 from repro.stubs import (
-    BindingRegistry,
     MarshallingApp,
     ServiceInterface,
     client_stub,
@@ -28,14 +27,11 @@ def main() -> None:
     cluster = ServiceCluster(spec, lambda pid: MarshallingApp(KVStore()),
                              n_servers=3)
 
-    registry = BindingRegistry()
-    registry.bind("inventory", cluster.group)
-    print(f"bound service 'inventory' -> group "
-          f"{registry.lookup('inventory').members}")
+    print(f"bound service 'inventory' -> group {cluster.group.members}")
 
     async def scenario():
         stub = client_stub(INVENTORY, cluster.grpc(cluster.client),
-                           registry.lookup("inventory"))
+                           cluster.group)
         await stub.put(key="widgets", value=130)
         await stub.put(key="sprockets", value=7)
         count = await stub.get(key="widgets")
@@ -44,7 +40,7 @@ def main() -> None:
 
         # Timeouts become exceptions at the stub surface.
         for pid in cluster.server_pids:
-            cluster.crash(pid)
+            cluster.deployment.crash(pid)
         try:
             await stub.get(key="widgets")
         except RPCTimeout as exc:
@@ -53,9 +49,9 @@ def main() -> None:
     task = cluster.spawn_client(cluster.client, scenario())
 
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(waiter(), extra_time=0.5)
+    cluster.deployment.run_scenario(waiter(), extra_time=0.5)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ def measure(acceptance: int, label: str) -> None:
     spec = ServiceSpec(unique=True, acceptance=acceptance, bounded=10.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=5, seed=7)
     # Client 101 lives in DC-A.
-    two_datacenters(cluster.fabric,
+    two_datacenters(cluster.deployment.fabric,
                     DC_A_SERVERS + [cluster.client], DC_B_SERVERS)
     workload = ClosedLoopWorkload(lambda i: kv_workload(seed=i),
                                   calls_per_client=CALLS)

@@ -96,10 +96,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
         result = cluster.call_and_run("put",
                                       {"key": f"k{i}", "value": i})
         print(f"  put k{i}={i}: {result.status.value} "
-              f"(t={cluster.runtime.now() * 1000:.1f} ms)")
+              f"(t={cluster.deployment.runtime.now() * 1000:.1f} ms)")
     result = cluster.call_and_run("keys", {})
     print(f"  keys: {result.args}")
-    print(f"messages on the wire: {cluster.trace.sends}")
+    sends = cluster.deployment.metrics.value("net.send")
+    print(f"messages on the wire: {sends}")
     return 0
 
 
@@ -116,11 +117,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
                              obs=True)
     result = cluster.call_and_run("put", {"key": "traced", "value": 1},
                                   extra_time=0.3)
-    spans = cluster.obs.spans
+    spans = cluster.deployment.obs.spans
     root = next(s for s in spans if s.name == "rpc.call")
     executed = min(s.start for s in spans if s.trace == root.trace
                    and s.name == "server.execute")
-    print(cluster.format_flame(root.trace))
+    print(cluster.deployment.format_flame(root.trace))
     print(f"\nfirst execution after {(executed - root.start) * 1000:.2f} "
           f"ms; status {result.status.value}")
     return 0
@@ -141,9 +142,9 @@ def _trace_config(args: argparse.Namespace) -> int:
             print(f"call {i} ended {result.status.value}",
                   file=sys.stderr)
     if args.flame:
-        print(cluster.format_flame())
+        print(cluster.deployment.format_flame())
     else:
-        cluster.export_trace(sys.stdout)
+        cluster.deployment.export_trace(sys.stdout)
     return 0
 
 
@@ -249,8 +250,9 @@ def cmd_obslint(args: argparse.Namespace) -> int:
     # observatory-enabled deployment exercises every instrument family.
     from repro.core.deployment import Deployment
     deployment = Deployment(membership="oracle", observatory=True)
-    deployment.add_service("lint", ServiceSpec(), KVStore, servers=2)
-    deployment.call_and_run("lint", "put", {"key": "k", "value": 1})
+    service = deployment.add_service("lint", ServiceSpec(), KVStore,
+                                     servers=2)
+    service.call_and_run("put", {"key": "k", "value": 1})
     deployment.publish_runtime_stats()
     snapshot = deployment.metrics.snapshot()
     names = [name for kind in snapshot.values() for name in kind]

@@ -3,7 +3,7 @@
 The test suite asserts the paper's guarantees ad hoc; this module
 packages those assertions as reusable checkers a downstream user can run
 against their own deployments.  Each checker takes plain data (apply
-logs, execution counts) or a :class:`~repro.core.service.ServiceCluster`
+logs, execution counts) or a :class:`~repro.core.deployment.Service`
 and returns a :class:`CheckResult` with machine-readable violations
 rather than raising, so callers can aggregate across runs.
 """
@@ -157,7 +157,7 @@ def check_exactly_once_cluster(cluster, tags: Sequence[Any]
     """Every tagged call executed exactly once on every server."""
     violations = []
     for pid in cluster.server_pids:
-        dispatcher = cluster.dispatcher(pid)
+        dispatcher = cluster.dispatchers[pid]
         counts = {tag: dispatcher.executions(tag) for tag in tags}
         sub = check_execution_counts(counts, at_least=1, at_most=1)
         violations.extend(f"server {pid}: {v}" for v in sub.violations)

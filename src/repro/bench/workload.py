@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.messages import CallResult, Status
-from repro.core.service import ServiceCluster
+from repro.core.deployment import Service
 from repro.bench.stats import LatencyStats, summarize
 
 __all__ = ["Op", "kv_workload", "read_only_workload", "WorkloadResult",
@@ -91,41 +91,42 @@ class ClosedLoopWorkload:
         self.calls_per_client = calls_per_client
         self.think_time = think_time
 
-    def run(self, cluster: ServiceCluster, *,
+    def run(self, service: Service, *,
             settle_time: float = 1.0) -> WorkloadResult:
-        """Drive the cluster to completion and collect measurements."""
+        """Drive the service to completion and collect measurements."""
+        dep = service.deployment
         result = WorkloadResult()
-        sends_before = cluster.metrics.value("net.send")
-        result.started_at = cluster.runtime.now()
+        sends_before = dep.metrics.value("net.send")
+        result.started_at = dep.runtime.now()
 
         async def client_loop(index: int, pid: int) -> None:
             ops = self.make_ops(index)
             for _ in range(self.calls_per_client):
                 op, args = next(ops)
-                t0 = cluster.runtime.now()
-                call_result = await cluster.call(pid, op, args)
-                result.latencies.append(cluster.runtime.now() - t0)
+                t0 = dep.runtime.now()
+                call_result = await service.call(pid, op, args)
+                result.latencies.append(dep.runtime.now() - t0)
                 result.results.append(call_result)
                 result.statuses[call_result.status] = \
                     result.statuses.get(call_result.status, 0) + 1
                 if self.think_time:
-                    await cluster.runtime.sleep(self.think_time)
+                    await dep.runtime.sleep(self.think_time)
 
         async def scenario() -> None:
             tasks = [
-                cluster.spawn_client(pid, client_loop(i, pid),
+                service.spawn_client(pid, client_loop(i, pid),
                                      name=f"load-{pid}")
-                for i, pid in enumerate(cluster.client_pids)
+                for i, pid in enumerate(service.client_pids)
             ]
             for task in tasks:
-                await cluster.runtime.join(task)
+                await dep.runtime.join(task)
 
-        cluster.run_scenario(scenario())
-        result.finished_at = cluster.runtime.now()
+        dep.run_scenario(scenario())
+        result.finished_at = dep.runtime.now()
         if settle_time:
-            cluster.settle(settle_time)
+            dep.settle(settle_time)
         result.messages_sent = int(
-            cluster.metrics.value("net.send") - sends_before)
+            dep.metrics.value("net.send") - sends_before)
         return result
 
 
@@ -148,38 +149,39 @@ class OpenLoopWorkload:
         self.duration = duration
         self.seed = seed
 
-    def run(self, cluster: ServiceCluster, *,
+    def run(self, service: Service, *,
             drain_time: float = 5.0) -> WorkloadResult:
+        dep = service.deployment
         rng = random.Random(self.seed)
         ops = self.make_ops(0)
         result = WorkloadResult()
-        sends_before = cluster.metrics.value("net.send")
-        result.started_at = cluster.runtime.now()
+        sends_before = dep.metrics.value("net.send")
+        result.started_at = dep.runtime.now()
         issued = {"count": 0}
-        pid = cluster.client_pids[0]
+        pid = service.client_pids[0]
 
         async def one_call(op: str, args: Any) -> None:
-            t0 = cluster.runtime.now()
-            call_result = await cluster.call(pid, op, args)
-            result.latencies.append(cluster.runtime.now() - t0)
+            t0 = dep.runtime.now()
+            call_result = await service.call(pid, op, args)
+            result.latencies.append(dep.runtime.now() - t0)
             result.results.append(call_result)
             result.statuses[call_result.status] = \
                 result.statuses.get(call_result.status, 0) + 1
 
         async def arrival_process() -> None:
-            deadline = cluster.runtime.now() + self.duration
-            while cluster.runtime.now() < deadline:
-                await cluster.runtime.sleep(rng.expovariate(self.rate))
+            deadline = dep.runtime.now() + self.duration
+            while dep.runtime.now() < deadline:
+                await dep.runtime.sleep(rng.expovariate(self.rate))
                 op, args = next(ops)
                 issued["count"] += 1
-                cluster.spawn_client(pid, one_call(op, args),
+                service.spawn_client(pid, one_call(op, args),
                                      name=f"open-{issued['count']}")
 
-        cluster.run_scenario(arrival_process())
-        cluster.settle(drain_time)
-        result.finished_at = cluster.runtime.now()
+        dep.run_scenario(arrival_process())
+        dep.settle(drain_time)
+        result.finished_at = dep.runtime.now()
         result.messages_sent = int(
-            cluster.metrics.value("net.send") - sends_before)
+            dep.metrics.value("net.send") - sends_before)
         #: Arrivals that never completed within the drain window.
         result.incomplete = issued["count"] - result.calls
         return result

@@ -6,8 +6,8 @@ message types (:mod:`repro.core.messages`), the composite itself
 (:mod:`repro.core.grpc`), the micro-protocols
 (:mod:`repro.core.microprotocols`), configuration and enumeration
 (:mod:`repro.core.config`, :mod:`repro.core.enumerate`), the property
-taxonomy (:mod:`repro.core.properties`) and the cluster builder
-(:mod:`repro.core.service`).
+taxonomy (:mod:`repro.core.properties`) and the deployment plane
+(:mod:`repro.core.deployment`).
 """
 
 from repro.core.config import (
@@ -39,9 +39,13 @@ from repro.core.messages import (
     UserMsg,
     UserOp,
 )
-from repro.core.deployment import CLIENT_BASE_PID, Deployment, Service
+from repro.core.deployment import (
+    CLIENT_BASE_PID,
+    Deployment,
+    Service,
+    ServiceCluster,
+)
 from repro.core.replycache import ReplyCache
-from repro.core.service import ServiceCluster
 
 __all__ = [
     "ServiceSpec",

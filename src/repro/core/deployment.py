@@ -3,16 +3,15 @@
 The paper's point is that one framework hosts *many* RPC variants; a
 :class:`Deployment` is where they coexist at runtime.  It owns everything
 that is shared — the runtime, the network fabric, the nodes, the
-observability layer, the membership substrate, the
-:class:`~repro.stubs.BindingRegistry` — while each call to
-:meth:`Deployment.add_service` wires one *named service*: a
-:class:`~repro.core.config.ServiceSpec`, the
-:class:`~repro.net.message.Group` of its servers, and one gRPC composite
-per participating node (servers additionally carry the application
-dispatcher).  A node may participate in any number of services, each
-with a *different* micro-protocol stack; arrivals are demultiplexed to
-the right composite by the service key every transmission carries
-(:class:`~repro.xkernel.demux.ServiceDemux`).
+observability layer, the membership substrate — while each call to
+:meth:`Deployment.add_service` wires one *named service* and returns its
+:class:`Service`: a :class:`~repro.core.config.ServiceSpec`, the
+:class:`~repro.net.message.Group` of its servers, its reply cache, and
+one gRPC composite per participating node (servers additionally carry
+the application dispatcher).  A node may participate in any number of
+services, each with a *different* micro-protocol stack; arrivals are
+demultiplexed to the right composite by the service key every
+transmission carries (:class:`~repro.xkernel.demux.ServiceDemux`).
 
 Layout conventions are inherited from the single-service days: server
 process ids live below :data:`CLIENT_BASE_PID` (so the Total Order
@@ -21,15 +20,15 @@ for ``servers``/``clients`` auto-allocates the lowest free pids in the
 respective range.
 
 Clients address services *by name*: ``await deployment.call(pid, "svc",
-op, args)`` resolves the name through the binding registry at call time,
-so a :meth:`rebind` after a reconfiguration redirects subsequent calls
-atomically.  Per-service traffic is labelled in the shared
+op, args)`` resolves the name to the service's current ``group`` at call
+time, so a :meth:`rebind` after a reconfiguration redirects subsequent
+calls atomically.  Per-service traffic is labelled in the shared
 :class:`~repro.obs.metrics.MetricsRegistry` (``service.<name>.calls``,
 ``.status.<S>``, ``.latency``, ``.executions``) and on every RPC span
 (``service`` attribute).
 
-:class:`~repro.core.service.ServiceCluster` is a thin back-compat
-wrapper over a one-service deployment.
+:func:`ServiceCluster` builds a one-service deployment and returns that
+service.
 """
 
 from __future__ import annotations
@@ -71,10 +70,9 @@ from repro.net import (
 )
 from repro.runtime import SimRuntime
 from repro.sim import RandomSource
-from repro.stubs.binding import BindingRegistry
 from repro.xkernel import ServiceDemux, TypeDemux, compose_stack
 
-__all__ = ["Deployment", "Service", "CLIENT_BASE_PID"]
+__all__ = ["Deployment", "Service", "ServiceCluster", "CLIENT_BASE_PID"]
 
 #: Client process ids start here; server pids must stay below it so the
 #: two ranges can never collide (checked, not assumed).
@@ -102,7 +100,8 @@ def _instantiate_app(factory: Callable[..., ServerApp],
 class Service:
     """One named service of a deployment: spec + group + composites.
 
-    Handles returned by :meth:`Deployment.add_service`.  ``grpcs`` maps
+    Returned by :meth:`Deployment.add_service` (and
+    :func:`ServiceCluster`); the only per-service object.  ``grpcs`` maps
     every participating pid (servers and clients) to that node's
     composite for *this* service; ``dispatchers``/``apps`` cover the
     server side only.
@@ -114,13 +113,23 @@ class Service:
         self.deployment = deployment
         self.name = name
         self.spec = spec
-        #: Current target group (replaced by :meth:`Deployment.rebind`).
+        #: Current target group: :meth:`Deployment.call` reads it on every
+        #: call and :meth:`Deployment.rebind` replaces it.
         self.group = group
         self.server_pids = server_pids
         self.client_pids = client_pids
         self.grpcs: Dict[int, GroupRPC] = {}
         self.dispatchers: Dict[int, ServerDispatcher] = {}
         self.apps: Dict[int, ServerApp] = {}
+        #: LRU of ``(client, call_id) -> CallResult``: retried calls after
+        #: a rebind are answered here without re-execution.
+        self.reply_cache = ReplyCache()
+        # (calls Counter, latency histogram name, status-value -> Counter),
+        # resolved on the first call.  Counters are zeroed in place by
+        # ``metrics.reset`` so the cached objects stay valid; histograms
+        # are dropped on reset, so only the prebuilt *name* is cached and
+        # the object re-resolved.
+        self._call_instruments: Optional[tuple] = None
 
     # -- accessors -------------------------------------------------------
 
@@ -139,6 +148,60 @@ class Service:
 
     async def call(self, client_pid: int, op: str, args: Any) -> CallResult:
         return await self.deployment.call(client_pid, self.name, op, args)
+
+    def spawn_client(self, pid: int, coro: Coroutine, *,
+                     name: str = "") -> Any:
+        """:meth:`Deployment.spawn_client`: run ``coro`` as a task owned
+        by node ``pid``."""
+        return self.deployment.spawn_client(pid, coro, name=name)
+
+    def call_and_run(self, op: str, args: Any, *,
+                     client_pid: Optional[int] = None,
+                     extra_time: float = 0.0) -> CallResult:
+        """Blockingly run one call to this service from outside the kernel.
+
+        Spawns the call on the client node (the first client by default),
+        drives the simulation until it finishes, optionally runs
+        ``extra_time`` more virtual seconds (to let retransmissions and
+        acks drain), and returns the result.
+        """
+        dep = self.deployment
+        pid = client_pid if client_pid is not None else self.client
+        results: List[CallResult] = []
+
+        async def issue() -> None:
+            results.append(await self.call(pid, op, args))
+
+        task = dep.spawn_client(pid, issue())
+
+        async def supervise() -> None:
+            try:
+                await dep.runtime.join(task)
+            except TaskCancelled:
+                pass
+
+        dep.runtime.run(supervise(), shutdown=False)
+        if extra_time > 0:
+            dep.runtime.run_for(extra_time)
+        if not results:
+            raise TaskCancelled("client crashed before the call returned")
+        return results[0]
+
+
+def ServiceCluster(spec: ServiceSpec,
+                   app_factory: Callable[..., ServerApp], *,
+                   n_servers: int = 3, n_clients: int = 1,
+                   **options: Any) -> Service:
+    """A one-service deployment; returns its service, named ``"servers"``.
+
+    Servers get pids ``1..n_servers`` (so the Total Order leader is the
+    highest-numbered server), clients get pids from
+    :data:`CLIENT_BASE_PID` up.  ``options`` go to :class:`Deployment`
+    unchanged; the deployment is the result's ``.deployment``.
+    """
+    return Deployment(**options).add_service(
+        "servers", spec, app_factory, servers=range(1, n_servers + 1),
+        clients=range(CLIENT_BASE_PID, CLIENT_BASE_PID + n_clients))
 
 
 class Deployment:
@@ -159,8 +222,7 @@ class Deployment:
         shared by every service: site liveness is service-independent, so
         one detector per node feeds every composite the node hosts.
 
-        ``obs`` turns on the observability layer exactly as on
-        :class:`~repro.core.service.ServiceCluster`: ``True`` creates a
+        ``obs`` turns on the observability layer: ``True`` creates a
         :class:`~repro.obs.Recorder` sharing the deployment's
         metrics registry; pass a pre-built recorder to control it
         yourself.  ``deployment.metrics`` always exists.
@@ -199,20 +261,9 @@ class Deployment:
             default_link=default_link, metrics=self.metrics, wire=wire)
         self.fabric.trace.keep_events = keep_trace
 
-        #: Name -> group directory; the client call path resolves through
-        #: it on every call, so rebinds take effect atomically.
-        self.registry = BindingRegistry()
+        #: Name -> :class:`Service`; the client call path resolves the
+        #: name here on every call, so rebinds take effect atomically.
         self.services: Dict[str, Service] = {}
-        #: Per-service LRU of ``(client, call_id) -> CallResult``:
-        #: retried calls after a rebind are answered here without
-        #: re-execution.
-        self.reply_caches: Dict[str, ReplyCache] = {}
-        # Per-service call instruments, resolved once per service name:
-        # (calls Counter, latency histogram name, status-value -> Counter).
-        # Counters are zeroed in place by ``metrics.reset`` so the cached
-        # objects stay valid; histograms are dropped on reset, so only
-        # the prebuilt *name* is cached and the object re-resolved.
-        self._call_instruments: Dict[str, tuple] = {}
         self.nodes: Dict[int, Node] = {}
         self.demuxes: Dict[int, TypeDemux] = {}
         #: Per-node service router (NetMsg service key -> composite).
@@ -284,8 +335,10 @@ class Deployment:
         may be shared with other services — that node then hosts several
         composites) or counts, in which case the lowest free pids in the
         server (< :data:`CLIENT_BASE_PID`) or client (>=) range are
-        allocated.  The service's group is bound under ``name`` in the
-        binding registry; duplicate names are rejected.
+        allocated.  Calls name the service by ``name``; duplicate names
+        are rejected, and so is a pid listed twice.  Every check runs
+        before anything is wired, so a rejected call leaves the
+        deployment as it was.
         """
         server_pids = self._resolve_pids(servers, base=1,
                                          limit=CLIENT_BASE_PID)
@@ -300,6 +353,12 @@ class Deployment:
                     f"(client pids start at CLIENT_BASE_PID="
                     f"{CLIENT_BASE_PID}); keep server groups smaller than "
                     f"{CLIENT_BASE_PID} processes or raise CLIENT_BASE_PID")
+        repeated = sorted({pid for pids in (server_pids, client_pids)
+                           for pid in pids if pids.count(pid) > 1})
+        if repeated:
+            raise ConfigurationError(
+                f"pids {repeated} listed more than once for service "
+                f"{name!r}")
         overlap = set(server_pids) & set(client_pids)
         if overlap:
             raise ConfigurationError(
@@ -308,16 +367,14 @@ class Deployment:
         if name in self.services:
             raise BindingError(f"service {name!r} already deployed")
 
-        group = Group(name, server_pids)
-        self.registry.bind(name, group)
-        svc = Service(self, name, spec, group, server_pids, client_pids)
+        svc = Service(self, name, spec, Group(name, server_pids),
+                      server_pids, client_pids)
         for pid in server_pids:
             self._build_composite(svc, pid,
                                   _instantiate_app(app_factory, pid))
         for pid in client_pids:
             self._build_composite(svc, pid, None)
         self.services[name] = svc
-        self.reply_caches[name] = ReplyCache()
         self._connect_membership(svc)
         return svc
 
@@ -411,16 +468,15 @@ class Deployment:
                    view_epoch: Optional[int] = None) -> CallResult:
         """Issue one call to ``service`` from ``client_pid``.
 
-        The service name is resolved to its current group through the
-        binding registry *at call time* — the stub "does binding", as the
-        paper assumes — and the call goes out through the caller's
-        composite for that service.  Per-service metrics
-        (``service.<name>.calls`` / ``.status.<S>`` / ``.latency``) are
-        folded into the shared registry.
+        The service name is resolved to its current ``group`` *at call
+        time* — the stub "does binding", as the paper assumes — and the
+        call goes out through the caller's composite for that service.
+        Per-service metrics (``service.<name>.calls`` / ``.status.<S>`` /
+        ``.latency``) are folded into the shared registry.
 
         ``retry_of`` names the call id of an earlier attempt: if that
         attempt completed, its reply is returned straight from the
-        per-service :class:`~repro.core.replycache.ReplyCache` without
+        service's :class:`~repro.core.replycache.ReplyCache` without
         re-execution — the safe way to retry after a rebind has pointed
         the name at servers that never saw the original call.  The
         cache is deployment-side, so the filter also spans replica
@@ -447,15 +503,15 @@ class Deployment:
                     "placement.view.stale_bounces").inc()
                 return views.redirect_result()
         svc = self.service(service)
-        instruments = self._call_instruments.get(service)
+        instruments = svc._call_instruments
         if instruments is None:
             prefix = f"service.{service}"
-            instruments = (self.metrics.counter(f"{prefix}.calls"),
-                           f"{prefix}.latency", {})
-            self._call_instruments[service] = instruments
+            instruments = svc._call_instruments = (
+                self.metrics.counter(f"{prefix}.calls"),
+                f"{prefix}.latency", {})
         calls_counter, latency_name, status_counters = instruments
-        cache = self.reply_caches.get(service)
-        if retry_of is not None and cache is not None:
+        cache = svc.reply_cache
+        if retry_of is not None:
             cached = cache.get(client_pid, retry_of)
             if cached is not None:
                 self.metrics.counter(
@@ -477,7 +533,7 @@ class Deployment:
         if adapt is not None:
             await adapt.admit(service)
         try:
-            group = self.registry.lookup(service)
+            group = svc.group
             rgroup = None if self.replication is None \
                 else self.replication.groups.get(service)
             start = self.runtime.now()
@@ -501,7 +557,7 @@ class Deployment:
         self.metrics.histogram(latency_name).observe(latency)
         if self._slo is not None:
             self._slo.observe(service, latency)
-        if cache is not None and result.ok:
+        if result.ok:
             epoch = self.views.epoch if self.views is not None else None
             cache.put(client_pid, result.id, result, epoch=epoch)
             if retry_of is not None:
@@ -590,7 +646,6 @@ class Deployment:
             raise BindingError(
                 f"cannot rebind {service!r} to {sorted(group.members)}: "
                 f"pids {missing} run no server composite for it")
-        self.registry.bind(service, group, replace=True)
         svc.group = group
         if self.flight is not None:
             self.flight.note("rebind", service=service,
@@ -646,37 +701,6 @@ class Deployment:
         experiments to be meaningful.
         """
         return self.nodes[pid].spawn(coro, name=name or f"client-{pid}")
-
-    def call_and_run(self, service: str, op: str, args: Any, *,
-                     client_pid: Optional[int] = None,
-                     extra_time: float = 0.0) -> CallResult:
-        """Blockingly run one named-service call from outside the kernel.
-
-        Spawns the call on the client node, drives the simulation until
-        it finishes, optionally runs ``extra_time`` more virtual seconds
-        (to let retransmissions and acks drain), and returns the result.
-        """
-        pid = client_pid if client_pid is not None \
-            else self.service(service).client
-        results: List[CallResult] = []
-
-        async def issue() -> None:
-            results.append(await self.call(pid, service, op, args))
-
-        task = self.spawn_client(pid, issue())
-
-        async def supervise() -> None:
-            try:
-                await self.runtime.join(task)
-            except TaskCancelled:
-                pass
-
-        self.runtime.run(supervise(), shutdown=False)
-        if extra_time > 0:
-            self.runtime.run_for(extra_time)
-        if not results:
-            raise TaskCancelled("client crashed before the call returned")
-        return results[0]
 
     def run_scenario(self, coro: Coroutine, *,
                      extra_time: float = 0.0) -> Any:

@@ -80,23 +80,7 @@ class NetTrace:
         for observer in self.observers:
             observer(event)
 
-    # -- convenience accessors -------------------------------------------
-
-    @property
-    def sends(self) -> int:
-        return int(self.metrics.value(NET_PREFIX + "send", 0))
-
-    @property
-    def deliveries(self) -> int:
-        return int(self.metrics.value(NET_PREFIX + "deliver", 0))
-
-    @property
-    def losses(self) -> int:
-        return int(self.metrics.value(NET_PREFIX + "drop-loss", 0))
-
-    @property
-    def duplicates(self) -> int:
-        return int(self.metrics.value(NET_PREFIX + "duplicate", 0))
+    # -- event queries ---------------------------------------------------
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
         return [e for e in self.events if e.kind == kind]

@@ -1,6 +1,9 @@
-"""Stubs and binding: marshalling, generated proxies, name resolution."""
+"""Stubs: marshalling and generated proxies.
 
-from repro.stubs.binding import BindingRegistry
+Binding (service name to server group) is
+:attr:`repro.core.deployment.Service.group`, resolved on every call.
+"""
+
 from repro.stubs.marshal import marshal, unmarshal
 from repro.stubs.stubgen import (
     ClientStub,
@@ -10,7 +13,6 @@ from repro.stubs.stubgen import (
 )
 
 __all__ = [
-    "BindingRegistry",
     "marshal",
     "unmarshal",
     "ServiceInterface",

@@ -42,9 +42,9 @@ def serve_one_call(spec) -> Status:
     task = cluster.spawn_client(cluster.client, client())
 
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(waiter(), extra_time=0.3)
+    cluster.deployment.run_scenario(waiter(), extra_time=0.3)
     return outcome["status"]
 
 

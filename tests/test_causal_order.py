@@ -22,7 +22,7 @@ def make_cluster(spec, seed=0, n_clients=2):
     cluster = ServiceCluster(spec, KVStore, n_servers=3,
                              n_clients=n_clients, seed=seed,
                              default_link=JITTERY)
-    cluster.fabric.set_links_to(3, ERRATIC)
+    cluster.deployment.fabric.set_links_to(3, ERRATIC)
     return cluster
 
 
@@ -41,7 +41,7 @@ def cross_client_scenario(cluster):
             assert result.ok
 
         task = cluster.spawn_client(a, a_writes())
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
         # The causal token travels out of band (e.g. inside a message
         # the application itself sent from A to B).  The control run
         # (no Causal Order configured) has no token to pass.
@@ -54,9 +54,9 @@ def cross_client_scenario(cluster):
             assert result.ok
 
         task = cluster.spawn_client(b, b_writes())
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=3.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=3.0)
 
 
 def order_violations(cluster):
@@ -104,9 +104,9 @@ def test_own_calls_are_causally_chained():
         for i in range(5):
             task = cluster.spawn_client(
                 client, _put(cluster, client, f"k{i}", i))
-            await cluster.runtime.join(task)
+            await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=3.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=3.0)
     for pid in cluster.server_pids:
         keys = [k for _, k, _ in cluster.app(pid).apply_log]
         assert keys == [f"k{i}" for i in range(5)]
@@ -145,17 +145,17 @@ def test_deps_survive_retransmission():
     a, b = cluster.client_pids
     # Server 3 misses B's first transmission; the retransmission must
     # still carry the dependency annotation.
-    fault = drop_first(cluster.fabric, 1, calls_to(3))
+    fault = drop_first(cluster.deployment.fabric, 1, calls_to(3))
 
     async def scenario():
         task = cluster.spawn_client(a, _put(cluster, a, "cause", 1))
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
         fault.dropped = 0   # arm for B's call specifically
         causal_micro(cluster, b).join(causal_micro(cluster, a).token())
         task = cluster.spawn_client(b, _put(cluster, b, "effect", 2))
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=2.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=2.0)
     keys3 = [k for _, k, _ in cluster.app(3).apply_log]
     assert keys3 == ["cause", "effect"]
 

@@ -74,13 +74,14 @@ def delta_spec(**overrides):
 def test_delta_mode_rolls_back_crash_mid_transfer():
     cluster = ServiceCluster(delta_spec(), bank_factory, n_servers=1,
                              default_link=FAST)
-    cluster.runtime.call_later(0.035, lambda: cluster.crash(1))
+    cluster.deployment.runtime.call_later(
+        0.035, lambda: cluster.deployment.crash(1))
     result = cluster.call_and_run(
         "transfer", {"src": "alice", "dst": "bob", "amount": 30})
     assert result.status is Status.TIMEOUT
-    cluster.recover(1)
-    cluster.settle(0.2)
-    stable = cluster.node(1).stable
+    cluster.deployment.recover(1)
+    cluster.deployment.settle(0.2)
+    stable = cluster.deployment.nodes[1].stable
     assert stable.get("acct:alice") == 100
     assert stable.get("acct:bob") == 100
 
@@ -96,9 +97,9 @@ def test_delta_mode_replays_chain_on_recovery():
         assert result.ok
     atomic = cluster.grpc(1).micro("Atomic_Execution")
     assert atomic.delta_chain_length == 3   # compact_every=4 not yet hit
-    cluster.crash(1)
-    cluster.recover(1)
-    cluster.settle(0.2)
+    cluster.deployment.crash(1)
+    cluster.deployment.recover(1)
+    cluster.deployment.settle(0.2)
     result = cluster.call_and_run("balance", {"account": "bob"},
                                   extra_time=0.3)
     assert result.args == 130               # all three replayed
@@ -146,9 +147,9 @@ def test_delta_and_whole_state_agree():
                                  default_link=FAST)
         for op, args in calls:
             assert cluster.call_and_run(op, args, extra_time=0.2).ok
-        cluster.crash(1)
-        cluster.recover(1)
-        cluster.settle(0.2)
+        cluster.deployment.crash(1)
+        cluster.deployment.recover(1)
+        cluster.deployment.settle(0.2)
         result = cluster.call_and_run(*read, extra_time=0.2)
         return result.args
 
@@ -173,7 +174,7 @@ def test_delta_writes_less_checkpoint_data():
         for i in range(300):
             app.data[f"pre-{i}"] = "x" * 40
         sizes = []
-        stable = cluster.node(1).stable
+        stable = cluster.deployment.nodes[1].stable
         original_write = stable.write
 
         def measuring_write(value):

@@ -2,7 +2,7 @@
 
 Covers the multi-service refactor: co-hosted composites with *different*
 ServiceSpecs on one node, service-key demux routing, name resolution
-through the binding registry at call time, rebinding after
+to the service's group at call time, rebinding after
 reconfiguration, pid-collision validation, per-service metrics and span
 labels, and the shared per-node heartbeat detector.
 """
@@ -119,11 +119,27 @@ def test_deployment_rejects_pid_as_both_server_and_client():
 
 def test_duplicate_service_name_rejected():
     dep = Deployment()
-    dep.add_service("svc", read_optimized(), KVStore,
-                    servers=[1], clients=[101])
+    svc = dep.add_service("svc", read_optimized(), KVStore,
+                          servers=[1], clients=[101])
     with pytest.raises(BindingError):
         dep.add_service("svc", read_optimized(), KVStore,
                         servers=[2], clients=[101])
+    # No silent overwrite: the name still resolves to the first group.
+    assert dep.service("svc") is svc
+    assert svc.group.members == (1,)
+
+
+def test_repeated_pid_rejected_before_anything_is_wired():
+    dep = Deployment()
+    for servers, clients in (([1, 1], [101]), ([1, 2], [101, 101])):
+        with pytest.raises(ConfigurationError):
+            dep.add_service("a", read_optimized(), KVStore,
+                            servers=servers, clients=clients)
+        assert dep.services == {} and dep.nodes == {}
+    # The corrected retry is not poisoned by the rejected ones.
+    svc = dep.add_service("a", read_optimized(), KVStore,
+                          servers=[1, 2], clients=[101])
+    assert svc.call_and_run("put", {"key": "k", "value": 1}).ok
 
 
 def test_unknown_membership_mode_rejected():
@@ -132,12 +148,16 @@ def test_unknown_membership_mode_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Name resolution through the binding registry
+# Name resolution: a service name resolves to its group on every call
 # ---------------------------------------------------------------------------
 
 
 def test_call_to_unknown_service_raises():
     dep, _, _ = two_service_deployment()
+    with pytest.raises(BindingError):
+        dep.service("billing")
+    with pytest.raises(BindingError):
+        dep.rebind("billing", [1])
 
     async def scenario():
         with pytest.raises(BindingError):
@@ -173,10 +193,10 @@ def test_rebind_resolves_at_call_time():
     dep.run_scenario(before())
 
     # Reconfigure: node 3 leaves the service. Later calls resolve the
-    # name to the new group through the registry.
+    # name to the new group.
     new_group = dep.rebind("kv", [1, 2])
     assert svc.group == new_group
-    assert dep.registry.lookup("kv").members == (1, 2)
+    assert dep.service("kv").group.members == (1, 2)
 
     async def after():
         result = await dep.call(101, "kv", "get", {"key": "k"})
@@ -338,7 +358,7 @@ def test_services_added_after_start_join_heartbeat_stream():
 
 
 # ---------------------------------------------------------------------------
-# The back-compat wrapper delegates to a one-service deployment
+# ServiceCluster builds a one-service deployment and returns the service
 # ---------------------------------------------------------------------------
 
 
@@ -346,11 +366,13 @@ def test_cluster_is_a_one_service_deployment():
     cluster = ServiceCluster(read_optimized(), KVStore, n_servers=2)
     assert isinstance(cluster.deployment, Deployment)
     assert set(cluster.deployment.services) == {"servers"}
+    assert cluster is cluster.deployment.service("servers")
     assert cluster.group == Group("servers", [1, 2])
+    assert cluster.client_pids == [CLIENT_BASE_PID]
     result = cluster.call_and_run("put", {"key": "k", "value": 1})
     assert result.ok
-    # Wrapper calls surface in the per-service metric namespace.
-    assert cluster.metrics.value("service.servers.calls") == 1
+    # Its calls surface in the per-service metric namespace.
+    assert cluster.deployment.metrics.value("service.servers.calls") == 1
 
 
 def test_cluster_still_rejects_zero_servers():

@@ -48,7 +48,7 @@ def test_at_least_once_normal_termination_executes_one_or_more():
     results = drive_increments(cluster)
     assert all(r.ok for r in results)
     for pid in cluster.server_pids:
-        dispatcher = cluster.dispatcher(pid)
+        dispatcher = cluster.dispatchers[pid]
         for tag in range(10):
             assert dispatcher.executions(tag) >= 1
 
@@ -65,7 +65,7 @@ def test_at_least_once_actually_over_executes_under_loss():
         for pid in cluster.server_pids:
             for tag in range(10):
                 total_over += max(
-                    0, cluster.dispatcher(pid).executions(tag) - 1)
+                    0, cluster.dispatchers[pid].executions(tag) - 1)
     assert total_over > 0
 
 
@@ -81,7 +81,7 @@ def test_exactly_once_executes_exactly_once_despite_loss_and_dup():
         assert all(r.ok for r in results)
         for pid in cluster.server_pids:
             for tag in range(10):
-                assert cluster.dispatcher(pid).executions(tag) == 1, \
+                assert cluster.dispatchers[pid].executions(tag) == 1, \
                     f"seed={seed} server={pid} tag={tag}"
         for pid in cluster.server_pids:
             assert cluster.app(pid).value == 10
@@ -93,12 +93,12 @@ def test_exactly_once_replays_stored_reply_when_reply_lost():
     spec = exactly_once(acceptance=1, bounded=30.0)
     cluster = ServiceCluster(spec, CounterApp, n_servers=1,
                              default_link=LinkSpec(delay=0.01, jitter=0.0))
-    fault = drop_first(cluster.fabric, 2, replies_from(1))
+    fault = drop_first(cluster.deployment.fabric, 2, replies_from(1))
     result = cluster.call_and_run("inc", {"amount": 1, "tag": "t"},
                                   extra_time=0.5)
     assert result.ok
     assert fault.dropped == 2
-    assert cluster.dispatcher(1).executions("t") == 1
+    assert cluster.dispatchers[1].executions("t") == 1
     assert cluster.app(1).value == 1
 
 
@@ -106,12 +106,12 @@ def test_exactly_once_call_loss_only_delays():
     spec = exactly_once(acceptance=1, bounded=30.0)
     cluster = ServiceCluster(spec, CounterApp, n_servers=1,
                              default_link=LinkSpec(delay=0.01, jitter=0.0))
-    fault = drop_first(cluster.fabric, 3, calls_to(1))
+    fault = drop_first(cluster.deployment.fabric, 3, calls_to(1))
     result = cluster.call_and_run("inc", {"amount": 1, "tag": "t"},
                                   extra_time=0.5)
     assert result.ok
     assert fault.dropped == 3
-    assert cluster.dispatcher(1).executions("t") == 1
+    assert cluster.dispatchers[1].executions("t") == 1
 
 
 def test_exactly_once_abnormal_termination_at_most_one_execution():
@@ -120,11 +120,11 @@ def test_exactly_once_abnormal_termination_at_most_one_execution():
     spec = exactly_once(acceptance=1, bounded=0.5)
     cluster = ServiceCluster(spec, CounterApp, n_servers=1,
                              default_link=LinkSpec(delay=0.01, jitter=0.0))
-    cluster.partition([cluster.client], [1])
+    cluster.deployment.partition([cluster.client], [1])
     result = cluster.call_and_run("inc", {"amount": 1, "tag": "t"},
                                   extra_time=0.5)
     assert result.status is Status.TIMEOUT
-    assert cluster.dispatcher(1).executions("t") <= 1
+    assert cluster.dispatchers[1].executions("t") <= 1
 
 
 def test_unique_execution_reply_store_drains_after_ack():
@@ -151,13 +151,14 @@ def test_non_atomic_crash_mid_transfer_loses_money():
     cluster = ServiceCluster(spec, bank_factory, n_servers=1,
                              default_link=LinkSpec(delay=0.01, jitter=0.0))
     # Crash while the transfer sits in its non-atomic window.
-    cluster.runtime.call_later(0.035, lambda: cluster.crash(1))
+    cluster.deployment.runtime.call_later(
+        0.035, lambda: cluster.deployment.crash(1))
     result = cluster.call_and_run(
         "transfer", {"src": "alice", "dst": "bob", "amount": 30})
     assert result.status is Status.TIMEOUT
-    cluster.recover(1)
-    cluster.settle(0.2)
-    stable = cluster.node(1).stable
+    cluster.deployment.recover(1)
+    cluster.deployment.settle(0.2)
+    stable = cluster.deployment.nodes[1].stable
     assert stable.get("acct:alice") == 70     # debit persisted
     assert stable.get("acct:bob") == 100      # credit lost
     total = stable.get("acct:alice") + stable.get("acct:bob")
@@ -170,13 +171,14 @@ def test_at_most_once_crash_mid_transfer_rolls_back():
     spec = at_most_once(acceptance=1, bounded=1.0)
     cluster = ServiceCluster(spec, bank_factory, n_servers=1,
                              default_link=LinkSpec(delay=0.01, jitter=0.0))
-    cluster.runtime.call_later(0.035, lambda: cluster.crash(1))
+    cluster.deployment.runtime.call_later(
+        0.035, lambda: cluster.deployment.crash(1))
     result = cluster.call_and_run(
         "transfer", {"src": "alice", "dst": "bob", "amount": 30})
     assert result.status is Status.TIMEOUT
-    cluster.recover(1)
-    cluster.settle(0.2)
-    stable = cluster.node(1).stable
+    cluster.deployment.recover(1)
+    cluster.deployment.settle(0.2)
+    stable = cluster.deployment.nodes[1].stable
     assert stable.get("acct:alice") == 100
     assert stable.get("acct:bob") == 100
 
@@ -189,9 +191,9 @@ def test_at_most_once_completed_transfers_survive_crash():
         "transfer", {"src": "alice", "dst": "bob", "amount": 30},
         extra_time=0.5)
     assert result.ok
-    cluster.crash(1)
-    cluster.recover(1)
-    cluster.settle(0.2)
+    cluster.deployment.crash(1)
+    cluster.deployment.recover(1)
+    cluster.deployment.settle(0.2)
     # The post-execution checkpoint includes the completed transfer.
     result = cluster.call_and_run("balance", {"account": "bob"},
                                   extra_time=0.5)
@@ -206,13 +208,13 @@ def test_at_most_once_money_conserved_across_crash_storm():
                                                    jitter=0.002))
     rng_times = [0.03, 0.02, 0.045, 0.01, 0.06]
     for i, crash_after in enumerate(rng_times):
-        start = cluster.runtime.now()
-        cluster.runtime.call_later(crash_after,
-                                   lambda: cluster.crash(1))
+        start = cluster.deployment.runtime.now()
+        cluster.deployment.runtime.call_later(
+            crash_after, lambda: cluster.deployment.crash(1))
         cluster.call_and_run(
             "transfer", {"src": "alice", "dst": "bob", "amount": 10})
-        cluster.recover(1)
-        cluster.settle(0.3)
+        cluster.deployment.recover(1)
+        cluster.deployment.settle(0.3)
     total = cluster.call_and_run("total", {}, extra_time=0.3)
     assert total.ok
     assert total.args == 200  # money conserved whatever completed

@@ -27,7 +27,7 @@ def make_cluster(**kwargs):
 
 def test_drop_matching_counts_and_removes():
     cluster = make_cluster()
-    fault = drop_matching(cluster.fabric, calls_to(1))
+    fault = drop_matching(cluster.deployment.fabric, calls_to(1))
     result = cluster.call_and_run("put", {"key": "k", "value": 1},
                                   extra_time=0.3)
     assert result.ok                       # server 2 answered
@@ -44,7 +44,7 @@ def test_drop_first_limits_drops():
     # forcing retransmissions through the limited drop filter.
     cluster = make_cluster(spec=ServiceSpec(bounded=5.0, unique=True,
                                             acceptance=2))
-    fault = drop_first(cluster.fabric, 2, calls_to(1))
+    fault = drop_first(cluster.deployment.fabric, 2, calls_to(1))
     result = cluster.call_and_run("put", {"key": "k", "value": 1},
                                   extra_time=0.5)
     assert result.ok
@@ -70,7 +70,7 @@ def test_predicates_select_correct_messages():
             seen["orders"] += 1
         return True
 
-    cluster.fabric.add_filter(spy)
+    cluster.deployment.fabric.add_filter(spy)
     cluster.call_and_run("put", {"key": "k", "value": 1}, extra_time=0.5)
     assert seen["replies"] == 2   # both servers replied
     assert seen["acks"] == 2      # client ACKed both (unique execution)
@@ -86,27 +86,28 @@ def test_net_msg_unwraps_only_grpc_payloads():
 
 def test_crash_schedule_bounce():
     cluster = make_cluster()
-    schedule = CrashSchedule(cluster.runtime,
-                             [cluster.node(pid)
+    schedule = CrashSchedule(cluster.deployment.runtime,
+                             [cluster.deployment.nodes[pid]
                               for pid in cluster.server_pids])
     schedule.bounce(1, down_at=0.5, up_at=1.5)
-    cluster.settle(1.0)
-    assert not cluster.node(1).up
-    assert cluster.node(2).up
-    cluster.settle(1.0)
-    assert cluster.node(1).up
-    assert cluster.node(1).incarnation == 2
+    cluster.deployment.settle(1.0)
+    assert not cluster.deployment.nodes[1].up
+    assert cluster.deployment.nodes[2].up
+    cluster.deployment.settle(1.0)
+    assert cluster.deployment.nodes[1].up
+    assert cluster.deployment.nodes[1].incarnation == 2
 
 
 def test_crash_schedule_relative_to_now():
     cluster = make_cluster()
-    cluster.settle(2.0)   # now = 2.0
-    schedule = CrashSchedule(cluster.runtime, [cluster.node(1)])
+    cluster.deployment.settle(2.0)   # now = 2.0
+    schedule = CrashSchedule(cluster.deployment.runtime,
+                             [cluster.deployment.nodes[1]])
     schedule.crash_at(2.5, 1)
-    cluster.settle(0.4)
-    assert cluster.node(1).up
-    cluster.settle(0.2)
-    assert not cluster.node(1).up
+    cluster.deployment.settle(0.4)
+    assert cluster.deployment.nodes[1].up
+    cluster.deployment.settle(0.2)
+    assert not cluster.deployment.nodes[1].up
 
 
 # ----------------------------------------------------------------------
@@ -155,8 +156,8 @@ def test_losing_a_batched_envelope_counts_one_loss_per_inner_message():
     # One coalesced envelope went down the link and was dropped, but the
     # net.* accounting is per message: five sends, five losses.
     assert tops[2].received == []
-    assert fabric.trace.sends == 5
-    assert fabric.trace.losses == 5
+    assert fabric.trace.metrics.value("net.send") == 5
+    assert fabric.trace.metrics.value("net.drop-loss") == 5
     assert fabric.trace.metrics.value("net.envelopes") == 1
     assert fabric.trace.metrics.value("net.batch.envelopes") == 1
 
@@ -177,7 +178,7 @@ def test_drop_filters_probe_each_inner_message_of_a_batch():
     assert fault.matched == 2 and fault.dropped == 2
     assert tops[2].received == ["a", "b", "c"]
     assert fabric.trace.metrics.value("net.drop-filter") == 2
-    assert fabric.trace.deliveries == 3
+    assert fabric.trace.metrics.value("net.deliver") == 3
     assert fabric.trace.metrics.value("net.envelopes") == 1
 
 
@@ -200,4 +201,4 @@ def test_retransmission_converges_over_lossy_links_with_batching():
             assert cluster.app(pid).data[f"k{i}"] == i
     # Losses happened (the link is genuinely bad) and every dropped
     # batch accounted at least one loss.
-    assert cluster.trace.losses > 0
+    assert cluster.deployment.metrics.value("net.drop-loss") > 0

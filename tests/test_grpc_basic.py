@@ -58,33 +58,33 @@ def test_acceptance_one_returns_after_first_reply():
     spec = read_optimized(timebound=10.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=3,
                              default_link=LinkSpec(delay=0.01, jitter=0.0))
-    cluster.make_slow(2, 5.0)
-    cluster.make_slow(3, 5.0)
+    cluster.deployment.make_slow(2, 5.0)
+    cluster.deployment.make_slow(3, 5.0)
 
     result = cluster.call_and_run("get", {"key": "x"})
     assert result.ok
     # Completed at roughly one fast round-trip, not the slow replicas'.
-    assert cluster.runtime.now() < 1.0
+    assert cluster.deployment.runtime.now() < 1.0
 
 
 def test_acceptance_all_waits_for_every_member():
     spec = ServiceSpec(acceptance=ALL, bounded=60.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=3,
                              default_link=LinkSpec(delay=0.01, jitter=0.0))
-    cluster.make_slow(3, 2.0)
+    cluster.deployment.make_slow(3, 2.0)
     result = cluster.call_and_run("get", {"key": "x"})
     assert result.ok
-    assert cluster.runtime.now() >= 2.0
+    assert cluster.deployment.runtime.now() >= 2.0
 
 
 def test_bounded_termination_times_out_when_servers_unreachable():
     cluster = ServiceCluster(read_optimized(timebound=1.0), KVStore,
                              n_servers=2)
     for pid in cluster.server_pids:
-        cluster.crash(pid)
+        cluster.deployment.crash(pid)
     result = cluster.call_and_run("get", {"key": "x"})
     assert result.status is Status.TIMEOUT
-    assert cluster.runtime.now() == pytest.approx(1.0, abs=0.01)
+    assert cluster.deployment.runtime.now() == pytest.approx(1.0, abs=0.01)
 
 
 def test_unbounded_call_waits_out_a_long_outage():
@@ -92,11 +92,11 @@ def test_unbounded_call_waits_out_a_long_outage():
     # partition heals — the paper's unbounded termination semantics.
     spec = ServiceSpec(bounded=0.0, retrans_timeout=0.05)
     cluster = ServiceCluster(spec, KVStore, n_servers=1)
-    cluster.partition([cluster.client], cluster.server_pids)
-    cluster.runtime.call_later(3.0, cluster.heal)
+    cluster.deployment.partition([cluster.client], cluster.server_pids)
+    cluster.deployment.runtime.call_later(3.0, cluster.deployment.heal)
     result = cluster.call_and_run("put", {"key": "k", "value": 1})
     assert result.ok
-    assert cluster.runtime.now() >= 3.0
+    assert cluster.deployment.runtime.now() >= 3.0
 
 
 def test_asynchronous_call_returns_immediately_then_redeems():
@@ -109,14 +109,14 @@ def test_asynchronous_call_returns_immediately_then_redeems():
         grpc = cluster.grpc(cluster.client)
         issued = await grpc.call("put", {"key": "k", "value": 5},
                                  cluster.group)
-        outcome["issue_time"] = cluster.runtime.now()
+        outcome["issue_time"] = cluster.deployment.runtime.now()
         assert issued.status is Status.WAITING
         result = await grpc.request(issued.id)
         outcome["result"] = result
-        outcome["redeem_time"] = cluster.runtime.now()
+        outcome["redeem_time"] = cluster.deployment.runtime.now()
 
     task = cluster.spawn_client(cluster.client, scenario())
-    cluster.run_scenario(_join(cluster, task))
+    cluster.deployment.run_scenario(_join(cluster, task))
     assert outcome["issue_time"] < 0.1           # returned pre-roundtrip
     assert outcome["result"].ok
     assert outcome["redeem_time"] >= 0.2         # waited for the reply
@@ -132,7 +132,7 @@ def test_async_request_for_unknown_id_raises():
             await grpc.request(999)
 
     task = cluster.spawn_client(cluster.client, scenario())
-    cluster.run_scenario(_join(cluster, task))
+    cluster.deployment.run_scenario(_join(cluster, task))
 
 
 def test_request_without_async_microprotocol_rejected():
@@ -143,7 +143,7 @@ def test_request_without_async_microprotocol_rejected():
             await cluster.grpc(cluster.client).request(1)
 
     task = cluster.spawn_client(cluster.client, scenario())
-    cluster.run_scenario(_join(cluster, task))
+    cluster.deployment.run_scenario(_join(cluster, task))
 
 
 def test_concurrent_client_calls_multiplex_correctly():
@@ -163,9 +163,9 @@ def test_concurrent_client_calls_multiplex_correctly():
                                  worker(cluster.client_pids[1], "b")),
         ]
         for t in tasks:
-            await cluster.runtime.join(t)
+            await cluster.deployment.runtime.join(t)
 
-    cluster.run_scenario(scenario(), extra_time=0.5)
+    cluster.deployment.run_scenario(scenario(), extra_time=0.5)
     assert results[cluster.client_pids[0]].ok
     assert results[cluster.client_pids[1]].ok
     assert cluster.app(1).data == {"a": 101, "b": 102}
@@ -202,8 +202,8 @@ def test_collation_first_reply_is_fastest_server():
     cluster = _compute_cluster(
         (first_reply, None), acceptance=3,
         default_link=LinkSpec(delay=0.01, jitter=0.0))
-    cluster.make_slow(2, 1.0)
-    cluster.make_slow(3, 2.0)
+    cluster.deployment.make_slow(2, 1.0)
+    cluster.deployment.make_slow(3, 2.0)
     result = cluster.call_and_run("whoami", {})
     assert result.ok
     assert result.args == 1   # only server 1 was fast
@@ -258,7 +258,7 @@ def test_at_least_once_counter_may_overshoot_but_never_undershoot():
 
 def _join(cluster, task):
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
     return waiter()
 
 
@@ -285,7 +285,7 @@ def test_bounded_timeout_disarmed_when_call_completes():
         assert client_bus.pending_timeouts() == baseline
     # The cancelled timers must not linger in the heap either: the
     # kernel's lazy purge compacts once dead entries dominate.
-    kernel = cluster.runtime.kernel
+    kernel = cluster.deployment.runtime.kernel
     live = [t for (_, _, t) in kernel._timers if not t.cancelled]
     assert len(kernel._timers) - len(live) <= max(16, len(live))
 
@@ -298,7 +298,7 @@ def test_bounded_timeout_still_fires_for_stuck_calls():
                              default_link=LinkSpec(delay=0.01, loss=1.0))
     result = cluster.call_and_run("get", {"key": "x"}, extra_time=1.0)
     assert result.status is Status.TIMEOUT
-    assert cluster.runtime.now() >= 0.5
+    assert cluster.deployment.runtime.now() >= 0.5
 
 
 def test_arrivals_dispatch_the_chain_of_their_message_kind():

@@ -231,9 +231,9 @@ def test_total_order_logs_identical_for_random_seeds(seed):
                     await cluster.call(p, "put", {"key": k, "value": 0})
                 tasks.append(cluster.spawn_client(pid, one()))
         for t in tasks:
-            await cluster.runtime.join(t)
+            await cluster.deployment.runtime.join(t)
 
-    cluster.run_scenario(scenario(), extra_time=2.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=2.0)
     logs = [tuple(k for _, k, _ in cluster.app(pid).apply_log)
             for pid in cluster.server_pids]
     assert len(logs[0]) == 6

@@ -30,9 +30,9 @@ def race_two_clients(cluster):
         tasks = [cluster.spawn_client(a, contender(a, "alice")),
                  cluster.spawn_client(b, contender(b, "bob"))]
         for task in tasks:
-            await cluster.runtime.join(task)
+            await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=2.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=2.0)
     return grants
 
 
@@ -94,9 +94,9 @@ def test_release_and_reacquire_cycle():
     task = cluster.spawn_client(client, scenario())
 
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(waiter(), extra_time=1.0)
+    cluster.deployment.run_scenario(waiter(), extra_time=1.0)
     assert log["first"] == "alice"
     assert log["contested"] == "alice"   # holder, not the contender
     assert log["released"] is True
@@ -124,9 +124,9 @@ def test_only_holder_can_release():
     task = cluster.spawn_client(client, scenario())
 
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(waiter(), extra_time=1.0)
+    cluster.deployment.run_scenario(waiter(), extra_time=1.0)
     assert outcome["stolen"] is False
     assert outcome["holder"] == "alice"
 
@@ -149,9 +149,9 @@ def test_grant_logs_identical_across_replicas():
         tasks = [cluster.spawn_client(pid, churn(pid, f"c{pid}"))
                  for pid in cluster.client_pids]
         for task in tasks:
-            await cluster.runtime.join(task)
+            await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=2.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=2.0)
     logs = [tuple(cluster.app(pid).grant_log)
             for pid in cluster.server_pids]
     assert logs.count(logs[0]) == 3

@@ -22,29 +22,29 @@ def test_acceptance_all_completes_when_failed_member_detected():
     spec = ServiceSpec(acceptance=ALL, bounded=0.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=3,
                              default_link=FAST, membership="oracle")
-    cluster.crash(3)
+    cluster.deployment.crash(3)
     result = cluster.call_and_run("put", {"key": "k", "value": 1})
     assert result.ok
     # Completed with the two functioning servers' replies.
-    assert cluster.runtime.now() < 1.0
+    assert cluster.deployment.runtime.now() < 1.0
 
 
 def test_acceptance_all_without_membership_waits_forever():
     spec = ServiceSpec(acceptance=ALL, bounded=2.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=3,
                              default_link=FAST)  # no membership service
-    cluster.crash(3)
+    cluster.deployment.crash(3)
     result = cluster.call_and_run("put", {"key": "k", "value": 1})
     # "a call will only terminate ... when the time limit expires"
     assert result.status is Status.TIMEOUT
-    assert cluster.runtime.now() == pytest.approx(2.0, abs=0.05)
+    assert cluster.deployment.runtime.now() == pytest.approx(2.0, abs=0.05)
 
 
 def test_failure_during_pending_call_completes_it():
     spec = ServiceSpec(acceptance=ALL, bounded=0.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=3,
                              default_link=FAST, membership="oracle")
-    cluster.make_slow(3, 5.0)   # server 3 will be the holdout
+    cluster.deployment.make_slow(3, 5.0)   # server 3 will be the holdout
 
     async def scenario():
         res = await cluster.call(cluster.client, "put",
@@ -53,23 +53,24 @@ def test_failure_during_pending_call_completes_it():
 
     task = cluster.spawn_client(cluster.client, scenario())
     # Crash the holdout while the call waits on it.
-    cluster.runtime.call_later(0.5, lambda: cluster.crash(3))
+    cluster.deployment.runtime.call_later(
+        0.5, lambda: cluster.deployment.crash(3))
 
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(waiter(), extra_time=0.5)
-    assert cluster.runtime.now() < 2.0   # did not wait the 5s link
+    cluster.deployment.run_scenario(waiter(), extra_time=0.5)
+    assert cluster.deployment.runtime.now() < 2.0   # did not wait the 5s link
 
 
 def test_recovered_member_counts_again_for_new_calls():
     spec = ServiceSpec(acceptance=ALL, bounded=0.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=2,
                              default_link=FAST, membership="oracle")
-    cluster.crash(2)
+    cluster.deployment.crash(2)
     assert cluster.call_and_run("put", {"key": "a", "value": 1}).ok
-    cluster.recover(2)
-    cluster.settle(0.1)
+    cluster.deployment.recover(2)
+    cluster.deployment.settle(0.1)
     result = cluster.call_and_run("put", {"key": "b", "value": 2},
                                   extra_time=0.5)
     assert result.ok
@@ -158,9 +159,9 @@ def test_heartbeat_membership_end_to_end():
                              default_link=FAST,
                              membership="heartbeat",
                              heartbeat_interval=0.05)
-    cluster.settle(0.5)   # let heartbeats establish
-    cluster.crash(3)
-    cluster.settle(0.5)   # detection takes ~3 intervals
+    cluster.deployment.settle(0.5)   # let heartbeats establish
+    cluster.deployment.crash(3)
+    cluster.deployment.settle(0.5)   # detection takes ~3 intervals
     result = cluster.call_and_run("put", {"key": "k", "value": 1},
                                   extra_time=0.5)
     assert result.ok

@@ -243,7 +243,8 @@ def test_membership_surface_defaults_and_updates():
     assert grpc.members == {1}
     grpc.membership_change(2, MemChange.RECOVERY)
     assert grpc.members == {1, 2}
-    cluster.settle(0.01)   # drain the spawned MEMBERSHIP_CHANGE events
+    # Drain the spawned MEMBERSHIP_CHANGE events.
+    cluster.deployment.settle(0.01)
 
 
 # ----------------------------------------------------------------------
@@ -294,10 +295,10 @@ def test_cluster_accessors():
     assert cluster.server_pids == [1, 2]
     assert cluster.client == cluster.client_pids[0]
     assert cluster.group == Group("servers", [1, 2])
-    assert cluster.node(1).pid == 1
-    assert cluster.dispatcher(1).node is cluster.node(1)
-    assert cluster.app(1) is cluster.dispatcher(1).app
-    assert cluster.trace is cluster.fabric.trace
+    assert cluster.deployment.nodes[1].pid == 1
+    assert cluster.dispatchers[1].node is cluster.deployment.nodes[1]
+    assert cluster.app(1) is cluster.dispatchers[1].app
+    assert cluster.deployment.fabric.trace is cluster.deployment.fabric.trace
 
 
 def test_client_nodes_have_no_dispatcher():

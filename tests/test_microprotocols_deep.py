@@ -18,7 +18,7 @@ FAST = LinkSpec(delay=0.005, jitter=0.0)
 
 def count_wire(cluster, kind: NetOp, src=None, dst=None) -> int:
     total = 0
-    for event in cluster.trace.events:
+    for event in cluster.deployment.fabric.trace.events:
         if event.kind != "send":
             continue
         msg = event.detail
@@ -53,8 +53,8 @@ def test_retransmissions_target_only_unacked_servers():
                              default_link=FAST)
     # Server 2 is unreachable for 0.3s: roughly 6 retransmissions to it,
     # but server 1 (which replied immediately) gets exactly one CALL.
-    cluster.partition([cluster.client], [2])
-    cluster.runtime.call_later(0.3, cluster.heal)
+    cluster.deployment.partition([cluster.client], [2])
+    cluster.deployment.runtime.call_later(0.3, cluster.deployment.heal)
     result = cluster.call_and_run("get", {"key": "k"}, extra_time=0.5)
     assert result.ok
     assert count_wire(cluster, NetOp.CALL, dst=1) == 1
@@ -67,7 +67,7 @@ def test_retransmission_stops_after_completion():
                              default_link=FAST)
     cluster.call_and_run("get", {"key": "k"})
     before = count_wire(cluster, NetOp.CALL)
-    cluster.settle(1.0)   # many timer periods later
+    cluster.deployment.settle(1.0)   # many timer periods later
     assert count_wire(cluster, NetOp.CALL) == before
 
 
@@ -78,7 +78,7 @@ def test_ack_suppresses_reply_replay_retransmissions():
                        retrans_timeout=0.05)
     cluster = ServiceCluster(spec, CounterApp, n_servers=1,
                              default_link=FAST)
-    fault = drop_matching(cluster.fabric, all_acks())
+    fault = drop_matching(cluster.deployment.fabric, all_acks())
     result = cluster.call_and_run("inc", {"amount": 1, "tag": "t"},
                                   extra_time=0.3)
     assert result.ok
@@ -86,7 +86,7 @@ def test_ack_suppresses_reply_replay_retransmissions():
     unique = cluster.grpc(1).micro("Unique_Execution")
     # Reply cache still holds the result: the ACK never arrived.
     assert len(unique.old_results) == 1
-    assert cluster.dispatcher(1).executions("t") == 1
+    assert cluster.dispatchers[1].executions("t") == 1
 
 
 # ----------------------------------------------------------------------
@@ -101,14 +101,14 @@ def test_duplicate_calls_generate_replayed_replies_not_executions():
     # Server 1's replies all vanish: the client retransmits, server 1
     # replays from the cache every time, and executes exactly once.
     fault = drop_matching(
-        cluster.fabric,
+        cluster.deployment.fabric,
         lambda env: env.src == 1
         and getattr(net_msg(env), "type", None) is NetOp.REPLY)
-    cluster.runtime.call_later(0.5, fault.remove)
+    cluster.deployment.runtime.call_later(0.5, fault.remove)
     result = cluster.call_and_run("inc", {"amount": 1, "tag": "t"},
                                   extra_time=0.5)
     assert result.ok
-    assert cluster.dispatcher(1).executions("t") == 1
+    assert cluster.dispatchers[1].executions("t") == 1
     replies_from_1 = count_wire(cluster, NetOp.REPLY, src=1)
     assert replies_from_1 >= 5   # original + replays
 
@@ -142,13 +142,13 @@ def test_each_call_gets_its_own_deadline():
     spec = ServiceSpec(bounded=1.0, retrans_timeout=0.05)
     cluster = ServiceCluster(spec, KVStore, n_servers=1,
                              default_link=FAST)
-    cluster.partition([cluster.client], [1])
-    t0 = cluster.runtime.now()
+    cluster.deployment.partition([cluster.client], [1])
+    t0 = cluster.deployment.runtime.now()
     first = cluster.call_and_run("get", {"key": "a"})
-    first_elapsed = cluster.runtime.now() - t0
-    t1 = cluster.runtime.now()
+    first_elapsed = cluster.deployment.runtime.now() - t0
+    t1 = cluster.deployment.runtime.now()
     second = cluster.call_and_run("get", {"key": "b"})
-    second_elapsed = cluster.runtime.now() - t1
+    second_elapsed = cluster.deployment.runtime.now() - t1
     assert first.status is second.status is Status.TIMEOUT
     assert first_elapsed == pytest.approx(1.0, abs=0.02)
     assert second_elapsed == pytest.approx(1.0, abs=0.02)
@@ -158,7 +158,7 @@ def test_timeout_result_carries_no_partial_args():
     spec = ServiceSpec(bounded=0.5)
     cluster = ServiceCluster(spec, KVStore, n_servers=1,
                              default_link=FAST)
-    cluster.crash(1)
+    cluster.deployment.crash(1)
     result = cluster.call_and_run("get", {"key": "k"})
     assert result.status is Status.TIMEOUT
     assert result.args is None   # the collation seed, untouched
@@ -176,32 +176,32 @@ def test_nres_counts_distinct_servers_not_messages():
     link = LinkSpec(delay=0.005, jitter=0.0, duplicate=1.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=2, seed=3,
                              default_link=link)
-    cluster.make_slow(2, 0.3)   # server 2's reply is late
+    cluster.deployment.make_slow(2, 0.3)   # server 2's reply is late
     result = cluster.call_and_run("get", {"key": "k"}, extra_time=0.5)
     assert result.ok
     # Completion required the slow server: strictly after its delay.
-    assert cluster.runtime.now() >= 0.3
+    assert cluster.deployment.runtime.now() >= 0.3
 
 
 def test_acceptance_progress_is_observable_midflight():
     spec = ServiceSpec(bounded=5.0, acceptance=3)
     cluster = ServiceCluster(spec, KVStore, n_servers=3,
                              default_link=FAST)
-    cluster.make_slow(3, 1.0)
+    cluster.deployment.make_slow(3, 1.0)
     observed = {}
 
     async def scenario():
         task = cluster.spawn_client(
             cluster.client,
             _call(cluster, "get", {"key": "k"}))
-        await cluster.runtime.sleep(0.1)
+        await cluster.deployment.runtime.sleep(0.1)
         record = cluster.grpc(cluster.client).pRPC.get(1)
         observed["nres_midflight"] = record.nres
         observed["done_flags"] = sorted(
             pid for pid, e in record.pending.items() if e.done)
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=1.5)
+    cluster.deployment.run_scenario(scenario(), extra_time=1.5)
     assert observed["nres_midflight"] == 1      # two of three counted
     assert observed["done_flags"] == [1, 2]
 

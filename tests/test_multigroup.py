@@ -33,9 +33,9 @@ def test_one_client_two_overlapping_groups():
     task = cluster.spawn_client(cluster.client, scenario())
 
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(waiter(), extra_time=0.5)
+    cluster.deployment.run_scenario(waiter(), extra_time=0.5)
     assert results["a"].ok and results["b"].ok
     assert cluster.app(1).data == {"ka": 1}
     assert cluster.app(2).data == {"ka": 1, "kb": 2}  # in both groups
@@ -87,9 +87,9 @@ def test_nested_server_to_server_call():
     task = cluster.spawn_client(cluster.client, scenario())
 
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(waiter(), extra_time=0.5)
+    cluster.deployment.run_scenario(waiter(), extra_time=0.5)
     result = outcome["result"]
     assert result.ok
     assert result.args["via"] == 1
@@ -125,7 +125,7 @@ def test_nested_call_ids_do_not_collide_with_serving():
     task = cluster.spawn_client(cluster.client, scenario())
 
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(waiter(), extra_time=0.5)
+    cluster.deployment.run_scenario(waiter(), extra_time=0.5)
     assert statuses == [Status.OK] * 3

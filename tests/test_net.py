@@ -48,8 +48,8 @@ def test_basic_delivery():
 
     rt.run(main())
     assert tops[2].received == [(1, "hello")]
-    assert fabric.trace.sends == 1
-    assert fabric.trace.deliveries == 1
+    assert fabric.trace.metrics.value("net.send") == 1
+    assert fabric.trace.metrics.value("net.deliver") == 1
 
 
 def test_delivery_takes_link_delay():
@@ -81,7 +81,7 @@ def test_loss_drops_messages():
 
     rt.run(main())
     assert tops[2].received == []
-    assert fabric.trace.losses == 5
+    assert fabric.trace.metrics.value("net.drop-loss") == 5
 
 
 def test_statistical_loss_rate():
@@ -110,7 +110,7 @@ def test_duplication():
 
     rt.run(main())
     assert tops[2].received == [(1, "twice"), (1, "twice")]
-    assert fabric.trace.duplicates == 1
+    assert fabric.trace.metrics.value("net.duplicate") == 1
 
 
 def test_reordering_from_jitter():
@@ -474,4 +474,4 @@ def test_duplicate_and_spike_draw_order_is_pinned():
 
     rt.run(main())
     assert delivered == DUPLICATE_SPIKE_DELIVERIES
-    assert fabric.trace.duplicates == 8
+    assert fabric.trace.metrics.value("net.duplicate") == 8

@@ -52,7 +52,7 @@ def traced():
 
 def test_one_connected_tree_per_call(traced):
     cluster, result = traced
-    rec = cluster.obs
+    rec = cluster.deployment.obs
     # Every span of the run belongs to a single trace with a single root.
     traces = {s.trace for s in rec.spans}
     assert len(traces) == 1
@@ -73,7 +73,7 @@ def test_one_connected_tree_per_call(traced):
 
 def test_every_server_executed_under_the_root(traced):
     cluster, _ = traced
-    rec = cluster.obs
+    rec = cluster.deployment.obs
     execs = [s for s in rec.spans if s.name == "server.execute"]
     assert len(execs) == 5
     assert {s.node for s in execs} == {1, 2, 3, 4, 5}
@@ -86,8 +86,9 @@ def test_every_server_executed_under_the_root(traced):
 
 def test_retransmissions_attributed_to_reliable_communication(traced):
     cluster, _ = traced
-    rec = cluster.obs
-    assert cluster.trace.losses > 0  # the scenario actually lost packets
+    rec = cluster.deployment.obs
+    # The scenario actually lost packets.
+    assert cluster.deployment.metrics.value("net.drop-loss") > 0
     retrans = [s for s in rec.spans
                if s.name == "rpc.send" and s.attrs.get("retransmit")]
     assert retrans  # losses forced at least one retransmission
@@ -103,7 +104,7 @@ def test_retransmissions_attributed_to_reliable_communication(traced):
 
 def test_replies_nest_under_their_server_subtree(traced):
     cluster, _ = traced
-    rec = cluster.obs
+    rec = cluster.deployment.obs
     by_sid = {s.sid: s for s in rec.spans}
     replies = [s for s in rec.spans if s.name == "msg.Reply"]
     assert replies  # at least one reply reached the client
@@ -114,7 +115,7 @@ def test_replies_nest_under_their_server_subtree(traced):
 
 def test_handler_records_cover_the_composition(traced):
     cluster, _ = traced
-    rec = cluster.obs
+    rec = cluster.deployment.obs
     handlers = [e for e in rec.events if e.kind == "handler"]
     assert handlers
     owners = {e.fields["owner"] for e in handlers}
@@ -133,17 +134,17 @@ def test_handler_records_cover_the_composition(traced):
 # ----------------------------------------------------------------------
 
 def test_network_counters_live_in_the_registry(traced):
-    cluster, _ = traced
-    assert cluster.metrics is cluster.obs.metrics
-    assert cluster.metrics.value("net.send") == cluster.trace.sends
-    assert cluster.metrics.value("net.drop-loss") == cluster.trace.losses
-    assert cluster.metrics.value("net.deliver") == cluster.trace.deliveries
+    dep = traced[0].deployment
+    assert dep.metrics is dep.obs.metrics
+    assert dep.fabric.trace.metrics is dep.metrics
+    for kind in ("send", "drop-loss", "deliver"):
+        assert dep.metrics.value(f"net.{kind}") > 0
 
 
 def test_runtime_stats_publish_as_gauges(traced):
     cluster, _ = traced
-    cluster.publish_runtime_stats()
-    snap = cluster.metrics.snapshot()
+    cluster.deployment.publish_runtime_stats()
+    snap = cluster.deployment.metrics.snapshot()
     assert snap["gauges"]["kernel.steps_executed"] > 0
     assert snap["gauges"]["kernel.tasks_spawned"] > 0
     assert snap["gauges"]["kernel.timers_fired"] > 0
@@ -156,11 +157,11 @@ def test_runtime_stats_publish_as_gauges(traced):
 def test_jsonl_roundtrip_reconstructs_the_tree(traced):
     cluster, _ = traced
     buf = io.StringIO()
-    n = cluster.export_trace(buf)
+    n = cluster.deployment.export_trace(buf)
     lines = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert len(lines) == n
     spans = [l for l in lines if l["t"] == "span"]
-    assert len(spans) == len(cluster.obs.spans)
+    assert len(spans) == len(cluster.deployment.obs.spans)
     roots = [l for l in spans if l["parent"] is None]
     assert len(roots) == 1 and roots[0]["name"] == "rpc.call"
     # read_jsonl parses what to_jsonl wrote.
@@ -171,7 +172,7 @@ def test_jsonl_roundtrip_reconstructs_the_tree(traced):
 
 def test_flame_summary_names_the_call_chain(traced):
     cluster, _ = traced
-    flame = cluster.format_flame()
+    flame = cluster.deployment.format_flame()
     for needle in ("rpc.call", "server.execute", "msg.Reply",
                    "retransmit=True", "Reliable_Communication"):
         assert needle in flame
@@ -179,7 +180,7 @@ def test_flame_summary_names_the_call_chain(traced):
 
 def test_span_trees_nest_handlers(traced):
     cluster, _ = traced
-    trees = span_trees(cluster.obs)
+    trees = span_trees(cluster.deployment.obs)
     (roots,) = trees.values()
     root = roots[0]
     # NEW_RPC_CALL / CALL_FROM_USER handlers ran inside the root span.
@@ -197,14 +198,14 @@ def test_disabled_recorder_emits_nothing():
                                   extra_time=1.0)
     assert result.ok
     # No recorder was attached ...
-    assert cluster.obs is None
-    assert cluster.runtime.obs is None
+    assert cluster.deployment.obs is None
+    assert cluster.deployment.runtime.obs is None
     # ... so no handler histograms accumulated (network counters still
     # count — they are metrics, not tracing).
-    assert cluster.metrics.histogram_names("handler.") == []
-    assert cluster.metrics.counter_names("handler.") == []
+    assert cluster.deployment.metrics.histogram_names("handler.") == []
+    assert cluster.deployment.metrics.counter_names("handler.") == []
     # No span context leaked onto the wire.
-    for event in cluster.trace.events:
+    for event in cluster.deployment.fabric.trace.events:
         msg = event.detail
         if hasattr(msg, "trace_ctx"):
             assert msg.trace_ctx() is None
@@ -212,12 +213,12 @@ def test_disabled_recorder_emits_nothing():
 
 def test_obs_off_by_default():
     cluster = lossy_cluster(obs=False)
-    assert cluster.obs is None
-    assert isinstance(cluster.metrics, MetricsRegistry)
+    assert cluster.deployment.obs is None
+    assert isinstance(cluster.deployment.metrics, MetricsRegistry)
     result = cluster.call_and_run("put", {"key": "k", "value": 1},
                                   extra_time=1.0)
     assert result.ok
-    assert cluster.metrics.value("net.send") > 0
+    assert cluster.deployment.metrics.value("net.send") > 0
 
 
 def test_behavior_identical_with_and_without_tracing():
@@ -230,16 +231,19 @@ def test_behavior_identical_with_and_without_tracing():
             cluster = lossy_cluster(obs=obs, spec=spec)
             result = cluster.call_and_run("put", {"key": "k", "value": 1},
                                           extra_time=1.0)
+            dep = cluster.deployment
             runs.append((result.status, result.args,
-                         cluster.trace.sends, cluster.trace.losses,
-                         cluster.runtime.now(),
+                         dep.metrics.value("net.send"),
+                         dep.metrics.value("net.drop-loss"),
+                         dep.runtime.now(),
                          [cluster.app(pid).data
                           for pid in cluster.server_pids]))
         assert runs[0] == runs[1], spec
 
 
 def order_sends(cluster):
-    return [e.detail for e in cluster.trace.of_kind("send")
+    return [e.detail
+            for e in cluster.deployment.fabric.trace.of_kind("send")
             if isinstance(e.detail, NetMsg)
             and e.detail.type is NetOp.ORDER]
 
@@ -253,8 +257,8 @@ def test_order_arrivals_are_spans_of_the_call_trace():
     result = cluster.call_and_run("put", {"key": "k", "value": 1},
                                   extra_time=0.3)
     assert result.ok
-    root, = cluster.obs.roots()
-    orders = [s for s in cluster.obs.spans if s.name == "msg.Order"]
+    root, = cluster.deployment.obs.roots()
+    orders = [s for s in cluster.deployment.obs.spans if s.name == "msg.Order"]
     assert sorted(s.node for s in orders) == cluster.server_pids
     assert {s.trace for s in orders} == {root.trace}
 

@@ -143,7 +143,7 @@ def test_live_deployment_instruments_stay_inside_the_catalog():
         wire=WireConfig(batch=True, queue_depth=8))
     cluster.call_and_run("put", {"key": "k", "value": 1}, extra_time=0.3)
     cluster.deployment.publish_runtime_stats()
-    snap = cluster.metrics.snapshot()
+    snap = cluster.deployment.metrics.snapshot()
     names = (list(snap["counters"]) + list(snap["gauges"])
              + list(snap["histograms"]))
     assert names  # something was actually instrumented
@@ -155,8 +155,8 @@ def test_observatory_instruments_stay_inside_the_catalog():
     from repro.apps import KVStore
 
     deployment = Deployment(membership="oracle", observatory=True)
-    deployment.add_service("kv", ServiceSpec(), KVStore, servers=2)
-    deployment.call_and_run("kv", "put", {"key": "k", "value": 1})
+    kv = deployment.add_service("kv", ServiceSpec(), KVStore, servers=2)
+    kv.call_and_run("put", {"key": "k", "value": 1})
     deployment.publish_runtime_stats()
     snap = deployment.metrics.snapshot()
     names = [name for kind in snap.values() for name in kind]

@@ -507,10 +507,9 @@ def test_step_sites_do_not_grow_with_the_number_of_calls():
 def _run_observed_deployment(observatory):
     deployment = Deployment(seed=11, membership="oracle",
                             observatory=observatory)
-    deployment.add_service("kv", ServiceSpec(), KVStore, servers=2)
+    kv = deployment.add_service("kv", ServiceSpec(), KVStore, servers=2)
     for i in range(6):
-        result = deployment.call_and_run(
-            "kv", "put", {"key": f"k{i % 2}", "value": i})
+        result = kv.call_and_run("put", {"key": f"k{i % 2}", "value": i})
         assert result.ok
     deployment.publish_runtime_stats()
     return deployment

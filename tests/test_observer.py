@@ -22,9 +22,9 @@ def traced_cluster(**kwargs):
 
 def call_spans(cluster, result):
     """The spans of ``result``'s call, in start order."""
-    root = next(s for s in cluster.obs.roots()
+    root = next(s for s in cluster.deployment.obs.roots()
                 if s.attrs.get("call_id") == result.id)
-    return root, sorted((s for s in cluster.obs.spans
+    return root, sorted((s for s in cluster.deployment.obs.spans
                          if s.trace == root.trace),
                         key=lambda s: s.start)
 
@@ -79,7 +79,7 @@ def test_multiple_calls_tracked_separately():
                               extra_time=0.2)
     r2 = cluster.call_and_run("put", {"key": "b", "value": 2},
                               extra_time=0.2)
-    assert len(cluster.obs.roots()) == 2
+    assert len(cluster.deployment.obs.roots()) == 2
     root1, spans1 = call_spans(cluster, r1)
     root2, spans2 = call_spans(cluster, r2)
     assert root1.trace != root2.trace
@@ -92,7 +92,7 @@ def test_format_timeline_is_readable():
     cluster = traced_cluster()
     result = cluster.call_and_run("get", {"key": "k"}, extra_time=0.2)
     root, _ = call_spans(cluster, result)
-    text = cluster.format_flame(root.trace)
+    text = cluster.deployment.format_flame(root.trace)
     assert "rpc.call" in text and "server.execute" in text
     assert "ms" in text
 
@@ -110,7 +110,7 @@ def test_observer_does_not_change_behavior():
             cluster.call_and_run("put", {"key": f"k{i}", "value": i},
                                  extra_time=0.3)
         states = [cluster.app(pid).data for pid in cluster.server_pids]
-        return states, cluster.metrics.snapshot()["counters"]
+        return states, cluster.deployment.metrics.snapshot()["counters"]
 
     plain_states, plain_counters = run(False)
     traced_states, traced_counters = run(True)

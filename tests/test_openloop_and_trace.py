@@ -35,7 +35,7 @@ def test_open_loop_overload_leaves_backlog_without_drain():
                                 rate=150.0, duration=2.0, seed=4)
     result = workload.run(cluster, drain_time=0.0)
     assert result.incomplete > 20
-    cluster.shutdown()   # cancel the deliberate backlog cleanly
+    cluster.deployment.shutdown()   # cancel the deliberate backlog cleanly
 
 
 def test_open_loop_parameter_validation():
@@ -74,18 +74,18 @@ def test_trace_accessors_and_counters_only_mode():
     fabric.send(2, 1, "b")
     rt.run_for(1.0)
     trace = fabric.trace
-    assert trace.sends == 2
-    assert trace.deliveries == 2
+    assert trace.metrics.value("net.send") == 2
+    assert trace.metrics.value("net.deliver") == 2
     assert len(trace.of_kind("send")) == 2
     assert [e.detail for e in trace.between(src=1)] == ["a", "a"]
     assert [e.detail for e in trace.between(dst=1) if
             e.kind == "deliver"] == ["b"]
 
     trace.clear()
-    assert trace.sends == 0 and trace.events == []
+    assert trace.metrics.value("net.send") == 0 and trace.events == []
 
     trace.keep_events = False
     fabric.send(1, 2, "c")
     rt.run_for(1.0)
-    assert trace.sends == 1
+    assert trace.metrics.value("net.send") == 1
     assert trace.events == []       # counters only

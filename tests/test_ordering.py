@@ -29,7 +29,7 @@ def pipelined_puts(cluster, client_pid, keys):
         tasks = [cluster.spawn_client(client_pid, one(k, i))
                  for i, k in enumerate(keys)]
         for t in tasks:
-            await cluster.runtime.join(t)
+            await cluster.deployment.runtime.join(t)
 
     return scenario()
 
@@ -47,7 +47,7 @@ def test_without_ordering_servers_can_disagree():
         spec = ServiceSpec(acceptance=3, bounded=60.0, unique=True,
                            ordering="none")
         cluster = kv_cluster(spec, seed=seed)
-        cluster.run_scenario(pipelined_puts(
+        cluster.deployment.run_scenario(pipelined_puts(
             cluster, cluster.client, [f"k{i}" for i in range(8)]),
             extra_time=2.0)
         logs = {pid: put_keys(cluster.app(pid))
@@ -63,7 +63,7 @@ def test_fifo_order_applies_client_calls_in_issue_order():
     for seed in range(3):
         cluster = kv_cluster(spec, seed=seed)
         keys = [f"k{i}" for i in range(10)]
-        cluster.run_scenario(
+        cluster.deployment.run_scenario(
             pipelined_puts(cluster, cluster.client, keys), extra_time=2.0)
         for pid in cluster.server_pids:
             log = put_keys(cluster.app(pid))
@@ -88,9 +88,9 @@ def test_fifo_order_is_per_client_only():
                     await cluster.call(p, "put", {"key": k, "value": v})
                 tasks.append(cluster.spawn_client(pid, one()))
         for t in tasks:
-            await cluster.runtime.join(t)
+            await cluster.deployment.runtime.join(t)
 
-    cluster.run_scenario(scenario(), extra_time=2.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=2.0)
     for pid in cluster.server_pids:
         log = put_keys(cluster.app(pid))
         assert [k for k in log if k.startswith("a")] == keys1
@@ -111,9 +111,9 @@ def test_total_order_all_servers_apply_same_sequence():
                                            {"key": k, "value": v})
                     tasks.append(cluster.spawn_client(pid, one()))
             for t in tasks:
-                await cluster.runtime.join(t)
+                await cluster.deployment.runtime.join(t)
 
-        cluster.run_scenario(scenario(), extra_time=3.0)
+        cluster.deployment.run_scenario(scenario(), extra_time=3.0)
         logs = [tuple(put_keys(cluster.app(pid)))
                 for pid in cluster.server_pids]
         assert len(logs[0]) == 15
@@ -135,9 +135,9 @@ def test_total_order_under_message_loss():
                     await cluster.call(p, "put", {"key": k, "value": v})
                 tasks.append(cluster.spawn_client(pid, one()))
         for t in tasks:
-            await cluster.runtime.join(t)
+            await cluster.deployment.runtime.join(t)
 
-    cluster.run_scenario(scenario(), extra_time=5.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=5.0)
     logs = [tuple(put_keys(cluster.app(pid)))
             for pid in cluster.server_pids]
     assert len(logs[0]) == 8
@@ -160,9 +160,9 @@ def test_total_order_replicas_converge_to_identical_state():
                                        {"key": f"k{i % 3}", "value": p})
                 tasks.append(cluster.spawn_client(pid, one()))
         for t in tasks:
-            await cluster.runtime.join(t)
+            await cluster.deployment.runtime.join(t)
 
-    cluster.run_scenario(scenario(), extra_time=3.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=3.0)
     states = [cluster.app(pid).data for pid in cluster.server_pids]
     assert states[0] == states[1] == states[2]
 
@@ -180,7 +180,7 @@ def test_total_order_leader_failover_with_membership():
         res = await cluster.call(cluster.client, "put",
                                  {"key": "before", "value": 1})
         assert res.ok
-        cluster.crash(3)
+        cluster.deployment.crash(3)
         # New leader is pid 2; calls must keep completing.
         res = await cluster.call(cluster.client, "put",
                                  {"key": "after", "value": 2})
@@ -189,8 +189,8 @@ def test_total_order_leader_failover_with_membership():
     task = cluster.spawn_client(cluster.client, scenario())
 
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(waiter(), extra_time=2.0)
+    cluster.deployment.run_scenario(waiter(), extra_time=2.0)
     for pid in (1, 2):
         assert put_keys(cluster.app(pid)) == ["before", "after"]

@@ -40,14 +40,14 @@ def crash_recover_scenario(cluster, *, crash_at=0.1, recover_at=0.3):
 
     async def scenario():
         cluster.spawn_client(client, first_call())
-        await cluster.runtime.sleep(crash_at)
-        cluster.crash(client)
-        await cluster.runtime.sleep(recover_at - crash_at)
-        cluster.recover(client)
+        await cluster.deployment.runtime.sleep(crash_at)
+        cluster.deployment.crash(client)
+        await cluster.deployment.runtime.sleep(recover_at - crash_at)
+        cluster.deployment.recover(client)
         task = cluster.spawn_client(client, second_call())
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=3.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=3.0)
     return outcome
 
 
@@ -101,15 +101,15 @@ def test_terminate_orphan_does_not_kill_completed_work():
     async def scenario():
         task = cluster.spawn_client(
             client, _put(cluster, client, "done", 1))
-        await cluster.runtime.join(task)
-        cluster.crash(client)
-        await cluster.runtime.sleep(0.1)
-        cluster.recover(client)
+        await cluster.deployment.runtime.join(task)
+        cluster.deployment.crash(client)
+        await cluster.deployment.runtime.sleep(0.1)
+        cluster.deployment.recover(client)
         task = cluster.spawn_client(
             client, _put(cluster, client, "fresh", 2))
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=1.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=1.0)
     to = cluster.grpc(1).micro("Terminate_Orphan")
     assert to.kills == 0
     assert cluster.app(1).data == {"done": 1, "fresh": 2}
@@ -131,17 +131,18 @@ def test_terminate_orphan_without_atomicity_can_break_invariants():
 
     async def scenario():
         cluster.spawn_client(client, transfer())
-        await cluster.runtime.sleep(0.1)   # mid-transfer (delay 0.5)
-        cluster.crash(client)
-        await cluster.runtime.sleep(0.1)
-        cluster.recover(client)
+        # Mid-transfer (delay 0.5).
+        await cluster.deployment.runtime.sleep(0.1)
+        cluster.deployment.crash(client)
+        await cluster.deployment.runtime.sleep(0.1)
+        cluster.deployment.recover(client)
         task = cluster.spawn_client(
             client,
             _call(cluster, client, "balance", {"account": "alice"}))
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=2.0)
-    stable = cluster.node(1).stable
+    cluster.deployment.run_scenario(scenario(), extra_time=2.0)
+    stable = cluster.deployment.nodes[1].stable
     assert stable.get("acct:alice") == 70   # debit persisted
     assert stable.get("acct:bob") == 100    # credit never happened
 

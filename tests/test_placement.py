@@ -608,7 +608,7 @@ def test_driver_shrinks_and_regrows_bindings():
     dep.auto_rebind()
 
     dep.crash(3)
-    assert dep.registry.lookup("kv").members == (1, 2)
+    assert dep.service("kv").group.members == (1, 2)
     assert dep.metrics.value("placement.rebind.shrink") == 1
 
     async def during():
@@ -618,7 +618,7 @@ def test_driver_shrinks_and_regrows_bindings():
     dep.run_scenario(during())
 
     dep.recover(3)
-    assert dep.registry.lookup("kv").members == (1, 2, 3)
+    assert dep.service("kv").group.members == (1, 2, 3)
     assert dep.metrics.value("placement.rebind.regrow") == 1
 
 
@@ -637,13 +637,13 @@ def test_heartbeat_watch_fires_once_per_state_change():
     dep.settle(1.0)
     # Three surviving observers suspect node 3; the watcher fired once.
     assert events == [(3, False)]
-    assert dep.registry.lookup("kv").members == (1, 2)
+    assert dep.service("kv").group.members == (1, 2)
     assert dep.metrics.value("placement.rebind.shrink") == 1
 
     dep.recover(3)
     dep.settle(1.0)
     assert events == [(3, False), (3, True)]
-    assert dep.registry.lookup("kv").members == (1, 2, 3)
+    assert dep.service("kv").group.members == (1, 2, 3)
 
 
 def test_driver_drains_a_fully_dead_shard():

@@ -180,8 +180,8 @@ def test_deployment_stamps_cache_entries_with_the_view_epoch():
 
     dep.run_scenario(scenario())
     epochs = set()
-    for cache in dep.reply_caches.values():
-        epochs.update(cache._epochs.values())
+    for svc in dep.services.values():
+        epochs.update(svc.reply_cache._epochs.values())
     assert {0, 1} <= epochs
 
 

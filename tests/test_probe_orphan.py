@@ -36,17 +36,17 @@ def test_probe_kills_orphans_of_silently_dead_client():
 
     async def scenario():
         cluster.spawn_client(client, doomed())
-        await cluster.runtime.sleep(0.1)   # execution in progress
-        cluster.crash(client)
-        await cluster.runtime.sleep(1.0)   # let probing detect
+        await cluster.deployment.runtime.sleep(0.1)   # execution in progress
+        cluster.deployment.crash(client)
+        await cluster.deployment.runtime.sleep(1.0)   # let probing detect
 
-    cluster.run_scenario(scenario())
+    cluster.deployment.run_scenario(scenario())
     probe = micro(cluster)
     assert probe.probe_kills == 1
     assert "orphan" not in cluster.app(1).data      # execution killed
     assert len(cluster.grpc(1).sRPC) == 0
     # Detection time: the kill happened within ~interval * (limit + 1).
-    assert cluster.runtime.now() <= 1.2
+    assert cluster.deployment.runtime.now() <= 1.2
 
 
 def test_pongs_keep_live_clients_work_alive():
@@ -60,9 +60,9 @@ def test_pongs_keep_live_clients_work_alive():
 
     async def scenario():
         task = cluster.spawn_client(client, slow_call())
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=0.5)
+    cluster.deployment.run_scenario(scenario(), extra_time=0.5)
     # The call outlived several probe intervals, yet was never killed.
     assert results and results[0].ok
     assert micro(cluster).kills == 0
@@ -74,6 +74,7 @@ def test_pong_from_new_incarnation_exposes_orphans():
     # routine probe) already carries the new incarnation and triggers
     # the orphan kill.
     cluster = make_cluster()
+    dep = cluster.deployment
     client = cluster.client
 
     async def doomed():
@@ -81,12 +82,12 @@ def test_pong_from_new_incarnation_exposes_orphans():
 
     async def scenario():
         cluster.spawn_client(client, doomed())
-        await cluster.runtime.sleep(0.12)
-        cluster.crash(client)
-        cluster.recover(client)            # reboots silently
-        await cluster.runtime.sleep(0.5)   # probe + pong round trips
+        await dep.runtime.sleep(0.12)
+        dep.crash(client)
+        dep.recover(client)            # reboots silently
+        await dep.runtime.sleep(0.5)   # probe + pong round trips
 
-    cluster.run_scenario(scenario())
+    dep.run_scenario(scenario())
     probe = micro(cluster)
     assert probe.kills >= 1
     assert "orphan" not in cluster.app(1).data
@@ -106,14 +107,14 @@ def test_retransmitting_client_reexecutes_after_false_kill():
 
     async def scenario():
         task = cluster.spawn_client(client, call())
-        await cluster.runtime.sleep(0.1)
-        cluster.partition([client], [1])   # probes now unanswered
-        await cluster.runtime.sleep(1.0)   # kill happens
+        await cluster.deployment.runtime.sleep(0.1)
+        cluster.deployment.partition([client], [1])   # probes now unanswered
+        await cluster.deployment.runtime.sleep(1.0)   # kill happens
         assert micro(cluster).probe_kills == 1
-        cluster.heal()
-        await cluster.runtime.join(task)
+        cluster.deployment.heal()
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=1.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=1.0)
     assert results and results[0].ok
     assert cluster.app(1).data == {"k": 9}
 

@@ -21,9 +21,9 @@ def drive(cluster, coro):
     task = cluster.spawn_client(cluster.client, coro)
 
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(waiter(), extra_time=0.5)
+    cluster.deployment.run_scenario(waiter(), extra_time=0.5)
 
 
 def test_begin_returns_before_the_roundtrip():
@@ -34,11 +34,11 @@ def test_begin_returns_before_the_roundtrip():
         grpc = cluster.grpc(cluster.client)
         handle = await grpc.begin("put", {"key": "k", "value": 1},
                                   cluster.group)
-        seen["issue_time"] = cluster.runtime.now()
+        seen["issue_time"] = cluster.deployment.runtime.now()
         seen["peek"] = handle.peek()
         result = await handle.result()
         seen["result"] = result
-        seen["done_time"] = cluster.runtime.now()
+        seen["done_time"] = cluster.deployment.runtime.now()
 
     drive(cluster, scenario())
     assert seen["issue_time"] < 0.01        # returned immediately
@@ -73,7 +73,7 @@ def test_gather_overlaps_round_trips():
         calls = [("put", {"key": f"k{i}", "value": i}) for i in range(5)]
         results = await gather_calls(grpc, calls, cluster.group)
         seen["results"] = results
-        seen["elapsed"] = cluster.runtime.now()
+        seen["elapsed"] = cluster.deployment.runtime.now()
 
     drive(cluster, scenario())
     assert all(r.ok for r in seen["results"])

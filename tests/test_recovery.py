@@ -14,9 +14,9 @@ def test_client_recovery_bumps_incarnation_and_restarts_ids():
     client = cluster.client
     r1 = cluster.call_and_run("put", {"key": "a", "value": 1})
     assert r1.id == 1
-    cluster.crash(client)
-    cluster.recover(client)
-    cluster.settle(0.1)
+    cluster.deployment.crash(client)
+    cluster.deployment.recover(client)
+    cluster.deployment.settle(0.1)
     assert cluster.grpc(client).inc_number == 2
     r2 = cluster.call_and_run("put", {"key": "b", "value": 2})
     assert r2.id == 1   # id space restarted with the new incarnation
@@ -31,9 +31,9 @@ def test_server_keys_calls_by_incarnation_so_recycled_ids_execute():
                              default_link=FAST)
     client = cluster.client
     assert cluster.call_and_run("inc", {"amount": 1}, extra_time=0.2).ok
-    cluster.crash(client)
-    cluster.recover(client)
-    cluster.settle(0.1)
+    cluster.deployment.crash(client)
+    cluster.deployment.recover(client)
+    cluster.deployment.settle(0.1)
     assert cluster.call_and_run("inc", {"amount": 1}, extra_time=0.2).ok
     assert cluster.app(1).value == 2
 
@@ -42,7 +42,7 @@ def test_pending_call_dies_with_client_crash():
     spec = ServiceSpec(bounded=0.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=1, default_link=FAST)
     client = cluster.client
-    cluster.partition([client], [1])   # call can never complete
+    cluster.deployment.partition([client], [1])   # call can never complete
     finished = []
 
     async def doomed():
@@ -51,11 +51,11 @@ def test_pending_call_dies_with_client_crash():
 
     async def scenario():
         cluster.spawn_client(client, doomed())
-        await cluster.runtime.sleep(0.5)
-        cluster.crash(client)
-        await cluster.runtime.sleep(0.5)
+        await cluster.deployment.runtime.sleep(0.5)
+        cluster.deployment.crash(client)
+        await cluster.deployment.runtime.sleep(0.5)
 
-    cluster.run_scenario(scenario())
+    cluster.deployment.run_scenario(scenario())
     assert finished == []
     assert len(cluster.grpc(client).pRPC) == 0   # volatile table cleared
 
@@ -64,9 +64,9 @@ def test_server_recovery_serves_new_calls_with_fresh_state():
     spec = ServiceSpec(bounded=5.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=1, default_link=FAST)
     assert cluster.call_and_run("put", {"key": "a", "value": 1}).ok
-    cluster.crash(1)
-    cluster.recover(1)
-    cluster.settle(0.1)
+    cluster.deployment.crash(1)
+    cluster.deployment.recover(1)
+    cluster.deployment.settle(0.1)
     res = cluster.call_and_run("get", {"key": "a"}, extra_time=0.2)
     assert res.ok
     assert res.args is None   # volatile KV data died with the server
@@ -77,12 +77,13 @@ def test_server_bounce_during_call_retransmission_completes_it():
     # finishes the job once it comes back.
     spec = ServiceSpec(bounded=0.0, retrans_timeout=0.05)
     cluster = ServiceCluster(spec, KVStore, n_servers=1, default_link=FAST)
-    cluster.crash(1)
-    cluster.runtime.call_later(1.0, lambda: cluster.recover(1))
+    cluster.deployment.crash(1)
+    cluster.deployment.runtime.call_later(
+        1.0, lambda: cluster.deployment.recover(1))
     result = cluster.call_and_run("put", {"key": "k", "value": 9},
                                   extra_time=0.3)
     assert result.ok
-    assert cluster.runtime.now() >= 1.0
+    assert cluster.deployment.runtime.now() >= 1.0
     assert cluster.app(1).data == {"k": 9}
 
 
@@ -90,31 +91,31 @@ def test_crash_disarms_pending_timeouts():
     spec = ServiceSpec(bounded=3.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=1, default_link=FAST)
     client = cluster.client
-    cluster.partition([client], [1])
+    cluster.deployment.partition([client], [1])
 
     async def scenario():
         cluster.spawn_client(
             client,
             _ignore_cancel(cluster, client))
-        await cluster.runtime.sleep(0.5)
+        await cluster.deployment.runtime.sleep(0.5)
         assert cluster.grpc(client).bus.pending_timeouts() > 0
-        cluster.crash(client)
+        cluster.deployment.crash(client)
         assert cluster.grpc(client).bus.pending_timeouts() == 0
 
-    cluster.run_scenario(scenario())
+    cluster.deployment.run_scenario(scenario())
 
 
 def test_recovery_rearms_retransmission_timer():
     spec = ServiceSpec(bounded=5.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=1, default_link=FAST)
     client = cluster.client
-    cluster.crash(client)
-    cluster.recover(client)
-    cluster.settle(0.1)
+    cluster.deployment.crash(client)
+    cluster.deployment.recover(client)
+    cluster.deployment.settle(0.1)
     # The re-configured Reliable Communication must still retransmit:
     # partition, call, heal after 1s, call completes.
-    cluster.partition([client], [1])
-    cluster.runtime.call_later(1.0, cluster.heal)
+    cluster.deployment.partition([client], [1])
+    cluster.deployment.runtime.call_later(1.0, cluster.deployment.heal)
     result = cluster.call_and_run("put", {"key": "x", "value": 1},
                                   extra_time=0.2)
     assert result.ok
@@ -123,12 +124,12 @@ def test_recovery_rearms_retransmission_timer():
 def test_double_crash_is_idempotent():
     cluster = ServiceCluster(ServiceSpec(), KVStore, n_servers=1,
                              default_link=FAST)
-    cluster.crash(1)
-    cluster.crash(1)
-    cluster.recover(1)
-    cluster.recover(1)
-    cluster.settle(0.05)  # let the RECOVERY event run
-    assert cluster.node(1).incarnation == 2
+    cluster.deployment.crash(1)
+    cluster.deployment.crash(1)
+    cluster.deployment.recover(1)
+    cluster.deployment.recover(1)
+    cluster.deployment.settle(0.05)  # let the RECOVERY event run
+    assert cluster.deployment.nodes[1].incarnation == 2
 
 
 def _ignore_cancel(cluster, client):

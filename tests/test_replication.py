@@ -551,14 +551,14 @@ def test_driver_revives_binding_from_unbound_live_replica():
     dep.crash(p1)
     dep.recover(p1)
     dep.settle(2.0)            # p1 resyncs and the binding regrows
-    assert dep.registry.lookup("shard-0").members == (p1, p2, p3)
+    assert dep.service("shard-0").group.members == (p1, p2, p3)
     dep.rebind("shard-0", [p2, p3])   # an operator leaves p1 unbound
     dep.crash(p2)
-    assert dep.registry.lookup("shard-0").members == (p3,)
+    assert dep.service("shard-0").group.members == (p3,)
     # Last bound server dies; p1 is alive outside the binding, so the
     # driver re-points the binding instead of declaring the shard dead.
     dep.crash(p3)
-    assert dep.registry.lookup("shard-0").members == (p1,)
+    assert dep.service("shard-0").group.members == (p1,)
     assert dep.metrics.value("placement.rebind.revive") == 1
 
     async def still_serving():

@@ -26,9 +26,9 @@ def test_fifo_service_survives_server_bounce_via_survivor():
     for i in range(3):
         assert cluster.call_and_run("put", {"key": f"k{i}", "value": i},
                                     extra_time=0.2).ok
-    cluster.crash(2)
-    cluster.recover(2)
-    cluster.settle(0.1)
+    cluster.deployment.crash(2)
+    cluster.deployment.recover(2)
+    cluster.deployment.settle(0.1)
     for i in range(3, 5):
         assert cluster.call_and_run("put", {"key": f"k{i}", "value": i},
                                     extra_time=0.3).ok
@@ -49,11 +49,11 @@ def test_fifo_rejoiner_resumes_when_the_client_reincarnates():
                              default_link=FAST)
     assert cluster.call_and_run("put", {"key": "old", "value": 0},
                                 extra_time=0.2).ok
-    cluster.crash(2)
-    cluster.recover(2)
-    cluster.crash(cluster.client)
-    cluster.recover(cluster.client)
-    cluster.settle(0.1)
+    cluster.deployment.crash(2)
+    cluster.deployment.recover(2)
+    cluster.deployment.crash(cluster.client)
+    cluster.deployment.recover(cluster.client)
+    cluster.deployment.settle(0.1)
     result = cluster.call_and_run("put", {"key": "new", "value": 1},
                                   extra_time=0.3)
     assert result.ok   # acceptance=2: BOTH servers executed it
@@ -67,9 +67,9 @@ def test_total_order_survivors_unaffected_by_follower_bounce():
                              default_link=FAST)
     assert cluster.call_and_run("put", {"key": "a", "value": 1},
                                 extra_time=0.2).ok
-    cluster.crash(1)   # a follower, not the leader (3)
-    cluster.recover(1)
-    cluster.settle(0.1)
+    cluster.deployment.crash(1)   # a follower, not the leader (3)
+    cluster.deployment.recover(1)
+    cluster.deployment.settle(0.1)
     for key in ("b", "c"):
         assert cluster.call_and_run("put", {"key": key, "value": 1},
                                     extra_time=0.3).ok

@@ -31,21 +31,21 @@ def test_exactly_once_counter_through_partition_and_crash():
     async def scenario():
         task = cluster.spawn_client(client, load())
         # A rolling partition and a server bounce while the load runs.
-        await cluster.runtime.sleep(0.3)
-        cluster.partition([client], [1])
-        await cluster.runtime.sleep(0.5)
-        cluster.heal()
-        await cluster.runtime.sleep(0.3)
-        cluster.crash(2)
-        await cluster.runtime.sleep(0.5)
-        cluster.recover(2)
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.sleep(0.3)
+        cluster.deployment.partition([client], [1])
+        await cluster.deployment.runtime.sleep(0.5)
+        cluster.deployment.heal()
+        await cluster.deployment.runtime.sleep(0.3)
+        cluster.deployment.crash(2)
+        await cluster.deployment.runtime.sleep(0.5)
+        cluster.deployment.recover(2)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=3.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=3.0)
     assert all(r.status is Status.OK for r in results)
     # Server 1 never crashed: every increment executed exactly once.
     for tag in range(15):
-        assert cluster.dispatcher(1).executions(tag) == 1
+        assert cluster.dispatchers[1].executions(tag) == 1
     assert cluster.app(1).value == 15
 
 
@@ -66,9 +66,9 @@ def test_total_order_rsm_under_chaos_links():
         tasks = [cluster.spawn_client(pid, client_loop(ci, pid))
                  for ci, pid in enumerate(cluster.client_pids)]
         for task in tasks:
-            await cluster.runtime.join(task)
+            await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=5.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=5.0)
     logs = [tuple(k for _, k, _ in cluster.app(pid).apply_log)
             for pid in cluster.server_pids]
     assert len(logs[0]) == 15
@@ -96,18 +96,18 @@ def test_money_conserved_through_crash_storm_with_lossy_links():
             task = cluster.spawn_client(client, xfer())
             # Crash the server mid-round on even rounds.
             if round_no % 2 == 0:
-                await cluster.runtime.sleep(0.02)
-                cluster.crash(1)
-                await cluster.runtime.sleep(0.1)
-                cluster.recover(1)
+                await cluster.deployment.runtime.sleep(0.02)
+                cluster.deployment.crash(1)
+                await cluster.deployment.runtime.sleep(0.1)
+                cluster.deployment.recover(1)
             try:
-                await cluster.runtime.join(task)
+                await cluster.deployment.runtime.join(task)
             except BaseException:
                 pass
-            await cluster.runtime.sleep(0.3)
+            await cluster.deployment.runtime.sleep(0.3)
 
-    cluster.run_scenario(scenario(), extra_time=2.0)
-    stable = cluster.node(1).stable
+    cluster.deployment.run_scenario(scenario(), extra_time=2.0)
+    stable = cluster.deployment.nodes[1].stable
     assert stable.get("acct:a") + stable.get("acct:b") == 1000
 
 
@@ -125,16 +125,16 @@ def test_fifo_per_client_order_with_client_bounce():
                 await cluster.call(client, "put", {"key": k, "value": 1})
             tasks.append(cluster.spawn_client(client, one()))
         for task in tasks:
-            await cluster.runtime.join(task)
+            await cluster.deployment.runtime.join(task)
 
     async def scenario():
         await burst("pre", 5)
-        cluster.crash(client)
-        await cluster.runtime.sleep(0.2)
-        cluster.recover(client)
+        cluster.deployment.crash(client)
+        await cluster.deployment.runtime.sleep(0.2)
+        cluster.deployment.recover(client)
         await burst("post", 5)
 
-    cluster.run_scenario(scenario(), extra_time=3.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=3.0)
     for pid in cluster.server_pids:
         keys = [k for _, k, _ in cluster.app(pid).apply_log]
         pre = [k for k in keys if k.startswith("pre")]
@@ -155,14 +155,14 @@ def test_heartbeat_membership_survives_chaos():
                                                    loss=0.05),
                              membership="heartbeat",
                              heartbeat_interval=0.05)
-    cluster.settle(0.5)
-    cluster.crash(2)
-    cluster.settle(1.0)   # detect
+    cluster.deployment.settle(0.5)
+    cluster.deployment.crash(2)
+    cluster.deployment.settle(1.0)   # detect
     result = cluster.call_and_run("put", {"key": "k", "value": 1},
                                   extra_time=1.0)
     assert result.ok
-    cluster.recover(2)
-    cluster.settle(1.0)   # recovery detected
+    cluster.deployment.recover(2)
+    cluster.deployment.settle(1.0)   # recovery detected
     result = cluster.call_and_run("put", {"key": "k2", "value": 2},
                                   extra_time=1.0)
     assert result.ok
@@ -178,7 +178,7 @@ def test_determinism_of_an_entire_chaos_scenario():
         for i in range(8):
             statuses.append(cluster.call_and_run(
                 "inc", {"amount": 1, "tag": i}, extra_time=0.2).status)
-        return statuses, cluster.metrics.snapshot()["counters"], \
+        return statuses, cluster.deployment.metrics.snapshot()["counters"], \
             cluster.app(1).value
 
     assert run() == run()

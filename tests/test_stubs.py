@@ -1,17 +1,16 @@
-"""Stubs: marshalling, generated proxies, binding, end-to-end usage."""
+"""Stubs: marshalling, generated proxies, end-to-end usage."""
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Group, LinkSpec, ServiceCluster, ServiceSpec
+from repro import LinkSpec, ServiceCluster, ServiceSpec
 from repro.apps import KVStore
 from repro.core.microprotocols import average
-from repro.errors import BindingError, MarshalError, RPCTimeout
+from repro.errors import MarshalError, RPCTimeout
 from repro.net.message import Envelope, wire_size
 from repro.stubs import (
-    BindingRegistry,
     MarshallingApp,
     ServiceInterface,
     client_stub,
@@ -94,38 +93,6 @@ def test_marshal_roundtrip_property(value):
 
 
 # ----------------------------------------------------------------------
-# Binding
-# ----------------------------------------------------------------------
-
-def test_binding_registry_bind_lookup_unbind():
-    registry = BindingRegistry()
-    group = Group("kv", [1, 2, 3])
-    registry.bind("kv-service", group)
-    assert registry.lookup("kv-service") is group
-    assert "kv-service" in registry
-    assert registry.names() == ["kv-service"]
-    registry.unbind("kv-service")
-    assert "kv-service" not in registry
-
-
-def test_binding_refuses_silent_overwrite():
-    registry = BindingRegistry()
-    registry.bind("svc", Group("a", [1]))
-    with pytest.raises(BindingError):
-        registry.bind("svc", Group("b", [2]))
-    registry.bind("svc", Group("b", [2]), replace=True)
-    assert registry.lookup("svc").name == "b"
-
-
-def test_binding_lookup_unknown_raises():
-    registry = BindingRegistry()
-    with pytest.raises(BindingError):
-        registry.lookup("ghost")
-    with pytest.raises(BindingError):
-        registry.unbind("ghost")
-
-
-# ----------------------------------------------------------------------
 # End-to-end through generated stubs
 # ----------------------------------------------------------------------
 
@@ -152,9 +119,9 @@ def test_stub_roundtrip():
     task = cluster.spawn_client(cluster.client, scenario())
 
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(waiter(), extra_time=0.5)
+    cluster.deployment.run_scenario(waiter(), extra_time=0.5)
     assert outcome["value"] == "tucson"
     assert outcome["keys"] == ["city"]
 
@@ -162,7 +129,7 @@ def test_stub_roundtrip():
 def test_stub_raises_rpc_timeout():
     cluster = stub_cluster(ServiceSpec(bounded=0.3, unique=True))
     for pid in cluster.server_pids:
-        cluster.crash(pid)
+        cluster.deployment.crash(pid)
     caught = {}
 
     async def scenario():
@@ -175,9 +142,9 @@ def test_stub_raises_rpc_timeout():
     task = cluster.spawn_client(cluster.client, scenario())
 
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(waiter())
+    cluster.deployment.run_scenario(waiter())
     assert caught["ok"]
 
 
@@ -200,9 +167,9 @@ def test_unmarshalled_collation_with_stub_replies():
     task = cluster.spawn_client(cluster.client, scenario())
 
     async def waiter():
-        await cluster.runtime.join(task)
+        await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(waiter(), extra_time=0.5)
+    cluster.deployment.run_scenario(waiter(), extra_time=0.5)
     mean, count = outcome["avg"]
     assert mean == pytest.approx(20.0)
     assert count == 3

@@ -39,9 +39,9 @@ def test_two_datacenters_split():
 def test_wan_cluster_latency_split_end_to_end():
     spec = ServiceSpec(unique=True, bounded=10.0, acceptance=2)
     cluster = ServiceCluster(spec, KVStore, n_servers=3, seed=1)
-    two_datacenters(cluster.fabric, [1, 2, cluster.client], [3])
+    two_datacenters(cluster.deployment.fabric, [1, 2, cluster.client], [3])
     result = cluster.call_and_run("put", {"key": "k", "value": 1},
                                   extra_time=0.5)
     assert result.ok
     # Two DC-A replicas sufficed: far below one WAN round trip.
-    assert cluster.runtime.now() < 0.55  # includes the settle time
+    assert cluster.deployment.runtime.now() < 0.55  # includes the settle time

@@ -36,12 +36,12 @@ def crash_leader_mid_traffic(cluster, calls_per_client=4,
     async def scenario():
         tasks = [cluster.spawn_client(pid, client_loop(ci, pid))
                  for ci, pid in enumerate(cluster.client_pids)]
-        await cluster.runtime.sleep(crash_after)
-        cluster.crash(3)   # the leader, with ORDERs in flight
+        await cluster.deployment.runtime.sleep(crash_after)
+        cluster.deployment.crash(3)   # the leader, with ORDERs in flight
         for task in tasks:
-            await cluster.runtime.join(task)
+            await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=5.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=5.0)
 
 
 def put_keys(app):
@@ -75,7 +75,7 @@ def test_resync_survives_query_loss():
 
     cluster = make_cluster(seed=2)
     # Lose the first ORDER_QUERY: the grace-timeout retry must cover it.
-    drop_first(cluster.fabric, 1,
+    drop_first(cluster.deployment.fabric, 1,
                lambda env: getattr(env.payload, "type", None)
                is NetOp.ORDER_QUERY)
     crash_leader_mid_traffic(cluster)
@@ -108,8 +108,9 @@ def partial_order_dissemination_scenario(resync, seed):
                              n_clients=2, seed=seed,
                              default_link=LINK, membership="oracle",
                              membership_delay=0.05)
+    dep = cluster.deployment
     fault = drop_matching(
-        cluster.fabric,
+        dep.fabric,
         lambda env: env.src == 3 and env.dst == 2
         and getattr(env.payload, "type", None) is NetOp.ORDER)
 
@@ -119,15 +120,15 @@ def partial_order_dissemination_scenario(resync, seed):
             async def one(p=pid, k=f"call-{i}"):
                 await cluster.call(p, "put", {"key": k, "value": 1})
             tasks.append(cluster.spawn_client(pid, one()))
-        await cluster.runtime.sleep(0.3)   # orders assigned, 2 blind
+        await dep.runtime.sleep(0.3)   # orders assigned, 2 blind
         fault.remove()
-        cluster.crash(3)
-        deadline = cluster.runtime.now() + 20.0
+        dep.crash(3)
+        deadline = dep.runtime.now() + 20.0
         for task in tasks:
-            while not task.done and cluster.runtime.now() < deadline:
-                await cluster.runtime.sleep(0.25)
+            while not task.done and dep.runtime.now() < deadline:
+                await dep.runtime.sleep(0.25)
 
-    cluster.run_scenario(scenario(), extra_time=3.0)
+    dep.run_scenario(scenario(), extra_time=3.0)
     return [tuple(put_keys(cluster.app(pid))) for pid in (1, 2)]
 
 

@@ -149,8 +149,8 @@ def test_round_coalescing_batches_shared_link_messages():
     rt.run(main())
     # All eight messages arrived, in order, but in ONE envelope.
     assert [p for _, p in tops[2].received] == [f"m{i}" for i in range(8)]
-    assert fabric.trace.sends == 8
-    assert fabric.trace.deliveries == 8
+    assert fabric.trace.metrics.value("net.send") == 8
+    assert fabric.trace.metrics.value("net.deliver") == 8
     assert metrics.value("net.envelopes") == 1
     assert metrics.value("net.batch.envelopes") == 1
     assert metrics.value("net.batch.messages") == 8
@@ -314,7 +314,7 @@ def test_backpressure_credits_return_on_drop_paths():
     # Every message was lost, yet no sender deadlocked: the fabric
     # resolves dropped envelopes synchronously, returning the budget.
     assert tops[2].received == []
-    assert fabric.trace.losses == 5
+    assert fabric.trace.metrics.value("net.drop-loss") == 5
     assert fabric.pipeline.inflight(1, 2) == 0
 
 
@@ -527,11 +527,11 @@ def test_seeded_batched_run_flushes_where_it_always_did():
         # a round and the byte cap actually binds.
         for task in [cluster.spawn_client(pid, lane(pid, tag))
                      for tag, pid in enumerate(cluster.client_pids * 3)]:
-            await cluster.runtime.join(task)
+            await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(main(), extra_time=0.5)
+    cluster.deployment.run_scenario(main(), extra_time=0.5)
     assert len(checks) == 60 and all(checks)
-    metrics = cluster.metrics
+    metrics = cluster.deployment.metrics
     assert metrics.value("net.batch.messages") == 1134
     assert metrics.value("net.batch.flush.cap") == 43
     assert metrics.value("net.batch.flush.round") == 883
@@ -552,7 +552,7 @@ def test_full_cluster_calls_work_over_batching_and_backpressure():
     assert result.status is Status.OK
     result = cluster.call_and_run("get", {"key": "k"}, extra_time=0.5)
     assert result.args == 7
-    metrics = cluster.metrics
+    metrics = cluster.deployment.metrics
     assert metrics.value("net.batch.envelopes") > 0
     # Coalescing never costs envelopes (it only merges shared links).
     assert metrics.value("net.envelopes") <= metrics.value("net.send")

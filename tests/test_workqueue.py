@@ -76,7 +76,8 @@ def test_reexecuted_dequeue_loses_jobs_without_unique_execution():
                              default_link=FAST)
     for i in range(3):
         cluster.call_and_run("enqueue", {"job": f"j{i}"}, extra_time=0.1)
-    drop_first(cluster.fabric, 1, replies_from(1))   # lose one reply
+    # Lose one reply.
+    drop_first(cluster.deployment.fabric, 1, replies_from(1))
     got = cluster.call_and_run("dequeue", {}, extra_time=0.5)
     assert got.ok
     # Two jobs left the queue for one successful client dequeue.
@@ -100,9 +101,9 @@ def test_fifo_keeps_submission_order_across_replicas():
                 await cluster.call(client, "enqueue", {"job": job})
             tasks.append(cluster.spawn_client(client, one()))
         for task in tasks:
-            await cluster.runtime.join(task)
+            await cluster.deployment.runtime.join(task)
 
-    cluster.run_scenario(scenario(), extra_time=2.0)
+    cluster.deployment.run_scenario(scenario(), extra_time=2.0)
     for pid in cluster.server_pids:
         assert cluster.app(pid).jobs == [f"j{i}" for i in range(6)]
 
@@ -124,9 +125,9 @@ def test_without_fifo_replicas_can_reorder_submissions():
                     await cluster.call(client, "enqueue", {"job": job})
                 tasks.append(cluster.spawn_client(client, one()))
             for task in tasks:
-                await cluster.runtime.join(task)
+                await cluster.deployment.runtime.join(task)
 
-        cluster.run_scenario(scenario(), extra_time=2.0)
+        cluster.deployment.run_scenario(scenario(), extra_time=2.0)
         expected = [f"j{i}" for i in range(6)]
         if any(cluster.app(pid).jobs != expected
                for pid in cluster.server_pids):
