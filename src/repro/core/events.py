@@ -54,6 +54,7 @@ recorder record.
 from __future__ import annotations
 
 from bisect import insort
+from functools import partial
 from typing import (Any, Awaitable, Callable, Dict, FrozenSet, Hashable,
                     Iterable, List, Optional, Tuple)
 
@@ -119,6 +120,29 @@ class _Dispatch:
         self.outer = outer
 
 
+def _fuse(bus: "EventBus", event: str,
+          handlers: Tuple[Handler, ...]) -> Callable[..., Any]:
+    """One uninstrumented ``trigger(event, ...)`` over ``handlers``,
+    compiled: the same dispatch record, the same order, ``cancel_event``
+    as an early return."""
+    kernel = bus._kernel
+
+    async def run(*args: Any) -> bool:
+        if kernel._current is None:
+            raise NoCurrentTask("no task is currently executing")
+        dispatch = kernel._dispatch = _Dispatch(bus, event,
+                                                kernel._dispatch)
+        try:
+            for handler in handlers:
+                await handler(*args)
+                if dispatch.cancelled:
+                    return False
+        finally:
+            kernel._dispatch = dispatch.outer
+        return True
+    return run
+
+
 class EventBus:
     """Per-composite-protocol event registry and dispatcher."""
 
@@ -140,6 +164,10 @@ class EventBus:
         # event's own table.
         self._chains: Dict[str, Dict[Hashable,
                                      Tuple[Registration, ...]]] = {}
+        # Compiled kind chains: event -> kind -> the one callable that
+        # dispatches it (see :meth:`chains`).  Emptied in place, never
+        # replaced, whenever the event's table is dropped.
+        self._runs: Dict[str, Dict[Hashable, Callable[..., Any]]] = {}
         self._seq = 0
         # What runs, and its dispatch records, are read off the kernel.
         self._kernel = runtime.kernel
@@ -356,10 +384,50 @@ class EventBus:
         self._chains.setdefault(event, {})[kind] = chain
         return chain
 
+    def chains(self, event: str) -> Dict[Hashable, Callable[..., Any]]:
+        """``event``'s compiled kind chains: kind -> ``run``, where
+        ``run(*args)`` is the awaitable ``trigger(event, *args,
+        kind=kind)`` would be.
+
+        The mapping is live and the caller may keep it: a chain appears
+        in it once :meth:`chain` compiles it and vanishes when any
+        registration for ``event`` changes.  A dispatcher reads it per
+        message and calls :meth:`chain` on a miss.
+        """
+        runs = self._runs.get(event)
+        if runs is None:
+            runs = self._runs[event] = {}
+        return runs
+
+    def chain(self, event: str, kind: Hashable) -> Callable[..., Any]:
+        """Compile (once) and return the dispatch of ``event`` for
+        messages of ``kind`` (see :meth:`chains`).
+
+        On an uninstrumented bus it is one callable that runs the
+        chain's handlers in table order and returns at the first that
+        cancels: no keyword to parse, no table to look up, no
+        registration to read.  An instrumented bus dispatches through
+        :meth:`trigger`, so whatever wraps or counts that sees it; so
+        does an empty chain, which has nothing to fuse.
+        """
+        try:
+            table = self._chains[event][kind]
+        except KeyError:
+            table = self._compile_chain(event, kind)
+        if table and self._obs is None and self._prof is None:
+            run = _fuse(self, event, tuple(reg.handler for reg in table))
+        else:
+            run = partial(self.trigger, event, kind=kind)
+        self.chains(event)[kind] = run
+        return run
+
     def _invalidate(self, event: str) -> None:
         """Drop ``event``'s table and every kind chain built from it."""
         self._tables.pop(event, None)
         self._chains.pop(event, None)
+        runs = self._runs.get(event)
+        if runs:
+            runs.clear()
 
     def trigger_nonblocking(self, event: str, *args: Any) -> None:
         """Sequential dispatch in a fresh task; the caller continues.
@@ -494,6 +562,8 @@ class EventBus:
         self._handlers.clear()
         self._tables.clear()
         self._chains.clear()
+        for runs in self._runs.values():
+            runs.clear()
         for reg in self._timeout_regs.values():
             reg.timer.cancel()
         self._timeout_regs.clear()

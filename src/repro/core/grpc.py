@@ -123,6 +123,12 @@ class GroupRPC(CompositeProtocol):
         #: semaphore around each server-procedure execution.
         self.execution_gate: Optional[Any] = None
 
+        #: Set while an orphan-killing micro-protocol (Terminate or Probe
+        #: Orphan) is configured: only then does RPC Main record which
+        #: task executes each call (``ServerRecord.executor``), since a
+        #: kill is the one use of that handle.
+        self.kills_orphans = False
+
         #: Installed by RPC Main at configure time; other micro-protocols
         #: (FIFO Order, Total Order) call it to release gated calls.
         self.forward_up: Optional[Callable[..., Coroutine]] = None
@@ -137,10 +143,13 @@ class GroupRPC(CompositeProtocol):
 
         #: Trace attribution: the bus's dispatch records carry this pid.
         self.bus.node_id = node.pid
+        # The bus's compiled MSG_FROM_NETWORK chains by message kind (a
+        # live mapping the bus empties on every registration change).
+        self._net_chains = self.bus.chains(MSG_FROM_NETWORK)
 
-        # ``net_push``'s resolved bottom of the stack, and the ``lower``
-        # it was resolved through.
-        self._push_target: Any = None
+        # ``net_push``'s resolved send (the ``submit`` of the bottom of
+        # the stack), and the ``lower`` it was resolved through.
+        self._submit: Any = None
         self._wired_lower: Any = None
 
         node.crash_listeners.append(self._on_crash)
@@ -238,13 +247,17 @@ class GroupRPC(CompositeProtocol):
         fabric delivers it), so a chain blocked on ``serial`` or an
         ordering gate does not stall later arrivals — the paper's
         execution model.  The dispatch runs the message kind's chain:
-        only the handlers that act on ``payload.type``.  Untraced, the
-        returned awaitable *is* that dispatch, so the arrival's task
-        runs no frame of the composite's own.
+        only the handlers that act on ``payload.type``, compiled once
+        per kind by the bus (:meth:`~repro.core.events.EventBus.chain`).
+        Untraced, the returned awaitable *is* that dispatch, so the
+        arrival's task runs no frame of the composite's own.
         """
         if self.obs is None:
-            return self.bus.trigger(MSG_FROM_NETWORK, payload,
-                                    kind=payload.type)
+            try:
+                run = self._net_chains[payload.type]
+            except KeyError:
+                run = self.bus.chain(MSG_FROM_NETWORK, payload.type)
+            return run(payload)
         return self._pop_traced(payload)
 
     async def _pop_traced(self, payload: NetMsg) -> bool:
@@ -275,19 +288,22 @@ class GroupRPC(CompositeProtocol):
         """Send ``msg`` toward ``dest`` via the unreliable transport.
 
         This is the paper's ``Net.push``; ``dest`` may be a process id, a
-        :class:`~repro.net.message.Group`, or an iterable of process ids.
-        Every transmission is stamped with this composite's service name
-        so the receiving node's service demux can deliver it to the
-        composite configured for the same service.  The protocol that
-        really sends (``lower.resolve_down()``) is resolved once per
-        ``lower``, not once per message: the stack below must be wired
-        before this composite first pushes.
+        :class:`~repro.net.message.Group`, or any other iterable of
+        process ids.  Every transmission is stamped with this
+        composite's service name so the receiving node's service demux
+        can deliver it to the composite configured for the same service.
+        The protocol that really sends (``lower.resolve_down()``) and
+        its plain-call :meth:`~repro.xkernel.upi.Protocol.submit` are
+        resolved once per ``lower``, not once per message: the stack
+        below must be wired before this composite first pushes.  Through
+        a pass-through wire pipeline the message is on the fabric when
+        ``submit`` returns, with no coroutine below this one.
         """
         lower = self.lower
         if lower is None:
             raise ConfigurationError(f"{self.name} has no transport below")
         if lower is not self._wired_lower:
-            self._push_target = lower.resolve_down()
+            self._submit = lower.resolve_down().submit
             self._wired_lower = lower
         if self.service:
             msg.service = self.service
@@ -296,7 +312,9 @@ class GroupRPC(CompositeProtocol):
                 msg.annotations = {ADAPT_EPOCH_KEY: self.adapt_epoch}
             else:
                 msg.annotations[ADAPT_EPOCH_KEY] = self.adapt_epoch
-        await self._push_target.push(dest, msg)
+        staged = self._submit(dest, msg)
+        if staged is not None:
+            await staged
 
     async def deliver_to_server(self, op: str, args: Any) -> Any:
         """Blocking upcall to the user protocol (the paper's

@@ -110,7 +110,8 @@ class RPCMain(GRPCMicroProtocol):
         gate = grpc.execution_gate
         if gate is not None:
             await gate.acquire()
-        record.executor = self.current_task()
+        if grpc.kills_orphans:
+            record.executor = self.current_task()
         obs = grpc.obs
         span = None
         if obs is not None:

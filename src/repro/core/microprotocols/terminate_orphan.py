@@ -49,9 +49,14 @@ class TerminateOrphan(GRPCMicroProtocol):
         self.client_inc.clear()
 
     def configure(self) -> None:
+        # RPC Main records each call's executor only for a killer.
+        self.grpc.kills_orphans = True
         self.register(MSG_FROM_NETWORK, self.msg_from_net,
                       kinds=(NetOp.CALL,))
         self.register(REPLY_FROM_SERVER, self.handle_reply)
+
+    def unconfigure(self) -> None:
+        self.grpc.kills_orphans = False
 
     async def msg_from_net(self, msg: NetMsg) -> None:
         client = msg.sender

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from random import Random
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
@@ -81,19 +80,23 @@ class NetworkFabric:
         self.rand = rand or RandomSource(0)
         self.default_link = default_link
         self.trace = trace or NetTrace(metrics=metrics)
+        self.nodes: Dict[ProcessId, Node] = {}
         #: The one outbound path: every sender reaches :meth:`send`
         #: through this pipeline (coalescing, backpressure, fast lane).
         self.pipeline = WirePipeline(self, wire)
-        self.nodes: Dict[ProcessId, Node] = {}
         self._links: Dict[Tuple[ProcessId, ProcessId], LinkSpec] = {}
         self._blocked: Set[Tuple[ProcessId, ProcessId]] = set()
         self._filters: List[MessageFilter] = []
-        # Per-link hot cache: (src, dst) -> (LinkSpec, rng stream).  The
-        # stream name f-string and registry lookups are paid once per
-        # link instead of once per send; invalidated by set_link.
+        # Per-link hot cache: (src, dst) -> the link's constants, unpacked
+        # once (see :meth:`_hot_link`); invalidated by set_link.
         self._hot_links: Dict[Tuple[ProcessId, ProcessId], tuple] = {}
-        self._envelopes_counter = self.trace.metrics.counter(
-            "net.envelopes")
+        self._kernel = runtime.kernel
+        # The per-message counters, bumped inline (Counter objects are
+        # stable across registry resets).
+        metrics = self.trace.metrics
+        self._ctr_envelopes = metrics.counter("net.envelopes")
+        self._ctr_send = metrics.counter("net.send")
+        self._ctr_deliver = metrics.counter("net.deliver")
         #: Observers told when a node crashes/recovers; the oracle
         #: membership detector subscribes here.
         self._membership_watchers: List[Callable[[ProcessId, bool], None]] = []
@@ -175,15 +178,20 @@ class NetworkFabric:
         rebuilt batch.  ``resolve`` is called exactly once when the
         envelope's fate is decided (the pipeline's budget return).  One
         :class:`~repro.net.message.Envelope` is built per transmitted
-        copy.
+        copy.  A :class:`~repro.net.trace.TraceEvent` is built only for
+        a trace that keeps events or has observers; otherwise ``net.send``
+        and ``net.deliver`` are plain counter bumps.
         """
-        now = self.runtime.now()
+        now = self._kernel._now
         batched = payload.__class__ is WireBatch
         inner = payload.messages if batched else (payload,)
-        self._envelopes_counter.value += 1
-        trace_record = self.trace.record
-        for msg in inner:
-            trace_record(now, "send", src, dst, msg)
+        self._ctr_envelopes.value += 1
+        trace = self.trace
+        if trace.keep_events or trace.observers:
+            for msg in inner:
+                trace.record(now, "send", src, dst, msg)
+        else:
+            self._ctr_send.value += len(inner) if batched else 1
         if self._filters:
             envelope = Envelope(src, dst, payload, now)
             survivors = []
@@ -193,7 +201,7 @@ class NetworkFabric:
                 if all(fltr(probe) for fltr in list(self._filters)):
                     survivors.append(msg)
                 else:
-                    trace_record(now, "drop-filter", src, dst, msg)
+                    trace.record(now, "drop-filter", src, dst, msg)
             if not survivors:
                 if resolve is not None:
                     resolve()
@@ -206,30 +214,45 @@ class NetworkFabric:
         if key in self._blocked:
             return self._drop("drop-partition", now, src, dst, inner,
                               resolve)
-        hot = self._hot_links.get(key)
-        if hot is None:
-            hot = (self._links.get(key, self.default_link),
-                   self.rand.stream(f"link-{src}-{dst}"))
-            self._hot_links[key] = hot
-        spec, rng = hot
-        if spec.loss and rng.random() < spec.loss:
+        try:
+            delay, jitter, loss, rare, random = self._hot_links[key]
+        except KeyError:
+            delay, jitter, loss, rare, random = self._hot_link(src, dst)
+        if loss and random() < loss:
             return self._drop("drop-loss", now, src, dst, inner, resolve)
         envelope = Envelope(src, dst, payload, now, -1, 0, resolve)
-        if spec.duplicate and rng.random() < spec.duplicate:
+        if rare is None:
+            # ``jitter * random()`` is, bit for bit, what ``uniform(0.0,
+            # jitter)`` computes (``0.0 + (jitter - 0.0) * random()``).
+            self.runtime.call_later(delay + jitter * random(),
+                                    partial(self._deliver, envelope))
+            return
+        if rare.duplicate and random() < rare.duplicate:
             for msg in inner:
-                trace_record(now, "duplicate", src, dst, msg)
-            self._launch(spec, rng, envelope)
+                trace.record(now, "duplicate", src, dst, msg)
+            self._launch(rare, random, envelope)
             envelope = Envelope(src, dst, payload, now, -1, 1, resolve)
-        self._launch(spec, rng, envelope)
+        self._launch(rare, random, envelope)
 
-    def _launch(self, spec: LinkSpec, rng: Random,
+    def _hot_link(self, src: ProcessId, dst: ProcessId) -> tuple:
+        """The ``src -> dst`` link's constants, as :meth:`send` unpacks
+        them per message: delay, jitter, loss, the spec itself if it
+        duplicates or spikes (else ``None``), and the link stream's
+        ``random``.  The stream name and registry lookups are paid once
+        per link, not once per send."""
+        spec = self._links.get((src, dst), self.default_link)
+        hot = (spec.delay, spec.jitter, spec.loss,
+               spec if spec.duplicate or spec.spike_prob else None,
+               self.rand.stream(f"link-{src}-{dst}").random)
+        self._hot_links[(src, dst)] = hot
+        return hot
+
+    def _launch(self, spec: LinkSpec, random: Callable[[], float],
                 envelope: Envelope) -> None:
-        """Draw one copy's delay and arm its delivery.
-
-        ``jitter * random()`` is, bit for bit, what ``uniform(0.0,
-        jitter)`` computes (``0.0 + (jitter - 0.0) * random()``)."""
-        delay = spec.delay + spec.jitter * rng.random()
-        if spec.spike_prob and rng.random() < spec.spike_prob:
+        """Draw one copy's delay, spike included, and arm its delivery
+        (the path of a link that duplicates or spikes)."""
+        delay = spec.delay + spec.jitter * random()
+        if spec.spike_prob and random() < spec.spike_prob:
             delay += spec.spike_delay
         self.runtime.call_later(delay, partial(self._deliver, envelope))
 
@@ -246,17 +269,21 @@ class NetworkFabric:
             self.send(src, member, payload)
 
     def _deliver(self, envelope: Envelope) -> None:
-        src, dst, payload = envelope.src, envelope.dst, envelope.payload
-        node = self.nodes.get(dst)
-        now = self.runtime.now()
-        inner = payload.messages if payload.__class__ is WireBatch \
-            else (payload,)
+        node = self.nodes.get(envelope.dst)
+        payload = envelope.payload
+        batched = payload.__class__ is WireBatch
         if node is None or not node.up:
-            return self._drop("drop-dead", now, src, dst, inner,
+            return self._drop("drop-dead", self._kernel._now, envelope.src,
+                              envelope.dst,
+                              payload.messages if batched else (payload,),
                               envelope.on_resolved)
-        trace_record = self.trace.record
-        for msg in inner:
-            trace_record(now, "deliver", src, dst, msg)
+        trace = self.trace
+        if trace.keep_events or trace.observers:
+            now = self._kernel._now
+            for msg in payload.messages if batched else (payload,):
+                trace.record(now, "deliver", envelope.src, envelope.dst, msg)
+        else:
+            self._ctr_deliver.value += len(payload) if batched else 1
         resolve = envelope.on_resolved
         if resolve is not None:
             resolve()

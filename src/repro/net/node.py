@@ -15,12 +15,14 @@ calls into generations (Interference Avoidance, Terminate Orphan).  A
 Every arrival runs up the stack in its own thread of control, started
 inside the fabric's delivery (:meth:`Node.deliver`), so one blocked
 handler chain never stalls the next message — the paper's execution
-model.  For a single payload it runs the ``pop`` of the protocol the
-route resolves to, with no transport coroutine around it (a coalesced
-batch is fanned out by the transport's own task).  It runs inline in
-the delivery (:meth:`~repro.sim.kernel.Kernel.start`) and is a task,
-in the node's scope, only once it parks; one that completes first
-never touches the ready queue, the live-task table or the scope.
+model.  For a single payload it is the ``pop`` of the protocol the
+payload's route resolves to, found in the node's route cache by
+``(payload class, service key)``: the demux walk is paid once per route
+and again only after the stack is re-wired.  (A coalesced batch is
+fanned out by the transport's own task.)  The arrival is started in
+place (:meth:`~repro.sim.kernel.Kernel.start`) and is a task, in the
+node's scope, only once it parks; one that completes first never
+touches the ready queue, the live-task table or the scope.
 
 The incarnation counter survives crashes.  On real hardware it would be
 read from stable storage at reboot; here the :class:`Node` object plays the
@@ -30,10 +32,11 @@ role of the machine, which persists while its volatile contents do not.
 from __future__ import annotations
 
 import typing
-from typing import Any, Callable, Coroutine, List
+from typing import Any, Callable, Coroutine, Dict, List, Optional, Tuple
 
 from repro.errors import NodeDown
 from repro.net.message import Envelope, ProcessId
+from repro.net.wire import WireBatch
 from repro.runtime.sim_runtime import CancelScope, SimRuntime
 from repro.stablestore import StableStore
 
@@ -67,6 +70,11 @@ class Node:
         self.recover_listeners: List[Callable[[int], None]] = []
         #: The bottom protocol of this node's stack; set by the transport.
         self.transport: Any = None
+        #: Route cache: ``(payload class, service key)`` -> the protocol
+        #: whose ``pop`` takes such an arrival (``None``: unclaimed).
+        #: Emptied by every re-wiring of the stack above the transport
+        #: (:meth:`~repro.xkernel.upi.Protocol.rewired`).
+        self.routes: Dict[Tuple[type, Any], Any] = {}
         fabric.add_node(self)
 
     # ------------------------------------------------------------------
@@ -118,20 +126,48 @@ class Node:
         return self.scope.spawn(
             coro, name=name or f"{self.name}-task", daemon=daemon)
 
+    def route(self, payload: Any) -> Optional[Any]:
+        """The protocol whose ``pop`` handles ``payload`` arriving here
+        (``None``: unclaimed, dropped), resolved through the stack above
+        the transport once per ``(payload class, service key)``."""
+        key = (payload.__class__, getattr(payload, "service", ""))
+        try:
+            return self.routes[key]
+        except KeyError:
+            pass
+        transport = self.transport
+        upper = None if transport is None else transport.upper
+        target = None if upper is None else upper.resolve_up(payload)
+        self.routes[key] = target
+        return target
+
     def deliver(self, envelope: Envelope) -> None:
         """Called by the fabric to hand over an arrived envelope: it runs
-        up the stack under its own thread of control (:meth:`~repro.net.
-        transport.UnreliableTransport.arrival` says what runs), so a
-        chain that blocks cannot stall later arrivals.  The delivery is
-        the last act of the fabric's timer action, so the arrival is
-        started in place; the scope adopts it if it is a live task after
-        that first step, which is the only way a crash can find it."""
-        transport = self.transport
-        if transport is None:
-            return
-        coro = transport.arrival(envelope)
-        if coro is not None:
-            task = self._kernel.start(coro, self._arrival_name, True,
-                                      envelope.seq)
-            if task is not None:
-                self.scope.adopt(task)
+        up the stack under its own thread of control, so a chain that
+        blocks cannot stall later arrivals.  A single payload's thread
+        is its route's ``pop(payload, sender)`` (:meth:`route`, read
+        from the cache here); a :class:`~repro.net.wire.WireBatch`'s is
+        the transport's :meth:`~repro.net.transport.UnreliableTransport.
+        handle_arrival`.  The delivery is the last act of the fabric's
+        timer action, so the arrival is started in place; the scope
+        adopts it if it is a live task after that first step, which is
+        the only way a crash can find it."""
+        payload = envelope.payload
+        if payload.__class__ is WireBatch:
+            transport = self.transport
+            if transport is None:
+                return
+            coro = transport.handle_arrival(envelope)
+        else:
+            try:
+                target = self.routes[payload.__class__,
+                                     getattr(payload, "service", "")]
+            except KeyError:
+                target = self.route(payload)
+            if target is None:
+                return
+            coro = target.pop(payload, envelope.src)
+        task = self._kernel.start(coro, self._arrival_name, True,
+                                  envelope.seq)
+        if task is not None:
+            self.scope.adopt(task)

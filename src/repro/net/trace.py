@@ -8,6 +8,10 @@ invariant checking in tests.
 The per-kind counters live in a :class:`~repro.obs.metrics.MetricsRegistry`
 under ``net.<kind>`` (one registry per deployment, shared with the rest of
 the observability layer); read them as ``metrics.value("net.send")`` &c.
+The two per-message kinds, ``send`` and ``deliver``, go through
+:meth:`NetTrace.record` only while the trace keeps events or has
+observers; otherwise the fabric bumps their counters itself, so a
+counters-only run builds no record for them at all.
 """
 
 from __future__ import annotations

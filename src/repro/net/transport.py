@@ -19,23 +19,25 @@ The pipeline decides whether a push has to wait (:meth:`~repro.net.wire.
 WirePipeline.submit`); through a pass-through pipeline it reaches the
 fabric with no coroutine of the pipeline's own.
 
-Inbound, :meth:`UnreliableTransport.arrival` turns a delivered envelope
-into the coroutine the node starts for it.  A single payload's route is
-resolved through the demuxes in one walk and the arrival runs the
-target's ``pop`` itself, with no transport coroutine in between; a
+Inbound, the node resolves each arrived payload's route
+(:meth:`~repro.net.node.Node.deliver`) and runs the target's ``pop``
+itself, with no transport coroutine in between; a
 :class:`~repro.net.wire.WireBatch` envelope is unbatched by
 :meth:`UnreliableTransport.handle_arrival` into one task per payload,
-so everything above this layer is batching-agnostic.
+so everything above this layer is batching-agnostic.  The node caches
+routes; the transport, as the bottom of the stack, is where a re-wiring
+above it (:meth:`~repro.xkernel.upi.Protocol.rewired`) empties that
+cache.
 """
 
 from __future__ import annotations
 
-from typing import Coroutine, Iterable, Optional, Union
+from functools import partial
+from typing import Iterable, Union
 
 from repro.net.fabric import NetworkFabric
 from repro.net.message import Envelope, Group, ProcessId
 from repro.net.node import Node
-from repro.net.wire import WireBatch
 from repro.xkernel.upi import Protocol
 
 __all__ = ["UnreliableTransport"]
@@ -50,7 +52,15 @@ class UnreliableTransport(Protocol):
         super().__init__(f"transport@{node.pid}")
         self.node = node
         self.fabric: NetworkFabric = node.fabric
+        #: :meth:`push` as a plain call, resolved once: the wire
+        #: pipeline's :meth:`~repro.net.wire.WirePipeline.submit` from
+        #: this site.  ``submit(dest, payload)`` puts the message on the
+        #: way and returns ``None``, or returns the coroutine to await
+        #: when a pipeline stage (a coalescing buffer, a link budget)
+        #: takes it over.  A crashed site sends nothing.
+        self.submit = partial(self.fabric.pipeline.submit, node.pid)
         node.transport = self
+        self.rewired()
 
     async def push(self, dest: Destination, payload: object) -> None:
         """Send ``payload`` toward ``dest`` via the wire pipeline.
@@ -58,30 +68,13 @@ class UnreliableTransport(Protocol):
         May be lost; may block briefly when the pipeline's per-link
         in-flight budget is exhausted (backpressure), never otherwise.
         """
-        if not self.node.up:
-            # A crashed site cannot transmit; tasks are normally cancelled
-            # before reaching here, but timer callbacks may race the crash.
-            return
-        staged = self.fabric.pipeline.submit(self.node.pid, dest, payload)
+        staged = self.submit(dest, payload)
         if staged is not None:
             await staged
 
-    def arrival(self, envelope: Envelope) -> Optional[Coroutine]:
-        """The coroutine that carries one arrived envelope up the stack
-        (the node starts it, and it is a task only if it parks), or
-        ``None`` when no route claims the payload: it is dropped.
-
-        A single payload goes straight to the ``pop`` of the protocol
-        its route resolves to; a coalesced envelope to
-        :meth:`handle_arrival`.
-        """
-        payload = envelope.payload
-        if payload.__class__ is WireBatch:
-            return self.handle_arrival(envelope)
-        target = self.upper.resolve_up(payload)
-        if target is None:
-            return None
-        return target.pop(payload, envelope.src)
+    def rewired(self) -> None:
+        """The stack above changed: forget every cached route."""
+        self.node.routes.clear()
 
     async def handle_arrival(self, envelope: Envelope) -> None:
         """Unbatch a coalesced envelope (its own task).
@@ -91,8 +84,9 @@ class UnreliableTransport(Protocol):
         execution model: one blocked handler chain must not stall the
         rest of the batch.  Payloads no route claims are dropped.
         """
+        route = self.node.route
         for i, msg in enumerate(envelope.payload):
-            target = self.upper.resolve_up(msg)
+            target = route(msg)
             if target is not None:
                 self.node.scope.spawn(
                     target.pop(msg, envelope.src),

@@ -23,7 +23,8 @@ The pipeline is composed of small, configurable stages::
     fabric.send  ← the single internal primitive the pipeline owns
       │  loss / duplication / partitions / scripted fault filters
       ▼
-    delivery → unbatch → TypeDemux / ServiceDemux → composites
+    delivery → unbatch → node's route cache → composites
+                          (TypeDemux / ServiceDemux walked once per route)
 
 * **Coalescing** — with ``batch=True``, messages sharing a ``(src,
   dst)`` link within one scheduling round travel in a single
@@ -56,7 +57,10 @@ benchmarks and the fault-injection tests byte-identical.
 The one entry point is :meth:`WirePipeline.submit`, a plain call: what
 no stage holds back (every pass-through send, every fast-lane beat)
 reaches the fabric inside it, and only a send that a buffer or a budget
-takes over comes back as a coroutine to await.
+takes over comes back as a coroutine to await.  A composite reaches it
+through its transport's ``submit``, resolved once when the stack is
+wired, so a pass-through send runs no coroutine below the composite's
+own ``net_push``.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ import typing
 from dataclasses import dataclass
 from typing import Any, Coroutine, Dict, Iterable, List, Optional, Tuple
 
-from repro.net.message import Group, ProcessId, wire_size
+from repro.net.message import ProcessId, wire_size
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.fabric import NetworkFabric
@@ -132,17 +136,6 @@ class WireBatch:
                 f"kinds={'/'.join(kinds)} size={self.wire_size()}>")
 
 
-def is_control(payload: Any) -> bool:
-    """Is this payload a small control message (fast-lane eligible)?
-
-    Control payload *types* declare themselves with a class attribute
-    ``wire_control = True`` (see :class:`repro.membership.detector.
-    Heartbeat`), so the check is one ``getattr`` on the hot path and no
-    registry is needed.
-    """
-    return bool(getattr(payload, "wire_control", False))
-
-
 class _Link:
     """Per-directed-link pipeline state: buffer, budget, instruments."""
 
@@ -175,6 +168,7 @@ class WirePipeline:
     def __init__(self, fabric: "NetworkFabric",
                  config: Optional[WireConfig] = None):
         self.fabric = fabric
+        self._nodes = fabric.nodes
         self.runtime = fabric.runtime
         self.config = config or WireConfig()
         self.metrics = fabric.trace.metrics
@@ -207,28 +201,32 @@ class WirePipeline:
 
     def submit(self, src: ProcessId, dest: Any,
                payload: Any) -> Optional[Coroutine[Any, Any, None]]:
-        """Send ``payload`` from ``src`` toward ``dest``: a process id,
-        or a :class:`~repro.net.message.Group` or other collection of
-        them (one independent link per member).
+        """Send ``payload`` from ``src`` toward ``dest``: a process id
+        (an ``int``), or any iterable of them — a :class:`~repro.net.
+        message.Group`, a list, a range, a generator — one independent
+        link per member.
 
         What no stage holds back is handed to the fabric right here and
         ``None`` is returned: every send of a pass-through pipeline, and
         each control message on the fast lane.  Otherwise the result is
         the coroutine that stages the message (:meth:`send` or
         :meth:`multicast`), which the caller must await: it may block on
-        the link's budget.
+        the link's budget.  A crashed ``src`` sends nothing (its tasks
+        are cancelled with it, but a timer action may race the crash).
         """
-        control = is_control(payload)
-        group = isinstance(dest, (Group, list, tuple, set, frozenset))
-        if not control and not self._passthrough:
-            return (self.multicast(src, dest, payload) if group
-                    else self.send(src, dest, payload))
+        if not self._nodes[src].up:
+            return None
+        one = dest.__class__ is int or isinstance(dest, int)
+        control = getattr(payload, "wire_control", False)
+        if not self._passthrough and not control:
+            return (self.send(src, dest, payload) if one
+                    else self.multicast(src, dest, payload))
         send = self._fast_send if control else self.fabric.send
-        if group:
+        if one:
+            send(src, dest, payload)
+        else:
             for member in dest:
                 send(src, member, payload)
-        else:
-            send(src, dest, payload)
         return None
 
     def _fast_send(self, src: ProcessId, dst: ProcessId,

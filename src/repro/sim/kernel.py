@@ -36,14 +36,18 @@ Design notes
   built on this.
 * ``daemon`` tasks (heartbeat senders, retransmitters) do not keep the
   kernel alive and are cancelled silently when the main task finishes.
+* A message arrival is started in place (:meth:`Kernel.start`): its
+  first step is sent from there, so one that finishes costs one step
+  and no task, no ready-queue entry and no pass through
+  :meth:`Kernel._step`; only one that parks becomes a task.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import types
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Coroutine, Iterable, Optional
 
 from repro.errors import KernelError, NoCurrentTask, TaskCancelled
@@ -329,9 +333,13 @@ class Kernel:
         That is the case inside a timer action (the kernel is running,
         nothing else is) while the ready queue is empty: the loop drains
         the ready queue right after the action returns, so a coroutine
-        spawned there runs first.  It runs *inline*, with no task, until
-        it asks for its identity, yields a trap or fails (a profile hook
-        gets a task at once); schedule and step count are as if spawned.
+        spawned there runs first.  Its first step is sent from here, with
+        no task and no pass through :meth:`_step`; a coroutine that
+        finishes in it costs one step and nothing else.  One that asks
+        for its identity is made a task on the spot; one that yields a
+        trap becomes a task then, and its step continues in
+        :meth:`_step` from that trap.  Under a profile hook it is a task
+        from the start.  Schedule and step count are as if spawned.
         Returns the task if it is live after that step, else ``None``; a
         task is named ``f"{name}-{serial}"`` if ``serial`` is given.
         Anywhere else (setup, in a task, behind queued work): :meth:`spawn`.
@@ -344,15 +352,44 @@ class Kernel:
         if self._current is not None or not self._running or self._ready:
             return self.spawn(coro, daemon=daemon, name=name if serial is None
                               else f"{name}-{serial}")
-        self._current = _INLINE
-        self._inline = (coro, name, daemon, serial)
-        task = self._step(self._promote() if self.profile_hook else _INLINE,
-                          None)
-        self._inline = None
-        if task is _INLINE or task.state >= _DONE:
+        if self.profile_hook is not None:
+            task = Task(coro, name if serial is None else f"{name}-{serial}",
+                        daemon, self)
+            self.tasks_spawned += 1
+            self._step(task, None)
+        else:
+            self._current = _INLINE
+            self._inline = (coro, name, daemon, serial)
+            self.steps_executed += 1
+            try:
+                trap = coro.send(None)
+            except StopIteration as stop:
+                task = self._current
+                self._current = self._inline = None
+                if task is not _INLINE:     # it asked for its task
+                    self._finish(task, stop.value)
+                return None
+            except BaseException as exc:  # noqa: BLE001 - task crash
+                self._crash_inline(exc)
+                return None
+            task = self._promote()
+            self._inline = None
+            self._step(task, None, trap)
+        if task.state >= _DONE:
             return None
         self._tasks[task.id] = task
         return task
+
+    def _crash_inline(self, exc: BaseException) -> None:
+        """:meth:`start`'s first step raised ``exc``: its task (made now,
+        if it has none) ends cancelled or failed, as in :meth:`_step`."""
+        task = self._promote()
+        self._current = self._inline = None
+        if isinstance(exc, TaskCancelled):
+            self._finish(task, cancelled=True)
+        else:
+            task.exception = exc
+            self._finish(task, failed=True)
 
     def call_later(self, delay: float, action: Callable[[], None]) -> Timer:
         """Run ``action()`` (a plain function) after ``delay`` seconds.
@@ -364,9 +401,10 @@ class Kernel:
             raise KernelError(f"negative delay: {delay}")
         seq = self._timer_seq
         self._timer_seq = seq + 1
-        timer = Timer(self._now + delay, seq, action)
+        when = self._now + delay
+        timer = Timer(when, seq, action)
         timer._kernel = self
-        heapq.heappush(self._timers, (timer.when, seq, timer))
+        heappush(self._timers, (when, seq, timer))
         self.timers_scheduled += 1
         return timer
 
@@ -476,7 +514,7 @@ class Kernel:
                 self._timers_dead * 2 >= len(self._timers):
             self._timers = [entry for entry in self._timers
                             if not entry[2].cancelled]
-            heapq.heapify(self._timers)
+            heapify(self._timers)
             self.timers_purged += self._timers_dead
             self._timers_dead = 0
 
@@ -502,27 +540,29 @@ class Kernel:
         try:
             while True:
                 # Batched drain: every task runnable at this instant.
+                # Only a step can finish ``main``.
                 while ready:
-                    if main is not None and main.state >= _DONE:
-                        return
                     task, value = popleft()
-                    if task.state >= _DONE:
-                        continue
-                    step(task, value)
-                if main is not None and main.state >= _DONE:
-                    return
-                # Ready queue drained: advance the clock to the next timer.
-                timer = self._pop_timer()
-                if timer is None:
-                    return
+                    if task.state < _DONE:
+                        step(task, value)
+                        if main is not None and main.state >= _DONE:
+                            return
+                # Ready queue drained: pop the next live timer.  (The
+                # heap is re-read each time: a purge replaces it.)
+                while True:
+                    timers = self._timers
+                    if not timers:
+                        return
+                    timer = heappop(timers)[2]
+                    if not timer.cancelled:
+                        break
+                    self._timers_dead -= 1
                 if deadline is not None and timer.when > deadline:
                     # Put it back; it fires on a later run_until call.
-                    heapq.heappush(self._timers,
-                                   (timer.when, timer.seq, timer))
+                    heappush(timers, (timer.when, timer.seq, timer))
                     self._now = deadline
                     return
-                if timer.when > self._now:
-                    self._now = timer.when
+                self._now = timer.when     # no timer is ever due before now
                 self.timers_fired += 1
                 sleeper = timer.task
                 if sleeper is not None:
@@ -539,15 +579,6 @@ class Kernel:
         finally:
             self._running = False
             _KERNEL = prev
-
-    def _pop_timer(self) -> Optional[Timer]:
-        timers = self._timers
-        while timers:
-            timer = heapq.heappop(timers)[2]
-            if not timer.cancelled:
-                return timer
-            self._timers_dead -= 1
-        return None
 
     def _reschedule(self, task: Task, value: Any = None,
                     unpark: Optional[Callable[[Task], None]] = None) -> None:
@@ -570,49 +601,46 @@ class Kernel:
             self.tasks_spawned += 1
         return task
 
-    def _step(self, task: Task, value: Any) -> Task:
-        """Run one task (``_INLINE``: :meth:`start`'s coroutine) until it
-        blocks, yields, or finishes; return it, or the task it made."""
+    def _step(self, task: Task, value: Any, trap: Any = None) -> Task:
+        """Run one task until it blocks, yields, or finishes; return it.
+
+        With ``trap``, the step is already under way: the task's
+        coroutine yielded ``trap`` in its first step, which :meth:`start`
+        took, so the step goes on from handling it (and is not counted
+        again)."""
         self._current = task
-        self.steps_executed += 1
-        if task is _INLINE:
-            coro, pending = self._inline[0], None
-        else:
-            task.state = _RUNNING
+        task.state = _RUNNING
+        if trap is None:
+            self.steps_executed += 1
             task._unpark = None
             if task.dispatch is not None:
                 self._dispatch, task.dispatch = task.dispatch, None
             if self.profile_hook is not None:
                 self.profile_hook(task)
-            coro = task.coro
-            pending = task._pending_exc
+        coro = task.coro
+        pending = task._pending_exc
         send = coro.send
         try:
             while True:
-                try:
-                    if pending is None:
-                        trap = send(value)
-                    else:
-                        task._pending_exc = None
-                        trap = coro.throw(pending)
-                        pending = None
-                except StopIteration as stop:
-                    task = self._current    # an inline run's, if it made one
-                    if task is not _INLINE:
+                if trap is None:
+                    try:
+                        if pending is None:
+                            trap = send(value)
+                        else:
+                            task._pending_exc = None
+                            trap = coro.throw(pending)
+                            pending = None
+                    except StopIteration as stop:
                         self._finish(task, stop.value)
-                    return task
-                except TaskCancelled:
-                    task = self._promote()
-                    self._finish(task, cancelled=True)
-                    return task
-                except BaseException as exc:  # noqa: BLE001 - task crash
-                    task = self._promote()
-                    task.exception = exc
-                    self._finish(task, failed=True)
-                    return task
+                        return task
+                    except TaskCancelled:
+                        self._finish(task, cancelled=True)
+                        return task
+                    except BaseException as exc:  # noqa: BLE001 - crash
+                        task.exception = exc
+                        self._finish(task, failed=True)
+                        return task
 
-                if task is _INLINE:
-                    task = self._promote()
                 # Immediate traps keep the task running without a yield;
                 # blocking traps park it and return to the loop.  Ordered
                 # by observed frequency: suspends (sync primitives) and
@@ -635,8 +663,7 @@ class Kernel:
                     timer = Timer(self._now + delay, seq, None)
                     timer.task = task
                     timer._kernel = self
-                    heapq.heappush(self._timers,
-                                   (timer.when, seq, timer))
+                    heappush(self._timers, (timer.when, seq, timer))
                     self.timers_scheduled += 1
                     task._sleep_timer = timer
                     return task
@@ -664,6 +691,7 @@ class Kernel:
                 else:
                     raise KernelError(f"unknown trap {trap!r} from "
                                       f"{task.name}")
+                trap = None
         finally:
             self._current = None
             if self._dispatch is not None:    # it parked inside a dispatch

@@ -12,9 +12,12 @@ by the service key stamped into it on transmission — the x-kernel's
 "relative protocol id" reduced to a service name.  Pushes from any of the
 uppers pass straight down through both stages.
 
-Both stages only route, so they answer ``resolve_up`` (the type demux
-caches it per exact payload class) and ``resolve_down``: no arrival or
-send passes through either as a coroutine of its own.
+Both stages only route, so they answer ``resolve_up`` and
+``resolve_down``: no arrival or send passes through either as a
+coroutine of its own.  The node below caches each resolved route, so
+every change of a route here (``attach``, ``detach``, a new
+``default_upper``) tells it (:meth:`~repro.xkernel.upi.Protocol.
+rewired`).
 """
 
 from __future__ import annotations
@@ -49,26 +52,20 @@ class TypeDemux(_Demux):
     def __init__(self, name: str = "demux"):
         super().__init__(name)
         self._routes: Dict[Type, Protocol] = {}
-        # Exact payload class -> its route (None: unclaimed), found by
-        # the first arrival of that class; attach() starts it afresh.
-        self._by_class: Dict[Type, Optional[Protocol]] = {}
 
     def attach(self, payload_type: Type, upper: Protocol) -> None:
         """Deliver payloads of ``payload_type`` (or subclasses) to
         ``upper``; also wires ``upper.lower`` to this demux for pushes."""
         self._routes[payload_type] = upper
-        self._by_class.clear()
         upper.lower = self
+        self.rewired()
 
     def resolve_up(self, payload: Any) -> Optional[Protocol]:
         cls = type(payload)
-        try:
-            upper = self._by_class[cls]
-        except KeyError:
-            upper = self._by_class[cls] = next(
-                (route for payload_type, route in self._routes.items()
-                 if issubclass(cls, payload_type)), None)
-        return None if upper is None else upper.resolve_up(payload)
+        for payload_type, upper in self._routes.items():
+            if issubclass(cls, payload_type):
+                return upper.resolve_up(payload)
+        return None
 
 
 class ServiceDemux(_Demux):
@@ -91,9 +88,18 @@ class ServiceDemux(_Demux):
     def __init__(self, name: str = "services"):
         super().__init__(name)
         self._routes: Dict[str, Protocol] = {}
-        #: Where unkeyed/unknown payloads go; defaults to the first
-        #: attached upper, assignable for explicit control.
-        self.default_upper: Optional[Protocol] = None
+        self._default: Optional[Protocol] = None
+
+    @property
+    def default_upper(self) -> Optional[Protocol]:
+        """Where unkeyed/unknown payloads go; defaults to the first
+        attached upper, assignable for explicit control."""
+        return self._default
+
+    @default_upper.setter
+    def default_upper(self, upper: Optional[Protocol]) -> None:
+        self._default = upper
+        self.rewired()
 
     def attach(self, service: str, upper: Protocol) -> None:
         """Deliver payloads stamped with ``service`` to ``upper``; also
@@ -103,13 +109,15 @@ class ServiceDemux(_Demux):
                 f"{self.name}: service {service!r} is already attached")
         self._routes[service] = upper
         upper.lower = self
-        if self.default_upper is None:
-            self.default_upper = upper
+        if self._default is None:
+            self._default = upper
+        self.rewired()
 
     def detach(self, service: str) -> None:
         upper = self._routes.pop(service, None)
-        if upper is self.default_upper:
-            self.default_upper = next(iter(self._routes.values()), None)
+        if upper is self._default:
+            self._default = next(iter(self._routes.values()), None)
+        self.rewired()
 
     def services(self) -> List[str]:
         return sorted(self._routes)
@@ -119,5 +127,5 @@ class ServiceDemux(_Demux):
 
     def resolve_up(self, payload: Any) -> Optional[Protocol]:
         upper = self._routes.get(getattr(payload, "service", ""),
-                                 self.default_upper)
+                                 self._default)
         return None if upper is None else upper.resolve_up(payload)

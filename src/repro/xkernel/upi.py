@@ -16,14 +16,17 @@ carried in the messages themselves.
 
 A layer that only routes (the demuxes) also answers :meth:`Protocol.
 resolve_up` / :meth:`Protocol.resolve_down`: which protocol a message
-really ends up at.  The transport walks that chain once, synchronously,
-and the arrival's task runs the target's ``pop`` itself; senders push
-to the resolved bottom the same way — no coroutine per routing layer.
+really ends up at.  Both are resolved when the stack is wired, not per
+message: a node walks the chain once per route and caches the answer
+until something re-wires the stack (:meth:`Protocol.rewired`), and the
+arrival's task runs the target's ``pop`` itself; a sender resolves the
+bottom once and hands it each message through the plain-call
+:meth:`Protocol.submit` — no coroutine per routing layer either way.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Awaitable, List, Optional
 
 from repro.errors import ReproError
 
@@ -56,10 +59,28 @@ class Protocol:
             raise ReproError(f"{self.name}: pop with no upper protocol")
         return await self.upper.pop(*args, **kwargs)
 
+    def submit(self, *args: Any, **kwargs: Any) -> Optional[Awaitable]:
+        """Push without a coroutine of this layer's own: return what the
+        caller must await, or ``None`` when the message is already on
+        its way.  Default: the :meth:`push` coroutine itself."""
+        return self.push(*args, **kwargs)
+
     def resolve_up(self, payload: Any) -> Optional["Protocol"]:
         """The protocol whose ``pop`` handles ``payload`` arriving here
-        (``None``: dropped unclaimed).  Default: this one."""
+        (``None``: dropped unclaimed).  Default: this one.
+
+        The answer may depend on the payload's class and its ``service``
+        key only: the node caches it per that pair (see :meth:`rewired`).
+        """
         return self
+
+    def rewired(self) -> None:
+        """The routes through this protocol changed (an upper attached
+        or detached, the stack re-composed): pass it down to the bottom
+        of the stack, whose node caches every arrival's resolved route.
+        Default: tell the layer below, if any."""
+        if self.lower is not None:
+            self.lower.rewired()
 
     def resolve_down(self) -> "Protocol":
         """The protocol whose ``push`` handles a message pushed here.
@@ -79,4 +100,5 @@ def compose_stack(*protocols: Protocol) -> List[Protocol]:
     for above, below in zip(protocols, protocols[1:]):
         above.lower = below
         below.upper = above
+    protocols[-1].rewired()
     return list(protocols)

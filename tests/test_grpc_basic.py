@@ -329,8 +329,10 @@ def test_arrivals_dispatch_the_chain_of_their_message_kind():
 
 def test_the_composite_claims_only_wire_messages_and_pops_its_dispatch():
     """``GroupRPC.resolve_up`` routes only ``NetMsg`` to the composite;
-    untraced, ``pop`` returns the bus's dispatch itself, and the
-    micro-protocols trigger and cancel through the bus's own methods."""
+    untraced, ``pop`` returns the dispatch of the bus's compiled chain
+    for the message's kind itself, and the micro-protocols trigger and
+    cancel through the bus's own methods."""
+    from repro.core.grpc import MSG_FROM_NETWORK
     from repro.core.messages import NetMsg, NetOp
 
     cluster = ServiceCluster(ServiceSpec(), KVStore, n_servers=1)
@@ -339,7 +341,10 @@ def test_the_composite_claims_only_wire_messages_and_pops_its_dispatch():
     assert server.resolve_up(msg) is server
     assert server.resolve_up("not a NetMsg") is None
     dispatch = server.pop(msg, 2)
-    assert dispatch.cr_code is type(server.bus).trigger.__code__
+    run = server.bus.chains(MSG_FROM_NETWORK)[NetOp.ACK]
+    assert dispatch.cr_code is run.__code__
+    assert server.bus.chain(MSG_FROM_NETWORK, NetOp.ACK).__code__ \
+        is run.__code__
     dispatch.close()
     for micro in server.micro_protocols:
         assert micro.trigger == server.bus.trigger

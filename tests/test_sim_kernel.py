@@ -543,8 +543,9 @@ def test_a_profile_hook_sees_every_step_with_its_task():
 
 
 def test_a_parked_arrival_is_in_its_nodes_scope_and_dies_with_it():
-    from repro.net import Envelope, NetworkFabric, Node
+    from repro.net import Envelope, NetworkFabric, Node, UnreliableTransport
     from repro.runtime import SimRuntime
+    from repro.xkernel import Protocol, compose_stack
 
     rt = SimRuntime()
     node = Node(1, rt, NetworkFabric(rt))
@@ -560,11 +561,11 @@ def test_a_parked_arrival_is_in_its_nodes_scope_and_dies_with_it():
                 log.append("cancelled")
                 raise
 
-    class Transport:
-        def arrival(self, envelope):
-            return handle(envelope.payload)
+    class Top(Protocol):
+        def pop(self, payload, sender):
+            return handle(payload)
 
-    node.transport = Transport()
+    compose_stack(Top("top"), UnreliableTransport(node))
     for when, payload in ((0.5, "quick"), (1.0, "parks")):
         rt.call_later(when, lambda payload=payload: node.deliver(
             Envelope(2, 1, payload, 0.0)))

@@ -71,11 +71,13 @@ def test_wire_batch_surface():
 
 
 def test_heartbeat_is_a_control_payload():
-    from repro.net.wire import is_control
-
-    assert is_control(Heartbeat(1, 1))
-    assert not is_control("bulk")
-    assert not is_control(WireBatch(["x"]))
+    rt = SimRuntime()
+    fabric, _, _ = build_pair(rt)
+    for payload in (Heartbeat(1, 1), "bulk", WireBatch(["x"])):
+        assert fabric.pipeline.submit(1, 2, payload) is None
+    # Only the beat took the fast lane.
+    assert fabric.trace.metrics.value("net.fastlane.sends") == 1
+    assert fabric.trace.metrics.value("net.send") == 3
     # The marker is a class attribute, not a field: it never travels.
     assert "wire_control" not in Heartbeat.__dataclass_fields__
 
@@ -108,9 +110,9 @@ def test_submit_hands_unstaged_sends_to_the_fabric_at_once():
 
 
 def test_an_arrival_runs_its_target_pop_or_fans_a_batch_out():
-    """``UnreliableTransport.arrival``: a single payload's task is the
-    resolved target's ``pop`` itself, an unclaimed payload gets no task,
-    and a batch gets the unbatching coroutine."""
+    """``Node.deliver``: a single payload's arrival is the resolved
+    target's ``pop`` itself, an unclaimed payload gets no task, and a
+    batch is fanned out by the transport."""
     from repro.net.message import Envelope
 
     rt = SimRuntime()
@@ -120,16 +122,16 @@ def test_an_arrival_runs_its_target_pop_or_fans_a_batch_out():
     compose_stack(demux, UnreliableTransport(node))
     demux.attach(str, tops[1])
     node.start()
-    transport = node.transport
-    claimed = transport.arrival(Envelope(1, 9, "hello", 0.0))
-    assert claimed.cr_code is Collector.pop.__code__
-    assert transport.arrival(Envelope(1, 9, 42, 0.0)) is None
-    batch = transport.arrival(Envelope(1, 9, WireBatch(["a", 7]), 0.0))
-    assert batch.cr_code is UnreliableTransport.handle_arrival.__code__
-    rt.run(claimed)
-    rt.run(batch, shutdown=False)
+    assert node.route("hello") is tops[1]
+    assert node.route(42) is None
+    assert node.routes == {(str, ""): tops[1], (int, ""): None}
+    for payload in ("hello", 42, WireBatch(["a", 7])):
+        rt.call_later(0.0, lambda payload=payload: node.deliver(
+            Envelope(1, 9, payload, 0.0)))
     rt.run_until_idle()
     assert tops[1].received == [(1, "hello"), (1, "a")]
+    # One task in all: the fan-out spawns one per claimed member.
+    assert rt.stats()["tasks_spawned"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -241,3 +241,27 @@ def test_resolve_walks_through_both_demuxes():
                              ((3, "via-the-demuxes"), {})]
     lonely = TypeDemux()
     assert lonely.resolve_down() is lonely     # whose push then raises
+
+
+def test_a_bottom_without_a_plain_submit_gets_its_push_awaited():
+    """``Protocol.submit`` defaults to the ``push`` coroutine, so a
+    composite resolves any bottom protocol once and awaits what its
+    ``submit`` hands back."""
+    from repro.core.grpc import GroupRPC
+    from repro.core.messages import NetMsg, NetOp
+    from repro.net import NetworkFabric, Node
+
+    rt = SimRuntime()
+    node = Node(1, rt, NetworkFabric(rt))
+    node.start()
+    grpc = GroupRPC(node)
+    bottom = Recorder("bottom")
+    compose_stack(grpc, bottom)
+    msgs = [NetMsg(type=NetOp.ACK, sender=1, id=i) for i in range(2)]
+
+    async def main():
+        for msg in msgs:
+            await grpc.net_push(2, msg)
+
+    rt.run(main())
+    assert bottom.pushed == [((2, msg), {}) for msg in msgs]

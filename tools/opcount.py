@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Per-call operation counts of the perf workloads: a meter host noise
+cannot move.
+
+Each workload from ``benchmarks/perf/workloads.py`` is built and warmed
+up exactly as ``benchmarks/perf/run.py`` does it, untraced.  Over the
+timed region only, three counts are then taken and divided by the calls
+the region completed:
+
+* **bytecodes** executed (``sys.settrace`` ``opcode`` events);
+* **Python calls** (``sys.setprofile`` ``call`` events: a function
+  entry or a coroutine resumption);
+* **C calls** (``sys.setprofile`` ``c_call`` events).
+
+The collector is disabled inside the region, so its sweeps (and the
+finalizers they run) do not land in it.  The counts depend only on the
+code, the Python version, the seed and ``--ops``; run under
+``PYTHONHASHSEED=0`` to compare two processes (string hashing orders
+sets), which this script arranges for itself.  It imports the
+workloads read-only and changes nothing under ``benchmarks/perf``.
+
+    python tools/opcount.py                      # all six, 400 ops each
+    python tools/opcount.py --ops 100            # the CI size
+    python tools/opcount.py --workload replicated_mixed --top 15
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import os
+import sys
+from collections import Counter
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PERF = ROOT / "benchmarks" / "perf"
+for path in (ROOT / "src", PERF):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+import harness  # noqa: E402  (benchmarks/perf, on the path above)
+import workloads  # noqa: E402
+
+SEED = 17
+
+
+class Meter:
+    """The three counts over one region, and bytecodes and Python calls
+    per code object."""
+
+    def __init__(self) -> None:
+        self.by_code: Counter = Counter()
+        self.calls_by_code: Counter = Counter()
+        self.c_calls = 0
+
+    def _local(self, frame: Any, event: str, arg: Any) -> Any:
+        if event == "opcode":
+            self.by_code[frame.f_code] += 1
+        return self._local
+
+    def _global(self, frame: Any, event: str, arg: Any) -> Any:
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return self._local
+
+    def _profile(self, frame: Any, event: str, arg: Any) -> None:
+        if event == "call":
+            self.calls_by_code[frame.f_code] += 1
+        elif event == "c_call":
+            self.c_calls += 1
+
+    def run(self, fn: Any, *args: Any) -> None:
+        """Call ``fn(*args)`` with the hooks installed, then restore the
+        hooks (and the collector) that were there before."""
+        trace, profile = sys.gettrace(), sys.getprofile()
+        collecting = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        sys.setprofile(self._profile)
+        sys.settrace(self._global)
+        try:
+            fn(*args)
+        finally:
+            sys.settrace(trace)
+            sys.setprofile(profile)
+            if collecting:
+                gc.enable()
+
+    @property
+    def bytecodes(self) -> int:
+        return sum(self.by_code.values())
+
+    @property
+    def py_calls(self) -> int:
+        return sum(self.calls_by_code.values())
+
+
+def count(name: str, n_ops: int, seed: int = SEED) -> Tuple[Dict[str, float],
+                                                             Meter]:
+    """Per-call ``bytecodes``/``py_calls``/``c_calls`` of one workload's
+    timed region of ``n_ops`` calls, and the meter that took them."""
+    workload = workloads.BY_NAME[name]
+    ctx = harness.Ctx(seed)
+    state = workload.build(ctx)
+    run = harness.Run(state.dep.runtime.now)
+    warm_ops = workload.whole_ops(min(workload.warmup_ops, n_ops / 4))
+    harness._execute(workload, ctx, state,
+                     workload.plan(ctx, state, warm_ops, "warmup"), run)
+    plan = workload.plan(ctx, state, n_ops, "timed")
+    meter = Meter()
+    meter.run(harness._execute, workload, ctx, state, plan, run)
+    calls = run.completed
+    state.dep.shutdown()
+    if not calls:
+        raise RuntimeError(f"{name}: no call completed")
+    return {"bytecodes": meter.bytecodes / calls,
+            "py_calls": meter.py_calls / calls,
+            "c_calls": meter.c_calls / calls,
+            "calls": calls}, meter
+
+
+def top(meter: Meter, n: int, calls: int) -> List[str]:
+    """The ``n`` functions that executed the most bytecodes, with their
+    bytecodes and Python calls per call."""
+    lines = []
+    for code, ops in meter.by_code.most_common(n):
+        where = os.path.relpath(code.co_filename, ROOT)
+        name = getattr(code, "co_qualname", code.co_name)
+        lines.append(f"{ops / calls:>33.1f}"
+                     f"{meter.calls_by_code[code] / calls:>10.1f}"
+                     f"  {name} ({where}:{code.co_firstlineno})")
+    return lines
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", action="append",
+                        choices=sorted(workloads.BY_NAME),
+                        help="repeatable; default: all six")
+    parser.add_argument("--ops", type=int, default=400,
+                        help="calls in the timed region (default 400)")
+    parser.add_argument("--seed", type=int, default=SEED)
+    parser.add_argument("--top", type=int, default=0, metavar="N",
+                        help="list the N functions with most bytecodes")
+    args = parser.parse_args(argv)
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.environ["PYTHONHASHSEED"] = "0"
+        os.execv(sys.executable, [sys.executable, __file__,
+                                  *sys.argv[1:]])
+    names = args.workload or [w.name for w in workloads.WORKLOADS]
+    print(f"{'workload':<22}{'bytecodes':>11}{'py calls':>10}"
+          f"{'C calls':>10}   per call, {args.ops} ops, seed {args.seed}")
+    for name in names:
+        per_call, meter = count(name, args.ops, args.seed)
+        print(f"{name:<22}{per_call['bytecodes']:>11.0f}"
+              f"{per_call['py_calls']:>10.1f}{per_call['c_calls']:>10.1f}")
+        if args.top:
+            print("\n".join(top(meter, args.top, per_call["calls"])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
