@@ -30,7 +30,7 @@ from repro.core.properties import CATEGORIES, figure1_rows, figure2_edges
 from repro.net import NetworkFabric, Node, UnreliableTransport
 from repro.runtime import SimRuntime
 from repro.sim import RandomSource
-from repro.xkernel import TypeDemux, compose_stack
+from repro.xkernel import compose_stack
 
 LOSSY = LinkSpec(delay=0.01, jitter=0.02, loss=0.2)
 
@@ -50,9 +50,8 @@ def build_manual_cluster(with_reliable: bool, seed: int = 0):
             micros.append(UniqueExecution())
         micros += [FIFOOrder(), Collation(last_reply, None), Acceptance(2)]
         grpc.add(*micros)
-        demux = TypeDemux(f"demux@{pid}")
-        compose_stack(demux, UnreliableTransport(node))
-        demux.attach(NetMsg, grpc)
+        UnreliableTransport(node)
+        node.attach(NetMsg, grpc)
         if pid != 101:
             app = KVStore()
             compose_stack(ServerDispatcher(node, app), grpc)

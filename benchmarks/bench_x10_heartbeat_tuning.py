@@ -20,7 +20,6 @@ from repro.membership.detector import Heartbeat
 from repro.net import NetworkFabric, Node, UnreliableTransport
 from repro.runtime import SimRuntime
 from repro.sim import RandomSource
-from repro.xkernel import TypeDemux, compose_stack
 
 SPIKY = LinkSpec(delay=0.01, jitter=0.005, spike_prob=0.05,
                  spike_delay=0.3)
@@ -37,11 +36,10 @@ def run_point(suspect_after, seed=0):
     detectors = {}
     for pid in (1, 2):
         node = Node(pid, rt, fabric)
-        demux = TypeDemux(f"demux@{pid}")
-        compose_stack(demux, UnreliableTransport(node))
+        UnreliableTransport(node)
         detector = HeartbeatDetector(node, [1, 2], interval=INTERVAL,
                                      suspect_after=suspect_after)
-        demux.attach(Heartbeat, detector)
+        node.attach(Heartbeat, detector)
         node.start()
         detector.start()
         detectors[pid] = detector

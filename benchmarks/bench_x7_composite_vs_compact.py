@@ -24,7 +24,7 @@ from repro.core.p2p import P2PMsg, PointToPointRPC
 from repro.net import NetworkFabric, Node, UnreliableTransport
 from repro.runtime import SimRuntime
 from repro.sim import RandomSource
-from repro.xkernel import TypeDemux, compose_stack
+from repro.xkernel import compose_stack
 
 LINK = LinkSpec(delay=0.01, jitter=0.0)
 CALLS = 300
@@ -59,9 +59,8 @@ def run_compact():
     for pid in (1, 101):
         node = Node(pid, rt, fabric)
         p2p = PointToPointRPC(node, retrans_timeout=0.05)
-        demux = TypeDemux(f"demux@{pid}")
-        compose_stack(demux, UnreliableTransport(node))
-        demux.attach(P2PMsg, p2p)
+        UnreliableTransport(node)
+        node.attach(P2PMsg, p2p)
         if pid == 1:
             compose_stack(ServerDispatcher(node, KVStore()), p2p)
         node.start()

@@ -9,9 +9,10 @@ observability layer, the membership substrate — while each call to
 :class:`~repro.net.message.Group` of its servers, its reply cache, and
 one gRPC composite per participating node (servers additionally carry
 the application dispatcher).  A node may participate in any number of
-services, each with a *different* micro-protocol stack; arrivals are
-demultiplexed to the right composite by the service key every
-transmission carries (:class:`~repro.xkernel.demux.ServiceDemux`).
+services, each with a *different* micro-protocol stack; each composite
+claims its service's key in the node's arrival table
+(:meth:`~repro.net.node.Node.attach`), and every transmission carries
+that key.
 
 Layout conventions are inherited from the single-service days: server
 process ids live below :data:`CLIENT_BASE_PID` (so the Total Order
@@ -70,7 +71,7 @@ from repro.net import (
 )
 from repro.runtime import SimRuntime
 from repro.sim import RandomSource
-from repro.xkernel import ServiceDemux, TypeDemux, compose_stack
+from repro.xkernel import compose_stack
 
 __all__ = ["Deployment", "Service", "ServiceCluster", "CLIENT_BASE_PID"]
 
@@ -265,9 +266,6 @@ class Deployment:
         #: name here on every call, so rebinds take effect atomically.
         self.services: Dict[str, Service] = {}
         self.nodes: Dict[int, Node] = {}
-        self.demuxes: Dict[int, TypeDemux] = {}
-        #: Per-node service router (NetMsg service key -> composite).
-        self.routers: Dict[int, ServiceDemux] = {}
 
         if membership not in (None, "oracle", "heartbeat"):
             raise ReproError(f"unknown membership mode {membership!r}")
@@ -403,22 +401,14 @@ class Deployment:
         return pids
 
     def _ensure_node(self, pid: int) -> Node:
-        """The node for ``pid``, building its shared substrate once:
-        transport at the bottom, type demux above it, service router for
-        the gRPC traffic."""
+        """The node for ``pid``, with its transport, built once."""
         node = self.nodes.get(pid)
         if node is not None:
             return node
         node = Node(pid, self.runtime, self.fabric)
-        demux = TypeDemux(f"demux@{pid}")
-        router = ServiceDemux(f"services@{pid}")
-        transport = UnreliableTransport(node)
-        compose_stack(demux, transport)
-        demux.attach(NetMsg, router)
+        UnreliableTransport(node)
         node.start()
         self.nodes[pid] = node
-        self.demuxes[pid] = demux
-        self.routers[pid] = router
         return node
 
     def _build_composite(self, svc: Service, pid: int,
@@ -427,15 +417,14 @@ class Deployment:
         grpc = GroupRPC(node, name=f"gRPC:{svc.name}@{pid}",
                         service=svc.name)
         grpc.add(*svc.spec.build())
-        self.routers[pid].attach(svc.name, grpc)
+        node.attach(NetMsg, grpc, svc.name)
         if app is not None:
             dispatcher = ServerDispatcher(
                 node, app, service=svc.name, metrics=self.metrics,
                 # keep_trace=False marks a long/perf run: don't retain
                 # per-request history anywhere, the execution log included.
                 keep_log=self.fabric.trace.keep_events)
-            compose_stack(dispatcher, grpc)  # only links this pair;
-            # grpc.lower stays routed through the service demux.
+            compose_stack(dispatcher, grpc)
             svc.dispatchers[pid] = dispatcher
             svc.apps[pid] = app
         svc.grpcs[pid] = grpc
@@ -455,7 +444,7 @@ class Deployment:
             for detector in self._membership.detectors.values():
                 detector.add_peers(everyone)
             for pid, grpc in svc.grpcs.items():
-                self._membership.attach(grpc, self.demuxes[pid], everyone)
+                self._membership.attach(grpc, everyone)
             self._membership.start_all()
 
     # ------------------------------------------------------------------

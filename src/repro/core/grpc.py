@@ -100,8 +100,8 @@ class GroupRPC(CompositeProtocol):
         self.node = node
         self.my_id: ProcessId = node.pid
         #: Name of the deployment service this composite implements.
-        #: Stamped into every transmitted wire message (the demux key for
-        #: nodes hosting several composites) and onto every span this
+        #: Stamped into every transmitted wire message (the arrival-table
+        #: key for nodes hosting several composites) and onto every span this
         #: composite emits; ``""`` for standalone composites.
         self.service = service
 
@@ -235,11 +235,6 @@ class GroupRPC(CompositeProtocol):
     # UPI plumbing
     # ------------------------------------------------------------------
 
-    def resolve_up(self, payload: Any) -> Optional["GroupRPC"]:
-        """Only gRPC wire messages are this composite's: anything else
-        routed here is dropped unclaimed."""
-        return self if isinstance(payload, NetMsg) else None
-
     def pop(self, payload: NetMsg, sender: ProcessId) -> Awaitable[bool]:
         """A message arrived from the transport below.
 
@@ -290,20 +285,18 @@ class GroupRPC(CompositeProtocol):
         This is the paper's ``Net.push``; ``dest`` may be a process id, a
         :class:`~repro.net.message.Group`, or any other iterable of
         process ids.  Every transmission is stamped with this
-        composite's service name so the receiving node's service demux
-        can deliver it to the composite configured for the same service.
-        The protocol that really sends (``lower.resolve_down()``) and
-        its plain-call :meth:`~repro.xkernel.upi.Protocol.submit` are
-        resolved once per ``lower``, not once per message: the stack
-        below must be wired before this composite first pushes.  Through
-        a pass-through wire pipeline the message is on the fabric when
+        composite's service name so the receiving node's arrival table
+        can deliver it to the composite that claimed the same service.
+        ``lower`` is the transport; its plain-call ``submit`` is bound
+        once per ``lower``, not looked up per message.  Through a
+        pass-through wire pipeline the message is on the fabric when
         ``submit`` returns, with no coroutine below this one.
         """
         lower = self.lower
         if lower is None:
             raise ConfigurationError(f"{self.name} has no transport below")
         if lower is not self._wired_lower:
-            self._submit = lower.resolve_down().submit
+            self._submit = lower.submit
             self._wired_lower = lower
         if self.service:
             msg.service = self.service

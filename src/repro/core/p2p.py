@@ -30,7 +30,8 @@ __all__ = ["P2PMsg", "PointToPointRPC"]
 
 @dataclass
 class P2PMsg:
-    """Wire message of the compact protocol (own type, own demux route)."""
+    """Wire message of the compact protocol (own type, own claim on the
+    node's arrival table)."""
 
     kind: str                  # "call" | "reply" | "ack"
     id: int = 0
@@ -137,7 +138,7 @@ class PointToPointRPC(Protocol):
     async def _send(self, dest: ProcessId, msg: P2PMsg) -> None:
         if self.lower is None:
             raise ConfigurationError(f"{self.name} has no transport")
-        await self.lower.resolve_down().push(dest, msg)
+        await self.lower.push(dest, msg)
 
     async def pop(self, msg: P2PMsg, sender: ProcessId) -> None:
         if msg.kind == "call":

@@ -47,8 +47,8 @@ class Heartbeat:
 class HeartbeatDetector(Protocol):
     """Per-node heartbeat sender + peer liveness monitor.
 
-    Routes its :class:`Heartbeat` payloads through the node's
-    :class:`~repro.xkernel.demux.TypeDemux`.  ``listeners`` receive
+    Claims the :class:`Heartbeat` payloads arriving at its node
+    (:meth:`~repro.net.node.Node.attach`).  ``listeners`` receive
     ``(pid, MemChange)`` callbacks; the service layer forwards these into
     the local gRPC composite's ``MEMBERSHIP_CHANGE`` event.
     """
@@ -119,7 +119,7 @@ class HeartbeatDetector(Protocol):
             self._seq += 1
             beat = Heartbeat(self.node.pid, self._seq)
             if self.lower is not None:
-                await self.lower.resolve_down().push(self.peers, beat)
+                await self.lower.push(self.peers, beat)
             await self.node.runtime.sleep(self.interval)
 
     async def _monitor_loop(self) -> None:

@@ -21,7 +21,6 @@ from repro.core.messages import MemChange
 from repro.membership.detector import Heartbeat, HeartbeatDetector
 from repro.net.fabric import NetworkFabric
 from repro.net.message import ProcessId
-from repro.xkernel.demux import TypeDemux
 
 __all__ = ["OracleMembership", "HeartbeatMembership"]
 
@@ -83,9 +82,9 @@ class HeartbeatMembership:
         #: Nodes whose detector already feeds :meth:`_record_change`.
         self._recorded: Set[ProcessId] = set()
 
-    def attach(self, grpc: GroupRPC, demux: TypeDemux,
+    def attach(self, grpc: GroupRPC,
                peers: Iterable[ProcessId]) -> HeartbeatDetector:
-        """Install a detector on ``grpc``'s node, routed through ``demux``.
+        """Install a detector on ``grpc``'s node, claiming its heartbeats.
 
         If the node already carries a detector (another composite on the
         same node attached first), it is reused: ``grpc`` just subscribes
@@ -99,7 +98,7 @@ class HeartbeatMembership:
             detector = HeartbeatDetector(node, peers,
                                          interval=self.interval,
                                          suspect_after=self.suspect_after)
-            demux.attach(Heartbeat, detector)
+            node.attach(Heartbeat, detector)
             self.detectors[node.pid] = detector
             if self._watchers:
                 self._ensure_recording()

@@ -15,13 +15,12 @@ calls into generations (Interference Avoidance, Terminate Orphan).  A
 Every arrival runs up the stack in its own thread of control, started
 inside the fabric's delivery (:meth:`Node.deliver`), so one blocked
 handler chain never stalls the next message — the paper's execution
-model.  For a single payload it is the ``pop`` of the protocol the
-payload's route resolves to, found in the node's route cache by
-``(payload class, service key)``: the demux walk is paid once per route
-and again only after the stack is re-wired.  (A coalesced batch is
-fanned out by the transport's own task.)  The arrival is started in
-place (:meth:`~repro.sim.kernel.Kernel.start`) and is a task, in the
-node's scope, only once it parks; one that completes first never
+model.  For a single payload it is the ``pop`` of the protocol that
+claimed it, found in the node's arrival table by ``(payload class,
+service key)`` (:meth:`Node.attach`).  (A coalesced batch is fanned out
+by the transport's own task, through the same table.)  The arrival is
+started in place (:meth:`~repro.sim.kernel.Kernel.start`) and is a task,
+in the node's scope, only once it parks; one that completes first never
 touches the ready queue, the live-task table or the scope.
 
 The incarnation counter survives crashes.  On real hardware it would be
@@ -34,7 +33,7 @@ from __future__ import annotations
 import typing
 from typing import Any, Callable, Coroutine, Dict, List, Optional, Tuple
 
-from repro.errors import NodeDown
+from repro.errors import ConfigurationError, NodeDown
 from repro.net.message import Envelope, ProcessId
 from repro.net.wire import WireBatch
 from repro.runtime.sim_runtime import CancelScope, SimRuntime
@@ -68,13 +67,16 @@ class Node:
         self.crash_listeners: List[Callable[[], None]] = []
         #: Called with the new incarnation number once the node restarts.
         self.recover_listeners: List[Callable[[int], None]] = []
-        #: The bottom protocol of this node's stack; set by the transport.
+        #: The bottom protocol of this node's stack, and the ``lower`` of
+        #: every protocol that claims arrivals; set by the transport.
         self.transport: Any = None
-        #: Route cache: ``(payload class, service key)`` -> the protocol
-        #: whose ``pop`` takes such an arrival (``None``: unclaimed).
-        #: Emptied by every re-wiring of the stack above the transport
-        #: (:meth:`~repro.xkernel.upi.Protocol.rewired`).
+        #: Arrival table: ``(payload class, service key)`` -> the protocol
+        #: whose ``pop`` takes such an arrival.  Holds every claim
+        #: (:meth:`attach`) and each class that arrived under a claim for
+        #: one of its bases.
         self.routes: Dict[Tuple[type, Any], Any] = {}
+        #: The claims alone, in attach order.
+        self._claims: Dict[Tuple[type, Any], Any] = {}
         fabric.add_node(self)
 
     # ------------------------------------------------------------------
@@ -126,27 +128,47 @@ class Node:
         return self.scope.spawn(
             coro, name=name or f"{self.name}-task", daemon=daemon)
 
+    def attach(self, payload_type: type, protocol: Any,
+               service: str = "") -> None:
+        """Claim the arrivals of ``payload_type`` stamped with ``service``
+        for ``protocol``'s ``pop``, and make this node's transport the
+        protocol's ``lower``.
+
+        A payload whose class nobody claimed goes to the first-attached
+        claim for one of its bases under the same service key, so a claim
+        for ``object`` takes every unkeyed payload.  A key reaches only
+        its own service's claims.  Claims are only ever added, so a class
+        resolved through a base keeps its route until its own class is
+        claimed.
+        """
+        key = (payload_type, service)
+        if key in self._claims:
+            raise ConfigurationError(
+                f"{self.name}: {payload_type.__name__} arrivals for "
+                f"service {service!r} are already claimed")
+        self._claims[key] = self.routes[key] = protocol
+        protocol.lower = self.transport
+
     def route(self, payload: Any) -> Optional[Any]:
         """The protocol whose ``pop`` handles ``payload`` arriving here
-        (``None``: unclaimed, dropped), resolved through the stack above
-        the transport once per ``(payload class, service key)``."""
-        key = (payload.__class__, getattr(payload, "service", ""))
-        try:
-            return self.routes[key]
-        except KeyError:
-            pass
-        transport = self.transport
-        upper = None if transport is None else transport.upper
-        target = None if upper is None else upper.resolve_up(payload)
-        self.routes[key] = target
+        (``None``: unclaimed, dropped).  A class claimed through a base
+        is resolved once and entered in the table."""
+        cls = payload.__class__
+        service = getattr(payload, "service", "")
+        target = self.routes.get((cls, service))
+        if target is None:
+            for (claimed, key), protocol in self._claims.items():
+                if key == service and issubclass(cls, claimed):
+                    target = self.routes[cls, service] = protocol
+                    break
         return target
 
     def deliver(self, envelope: Envelope) -> None:
         """Called by the fabric to hand over an arrived envelope: it runs
         up the stack under its own thread of control, so a chain that
         blocks cannot stall later arrivals.  A single payload's thread
-        is its route's ``pop(payload, sender)`` (:meth:`route`, read
-        from the cache here); a :class:`~repro.net.wire.WireBatch`'s is
+        is its claimant's ``pop(payload, sender)`` (:meth:`route`, read
+        from the table here); a :class:`~repro.net.wire.WireBatch`'s is
         the transport's :meth:`~repro.net.transport.UnreliableTransport.
         handle_arrival`.  The delivery is the last act of the fabric's
         timer action, so the arrival is started in place; the scope
@@ -164,8 +186,8 @@ class Node:
                                      getattr(payload, "service", "")]
             except KeyError:
                 target = self.route(payload)
-            if target is None:
-                return
+                if target is None:
+                    return
             coro = target.pop(payload, envelope.src)
         task = self._kernel.start(coro, self._arrival_name, True,
                                   envelope.seq)

@@ -19,15 +19,13 @@ The pipeline decides whether a push has to wait (:meth:`~repro.net.wire.
 WirePipeline.submit`); through a pass-through pipeline it reaches the
 fabric with no coroutine of the pipeline's own.
 
-Inbound, the node resolves each arrived payload's route
-(:meth:`~repro.net.node.Node.deliver`) and runs the target's ``pop``
+Inbound, the node looks each arrived payload up in its arrival table
+(:meth:`~repro.net.node.Node.deliver`) and runs the claimant's ``pop``
 itself, with no transport coroutine in between; a
 :class:`~repro.net.wire.WireBatch` envelope is unbatched by
 :meth:`UnreliableTransport.handle_arrival` into one task per payload,
-so everything above this layer is batching-agnostic.  The node caches
-routes; the transport, as the bottom of the stack, is where a re-wiring
-above it (:meth:`~repro.xkernel.upi.Protocol.rewired`) empties that
-cache.
+routed through the same table, so everything above this layer is
+batching-agnostic.
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ class UnreliableTransport(Protocol):
         #: takes it over.  A crashed site sends nothing.
         self.submit = partial(self.fabric.pipeline.submit, node.pid)
         node.transport = self
-        self.rewired()
 
     async def push(self, dest: Destination, payload: object) -> None:
         """Send ``payload`` toward ``dest`` via the wire pipeline.
@@ -72,17 +69,13 @@ class UnreliableTransport(Protocol):
         if staged is not None:
             await staged
 
-    def rewired(self) -> None:
-        """The stack above changed: forget every cached route."""
-        self.node.routes.clear()
-
     async def handle_arrival(self, envelope: Envelope) -> None:
         """Unbatch a coalesced envelope (its own task).
 
         The batch fans out into one task per inner message, preserving
         arrival order at the same instant while keeping the per-message
         execution model: one blocked handler chain must not stall the
-        rest of the batch.  Payloads no route claims are dropped.
+        rest of the batch.  Payloads no protocol claims are dropped.
         """
         route = self.node.route
         for i, msg in enumerate(envelope.payload):

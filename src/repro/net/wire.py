@@ -23,8 +23,8 @@ The pipeline is composed of small, configurable stages::
     fabric.send  ← the single internal primitive the pipeline owns
       │  loss / duplication / partitions / scripted fault filters
       ▼
-    delivery → unbatch → node's route cache → composites
-                          (TypeDemux / ServiceDemux walked once per route)
+    delivery → unbatch → node's arrival table → composites
+                          (one claim per payload type and service key)
 
 * **Coalescing** — with ``batch=True``, messages sharing a ``(src,
   dst)`` link within one scheduling round travel in a single
@@ -58,9 +58,9 @@ The one entry point is :meth:`WirePipeline.submit`, a plain call: what
 no stage holds back (every pass-through send, every fast-lane beat)
 reaches the fabric inside it, and only a send that a buffer or a budget
 takes over comes back as a coroutine to await.  A composite reaches it
-through its transport's ``submit``, resolved once when the stack is
-wired, so a pass-through send runs no coroutine below the composite's
-own ``net_push``.
+through its transport's ``submit``, bound once per ``lower``, so a
+pass-through send runs no coroutine below the composite's own
+``net_push``.
 """
 
 from __future__ import annotations

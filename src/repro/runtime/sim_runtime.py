@@ -1,7 +1,7 @@
 """The runtime: the deterministic simulation kernel behind one facade.
 
 Protocol code obtains every primitive it blocks on from the runtime
-(``rt.semaphore()``, ``rt.queue()``, ``await rt.sleep(...)``) rather than
+(``rt.semaphore()``, ``rt.event()``, ``await rt.sleep(...)``) rather than
 from :mod:`repro.sim` directly, so a stack is built against one object
 that also carries the attached recorder and profiler.
 """
@@ -13,7 +13,7 @@ from typing import Any, Callable, Coroutine
 from repro.errors import NoCurrentTask
 from repro.sim import kernel as _kernel
 from repro.sim.kernel import Kernel, Task, Timer
-from repro.sim.sync import Event, Lock, Queue, Semaphore
+from repro.sim.sync import Event, Lock, Semaphore
 
 __all__ = ["SimRuntime", "CancelScope"]
 
@@ -57,13 +57,10 @@ class SimRuntime:
     def cancel(self, handle: Task) -> None:
         handle.cancel()
 
-    async def current_handle(self) -> Task:
-        """Handle for the calling task (the paper's ``my_thread()``)."""
-        return await _kernel.current_task()
-
     def current_handle_nowait(self) -> Task:
-        """Synchronous :meth:`current_handle`, valid only while a task runs
-        (``cancel_event`` is a plain operation); an inline run's is made."""
+        """Handle for the calling task (the paper's ``my_thread()``),
+        valid only while a task runs (``cancel_event`` is a plain
+        operation); an inline run's is made."""
         task = self.kernel._promote()
         if task is None:
             raise NoCurrentTask("no task is currently executing")
@@ -84,9 +81,6 @@ class SimRuntime:
         # Bound to the owning kernel so configuration actions (crash ->
         # promotion -> gate release) may set it between runs.
         return Event(kernel=self.kernel)
-
-    def queue(self) -> Queue:
-        return Queue()
 
     # -- drivers --------------------------------------------------------
 

@@ -1,6 +1,5 @@
 """x-kernel Uniform Protocol Interface shell for composite protocols."""
 
-from repro.xkernel.demux import ServiceDemux, TypeDemux
 from repro.xkernel.upi import Protocol, compose_stack
 
-__all__ = ["Protocol", "TypeDemux", "ServiceDemux", "compose_stack"]
+__all__ = ["Protocol", "compose_stack"]

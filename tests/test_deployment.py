@@ -1,7 +1,8 @@
 """The deployment plane: many named services on one simulated fabric.
 
 Covers the multi-service refactor: co-hosted composites with *different*
-ServiceSpecs on one node, service-key demux routing, name resolution
+ServiceSpecs on one node, service-key routing in the node's arrival
+table, name resolution
 to the service's group at call time, rebinding after
 reconfiguration, pid-collision validation, per-service metrics and span
 labels, and the shared per-node heartbeat detector.
@@ -21,6 +22,8 @@ from repro import (
 )
 from repro.apps import CounterApp, KVStore
 from repro.core.deployment import CLIENT_BASE_PID
+from repro.core.messages import NetMsg, NetOp
+from repro.membership.detector import Heartbeat
 from repro.errors import BindingError, ConfigurationError, ReproError
 
 
@@ -69,10 +72,46 @@ def test_two_services_share_a_node_with_different_specs():
 
 def test_service_key_routes_wire_messages():
     dep, orders, sessions = two_service_deployment()
-    router = dep.routers[2]
-    assert set(router.services()) == {"orders", "sessions"}
-    assert router.route("orders") is orders.grpc(2)
-    assert router.route("sessions") is sessions.grpc(2)
+    node = dep.nodes[2]
+    assert node.route(NetMsg(NetOp.ACK, service="orders")) is orders.grpc(2)
+    assert node.route(NetMsg(NetOp.ACK, service="sessions")) \
+        is sessions.grpc(2)
+
+
+def _stray_call():
+    return NetMsg(NetOp.CALL, id=999, op="put",
+                  args={"key": "stray", "value": 1},
+                  server=Group("sessions", [1]), sender=101, inc=1,
+                  client=101)
+
+
+def test_a_message_for_a_service_not_hosted_here_is_dropped():
+    """Node 1 hosts only ``orders``: a ``sessions`` call sent to it is
+    dropped there, not executed by ``orders``."""
+    dep, orders, sessions = two_service_deployment()
+
+    async def scenario():
+        await sessions.grpc(101).net_push(1, _stray_call())
+        await dep.runtime.sleep(1.0)
+
+    dep.run_scenario(scenario())
+    assert orders.app(1).data == {}
+    assert dep.fabric.trace.metrics.value("net.deliver") == 1   # no reply
+
+
+def test_an_unkeyed_message_reaches_no_keyed_service():
+    """Every composite of a deployment claims its own service key, so a
+    wire message stamped with none has no claimant on any node."""
+    dep, orders, sessions = two_service_deployment()
+
+    async def scenario():
+        await dep.nodes[101].transport.push([1, 2, 3], _stray_call())
+        await dep.runtime.sleep(1.0)
+
+    dep.run_scenario(scenario())
+    for svc in (orders, sessions):
+        assert all(app.data == {} for app in svc.apps.values())
+    assert dep.fabric.trace.metrics.value("net.deliver") == 3   # no reply
 
 
 def test_services_with_different_apps():
@@ -321,6 +360,23 @@ def test_heartbeat_detector_shared_across_cohosted_services():
     # Node 2 hosts two composites, both fed by the same detector.
     detector = dep._membership.detectors[2]
     assert len(detector.listeners) == 2
+
+
+def test_composites_and_detectors_push_straight_to_their_transport():
+    """Each node's table holds one claim per hosted service and one for
+    heartbeats, and every claimant's ``lower`` is the transport."""
+    dep, orders, sessions = two_service_deployment(
+        membership="heartbeat", heartbeat_interval=0.05, suspect_after=3)
+    node = dep.nodes[2]
+    assert set(node.routes) == {(NetMsg, "orders"), (NetMsg, "sessions"),
+                                (Heartbeat, "")}
+    assert dep._membership.detectors[2].lower is node.transport
+    for svc in (orders, sessions):
+        for pid, grpc in svc.grpcs.items():
+            assert grpc.lower is dep.nodes[pid].transport
+        for pid, dispatcher in svc.dispatchers.items():
+            assert dispatcher.lower is svc.grpc(pid)
+            assert svc.grpc(pid).upper is dispatcher
 
 
 def test_heartbeat_suspicion_fans_out_to_all_cohosted_composites():

@@ -118,7 +118,7 @@ def _batching_pair():
     """Two raw fabric nodes with link-level coalescing enabled."""
     from repro.net import NetworkFabric, Node, UnreliableTransport
     from repro.runtime import SimRuntime
-    from repro.xkernel import Protocol, compose_stack
+    from repro.xkernel import Protocol
 
     class Collector(Protocol):
         def __init__(self, name):
@@ -135,7 +135,8 @@ def _batching_pair():
     for pid in (1, 2):
         node = Node(pid, rt, fabric)
         top = Collector(f"top@{pid}")
-        compose_stack(top, UnreliableTransport(node))
+        UnreliableTransport(node)
+        node.attach(object, top)
         node.start()
         nodes[pid], tops[pid] = node, top
     return rt, fabric, nodes, tops

@@ -328,8 +328,7 @@ def test_arrivals_dispatch_the_chain_of_their_message_kind():
 
 
 def test_the_composite_claims_only_wire_messages_and_pops_its_dispatch():
-    """``GroupRPC.resolve_up`` routes only ``NetMsg`` to the composite;
-    untraced, ``pop`` returns the dispatch of the bus's compiled chain
+    """The node routes only the composite's ``NetMsg`` to it; untraced, ``pop`` returns the dispatch of the bus's compiled chain
     for the message's kind itself, and the micro-protocols trigger and
     cancel through the bus's own methods."""
     from repro.core.grpc import MSG_FROM_NETWORK
@@ -337,9 +336,10 @@ def test_the_composite_claims_only_wire_messages_and_pops_its_dispatch():
 
     cluster = ServiceCluster(ServiceSpec(), KVStore, n_servers=1)
     server = cluster.grpc(1)
-    msg = NetMsg(type=NetOp.ACK, sender=2)
-    assert server.resolve_up(msg) is server
-    assert server.resolve_up("not a NetMsg") is None
+    msg = NetMsg(type=NetOp.ACK, sender=2, service=server.service)
+    node = cluster.deployment.nodes[1]
+    assert node.route(msg) is server
+    assert node.route("not a NetMsg") is None
     dispatch = server.pop(msg, 2)
     run = server.bus.chains(MSG_FROM_NETWORK)[NetOp.ACK]
     assert dispatch.cr_code is run.__code__

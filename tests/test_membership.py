@@ -9,7 +9,6 @@ from repro.core.microprotocols import ALL
 from repro.membership import HeartbeatDetector
 from repro.net import NetworkFabric, Node, UnreliableTransport
 from repro.runtime import SimRuntime
-from repro.xkernel import TypeDemux, compose_stack
 
 FAST = LinkSpec(delay=0.005, jitter=0.0)
 
@@ -87,13 +86,11 @@ def build_detector_pair(rt, interval=0.05, suspect_after=3):
     detectors = {}
     for pid in (1, 2):
         node = Node(pid, rt, fabric)
-        demux = TypeDemux(f"demux@{pid}")
-        transport = UnreliableTransport(node)
-        compose_stack(demux, transport)
+        UnreliableTransport(node)
         detector = HeartbeatDetector(node, [1, 2], interval=interval,
                                      suspect_after=suspect_after)
         from repro.membership.detector import Heartbeat
-        demux.attach(Heartbeat, detector)
+        node.attach(Heartbeat, detector)
         node.start()
         detector.start()
         detectors[pid] = detector

@@ -12,7 +12,7 @@ from repro.net import (
 )
 from repro.runtime import SimRuntime
 from repro.sim import RandomSource
-from repro.xkernel import Protocol, compose_stack
+from repro.xkernel import Protocol
 
 
 class Collector(Protocol):
@@ -32,7 +32,8 @@ def build_pair(runtime, **fabric_kwargs):
     for pid in (1, 2):
         node = Node(pid, runtime, fabric)
         top = Collector(f"top@{pid}")
-        compose_stack(top, UnreliableTransport(node))
+        UnreliableTransport(node)
+        node.attach(object, top)
         node.start()
         nodes[pid], tops[pid] = node, top
     return fabric, nodes, tops
@@ -284,7 +285,8 @@ def test_multicast_reaches_all_members():
     for pid in (1, 2, 3, 4):
         node = Node(pid, rt, fabric)
         top = Collector(f"top@{pid}")
-        compose_stack(top, UnreliableTransport(node))
+        UnreliableTransport(node)
+        node.attach(object, top)
         node.start()
         tops[pid] = top
     group = Group("servers", [2, 3, 4])
@@ -319,7 +321,8 @@ def test_per_link_override_and_slow_site():
     for pid in (1, 2, 3):
         node = Node(pid, rt, fabric)
         top = Collector(f"top@{pid}")
-        compose_stack(top, UnreliableTransport(node))
+        UnreliableTransport(node)
+        node.attach(object, top)
         node.start()
         tops[pid] = top
     fabric.set_links_to(3, LinkSpec(delay=1.0, jitter=0.0))
@@ -401,7 +404,8 @@ def test_arrival_scope_keeps_only_parked_arrivals():
     for pid in (1, 2):
         node = Node(pid, rt, fabric)
         tops[pid] = Parker(rt)
-        compose_stack(tops[pid], UnreliableTransport(node))
+        UnreliableTransport(node)
+        node.attach(object, tops[pid])
         node.start()
         nodes[pid] = node
 

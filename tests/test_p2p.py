@@ -9,7 +9,7 @@ from repro.faults import drop_first
 from repro.net import NetworkFabric, Node, UnreliableTransport
 from repro.runtime import SimRuntime
 from repro.sim import RandomSource
-from repro.xkernel import TypeDemux, compose_stack
+from repro.xkernel import compose_stack
 
 
 def build_pair(*, link=None, seed=0, app_factory=KVStore,
@@ -23,9 +23,8 @@ def build_pair(*, link=None, seed=0, app_factory=KVStore,
         node = Node(pid, rt, fabric)
         p2p = PointToPointRPC(node, retrans_timeout=0.05,
                               timebound=timebound)
-        demux = TypeDemux(f"demux@{pid}")
-        compose_stack(demux, UnreliableTransport(node))
-        demux.attach(P2PMsg, p2p)
+        UnreliableTransport(node)
+        node.attach(P2PMsg, p2p)
         if pid == 1:
             dispatcher = ServerDispatcher(node, app_factory())
             compose_stack(dispatcher, p2p)

@@ -1,12 +1,12 @@
 """What the paths resolved at wiring must keep.
 
 A send reaches the fabric through the transport's plain ``submit``; an
-arrival's route is looked up in its node's cache by ``(payload class,
-service key)``; RPC Main records a call's executor only for an orphan
-policy that may kill it.  Each test below pins one thing those shortcuts
-must not change: every destination shape still fans out, every
-re-wiring still takes effect, and the executor handle and the arrival
-task appear exactly when something can use them.
+arrival's claimant is looked up in its node's table by ``(payload
+class, service key)``; RPC Main records a call's executor only for an
+orphan policy that may kill it.  Each test below pins one thing those
+shortcuts must not change: every destination shape still fans out, a
+service added later still gets its own calls, and the executor handle
+and the arrival task appear exactly when something can use them.
 """
 
 import pytest
@@ -15,9 +15,9 @@ from repro import Deployment, LinkSpec, ServiceCluster, ServiceSpec, WireConfig
 from repro.apps import KVStore
 from repro.apps.dispatcher import ServerApp
 from repro.core.messages import NetMsg, NetOp
-from repro.net import Envelope, NetworkFabric, Node, UnreliableTransport
+from repro.net import NetworkFabric, Node, UnreliableTransport
 from repro.runtime import SimRuntime
-from repro.xkernel import Protocol, ServiceDemux, TypeDemux, compose_stack
+from repro.xkernel import Protocol
 
 FAST = LinkSpec(delay=0.01, jitter=0.0)
 
@@ -39,7 +39,8 @@ def _sites(runtime, pids, wire=None):
     for pid in pids:
         node = Node(pid, runtime, fabric)
         tops[pid] = Top(f"top@{pid}")
-        compose_stack(tops[pid], UnreliableTransport(node))
+        UnreliableTransport(node)
+        node.attach(object, tops[pid])
         node.start()
         nodes[pid] = node
     return fabric, nodes, tops
@@ -78,20 +79,20 @@ def test_any_iterable_destination_reaches_each_peer_once(wire):
 
 
 # ----------------------------------------------------------------------
-# Route-cache invalidation
+# Claims made after traffic
 # ----------------------------------------------------------------------
 
 def test_a_service_added_after_traffic_gets_its_own_calls():
     """Traffic has flowed, and a message stamped with a service nobody
-    serves yet has been routed (to the default, the first service); a
-    service added on the same pids then receives its own calls."""
+    serves yet finds no claimant; a service added on the same pids then
+    claims it and receives its own calls."""
     dep = Deployment(seed=3, default_link=FAST)
     first = dep.add_service("a", ServiceSpec(), KVStore, servers=[1, 2],
                             clients=[101])
     assert first.call_and_run("put", {"key": "k", "value": 1}).ok
     stray = NetMsg(type=NetOp.ACK, service="b")
     for pid in (1, 2):
-        assert dep.nodes[pid].route(stray) is first.grpc(pid)
+        assert dep.nodes[pid].route(stray) is None
     second = dep.add_service("b", ServiceSpec(), KVStore, servers=[1, 2],
                              clients=[101])
     for pid in (1, 2):
@@ -101,44 +102,6 @@ def test_a_service_added_after_traffic_gets_its_own_calls():
         assert second.app(pid).data == {"k": 2}
         assert first.app(pid).data == {"k": 1}
     dep.shutdown()
-
-
-def test_compose_stack_rewiring_the_transports_upper_takes_effect():
-    rt = SimRuntime()
-    fabric, nodes, tops = _sites(rt, (1, 2))
-    transport = nodes[2].transport
-    replacement = Top("replacement@2")
-
-    async def main():
-        await nodes[1].transport.push(2, "before")
-        await rt.sleep(1.0)
-        compose_stack(replacement, transport)
-        await nodes[1].transport.push(2, "after")
-        await rt.sleep(1.0)
-
-    rt.run(main())
-    assert tops[2].received == ["before"]
-    assert replacement.received == ["after"]
-
-
-def test_assigning_default_upper_takes_effect():
-    rt = SimRuntime()
-    node = Node(1, rt, NetworkFabric(rt))
-    demux, router = TypeDemux(), ServiceDemux()
-    compose_stack(demux, UnreliableTransport(node))
-    demux.attach(NetMsg, router)
-    a, b = Top("a"), Top("b")
-    router.attach("a", a)
-    router.attach("b", b)
-    node.start()
-    unknown = NetMsg(type=NetOp.ACK, service="zzz")
-    assert node.route(unknown) is a
-    router.default_upper = b
-    assert router.default_upper is b
-    assert node.route(unknown) is b
-    rt.call_later(0.0, lambda: node.deliver(Envelope(2, 1, unknown, 0.0)))
-    rt.run_until_idle()
-    assert b.received == [unknown] and a.received == []
 
 
 # ----------------------------------------------------------------------

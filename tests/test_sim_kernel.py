@@ -545,7 +545,7 @@ def test_a_profile_hook_sees_every_step_with_its_task():
 def test_a_parked_arrival_is_in_its_nodes_scope_and_dies_with_it():
     from repro.net import Envelope, NetworkFabric, Node, UnreliableTransport
     from repro.runtime import SimRuntime
-    from repro.xkernel import Protocol, compose_stack
+    from repro.xkernel import Protocol
 
     rt = SimRuntime()
     node = Node(1, rt, NetworkFabric(rt))
@@ -565,7 +565,9 @@ def test_a_parked_arrival_is_in_its_nodes_scope_and_dies_with_it():
         def pop(self, payload, sender):
             return handle(payload)
 
-    compose_stack(Top("top"), UnreliableTransport(node))
+    UnreliableTransport(node)
+
+    node.attach(object, Top("top"))
     for when, payload in ((0.5, "quick"), (1.0, "parks")):
         rt.call_later(when, lambda payload=payload: node.deliver(
             Envelope(2, 1, payload, 0.0)))

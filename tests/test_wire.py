@@ -17,7 +17,7 @@ from repro.net import (
 from repro.runtime import SimRuntime
 from repro.sim import RandomSource
 from repro.stubs import marshal
-from repro.xkernel import Protocol, TypeDemux, compose_stack
+from repro.xkernel import Protocol
 
 FAST = LinkSpec(delay=0.02, jitter=0.0)
 
@@ -40,7 +40,8 @@ def build_pair(runtime, pids=(1, 2), **fabric_kwargs):
     for pid in pids:
         node = Node(pid, runtime, fabric)
         top = Collector(f"top@{pid}")
-        compose_stack(top, UnreliableTransport(node))
+        UnreliableTransport(node)
+        node.attach(object, top)
         node.start()
         nodes[pid], tops[pid] = node, top
     return fabric, nodes, tops
@@ -110,21 +111,20 @@ def test_submit_hands_unstaged_sends_to_the_fabric_at_once():
 
 
 def test_an_arrival_runs_its_target_pop_or_fans_a_batch_out():
-    """``Node.deliver``: a single payload's arrival is the resolved
-    target's ``pop`` itself, an unclaimed payload gets no task, and a
-    batch is fanned out by the transport."""
+    """``Node.deliver``: a single payload's arrival is the claimant's
+    ``pop`` itself, an unclaimed payload gets no task, and a batch is
+    fanned out by the transport."""
     from repro.net.message import Envelope
 
     rt = SimRuntime()
     fabric, nodes, tops = build_pair(rt)
-    demux = TypeDemux("demux@9")
     node = Node(9, rt, fabric)
-    compose_stack(demux, UnreliableTransport(node))
-    demux.attach(str, tops[1])
+    UnreliableTransport(node)
+    node.attach(str, tops[1])
     node.start()
     assert node.route("hello") is tops[1]
     assert node.route(42) is None
-    assert node.routes == {(str, ""): tops[1], (int, ""): None}
+    assert node.routes == {(str, ""): tops[1]}
     for payload in ("hello", 42, WireBatch(["a", 7])):
         rt.call_later(0.0, lambda payload=payload: node.deliver(
             Envelope(1, 9, payload, 0.0)))
@@ -348,17 +348,12 @@ def test_fast_lane_prevents_false_suspicion_under_bulk_load():
     sends; node 2's detector must never suspect node 1."""
     rt = SimRuntime()
     fabric, nodes, _ = build_pair(rt, wire=WireConfig(queue_depth=2))
-    demuxes = {}
-    for pid, node in nodes.items():
-        demux = TypeDemux(f"hb-demux@{pid}")
-        compose_stack(demux, node.transport)
-        demuxes[pid] = demux
     sender = HeartbeatDetector(nodes[1], [2], interval=0.05,
                                suspect_after=3)
-    demuxes[1].attach(Heartbeat, sender)
+    nodes[1].attach(Heartbeat, sender)
     monitor = HeartbeatDetector(nodes[2], [1], interval=0.05,
                                 suspect_after=3)
-    demuxes[2].attach(Heartbeat, monitor)
+    nodes[2].attach(Heartbeat, monitor)
     changes = []
     monitor.listeners.append(lambda pid, change: changes.append(change))
 

@@ -1,10 +1,12 @@
-"""Unit tests for the x-kernel UPI shell and type demux."""
+"""Unit tests for the x-kernel UPI shell and the node's arrival table."""
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
+from repro.net import Envelope, NetworkFabric, Node, UnreliableTransport
+from repro.net.wire import WireBatch
 from repro.runtime import SimRuntime
-from repro.xkernel import Protocol, TypeDemux, compose_stack
+from repro.xkernel import Protocol, compose_stack
 
 
 class Recorder(Protocol):
@@ -51,217 +53,185 @@ def test_compose_stack_requires_protocols():
 
 
 def test_push_without_lower_raises():
-    lonely = Protocol("lonely")
-
-    async def main():
-        with pytest.raises(ReproError):
-            await lonely.push("x")
-        with pytest.raises(ReproError):
-            await lonely.pop("x")
-
-    run(main())
-
-
-def test_type_demux_routes_by_payload_type():
-    class A:
-        pass
-
-    class B:
-        pass
-
-    demux = TypeDemux()
-    upper_a, upper_b = Recorder("a"), Recorder("b")
-    bottom = Recorder("bot")
-    compose_stack(demux, bottom)
-    demux.attach(A, upper_a)
-    demux.attach(B, upper_b)
-
-    async def main():
-        await demux.pop(A(), sender=1)
-        await demux.pop(B(), sender=2)
-        await demux.pop("unclaimed", sender=3)   # dropped silently
-        # pushes from either upper reach the shared bottom
-        await upper_a.push("via-a")
-        await upper_b.push("via-b")
-
-    run(main())
-    assert len(upper_a.popped) == 1
-    assert len(upper_b.popped) == 1
-    assert [args[0][0] for args in bottom.pushed] == ["via-a", "via-b"]
-
-
-def test_type_demux_matches_subclasses():
-    class Base:
-        pass
-
-    class Derived(Base):
-        pass
-
-    demux = TypeDemux()
-    upper = Recorder("u")
-    demux.attach(Base, upper)
-
-    async def main():
-        await demux.pop(Derived())
-
-    run(main())
-    assert len(upper.popped) == 1
-
-
-# ---------------------------------------------------------------------------
-# The one-walk route: resolve_up / resolve_down through the demuxes
-# ---------------------------------------------------------------------------
-
-def test_type_demux_takes_a_route_attached_after_a_class_was_seen():
-    """The per-class route cache must not pin a miss: a payload class
-    dropped as unclaimed is delivered once a route for it attaches."""
-    class Late:
-        pass
-
-    demux = TypeDemux()
-    first, late = Recorder("first"), Recorder("late")
-    demux.attach(int, first)
-
-    async def main():
-        await demux.pop(Late())                  # unclaimed: dropped
-        demux.attach(Late, late)
-        await demux.pop(Late())
-        await demux.pop(7)
-
-    run(main())
-    assert len(late.popped) == 1
-    assert len(first.popped) == 1
-    assert demux.resolve_up("still unclaimed") is None
-
-
-def test_type_demux_first_attached_route_wins_for_subclasses():
-    class Base:
-        pass
-
-    class Derived(Base):
-        pass
-
-    demux = TypeDemux()
-    base, derived = Recorder("base"), Recorder("derived")
-    demux.attach(Base, base)
-    demux.attach(Derived, derived)
-    assert demux.resolve_up(Derived()) is base      # insertion order
-    assert demux.resolve_up(Base()) is base
-
-
-def test_service_demux_falls_back_to_its_default_and_honours_detach():
-    from types import SimpleNamespace
-
-    from repro.xkernel import ServiceDemux
-
-    router = ServiceDemux()
-    a, b = Recorder("a"), Recorder("b")
-    router.attach("a", a)
-    router.attach("b", b)
-    assert router.resolve_up(SimpleNamespace(service="b")) is b
-    assert router.resolve_up(SimpleNamespace(service="zzz")) is a
-    assert router.resolve_up("no service key") is a
-    router.detach("a")
-    assert router.resolve_up(SimpleNamespace(service="a")) is b
-    router.detach("b")
-    assert router.resolve_up(SimpleNamespace(service="b")) is None
-
-    async def main():
-        assert await router.pop(SimpleNamespace(service="b")) is None
-
-    run(main())
-    assert a.popped == [] and b.popped == []
-
-
-def test_demux_pop_accepts_sender_by_keyword_or_not_at_all():
-    demux = TypeDemux()
-    upper = Recorder("u")
-    demux.attach(str, upper)
-
-    async def main():
-        await demux.pop("p")
-        await demux.pop("q", sender=1)
-        await demux.pop("r", 2)
-
-    run(main())
-    assert upper.popped == [(("p",), {}), (("q",), {"sender": 1}),
-                            (("r", 2), {})]
-
-
-def test_a_forwarding_layer_between_transport_and_demux_still_delivers():
-    """The transport hands ``sender`` over positionally; a pass-through
-    protocol that does not resolve (its default ``resolve_up`` is
-    itself) forwards it that way into the demux."""
-    from repro.net import NetworkFabric, Node, UnreliableTransport
-
-    rt = SimRuntime()
-    fabric = NetworkFabric(rt)
-    tops = {}
-    for pid in (1, 2):
-        node = Node(pid, rt, fabric)
-        demux, top = TypeDemux(), Recorder(f"top@{pid}")
-        compose_stack(demux, Recorder(f"tap@{pid}"),
-                      UnreliableTransport(node))
-        demux.attach(str, top)
-        node.start()
-        tops[pid] = top
-
-    async def main():
-        await fabric.node(1).transport.push(2, "hello")
-        await rt.sleep(1.0)
-
-    rt.run(main())
-    assert tops[2].popped == [(("hello", 1), {})]
-
-
-def test_resolve_walks_through_both_demuxes():
-    """An arrival resolves to the composite in one synchronous walk, and
-    a push from the composite resolves to the transport below both
-    demuxes."""
-    from types import SimpleNamespace
-
-    from repro.xkernel import ServiceDemux
-
-    demux, router = TypeDemux(), ServiceDemux()
-    bottom, composite = Recorder("transport"), Recorder("composite")
-    compose_stack(demux, bottom)
-    demux.attach(SimpleNamespace, router)
-    router.attach("svc", composite)
-    msg = SimpleNamespace(service="svc")
-    assert bottom.resolve_up(msg) is bottom            # leaf default
-    assert demux.resolve_up(msg) is composite
-    assert composite.lower.resolve_down() is bottom
-
-    async def main():
-        await composite.lower.resolve_down().push(2, "down")
-        await composite.lower.push(3, "via-the-demuxes")
-
-    run(main())
-    assert bottom.pushed == [((2, "down"), {}),
-                             ((3, "via-the-demuxes"), {})]
-    lonely = TypeDemux()
-    assert lonely.resolve_down() is lonely     # whose push then raises
-
-
-def test_a_bottom_without_a_plain_submit_gets_its_push_awaited():
-    """``Protocol.submit`` defaults to the ``push`` coroutine, so a
-    composite resolves any bottom protocol once and awaits what its
-    ``submit`` hands back."""
+    """A composite or compact protocol that no node has attached has no
+    transport to push to, and one with nothing above has no server to
+    pop a call to."""
     from repro.core.grpc import GroupRPC
     from repro.core.messages import NetMsg, NetOp
-    from repro.net import NetworkFabric, Node
+    from repro.core.p2p import P2PMsg, PointToPointRPC
 
     rt = SimRuntime()
     node = Node(1, rt, NetworkFabric(rt))
     node.start()
-    grpc = GroupRPC(node)
-    bottom = Recorder("bottom")
-    compose_stack(grpc, bottom)
-    msgs = [NetMsg(type=NetOp.ACK, sender=1, id=i) for i in range(2)]
+    grpc, p2p = GroupRPC(node), PointToPointRPC(node)
 
     async def main():
-        for msg in msgs:
-            await grpc.net_push(2, msg)
+        with pytest.raises(ConfigurationError, match="no transport"):
+            await grpc.net_push(2, NetMsg(type=NetOp.ACK, sender=1))
+        with pytest.raises(ConfigurationError, match="no transport"):
+            await p2p.pop(P2PMsg("reply", 1, sender=2), 2)
+        with pytest.raises(ConfigurationError, match="no server"):
+            await grpc.deliver_to_server("put", None)
+        with pytest.raises(ConfigurationError, match="no server"):
+            await p2p.pop(P2PMsg("call", 1, "put", sender=2), 2)
 
     rt.run(main())
-    assert bottom.pushed == [((2, msg), {}) for msg in msgs]
+
+
+# ---------------------------------------------------------------------------
+# The node's arrival table: Node.attach / Node.route / Node.deliver
+# ---------------------------------------------------------------------------
+
+class Top(Protocol):
+    """Records every ``(payload, sender)`` popped to it; with ``park``
+    set, each arrival then sleeps, so it is a task of its own."""
+
+    def __init__(self, name, runtime=None, park=False):
+        super().__init__(name)
+        self.runtime = runtime
+        self.park = park
+        self.received = []
+
+    async def pop(self, payload, sender):
+        self.received.append((payload, sender))
+        if self.park:
+            await self.runtime.sleep(0.1)
+
+
+def _site():
+    rt = SimRuntime()
+    node = Node(1, rt, NetworkFabric(rt))
+    UnreliableTransport(node)
+    node.start()
+    return rt, node
+
+
+def _arrive(rt, node, *payloads):
+    """Hand each payload to ``node`` as the fabric does, from pid 2."""
+    for payload in payloads:
+        rt.call_later(0.0, lambda payload=payload: node.deliver(
+            Envelope(2, node.pid, payload, 0.0)))
+    rt.run_until_idle()
+
+
+class Base:
+    pass
+
+
+class Mid(Base):
+    pass
+
+
+class Leaf(Mid):
+    pass
+
+
+def test_node_routes_by_exact_payload_type():
+    rt, node = _site()
+    ints, strs = Top("ints"), Top("strs")
+    node.attach(int, ints)
+    node.attach(str, strs)
+    assert ints.lower is node.transport and strs.lower is node.transport
+    _arrive(rt, node, 7, "seven", 8)
+    assert ints.received == [(7, 2), (8, 2)]
+    assert strs.received == [("seven", 2)]
+    assert node.route(9) is ints and node.route("nine") is strs
+
+
+def test_a_claimant_sends_through_the_transport_it_was_attached_to():
+    rt = SimRuntime()
+    fabric = NetworkFabric(rt)
+    sites = {}
+    for pid in (1, 2):
+        node = Node(pid, rt, fabric)
+        UnreliableTransport(node)
+        sites[pid] = Top(f"top@{pid}")
+        node.attach(object, sites[pid])
+        node.start()
+
+    async def main():
+        await sites[1].lower.push(2, "over")
+        await rt.sleep(1.0)
+
+    rt.run(main())
+    assert sites[1].lower is fabric.node(1).transport
+    assert sites[2].received == [("over", 1)]
+
+
+def test_a_subclass_goes_to_the_first_attached_base():
+    rt, node = _site()
+    base, mid = Top("base"), Top("mid")
+    node.attach(Base, base)
+    node.attach(Mid, mid)
+    assert node.route(Leaf()) is base           # attach order, not MRO
+    assert node.route(Mid()) is mid             # an exact claim wins
+    assert node.route(Base()) is base
+    assert node.routes[Leaf, ""] is base        # resolved once, kept
+    leaf = Leaf()
+    _arrive(rt, node, leaf)
+    assert base.received == [(leaf, 2)] and mid.received == []
+
+
+def test_a_claim_made_after_traffic_takes_effect():
+    """An unclaimed class is not remembered as a miss, and a class
+    resolved through a base moves to its own class's later claim."""
+    rt, node = _site()
+    base, strs, mids = Top("base"), Top("strs"), Top("mids")
+    node.attach(Base, base)
+    first = Mid()
+    _arrive(rt, node, first, "dropped")
+    assert base.received == [(first, 2)]
+    node.attach(str, strs)
+    node.attach(Mid, mids)
+    second = Mid()
+    _arrive(rt, node, "kept", second)
+    assert strs.received == [("kept", 2)]
+    assert mids.received == [(second, 2)]
+    assert base.received == [(first, 2)]
+
+
+def test_a_second_claim_on_the_same_type_and_service_raises():
+    rt, node = _site()
+    first = Top("first")
+    node.attach(str, first)
+    node.attach(str, Top("keyed"), "svc")        # another key: allowed
+    with pytest.raises(ConfigurationError, match="already claimed"):
+        node.attach(str, Top("second"))
+    assert node.route("x") is first
+
+
+def test_a_service_key_reaches_only_its_own_claim():
+    from types import SimpleNamespace
+
+    rt, node = _site()
+    catch_all, keyed = Top("catch-all"), Top("keyed")
+    node.attach(object, catch_all)
+    node.attach(SimpleNamespace, keyed, "a")
+    assert node.route(SimpleNamespace(service="a")) is keyed
+    assert node.route(SimpleNamespace(service="zzz")) is None
+    assert node.route(SimpleNamespace()) is catch_all
+    assert node.route("unkeyed") is catch_all
+
+
+def test_an_unclaimed_payload_is_dropped_with_no_task():
+    rt, node = _site()
+    parked = Top("parked", rt, park=True)
+    node.attach(str, parked)
+    _arrive(rt, node, 42, 4.2)
+    assert rt.stats()["tasks_spawned"] == 0
+    assert (int, "") not in node.routes
+    _arrive(rt, node, "claimed")
+    assert parked.received == [("claimed", 2)]
+    assert rt.stats()["tasks_spawned"] == 1
+
+
+def test_a_batch_routes_its_messages_through_the_same_table():
+    rt, node = _site()
+    ints, base = Top("ints"), Top("base")
+    node.attach(int, ints)
+    node.attach(Base, base)
+    leaf = Leaf()
+    _arrive(rt, node, WireBatch([1, "unclaimed", leaf, 2]))
+    assert ints.received == [(1, 2), (2, 2)]
+    assert base.received == [(leaf, 2)]
+    assert node.routes[Leaf, ""] is base
