@@ -158,6 +158,16 @@ def test_a_claimant_sends_through_the_transport_it_was_attached_to():
     assert sites[2].received == [("over", 1)]
 
 
+def test_a_subclass_reaches_a_claim_on_its_base():
+    rt, node = _site()
+    base = Top("base")
+    node.attach(Base, base)
+    leaf = Leaf()
+    _arrive(rt, node, leaf)
+    assert base.received == [(leaf, 2)]
+    assert node.route(Mid()) is base
+
+
 def test_a_subclass_goes_to_the_first_attached_base():
     rt, node = _site()
     base, mid = Top("base"), Top("mid")
