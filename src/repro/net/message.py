@@ -91,6 +91,16 @@ def wire_size(value: Any) -> int:
     unrecognised is charged a flat 16 bytes rather than rejected, since
     tests ship ad-hoc payloads through the fabric.
     """
+    # The exact leaf classes first: they have no ``wire_size`` to find.
+    cls = value.__class__
+    if cls is str:
+        return 5 + (len(value) if value.isascii() else len(value.encode()))
+    if cls is bytes:
+        return 5 + len(value)
+    if value is None or cls is bool:
+        return 1
+    if cls is int or cls is float:
+        return 9
     sizer = getattr(value, "wire_size", None)
     if callable(sizer):
         return int(sizer())

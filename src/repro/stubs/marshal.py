@@ -24,8 +24,17 @@ key, and :func:`marshal` reuses each exact-``str`` key's encoded piece.
 Only keys of at most 64 UTF-8 bytes (``_KEY_MAX_BYTES``) are stored,
 and a call that finds its table holding 4 096 entries (``_TABLE_MAX``)
 clears it first, so neither table outgrows that plus the keys of the
-one field in hand.  Values are never shared: two decodes of one field
-return distinct containers.
+one field in hand.
+
+A group call sends one field to each of its members, and here every
+member lives in this process, so :func:`unmarshal` decodes a field of
+at least 512 bytes (``_MEMO_MIN_BYTES``) once: it keeps the first
+decode as a private template, in a memo of the last 16 such fields
+(``_MEMO_MAX``), and every decode of the field, the first included,
+returns a copy of the template.  Containers are never shared; immutable
+leaves are: two decodes of one field return distinct dicts, lists and
+tuples holding the same strings, numbers and bytes.  A field that fails
+to decode is never kept.
 
 Marshalling is the one real-CPU cost every stub call pays twice, so the
 observatory's kernel profiler hooks it: :func:`install_profiler`
@@ -87,6 +96,17 @@ _DECODED_KEYS: dict = {}
 #: Exact-``str`` dict key -> its encoded piece (header plus UTF-8).
 _ENCODED_KEYS: dict = {}
 
+#: Field -> the template its first decode left: the one-item list that
+#: holds the value, and its member containers as :func:`_rebuild` reads
+#: them.  Oldest out first.  A field's k member decodes arrive within
+#: the arrivals of the other calls in flight, so the bound only has to
+#: cover a few fields per concurrent caller.  Below the size floor a
+#: field decodes in a few microseconds, and the memo's own costs (hash,
+#: lookup, store, copy) would be a large share of that.
+_TEMPLATES: dict = {}
+_MEMO_MIN_BYTES = 512
+_MEMO_MAX = 16
+
 
 def marshal(value: Any) -> bytes:
     """Encode ``value`` into the untyped argument field."""
@@ -108,11 +128,32 @@ def unmarshal(data: bytes) -> Any:
     started = perf_counter() if prof is not None else 0.0
     if data.__class__ is not bytes:
         data = bytes(data)          # bytearray / memoryview callers
+    end = len(data)
+    if end < _MEMO_MIN_BYTES:
+        value = _decode(data, None)
+    else:
+        template = _TEMPLATES.get(data)
+        if template is None:
+            template = _decode(data, [])
+            if len(_TEMPLATES) >= _MEMO_MAX:
+                del _TEMPLATES[next(iter(_TEMPLATES))]
+            _TEMPLATES[data] = template
+        value = _rebuild(*template)[0]
+    if prof is not None:
+        prof.on_unmarshal(end, perf_counter() - started)
+    return value
+
+
+def _decode(data: bytes, members: Optional[list]) -> Any:
+    """Decode the whole field ``data``: its value, or given an empty
+    ``members`` list the template :func:`_rebuild` copies it from."""
     if len(_DECODED_KEYS) >= _TABLE_MAX:
         _DECODED_KEYS.clear()
+        _TEMPLATES.clear()      # their dict keys are the old table's
     out: list = []
     try:
-        end = _decode_members(out, 1, data, data.decode("latin-1"), 0)
+        end = _decode_members(out, 1, data, data.decode("latin-1"), 0,
+                              members)
     except (IndexError, struct.error):
         # Reading a tag, length or float past the end of the field.
         raise MarshalError("truncated value") from None
@@ -120,9 +161,22 @@ def unmarshal(data: bytes) -> Any:
         raise MarshalError("string is not valid UTF-8") from None
     if end != len(data):
         raise MarshalError(f"{len(data) - end} trailing bytes after value")
-    if prof is not None:
-        prof.on_unmarshal(end, perf_counter() - started)
-    return out[0]
+    return out[0] if members is None else (out, members)
+
+
+def _rebuild(template: Any, members: Iterable[tuple]) -> Any:
+    """A fresh copy of the decoded container ``template``.
+
+    ``members`` lists its member containers as ``(slot, member, the
+    member's own members, is_tuple)``.  Each list and dict is one
+    ``copy()`` and each tuple is rebuilt; leaves and dict keys stay the
+    template's own objects.
+    """
+    copy = template.copy()
+    for slot, member, inner, is_tuple in members:
+        member = member.copy() if inner is None else _rebuild(member, inner)
+        copy[slot] = tuple(member) if is_tuple else member
+    return copy
 
 
 def _plain_class(value: Any) -> type:
@@ -197,18 +251,20 @@ def _emit_members(members: Iterable[Any], add: Callable[[bytes], None],
 
 
 def _decode_members(into: Any, count: int, data: bytes, text: str,
-                    pos: int) -> int:
+                    pos: int, members: Optional[list]) -> int:
     """Decode ``count`` members from ``pos`` into the dict or list
     ``into`` (a dict's members are key/value pairs) and return the
     cursor past them.  ``text`` is ``data`` decoded as latin-1, so an
     ASCII string is one slice of it.  Leaves are decoded here;
-    containers recurse."""
+    containers recurse.  Unless ``members`` is ``None``, each member
+    container of ``into`` is added to it as :func:`_rebuild` lists
+    them."""
     keyed = into.__class__ is dict
     append = None if keyed else into.append
     end = len(data)
     key_table = _DECODED_KEYS
-    for _ in range(count):
-        if keyed:
+    for slot in range(count):
+        if keyed:       # the slot is the key, not the index
             if data[pos] != _T_STR:
                 raise MarshalError("dict keys must be strings")
             start = pos + 5
@@ -216,11 +272,11 @@ def _decode_members(into: Any, count: int, data: bytes, text: str,
             pos = start + size
             if pos > end:
                 raise MarshalError("truncated value")
-            key = text[start:pos]
-            if not key.isascii():
-                key = data[start:pos].decode()
+            slot = text[start:pos]
+            if not slot.isascii():
+                slot = data[start:pos].decode()
             if size <= _KEY_MAX_BYTES:
-                key = key_table.setdefault(key, key)
+                slot = key_table.setdefault(slot, slot)
         tag = data[pos]
         if tag == _T_STR or tag == _T_INT or tag == _T_BYTES:
             start = pos + 5
@@ -238,14 +294,13 @@ def _decode_members(into: Any, count: int, data: bytes, text: str,
         elif tag == _T_FLOAT:
             value = _unpack_f64_from(data, pos + 1)[0]
             pos += 9
-        elif tag == _T_DICT:
-            value = {}
+        elif tag == _T_DICT or tag == _T_LIST or tag == _T_TUPLE:
+            value = {} if tag == _T_DICT else []
+            inner = None if members is None else []
             pos = _decode_members(value, _unpack_u32_from(data, pos + 1)[0],
-                                  data, text, pos + 5)
-        elif tag == _T_LIST or tag == _T_TUPLE:
-            value = []
-            pos = _decode_members(value, _unpack_u32_from(data, pos + 1)[0],
-                                  data, text, pos + 5)
+                                  data, text, pos + 5, inner)
+            if members is not None:
+                members.append((slot, value, inner or None, tag == _T_TUPLE))
             if tag == _T_TUPLE:
                 value = tuple(value)
         elif tag == _T_TRUE:
@@ -261,7 +316,7 @@ def _decode_members(into: Any, count: int, data: bytes, text: str,
             raise MarshalError(
                 f"unknown tag byte {bytes((tag,))!r} at offset {pos}")
         if keyed:
-            into[key] = value
+            into[slot] = value
         else:
             append(value)
     return pos

@@ -523,3 +523,140 @@ def test_profiler_hears_each_call_exactly_once_with_its_byte_count():
         assert prof.unmarshals == [len(encoded)]
     finally:
         assert install_profiler(previous) is prof
+
+
+# ----------------------------------------------------------------------
+# The field memo: k members of a group call decode one field
+# ----------------------------------------------------------------------
+
+def _deep_value(serial: int) -> dict:
+    """A field above the memo's size floor with containers at every
+    depth: dicts in a list in a dict, and a tuple that holds a list."""
+    value = _bulk_value(16, 512)
+    value["key"] = f"deep-{serial}"
+    value["value"]["pair"] = ([1, {"in": ["x"]}], (2, ["y"]))
+    return value
+
+
+def _containers(value):
+    """Every container of ``value``, the root first."""
+    found = [value]
+    for container in found:
+        members = (container.values() if isinstance(container, dict)
+                   else container)
+        found.extend(member for member in members
+                     if isinstance(member, (dict, list, tuple)))
+    return found
+
+
+def _mutate_every_container(value) -> None:
+    for container in _containers(value):
+        if isinstance(container, dict):
+            for key in list(container):
+                container[key] = "clobbered"
+            container["added"] = 1
+        elif isinstance(container, list):
+            container[:] = ["clobbered"]
+        # A tuple cannot change; the lists it holds are clobbered above.
+
+
+@pytest.fixture
+def decoder_runs(monkeypatch):
+    """How many whole-field decodes ``unmarshal`` has run."""
+    runs = []
+    real = codec._decode
+
+    def counting(data, members):
+        runs.append(data)
+        return real(data, members)
+
+    monkeypatch.setattr(codec, "_decode", counting)
+    return runs
+
+
+def test_mutating_a_decode_at_every_depth_never_reaches_the_next():
+    encoded = marshal(_deep_value(0))
+    original = unmarshal(encoded)
+    assert original == _deep_value(0)
+    assert len(encoded) >= codec._MEMO_MIN_BYTES
+    for _ in range(3):          # the miss, then hits
+        decoded = unmarshal(bytes(bytearray(encoded)))
+        assert decoded == original
+        assert len(_containers(decoded)) == len(_containers(original))
+        # No container of one decode is a container of another ...
+        held = {id(c) for c in _containers(original)}
+        assert not any(id(c) in held for c in _containers(decoded))
+        _mutate_every_container(decoded)
+        assert decoded != original
+    # ... while the immutable leaves are the template's own objects.
+    assert unmarshal(encoded)["value"]["blob"] is original["value"]["blob"]
+
+
+def test_k_decodes_of_one_field_run_the_decoder_once(decoder_runs):
+    encoded = marshal(_deep_value(1))
+    replicas = [unmarshal(bytes(bytearray(encoded))) for _ in range(3)]
+    assert decoder_runs == [encoded]
+    assert replicas[0] == replicas[1] == replicas[2] == _deep_value(1)
+    others = [marshal(_deep_value(serial)) for serial in range(2, 6)]
+    for field in others:
+        unmarshal(field)
+        unmarshal(field)
+    assert decoder_runs == [encoded] + others
+
+
+def test_small_fields_are_decoded_every_time(decoder_runs):
+    encoded = marshal({"key": "small"})
+    assert len(encoded) < codec._MEMO_MIN_BYTES
+    for _ in range(3):
+        assert unmarshal(encoded) == {"key": "small"}
+    assert decoder_runs == [encoded] * 3
+    assert encoded not in codec._TEMPLATES
+
+
+def test_the_memo_stays_within_its_bound_and_drops_the_oldest():
+    fields = [marshal(_deep_value(100 + serial))
+              for serial in range(3 * codec._MEMO_MAX)]
+    for field in fields:
+        unmarshal(field)
+        assert len(codec._TEMPLATES) <= codec._MEMO_MAX
+    assert list(codec._TEMPLATES) == fields[-codec._MEMO_MAX:]
+
+
+def test_a_broken_large_field_raises_every_time_and_is_never_stored(
+        decoder_runs):
+    encoded = marshal(_deep_value(7))
+    broken = [encoded[:-1], encoded[:len(encoded) // 2], encoded + b"N",
+              encoded.replace(b"row-0-3", b"row-0-\xff")]
+    for field in broken:
+        assert len(field) >= codec._MEMO_MIN_BYTES
+        for _ in range(3):
+            with pytest.raises(MarshalError):
+                unmarshal(field)
+        assert field not in codec._TEMPLATES
+    assert decoder_runs == [field for field in broken for _ in range(3)]
+
+
+def test_hits_keep_sharing_the_key_tables_keys():
+    encoded = marshal(_deep_value(8))
+    for decoded in (unmarshal(encoded), unmarshal(encoded)):
+        for row in decoded["value"]["rows"]:
+            assert all(codec._DECODED_KEYS[key] is key for key in row)
+    # Clearing the key table empties the memo too, so no template
+    # holds keys the table no longer hands out.
+    for i in range(codec._TABLE_MAX + 1):
+        unmarshal(marshal({f"flood-{i}": i}))
+    assert encoded not in codec._TEMPLATES
+
+
+def test_profiler_hears_every_hit_with_its_byte_count():
+    prof = _CountingProfiler()
+    encoded = marshal(_deep_value(9))
+    previous = install_profiler(prof)
+    try:
+        for field in (encoded, bytearray(encoded), memoryview(encoded)):
+            assert unmarshal(field) == _deep_value(9)
+        with pytest.raises(MarshalError):
+            unmarshal(encoded[:-1])
+        assert prof.unmarshals == [len(encoded)] * 3
+    finally:
+        assert install_profiler(previous) is prof

@@ -11,6 +11,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -35,3 +37,20 @@ def test_minimal_rpc_counts_repeat_exactly_and_the_hooks_come_back():
     assert meter.bytecodes == first["bytecodes"] * 100
     lines = opcount.top(meter, 3, 100)
     assert len(lines) == 3 and "opcount" not in "".join(lines)
+
+
+def test_by_file_splits_the_counts_over_source_files():
+    opcount = _opcount()
+    per_call, meter = opcount.count("minimal_rpc", 100)
+    lines = opcount.by_file(meter, 100)
+    rows = [line.split() for line in lines]
+    files = [row[2] for row in rows]
+    assert len(files) == len(set(files))
+    assert "src/repro/sim/kernel.py" in files
+    assert not any(name.startswith("/") or "opcount" in name
+                   for name in files)
+    ops = [float(row[0]) for row in rows]
+    assert ops == sorted(ops, reverse=True)
+    assert sum(ops) == pytest.approx(per_call["bytecodes"], abs=len(ops))
+    calls = sum(float(row[1]) for row in rows)
+    assert calls == pytest.approx(per_call["py_calls"], abs=len(rows))

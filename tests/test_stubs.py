@@ -1,5 +1,7 @@
 """Stubs: marshalling, generated proxies, end-to-end usage."""
 
+import copy
+
 import pytest
 
 from hypothesis import given, settings
@@ -124,6 +126,52 @@ def test_stub_roundtrip():
     cluster.deployment.run_scenario(waiter(), extra_time=0.5)
     assert outcome["value"] == "tucson"
     assert outcome["keys"] == ["city"]
+
+
+def test_each_replica_owns_its_decoded_copy():
+    """A group call hands one argument field to every member, and the
+    codec decodes that field once per process.  Each server must still
+    own its value: one replica mutating its stored copy in place changes
+    neither the other replicas' copies nor what they serve."""
+    cluster = stub_cluster()
+    original = {"rows": [{"id": i, "name": f"row-{i}", "tags": ["a", "bb"],
+                          "meta": {"ok": i % 2 == 0}} for i in range(16)],
+                "blob": "y" * 512}
+    assert len(marshal({"key": "rec", "value": original})) >= 1024
+    outcome = {}
+
+    async def put():
+        stub = client_stub(KV_INTERFACE, cluster.grpc(cluster.client),
+                           cluster.group)
+        await stub.put(key="rec", value=copy.deepcopy(original))
+
+    async def get():
+        stub = client_stub(KV_INTERFACE, cluster.grpc(cluster.client),
+                           cluster.group)
+        outcome["value"] = await stub.get(key="rec")
+
+    def run(scenario):
+        task = cluster.spawn_client(cluster.client, scenario())
+
+        async def waiter():
+            await cluster.deployment.runtime.join(task)
+
+        cluster.deployment.run_scenario(waiter(), extra_time=0.5)
+
+    run(put)
+    stored = [cluster.app(pid).inner.data["rec"]
+              for pid in cluster.server_pids]
+    assert all(value == original for value in stored)
+    mutated = stored[0]
+    mutated["rows"][0]["tags"].append("zz")
+    mutated["rows"][1]["meta"]["ok"] = True
+    mutated["rows"].append({})
+    mutated["blob"] = "changed"
+    for value in stored[1:]:
+        assert value == original
+    cluster.deployment.crash(cluster.server_pids[0])
+    run(get)
+    assert outcome["value"] == original
 
 
 def test_stub_raises_rpc_timeout():

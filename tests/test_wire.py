@@ -1,5 +1,8 @@
 """The wire pipeline: coalescing, backpressure, fast lane, crash safety."""
 
+import enum
+import random
+
 import pytest
 
 from repro import LinkSpec, ServiceCluster, ServiceSpec, Status, WireConfig
@@ -465,6 +468,88 @@ def test_wire_size_charges_strings_their_utf8_length():
                   annotations={"ключ": 1})
     assert wide.wire_size() == _field_walk(wide)
     assert wide.wire_size() - plain.wire_size() == 1 + (1 + 3) + (8 - 1)
+
+
+def _old_wire_size(value):
+    """``wire_size`` as it was before its exact-leaf-class fast path:
+    the ``wire_size`` attribute probe first, then the ``isinstance``
+    ladder.  The oracle for the fast path."""
+    sizer = getattr(value, "wire_size", None)
+    if callable(sizer):
+        return int(sizer())
+    if value is None or isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 9
+    if isinstance(value, str):
+        return 5 + (len(value) if value.isascii() else len(value.encode()))
+    if isinstance(value, (bytes, bytearray)):
+        return 5 + len(value)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return 5 + sum(_old_wire_size(item) for item in value)
+    if isinstance(value, dict):
+        return 5 + sum(_old_wire_size(k) + _old_wire_size(v)
+                       for k, v in value.items())
+    fields = getattr(value, "__dataclass_fields__", None)
+    if fields is not None:
+        return 2 + sum(_old_wire_size(getattr(value, name))
+                       for name in fields)
+    return 16
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2 ** 40
+
+
+class _Label(str):
+    """A ``str`` subclass that sizes like any string."""
+
+
+class _Sized(str):
+    """A ``str`` subclass that charges its own size."""
+
+    def wire_size(self):
+        return 3
+
+
+class _Bytes(bytes):
+    pass
+
+
+def _sizing_corpus(rng, depth=0):
+    leaves = [
+        None, True, False, 0, -1, 2 ** 70, rng.random(), -0.0,
+        "", "ascii", "é縦🚀", b"", b"\x00" * rng.randrange(40),
+        bytearray(b"xy"), _Level.LOW, _Level.HIGH, _Label("label"),
+        _Label("ünï"), _Sized("anything"), _Bytes(b"abc"), object(),
+        Group("g", [1, 2]),
+        NetMsg(NetOp.CALL, op="put", args=b"\x01" * 7, service="kv"),
+    ]
+    if depth >= 3 or rng.random() < 0.4:
+        return rng.choice(leaves)
+    items = [_sizing_corpus(rng, depth + 1)
+             for _ in range(rng.randrange(5))]
+    hashable = [item for item in items
+                if isinstance(item, (str, int, bytes, type(None)))]
+    return rng.choice([
+        items, tuple(items), set(hashable), frozenset(hashable),
+        {str(i): item for i, item in enumerate(items)},
+        {_Label(f"k{i}"): item for i, item in enumerate(items)},
+        Heartbeat(sender=rng.randrange(9), seq=rng.randrange(3)),
+    ])
+
+
+def test_wire_size_fast_path_charges_what_the_attribute_probe_did():
+    rng = random.Random(0x5EED)
+    corpus = [_sizing_corpus(rng) for _ in range(600)]
+    kinds = {type(value) for value in corpus}
+    assert {bool, _Level, _Label, _Sized, list, dict}.issubset(kinds)
+    for value in corpus:
+        assert wire_size(value) == _old_wire_size(value), value
+    assert wire_size(_Sized("anything")) == 3
+    assert wire_size(_Label("label")) == wire_size("label") == 10
+    assert wire_size(_Level.HIGH) == wire_size(2 ** 40) == 9
 
 
 class _CountedPayload:

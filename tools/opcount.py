@@ -22,6 +22,7 @@ workloads read-only and changes nothing under ``benchmarks/perf``.
     python tools/opcount.py                      # all six, 400 ops each
     python tools/opcount.py --ops 100            # the CI size
     python tools/opcount.py --workload replicated_mixed --top 15
+    python tools/opcount.py --workload stub_bulk --by-file
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import argparse
 import gc
 import os
 import sys
+import sysconfig
 from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -44,6 +46,7 @@ import harness  # noqa: E402  (benchmarks/perf, on the path above)
 import workloads  # noqa: E402
 
 SEED = 17
+STDLIB = Path(sysconfig.get_paths()["stdlib"]).resolve()
 
 
 class Meter:
@@ -121,17 +124,44 @@ def count(name: str, n_ops: int, seed: int = SEED) -> Tuple[Dict[str, float],
             "calls": calls}, meter
 
 
+def where(filename: str) -> str:
+    """A code object's file, relative to the repository or the standard
+    library (``<string>`` for generated code stays as it is)."""
+    path = Path(filename)
+    if not path.is_absolute():
+        return filename
+    for base, prefix in ((ROOT, ""), (STDLIB, "<stdlib>/")):
+        if path.is_relative_to(base):
+            return prefix + str(path.relative_to(base))
+    return filename
+
+
 def top(meter: Meter, n: int, calls: int) -> List[str]:
     """The ``n`` functions that executed the most bytecodes, with their
     bytecodes and Python calls per call."""
     lines = []
     for code, ops in meter.by_code.most_common(n):
-        where = os.path.relpath(code.co_filename, ROOT)
         name = getattr(code, "co_qualname", code.co_name)
         lines.append(f"{ops / calls:>33.1f}"
                      f"{meter.calls_by_code[code] / calls:>10.1f}"
-                     f"  {name} ({where}:{code.co_firstlineno})")
+                     f"  {name} ({where(code.co_filename)}:"
+                     f"{code.co_firstlineno})")
     return lines
+
+
+def by_file(meter: Meter, calls: int) -> List[str]:
+    """Bytecodes and Python calls per call summed over each source file,
+    most bytecodes first."""
+    ops: Counter = Counter()
+    entries: Counter = Counter()
+    for code, n in meter.by_code.items():
+        ops[code.co_filename] += n
+    for code, n in meter.calls_by_code.items():
+        entries[code.co_filename] += n
+    return [f"{ops[name] / calls:>33.1f}{entries[name] / calls:>10.1f}"
+            f"  {where(name)}"
+            for name in sorted(ops.keys() | entries.keys(),
+                               key=lambda name: (-ops[name], name))]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -144,6 +174,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--top", type=int, default=0, metavar="N",
                         help="list the N functions with most bytecodes")
+    parser.add_argument("--by-file", action="store_true",
+                        help="list bytecodes and Python calls per source "
+                             "file")
     args = parser.parse_args(argv)
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.environ["PYTHONHASHSEED"] = "0"
@@ -158,6 +191,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{per_call['py_calls']:>10.1f}{per_call['c_calls']:>10.1f}")
         if args.top:
             print("\n".join(top(meter, args.top, per_call["calls"])))
+        if args.by_file:
+            print("\n".join(by_file(meter, per_call["calls"])))
     return 0
 
 
