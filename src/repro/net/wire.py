@@ -48,6 +48,9 @@ The pipeline is composed of small, configurable stages::
 * **Metrics** — the pipeline lands ``net.batch.*``, ``net.queue.*`` and
   ``net.fastlane.*`` instruments in the deployment's shared registry,
   plus per-link flush histograms (``net.batch.flush.<src>-<dst>``).
+  With an observatory attached, each backpressure stall is also noted
+  on its flight tape; fast-lane sends are only counted, so a
+  detector's beats never crowd the control-plane events off the tape.
 
 With the default :class:`WireConfig` every stage is pass-through and the
 pipeline reproduces the old per-message path exactly — same RNG draws,
@@ -181,10 +184,9 @@ class WirePipeline:
         self._passthrough = not self.batch and self.queue_depth == 0
         self._links: Dict[Tuple[ProcessId, ProcessId], _Link] = {}
         #: The observatory's flight recorder, or None.  Attached by
-        #: :class:`repro.obs.observatory.Observatory`; records the first
-        #: fast-lane activation per link and every backpressure stall.
+        #: :class:`repro.obs.observatory.Observatory`; records every
+        #: backpressure stall.
         self.flight: Any = None
-        self._fastlane_noted: set = set()
         # Hot-path counters resolved once (Counter objects are stable
         # across registry resets).
         self._ctr_fastlane = self.metrics.counter("net.fastlane.sends")
@@ -234,11 +236,6 @@ class WirePipeline:
         """Control fast lane: no coalescing, no budget — a failure
         detector's beats must not queue behind bulk payloads."""
         self._ctr_fastlane.value += 1
-        if (self.flight is not None
-                and (src, dst) not in self._fastlane_noted):
-            self._fastlane_noted.add((src, dst))
-            self.flight.note("fastlane", src=src, dst=dst,
-                             payload=type(payload).__name__)
         self.fabric.send(src, dst, payload)
 
     async def send(self, src: ProcessId, dst: ProcessId,

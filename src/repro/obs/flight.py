@@ -4,8 +4,9 @@ Traces and metrics answer "how much"; what post-mortems need is "what
 happened *just before* it went wrong", cheaply enough to leave running.
 :class:`FlightRecorder` is a bounded ring buffer of causal control-plane
 events — suspicion flips, rebinds, migration phase transitions,
-backpressure stalls, fast-lane activations — each a ``(seq, virtual
-time, kind, fields)`` tuple.  When the ring fills, the oldest entry is
+backpressure stalls — each a ``(seq, virtual time, kind, fields)``
+tuple.  Per-message traffic (heartbeats included) is counted in the
+metrics registry, never taped: it would push those events out.  When the ring fills, the oldest entry is
 overwritten; capacity bounds memory however long the deployment runs.
 
 Dumps are **deterministic**: :meth:`format_dump` renders only virtual

@@ -2,9 +2,9 @@
 
 The paper's configurability argument is only actionable if an operator
 can *see* what each composition costs at runtime; this module is where
-the individual instruments — the sampling kernel profiler
-(:mod:`repro.obs.profiler`), per-key load accounting
-(:mod:`repro.obs.loadstats`), windowed SLO tracking
+the individual instruments — the kernel profiler's sampled steps and
+handler-site call counts (:mod:`repro.obs.profiler`), per-key load
+accounting (:mod:`repro.obs.loadstats`), windowed SLO tracking
 (:mod:`repro.obs.slo`) and the flight recorder
 (:mod:`repro.obs.flight`) — are assembled and wired into a running
 :class:`~repro.core.deployment.Deployment`:
@@ -16,8 +16,8 @@ the individual instruments — the sampling kernel profiler
   placement plane's routed call path feed;
 * the SLO tracker observes every name-resolved call's latency, and its
   breach callback triggers a flight-recorder dump — the tape of
-  suspicion flips, rebinds, migration phases, backpressure stalls and
-  fast-lane activations leading up to the breach;
+  suspicion flips, rebinds, migration phases and backpressure stalls
+  leading up to the breach;
 * membership changes are taped from the ``observe`` slot of the
   deployment's :class:`~repro.core.control.ControlLoop` — the first
   slot, so every reaction lands on the tape after its cause.

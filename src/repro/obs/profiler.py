@@ -1,11 +1,10 @@
-"""The kernel profiler: where do the cycles (and the virtual time) go?
+"""The kernel profiler: where do the cycles go, and which handlers run?
 
-The ROADMAP's hot-path speed program needs a baseline before anything
-can be optimised, and "run cProfile by hand" does not compose with the
-simulation: one kernel step interleaves many tasks, and the interesting
-unit of attribution is the *handler site* (micro-protocol owner +
-handler), not the Python frame.  :class:`KernelProfiler` therefore
-profiles at the seams the framework already has:
+The unit of attribution in a simulated deployment is not the Python
+frame: one kernel step interleaves many tasks, and the paper's question
+("what does configurability cost?") is asked per micro-protocol.
+:class:`KernelProfiler` therefore measures at the seams the framework
+already has:
 
 * **kernel steps** — a sampling hook in :meth:`repro.sim.kernel.Kernel.
   _step`: every step captures ``perf_counter``, and the wall-clock delta
@@ -17,14 +16,11 @@ profiles at the seams the framework already has:
   wall-clock measurement in the system — everything else is virtual
   time — because "which task burns real CPU" is exactly what the speed
   program needs to know;
-* **handler sites** — enter/exit hooks on the event bus's dispatch
-  path walk a *calling-context tree*: a per-task frame stack steps from
-  the enclosing handler's node to its ``(owner, handler)`` child, so
-  nested ``trigger`` chains attribute child time to the child and each
-  node *is* one collapsed-stack line (``a;b;c <self>``, the format
-  flamegraph tooling consumes).  Virtual-time self and cumulative
-  totals accumulate per site and per node, and only for a handler
-  during which the clock moved;
+* **handler sites** — the event bus's enter hook counts one call per
+  ``(owner, handler)`` site, on entry, so a handler parked at an
+  ``await`` or cancelled by a crash is counted once all the same.  A
+  handler's virtual time is the span recorder's ``handler.<micro>``
+  histograms' business (:mod:`repro.obs.recorder`), not this table's;
 * **the stub marshaller** — :func:`repro.stubs.marshal.install_profiler`
   routes per-call byte counts and wall-clock into :meth:`on_marshal` /
   :meth:`on_unmarshal`, since argument marshalling is the one real-CPU
@@ -78,41 +74,18 @@ class StepSite:
 
 
 class HandlerSite:
-    """Virtual-time accounting for one (owner, handler) site."""
+    """The call count of one (owner, handler) site."""
 
-    __slots__ = ("owner", "handler", "calls", "cum", "self_time")
+    __slots__ = ("owner", "handler", "calls")
 
     def __init__(self, owner: str, handler: str):
         self.owner = owner
         self.handler = handler
         self.calls = 0
-        #: Virtual time from enter to exit, children included.
-        self.cum = 0.0
-        #: Virtual time minus the time spent in nested handler sites.
-        self.self_time = 0.0
 
     @property
     def label(self) -> str:
-        return _label(self.owner, self.handler)
-
-
-def _label(owner: str, handler: str) -> str:
-    return f"{owner or 'framework'}:{handler}"
-
-
-class _ContextNode:
-    """One calling-context-tree node: a handler site as reached through
-    one chain of enclosing sites (one collapsed-stack line)."""
-
-    __slots__ = ("key", "children", "site", "self_time")
-
-    def __init__(self, key: SiteKey):
-        self.key = key
-        self.children: Dict[SiteKey, "_ContextNode"] = {}
-        #: The node's :class:`HandlerSite`; ``None`` until the first
-        #: exit, so a context entered but never left is not reported.
-        self.site: Optional[HandlerSite] = None
-        self.self_time = 0.0
+        return f"{self.owner or 'framework'}:{self.handler}"
 
 
 class KernelProfiler:
@@ -127,11 +100,8 @@ class KernelProfiler:
         self._pending: Optional[StepSite] = None
         self._pending_since = 0.0
         self._step_sites: Dict[str, StepSite] = {}
-        # -- handler sites (virtual time) --
+        # -- handler sites (call counts) --
         self._handler_sites: Dict[SiteKey, HandlerSite] = {}
-        self._root = _ContextNode(("", ""))
-        #: Per-task stacks of [context node, child virtual time] frames.
-        self._stacks: Dict[int, List[List[Any]]] = {}
         # -- marshaller --
         self.marshal_calls = 0
         self.marshal_bytes = 0
@@ -170,71 +140,27 @@ class KernelProfiler:
                       key=lambda s: (-s.wall, s.name))
 
     # ------------------------------------------------------------------
-    # Handler-site hooks (virtual time, exact)
+    # Handler-site hooks (call counts, exact)
     # ------------------------------------------------------------------
 
     def handler_enter(self, task_key: int, owner: str,
                       handler: str) -> None:
-        stack = self._stacks.get(task_key)
-        if stack is None:
-            stack = self._stacks[task_key] = []
-            children = self._root.children
-        else:
-            children = stack[-1][0].children
-        key = (owner, handler)
-        node = children.get(key)
-        if node is None:
-            node = children[key] = _ContextNode(key)
-        stack.append([node, 0.0])
+        """The bus is about to run ``handler``: count one call."""
+        site = self._handler_sites.get((owner, handler))
+        if site is None:
+            site = self._handler_sites[owner, handler] = HandlerSite(
+                owner, handler)
+        site.calls += 1
 
     def handler_exit(self, task_key: int, duration: float) -> None:
-        stack = self._stacks.get(task_key)
-        if not stack:
-            return
-        node, child = stack.pop()
-        site = node.site
-        if site is None:
-            site = self._handler_sites.get(node.key)
-            if site is None:
-                site = self._handler_sites[node.key] = HandlerSite(
-                    *node.key)
-            node.site = site
-        site.calls += 1
-        # Virtual time stands still across most handlers, and adding 0.0
-        # changes no total: only a handler that waited does float work.
-        if duration != 0.0:
-            self_time = duration - child
-            if self_time < 0.0:
-                self_time = 0.0
-            site.cum += duration
-            site.self_time += self_time
-            node.self_time += self_time
-            if stack:
-                stack[-1][1] += duration
-        if not stack:
-            del self._stacks[task_key]
+        """The bus's exit hook; a call is counted on entry, so the exit
+        records nothing.  Kept so the bus's enter/exit pair stays one
+        protocol for every profiler it may be handed."""
 
     def handler_sites(self) -> List[HandlerSite]:
-        """Handler sites, most cumulative virtual time first."""
+        """Handler sites, most calls first."""
         return sorted(self._handler_sites.values(),
-                      key=lambda s: (-s.cum, s.owner, s.handler))
-
-    def collapsed(self) -> str:
-        """Collapsed-stack export (``a;b;c <microseconds>`` per line),
-        the flamegraph input format.  Self virtual time, scaled to
-        integer microseconds; sorted for determinism."""
-        paths: List[Tuple[Tuple[str, ...], float]] = []
-
-        def walk(node: _ContextNode, prefix: Tuple[str, ...]) -> None:
-            for child in node.children.values():
-                path = prefix + (_label(*child.key),)
-                if child.site is not None:
-                    paths.append((path, child.self_time))
-                walk(child, path)
-
-        walk(self._root, ())
-        return "\n".join(f"{';'.join(path)} {round(self_time * 1e6)}"
-                         for path, self_time in sorted(paths))
+                      key=lambda s: (-s.calls, s.label))
 
     # ------------------------------------------------------------------
     # Marshaller hooks (wall clock, exact)
@@ -260,8 +186,6 @@ class KernelProfiler:
         gauge("obs.profile.steps").set(self.steps_seen)
         gauge("obs.profile.step_sites").set(len(self.step_sites()))
         gauge("obs.profile.handler_sites").set(len(self._handler_sites))
-        gauge("obs.profile.handler_virtual").set(
-            sum(s.self_time for s in self._handler_sites.values()))
         gauge("obs.profile.marshal.calls").set(self.marshal_calls)
         gauge("obs.profile.marshal.bytes").set(self.marshal_bytes)
         gauge("obs.profile.marshal.wall").set(self.marshal_wall)
@@ -269,24 +193,22 @@ class KernelProfiler:
         gauge("obs.profile.unmarshal.bytes").set(self.unmarshal_bytes)
         gauge("obs.profile.unmarshal.wall").set(self.unmarshal_wall)
 
-    def report_lines(self, *, top: int = 8) -> List[str]:
-        """The profiler section of the deployment health report."""
+    def report_lines(self) -> List[str]:
+        """The profiler section of the deployment health report: every
+        handler site, and the eight task kinds with most wall clock."""
         lines = [f"kernel steps seen: {self.steps_seen} (sampling 1/1)"]
         sites = self.handler_sites()
         if sites:
-            lines.append(f"top handler sites by virtual time "
-                         f"(of {len(sites)}):")
-            for site in sites[:top]:
-                lines.append(
-                    f"  {site.label:<46} calls={site.calls:<6} "
-                    f"self={site.self_time * 1000:8.2f}ms "
-                    f"cum={site.cum * 1000:8.2f}ms")
+            lines.append(f"handler sites by calls ({len(sites)}):")
+            width = max(len(site.label) for site in sites)
+            for site in sites:
+                lines.append(f"  {site.label:<{width}} calls={site.calls}")
         else:
             lines.append("no handler sites recorded")
         steps = self.step_sites()
         if steps:
             lines.append("top tasks by sampled wall clock:")
-            for site in steps[:top]:
+            for site in steps[:8]:
                 lines.append(
                     f"  {site.name:<46} samples={site.samples:<6} "
                     f"wall={site.wall * 1000:8.2f}ms")

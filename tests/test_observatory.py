@@ -3,7 +3,7 @@
 Unit coverage for each instrument — the bounded histogram reservoir, the
 space-saving hot-key sketch, the rolling SLO windows with breach
 latching, the flight recorder's ring semantics and deterministic dumps,
-the profiler's self/cumulative attribution — plus end-to-end checks
+the profiler's per-site call counts — plus end-to-end checks
 that an ``observatory=True`` deployment wires them all together and
 renders the one-page health report.
 """
@@ -227,10 +227,10 @@ def test_flight_dump_bookkeeping_and_live_registry():
 
 
 def test_flight_note_accepts_wire_pipeline_fields():
-    # Regression: the wire pipeline tapes fast-lane activations with the
+    # Regression: the wire pipeline once taped fast-lane sends with the
     # payload's class name.  A field literally named ``kind`` collides
     # with note()'s positional parameter and raises — which, on the
-    # heartbeat send path, silently kills the sender daemon and drives
+    # heartbeat send path, silently killed the sender daemon and drove
     # every detector to suspicion.  Keep the call shape valid.
     flight = FlightRecorder(MetricsRegistry(), capacity=4)
     flight.note("fastlane", src=1, dst=2, payload="Heartbeat")
@@ -242,83 +242,40 @@ def test_flight_note_accepts_wire_pipeline_fields():
 # Profiler attribution
 # ---------------------------------------------------------------------------
 
-def test_profiler_nested_self_vs_cumulative():
+def test_profiler_counts_each_handler_once_on_entry():
+    """Nested, recursive, concurrently parked and never-exiting handlers
+    each count one call, at ``handler_enter``; ``handler_exit`` adds
+    nothing, for a known task or an unknown one."""
     prof = KernelProfiler()
-    prof.handler_enter(1, "outer", "h1")
-    prof.handler_enter(1, "inner", "h2")
-    prof.handler_exit(1, 0.3)
-    prof.handler_exit(1, 1.0)
-    sites = {s.label: s for s in prof.handler_sites()}
-    assert sites["inner:h2"].self_time == pytest.approx(0.3)
-    assert sites["outer:h1"].cum == pytest.approx(1.0)
-    assert sites["outer:h1"].self_time == pytest.approx(0.7)
-    for site in sites.values():
-        assert 0.0 <= site.self_time <= site.cum
-    assert "outer:h1;inner:h2 300000" in prof.collapsed()
-
-
-def test_profiler_recursion_gives_one_context_per_path():
-    prof = KernelProfiler()
-    prof.handler_enter(1, "a", "h")
-    prof.handler_enter(1, "b", "h")
-    prof.handler_enter(1, "a", "h")
-    prof.handler_exit(1, 0.1)
-    prof.handler_exit(1, 0.3)
-    prof.handler_exit(1, 0.6)
-    assert prof.collapsed().splitlines() == [
-        "a:h 300000", "a:h;b:h 200000", "a:h;b:h;a:h 100000"]
-    rows = {s.label: (s.calls, s.cum, s.self_time)
-            for s in prof.handler_sites()}
-    assert rows == {"a:h": (2, 0.1 + 0.6, 0.1 + (0.6 - 0.3)),
-                    "b:h": (1, 0.3, 0.3 - 0.1)}
-    assert prof._stacks == {}
-
-
-def test_profiler_tasks_parked_in_one_site_keep_separate_child_time():
-    """Two tasks inside the same context node at once: the child time
-    of one must not be subtracted from the other's self time."""
-    prof = KernelProfiler()
-    prof.handler_enter(1, "outer", "h")
-    prof.handler_enter(2, "outer", "h")        # same node, other task
+    prof.handler_enter(1, "outer", "h")        # nested ...
     prof.handler_enter(1, "inner", "h")
-    prof.handler_exit(1, 0.25)                 # task 1's child
-    prof.handler_exit(2, 1.0)                  # task 2: no children
-    prof.handler_exit(1, 1.0)
-    sites = {s.label: s for s in prof.handler_sites()}
-    assert sites["outer:h"].calls == 2
-    assert sites["outer:h"].cum == 2.0
-    assert sites["outer:h"].self_time == 1.0 + 0.75
-    assert prof.collapsed().splitlines() == [
-        "outer:h 1750000", "outer:h;inner:h 250000"]
-
-
-def test_profiler_reports_only_contexts_that_exited():
-    prof = KernelProfiler()
-    prof.handler_enter(1, "parked", "h")       # never exits
-    prof.handler_enter(1, "done", "h")
-    prof.handler_exit(1, 0.0)
-    prof.handler_enter(1, "also-parked", "h")  # never exits
-    assert prof.collapsed() == "parked:h;done:h 0"
-    assert [s.label for s in prof.handler_sites()] == ["done:h"]
+    prof.handler_exit(1, 0.25)
+    prof.handler_enter(1, "outer", "h")        # ... and recursive
+    prof.handler_enter(2, "outer", "h")        # parked alongside task 1
+    prof.handler_enter(3, "parked", "h")       # never exits
+    assert [(s.label, s.calls) for s in prof.handler_sites()] == [
+        ("outer:h", 3), ("inner:h", 1), ("parked:h", 1)]
+    for task in (1, 2, 1, 7):                  # 7: never entered
+        prof.handler_exit(task, 1.0)
+    prof.handler_enter(4, "", "bare")          # no owner: the framework's
+    assert [(s.label, s.calls) for s in prof.handler_sites()] == [
+        ("outer:h", 3), ("framework:bare", 1), ("inner:h", 1),
+        ("parked:h", 1)]
     metrics = MetricsRegistry()
     prof.publish(metrics)
-    assert metrics.snapshot()["gauges"]["obs.profile.handler_sites"] == 1
-    prof.handler_exit(7, 1.0)                  # unknown task: ignored
-    assert [s.label for s in prof.handler_sites()] == ["done:h"]
+    assert metrics.snapshot()["gauges"]["obs.profile.handler_sites"] == 4
 
 
-def test_profiler_stacks_do_not_outlive_crashed_handlers():
+def test_profiler_counts_handlers_cut_short_by_crashes():
     """A node crash while its handlers are parked (the bus is cleared,
-    the parked tasks cancelled): every bracket still unwinds through its
-    ``handler_exit``, so ``_stacks`` holds no entry for a dead task
-    however many crash/recover rounds pass."""
+    the parked tasks cancelled): each call the client issued is counted
+    once, however many crash/recover rounds pass."""
     deployment = Deployment(seed=5, membership="oracle", observatory=True)
     service = deployment.add_service(
         "kv", ServiceSpec(reliable=True, bounded=50.0), KVStore,
         servers=1, clients=1)
     client, server = service.client_pids[0], service.server_pids[0]
     prof = deployment.observatory.profiler
-    parked = []
 
     async def rounds():
         for i in range(100):
@@ -326,28 +283,26 @@ def test_profiler_stacks_do_not_outlive_crashed_handlers():
             deployment.spawn_client(client, service.call(
                 client, "put", {"key": "k", "value": i}))
             await deployment.runtime.sleep(0.05)
-            parked.append(len(prof._stacks))   # inside Synchronous_Call
             deployment.crash(client)
             await deployment.runtime.sleep(0.05)
-            assert prof._stacks == {}, i
             deployment.recover(client)
             deployment.recover(server)
             await deployment.runtime.sleep(0.05)
 
     deployment.run_scenario(rounds())
-    assert parked == [1] * 100
-    assert prof._stacks == {}
     calls = {s.label: s.calls for s in prof.handler_sites()}
     assert calls["Synchronous_Call:SynchronousCall.msg_from_user"] == 100
     deployment.shutdown()
 
 
-#: ``collapsed()``, ``handler_sites()`` rows and the deterministic
-#: ``obs.profile.*`` gauges of ``python -m repro report sharded-kv``
-#: (heartbeat membership, one crash, one coordinator-kill migration),
-#: recorded with the flat per-exit path table the context tree replaced.
-#: Floats compare with ``==``.  Not regenerable from this tree: they are
-#: the other implementation's output.
+#: ``handler_sites()`` rows and the deterministic ``obs.profile.*``
+#: gauges of ``python -m repro report sharded-kv`` (heartbeat
+#: membership, one crash, one coordinator-kill migration), recorded with
+#: the flat per-exit path table that counted a call when it returned.
+#: Not regenerable from this tree: they are the other implementation's
+#: output.  Counting on entry reaches the same figures here, because
+#: every handler the scenario enters has returned or been cancelled by
+#: the time the report is rendered.
 #:
 #: Since ``MSG_FROM_NETWORK`` handlers declare the message kinds they act
 #: on, a handler site counts only the arrivals of its kinds.  The six
@@ -359,47 +314,25 @@ def test_profiler_stacks_do_not_outlive_crashed_handlers():
 #: 235, 908 -> 235), Acceptance and Collation REPLYs only (908 -> 337,
 #: 805 -> 234) and Reliable Communication REPLYs and ACKs (1016 -> 673).
 #: Unique Execution's ``msg_from_net`` acts on all three kinds and keeps
-#: 1016.  Every virtual-time figure, the collapsed stacks and the gauges
-#: did not move: the skipped invocations were returns taking no time.
-REPORT_COLLAPSED = """\
-Acceptance:Acceptance.msg_from_net 0
-Acceptance:Acceptance.server_failure 0
-Collation:Collation.msg_from_net 0
-RPC_Main:RPCMain.drop_in_progress_duplicates 0
-RPC_Main:RPCMain.msg_from_net 0
-RPC_Main:RPCMain.msg_from_net;Unique_Execution:UniqueExecution.handle_reply 0
-RPC_Main:RPCMain.msg_from_user 0
-RPC_Main:RPCMain.msg_from_user;Acceptance:Acceptance.handle_new_call 0
-RPC_Main:RPCMain.msg_from_user;Bounded_Termination:BoundedTermination.handle_new_call 0
-RPC_Main:RPCMain.msg_from_user;Collation:Collation.handle_new_call 0
-RPC_Main:RPCMain.msg_from_user;Reliable_Communication:ReliableCommunication.handle_new_call 0
-Reliable_Communication:ReliableCommunication.handle_timeout 0
-Reliable_Communication:ReliableCommunication.msg_from_net 0
-Synchronous_Call:SynchronousCall.msg_from_user 4371839
-Unique_Execution:UniqueExecution.admit_call 0
-Unique_Execution:UniqueExecution.msg_from_net 0"""
+#: 1016.  Rows are in ``handler_sites()`` order: most calls first, then
+#: by label.
 REPORT_HANDLER_SITES = [
-    ("Synchronous_Call:SynchronousCall.msg_from_user", 136,
-     4.371839014379124, 4.371839014379124),
-    ("Acceptance:Acceptance.handle_new_call", 136, 0.0, 0.0),
-    ("Acceptance:Acceptance.msg_from_net", 337, 0.0, 0.0),
-    ("Acceptance:Acceptance.server_failure", 24, 0.0, 0.0),
-    ("Bounded_Termination:BoundedTermination.handle_new_call", 136,
-     0.0, 0.0),
-    ("Collation:Collation.handle_new_call", 136, 0.0, 0.0),
-    ("Collation:Collation.msg_from_net", 234, 0.0, 0.0),
-    ("RPC_Main:RPCMain.drop_in_progress_duplicates", 343, 0.0, 0.0),
-    ("RPC_Main:RPCMain.msg_from_net", 235, 0.0, 0.0),
-    ("RPC_Main:RPCMain.msg_from_user", 136, 0.0, 0.0),
-    ("Reliable_Communication:ReliableCommunication.handle_new_call", 136,
-     0.0, 0.0),
-    ("Reliable_Communication:ReliableCommunication.handle_timeout", 1224,
-     0.0, 0.0),
-    ("Reliable_Communication:ReliableCommunication.msg_from_net", 673,
-     0.0, 0.0),
-    ("Unique_Execution:UniqueExecution.admit_call", 235, 0.0, 0.0),
-    ("Unique_Execution:UniqueExecution.handle_reply", 235, 0.0, 0.0),
-    ("Unique_Execution:UniqueExecution.msg_from_net", 1016, 0.0, 0.0),
+    ("Reliable_Communication:ReliableCommunication.handle_timeout", 1224),
+    ("Unique_Execution:UniqueExecution.msg_from_net", 1016),
+    ("Reliable_Communication:ReliableCommunication.msg_from_net", 673),
+    ("RPC_Main:RPCMain.drop_in_progress_duplicates", 343),
+    ("Acceptance:Acceptance.msg_from_net", 337),
+    ("RPC_Main:RPCMain.msg_from_net", 235),
+    ("Unique_Execution:UniqueExecution.admit_call", 235),
+    ("Unique_Execution:UniqueExecution.handle_reply", 235),
+    ("Collation:Collation.msg_from_net", 234),
+    ("Acceptance:Acceptance.handle_new_call", 136),
+    ("Bounded_Termination:BoundedTermination.handle_new_call", 136),
+    ("Collation:Collation.handle_new_call", 136),
+    ("RPC_Main:RPCMain.msg_from_user", 136),
+    ("Reliable_Communication:ReliableCommunication.handle_new_call", 136),
+    ("Synchronous_Call:SynchronousCall.msg_from_user", 136),
+    ("Acceptance:Acceptance.server_failure", 24),
 ]
 REPORT_GAUGES = {
     # 5990 with the flat table, when each delivered envelope also took
@@ -407,7 +340,6 @@ REPORT_GAUGES = {
     # straight from the delivery.  The only value here that moved.
     "obs.profile.steps": 3854,
     "obs.profile.handler_sites": 16,
-    "obs.profile.handler_virtual": 4.371839014379124,
     "obs.profile.marshal.calls": 0, "obs.profile.marshal.bytes": 0,
     "obs.profile.unmarshal.calls": 0, "obs.profile.unmarshal.bytes": 0,
 }
@@ -430,11 +362,9 @@ def test_profiler_matches_the_flat_table_on_the_report_scenario(
     monkeypatch.setattr(Deployment, "render_report", capture)
     assert main(["report", "sharded-kv"]) == 0
     ((prof, gauges),) = seen
-    assert prof.collapsed() == REPORT_COLLAPSED
-    assert [(s.label, s.calls, s.cum, s.self_time)
+    assert [(s.label, s.calls)
             for s in prof.handler_sites()] == REPORT_HANDLER_SITES
     assert {name: gauges[name] for name in REPORT_GAUGES} == REPORT_GAUGES
-    assert prof._stacks == {}
     # The step table lists kinds: the 1 223 expired timeouts are one
     # row of the report's top 8, not 1 223 one-sample rows below it.
     assert gauges["obs.profile.step_sites"] < 60
@@ -442,6 +372,12 @@ def test_profiler_matches_the_flat_table_on_the_report_scenario(
     top_tasks = report.split("top tasks by sampled wall clock:")[1]
     rows = [line.split()[:2] for line in top_tasks.splitlines()[1:9]]
     assert ["timeout", "samples=1223"] in rows
+    # The report prints every handler site with its count, and its
+    # flight tape holds control-plane events, not heartbeats.
+    sites = report.split("handler sites by calls (16):\n")[1]
+    assert [tuple(line.split()) for line in sites.splitlines()[:16]] == [
+        (label, f"calls={calls}") for label, calls in REPORT_HANDLER_SITES]
+    assert "fastlane" not in report
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +455,7 @@ def test_observatory_end_to_end_report():
     deployment = _run_observed_deployment(True)
     obs = deployment.observatory
     assert obs.profiler.steps_seen > 0
-    assert obs.profiler.handler_sites()    # virtual time attributed
+    assert obs.profiler.handler_sites()    # handler calls counted
     marshal = _marshal()
     assert marshal._PROFILER is obs.profiler  # stub hook installed
     marshal.marshal({"probe": 1})
@@ -533,6 +469,30 @@ def test_observatory_end_to_end_report():
         assert header in report, header
     deployment.shutdown()
     assert _marshal()._PROFILER is None    # close() released the global
+
+
+def test_heartbeats_stay_off_the_flight_tape():
+    """Heartbeats ride the wire's control fast lane and are counted
+    there; the flight tape keeps only the control-plane events (here the
+    suspicion flip and the rebind it drives), so beats never push those
+    events off the ring."""
+    deployment = Deployment(seed=4, membership="heartbeat",
+                            heartbeat_interval=0.05, suspect_after=3,
+                            observatory=True)
+    kv = deployment.add_service("kv", ServiceSpec(), KVStore, servers=2,
+                                clients=1)
+    deployment.auto_rebind()
+    deployment.settle(0.5)                 # ten heartbeat intervals
+    victim = kv.server_pids[0]
+    deployment.crash(victim)
+    deployment.settle(0.5)
+    flight = deployment.observatory.flight
+    assert [(kind, fields) for _, _, kind, fields in flight.entries()] == [
+        ("suspect", {"pid": victim}),
+        ("rebind", {"service": "kv", "members": [kv.server_pids[1]]})]
+    assert flight.total_noted == 2
+    assert deployment.metrics.value("net.fastlane.sends") > 0
+    deployment.shutdown()
 
 
 def test_observatory_breach_dumps_flight_tape():

@@ -65,9 +65,10 @@ CALLERS = [
       for p in sorted((ROOT / "examples").glob("*.py"))),
     *(([PY, "-m", "repro", *argv], {}) for argv in CLI),
     ([PY, "benchmarks/perf/run.py", "--smoke"], {}),
-    (PYTEST + [f"benchmarks/{b}" for b in BENCHES if "x17" not in b], {}),
-    # Full-sized x17 takes many minutes under the hook, so it runs tiny.
-    (PYTEST + ["benchmarks/bench_x17_hotpath.py"], {"REPRO_BENCH_TINY": "1"}),
+    # pytest-benchmark pauses every sys.setprofile hook around a
+    # benchmarked function; disabled, it runs the function once, hooked.
+    (PYTEST + ["--benchmark-disable"]
+     + [f"benchmarks/{b}" for b in BENCHES], {}),
 ]
 #: Tier-1 under the hook.  A wall-clock test may fail there, so its exit
 #: status is not checked.
