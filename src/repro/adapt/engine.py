@@ -361,13 +361,13 @@ class AdaptationManager:
         if self._inflight.get(svc.name, 0):
             return False
         for grpc in svc.grpcs.values():
-            if len(grpc.sRPC):
+            if grpc.sRPC:
                 return False
             if require_empty:
-                if len(grpc.pRPC):
+                if grpc.pRPC:
                     return False
             else:
-                for record in grpc.pRPC.records():
+                for record in grpc.pRPC.values():
                     if record.status is Status.WAITING:
                         return False
         return True

@@ -38,11 +38,12 @@ event fires with the new incarnation number.
 
 from __future__ import annotations
 
-from typing import (Any, Awaitable, Callable, Coroutine, Iterable, Optional,
-                    Set)
+from typing import (Any, Awaitable, Callable, Coroutine, Dict, Iterable,
+                    Optional, Set)
 
 from repro.core.framework import CompositeProtocol, MicroProtocol
 from repro.core.messages import (
+    CallKey,
     CallResult,
     MemChange,
     NetMsg,
@@ -50,7 +51,7 @@ from repro.core.messages import (
     UserMsg,
     UserOp,
 )
-from repro.core.state import ClientTable, HoldRegistry, ServerTable
+from repro.core.state import ClientRecord, HoldRegistry, ServerRecord
 from repro.errors import ConfigurationError, NodeDown
 from repro.obs.recorder import CTX_KEY as OBS_CTX
 from repro.net.message import Group, ProcessId
@@ -106,10 +107,8 @@ class GroupRPC(CompositeProtocol):
         self.service = service
 
         # ---- shared data (Section 4.2) --------------------------------
-        self.pRPC = ClientTable()
-        self.pRPC_mutex = self.runtime.lock()
-        self.sRPC = ServerTable()
-        self.sRPC_mutex = self.runtime.lock()
+        self.pRPC: Dict[int, ClientRecord] = {}
+        self.sRPC: Dict[CallKey, ServerRecord] = {}
         self.hold = HoldRegistry()
         self.inc_number: int = node.incarnation
         #: Live members as reported by a membership service; ``None`` means
@@ -358,8 +357,6 @@ class GroupRPC(CompositeProtocol):
         self.serial = self.runtime.semaphore(1)
         if self.execution_gate is not None:
             self.execution_gate = self.serial
-        self.pRPC_mutex = self.runtime.lock()
-        self.sRPC_mutex = self.runtime.lock()
 
     def _on_recover(self, incarnation: int) -> None:
         """Relink the composite and announce the new incarnation."""

@@ -78,7 +78,7 @@ class Acceptance(GRPCMicroProtocol):
     async def server_failure(self, who: ProcessId, change: MemChange) -> None:
         if change is not MemChange.FAILURE:
             return
-        for record in self.grpc.pRPC.records():
+        for record in list(self.grpc.pRPC.values()):
             entry = record.pending.get(who)
             if entry is not None and not entry.done:
                 entry.done = True

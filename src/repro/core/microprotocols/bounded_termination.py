@@ -39,15 +39,10 @@ class BoundedTermination(GRPCMicroProtocol):
 
     async def handle_new_call(self, call_id: int) -> None:
         async def handle_timeout(cid: int = call_id) -> None:
-            grpc = self.grpc
-            await grpc.pRPC_mutex.acquire()
-            try:
-                record = grpc.pRPC.get(cid)
-                if record is not None and record.status is Status.WAITING:
-                    record.status = Status.TIMEOUT
-                    record.sem.release()
-            finally:
-                grpc.pRPC_mutex.release()
+            record = self.grpc.pRPC.get(cid)
+            if record is not None and record.status is Status.WAITING:
+                record.status = Status.TIMEOUT
+                record.sem.release()
 
         reg = self.register(TIMEOUT, handle_timeout, self.timebound)
         record = self.grpc.pRPC.get(call_id)

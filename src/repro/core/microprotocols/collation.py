@@ -61,15 +61,8 @@ class Collation(GRPCMicroProtocol):
 
     async def msg_from_net(self, msg: NetMsg) -> None:
         record = self.client_record_for(msg)
-        if record is None:
-            return
-        grpc = self.grpc
-        await grpc.pRPC_mutex.acquire()
-        try:
+        if record is not None:
             record.args = self.cum_func(record.args, msg.args)
-            record.replies_seen += 1
-        finally:
-            grpc.pRPC_mutex.release()
 
 
 # ----------------------------------------------------------------------

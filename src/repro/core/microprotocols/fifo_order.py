@@ -95,7 +95,7 @@ class FIFOOrder(GRPCMicroProtocol):
                                   and msg.id < info.next):
             # Stale: an old incarnation, or an already-passed id.
             self.cancel_event()
-            grpc.sRPC.remove(key)
+            grpc.sRPC.pop(key, None)
             return
         if info.inc < msg.inc:
             # New client incarnation: its id sequence starts over at 1.

@@ -93,7 +93,7 @@ class ProbeOrphanTermination(TerminateOrphan):
 
     async def probe_round(self) -> None:
         grpc = self.grpc
-        pending_clients = {record.client for record in grpc.sRPC.records()}
+        pending_clients = {record.client for record in grpc.sRPC.values()}
         for client, state in list(self._probes.items()):
             if client not in pending_clients:
                 del self._probes[client]
@@ -117,13 +117,13 @@ class ProbeOrphanTermination(TerminateOrphan):
         """The client is presumed dead: all its pending work is orphaned,
         whatever its incarnation."""
         grpc = self.grpc
-        for record in grpc.sRPC.records():
+        for record in list(grpc.sRPC.values()):
             if record.client != client:
                 continue
             if record.executor is not None:
                 grpc.runtime.cancel(record.executor)
                 self.kills += 1
-            grpc.sRPC.remove(record.key)
+            grpc.sRPC.pop(record.key, None)
             await self.trigger(CALL_ABORTED, record.key)
 
 

@@ -63,7 +63,7 @@ class ReliableCommunication(GRPCMicroProtocol):
     async def handle_timeout(self) -> None:
         grpc = self.grpc
         obs = grpc.obs
-        for record in grpc.pRPC.records():
+        for record in list(grpc.pRPC.values()):
             for pid, entry in record.pending.items():
                 if entry.acked:
                     continue

@@ -86,7 +86,7 @@ class RPCMain(GRPCMicroProtocol):
                               server=msg.server, client=msg.sender,
                               inc=msg.inc,
                               obs_ctx=msg.annotation(CTX_KEY))
-        self.grpc.sRPC.add(record)
+        self.grpc.sRPC[key] = record
         await self.forward_up(key, MAIN)
 
     async def forward_up(self, key: CallKey, index: str) -> None:
@@ -150,7 +150,7 @@ class RPCMain(GRPCMicroProtocol):
                        args=record.args, server=record.server,
                        sender=self.my_id, inc=record.inc,
                        annotations=reply_ann)
-        grpc.sRPC.remove(key)
+        grpc.sRPC.pop(key, None)
         await grpc.net_push(record.client, reply)
 
     # ------------------------------------------------------------------
@@ -161,14 +161,11 @@ class RPCMain(GRPCMicroProtocol):
         if umsg.type is not UserOp.CALL:
             return
         grpc = self.grpc
-        await grpc.pRPC_mutex.acquire()
         record = ClientRecord.fresh(
             self._next_id, umsg.op, umsg.args, umsg.server,
-            grpc.runtime.semaphore(0), grpc.inc_number,
-            grpc.runtime.now())
+            grpc.runtime.semaphore(0), grpc.inc_number)
         self._next_id += 1
-        grpc.pRPC.add(record)
-        grpc.pRPC_mutex.release()
+        grpc.pRPC[record.id] = record
         await self.trigger(NEW_RPC_CALL, record.id)
         umsg.id = record.id
         obs = grpc.obs

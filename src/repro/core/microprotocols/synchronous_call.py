@@ -35,9 +35,8 @@ class SynchronousCall(GRPCMicroProtocol):
         await record.sem.acquire()
         umsg.args = record.args
         umsg.status = record.status
-        await grpc.pRPC_mutex.acquire()
-        grpc.pRPC.remove(umsg.id)
-        grpc.pRPC_mutex.release()
+        grpc.pRPC.pop(umsg.id, None)
+        record.retire()
 
 
 register_protocol(SynchronousCall.protocol_name)

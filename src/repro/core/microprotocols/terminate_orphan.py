@@ -76,13 +76,13 @@ class TerminateOrphan(GRPCMicroProtocol):
 
     async def _kill_orphans(self, client: ProcessId, new_inc: int) -> None:
         grpc = self.grpc
-        for record in grpc.sRPC.records():
+        for record in list(grpc.sRPC.values()):
             if record.client != client or record.inc >= new_inc:
                 continue
             if record.executor is not None:
                 grpc.runtime.cancel(record.executor)
                 self.kills += 1
-            grpc.sRPC.remove(record.key)
+            grpc.sRPC.pop(record.key, None)
             await self.trigger(CALL_ABORTED, record.key)
 
     async def handle_reply(self, key: CallKey) -> None:

@@ -165,7 +165,7 @@ class TotalOrder(GRPCMicroProtocol):
             elif rank < self.next_entry:
                 # Already executed in an earlier arrival: stale duplicate.
                 self.cancel_event()
-                grpc.sRPC.remove(key)
+                grpc.sRPC.pop(key, None)
             elif rank == self.next_entry:
                 await grpc.forward_up(key, TOTAL)
             else:
@@ -189,7 +189,7 @@ class TotalOrder(GRPCMicroProtocol):
             elif rank > self.next_entry:
                 self.ready_list[rank] = key
             else:
-                self.grpc.sRPC.remove(key)
+                self.grpc.sRPC.pop(key, None)
 
     async def handle_reply(self, key: CallKey) -> None:
         record = self.grpc.sRPC.get(key)

@@ -4,14 +4,20 @@ The framework half of a composite protocol "supports shared data (e.g.,
 messages) that can be accessed by the micro-protocols configured into the
 framework".  For gRPC that shared data is:
 
-* :class:`ClientTable` (``pRPC``) — pending calls at the client, each a
-  :class:`ClientRecord` with the per-call semaphore the client thread
-  waits on, the required-response count ``nres``, and the per-server
-  pending/acked/done bookkeeping;
-* :class:`ServerTable` (``sRPC``) — pending calls at a server, each a
-  :class:`ServerRecord` with the per-call *hold array*;
+* ``pRPC`` — pending calls at the client, a plain dict on the composite
+  from call id to :class:`ClientRecord`: the per-call semaphore the client
+  thread waits on, the required-response count ``nres``, and the
+  per-server pending/acked/done bookkeeping;
+* ``sRPC`` — pending calls at a server, a plain dict from
+  :data:`~repro.core.messages.CallKey` to :class:`ServerRecord`, each with
+  the per-call *hold array*;
 * :class:`HoldRegistry` (``HOLD``) — which properties must be satisfied
   before a call may be forwarded up to the server.
+
+The paper guards both tables with ``P``/``V`` mutexes because x-kernel
+threads preempt; here every micro-protocol runs on one cooperative kernel
+and no access to a table yields, so the tables carry no lock (deviation
+#11 in DESIGN.md).
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.messages import CallKey, Status
 from repro.net.message import Group, ProcessId
 
-__all__ = ["PendingEntry", "ClientRecord", "ClientTable",
-           "ServerRecord", "ServerTable", "HoldRegistry"]
+__all__ = ["PendingEntry", "ClientRecord", "ServerRecord", "HoldRegistry"]
 
 
 @dataclass(slots=True)
@@ -54,10 +59,6 @@ class ClientRecord:
     status: Status = Status.WAITING
     #: Incarnation of the client when the call was issued.
     inc: int = 0
-    #: Virtual time the call entered gRPC; used by the bench harness.
-    issued_at: float = 0.0
-    #: How many replies have been folded in by Collation.
-    replies_seen: int = 0
     #: The original request arguments, kept separately because ``args``
     #: becomes the collation accumulator once Collation initializes it
     #: (the paper's retransmission path reads ``pRPC(id).args``, which
@@ -66,8 +67,8 @@ class ClientRecord:
     #: Micro-protocol piggyback data, copied onto every transmission of
     #: this call (set during NEW_RPC_CALL, e.g. by Causal Order).
     annotations: Dict[str, Any] = field(default_factory=dict)
-    #: Per-call cleanup callbacks run when the record is retired from the
-    #: table (e.g. Bounded Termination disarming its expiry TIMEOUT).
+    #: Per-call cleanup callbacks run by :meth:`retire` when the call is
+    #: redeemed (e.g. Bounded Termination disarming its expiry TIMEOUT).
     #: ``None`` until a micro-protocol attaches one, so the common
     #: unbounded call pays no list allocation.
     disposers: Optional[List[Any]] = None
@@ -79,47 +80,21 @@ class ClientRecord:
         else:
             self.disposers.append(fn)
 
+    def retire(self) -> None:
+        """Run (once) the cleanup callbacks of a redeemed call.  A crash
+        clears ``pRPC`` without retiring: its timers die with the site."""
+        disposers = self.disposers
+        if disposers is not None:
+            self.disposers = None
+            for dispose in disposers:
+                dispose()
+
     @classmethod
     def fresh(cls, call_id: int, op: str, args: Any, server: Group,
-              sem: Any, inc: int, now: float) -> "ClientRecord":
+              sem: Any, inc: int) -> "ClientRecord":
         return cls(id=call_id, op=op, args=args, server=server, sem=sem,
                    pending={p: PendingEntry() for p in server},
-                   inc=inc, issued_at=now, request_args=args)
-
-
-class ClientTable:
-    """``pRPC``: pending calls indexed by call id.
-
-    The table itself is volatile client state; the ``mutex`` guarding it is
-    created by the composite from its runtime (the paper's
-    ``pRPC_mutex``).
-    """
-
-    def __init__(self) -> None:
-        self._records: Dict[int, ClientRecord] = {}
-
-    def get(self, call_id: int) -> Optional[ClientRecord]:
-        return self._records.get(call_id)
-
-    def add(self, record: ClientRecord) -> None:
-        self._records[record.id] = record
-
-    def remove(self, call_id: int) -> Optional[ClientRecord]:
-        record = self._records.pop(call_id, None)
-        if record is not None and record.disposers is not None:
-            for dispose in record.disposers:
-                dispose()
-            record.disposers = None
-        return record
-
-    def records(self) -> List[ClientRecord]:
-        return list(self._records.values())
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def clear(self) -> None:
-        self._records.clear()
+                   inc=inc, request_args=args)
 
 
 @dataclass(slots=True)
@@ -151,34 +126,6 @@ class ServerRecord:
     @property
     def call_id(self) -> int:
         return self.key[2]
-
-
-class ServerTable:
-    """``sRPC``: pending calls at the server, keyed by :data:`CallKey`."""
-
-    def __init__(self) -> None:
-        self._records: Dict[CallKey, ServerRecord] = {}
-
-    def __contains__(self, key: CallKey) -> bool:
-        return key in self._records
-
-    def get(self, key: CallKey) -> Optional[ServerRecord]:
-        return self._records.get(key)
-
-    def add(self, record: ServerRecord) -> None:
-        self._records[record.key] = record
-
-    def remove(self, key: CallKey) -> Optional[ServerRecord]:
-        return self._records.pop(key, None)
-
-    def records(self) -> List[ServerRecord]:
-        return list(self._records.values())
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def clear(self) -> None:
-        self._records.clear()
 
 
 class HoldRegistry:

@@ -1,14 +1,17 @@
 """Synchronization primitives for the simulation kernel.
 
 The paper's micro-protocols are written against classic counting semaphores
-(``P``/``V``) plus mutexes guarding the shared ``pRPC``/``sRPC`` tables.
-These primitives provide the same blocking semantics on top of
-:mod:`repro.sim.kernel`, with two properties that matter for faithfulness:
+(``P``/``V``): the per-call semaphore a client thread blocks on and the
+``serial`` execution gate.  These primitives provide the same blocking
+semantics on top of :mod:`repro.sim.kernel`, with three properties that
+matter for faithfulness:
 
 * **Uncontended acquires do not yield.**  A trigger chain that takes and
-  releases a free mutex runs atomically with respect to other tasks, which
+  releases a free lock runs atomically with respect to other tasks, which
   matches the sequential-and-blocking event dispatch described in Section 3
-  of the paper and keeps schedules deterministic.
+  of the paper and keeps schedules deterministic.  For the same reason the
+  paper's mutexes around the shared ``pRPC``/``sRPC`` tables are not
+  needed here (deviation #11 in DESIGN.md).
 * **Releases never preempt.**  ``V`` makes a waiter runnable but the caller
   keeps running, so (for example) the Collation micro-protocol still gets to
   fold in the final reply after Acceptance has released the client's
@@ -73,20 +76,6 @@ class Semaphore:
 
     def _pass_on(self, task: Task) -> None:
         self.release()      # ``task`` was cancelled before it could run
-
-    def reset(self, value: int) -> None:
-        """Forcibly set the counter, waking waiters while value allows.
-
-        Used by recovery code (the paper's Atomic Execution handler does
-        ``sRPC_mutex = 0``) to reinitialize semaphores after a crash.
-        """
-        if value < 0:
-            raise ValueError(f"semaphore value must be >= 0, got {value}")
-        self._value = value
-        while self._value > 0 and self._waiters:
-            self._value -= 1
-            task = self._waiters.popleft()
-            current_kernel()._reschedule(task, None, self._pass_on)
 
     async def __aenter__(self) -> "Semaphore":
         await self.acquire()

@@ -3,7 +3,8 @@
 The tool keys a def by the line ``co_firstlineno`` reports for its code
 object, which for a decorated def is the first decorator's line; a
 wrong key would report every decorated def as unentered.  ``--check``
-is the CI gate: an unentered def without a row in the table fails it.
+is the CI gate: an unentered def without a row in the table fails it,
+and so does a row naming a def that is gone.
 """
 
 import asyncio
@@ -100,3 +101,19 @@ def test_check_fails_on_an_unlisted_unentered_def(tmp_path, capsys):
     doc.write_text(doc.read_text()
                    + "| `pkg.mod:unused` | api | none |\n")
     assert census.main(["--check", str(doc)], callers, root) == 0
+
+
+def test_check_fails_on_a_row_naming_a_deleted_def(tmp_path, capsys):
+    root = _fixture(tmp_path)
+    doc = tmp_path / "architecture.md"
+    callers = [([sys.executable, "-c", CALLER], {})]
+    doc.write_text("| def | class | caller |\n|---|---|---|\n"
+                   "| `pkg.mod:unused` | api | none |\n"
+                   "| `pkg.mod:Box.gone` | api | none |\n")
+    assert census.main(["--check", str(doc)], callers, root) == 1
+    report = capsys.readouterr()
+    assert "row for a deleted def: pkg.mod:Box.gone" in report.err
+    # A row for a def some caller enters is stale too, but not an error.
+    doc.write_text(doc.read_text().replace("Box.gone", "used"))
+    assert census.main(["--check", str(doc)], callers, root) == 0
+    assert "row for an entered def: pkg.mod:used" in capsys.readouterr().err

@@ -266,22 +266,40 @@ def _join(cluster, task):
 # Bounded Termination disarms completed calls
 # ----------------------------------------------------------------------
 
-def test_bounded_timeout_disarmed_when_call_completes():
+def _redeem_async(cluster, op, args):
+    """One call through Asynchronous Call: ``begin``, then ``result``."""
+    results = []
+
+    async def issue():
+        handle = await cluster.grpc(cluster.client).begin(op, args,
+                                                          cluster.group)
+        results.append(await handle.result())
+
+    task = cluster.spawn_client(cluster.client, issue())
+    cluster.deployment.run_scenario(_join(cluster, task))
+    return results[0]
+
+
+@pytest.mark.parametrize("call", ["synchronous", "asynchronous"])
+def test_bounded_timeout_disarmed_when_call_completes(call):
     # A completed call must not leave its expiry TIMEOUT armed for the
     # rest of the bound: with long bounds and high call rates the moot
     # timers would otherwise pile up in the kernel's timer heap (one
     # per call, live for the full 30s here) and tax every heap
-    # operation.  Retirement of the client record disarms the bound.
-    spec = ServiceSpec(acceptance=1, bounded=30.0)
+    # operation.  Redeeming the call retires its client record, which
+    # disarms the bound, on either call micro-protocol's path.
+    spec = ServiceSpec(call=call, acceptance=1, bounded=30.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=2)
+    redeem = cluster.call_and_run if call == "synchronous" \
+        else lambda op, args: _redeem_async(cluster, op, args)
     client_bus = cluster.grpc(cluster.client).bus
     # Reliable Communication keeps one periodic retransmit TIMEOUT armed
     # at all times; that steady-state count is the baseline the per-call
     # bound must return to once each call completes.
-    baseline = cluster.call_and_run("get", {"key": "k"}).ok \
+    baseline = redeem("get", {"key": "k"}).ok \
         and client_bus.pending_timeouts()
     for i in range(10):
-        assert cluster.call_and_run("put", {"key": "k", "value": i}).ok
+        assert redeem("put", {"key": "k", "value": i}).ok
         assert client_bus.pending_timeouts() == baseline
     # The cancelled timers must not linger in the heap either: the
     # kernel's lazy purge compacts once dead entries dominate.

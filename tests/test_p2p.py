@@ -1,9 +1,12 @@
 """The compact point-to-point RPC: same semantics, no composition."""
 
+import random
+
 import pytest
 
-from repro import LinkSpec, Status
+from repro import LinkSpec, ServiceCluster, Status
 from repro.apps import CounterApp, KVStore, ServerDispatcher
+from repro.core.config import exactly_once
 from repro.core.p2p import P2PMsg, PointToPointRPC
 from repro.faults import drop_first
 from repro.net import NetworkFabric, Node, UnreliableTransport
@@ -132,3 +135,58 @@ def test_concurrent_calls_multiplex():
     rt.run_for(0.5)
     assert all(results[i].status is Status.OK for i in range(6))
     assert sorted(r.id for r in results.values()) == list(range(1, 7))
+
+
+def _seeded_kv_ops(seed, n):
+    """``n`` put/get/delete calls over a few keys, drawn from ``seed``."""
+    rng = random.Random(seed)
+    ops = []
+    for i in range(n):
+        op = rng.choice(("put", "put", "get", "delete"))
+        args = {"key": f"k{rng.randrange(4)}"}
+        if op == "put":
+            args["value"] = i
+        ops.append((op, args))
+    return ops
+
+
+def _drive(rt, spawn, call, ops):
+    """Issue ``ops`` one after another from a client task; return each
+    call's ``(status, reply, simulated latency)``."""
+    seen = []
+
+    async def client():
+        for op, args in ops:
+            t0 = rt.now()
+            result = await call(op, dict(args))
+            seen.append((result.status, result.args, rt.now() - t0))
+
+    task = spawn(client())
+
+    async def waiter():
+        await rt.join(task)
+
+    rt.run(waiter(), shutdown=False)
+    return seen
+
+
+def test_composite_and_compact_agree_on_a_seeded_workload():
+    # p2p.py as a differential oracle: x7's configuration (exactly-once,
+    # one client, one server, 10 ms link, no jitter, no loss) must give
+    # the same outcome through the composite as through the hand-fused
+    # protocol, call for call and in simulated time.
+    link = LinkSpec(delay=0.01, jitter=0.0)
+    ops = _seeded_kv_ops(seed=3, n=40)
+    rt, fabric, sides = build_pair(link=link)
+    compact = _drive(rt, fabric.node(101).spawn,
+                     lambda op, args: sides[101].call(op, args, 1), ops)
+    cluster = ServiceCluster(exactly_once(acceptance=1, bounded=0.0),
+                             KVStore, n_servers=1, seed=0,
+                             default_link=link)
+    composite = _drive(
+        cluster.deployment.runtime,
+        lambda coro: cluster.spawn_client(cluster.client, coro),
+        lambda op, args: cluster.call(cluster.client, op, args), ops)
+    assert composite == compact
+    assert all(status is Status.OK for status, _, _ in compact)
+    assert cluster.app(1).data == sides["dispatcher"].app.data != {}

@@ -117,7 +117,7 @@ class Spy(ServerApp):
         self.executors = []
 
     async def handle_peek(self, args):
-        self.executors += [r.executor for r in self.grpc.sRPC.records()]
+        self.executors += [r.executor for r in self.grpc.sRPC.values()]
 
 
 @pytest.mark.parametrize("orphans", ["none", "avoid", "terminate", "probe"])
@@ -149,5 +149,5 @@ def test_executor_is_recorded_only_for_an_orphan_killer(orphans):
                for executor in app.executors)
     assert made and set(made) == ({1} if kills else {0})
     assert all(record.executor is None
-               for record in app.grpc.sRPC.records())
+               for record in app.grpc.sRPC.values())
     dep.shutdown()

@@ -97,26 +97,6 @@ def test_semaphore_negative_value_rejected():
         Semaphore(-1)
 
 
-def test_semaphore_reset_wakes_waiters():
-    kernel = Kernel()
-    sem = Semaphore(0)
-    woken = []
-
-    async def waiter(tag):
-        await sem.acquire()
-        woken.append(tag)
-
-    async def main():
-        await spawn(waiter("a"))
-        await spawn(waiter("b"))
-        await sleep(1)
-        sem.reset(2)
-        await sleep(1)
-
-    kernel.run(main())
-    assert woken == ["a", "b"]
-
-
 def test_semaphore_context_manager():
     kernel = Kernel()
 

@@ -14,7 +14,8 @@ of every ``def``.  A code object reports its first decorator's line as
     python tools/census.py --check docs/architecture.md
 
 ``--check`` fails when an unentered def has no row in the document's
-table.  A row's first cell names the def as `module:qualname`.
+table, or a row names a def that no longer exists under ``src/``.  A
+row's first cell names the def as `module:qualname`.
 """
 
 import argparse
@@ -138,7 +139,8 @@ def main(argv=None, callers=None, root=ROOT):
                         help="also run tier-1 and name the test that "
                              "enters each def")
     parser.add_argument("--check", metavar="DOC",
-                        help="fail on an unentered def with no row in DOC")
+                        help="fail on an unentered def with no row in DOC, "
+                             "or a row naming a deleted def")
     args = parser.parse_args(argv)
     every = defs(root / "src")
     seen = entered(CALLERS if callers is None else callers, root)
@@ -162,10 +164,15 @@ def main(argv=None, callers=None, root=ROOT):
         for qualname in unlisted:
             print(f"census: no row in {args.check}: {qualname}",
                   file=sys.stderr)
-        for qualname in sorted(rows - {q for q, _, _ in missed}):
-            print(f"census: row for an entered or deleted def: {qualname}",
+        deleted = sorted(rows - {q for q, _ in every.values()})
+        for qualname in deleted:
+            print(f"census: row for a deleted def: {qualname}",
                   file=sys.stderr)
-        return 1 if unlisted else 0
+        for qualname in sorted(rows - {q for q, _, _ in missed}
+                               - set(deleted)):
+            print(f"census: row for an entered def: {qualname}",
+                  file=sys.stderr)
+        return 1 if unlisted or deleted else 0
     return 0
 
 
