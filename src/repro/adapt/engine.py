@@ -51,6 +51,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.adapt.plan import AdaptationPlan, validate_plan
 from repro.core.config import ServiceSpec
+from repro.core.events import CANCEL
 from repro.core.grpc import ADAPT_EPOCH_KEY, MSG_FROM_NETWORK, GroupRPC
 from repro.core.messages import NetMsg, Status
 from repro.core.microprotocols.base import GRPCMicroProtocol
@@ -101,12 +102,12 @@ class AdaptationFence(GRPCMicroProtocol):
     def configure(self) -> None:
         self.register(MSG_FROM_NETWORK, self.fence)
 
-    async def fence(self, msg: NetMsg) -> None:
+    async def fence(self, msg: NetMsg) -> Any:
         if msg.annotation(ADAPT_EPOCH_KEY, 0) != self.grpc.adapt_epoch:
             self.dropped += 1
             if self._dropped is not None:
                 self._dropped.inc()
-            self.cancel_event()
+            return CANCEL
 
 
 register_protocol(AdaptationFence.protocol_name)

@@ -19,7 +19,7 @@ from repro.core.config import (
     replicated_state_machine,
     validate,
 )
-from repro.core.events import LOWEST_PRIORITY, TIMEOUT, EventBus
+from repro.core.events import CANCEL, LOWEST_PRIORITY, TIMEOUT, EventBus
 from repro.core.framework import CompositeProtocol, MicroProtocol
 from repro.core.grpc import (
     CALL_FROM_USER,
@@ -57,6 +57,7 @@ __all__ = [
     "replicated_state_machine",
     "EventBus",
     "TIMEOUT",
+    "CANCEL",
     "LOWEST_PRIORITY",
     "CompositeProtocol",
     "MicroProtocol",

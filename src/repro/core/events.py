@@ -1,7 +1,8 @@
 """Event registration, triggering and handler dispatch (Section 3).
 
 This is the runtime the paper's composite protocols are linked against.
-It provides exactly the four framework operations of Section 3:
+It provides the four framework operations of Section 3, the fourth as a
+handler's return value:
 
 ``register(event, handler, priority)``
     Request that ``handler`` run when ``event`` occurs.  For sequential
@@ -20,10 +21,13 @@ It provides exactly the four framework operations of Section 3:
 ``deregister(event, handler)``
     Reverse a registration (including a pending TIMEOUT).
 
-``cancel_event()``
-    Abort the remaining handlers of the event currently being dispatched
-    in the calling task.  Callable synchronously from inside a handler, as
-    the paper's micro-protocols do (``cancel_event(); exit()``).
+``CANCEL``
+    A handler cancels the rest of the event it was invoked for by
+    returning :data:`CANCEL`: the remaining handlers of that occurrence
+    are skipped and ``trigger`` returns ``False``.  The paper's
+    micro-protocols call ``cancel_event`` and then ``exit``; here that
+    pair is one ``return CANCEL`` (DESIGN.md §3 deviation 12), so no
+    dispatch needs a record of its own to be cancellable.
 
 The paper's model also defines the other dispatch modes: "the invocation
 of event handlers ... can be sequential ... or concurrent — performed
@@ -34,7 +38,7 @@ combinations are provided (:meth:`EventBus.trigger`,
 :meth:`EventBus.trigger_concurrent`); the micro-protocols of Section 4
 use only blocking-sequential dispatch, and concurrency across *messages*
 comes from each network arrival dispatching in its own thread of control.
-``cancel_event`` affects only sequential dispatch, as the paper notes
+Cancelling affects only sequential dispatch, as the paper notes
 ("mostly useful for sequential events").
 
 Dispatch resolves per registration what the composition fixes and pays
@@ -48,7 +52,8 @@ dispatch — sequential, concurrent or expired TIMEOUT, observed or not —
 runs the one body of :meth:`EventBus.trigger` off these compiled tables.
 An instrumented bus adds, per handler it runs, one ``handler_enter``/
 ``handler_exit`` pair on the runtime's profiler, one clock read and one
-recorder record.
+recorder record (plus a ``cancel_event`` record for a handler that
+returned :data:`CANCEL`).
 """
 
 from __future__ import annotations
@@ -61,16 +66,22 @@ from typing import (Any, Awaitable, Callable, Dict, FrozenSet, Hashable,
 from repro.errors import KernelError, NoCurrentTask
 from repro.runtime.sim_runtime import SimRuntime
 
-__all__ = ["EventBus", "TIMEOUT", "LOWEST_PRIORITY", "Registration"]
+__all__ = ["EventBus", "TIMEOUT", "CANCEL", "LOWEST_PRIORITY",
+           "Registration"]
 
 #: The distinguished one-shot timer event (Section 3).
 TIMEOUT = "TIMEOUT"
 
+#: Returned by a handler to cancel the rest of its event; dispatch tests
+#: for it with ``is``, so no other return value cancels.
+CANCEL: Any = object()
+
 #: Default priority: runs after every explicitly prioritized handler.
 LOWEST_PRIORITY = 1_000_000
 
-#: Handlers are async callables taking the trigger's positional arguments.
-Handler = Callable[..., Awaitable[None]]
+#: Handlers are async callables taking the trigger's positional arguments
+#: and returning :data:`CANCEL` or anything else (``None``: continue).
+Handler = Callable[..., Awaitable[Any]]
 
 
 class Registration:
@@ -105,40 +116,17 @@ class Registration:
         return (self.priority, self.seq)
 
 
-class _Dispatch:
-    """Bookkeeping for one in-progress ``trigger`` call on ``bus``, linked
-    to the dispatch it nests in on any bus.  The innermost one is the
-    kernel's ``_dispatch`` while its task runs, the task's while parked."""
-
-    __slots__ = ("bus", "event", "cancelled", "outer")
-
-    def __init__(self, bus: "EventBus", event: str,
-                 outer: Optional["_Dispatch"]):
-        self.bus = bus
-        self.event = event
-        self.cancelled = False
-        self.outer = outer
-
-
-def _fuse(bus: "EventBus", event: str,
-          handlers: Tuple[Handler, ...]) -> Callable[..., Any]:
+def _fuse(kernel: Any, handlers: Tuple[Handler, ...]) -> Callable[..., Any]:
     """One uninstrumented ``trigger(event, ...)`` over ``handlers``,
-    compiled: the same dispatch record, the same order, ``cancel_event``
-    as an early return."""
-    kernel = bus._kernel
+    compiled: the same order, the same return at the first
+    :data:`CANCEL`."""
 
     async def run(*args: Any) -> bool:
         if kernel._current is None:
             raise NoCurrentTask("no task is currently executing")
-        dispatch = kernel._dispatch = _Dispatch(bus, event,
-                                                kernel._dispatch)
-        try:
-            for handler in handlers:
-                await handler(*args)
-                if dispatch.cancelled:
-                    return False
-        finally:
-            kernel._dispatch = dispatch.outer
+        for handler in handlers:
+            if await handler(*args) is CANCEL:
+                return False
         return True
     return run
 
@@ -169,7 +157,7 @@ class EventBus:
         # replaced, whenever the event's table is dropped.
         self._runs: Dict[str, Dict[Hashable, Callable[..., Any]]] = {}
         self._seq = 0
-        # What runs, and its dispatch records, are read off the kernel.
+        # What runs is read off the kernel.
         self._kernel = runtime.kernel
         # Armed TIMEOUT registrations keyed by registration seq
         # (insertion-ordered).  A dict so :meth:`disarm` — called once
@@ -286,16 +274,17 @@ class EventBus:
         """Run all handlers for ``event`` sequentially, in priority order.
 
         Returns ``True`` if every handler ran, ``False`` if some handler
-        cancelled the event.  The handler list is snapshotted at trigger
-        time, so registrations made by handlers take effect from the next
-        occurrence of the event (the precompiled table is an immutable
-        tuple, so the snapshot is free: a registration mid-dispatch swaps
-        in a new table while the in-flight loop keeps the old one).
+        cancelled the event by returning :data:`CANCEL`.  The handler
+        list is snapshotted at trigger time, so registrations made by
+        handlers take effect from the next occurrence of the event (the
+        precompiled table is an immutable tuple, so the snapshot is free:
+        a registration mid-dispatch swaps in a new table while the
+        in-flight loop keeps the old one).
 
         With ``kind``, only the registrations acting on that kind run
         (see :meth:`register`), off a chain compiled once per
-        ``(event, kind)``; their order and ``cancel_event`` are as in
-        the full table.
+        ``(event, kind)``; their order and :data:`CANCEL` are as in the
+        full table.
 
         Instrumented and uninstrumented buses share this body; the
         recorder/profiler pair is tested once per trigger.  ``_table`` is
@@ -318,49 +307,43 @@ class EventBus:
         kernel = self._kernel
         if kernel._current is None:
             raise NoCurrentTask("no task is currently executing")
-        dispatch = kernel._dispatch = _Dispatch(self, event,
-                                                kernel._dispatch)
         obs = self._obs
         prof = self._prof
-        try:
-            if obs is not None or prof is not None:
-                # The one instrumented bracket.  Dispatch is sequential
-                # in one task, so a handler starts at the instant its
-                # predecessor ended: one clock read per handler.
-                now = self.runtime.now
-                # A profiled arrival is a task from its first step.
-                task_key = id(kernel._current)
-                end = now()
-                for reg in table:
-                    if dispatch.cancelled:
-                        break
-                    start = end
+        if obs is not None or prof is not None:
+            # The one instrumented bracket.  Dispatch is sequential in one
+            # task, so a handler starts at the instant its predecessor
+            # ended: one clock read per handler.
+            now = self.runtime.now
+            # A profiled arrival is a task from its first step.
+            task_key = id(kernel._current)
+            end = now()
+            for reg in table:
+                start = end
+                if prof is not None:
+                    prof.handler_enter(task_key, reg.owner, reg.name)
+                try:
+                    cancelled = await reg.handler(*args) is CANCEL
+                finally:
+                    end = now()
                     if prof is not None:
-                        prof.handler_enter(task_key, reg.owner, reg.name)
-                    try:
-                        await reg.handler(*args)
-                    finally:
-                        end = now()
-                        if prof is not None:
-                            prof.handler_exit(task_key, end - start)
-                    if obs is not None:
-                        obs.record_handler(
-                            event, reg.owner, reg.name, reg.priority,
-                            start, end, node=self.node_id,
-                            cancelled=dispatch.cancelled)
-            elif len(table) == 1:
-                # Single-handler case dominates micro-protocol
-                # composition; skip the loop (cancelled is always False
-                # on entry — cancel_event still works via the record).
-                await table[0].handler(*args)
-            else:
-                for reg in table:
-                    if dispatch.cancelled:
-                        break
-                    await reg.handler(*args)
-        finally:
-            kernel._dispatch = dispatch.outer
-        return not dispatch.cancelled
+                        prof.handler_exit(task_key, end - start)
+                if obs is not None:
+                    if cancelled:
+                        obs.record_event("cancel_event", node=self.node_id,
+                                         event=event)
+                    obs.record_handler(
+                        event, reg.owner, reg.name, reg.priority,
+                        start, end, node=self.node_id, cancelled=cancelled)
+                if cancelled:
+                    return False
+            return True
+        if len(table) == 1:
+            # Single-handler case dominates micro-protocol composition.
+            return await table[0].handler(*args) is not CANCEL
+        for reg in table:
+            if await reg.handler(*args) is CANCEL:
+                return False
+        return True
 
     #: ``trigger`` under the name the bus uses for its own one-handler
     #: occurrences — an expired TIMEOUT, one handler of a concurrent
@@ -415,7 +398,7 @@ class EventBus:
         except KeyError:
             table = self._compile_chain(event, kind)
         if table and self._obs is None and self._prof is None:
-            run = _fuse(self, event, tuple(reg.handler for reg in table))
+            run = _fuse(self._kernel, tuple(reg.handler for reg in table))
         else:
             run = partial(self.trigger, event, kind=kind)
         self.chains(event)[kind] = run
@@ -433,7 +416,7 @@ class EventBus:
         """Sequential dispatch in a fresh task; the caller continues.
 
         The paper's non-blocking invocation: "the invoker continues
-        execution without waiting".  Handler order and ``cancel_event``
+        execution without waiting".  Handler order and :data:`CANCEL`
         semantics are identical to :meth:`trigger`; only the caller's
         synchrony changes.
         """
@@ -448,9 +431,9 @@ class EventBus:
         each event handler given its own thread of control".  With
         ``blocking=True`` the caller "waits until all the event handlers
         registered for the event have finished execution"; with
-        ``blocking=False`` it continues immediately.  ``cancel_event``
-        inside a concurrent handler affects only that handler's own
-        chain — there is no shared sequence to abort.
+        ``blocking=False`` it continues immediately.  A concurrent handler
+        that returns :data:`CANCEL` ends only its own chain — there is no
+        shared sequence to abort.
         """
         handles = [
             self._spawn(self._dispatch(event, *args, _table=(reg,)),
@@ -461,34 +444,6 @@ class EventBus:
             for handle in handles:
                 if handle is not None:
                     await self.runtime.join(handle)
-
-    def cancel_event(self) -> None:
-        """Cancel the event currently dispatching in the calling task.
-
-        The remaining handlers registered for this occurrence are skipped.
-        Mirrors the paper's ``cancel_event()`` framework operation; a
-        handler typically follows it with ``return`` (the paper's
-        ``exit()``).
-        """
-        dispatch = self._innermost()
-        if dispatch is None:
-            raise KernelError("cancel_event() outside of event dispatch")
-        dispatch.cancelled = True
-        if self._obs is not None:
-            self._obs.record_event("cancel_event", node=self.node_id,
-                                   event=dispatch.event)
-
-    def in_dispatch(self) -> Optional[str]:
-        """Name of the event the calling task is dispatching, if any."""
-        dispatch = self._innermost()
-        return None if dispatch is None else dispatch.event
-
-    def _innermost(self) -> Optional[_Dispatch]:
-        """This bus's innermost dispatch in the running context."""
-        dispatch = self._kernel._dispatch
-        while dispatch is not None and dispatch.bus is not self:
-            dispatch = dispatch.outer
-        return dispatch
 
     # ------------------------------------------------------------------
     # TIMEOUT plumbing

@@ -44,12 +44,13 @@ class MicroProtocol:
     #: :meth:`attach` (handlers reach them on every message).
     bus: EventBus
     runtime: SimRuntime
-    #: The framework operations ``trigger(event, *args)`` and
-    #: ``cancel_event()`` (Section 3): the bus's own bound methods, set
-    #: by :meth:`attach`, so a micro-protocol's trigger costs no
-    #: coroutine of its own.
+    #: The framework operation ``trigger(event, *args)`` (Section 3):
+    #: the bus's own bound method, set by :meth:`attach`, so a
+    #: micro-protocol's trigger costs no coroutine of its own.  A handler
+    #: cancels the rest of its event by returning
+    #: :data:`~repro.core.events.CANCEL`, the paper's ``cancel_event``
+    #: followed by ``exit``.
     trigger: Callable[..., Awaitable[bool]]
-    cancel_event: Callable[[], None]
 
     def __init__(self) -> None:
         self.composite: Optional["CompositeProtocol"] = None
@@ -75,7 +76,6 @@ class MicroProtocol:
         bus = self.bus = composite.bus
         self.runtime = composite.runtime
         self.trigger = bus.trigger
-        self.cancel_event = bus.cancel_event
         self.configure()
 
     def configure(self) -> None:

@@ -18,6 +18,9 @@ OK; it is therefore part of the minimal functional configuration.
 
 from __future__ import annotations
 
+from typing import Any
+
+from repro.core.events import CANCEL
 from repro.core.grpc import MEMBERSHIP_CHANGE, MSG_FROM_NETWORK, NEW_RPC_CALL
 from repro.core.messages import MemChange, NetMsg, NetOp, Status
 from repro.core.microprotocols.base import GRPCMicroProtocol
@@ -61,7 +64,7 @@ class Acceptance(GRPCMicroProtocol):
                 entry.done = True
         record.nres = min(self.acceptance_limit, alive)
 
-    async def msg_from_net(self, msg: NetMsg) -> None:
+    async def msg_from_net(self, msg: NetMsg) -> Any:
         record = self.client_record_for(msg)
         if record is not None and msg.sender in record.pending \
                 and not record.pending[msg.sender].done:
@@ -73,7 +76,7 @@ class Acceptance(GRPCMicroProtocol):
         else:
             # Late, duplicate, or stale reply: stop the chain so Collation
             # does not double-count it.
-            self.cancel_event()
+            return CANCEL
 
     async def server_failure(self, who: ProcessId, change: MemChange) -> None:
         if change is not MemChange.FAILURE:

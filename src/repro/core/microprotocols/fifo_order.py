@@ -21,8 +21,9 @@ call would block all its successors forever without retransmission.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict
 
+from repro.core.events import CANCEL
 from repro.core.grpc import MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
@@ -79,7 +80,7 @@ class FIFOOrder(GRPCMicroProtocol):
                 or (info.inc == inc and next_id > info.next):
             self.in_progress[client] = _ClientProgress(inc, next_id)
 
-    async def msg_from_net(self, msg: NetMsg) -> None:
+    async def msg_from_net(self, msg: NetMsg) -> Any:
         grpc = self.grpc
         key = self.call_key(msg)
         client = msg.sender
@@ -94,9 +95,8 @@ class FIFOOrder(GRPCMicroProtocol):
         if info.inc > msg.inc or (info.inc == msg.inc
                                   and msg.id < info.next):
             # Stale: an old incarnation, or an already-passed id.
-            self.cancel_event()
             grpc.sRPC.pop(key, None)
-            return
+            return CANCEL
         if info.inc < msg.inc:
             # New client incarnation: its id sequence starts over at 1.
             info.inc = msg.inc

@@ -19,8 +19,9 @@ in that case (deviation #8 in DESIGN.md).
 from __future__ import annotations
 
 import sys
-from typing import Dict
+from typing import Any, Dict
 
+from repro.core.events import CANCEL
 from repro.core.grpc import MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
@@ -58,7 +59,7 @@ class InterferenceAvoidance(GRPCMicroProtocol):
                       kinds=(NetOp.CALL,))
         self.register(REPLY_FROM_SERVER, self.handle_reply)
 
-    async def msg_from_net(self, msg: NetMsg) -> None:
+    async def msg_from_net(self, msg: NetMsg) -> Any:
         client = msg.sender
         info = self.cinfo.get(client)
         if info is None:
@@ -66,8 +67,7 @@ class InterferenceAvoidance(GRPCMicroProtocol):
             self.cinfo[client] = info
         if info.inc > msg.inc and info.inc != _FROZEN:
             # Older incarnation than the admitted generation: orphan spam.
-            self.cancel_event()
-            return
+            return CANCEL
         if info.inc != _FROZEN and info.inc < msg.inc:
             # First call of a newer generation: freeze admissions until
             # the current generation's executions drain.
@@ -84,7 +84,7 @@ class InterferenceAvoidance(GRPCMicroProtocol):
         else:
             # Not admitted this round; the client's retransmission will
             # bring it back once the old generation finishes.
-            self.cancel_event()
+            return CANCEL
 
     async def handle_reply(self, key: CallKey) -> None:
         record = self.grpc.sRPC.get(key)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.events import CANCEL
 from repro.core.grpc import (
     CALL_FROM_USER,
     MSG_FROM_NETWORK,
@@ -69,7 +70,7 @@ class RPCMain(GRPCMicroProtocol):
     # Server side
     # ------------------------------------------------------------------
 
-    async def drop_in_progress_duplicates(self, msg: NetMsg) -> None:
+    async def drop_in_progress_duplicates(self, msg: NetMsg) -> Any:
         """Drop a retransmitted CALL whose original is still pending.
 
         Re-execution of a *finished* call is legitimate under at-least-once
@@ -78,7 +79,7 @@ class RPCMain(GRPCMicroProtocol):
         simply discarded (the client keeps retrying until a reply lands).
         """
         if self.call_key(msg) in self.grpc.sRPC:
-            self.cancel_event()
+            return CANCEL
 
     async def msg_from_net(self, msg: NetMsg) -> None:
         key = self.call_key(msg)

@@ -23,8 +23,9 @@ configured — the orphan-policy benchmarks exercise exactly this.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict
 
+from repro.core.events import CANCEL
 from repro.core.grpc import CALL_ABORTED, MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
@@ -58,7 +59,7 @@ class TerminateOrphan(GRPCMicroProtocol):
     def unconfigure(self) -> None:
         self.grpc.kills_orphans = False
 
-    async def msg_from_net(self, msg: NetMsg) -> None:
+    async def msg_from_net(self, msg: NetMsg) -> Any:
         client = msg.sender
         known = self.client_inc.get(client)
         if known is None:
@@ -66,8 +67,7 @@ class TerminateOrphan(GRPCMicroProtocol):
             return
         if known > msg.inc:
             # A message from a dead incarnation: drop it.
-            self.cancel_event()
-            return
+            return CANCEL
         if known < msg.inc:
             # The client reincarnated: everything still pending from the
             # old incarnation is an orphan.

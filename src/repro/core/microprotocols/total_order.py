@@ -46,9 +46,9 @@ needs a membership service (to learn of the leader's death).
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Any, Dict, Set
 
-from repro.core.events import TIMEOUT
+from repro.core.events import CANCEL, TIMEOUT
 from repro.core.grpc import MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, MemChange, NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
@@ -155,7 +155,7 @@ class TotalOrder(GRPCMicroProtocol):
             # case the original call never reached it.
             await grpc.net_push(self.leader(msg.server), msg)
 
-    async def msg_from_net(self, msg: NetMsg) -> None:
+    async def msg_from_net(self, msg: NetMsg) -> Any:
         grpc = self.grpc
         if msg.type is NetOp.CALL:
             key = self.call_key(msg)
@@ -164,8 +164,8 @@ class TotalOrder(GRPCMicroProtocol):
                 self.waiting_set.add(key)
             elif rank < self.next_entry:
                 # Already executed in an earlier arrival: stale duplicate.
-                self.cancel_event()
                 grpc.sRPC.pop(key, None)
+                return CANCEL
             elif rank == self.next_entry:
                 await grpc.forward_up(key, TOTAL)
             else:

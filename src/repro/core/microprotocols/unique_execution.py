@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Set
 
+from repro.core.events import CANCEL
 from repro.core.grpc import CALL_ABORTED, MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
@@ -67,7 +68,7 @@ class UniqueExecution(GRPCMicroProtocol):
         if record is not None:
             self.old_results[key] = record.args
 
-    async def msg_from_net(self, msg: NetMsg) -> None:
+    async def msg_from_net(self, msg: NetMsg) -> Any:
         grpc = self.grpc
         if msg.type is NetOp.CALL:
             key = self.call_key(msg)
@@ -78,10 +79,10 @@ class UniqueExecution(GRPCMicroProtocol):
                                server=msg.server, sender=self.my_id,
                                inc=msg.inc)
                 await grpc.net_push(msg.sender, reply)
-                self.cancel_event()
+                return CANCEL
             elif key in self.old_calls:
                 # In progress, or executed and already ACKed: discard.
-                self.cancel_event()
+                return CANCEL
         elif msg.type is NetOp.REPLY:
             # Client side: acknowledge so the server can retire the result.
             ack = NetMsg(type=NetOp.ACK, server=msg.server,

@@ -59,8 +59,7 @@ class SimRuntime:
 
     def current_handle_nowait(self) -> Task:
         """Handle for the calling task (the paper's ``my_thread()``),
-        valid only while a task runs (``cancel_event`` is a plain
-        operation); an inline run's is made."""
+        valid only while a task runs; an inline run's is made."""
         task = self.kernel._promote()
         if task is None:
             raise NoCurrentTask("no task is currently executing")

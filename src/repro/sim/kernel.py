@@ -167,7 +167,7 @@ class Task:
 
     __slots__ = ("id", "coro", "name", "daemon", "state", "result",
                  "exception", "cancelled", "_kernel", "_joiners",
-                 "_unpark", "_sleep_timer", "_pending_exc", "tags", "dispatch")
+                 "_unpark", "_sleep_timer", "_pending_exc", "tags")
 
     def __init__(self, coro: Coroutine, name: str, daemon: bool,
                  kernel: "Kernel"):
@@ -191,7 +191,6 @@ class Task:
         self._pending_exc: Optional[BaseException] = None
         # Arbitrary annotations (e.g. owning node) set by higher layers.
         self.tags: dict[str, Any] = {}
-        self.dispatch: Any = None   # parked in a dispatch: its record
 
     @property
     def done(self) -> bool:
@@ -285,7 +284,6 @@ class Kernel:
         self._timers_dead = 0
         self._current: Optional[Task] = None      # or _INLINE
         self._inline: Optional[tuple] = None      # start()'s arguments
-        self._dispatch: Any = None    # innermost event dispatch record
         self._tasks: dict[int, Task] = {}
         self._running = False
         #: Exceptions from tasks that finished with an error and were never
@@ -613,8 +611,6 @@ class Kernel:
         if trap is None:
             self.steps_executed += 1
             task._unpark = None
-            if task.dispatch is not None:
-                self._dispatch, task.dispatch = task.dispatch, None
             if self.profile_hook is not None:
                 self.profile_hook(task)
         coro = task.coro
@@ -694,8 +690,6 @@ class Kernel:
                 trap = None
         finally:
             self._current = None
-            if self._dispatch is not None:    # it parked inside a dispatch
-                task.dispatch, self._dispatch = self._dispatch, None
 
     def _finish(self, task: Task, result: Any = None, failed: bool = False,
                 cancelled: bool = False) -> None:

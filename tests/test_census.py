@@ -12,6 +12,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "census.py"
 _spec = importlib.util.spec_from_file_location("census", TOOL)
 census = importlib.util.module_from_spec(_spec)
@@ -117,3 +119,15 @@ def test_check_fails_on_a_row_naming_a_deleted_def(tmp_path, capsys):
     doc.write_text(doc.read_text().replace("Box.gone", "used"))
     assert census.main(["--check", str(doc)], callers, root) == 0
     assert "row for an entered def: pkg.mod:used" in capsys.readouterr().err
+
+
+def test_a_failing_caller_shows_what_it_printed(tmp_path):
+    """A caller that fails ends the census with the tail of its output:
+    pytest reports failures on stdout, so stdout must be in it."""
+    root = _fixture(tmp_path)
+    callers = [([sys.executable, "-c",
+                 "print('census-marker: 1 failed'); raise SystemExit(1)"],
+                {})]
+    with pytest.raises(SystemExit) as failed:
+        census.entered(callers, root)
+    assert "census-marker: 1 failed" in str(failed.value)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.events import EventBus
+from repro.core.events import CANCEL, EventBus
 from repro.runtime import SimRuntime
 
 
@@ -36,7 +36,7 @@ def test_nonblocking_preserves_sequential_order_and_cancel():
 
     async def first():
         order.append("first")
-        bus.cancel_event()
+        return CANCEL
 
     async def second():
         order.append("second")   # pragma: no cover - must be skipped
@@ -117,7 +117,7 @@ def test_cancel_event_in_concurrent_mode_is_per_handler():
 
     async def canceller():
         ran.append("canceller")
-        bus.cancel_event()   # no shared sequence: siblings unaffected
+        return CANCEL        # no shared sequence: siblings unaffected
 
     async def sibling():
         await rt.sleep(0.1)

@@ -1,8 +1,10 @@
-"""Unit tests for the event framework (register/trigger/cancel/TIMEOUT)."""
+"""Unit tests for the event framework (register/trigger/CANCEL/TIMEOUT)."""
+
+from functools import partial
 
 import pytest
 
-from repro.core.events import LOWEST_PRIORITY, TIMEOUT, EventBus
+from repro.core.events import CANCEL, LOWEST_PRIORITY, TIMEOUT, EventBus
 from repro.errors import KernelError
 from repro.runtime import SimRuntime
 
@@ -10,15 +12,6 @@ from repro.runtime import SimRuntime
 def make_bus():
     rt = SimRuntime()
     return rt, EventBus(rt)
-
-
-def assert_no_record_survives(rt, *tasks):
-    """No dispatch record outlives its dispatch: the kernel holds none for
-    the running context (none at all between steps), and neither do the
-    given tasks nor any live one."""
-    assert rt.kernel._dispatch is None
-    for task in (*tasks, *rt.kernel.live_tasks()):
-        assert task.dispatch is None, task
 
 
 def test_trigger_runs_handlers_in_priority_order():
@@ -78,7 +71,7 @@ def test_cancel_event_skips_remaining_handlers():
 
     async def first():
         order.append("first")
-        bus.cancel_event()
+        return CANCEL
 
     async def second():
         order.append("second")
@@ -94,23 +87,13 @@ def test_cancel_event_skips_remaining_handlers():
     assert order == ["first"]
 
 
-def test_cancel_event_outside_dispatch_raises():
-    rt, bus = make_bus()
-
-    async def main():
-        with pytest.raises(KernelError):
-            bus.cancel_event()
-
-    rt.run(main())
-
-
 def test_nested_trigger_cancellation_is_scoped():
     rt, bus = make_bus()
     order = []
 
     async def inner_handler():
         order.append("inner")
-        bus.cancel_event()  # cancels only the inner dispatch
+        return CANCEL       # cancels only the inner dispatch
 
     async def outer_first():
         order.append("outer-first")
@@ -140,9 +123,9 @@ def test_concurrent_dispatches_do_not_cross_cancel():
     async def slow_handler(tag):
         order.append(f"start-{tag}")
         await rt.sleep(1.0)
-        if tag == "a":
-            bus.cancel_event()
         order.append(f"end-{tag}")
+        if tag == "a":
+            return CANCEL
 
     async def follower(tag):
         order.append(f"follower-{tag}")
@@ -431,17 +414,16 @@ def test_raising_handler_still_gets_exactly_one_exit():
     assert isinstance(main.exception, ValueError)
     assert [(c[0], c[2]) for c in prof.calls] == [("enter", "b"),
                                                   ("exit", 0.0)]
-    assert_no_record_survives(rt, main)
 
 
 def test_cancel_event_skips_the_bracket_for_the_rest():
     rt, bus, prof = make_profiled_bus()
 
     async def canceller():
-        bus.cancel_event()
+        return CANCEL
 
     async def skipped():
-        raise AssertionError("ran after cancel_event")
+        raise AssertionError("ran after CANCEL")
 
     bus.register("E", canceller, 1, owner="c")
     bus.register("E", skipped, 2, owner="s")
@@ -472,7 +454,7 @@ def test_recorder_sees_start_end_of_each_handler():
         await rt.sleep(0.005)
 
     async def last():
-        bus.cancel_event()
+        return CANCEL
 
     for prio, handler in enumerate((first, middle, last)):
         bus.register("E", handler, prio, owner=f"mp{prio}")
@@ -545,22 +527,27 @@ def test_handler_names_are_resolved_at_registration():
 
 
 # ---------------------------------------------------------------------------
-# Dispatch records: one per trigger, linked to the dispatch it nests in
+# CANCEL ends the dispatch that invoked the handler, and only that one
 # ---------------------------------------------------------------------------
 
 def test_nested_records_unwind_to_the_enclosing_dispatch():
+    """An inner trigger's CANCEL ends the inner dispatch only; the outer
+    handler that called it then cancels the outer one by returning."""
     rt, bus = make_bus()
     seen = []
 
     async def outer_first():
-        seen.append(bus.in_dispatch())
+        seen.append("OUTER")
         assert await bus.trigger("INNER") is False
-        seen.append(bus.in_dispatch())       # back on the outer record
-        bus.cancel_event()                   # ... so this cancels OUTER
+        seen.append("OUTER")
+        return CANCEL
 
     async def inner():
-        seen.append(bus.in_dispatch())
-        bus.cancel_event()
+        seen.append("INNER")
+        return CANCEL
+
+    async def inner_second():
+        raise AssertionError("ran after the inner dispatch was cancelled")
 
     async def outer_second():
         raise AssertionError("ran after the outer dispatch was cancelled")
@@ -568,34 +555,33 @@ def test_nested_records_unwind_to_the_enclosing_dispatch():
     bus.register("OUTER", outer_first, 1)
     bus.register("OUTER", outer_second, 2)
     bus.register("INNER", inner, 1)
+    bus.register("INNER", inner_second, 2)
 
     async def main():
-        assert bus.in_dispatch() is None
         assert await bus.trigger("OUTER") is False
-        assert bus.in_dispatch() is None
-        assert_no_record_survives(rt)
 
     rt.run(main())
     assert seen == ["OUTER", "INNER", "OUTER"]
-    assert_no_record_survives(rt)
 
 
 def test_nesting_across_two_buses_in_one_task():
+    """A CANCEL on the inner bus ends that bus's dispatch; the enclosing
+    dispatch on the other bus goes on to its next handler."""
     rt = SimRuntime()
     first, second = EventBus(rt), EventBus(rt)
     order = []
 
     async def a1():
         order.append("a1")
-        assert await second.trigger("B") is True
-        order.append(("after-B", first.in_dispatch(), second.in_dispatch()))
+        assert await second.trigger("B") is False
+        order.append("after-B")
 
     async def a2():
         order.append("a2")
 
     async def b1():
-        order.append(("b1", first.in_dispatch(), second.in_dispatch()))
-        first.cancel_event()          # the enclosing A dispatch, not B
+        order.append("b1")
+        return CANCEL
 
     async def b2():
         order.append("b2")
@@ -606,15 +592,16 @@ def test_nesting_across_two_buses_in_one_task():
     second.register("B", b2, 2)
 
     async def main():
-        assert await first.trigger("A") is False
-        assert_no_record_survives(rt)
+        assert await first.trigger("A") is True
 
     rt.run(main())
-    assert order == ["a1", ("b1", "A", "B"), "b2", ("after-B", "A", None)]
-    assert_no_record_survives(rt)
+    assert order == ["a1", "b1", "after-B", "a2"]
 
 
 def test_interleaved_tasks_keep_their_own_records():
+    """Two tasks dispatch ``E`` and interleave; one nests a dispatch that
+    parks and is cancelled while the other runs.  Neither ``E``
+    dispatch is cancelled."""
     from repro.sim import spawn
 
     rt, bus = make_bus()
@@ -622,75 +609,33 @@ def test_interleaved_tasks_keep_their_own_records():
 
     async def slow(tag):
         await rt.sleep(1.0 if tag == "a" else 0.5)
-        seen.append((tag, bus.in_dispatch()))
+        seen.append((tag, "E"))
         if tag == "b":
             assert await bus.trigger("NESTED", tag) is False
-            seen.append((tag, bus.in_dispatch()))
+            seen.append((tag, "E"))
 
     async def nested(tag):
         await rt.sleep(1.0)                   # task "a" resumes meanwhile
-        seen.append((tag, bus.in_dispatch()))
-        bus.cancel_event()
+        seen.append((tag, "NESTED"))
+        return CANCEL
+
+    async def follower(tag):
+        seen.append((tag, "follower"))
 
     bus.register("E", slow, 1)
+    bus.register("E", follower, 2)
     bus.register("NESTED", nested, 1)
-
-    tasks = []
+    bus.register("NESTED", follower, 2)
 
     async def main():
         ta = await spawn(bus.trigger("E", "a"))
         tb = await spawn(bus.trigger("E", "b"))
-        tasks.extend((ta, tb))
         assert await ta.join() is True
         assert await tb.join() is True
 
     rt.run(main())
-    assert seen == [("b", "E"), ("a", "E"), ("b", "NESTED"), ("b", "E")]
-    assert_no_record_survives(rt, *tasks)
-
-
-def test_dispatch_records_do_not_outlive_crashed_tasks():
-    """A crash cancels the client task while it is parked inside a
-    dispatch: the task unwinds its record with it, so nothing holds a
-    record for a dead task however many crash/recover rounds pass."""
-    from repro import Deployment, ServiceSpec
-    from repro.apps import KVStore
-
-    deployment = Deployment(seed=5, membership="oracle")
-    service = deployment.add_service(
-        "kv", ServiceSpec(reliable=True, bounded=50.0), KVStore,
-        servers=1, clients=1)
-    client, server = service.client_pids[0], service.server_pids[0]
-    bus = service.grpc(client).bus
-    rt = deployment.runtime
-    parked = []
-
-    def records(task):
-        chain, dispatch = [], task.dispatch
-        while dispatch is not None:
-            chain.append(dispatch.bus)
-            dispatch = dispatch.outer
-        return chain
-
-    async def rounds():
-        for i in range(100):
-            deployment.crash(server)       # the call below cannot finish
-            task = deployment.spawn_client(client, service.call(
-                client, "put", {"key": "k", "value": i}))
-            await rt.sleep(0.05)
-            parked.append(records(task) == [bus])
-            deployment.crash(client)
-            await rt.sleep(0.05)
-            assert task.done and task.dispatch is None, i
-            assert_no_record_survives(rt)
-            deployment.recover(client)
-            deployment.recover(server)
-            await rt.sleep(0.05)
-
-    deployment.run_scenario(rounds())
-    assert parked == [True] * 100
-    assert_no_record_survives(rt)
-    deployment.shutdown()
+    assert seen == [("b", "E"), ("a", "E"), ("a", "follower"),
+                    ("b", "NESTED"), ("b", "E"), ("b", "follower")]
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +708,7 @@ def test_cancel_event_inside_a_kind_chain():
 
     async def gate(msg):
         order.append("gate")
-        bus.cancel_event()
+        return CANCEL
 
     async def after(msg):
         order.append(f"after-{msg}")
@@ -775,12 +720,10 @@ def test_cancel_event_inside_a_kind_chain():
     async def main():
         results.append(await bus.trigger("E", "CALL", kind="CALL"))
         results.append(await bus.trigger("E", "REPLY", kind="REPLY"))
-        assert_no_record_survives(rt)
 
     rt.run(main())
     assert results == [False, True]
     assert order == ["gate", "after-REPLY"]
-    assert_no_record_survives(rt)
 
 
 def test_instrumented_bus_takes_the_same_kind_chain():
@@ -834,16 +777,16 @@ def test_registration_table_ignores_kinds():
 def test_cancel_event_after_a_promotion_cancels_the_right_dispatch():
     """An arrival dispatches inline and parks in its first handler, which
     makes it a task; on resuming it cancels its own dispatch.  Another
-    arrival dispatching inline on the same bus meanwhile keeps its own
-    record."""
+    arrival dispatching inline on the same bus meanwhile runs its whole
+    chain."""
     rt, bus = make_bus()
     order, results, started = [], [], []
 
     async def first(tag):
-        order.append((tag, "first", bus.in_dispatch()))
+        order.append((tag, "first"))
         if tag == "parks":
             await rt.sleep(1.0)
-            bus.cancel_event()
+            return CANCEL
 
     async def second(tag):
         order.append((tag, "second"))
@@ -858,9 +801,82 @@ def test_cancel_event_after_a_promotion_cancels_the_right_dispatch():
         rt.call_later(when, lambda tag=tag: started.append(
             rt.kernel.start(arrival(tag))))
     rt.run_until_idle()
-    assert order == [("parks", "first", "E"), ("inline", "first", "E"),
+    assert order == [("parks", "first"), ("inline", "first"),
                      ("inline", "second")]
     assert results == [("inline", True), ("parks", False)]
     promoted, inline = started
     assert inline is None and promoted.done
-    assert_no_record_survives(rt, promoted)
+
+
+# ---------------------------------------------------------------------------
+# Only the sentinel cancels, on each of the four dispatch bodies
+# ---------------------------------------------------------------------------
+
+#: The four dispatch bodies: the compiled kind chain (``_fuse``), the
+#: single-handler fast path, the plain loop and the instrumented bracket.
+BODIES = ("kind_chain", "one_handler", "plain_loop", "instrumented")
+
+
+def _dispatch_returning(body, value):
+    """Dispatch ``E`` once on a fresh bus of ``body``'s shape, where the
+    deciding handler returns ``value``: ``(result, order, recorder,
+    profiler)``."""
+    from repro.obs import Recorder
+
+    rt = SimRuntime()
+    rec = prof = None
+    if body == "instrumented":
+        rec, prof = Recorder(), SeamProfiler()
+        rt.attach_obs(rec)
+        rt.attach_profiler(prof)
+    bus = EventBus(rt)
+    order = []
+
+    def handler(name, returns=None):
+        async def run(msg):
+            order.append(name)
+            return returns
+        return run
+
+    bus.register("E", handler("decider", value), 2, owner="decider",
+                 kinds=("K",))
+    if body != "one_handler":
+        bus.register("E", handler("lead"), 1, owner="lead")
+        bus.register("E", handler("tail"), 3, owner="tail", kinds=("K",))
+    if body == "kind_chain":
+        run = bus.chain("E", "K")
+        assert run.__qualname__ == "_fuse.<locals>.run"
+    else:
+        run = partial(bus.trigger, "E")
+    results = []
+
+    async def main():
+        results.append(await run("m"))
+
+    rt.run(main())
+    return results[0], order, rec, prof
+
+
+@pytest.mark.parametrize("body", BODIES)
+def test_only_the_sentinel_cancels(body):
+    """A handler returning ``None``, ``False``, ``0`` or ``True`` lets the
+    chain go on (a truthiness test would stop at some of them); only
+    ``CANCEL`` stops it, and ``trigger`` then returns ``False``."""
+    whole = (["decider"] if body == "one_handler"
+             else ["lead", "decider", "tail"])
+    for value in (None, False, 0, True):
+        result, order, rec, _ = _dispatch_returning(body, value)
+        assert (result, order) == (True, whole), value
+        if rec is not None:
+            assert not [e for e in rec.events if e.kind == "cancel_event"]
+    result, order, rec, prof = _dispatch_returning(body, CANCEL)
+    assert (result, order) == (False, whole[:whole.index("decider") + 1])
+    if body == "instrumented":
+        handled = [(e.fields["owner"], e.fields["cancelled"])
+                   for e in rec.events if e.kind == "handler"]
+        assert handled == [("lead", False), ("decider", True)]
+        assert [e.fields for e in rec.events
+                if e.kind == "cancel_event"] == [{"event": "E"}]
+        assert [(c[0], c[2]) for c in prof.calls] == [
+            ("enter", "lead"), ("exit", 0.0),
+            ("enter", "decider"), ("exit", 0.0)]

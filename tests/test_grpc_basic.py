@@ -347,8 +347,8 @@ def test_arrivals_dispatch_the_chain_of_their_message_kind():
 
 def test_the_composite_claims_only_wire_messages_and_pops_its_dispatch():
     """The node routes only the composite's ``NetMsg`` to it; untraced, ``pop`` returns the dispatch of the bus's compiled chain
-    for the message's kind itself, and the micro-protocols trigger and
-    cancel through the bus's own methods."""
+    for the message's kind itself, and the micro-protocols trigger
+    through the bus's own method."""
     from repro.core.grpc import MSG_FROM_NETWORK
     from repro.core.messages import NetMsg, NetOp
 
@@ -366,4 +366,3 @@ def test_the_composite_claims_only_wire_messages_and_pops_its_dispatch():
     dispatch.close()
     for micro in server.micro_protocols:
         assert micro.trigger == server.bus.trigger
-        assert micro.cancel_event == server.bus.cancel_event

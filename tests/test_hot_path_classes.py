@@ -12,7 +12,7 @@ message touches are exactly what they were before it started.
 
 from repro import Deployment, LinkSpec, ServiceSpec
 from repro.apps import KVStore
-from repro.core.events import EventBus, Registration, _Dispatch
+from repro.core.events import EventBus, Registration
 from repro.core.grpc import GroupRPC
 from repro.core.messages import NetMsg
 from repro.net import Node
@@ -20,8 +20,8 @@ from repro.net.fabric import NetworkFabric
 from repro.net.message import Envelope
 from repro.sim.kernel import Task, Timer
 
-HOT_CLASSES = (Task, Timer, Envelope, NetMsg, Registration, _Dispatch,
-               EventBus, NetworkFabric, Node, GroupRPC)
+HOT_CLASSES = (Task, Timer, Envelope, NetMsg, Registration, EventBus,
+               NetworkFabric, Node, GroupRPC)
 
 
 def _deployment_with_loss_and_a_crash():

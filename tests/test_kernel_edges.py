@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.events import TIMEOUT, EventBus
+from repro.core.events import CANCEL, TIMEOUT, EventBus
 from repro.errors import KernelError, TaskCancelled
 from repro.runtime import SimRuntime
 from repro.sim import (
@@ -268,34 +268,23 @@ def test_deregister_pending_handler_during_dispatch():
 
 def test_timeout_handler_can_cancel_its_own_dispatch():
     rt = SimRuntime()
-    bus = EventBus(rt)
+    spawned = []
+
+    def spawner(coro, **kwargs):
+        spawned.append(rt.spawn(coro, **kwargs))
+        return spawned[-1]
+
+    bus = EventBus(rt, spawner)
     ran = []
 
     async def on_timeout():
         ran.append(rt.now())
-        bus.cancel_event()   # legal inside a TIMEOUT dispatch
+        return CANCEL        # legal inside a TIMEOUT dispatch
 
     bus.register(TIMEOUT, on_timeout, 1.0)
     rt.kernel.run_until(2.0)
     assert ran == [1.0]
-
-
-def test_in_dispatch_reports_event_name():
-    rt = SimRuntime()
-    bus = EventBus(rt)
-    seen = []
-
-    async def handler():
-        seen.append(bus.in_dispatch())
-
-    bus.register("MY_EVENT", handler)
-
-    async def main():
-        assert bus.in_dispatch() is None
-        await bus.trigger("MY_EVENT")
-
-    rt.run(main())
-    assert seen == ["MY_EVENT"]
+    assert [task.result for task in spawned] == [False]
 
 
 def test_handler_exception_propagates_to_trigger_caller():
@@ -314,7 +303,5 @@ def test_handler_exception_propagates_to_trigger_caller():
     async def main():
         with pytest.raises(RuntimeError, match="handler blew up"):
             await bus.trigger("E")
-        # The dispatch stack unwound cleanly; the bus remains usable.
-        assert bus.in_dispatch() is None
 
     rt.run(main())

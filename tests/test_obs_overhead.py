@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro.core.events import EventBus, _Dispatch
+from repro.core.events import CANCEL, EventBus
 from repro.errors import NoCurrentTask
 from repro.obs import Recorder
 from repro.runtime import SimRuntime
@@ -36,25 +36,19 @@ THRESHOLD = 1.05
 async def _raw_trigger(self, event, *args):
     """The pre-instrumentation trigger loop: EventBus.trigger as it would
     stand without the obs layer — no ``_obs``/``_prof`` test, no compiled
-    tables — keeping the bus's bookkeeping, one ``_Dispatch`` record per
-    trigger linked to the running context's enclosing one on the kernel.
-    It is the timing baseline only; the bus itself has a single path
-    that serves both cases."""
+    tables — keeping the bus's own checks: a task must be running, and
+    the first handler that returns ``CANCEL`` ends the dispatch.  It is
+    the timing baseline only; the bus itself has a single path that
+    serves both cases."""
     snapshot = list(self._handlers.get(event, []))
     if not snapshot:
         return True
-    kernel = self._kernel
-    if kernel._current is None:
+    if self._kernel._current is None:
         raise NoCurrentTask("no task is currently executing")
-    dispatch = kernel._dispatch = _Dispatch(self, event, kernel._dispatch)
-    try:
-        for reg in snapshot:
-            if dispatch.cancelled:
-                break
-            await reg.handler(*args)
-    finally:
-        kernel._dispatch = dispatch.outer
-    return not dispatch.cancelled
+    for reg in snapshot:
+        if await reg.handler(*args) is CANCEL:
+            return False
+    return True
 
 
 def _dispatch_loop_seconds(*, raw: bool) -> float:
@@ -157,7 +151,7 @@ def test_instrumented_trigger_reads_the_clock_once_per_handler():
             pass
 
         async def canceller():
-            bus.cancel_event()
+            return CANCEL
 
         for prio in range(4):
             bus.register("EVT", handler, prio, owner=f"micro-{prio}")

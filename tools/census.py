@@ -119,12 +119,14 @@ def entered(callers, root=ROOT, strict=True):
                    PYTHONPATH=os.pathsep.join([str(hook), str(copy / "src")]))
         for argv, extra in callers:
             proc = subprocess.run(argv, cwd=copy, env=dict(env, **extra),
-                                  stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.PIPE, text=True)
+                                  capture_output=True, text=True)
             print(f"census: exit {proc.returncode}: "
                   f"{' '.join(argv[1:])[:72]}", file=sys.stderr)
             if strict and proc.returncode:
-                sys.exit(f"census: caller failed:\n{proc.stderr[-2000:]}")
+                # A failing pytest caller reports on stdout, a crash on
+                # stderr: show the end of both.
+                sys.exit(f"census: caller failed:\n{proc.stdout[-2000:]}"
+                         f"{proc.stderr[-2000:]}")
         seen = {}
         for dump in out.iterdir():
             for row in dump.read_text().splitlines():
