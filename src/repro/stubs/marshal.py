@@ -22,19 +22,44 @@ Field names repeat in every record, so each direction keeps one table of
 dict keys: :func:`unmarshal` hands out one shared copy of each decoded
 key, and :func:`marshal` reuses each exact-``str`` key's encoded piece.
 Only keys of at most 64 UTF-8 bytes (``_KEY_MAX_BYTES``) are stored,
-and a call that finds its table holding 4 096 entries (``_TABLE_MAX``)
-clears it first, so neither table outgrows that plus the keys of the
-one field in hand.
+and a call that finds the decoded-key table holding 4 096 entries
+(``_TABLE_MAX``) clears both, and the field table below with them, so
+neither outgrows that plus the keys of the one field in hand.
 
-A group call sends one field to each of its members, and here every
-member lives in this process, so :func:`unmarshal` decodes a field of
-at least 512 bytes (``_MEMO_MIN_BYTES``) once: it keeps the first
-decode as a private template, in a memo of the last 16 such fields
-(``_MEMO_MAX``), and every decode of the field, the first included,
-returns a copy of the template.  Containers are never shared; immutable
-leaves are: two decodes of one field return distinct dicts, lists and
-tuples holding the same strings, numbers and bytes.  A field that fails
-to decode is never kept.
+In this simulator a field is decoded in the process that encoded it
+(the fabric never leaves it), and a group call hands one field to each
+of its k members, so the codec works in fields.  A **field table**
+(``_TEMPLATES``) maps the bytes of each field of at least 512 bytes
+(``_MEMO_MIN_BYTES``) to a private *template* of its value.  The table
+holds at most ``_MEMO_MAX`` fields, oldest out first.
+
+* :func:`marshal`'s one walk builds the template as it emits the bytes,
+  so a field this process encoded is never decoded.  Every container
+  of at least 512 bytes inside it enters the table as a field of its
+  own, sliced from the joined bytes after the walk: a get's reply, the
+  value an earlier put carried, is then a hit.  A value holding
+  anything that is not an exact plain type (a subclass instance or a
+  subclass key) is not captured; its field is decoded once, on its
+  first :func:`unmarshal`, and enters whole.
+* :func:`unmarshal` returns a fresh copy of the template.  Containers
+  are never shared; immutable leaves are: two decodes of one field
+  return distinct dicts, lists and tuples holding the same strings,
+  numbers and bytes.  A field that fails to decode is never kept.
+* For each copied container that spans a field this process encoded,
+  :func:`unmarshal` registers the copy, with the template it was copied
+  from, in a registry of ``_HANDED_MAX`` entries, oldest out first.
+  The template is the copy's identity snapshot: it never changes, and
+  the copy was made holding its leaves and dict keys.  Given a
+  registered copy whose every container still has its template's
+  length, the template's own keys in order and the template's own
+  leaves, :func:`marshal` returns the field's bytes without a walk:
+  leaves are immutable exact types, so the same objects are the same
+  bytes.  An equal value of another type (``1`` for ``True``, ``1.0``
+  for ``1``, ``-0.0`` for ``0.0``) is not the same object, so it walks.
+  Each entry holds its copy, so an ``id`` is never reused while
+  registered.  A field that was only decoded is not registered: its
+  bytes need not be the ones :func:`marshal` emits (keys out of order,
+  an int with spare bytes).
 
 Marshalling is the one real-CPU cost every stub call pays twice, so the
 observatory's kernel profiler hooks it: :func:`install_profiler`
@@ -48,8 +73,9 @@ call, guarded by ``tests/test_obs_overhead.py``.
 from __future__ import annotations
 
 import struct
+from operator import is_, is_not
 from time import perf_counter
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional, Tuple
 
 from repro.errors import MarshalError
 
@@ -84,6 +110,7 @@ _T_INT, _T_FLOAT, _T_STR, _T_BYTES = ord("I"), ord("D"), ord("S"), ord("B")
 _T_LIST, _T_TUPLE, _T_DICT = ord("L"), ord("U"), ord("M")
 
 _PLAIN = (str, int, float, dict, list, tuple, bytes)
+_CLASSES = {_T_DICT: dict, _T_LIST: list, _T_TUPLE: tuple}
 
 #: Bounds shared by both key tables.
 _KEY_MAX_BYTES = 64
@@ -93,30 +120,43 @@ _TABLE_MAX = 4096
 #: bounded dict, not ``sys.intern``: interned strings are immortal on
 #: CPython 3.12, and these keys come from arbitrary payloads.
 _DECODED_KEYS: dict = {}
-#: Exact-``str`` dict key -> its encoded piece (header plus UTF-8).
+#: Exact-``str`` dict key -> its encoded piece (header plus UTF-8), the
+#: shared copy ``_DECODED_KEYS`` holds, which captured templates use,
+#: and the piece's length.  Every key here is in ``_DECODED_KEYS``: the
+#: two are cleared together.
 _ENCODED_KEYS: dict = {}
 
-#: Field -> the template its first decode left: the one-item list that
-#: holds the value, and its member containers as :func:`_rebuild` reads
-#: them.  Oldest out first.  A field's k member decodes arrive within
-#: the arrivals of the other calls in flight, so the bound only has to
-#: cover a few fields per concurrent caller.  Below the size floor a
-#: field decodes in a few microseconds, and the memo's own costs (hash,
-#: lookup, store, copy) would be a large share of that.
+#: The field table: field bytes -> template, ``(holder, members)``, where
+#: ``holder`` is the one-item list that holds the value and ``members``
+#: lists its member containers as :func:`_rebuild` reads them.  Oldest
+#: out first.  A put's field is read k times within the arrivals of the
+#: other calls in flight, and its value comes back as a get's reply one
+#: round trip later, so the bound only has to cover a few fields per
+#: concurrent caller.  Below the size floor a field decodes in a few
+#: microseconds, and the table's own costs (hash, lookup, store, copy)
+#: would be a large share of that.
 _TEMPLATES: dict = {}
 _MEMO_MIN_BYTES = 512
-_MEMO_MAX = 16
+_MEMO_MAX = 64
+
+#: ``id`` of a handed-out copy that spans a field -> ``(copy, field,
+#: template, the template's member entries, the copy's class)``.  The
+#: template is the copy's identity snapshot: it never changes, and the
+#: copy was made holding its leaves and dict keys.  Oldest out first;
+#: like the field table's, the bound covers a few calls in flight.
+_HANDED: dict = {}
+_HANDED_MAX = 128
 
 
 def marshal(value: Any) -> bytes:
     """Encode ``value`` into the untyped argument field."""
     prof = _PROFILER
     started = perf_counter() if prof is not None else 0.0
-    if len(_ENCODED_KEYS) >= _TABLE_MAX:
-        _ENCODED_KEYS.clear()
-    pieces: list = []
-    _emit_members((value,), pieces.append)
-    data = b"".join(pieces)
+    handed = _HANDED.get(id(value))
+    if handed is not None and _unchanged(value, *handed[2:]):
+        data = handed[1]
+    else:
+        data = _encode(value)
     if prof is not None:
         prof.on_marshal(len(data), perf_counter() - started)
     return data
@@ -130,27 +170,50 @@ def unmarshal(data: bytes) -> Any:
         data = bytes(data)          # bytearray / memoryview callers
     end = len(data)
     if end < _MEMO_MIN_BYTES:
-        value = _decode(data, None)
+        value = _decode(data, False)
     else:
         template = _TEMPLATES.get(data)
         if template is None:
-            template = _decode(data, [])
-            if len(_TEMPLATES) >= _MEMO_MAX:
-                del _TEMPLATES[next(iter(_TEMPLATES))]
-            _TEMPLATES[data] = template
+            template = _decode(data, True)
+            _enter(data, template, ())
         value = _rebuild(*template)[0]
     if prof is not None:
         prof.on_unmarshal(end, perf_counter() - started)
     return value
 
 
-def _decode(data: bytes, members: Optional[list]) -> Any:
-    """Decode the whole field ``data``: its value, or given an empty
-    ``members`` list the template :func:`_rebuild` copies it from."""
+def _encode(value: Any) -> bytes:
+    """The encoder walk: ``value``'s field.  A field of at least
+    ``_MEMO_MIN_BYTES`` whose value is all exact plain types enters the
+    field table, and so does each container of that size inside it."""
     if len(_DECODED_KEYS) >= _TABLE_MAX:
         _DECODED_KEYS.clear()
+        _ENCODED_KEYS.clear()
+        _TEMPLATES.clear()      # their dict keys are the old table's
+    pieces: list = []
+    holder = [value]
+    spans: list = []
+    members, end = _emit_members(holder, pieces, holder, None, spans, 0)
+    data = b"".join(pieces)
+    if end >= _MEMO_MIN_BYTES and None not in spans:
+        fields = []
+        for start, stop, inner, index in spans:
+            field = data[start:stop]
+            inner[index] = entry = inner[index][:4] + (field,)
+            fields.append((field, entry))
+        _enter(data, (holder, members or ()), fields)
+    return data
+
+
+def _decode(data: bytes, keep: bool) -> Any:
+    """Decode the whole field ``data``: its value, or if ``keep`` the
+    template :func:`_rebuild` copies it from."""
+    if len(_DECODED_KEYS) >= _TABLE_MAX:
+        _DECODED_KEYS.clear()
+        _ENCODED_KEYS.clear()
         _TEMPLATES.clear()      # their dict keys are the old table's
     out: list = []
+    members = [] if keep else None
     try:
         end = _decode_members(out, 1, data, data.decode("latin-1"), 0,
                               members)
@@ -161,22 +224,73 @@ def _decode(data: bytes, members: Optional[list]) -> Any:
         raise MarshalError("string is not valid UTF-8") from None
     if end != len(data):
         raise MarshalError(f"{len(data) - end} trailing bytes after value")
-    return out[0] if members is None else (out, members)
+    return (out, members) if keep else out[0]
+
+
+def _enter(data: bytes, template: tuple, fields: Iterable[tuple]) -> None:
+    """Enter the field ``data`` and, newest last, each ``(sub-field,
+    member entry)`` in ``fields`` (innermost first, as the walk finds
+    them); a field already held keeps its template."""
+    entries = [(data, template)]
+    entries += [(field, ([entry[1]], [(0,) + entry[1:]]))
+                for field, entry in reversed(fields)]
+    table = _TEMPLATES
+    for field, template in entries:
+        if field not in table:
+            if len(table) >= _MEMO_MAX:
+                del table[next(iter(table))]
+            table[field] = template
 
 
 def _rebuild(template: Any, members: Iterable[tuple]) -> Any:
-    """A fresh copy of the decoded container ``template``.
+    """A fresh copy of the container ``template``.
 
     ``members`` lists its member containers as ``(slot, member, the
-    member's own members, is_tuple)``.  Each list and dict is one
-    ``copy()`` and each tuple is rebuilt; leaves and dict keys stay the
-    template's own objects.
+    member's own members, class, field)``, where a tuple's ``member`` is
+    the list it is built from.  Each list and dict is one ``copy()`` and
+    each tuple is rebuilt; leaves and dict keys stay the template's own
+    objects.  A member's copy is registered under its ``field`` if it
+    has one.
     """
     copy = template.copy()
-    for slot, member, inner, is_tuple in members:
-        member = member.copy() if inner is None else _rebuild(member, inner)
-        copy[slot] = tuple(member) if is_tuple else member
+    for slot, member, inner, cls, field in members:
+        copied = member.copy() if inner is None else _rebuild(member, inner)
+        if cls is tuple:
+            copied = tuple(copied)
+        if field is not None:
+            if len(_HANDED) >= _HANDED_MAX:
+                del _HANDED[next(iter(_HANDED))]
+            _HANDED[id(copied)] = (copied, field, member, inner, cls)
+        copy[slot] = copied
     return copy
+
+
+def _unchanged(value: Any, template: Any, members: Optional[list],
+               cls: type) -> bool:
+    """Whether ``value`` is still a ``cls`` of ``template``'s length
+    whose keys are the template's own, in its order, whose members are
+    the template's own leaves, and whose member containers, at the
+    template's ``members`` slots, are unchanged in turn.  A captured
+    template's containers never leave this module (a tuple member is
+    held as its list), so a member container of ``value`` is never one
+    of them: it counts once among the members that are not the
+    template's."""
+    if value.__class__ is not cls or len(value) != len(template):
+        return False
+    if cls is dict:
+        if not all(map(is_, value, template)):
+            return False
+        others = sum(map(is_not, value.values(), template.values()))
+    else:
+        others = sum(map(is_not, value, template))
+    if members is None:
+        return not others
+    if others != len(members):
+        return False
+    for slot, member, inner, member_cls, _ in members:
+        if not _unchanged(value[slot], member, inner, member_cls):
+            return False
+    return True
 
 
 def _plain_class(value: Any) -> type:
@@ -189,29 +303,55 @@ def _plain_class(value: Any) -> type:
         f"(None/bool/int/float/str/bytes/list/tuple/dict) is allowed")
 
 
-def _key_piece(key: Any) -> bytes:
-    """The encoded piece of a dict key the key table does not hold."""
+def _key_entry(key: Any, spans: list) -> tuple:
+    """The encoded piece of a dict key the key table does not hold, the
+    key a captured template uses and the piece's length.  A subclass
+    key puts a ``None`` in the walk's ``spans``: its field is not
+    captured."""
     if not isinstance(key, str):
         raise MarshalError("dict keys must be strings")
     raw = key.encode()
     piece = _pack_header(b"S", len(raw)) + raw
-    if key.__class__ is str and len(raw) <= _KEY_MAX_BYTES:
-        _ENCODED_KEYS[key] = piece
-    return piece
+    if key.__class__ is not str:
+        spans.append(None)
+        return piece, key, len(piece)
+    if len(raw) > _KEY_MAX_BYTES:
+        return piece, key, len(piece)
+    entry = _ENCODED_KEYS[key] = (piece, _DECODED_KEYS.setdefault(key, key),
+                                  len(piece))
+    return entry
 
 
-def _emit_members(members: Iterable[Any], add: Callable[[bytes], None],
-                  mapping: Optional[dict] = None) -> None:
-    """Append the pieces of each value in ``members`` through ``add`` —
+def _emit_members(members: Iterable[Any], pieces: list, into: Any,
+                  mapping: Optional[dict], spans: list,
+                  offset: int) -> Tuple[Optional[list], int]:
+    """Append to ``pieces`` the pieces of each value in ``members`` —
     or, given the ``mapping`` whose sorted keys ``members`` are, of each
-    key and its value.  Leaves are emitted here; containers recurse."""
-    key_pieces = _ENCODED_KEYS
+    key and its value — from byte ``offset`` of the field on, and store
+    each value's template at its slot of ``into``: the template of a
+    list or tuple starts as a copy of it, so its leaves are in place
+    already, and a dict's starts empty.  Leaves are emitted here;
+    containers recurse.  Returns the member containers' entries as
+    :func:`_rebuild` lists them (``None`` if there are none) and the
+    offset past the last piece.  A container of ``_MEMO_MIN_BYTES`` or
+    more also goes in ``spans`` as ``(its offset, the offset past it,
+    the entry's list, the entry's index)``, and a value or key of no
+    exact plain type puts a ``None`` there."""
+    add = pieces.append
+    key_table = _ENCODED_KEYS
+    inner = None
+    slot = -1
     for value in members:
         if mapping is not None:
-            piece = (key_pieces.get(value) if value.__class__ is str
-                     else None)
-            add(piece if piece is not None else _key_piece(value))
-            value = mapping[value]
+            entry = key_table.get(value) if value.__class__ is str else None
+            piece, slot, size = entry or _key_entry(value, spans)
+            add(piece)
+            offset += size
+            # A leaf stays in the template; a container's template
+            # takes its slot below.
+            into[slot] = value = mapping[value]
+        else:
+            slot += 1
         cls = value.__class__
         while True:     # a second trip only for an instance of a subclass
             if cls is str:
@@ -220,34 +360,61 @@ def _emit_members(members: Iterable[Any], add: Callable[[bytes], None],
                 add(_S_HEADERS[size] if size < 256
                     else _pack_header(b"S", size))
                 add(raw)
+                offset += 5 + size
             elif cls is int:
                 raw = value.to_bytes((value.bit_length() + 8) // 8 or 1,
                                      "big", signed=True)
-                add(_pack_header(b"I", len(raw)))
+                size = len(raw)
+                add(_pack_header(b"I", size))
                 add(raw)
+                offset += 5 + size
             elif cls is float:
                 add(_pack_float(b"D", value))
-            elif cls is dict:
-                try:
-                    keys = sorted(value)
-                except TypeError:   # mixed key types do not even sort
-                    raise MarshalError("dict keys must be strings") from None
-                add(_pack_header(b"M", len(keys)))
-                _emit_members(keys, add, value)
-            elif cls is list or cls is tuple:
-                add(_pack_header(b"L" if cls is list else b"U", len(value)))
-                _emit_members(value, add)
+                offset += 9
+            elif cls is dict or cls is list or cls is tuple:
+                start = offset
+                if cls is dict:
+                    try:
+                        keys = sorted(value)
+                    except TypeError:   # mixed key types do not even sort
+                        raise MarshalError(
+                            "dict keys must be strings") from None
+                    add(_pack_header(b"M", len(keys)))
+                    template: Any = {}
+                    below, offset = _emit_members(keys, pieces, template,
+                                                  value, spans, offset + 5)
+                else:
+                    add(_pack_header(b"L" if cls is list else b"U",
+                                     len(value)))
+                    # A tuple's template is a list too, so it never
+                    # leaves this module: see :func:`_unchanged`.
+                    template = list(value)
+                    below, offset = _emit_members(value, pieces, template,
+                                                  None, spans, offset + 5)
+                if inner is None:
+                    inner = [(slot, template, below, cls, None)]
+                else:
+                    inner.append((slot, template, below, cls, None))
+                if offset - start >= _MEMO_MIN_BYTES:
+                    spans.append((start, offset, inner, len(inner) - 1))
+                into[slot] = template
             elif cls is bool:
                 add(b"T" if value else b"F")
+                offset += 1
             elif value is None:
                 add(b"N")
+                offset += 1
             elif cls is bytes:
-                add(_pack_header(b"B", len(value)))
+                size = len(value)
+                add(_pack_header(b"B", size))
                 add(value)
+                offset += 5 + size
             else:
                 cls = _plain_class(value)
+                spans.append(None)
                 continue
             break
+    return inner, offset
 
 
 def _decode_members(into: Any, count: int, data: bytes, text: str,
@@ -258,7 +425,7 @@ def _decode_members(into: Any, count: int, data: bytes, text: str,
     ASCII string is one slice of it.  Leaves are decoded here;
     containers recurse.  Unless ``members`` is ``None``, each member
     container of ``into`` is added to it as :func:`_rebuild` lists
-    them."""
+    them, with no field to register under."""
     keyed = into.__class__ is dict
     append = None if keyed else into.append
     end = len(data)
@@ -300,7 +467,8 @@ def _decode_members(into: Any, count: int, data: bytes, text: str,
             pos = _decode_members(value, _unpack_u32_from(data, pos + 1)[0],
                                   data, text, pos + 5, inner)
             if members is not None:
-                members.append((slot, value, inner or None, tag == _T_TUPLE))
+                members.append((slot, value, inner or None, _CLASSES[tag],
+                                None))
             if tag == _T_TUPLE:
                 value = tuple(value)
         elif tag == _T_TRUE:

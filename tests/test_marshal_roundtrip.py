@@ -23,8 +23,11 @@ import gc
 import hashlib
 import importlib
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MarshalError
 from repro.stubs.marshal import install_profiler, marshal, unmarshal
@@ -561,6 +564,20 @@ def _mutate_every_container(value) -> None:
 
 
 @pytest.fixture
+def encoder_runs(monkeypatch):
+    """The values ``marshal`` has walked."""
+    runs = []
+    real = codec._encode
+
+    def counting(value):
+        runs.append(value)
+        return real(value)
+
+    monkeypatch.setattr(codec, "_encode", counting)
+    return runs
+
+
+@pytest.fixture
 def decoder_runs(monkeypatch):
     """How many whole-field decodes ``unmarshal`` has run."""
     runs = []
@@ -593,15 +610,31 @@ def test_mutating_a_decode_at_every_depth_never_reaches_the_next():
 
 
 def test_k_decodes_of_one_field_run_the_decoder_once(decoder_runs):
+    """A field this process did not encode (its capture dropped from
+    the table) is decoded exactly once for its k readers."""
     encoded = marshal(_deep_value(1))
+    codec._TEMPLATES.clear()
     replicas = [unmarshal(bytes(bytearray(encoded))) for _ in range(3)]
     assert decoder_runs == [encoded]
     assert replicas[0] == replicas[1] == replicas[2] == _deep_value(1)
     others = [marshal(_deep_value(serial)) for serial in range(2, 6)]
+    codec._TEMPLATES.clear()
     for field in others:
         unmarshal(field)
         unmarshal(field)
     assert decoder_runs == [encoded] + others
+
+
+def test_a_field_this_process_encoded_is_never_decoded(decoder_runs):
+    fields = [marshal(_deep_value(serial)) for serial in range(20, 24)]
+    for serial, field in zip(range(20, 24), fields):
+        replicas = [unmarshal(bytes(bytearray(field))) for _ in range(3)]
+        assert replicas[0] == replicas[1] == replicas[2] == \
+            _deep_value(serial)
+        # A get's reply, the value the put carried, is a field too.
+        assert unmarshal(marshal(_deep_value(serial)["value"])) == \
+            _deep_value(serial)["value"]
+    assert decoder_runs == []
 
 
 def test_small_fields_are_decoded_every_time(decoder_runs):
@@ -613,13 +646,35 @@ def test_small_fields_are_decoded_every_time(decoder_runs):
     assert encoded not in codec._TEMPLATES
 
 
+def _deep_fields(value: dict) -> list:
+    """The fields of at least ``_MEMO_MIN_BYTES`` in a ``_deep_value``,
+    in the order the table enters them: the whole, its value, its
+    rows."""
+    fields = [marshal(value), marshal(value["value"]),
+              marshal(value["value"]["rows"])]
+    assert all(len(field) >= codec._MEMO_MIN_BYTES for field in fields)
+    assert len(marshal(value["value"]["pair"])) < codec._MEMO_MIN_BYTES
+    return fields
+
+
 def test_the_memo_stays_within_its_bound_and_drops_the_oldest():
-    fields = [marshal(_deep_value(100 + serial))
-              for serial in range(3 * codec._MEMO_MAX)]
-    for field in fields:
-        unmarshal(field)
-        assert len(codec._TEMPLATES) <= codec._MEMO_MAX
-    assert list(codec._TEMPLATES) == fields[-codec._MEMO_MAX:]
+    """The bound holds over every entry, sub-fields included.  An
+    encode enters its field and each container of at least the size
+    floor inside it; the first decode of a field this process did not
+    encode enters that field alone."""
+    for entering in ("encode", "decode"):
+        entered = []
+        for serial in range(3 * codec._MEMO_MAX):
+            value = _deep_value(100 + serial)
+            value["value"]["rows"][0]["id"] = serial    # distinct rows
+            if entering == "encode":
+                fields = _deep_fields(value)
+            else:
+                fields = [_cleared(marshal, value)]     # enters nothing
+                unmarshal(fields[0])
+            entered += fields
+            assert len(codec._TEMPLATES) <= codec._MEMO_MAX
+        assert list(codec._TEMPLATES) == entered[-codec._MEMO_MAX:]
 
 
 def test_a_broken_large_field_raises_every_time_and_is_never_stored(
@@ -648,7 +703,8 @@ def test_hits_keep_sharing_the_key_tables_keys():
     assert encoded not in codec._TEMPLATES
 
 
-def test_profiler_hears_every_hit_with_its_byte_count():
+def test_profiler_hears_every_hit_with_its_byte_count(encoder_runs,
+                                                      decoder_runs):
     prof = _CountingProfiler()
     encoded = marshal(_deep_value(9))
     previous = install_profiler(prof)
@@ -658,5 +714,240 @@ def test_profiler_hears_every_hit_with_its_byte_count():
         with pytest.raises(MarshalError):
             unmarshal(encoded[:-1])
         assert prof.unmarshals == [len(encoded)] * 3
+        # A field captured by its encode and read back undecoded, and
+        # unchanged copies handed back as their fields, report the same
+        # byte counts as walks would.
+        fresh = marshal(_deep_value(10))
+        copy = unmarshal(fresh)
+        inner = marshal(copy["value"])
+        assert marshal(copy) == fresh
+        assert unmarshal(inner) == _deep_value(10)["value"]
+        assert len(encoder_runs) == 2 and decoder_runs == [encoded[:-1]]
+        assert prof.marshals == [len(fresh), len(inner), len(fresh)]
+        assert prof.unmarshals == [len(encoded)] * 3 + [len(fresh),
+                                                        len(inner)]
     finally:
         assert install_profiler(previous) is prof
+
+
+# ----------------------------------------------------------------------
+# Soundness: the field table and the registry never change an answer
+# ----------------------------------------------------------------------
+
+class Counted(int):
+    pass
+
+
+class Listy(list):
+    pass
+
+
+class Shouting(str):
+    def encode(self, *args):
+        return str.encode(self.upper(), *args)
+
+
+def _strictly_equal(a, b) -> bool:
+    """Equal with the same classes at every depth, the same dict key
+    order and the same float bits (``-0.0`` is not ``0.0``, a NaN is
+    its own bits)."""
+    if a.__class__ is not b.__class__:
+        return False
+    if a.__class__ is float:
+        return struct.pack(">d", a) == struct.pack(">d", b)
+    if a.__class__ is dict:
+        return (len(a) == len(b)
+                and all(map(_strictly_equal, a, b))
+                and all(map(_strictly_equal, a.values(), b.values())))
+    if a.__class__ is list or a.__class__ is tuple:
+        return len(a) == len(b) and all(map(_strictly_equal, a, b))
+    return a == b
+
+
+def _cleared(call, *args):
+    """``call(*args)`` with the field table and the registry empty,
+    both restored afterwards; a ``MarshalError`` is returned, not
+    raised."""
+    held = dict(codec._TEMPLATES), dict(codec._HANDED)
+    codec._TEMPLATES.clear()
+    codec._HANDED.clear()
+    try:
+        return call(*args)
+    except MarshalError as error:
+        return type(error)
+    finally:
+        codec._TEMPLATES.clear()
+        codec._TEMPLATES.update(held[0])
+        codec._HANDED.clear()
+        codec._HANDED.update(held[1])
+
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-2 ** 130, max_value=2 ** 130),
+    st.floats(), st.sampled_from([0.0, -0.0, float("nan")]),
+    st.text(max_size=12), st.binary(max_size=12),
+    st.text(max_size=6).map(Tagged),
+    st.integers(-1000, 1000).map(Counted),
+    st.just(()))        # CPython's one shared empty tuple
+_KEYS = st.one_of(st.text(max_size=8), st.text(min_size=65, max_size=70),
+                  st.text(max_size=4).map(Tagged))
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.tuples(st.lists(kids, max_size=4), kids),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=24)
+#: Padded past the size floor often enough to reach the field table.
+_VALUES = st.one_of(_TREES, st.builds(
+    lambda tree, pad, again: dict({"pad": "p" * pad, "tree": tree},
+                                  **({"again": [tree]} if again else {})),
+    _TREES, st.one_of(st.integers(0, 700), st.just(600)), st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_the_table_and_registry_never_change_a_value_or_a_field(value):
+    field = marshal(value)
+    decoded = unmarshal(field)
+    assert _strictly_equal(decoded, _cleared(unmarshal, field))
+    assert marshal(decoded) == field == _cleared(marshal, decoded)
+    # A copy with any one leaf changed goes out as its new bytes.
+    if not isinstance(decoded, (dict, list)):
+        return
+    for depth, container in enumerate(_containers(decoded)):
+        if isinstance(container, tuple):
+            continue    # its lists are reached on their own
+        slots = (list(container) if isinstance(container, dict)
+                 else range(len(container)))
+        for slot in slots:
+            if isinstance(container[slot], (dict, list, tuple)):
+                continue
+            copy = unmarshal(field)
+            _containers(copy)[depth][slot] = "-".join(["changed", "leaf"])
+            assert marshal(copy) == _cleared(marshal, copy) != field
+
+
+def _retyped(member):
+    """An equal value of another type, or ``None``."""
+    if member.__class__ is bool:
+        return int(member)
+    if member.__class__ is int:
+        return float(member)
+    if member.__class__ is float:
+        if member == 0:
+            return -member
+        return int(member) if member.is_integer() else None
+    if member.__class__ is str:
+        return Tagged(member)
+    if member.__class__ is bytes:
+        return bytearray(member)
+    if member.__class__ is dict:
+        return collections.OrderedDict(member)
+    if member.__class__ is list:
+        return Listy(member)
+    return None
+
+
+def _mutations(container):
+    """Each way to change one container of a handed-out copy, as
+    ``(name, change)`` pairs; a tuple's lists are changed on their
+    own."""
+    if isinstance(container, tuple):
+        return []
+    changes = [("append", lambda c: c.append("extra")
+                if isinstance(c, list) else c.__setitem__("extra", 1))]
+    if container:
+        changes.append(("pop", lambda c: c.pop()
+                        if isinstance(c, list) else c.popitem()))
+    if len(container) > 1:
+        def reorder(c):
+            if isinstance(c, list):
+                c.reverse()
+            else:
+                items = list(c.items())
+                c.clear()
+                c.update(reversed(items))
+        changes.append(("reorder", reorder))
+    if isinstance(container, dict) and container:
+        last = list(container)[-1]      # keeps its place when re-added
+        changes.append(("rekey", lambda c, key=last:
+                        c.__setitem__(Shouting(key), c.pop(key))))
+    slots = range(len(container)) if isinstance(container, list) \
+        else list(container)
+    for slot in slots:
+        other = _retyped(container[slot])
+        if other is not None:
+            changes.append((f"retype {slot!r}",
+                            lambda c, slot=slot, other=other:
+                            c.__setitem__(slot, other)))
+    return changes
+
+
+def test_a_changed_copy_at_any_depth_walks_and_an_unchanged_one_does_not(
+        encoder_runs):
+    value = _deep_value(40)
+    value["value"]["flags"] = [True, 0.0, 1, b"raw", ()]
+    value["empty"] = ()     # the one empty tuple CPython ever makes
+    field = marshal(value)
+    encoder_runs.clear()
+    copy = unmarshal(field)
+    assert marshal(copy) == field
+    assert marshal(copy["value"]) == marshal(value["value"])
+    assert marshal(copy["value"]["rows"]) == marshal(value["value"]["rows"])
+    assert encoder_runs == [value["value"], value["value"]["rows"]]
+    tried = set()
+    for depth, container in enumerate(_containers(copy)):
+        for name, change in _mutations(container):
+            marshal(value)      # captured again if the walks below evicted it
+            fresh = unmarshal(field)
+            target = _containers(fresh)[depth]
+            handed_out = (fresh, fresh["value"], fresh["value"]["rows"])
+            holds = [any(c is target for c in _containers(handed))
+                     for handed in handed_out]
+            change(target)
+            tried.add(name.split()[0])
+            for handed, changed in zip(handed_out, holds):
+                encoder_runs.clear()
+                try:
+                    got = marshal(handed)
+                except MarshalError as error:
+                    got = type(error)
+                # Only a copy holding the change walks.
+                assert bool(encoder_runs) is changed, (depth, name)
+                assert got == _cleared(marshal, handed), (depth, name)
+    assert tried == {"append", "pop", "reorder", "rekey", "retype"}
+
+
+def test_values_holding_subclasses_are_never_captured(decoder_runs):
+    big = ["p" * 600]
+    cases = [{"big": big, "v": Tagged("x")}, {"big": big, Tagged("k"): 1},
+             {"big": big, "v": [Color.RED]}, {"big": big, "v": Point(1, 2)},
+             {"big": big, "v": collections.OrderedDict(a=1)},
+             Listy([big])]
+    big_field = _cleared(marshal, big)
+    codec._TEMPLATES.pop(big_field, None)
+    fields = [marshal(value) for value in cases]
+    assert not {big_field, *fields} & codec._TEMPLATES.keys()
+    # So each is decoded, once, on its first read.
+    for field in fields:
+        assert unmarshal(field) == unmarshal(field)
+    assert decoder_runs == fields
+
+
+def test_a_field_this_process_only_decoded_is_never_handed_back(
+        decoder_runs):
+    """A field from elsewhere need not be in the encoder's form: here
+    its keys are out of order and an int carries a spare byte.  Its
+    copies go back as what ``marshal`` emits, not as the field."""
+    header = struct.Struct(">cI").pack
+    field = b"".join([header(b"M", 2), header(b"S", 1), b"b",
+                      header(b"S", 600), b"p" * 600, header(b"S", 1), b"a",
+                      header(b"I", 2), b"\x00\x05"])
+    for _ in range(2):
+        copy = unmarshal(field)
+        assert list(copy) == ["b", "a"] and copy["a"] == 5
+        assert marshal(copy) == marshal({"a": 5, "b": "p" * 600}) != field
+    assert decoder_runs == [field]

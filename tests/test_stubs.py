@@ -1,6 +1,7 @@
 """Stubs: marshalling, generated proxies, end-to-end usage."""
 
 import copy
+import importlib
 
 import pytest
 
@@ -172,6 +173,71 @@ def test_each_replica_owns_its_decoded_copy():
     cluster.deployment.crash(cluster.server_pids[0])
     run(get)
     assert outcome["value"] == original
+
+
+def test_a_put_get_pair_walks_its_value_once_and_decodes_it_never(
+        monkeypatch):
+    """Walk-count guard on ``stub_bulk``'s shape: 3 servers behind
+    ``MarshallingApp``, unique execution, acceptance 2.  Per put/get
+    pair the ~2 KB value is walked once (the put's encode), never
+    decoded, and the 3 servers' replies to the get are their copies'
+    fields handed back by the registry."""
+    codec = importlib.import_module("repro.stubs.marshal")
+    cluster = ServiceCluster(
+        ServiceSpec(unique=True, bounded=30.0, acceptance=2),
+        lambda pid: MarshallingApp(KVStore(keep_log=False)), n_servers=3,
+        default_link=FAST)
+    walks, decodes, marshals = [], [], []
+
+    def walk(value):
+        data = real_walk(value)
+        walks.append(len(data))
+        return data
+
+    def decode(data, keep):
+        decodes.append(len(data))
+        return real_decode(data, keep)
+
+    class Sizes:
+        def on_marshal(self, nbytes, seconds):
+            marshals.append(nbytes)
+
+        def on_unmarshal(self, nbytes, seconds):
+            pass
+
+    real_walk, real_decode = codec._encode, codec._decode
+    monkeypatch.setattr(codec, "_encode", walk)
+    monkeypatch.setattr(codec, "_decode", decode)
+    previous = codec.install_profiler(Sizes())
+    pairs, counts = 4, []
+
+    async def scenario():
+        stub = client_stub(ServiceInterface("bulk-kv", ["put", "get"]),
+                           cluster.grpc(cluster.client), cluster.group)
+        for pair in range(pairs):
+            value = {"rows": [{"id": 100 * pair + j, "name": f"row-{j}",
+                               "score": j / 7.0, "tags": ["a", "bb", "ccc"],
+                               "ok": j % 2 == 0} for j in range(16)],
+                     "blob": "y" * 512, "n": pair}
+            del walks[:], decodes[:], marshals[:]
+            assert await stub.put(key=f"b{pair}", value=value) is None
+            assert await stub.get(key=f"b{pair}") == value
+            big = [n for n in marshals if n >= 1024]
+            counts.append((len(big), sum(n >= 1024 for n in walks),
+                           sum(n >= 1024 for n in decodes)))
+
+    try:
+        task = cluster.spawn_client(cluster.client, scenario())
+
+        async def waiter():
+            await cluster.deployment.runtime.join(task)
+
+        cluster.deployment.run_scenario(waiter(), extra_time=0.5)
+    finally:
+        codec.install_profiler(previous)
+    # (big marshals, big walks, big decodes): one put and three replies
+    # marshalled; one walk; so three answered from the registry.
+    assert counts == [(4, 1, 0)] * pairs
 
 
 def test_stub_raises_rpc_timeout():
