@@ -13,9 +13,12 @@ executes exactly once; at-most-once additionally keeps partial effects
 from surviving a crash.
 """
 
+from collections import Counter
+
 from _common import attach, run_once, save_result
 
 from repro import LinkSpec, ServiceCluster, Status
+from repro.analysis import History, check, promises
 from repro.apps import BankApp, CounterApp
 from repro.bench import banner, render_table
 from repro.core.config import at_least_once, at_most_once, exactly_once
@@ -26,24 +29,31 @@ SEEDS = (0, 1, 2)
 
 
 def measure_execution_counts(spec):
-    """Max executions of any single call across seeds and servers."""
+    """Max executions of any single call across seeds and servers, the
+    share of calls acked, and every violation of the spec's promises."""
+    spec = spec.with_(acceptance=3, bounded=30.0)
     max_exec = 0
     ok = 0
     total = 0
+    violations = []
     for seed in SEEDS:
-        cluster = ServiceCluster(spec.with_(acceptance=3, bounded=30.0),
-                                 CounterApp, n_servers=3, seed=seed,
+        cluster = ServiceCluster(spec, CounterApp, n_servers=3, seed=seed,
                                  default_link=LOSSY)
+        history = History()
         for tag in range(N_CALLS):
-            result = cluster.call_and_run(
-                "inc", {"amount": 1, "tag": tag}, extra_time=0.3)
+            args = {"amount": 1, "tag": tag}
+            result = history.end(
+                history.invoke(cluster.client, args),
+                cluster.call_and_run("inc", args, extra_time=0.3))
             total += 1
             ok += result.status is Status.OK
-        for pid in cluster.server_pids:
-            for tag in range(N_CALLS):
-                max_exec = max(max_exec,
-                               cluster.dispatchers[pid].executions(tag))
-    return max_exec, ok / total
+        history.read(cluster.dispatchers)
+        for order in history.executed.values():
+            max_exec = max(max_exec, *Counter(order).values(), 0)
+        result = check(history, promises(spec))
+        if not result:
+            violations += result.violations
+    return max_exec, ok / total, violations
 
 
 def measure_atomicity(spec):
@@ -71,7 +81,8 @@ def test_figure1_failure_semantics(benchmark):
         for name, spec in (("at least once", at_least_once()),
                            ("exactly once", exactly_once()),
                            ("at most once", at_most_once())):
-            max_exec, ok_ratio = measure_execution_counts(spec)
+            max_exec, ok_ratio, violations = \
+                measure_execution_counts(spec)
             conserved = measure_atomicity(spec)
             rows.append({
                 "semantics": name,
@@ -79,6 +90,7 @@ def test_figure1_failure_semantics(benchmark):
                 "atomic_cfg": "YES" if spec.atomic else "NO",
                 "max_exec": max_exec,
                 "ok_ratio": ok_ratio,
+                "violations": violations,
                 "conserved": conserved,
             })
         return rows
@@ -112,3 +124,5 @@ def test_figure1_failure_semantics(benchmark):
     assert by_name["at most once"]["conserved"]
     # normal termination always means >= 1 execution (all rows OK'd).
     assert all(r["ok_ratio"] == 1.0 for r in rows)
+    # and each configuration kept every promise its spec makes.
+    assert all(not r["violations"] for r in rows), rows

@@ -16,6 +16,7 @@ Run:  python examples/replicated_kv_total_order.py
 """
 
 from repro import LinkSpec, ServiceCluster, replicated_state_machine
+from repro.analysis import History, check, promises
 from repro.apps import KVStore
 
 
@@ -26,12 +27,13 @@ def main() -> None:
         spec, KVStore, n_servers=3, n_clients=3, seed=42,
         default_link=LinkSpec(delay=0.01, jitter=0.05),  # heavy reorder
         membership="oracle")
+    history = History()
 
     async def client_loop(pid: int, rounds: int) -> None:
         for i in range(rounds):
-            key = f"k{i % 4}"
-            result = await cluster.call(pid, "put",
-                                        {"key": key, "value": f"c{pid}-{i}"})
+            args = {"key": f"k{i % 4}", "value": f"c{pid}-{i}"}
+            result = history.end(history.invoke(pid, args),
+                                 await cluster.call(pid, "put", args))
             assert result.ok
 
     async def scenario() -> None:
@@ -51,18 +53,19 @@ def main() -> None:
     cluster.deployment.run_scenario(scenario(), extra_time=3.0)
 
     print()
-    logs = {}
-    for pid in (1, 2):   # surviving replicas
-        app = cluster.app(pid)
-        logs[pid] = [(key, value) for _, key, value in app.apply_log]
-        print(f"server {pid}: applied {len(logs[pid])} writes, "
-              f"final state {app.data}")
+    survivors = {pid: cluster.dispatchers[pid] for pid in (1, 2)}
+    history.read(survivors)
+    for pid in survivors:
+        print(f"server {pid}: applied {len(history.executed[pid])} "
+              f"writes, final state {cluster.app(pid).data}")
 
-    assert logs[1] == logs[2], "replicas diverged!"
+    # Total order, exactly once and acceptance ALL of the live group: the
+    # survivors executed every acked write, in one order.
+    check(history, promises(spec)).raise_if_failed()
     print()
     print("replicas applied IDENTICAL sequences "
-          f"({len(logs[1])} writes each) despite jitter, concurrency "
-          "and a leader crash.")
+          f"({len(history.executed[1])} writes each) despite jitter, "
+          "concurrency and a leader crash.")
 
 
 if __name__ == "__main__":

@@ -1,14 +1,12 @@
-"""Reusable invariant checkers over executed workloads."""
+"""Run histories checked against the promises of their composition, and
+the observability lint."""
 
 from repro.analysis.checkers import (
     CheckResult,
-    check_exactly_once_cluster,
-    check_execution_counts,
-    check_fifo_per_client,
-    check_identical_sequences,
-    check_prefix_consistency,
-    check_subsequence,
-    check_total_order_cluster,
+    History,
+    Promise,
+    check,
+    promises,
 )
 from repro.analysis.obslint import (
     METRIC_NAMESPACES,
@@ -20,13 +18,10 @@ from repro.analysis.obslint import (
 
 __all__ = [
     "CheckResult",
-    "check_identical_sequences",
-    "check_prefix_consistency",
-    "check_subsequence",
-    "check_fifo_per_client",
-    "check_execution_counts",
-    "check_total_order_cluster",
-    "check_exactly_once_cluster",
+    "History",
+    "Promise",
+    "check",
+    "promises",
     "check_obs_registration",
     "check_metric_emitters",
     "check_metric_names",

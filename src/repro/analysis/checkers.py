@@ -1,28 +1,32 @@
-"""Invariant checkers over executed workloads.
+"""Run histories and the promises a composition makes (Figures 1, 2).
 
-The test suite asserts the paper's guarantees ad hoc; this module
-packages those assertions as reusable checkers a downstream user can run
-against their own deployments.  Each checker takes plain data (apply
-logs, execution counts) or a :class:`~repro.core.deployment.Service`
-and returns a :class:`CheckResult` with machine-readable violations
-rather than raising, so callers can aggregate across runs.
+A :class:`History` is one run: the calls in issue order, each *invoked*
+and then *acked* or *failed* with its
+:class:`~repro.core.messages.CallResult` (the run's driver records
+these; nothing on the call path does), and each server's *execute*
+events, read after the run from its ``ServerDispatcher.execution_log``.
+An execution belongs to the call whose args object it received: the
+simulator hands a call's args to each server by reference unless a stub
+marshals them.  :func:`promises` derives what a
+:class:`~repro.core.config.ServiceSpec` guarantees, and :func:`check`
+holds a history to it, one violation line per broken promise.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping,
+                    NamedTuple, Optional, Tuple)
 
-__all__ = [
-    "CheckResult",
-    "check_identical_sequences",
-    "check_prefix_consistency",
-    "check_subsequence",
-    "check_fifo_per_client",
-    "check_execution_counts",
-    "check_total_order_cluster",
-    "check_exactly_once_cluster",
-]
+from repro.core.messages import CallResult, Status
+
+if TYPE_CHECKING:
+    from repro.apps.dispatcher import ServerDispatcher
+    from repro.core.config import ServiceSpec
+
+__all__ = ["CheckResult", "History", "Promise", "check", "promises"]
 
 
 @dataclass
@@ -43,122 +47,130 @@ class CheckResult:
             raise AssertionError(f"{self.name} violated:\n  {details}")
 
 
-def _result(name: str, violations: List[str]) -> CheckResult:
-    return CheckResult(name, not violations, violations)
+@dataclass
+class Call:
+    """One invoked call; ``result`` stays ``None`` until its outcome."""
+
+    client: Any
+    args: Any
+    result: Optional[CallResult] = None
 
 
-# ----------------------------------------------------------------------
-# Sequence invariants
-# ----------------------------------------------------------------------
+class History:
+    """The calls of one run and every server's executions of them."""
 
-def check_identical_sequences(sequences: Dict[Any, Sequence[Any]]
-                              ) -> CheckResult:
-    """Total order: every replica applied exactly the same sequence."""
-    violations = []
-    items = list(sequences.items())
-    if items:
-        ref_id, ref = items[0]
-        for other_id, other in items[1:]:
-            if list(other) != list(ref):
-                violations.append(
-                    f"replica {other_id} diverged from {ref_id}: "
-                    f"{list(other)[:6]}... vs {list(ref)[:6]}...")
-    return _result("identical application sequences", violations)
+    def __init__(self) -> None:
+        #: Invoked calls in issue order; a call is named by its index.
+        self.calls: List[Call] = []
+        #: Server -> the call of each execution, by apply index; an
+        #: execution no invoked call owns is named by a string.
+        self.executed: Dict[Any, List[Any]] = {}
 
+    def invoke(self, client: Any, args: Any) -> int:
+        """Record that ``client`` issued a call with ``args``; returns
+        the call's index for :meth:`end`."""
+        self.calls.append(Call(client, args))
+        return len(self.calls) - 1
 
-def check_prefix_consistency(sequences: Dict[Any, Sequence[Any]]
-                             ) -> CheckResult:
-    """Weaker total order for mid-run snapshots: any two replicas'
-    sequences must be prefix-related (one is a prefix of the other)."""
-    violations = []
-    items = [(rid, list(seq)) for rid, seq in sequences.items()]
-    for i, (id_a, a) in enumerate(items):
-        for id_b, b in items[i + 1:]:
-            shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
-            if longer[:len(shorter)] != shorter:
-                violations.append(
-                    f"replicas {id_a} and {id_b} are not prefix-related")
-    return _result("prefix consistency", violations)
+    def end(self, call: int, result: CallResult) -> CallResult:
+        """Record the outcome of ``call`` and hand ``result`` back."""
+        self.calls[call].result = result
+        return result
 
-
-def check_subsequence(expected_order: Sequence[Any],
-                      observed: Sequence[Any], *,
-                      label: str = "") -> CheckResult:
-    """The items of ``expected_order`` appear in ``observed`` in order
-    (other items may interleave) — the per-client FIFO condition."""
-    violations = []
-    position = 0
-    expected = [item for item in expected_order if item in set(observed)]
-    for item in expected:
-        try:
-            position = list(observed).index(item, position) + 1
-        except ValueError:
-            violations.append(
-                f"{label}: {item!r} out of order in {list(observed)}")
-            break
-    return _result(f"subsequence order {label}".strip(), violations)
+    def read(self, dispatchers: Mapping[Any, "ServerDispatcher"]
+             ) -> "History":
+        """Read each server's executions; the servers read are the group
+        the acceptance promise counts."""
+        owner = {id(call.args): i for i, call in enumerate(self.calls)}
+        for server, dispatcher in dispatchers.items():
+            self.executed[server] = [
+                owner.get(id(args), f"unmatched {op} #{id(args)}")
+                for op, args in dispatcher.execution_log]
+        return self
 
 
-def check_fifo_per_client(client_sequences: Dict[Any, Sequence[Any]],
-                          replica_logs: Dict[Any, Sequence[Any]]
-                          ) -> CheckResult:
-    """FIFO ordering: each client's issue order is a subsequence of
-    every replica's application order."""
-    violations = []
-    for replica_id, log in replica_logs.items():
-        for client_id, issued in client_sequences.items():
-            sub = check_subsequence(
-                issued, log, label=f"client {client_id} at replica "
-                                   f"{replica_id}")
-            violations.extend(sub.violations)
-    return _result("FIFO per client", violations)
+class Promise(NamedTuple):
+    """A rule of :func:`check`, its paper section, its acceptance k."""
+
+    rule: str
+    section: str
+    k: int = 0
 
 
-# ----------------------------------------------------------------------
-# Execution-count invariants (Figure 1)
-# ----------------------------------------------------------------------
-
-def check_execution_counts(counts: Dict[Any, int], *,
-                           at_least: int = 0,
-                           at_most: Optional[int] = None) -> CheckResult:
-    """Per-call execution counts within [at_least, at_most]."""
-    violations = []
-    for tag, count in counts.items():
-        if count < at_least:
-            violations.append(f"call {tag!r} executed {count} < "
-                              f"{at_least} times")
-        if at_most is not None and count > at_most:
-            violations.append(f"call {tag!r} executed {count} > "
-                              f"{at_most} times")
-    return _result("execution counts", violations)
+def promises(spec: "ServiceSpec") -> Tuple[Promise, ...]:
+    """What every run of the composition ``spec`` builds must keep."""
+    found = [Promise("outcome", "§2.1 termination"),
+             Promise("acceptance", "§2.2, §4.4.5", spec.acceptance)]
+    if spec.unique:
+        found.append(Promise("at most once", "§2.1 Figure 1, §4.4.5"))
+    if spec.ordering == "total":
+        found.append(Promise("total order", "§2.2, §4.4.6"))
+    elif spec.ordering == "fifo":
+        found.append(Promise("FIFO order", "§2.2, §4.4.6"))
+    elif spec.ordering == "causal":
+        found.append(Promise("causal order", "§2.2"))
+    return tuple(found)
 
 
-# ----------------------------------------------------------------------
-# Cluster-level conveniences
-# ----------------------------------------------------------------------
+def check(history: History, promised: Iterable[Promise]) -> CheckResult:
+    """Hold ``history`` to each promise (rules in docs/paper-mapping.md).
 
-def check_total_order_cluster(cluster, *,
-                              mutation_kinds: Tuple[str, ...] =
-                              ("put", "delete")) -> CheckResult:
-    """Identical KV apply logs across every server of a cluster."""
-    sequences = {}
-    for pid in cluster.server_pids:
-        log = getattr(cluster.app(pid), "apply_log", None)
-        if log is None:
-            return _result("total order",
-                           [f"app on server {pid} has no apply_log"])
-        sequences[pid] = [(kind, key) for kind, key, _ in log
-                          if kind in mutation_kinds]
-    return check_identical_sequences(sequences)
-
-
-def check_exactly_once_cluster(cluster, tags: Sequence[Any]
-                               ) -> CheckResult:
-    """Every tagged call executed exactly once on every server."""
-    violations = []
-    for pid in cluster.server_pids:
-        dispatcher = cluster.dispatchers[pid]
-        counts = {tag: dispatcher.executions(tag) for tag in tags}
-        sub = check_execution_counts(counts, at_least=1, at_most=1)
-        violations.extend(f"server {pid}: {v}" for v in sub.violations)
-    return _result("exactly-once execution", violations)
+    Acceptance k needs min(k, servers read) executions, so ALL means
+    every server read.  Total order is prefix consistency, so a lagging
+    server is no violation.  FIFO and causal order need a client's
+    calls first executed in issue order at every server; Causal Order
+    chains a call only on calls its client saw complete, so the rule
+    presumes a client that awaits each call before the next.
+    """
+    calls, executed = history.calls, history.executed
+    violations: List[str] = []
+    for promise in promised:
+        rule = f"{promise.rule} ({promise.section})"
+        if promise.rule == "outcome":
+            for i, call in enumerate(calls):
+                if call.result is None or \
+                        call.result.status is Status.WAITING:
+                    violations.append(f"{rule}: call {i} from client "
+                                      f"{call.client} has no outcome")
+        elif promise.rule == "acceptance":
+            need = min(promise.k, len(executed))
+            ran = {server: set(order) for server, order in executed.items()}
+            for i, call in enumerate(calls):
+                missing = [s for s, done in ran.items() if i not in done]
+                if call.result is not None and call.result.ok and \
+                        len(ran) - len(missing) < need:
+                    violations.append(
+                        f"{rule}: call {i} from client {call.client} was "
+                        f"acked after executing at {len(ran) - len(missing)}"
+                        f" of {need} servers; not at server {missing}")
+        elif promise.rule == "at most once":
+            for server, order in executed.items():
+                for i, times in Counter(order).items():
+                    if times > 1:
+                        violations.append(f"{rule}: call {i} executed "
+                                          f"{times} times at server "
+                                          f"{server}")
+        elif promise.rule == "total order":
+            for (a, xs), (b, ys) in combinations(executed.items(), 2):
+                for index, (x, y) in enumerate(zip(xs, ys)):
+                    if x != y:
+                        violations.append(
+                            f"{rule}: server {a} executed call {x} and "
+                            f"server {b} call {y} at apply index {index}")
+                        break
+        elif promise.rule in ("FIFO order", "causal order"):
+            for server, order in executed.items():
+                latest: Dict[Any, int] = {}
+                for i in dict.fromkeys(order):
+                    if isinstance(i, str):
+                        continue
+                    client = calls[i].client
+                    if latest.get(client, -1) > i:
+                        violations.append(
+                            f"{rule}: call {i} from client {client} "
+                            f"executed at server {server} after its later "
+                            f"call {latest[client]}")
+                    latest[client] = max(latest.get(client, -1), i)
+        else:
+            raise ValueError(f"unknown promise rule {promise.rule!r}")
+    return CheckResult("promises", not violations, violations)

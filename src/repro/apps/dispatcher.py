@@ -11,7 +11,7 @@ volatile state to the node's crash lifecycle.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import UnknownCallError
 from repro.net.node import Node
@@ -81,15 +81,13 @@ class ServerDispatcher(Protocol):
         self.service = service
         app.bind(node)
         node.crash_listeners.append(app.on_crash)
-        #: Every execution as (op, args) in order — the raw material for
-        #: the unique/atomic execution experiments.  ``keep_log=False``
+        #: Every execution as (op, args) in order: the server side of a
+        #: :class:`repro.analysis.History`.  ``keep_log=False``
         #: (deployments built with ``keep_trace=False``) skips it: a
         #: million-call perf run would otherwise retain every request's
         #: args forever, growing each gc generation-2 sweep.
         self.keep_log = keep_log
         self.execution_log: List[Tuple[str, Any]] = []
-        #: Executions per request tag, when args carry a ``tag`` key.
-        self.executions_by_tag: Dict[Any, int] = {}
         #: Per-service execution counter (``service.<name>.executions``)
         #: when deployed with a service label and a shared registry.
         self._exec_counter: Optional[Counter] = None
@@ -103,10 +101,6 @@ class ServerDispatcher(Protocol):
             self.execution_log.append((op, args))
         if self._exec_counter is not None:
             self._exec_counter.inc()
-        if isinstance(args, dict) and "tag" in args:
-            tag = args["tag"]
-            self.executions_by_tag[tag] = \
-                self.executions_by_tag.get(tag, 0) + 1
         return await self.app.handle(op, args)
 
     # -- Atomic Execution's checkpoint surface ---------------------------
@@ -125,6 +119,3 @@ class ServerDispatcher(Protocol):
         """
         pop = getattr(self.app, "pop_delta", None)
         return pop() if callable(pop) else None
-
-    def executions(self, tag: Any) -> int:
-        return self.executions_by_tag.get(tag, 0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import History
 from repro.apps import (
     BankApp,
     ComputeApp,
@@ -29,17 +30,22 @@ def test_dispatcher_invokes_app_and_logs():
     app = KVStore()
     dispatcher = ServerDispatcher(node, app)
 
+    history = History()
+    put = {"key": "k", "value": 1}
+    get = {"key": "k"}
+
     async def main():
-        result = await dispatcher.pop("put", {"key": "k", "value": 1,
-                                              "tag": "t1"})
+        history.invoke("c", put)
+        result = await dispatcher.pop("put", put)
         assert result is None   # no previous value
-        result = await dispatcher.pop("get", {"key": "k", "tag": "t1"})
+        history.invoke("c", get)
+        result = await dispatcher.pop("get", get)
         assert result == 1
 
     rt.run(main())
     assert [op for op, _ in dispatcher.execution_log] == ["put", "get"]
-    assert dispatcher.executions("t1") == 2
-    assert dispatcher.executions("missing") == 0
+    # The log is the server side of a history: each call once, in order.
+    assert history.read({1: dispatcher}).executed == {1: [0, 1]}
 
 
 def test_unknown_operation_raises():

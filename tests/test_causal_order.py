@@ -3,6 +3,7 @@
 import pytest
 
 from repro import LinkSpec, ServiceCluster, ServiceSpec
+from repro.analysis import History, check, promises
 from repro.apps import KVStore
 from repro.errors import DependencyError
 
@@ -99,17 +100,24 @@ def test_own_calls_are_causally_chained():
     # giving per-session ordering even with acceptance=1 and jitter.
     cluster = make_cluster(causal_spec(), seed=3, n_clients=1)
     client = cluster.client
+    history = History()
+
+    async def put(i):
+        args = {"key": f"k{i}", "value": i}
+        history.end(history.invoke(client, args),
+                    await cluster.call(client, "put", args))
 
     async def scenario():
         for i in range(5):
-            task = cluster.spawn_client(
-                client, _put(cluster, client, f"k{i}", i))
+            task = cluster.spawn_client(client, put(i))
             await cluster.deployment.runtime.join(task)
 
     cluster.deployment.run_scenario(scenario(), extra_time=3.0)
-    for pid in cluster.server_pids:
-        keys = [k for _, k, _ in cluster.app(pid).apply_log]
-        assert keys == [f"k{i}" for i in range(5)]
+    assert all(call.result.ok for call in history.calls)
+    # Issue order at every server, and every call reached every server.
+    check(history.read(cluster.dispatchers),
+          promises(causal_spec())).raise_if_failed()
+    assert [len(order) for order in history.executed.values()] == [5] * 3
 
 
 def test_parked_calls_drain():

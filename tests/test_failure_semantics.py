@@ -17,6 +17,7 @@ from repro import (
     at_most_once,
     exactly_once,
 )
+from repro.analysis import History, check, promises
 from repro.apps import BankApp, CounterApp
 from repro.faults import calls_to, drop_first, replies_from
 
@@ -30,12 +31,23 @@ def make_counter_cluster(spec, seed=0, link=None, **kwargs):
                           default_link=link or lossy_link(), **kwargs)
 
 
+def recorded_call(cluster, history, op, args, extra_time=0.3):
+    """``cluster.call_and_run`` with the call recorded in ``history``."""
+    return history.end(history.invoke(cluster.client, args),
+                       cluster.call_and_run(op, args,
+                                            extra_time=extra_time))
+
+
 def drive_increments(cluster, n_calls=10):
-    results = []
+    """``n_calls`` increments; returns the run's history."""
+    history = History()
     for i in range(n_calls):
-        results.append(cluster.call_and_run(
-            "inc", {"amount": 1, "tag": i}, extra_time=0.3))
-    return results
+        recorded_call(cluster, history, "inc", {"amount": 1, "tag": i})
+    return history.read(cluster.dispatchers)
+
+
+def all_acked(history):
+    return all(call.result.ok for call in history.calls)
 
 
 # ----------------------------------------------------------------------
@@ -45,12 +57,10 @@ def drive_increments(cluster, n_calls=10):
 def test_at_least_once_normal_termination_executes_one_or_more():
     spec = at_least_once(acceptance=3, bounded=30.0)
     cluster = make_counter_cluster(spec, seed=7)
-    results = drive_increments(cluster)
-    assert all(r.ok for r in results)
-    for pid in cluster.server_pids:
-        dispatcher = cluster.dispatchers[pid]
-        for tag in range(10):
-            assert dispatcher.executions(tag) >= 1
+    history = drive_increments(cluster)
+    assert all_acked(history)
+    # Acceptance 3 of 3: every call executed at every server.
+    check(history, promises(spec)).raise_if_failed()
 
 
 def test_at_least_once_actually_over_executes_under_loss():
@@ -58,15 +68,14 @@ def test_at_least_once_actually_over_executes_under_loss():
     # really do provoke it, so the exactly-once comparison below is
     # meaningful and not vacuous.
     spec = at_least_once(acceptance=3, bounded=30.0)
-    total_over = 0
+    broken = []
     for seed in range(5):
         cluster = make_counter_cluster(spec, seed=seed)
-        drive_increments(cluster)
-        for pid in cluster.server_pids:
-            for tag in range(10):
-                total_over += max(
-                    0, cluster.dispatchers[pid].executions(tag) - 1)
-    assert total_over > 0
+        history = drive_increments(cluster)
+        broken += check(history, promises(
+            exactly_once(acceptance=3))).violations
+    assert broken
+    assert all(v.startswith("at most once") for v in broken)
 
 
 # ----------------------------------------------------------------------
@@ -77,12 +86,11 @@ def test_exactly_once_executes_exactly_once_despite_loss_and_dup():
     spec = exactly_once(acceptance=3, bounded=30.0)
     for seed in range(5):
         cluster = make_counter_cluster(spec, seed=seed)
-        results = drive_increments(cluster)
-        assert all(r.ok for r in results)
-        for pid in cluster.server_pids:
-            for tag in range(10):
-                assert cluster.dispatchers[pid].executions(tag) == 1, \
-                    f"seed={seed} server={pid} tag={tag}"
+        history = drive_increments(cluster)
+        assert all_acked(history)
+        # At most once, and acceptance 3 of 3: once at every server.
+        result = check(history, promises(spec))
+        assert result, f"seed={seed}: {result.violations}"
         for pid in cluster.server_pids:
             assert cluster.app(pid).value == 10
 
@@ -94,11 +102,13 @@ def test_exactly_once_replays_stored_reply_when_reply_lost():
     cluster = ServiceCluster(spec, CounterApp, n_servers=1,
                              default_link=LinkSpec(delay=0.01, jitter=0.0))
     fault = drop_first(cluster.deployment.fabric, 2, replies_from(1))
-    result = cluster.call_and_run("inc", {"amount": 1, "tag": "t"},
-                                  extra_time=0.5)
+    history = History()
+    result = recorded_call(cluster, history, "inc", {"amount": 1},
+                           extra_time=0.5)
     assert result.ok
     assert fault.dropped == 2
-    assert cluster.dispatchers[1].executions("t") == 1
+    check(history.read(cluster.dispatchers),
+          promises(spec)).raise_if_failed()
     assert cluster.app(1).value == 1
 
 
@@ -107,11 +117,13 @@ def test_exactly_once_call_loss_only_delays():
     cluster = ServiceCluster(spec, CounterApp, n_servers=1,
                              default_link=LinkSpec(delay=0.01, jitter=0.0))
     fault = drop_first(cluster.deployment.fabric, 3, calls_to(1))
-    result = cluster.call_and_run("inc", {"amount": 1, "tag": "t"},
-                                  extra_time=0.5)
+    history = History()
+    result = recorded_call(cluster, history, "inc", {"amount": 1},
+                           extra_time=0.5)
     assert result.ok
     assert fault.dropped == 3
-    assert cluster.dispatchers[1].executions("t") == 1
+    check(history.read(cluster.dispatchers),
+          promises(spec)).raise_if_failed()
 
 
 def test_exactly_once_abnormal_termination_at_most_one_execution():
@@ -121,10 +133,12 @@ def test_exactly_once_abnormal_termination_at_most_one_execution():
     cluster = ServiceCluster(spec, CounterApp, n_servers=1,
                              default_link=LinkSpec(delay=0.01, jitter=0.0))
     cluster.deployment.partition([cluster.client], [1])
-    result = cluster.call_and_run("inc", {"amount": 1, "tag": "t"},
-                                  extra_time=0.5)
+    history = History()
+    result = recorded_call(cluster, history, "inc", {"amount": 1},
+                           extra_time=0.5)
     assert result.status is Status.TIMEOUT
-    assert cluster.dispatchers[1].executions("t") <= 1
+    check(history.read(cluster.dispatchers),
+          promises(spec)).raise_if_failed()
 
 
 def test_unique_execution_reply_store_drains_after_ack():

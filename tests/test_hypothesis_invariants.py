@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import LinkSpec, ServiceCluster, ServiceSpec
+from repro.analysis import History, check, promises
 from repro.apps import KVStore
 from repro.core.config import validate
 from repro.core.events import EventBus
@@ -222,19 +223,23 @@ def test_total_order_logs_identical_for_random_seeds(seed):
     cluster = ServiceCluster(
         spec, KVStore, n_servers=3, n_clients=2, seed=seed,
         default_link=LinkSpec(delay=0.01, jitter=0.05))
+    history = History()
 
     async def scenario():
         tasks = []
         for ci, pid in enumerate(cluster.client_pids):
             for i in range(3):
                 async def one(p=pid, k=f"c{ci}-{i}"):
-                    await cluster.call(p, "put", {"key": k, "value": 0})
+                    args = {"key": k, "value": 0}
+                    history.end(history.invoke(p, args),
+                                await cluster.call(p, "put", args))
                 tasks.append(cluster.spawn_client(pid, one()))
         for t in tasks:
             await cluster.deployment.runtime.join(t)
 
     cluster.deployment.run_scenario(scenario(), extra_time=2.0)
-    logs = [tuple(k for _, k, _ in cluster.app(pid).apply_log)
-            for pid in cluster.server_pids]
-    assert len(logs[0]) == 6
-    assert logs.count(logs[0]) == 3
+    assert len(history.calls) == 6
+    assert all(call.result.ok for call in history.calls)
+    # Total order and acceptance 3 of 3: one sequence at every replica.
+    check(history.read(cluster.dispatchers),
+          promises(spec)).raise_if_failed()

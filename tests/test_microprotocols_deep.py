@@ -9,6 +9,7 @@ each module.
 import pytest
 
 from repro import LinkSpec, ServiceCluster, ServiceSpec, Status
+from repro.analysis import History, check, promises
 from repro.apps import CounterApp, KVStore
 from repro.core.messages import NetOp
 from repro.faults import all_acks, calls_to, drop_matching, net_msg
@@ -79,14 +80,18 @@ def test_ack_suppresses_reply_replay_retransmissions():
     cluster = ServiceCluster(spec, CounterApp, n_servers=1,
                              default_link=FAST)
     fault = drop_matching(cluster.deployment.fabric, all_acks())
-    result = cluster.call_and_run("inc", {"amount": 1, "tag": "t"},
-                                  extra_time=0.3)
+    history = History()
+    args = {"amount": 1}
+    result = history.end(history.invoke(cluster.client, args),
+                         cluster.call_and_run("inc", args,
+                                              extra_time=0.3))
     assert result.ok
     assert fault.dropped >= 1
     unique = cluster.grpc(1).micro("Unique_Execution")
     # Reply cache still holds the result: the ACK never arrived.
     assert len(unique.old_results) == 1
-    assert cluster.dispatchers[1].executions("t") == 1
+    check(history.read(cluster.dispatchers),
+          promises(spec)).raise_if_failed()
 
 
 # ----------------------------------------------------------------------
@@ -105,10 +110,15 @@ def test_duplicate_calls_generate_replayed_replies_not_executions():
         lambda env: env.src == 1
         and getattr(net_msg(env), "type", None) is NetOp.REPLY)
     cluster.deployment.runtime.call_later(0.5, fault.remove)
-    result = cluster.call_and_run("inc", {"amount": 1, "tag": "t"},
-                                  extra_time=0.5)
+    history = History()
+    args = {"amount": 1}
+    result = history.end(history.invoke(cluster.client, args),
+                         cluster.call_and_run("inc", args,
+                                              extra_time=0.5))
     assert result.ok
-    assert cluster.dispatchers[1].executions("t") == 1
+    # Acceptance 2 of 2 and at most once: once at each server.
+    check(history.read(cluster.dispatchers),
+          promises(spec)).raise_if_failed()
     replies_from_1 = count_wire(cluster, NetOp.REPLY, src=1)
     assert replies_from_1 >= 5   # original + replays
 

@@ -1,6 +1,7 @@
 """Ordering semantics: FIFO and Total Order invariants under jitter.
 
-The probes use the KV store's ``apply_log``.  High network jitter plus
+Each run's history is checked against ``promises(spec)``.  High network
+jitter plus
 pipelined (asynchronous) calls make arrival order differ from issue
 order, so an ordering guarantee has to be earned by the micro-protocols,
 not by accident of the schedule.
@@ -9,6 +10,7 @@ not by accident of the schedule.
 import pytest
 
 from repro import LinkSpec, ServiceCluster, ServiceSpec
+from repro.analysis import History, check, promises
 from repro.apps import KVStore
 
 JITTERY = LinkSpec(delay=0.01, jitter=0.08)
@@ -20,10 +22,17 @@ def kv_cluster(spec, n_servers=3, n_clients=1, seed=0):
                           default_link=JITTERY)
 
 
-def pipelined_puts(cluster, client_pid, keys):
+async def put(cluster, history, pid, key, value):
+    """One put from ``pid``, recorded in ``history``."""
+    args = {"key": key, "value": value}
+    history.end(history.invoke(pid, args),
+                await cluster.call(pid, "put", args))
+
+
+def pipelined_puts(cluster, history, client_pid, keys):
     """Issue one call per key concurrently from ``client_pid``."""
     async def one(key, i):
-        await cluster.call(client_pid, "put", {"key": key, "value": i})
+        await put(cluster, history, client_pid, key, i)
 
     async def scenario():
         tasks = [cluster.spawn_client(client_pid, one(k, i))
@@ -32,10 +41,6 @@ def pipelined_puts(cluster, client_pid, keys):
             await cluster.deployment.runtime.join(t)
 
     return scenario()
-
-
-def put_keys(app):
-    return [key for kind, key, _ in app.apply_log if kind == "put"]
 
 
 def test_without_ordering_servers_can_disagree():
@@ -47,13 +52,14 @@ def test_without_ordering_servers_can_disagree():
         spec = ServiceSpec(acceptance=3, bounded=60.0, unique=True,
                            ordering="none")
         cluster = kv_cluster(spec, seed=seed)
+        history = History()
         cluster.deployment.run_scenario(pipelined_puts(
-            cluster, cluster.client, [f"k{i}" for i in range(8)]),
-            extra_time=2.0)
-        logs = {pid: put_keys(cluster.app(pid))
-                for pid in cluster.server_pids}
-        if len({tuple(log) for log in logs.values()}) > 1:
-            disagreements += 1
+            cluster, history, cluster.client,
+            [f"k{i}" for i in range(8)]), extra_time=2.0)
+        history.read(cluster.dispatchers)
+        check(history, promises(spec)).raise_if_failed()
+        disagreements += not check(
+            history, promises(spec.with_(ordering="total")))
     assert disagreements > 0
 
 
@@ -63,11 +69,14 @@ def test_fifo_order_applies_client_calls_in_issue_order():
     for seed in range(3):
         cluster = kv_cluster(spec, seed=seed)
         keys = [f"k{i}" for i in range(10)]
+        history = History()
         cluster.deployment.run_scenario(
-            pipelined_puts(cluster, cluster.client, keys), extra_time=2.0)
-        for pid in cluster.server_pids:
-            log = put_keys(cluster.app(pid))
-            assert log == keys, f"seed={seed} server={pid}"
+            pipelined_puts(cluster, history, cluster.client, keys),
+            extra_time=2.0)
+        assert all(call.result.ok for call in history.calls)
+        # Acceptance 3 of 3 and FIFO: the issue order at every server.
+        result = check(history.read(cluster.dispatchers), promises(spec))
+        assert result, f"seed={seed}: {result.violations}"
 
 
 def test_fifo_order_is_per_client_only():
@@ -79,22 +88,22 @@ def test_fifo_order_is_per_client_only():
     c1, c2 = cluster.client_pids
     keys1 = [f"a{i}" for i in range(6)]
     keys2 = [f"b{i}" for i in range(6)]
+    history = History()
 
     async def scenario():
         tasks = []
         for pid, keys in ((c1, keys1), (c2, keys2)):
             for i, key in enumerate(keys):
-                async def one(p=pid, k=key, v=i):
-                    await cluster.call(p, "put", {"key": k, "value": v})
-                tasks.append(cluster.spawn_client(pid, one()))
+                tasks.append(cluster.spawn_client(
+                    pid, put(cluster, history, pid, key, i)))
         for t in tasks:
             await cluster.deployment.runtime.join(t)
 
     cluster.deployment.run_scenario(scenario(), extra_time=2.0)
-    for pid in cluster.server_pids:
-        log = put_keys(cluster.app(pid))
-        assert [k for k in log if k.startswith("a")] == keys1
-        assert [k for k in log if k.startswith("b")] == keys2
+    assert len(history.calls) == 12
+    assert all(call.result.ok for call in history.calls)
+    check(history.read(cluster.dispatchers),
+          promises(spec)).raise_if_failed()
 
 
 def test_total_order_all_servers_apply_same_sequence():
@@ -102,22 +111,23 @@ def test_total_order_all_servers_apply_same_sequence():
                        ordering="total")
     for seed in range(3):
         cluster = kv_cluster(spec, n_clients=3, seed=seed)
+        history = History()
+
         async def scenario():
             tasks = []
             for ci, pid in enumerate(cluster.client_pids):
                 for i in range(5):
-                    async def one(p=pid, k=f"c{ci}-{i}", v=i):
-                        await cluster.call(p, "put",
-                                           {"key": k, "value": v})
-                    tasks.append(cluster.spawn_client(pid, one()))
+                    tasks.append(cluster.spawn_client(
+                        pid, put(cluster, history, pid, f"c{ci}-{i}", i)))
             for t in tasks:
                 await cluster.deployment.runtime.join(t)
 
         cluster.deployment.run_scenario(scenario(), extra_time=3.0)
-        logs = [tuple(put_keys(cluster.app(pid)))
-                for pid in cluster.server_pids]
-        assert len(logs[0]) == 15
-        assert logs.count(logs[0]) == len(logs), f"seed={seed}: {logs}"
+        assert len(history.calls) == 15
+        assert all(call.result.ok for call in history.calls)
+        # Total order and acceptance 3 of 3: one sequence everywhere.
+        result = check(history.read(cluster.dispatchers), promises(spec))
+        assert result, f"seed={seed}: {result.violations}"
 
 
 def test_total_order_under_message_loss():
@@ -126,22 +136,22 @@ def test_total_order_under_message_loss():
     link = LinkSpec(delay=0.01, jitter=0.03, loss=0.1)
     cluster = ServiceCluster(spec, KVStore, n_servers=3, n_clients=2,
                              seed=11, default_link=link)
+    history = History()
 
     async def scenario():
         tasks = []
         for ci, pid in enumerate(cluster.client_pids):
             for i in range(4):
-                async def one(p=pid, k=f"c{ci}-{i}", v=i):
-                    await cluster.call(p, "put", {"key": k, "value": v})
-                tasks.append(cluster.spawn_client(pid, one()))
+                tasks.append(cluster.spawn_client(
+                    pid, put(cluster, history, pid, f"c{ci}-{i}", i)))
         for t in tasks:
             await cluster.deployment.runtime.join(t)
 
     cluster.deployment.run_scenario(scenario(), extra_time=5.0)
-    logs = [tuple(put_keys(cluster.app(pid)))
-            for pid in cluster.server_pids]
-    assert len(logs[0]) == 8
-    assert logs.count(logs[0]) == len(logs)
+    assert len(history.calls) == 8
+    assert all(call.result.ok for call in history.calls)
+    check(history.read(cluster.dispatchers),
+          promises(spec)).raise_if_failed()
 
 
 def test_total_order_replicas_converge_to_identical_state():
@@ -174,17 +184,14 @@ def test_total_order_leader_failover_with_membership():
         spec, KVStore, n_servers=3, seed=3,
         default_link=LinkSpec(delay=0.01, jitter=0.0),
         membership="oracle")
+    history = History()
 
     async def scenario():
         # A first call through the original leader (pid 3).
-        res = await cluster.call(cluster.client, "put",
-                                 {"key": "before", "value": 1})
-        assert res.ok
+        await put(cluster, history, cluster.client, "before", 1)
         cluster.deployment.crash(3)
         # New leader is pid 2; calls must keep completing.
-        res = await cluster.call(cluster.client, "put",
-                                 {"key": "after", "value": 2})
-        assert res.ok
+        await put(cluster, history, cluster.client, "after", 2)
 
     task = cluster.spawn_client(cluster.client, scenario())
 
@@ -192,5 +199,7 @@ def test_total_order_leader_failover_with_membership():
         await cluster.deployment.runtime.join(task)
 
     cluster.deployment.run_scenario(waiter(), extra_time=2.0)
-    for pid in (1, 2):
-        assert put_keys(cluster.app(pid)) == ["before", "after"]
+    assert all(call.result.ok for call in history.calls)
+    survivors = {pid: cluster.dispatchers[pid] for pid in (1, 2)}
+    check(history.read(survivors), promises(spec)).raise_if_failed()
+    assert history.executed == {1: [0, 1], 2: [0, 1]}

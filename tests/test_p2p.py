@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro import LinkSpec, ServiceCluster, Status
+from repro.analysis import History, check, promises
 from repro.apps import CounterApp, KVStore, ServerDispatcher
 from repro.core.config import exactly_once
 from repro.core.p2p import P2PMsg, PointToPointRPC
@@ -66,13 +67,15 @@ def test_exactly_once_under_loss():
         link=LinkSpec(delay=0.005, jitter=0.002, loss=0.25,
                       duplicate=0.1),
         seed=5, app_factory=CounterApp)
+    history = History()
     for i in range(8):
-        result = run_call(rt, fabric, sides, "inc",
-                          {"amount": 1, "tag": i})
+        args = {"amount": 1, "tag": i}
+        result = history.end(history.invoke(101, args),
+                             run_call(rt, fabric, sides, "inc", args))
         assert result.status is Status.OK
     dispatcher = sides["dispatcher"]
-    for tag in range(8):
-        assert dispatcher.executions(tag) == 1
+    check(history.read({1: dispatcher}),
+          promises(exactly_once())).raise_if_failed()
     assert dispatcher.app.value == 8
 
 
@@ -81,11 +84,15 @@ def test_reply_loss_replays_from_cache():
     fault = drop_first(fabric, 2,
                        lambda env: isinstance(env.payload, P2PMsg)
                        and env.payload.kind == "reply")
-    result = run_call(rt, fabric, sides, "inc", {"amount": 1, "tag": "t"},
-                      extra=0.5)
+    args = {"amount": 1}
+    history = History()
+    result = history.end(history.invoke(101, args),
+                         run_call(rt, fabric, sides, "inc", args,
+                                  extra=0.5))
     assert result.status is Status.OK
     assert fault.dropped == 2
-    assert sides["dispatcher"].executions("t") == 1
+    check(history.read({1: sides["dispatcher"]}),
+          promises(exactly_once())).raise_if_failed()
 
 
 def test_reply_cache_drains_after_ack():

@@ -9,6 +9,7 @@ user would run before trusting the library.
 import pytest
 
 from repro import LinkSpec, ServiceCluster, ServiceSpec, Status
+from repro.analysis import History, check, promises
 from repro.apps import BankApp, CounterApp, KVStore
 
 CHAOS_LINK = LinkSpec(delay=0.01, jitter=0.01, loss=0.1, duplicate=0.05,
@@ -21,12 +22,13 @@ def test_exactly_once_counter_through_partition_and_crash():
     cluster = ServiceCluster(spec, CounterApp, n_servers=2, seed=21,
                              default_link=CHAOS_LINK)
     client = cluster.client
-    results = []
+    history = History()
 
     async def load():
         for i in range(15):
-            results.append(await cluster.call(
-                client, "inc", {"amount": 1, "tag": i}))
+            args = {"amount": 1, "tag": i}
+            history.end(history.invoke(client, args),
+                        await cluster.call(client, "inc", args))
 
     async def scenario():
         task = cluster.spawn_client(client, load())
@@ -42,10 +44,10 @@ def test_exactly_once_counter_through_partition_and_crash():
         await cluster.deployment.runtime.join(task)
 
     cluster.deployment.run_scenario(scenario(), extra_time=3.0)
-    assert all(r.status is Status.OK for r in results)
+    assert all(call.result.status is Status.OK for call in history.calls)
     # Server 1 never crashed: every increment executed exactly once.
-    for tag in range(15):
-        assert cluster.dispatchers[1].executions(tag) == 1
+    check(history.read({1: cluster.dispatchers[1]}),
+          promises(spec)).raise_if_failed()
     assert cluster.app(1).value == 15
 
 
@@ -54,13 +56,13 @@ def test_total_order_rsm_under_chaos_links():
                        bounded=0.0, retrans_timeout=0.05)
     cluster = ServiceCluster(spec, KVStore, n_servers=3, n_clients=3,
                              seed=22, default_link=CHAOS_LINK)
+    history = History()
 
     async def client_loop(ci, pid):
         for i in range(5):
-            result = await cluster.call(
-                pid, "put", {"key": f"k{(ci + i) % 4}",
-                             "value": f"{ci}-{i}"})
-            assert result.ok
+            args = {"key": f"k{(ci + i) % 4}", "value": f"{ci}-{i}"}
+            history.end(history.invoke(pid, args),
+                        await cluster.call(pid, "put", args))
 
     async def scenario():
         tasks = [cluster.spawn_client(pid, client_loop(ci, pid))
@@ -69,10 +71,11 @@ def test_total_order_rsm_under_chaos_links():
             await cluster.deployment.runtime.join(task)
 
     cluster.deployment.run_scenario(scenario(), extra_time=5.0)
-    logs = [tuple(k for _, k, _ in cluster.app(pid).apply_log)
-            for pid in cluster.server_pids]
-    assert len(logs[0]) == 15
-    assert logs.count(logs[0]) == 3
+    assert len(history.calls) == 15
+    assert all(call.result.ok for call in history.calls)
+    # Total order and acceptance 3 of 3: one sequence at every replica.
+    check(history.read(cluster.dispatchers),
+          promises(spec)).raise_if_failed()
     states = [cluster.app(pid).data for pid in cluster.server_pids]
     assert states[0] == states[1] == states[2]
 
@@ -117,12 +120,15 @@ def test_fifo_per_client_order_with_client_bounce():
     cluster = ServiceCluster(spec, KVStore, n_servers=2, seed=24,
                              default_link=CHAOS_LINK)
     client = cluster.client
+    history = History()
 
     async def burst(prefix, n):
         tasks = []
         for i in range(n):
             async def one(k=f"{prefix}{i}"):
-                await cluster.call(client, "put", {"key": k, "value": 1})
+                args = {"key": k, "value": 1}
+                history.end(history.invoke(client, args),
+                            await cluster.call(client, "put", args))
             tasks.append(cluster.spawn_client(client, one()))
         for task in tasks:
             await cluster.deployment.runtime.join(task)
@@ -135,13 +141,11 @@ def test_fifo_per_client_order_with_client_bounce():
         await burst("post", 5)
 
     cluster.deployment.run_scenario(scenario(), extra_time=3.0)
-    for pid in cluster.server_pids:
-        keys = [k for _, k, _ in cluster.app(pid).apply_log]
-        pre = [k for k in keys if k.startswith("pre")]
-        post = [k for k in keys if k.startswith("post")]
-        # Each incarnation's burst in issue order, on every server.
-        assert pre == [f"pre{i}" for i in range(5)]
-        assert post == [f"post{i}" for i in range(5)]
+    assert len(history.calls) == 10
+    assert all(call.result.ok for call in history.calls)
+    # Each incarnation's burst in issue order, all of it on every server.
+    check(history.read(cluster.dispatchers),
+          promises(spec)).raise_if_failed()
 
 
 def test_heartbeat_membership_survives_chaos():

@@ -8,6 +8,7 @@ protocol cannot handle — the leader dying with ORDER messages in flight.
 import pytest
 
 from repro import LinkSpec, ServiceCluster, ServiceSpec
+from repro.analysis import History, check, promises
 from repro.apps import KVStore
 
 LINK = LinkSpec(delay=0.01, jitter=0.03)
@@ -25,13 +26,26 @@ def make_cluster(seed=0, resync=True, n_clients=3):
                           default_link=LINK, membership="oracle")
 
 
+def survivors(cluster, history):
+    """``history`` with the executions of servers 1 and 2 read: the
+    group once the leader, server 3, has crashed."""
+    return history.read({pid: cluster.dispatchers[pid] for pid in (1, 2)})
+
+
+async def put(cluster, history, pid, key, value):
+    args = {"key": key, "value": value}
+    history.end(history.invoke(pid, args),
+                await cluster.call(pid, "put", args))
+
+
 def crash_leader_mid_traffic(cluster, calls_per_client=4,
                              crash_after=0.05):
+    """Returns the run's history, read from the survivors."""
+    history = History()
+
     async def client_loop(ci, pid):
         for i in range(calls_per_client):
-            result = await cluster.call(pid, "put",
-                                        {"key": f"c{ci}-{i}", "value": i})
-            assert result.ok
+            await put(cluster, history, pid, f"c{ci}-{i}", i)
 
     async def scenario():
         tasks = [cluster.spawn_client(pid, client_loop(ci, pid))
@@ -42,21 +56,18 @@ def crash_leader_mid_traffic(cluster, calls_per_client=4,
             await cluster.deployment.runtime.join(task)
 
     cluster.deployment.run_scenario(scenario(), extra_time=5.0)
-
-
-def put_keys(app):
-    return [key for kind, key, _ in app.apply_log if kind == "put"]
+    return survivors(cluster, history)
 
 
 def test_leader_crash_mid_traffic_all_calls_complete():
     for seed in range(4):
         cluster = make_cluster(seed=seed)
-        crash_leader_mid_traffic(cluster)
-        total_calls = 3 * 4
+        history = crash_leader_mid_traffic(cluster)
+        assert len(history.calls) == 3 * 4
+        assert all(call.result.ok for call in history.calls)
         # Survivors applied every call, in identical order.
-        logs = [tuple(put_keys(cluster.app(pid))) for pid in (1, 2)]
-        assert len(logs[0]) == total_calls, f"seed={seed}"
-        assert logs[0] == logs[1], f"seed={seed}"
+        result = check(history, promises(rsm_spec()))
+        assert result, f"seed={seed}: {result.violations}"
 
 
 def test_new_leader_ran_the_agreement_phase():
@@ -78,29 +89,30 @@ def test_resync_survives_query_loss():
     drop_first(cluster.deployment.fabric, 1,
                lambda env: getattr(env.payload, "type", None)
                is NetOp.ORDER_QUERY)
-    crash_leader_mid_traffic(cluster)
-    logs = [tuple(put_keys(cluster.app(pid))) for pid in (1, 2)]
-    assert len(logs[0]) == 12
-    assert logs[0] == logs[1]
+    history = crash_leader_mid_traffic(cluster)
+    assert len(history.calls) == 12
+    assert all(call.result.ok for call in history.calls)
+    check(history, promises(rsm_spec())).raise_if_failed()
 
 
 def test_rank_continuity_after_failover():
     # Every rank executed at the survivors must be contiguous: no gaps
     # (stuck sequence) and no duplicates (rank reuse).
     cluster = make_cluster(seed=3)
-    crash_leader_mid_traffic(cluster)
+    history = crash_leader_mid_traffic(cluster)
     for pid in (1, 2):
         micro = cluster.grpc(pid).micro("Total_Order")
         ranks = sorted(micro.old_orders.values())
         assert ranks == sorted(set(ranks))          # no duplicate ranks
-        assert micro.next_entry == len(put_keys(cluster.app(pid))) + 1
+        assert micro.next_entry == len(history.executed[pid]) + 1
 
 
 def partial_order_dissemination_scenario(resync, seed):
     """Force the unsafe case: the old leader's ORDER messages reach
     server 1 but never server 2 (the future leader), then the leader
     crashes with two calls ordered but unexecutable (acceptance=3
-    requires the dead server until membership reports it)."""
+    requires the dead server until membership reports it).  Returns
+    the survivors' history checked against the spec's promises."""
     from repro.core.messages import NetOp
     from repro.faults import drop_matching
 
@@ -109,6 +121,7 @@ def partial_order_dissemination_scenario(resync, seed):
                              default_link=LINK, membership="oracle",
                              membership_delay=0.05)
     dep = cluster.deployment
+    history = History()
     fault = drop_matching(
         dep.fabric,
         lambda env: env.src == 3 and env.dst == 2
@@ -117,9 +130,8 @@ def partial_order_dissemination_scenario(resync, seed):
     async def scenario():
         tasks = []
         for i, pid in enumerate(cluster.client_pids):
-            async def one(p=pid, k=f"call-{i}"):
-                await cluster.call(p, "put", {"key": k, "value": 1})
-            tasks.append(cluster.spawn_client(pid, one()))
+            tasks.append(cluster.spawn_client(
+                pid, put(cluster, history, pid, f"call-{i}", 1)))
         await dep.runtime.sleep(0.3)   # orders assigned, 2 blind
         fault.remove()
         dep.crash(3)
@@ -129,7 +141,7 @@ def partial_order_dissemination_scenario(resync, seed):
                 await dep.runtime.sleep(0.25)
 
     dep.run_scenario(scenario(), extra_time=3.0)
-    return [tuple(put_keys(cluster.app(pid))) for pid in (1, 2)]
+    return check(survivors(cluster, history), promises(rsm_spec(resync)))
 
 
 def test_without_resync_partial_dissemination_breaks_agreement():
@@ -138,11 +150,8 @@ def test_without_resync_partial_dissemination_breaks_agreement():
     # reuse ranks — the survivors then diverge or stall.
     broken = 0
     for seed in range(6):
-        logs = partial_order_dissemination_scenario(resync=False,
-                                                    seed=seed)
-        complete = all(len(log) == 2 for log in logs)
-        if not complete or logs[0] != logs[1]:
-            broken += 1
+        broken += not partial_order_dissemination_scenario(resync=False,
+                                                           seed=seed)
     assert broken > 0
 
 
@@ -150,7 +159,6 @@ def test_with_resync_partial_dissemination_is_repaired():
     # Same injected scenario, agreement phase on: the new leader learns
     # the stranded assignments from server 1 before assigning anything.
     for seed in range(6):
-        logs = partial_order_dissemination_scenario(resync=True,
-                                                    seed=seed)
-        assert all(len(log) == 2 for log in logs), f"seed={seed}"
-        assert logs[0] == logs[1], f"seed={seed}"
+        result = partial_order_dissemination_scenario(resync=True,
+                                                      seed=seed)
+        assert result, f"seed={seed}: {result.violations}"
