@@ -13,8 +13,8 @@ Commands
 ``report``      run a preset deployment with the observatory enabled
                 (Zipfian workload + an injected server crash) and print
                 the one-page health report
-``obslint``     run the static observability lints (micro-protocol
-                registration, metric-namespace catalog and its emitters)
+``obslint``     run the static observability lints (metric-namespace
+                catalog and its emitters)
 ``adapt``       live-adaptation demo: switch a running Total Order
                 group to FIFO under load (and back) with zero lost
                 calls, printing per-phase latency and the switch
@@ -243,9 +243,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_obslint(args: argparse.Namespace) -> int:
     """Static observability lints; exit 1 on any violation."""
     from repro.analysis.obslint import (check_metric_emitters,
-                                        check_metric_names,
-                                        check_obs_registration)
-    results = [check_obs_registration(), check_metric_emitters()]
+                                        check_metric_names)
+    results = [check_metric_emitters()]
     # Validate a live registry against the namespace catalog: a tiny
     # observatory-enabled deployment exercises every instrument family.
     from repro.core.deployment import Deployment
@@ -381,8 +380,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     report.add_argument("--slo-p99", type=float, default=0.5)
 
     sub.add_parser("obslint",
-                   help="static observability lints (protocol "
-                        "registration, metric namespaces)")
+                   help="static observability lints (metric "
+                        "namespaces and their emitters)")
 
     adapt = sub.add_parser(
         "adapt",

@@ -31,7 +31,7 @@ from repro.adapt.engine import (
     AdaptationManager,
     AdaptationReport,
 )
-from repro.adapt.plan import AdaptationPlan, adaptation_edges, validate_plan
+from repro.adapt.plan import AdaptationPlan, validate_plan
 from repro.errors import AdaptationError
 
 __all__ = [
@@ -40,6 +40,5 @@ __all__ = [
     "AdaptationManager",
     "AdaptationPlan",
     "AdaptationReport",
-    "adaptation_edges",
     "validate_plan",
 ]

@@ -57,7 +57,6 @@ from repro.core.messages import NetMsg, Status
 from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.core.microprotocols.fifo_order import FIFOOrder
 from repro.errors import AdaptationError, ConfigurationError, ReproError
-from repro.obs import register_protocol
 
 __all__ = ["AdaptationFence", "AdaptationManager", "AdaptationReport"]
 
@@ -108,9 +107,6 @@ class AdaptationFence(GRPCMicroProtocol):
             if self._dropped is not None:
                 self._dropped.inc()
             return CANCEL
-
-
-register_protocol(AdaptationFence.protocol_name)
 
 
 @dataclass

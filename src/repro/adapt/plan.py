@@ -10,8 +10,8 @@ validator raises — a plan that validates here would also have built
 from scratch, so mid-flight reconfiguration can never reach a
 composition the Figure-4 graph forbids.
 
-Replica groups get the PR-8 mode edges on top
-(:func:`repro.replication.spec.validate_replica_spec`): e.g. a passive
+Replica groups get the replication-mode edges on top
+(:data:`repro.replication.spec.MODE_EDGES`): e.g. a passive
 primary-backup shard can never be adapted onto an ordered composition,
 because its backups would park on sequence gaps.
 """
@@ -19,12 +19,12 @@ because its backups would park on sequence gaps.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional
 
 from repro.core.config import ServiceSpec, validate
 from repro.errors import ConfigurationError
 
-__all__ = ["AdaptationPlan", "validate_plan", "adaptation_edges"]
+__all__ = ["AdaptationPlan", "validate_plan"]
 
 
 @dataclass(frozen=True)
@@ -45,23 +45,6 @@ class AdaptationPlan:
 
     def with_(self, **changes: Any) -> "AdaptationPlan":
         return replace(self, **changes)
-
-
-def adaptation_edges() -> List[Tuple[str, str]]:
-    """The transition-legality edges layered on Figure 4, in the same
-    ``(dependent, prerequisite)`` shape as
-    :func:`repro.core.enumerate.figure4_edges`.
-
-    The first two are enforced by :func:`validate_plan`; the last two by
-    the engine itself (they are runtime conditions, not spec shapes).
-    """
-    return [
-        ("Adaptation_Switch", "Legal_Target_Composition(Figure 4)"),
-        ("Adaptation_Switch(replica group)",
-         "Replication_Mode_Edges(validate_replica_spec)"),
-        ("Adaptation_Switch", "Quiesced_Group(drained in-flight calls)"),
-        ("Adaptation_Switch", "Uniform_Epoch(fenced two-phase bump)"),
-    ]
 
 
 def validate_plan(plan: AdaptationPlan, *,

@@ -1,5 +1,5 @@
 """Run histories checked against the promises of their composition, and
-the observability lint."""
+the observability lints."""
 
 from repro.analysis.checkers import (
     CheckResult,
@@ -12,7 +12,6 @@ from repro.analysis.obslint import (
     METRIC_NAMESPACES,
     check_metric_emitters,
     check_metric_names,
-    check_obs_registration,
     known_metric_prefixes,
 )
 
@@ -22,7 +21,6 @@ __all__ = [
     "Promise",
     "check",
     "promises",
-    "check_obs_registration",
     "check_metric_emitters",
     "check_metric_names",
     "known_metric_prefixes",

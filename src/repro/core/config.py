@@ -6,24 +6,18 @@ instantiates the corresponding micro-protocols in composition order.  The
 presets at the bottom give the classic semantics by name, including the
 paper's Section-5 example (:func:`read_optimized`).
 
-The encoded Figure-4 graph:
-
-* choice groups (exactly one each): call semantics {synchronous,
-  asynchronous}; orphan handling {none, avoid, terminate}; execution
-  discipline {none, serial, atomic (which includes serial)};
-  ordering {none, fifo, total};
-* dependencies: Unique Execution -> Reliable Communication; FIFO Order ->
-  Reliable Communication; Total Order -> Unique Execution, Reliable
-  Communication, and *not* Bounded Termination; Atomic Execution ->
-  Serial Execution; Interference Avoidance -> Reliable Communication;
-* the minimal functional set {RPC Main, a call micro-protocol,
-  Acceptance, Collation} is always configured.
+:data:`FIGURE4` is the graph, one row per edge; the ``*_CHOICES`` tuples
+are its choice groups.  Over the paper's choices it allows 198 services
+when only the edges among unique execution, reliable communication,
+bounded termination and ordering are applied (the paper's arithmetic),
+and 186 with every edge enforced (:mod:`repro.core.enumerate` counts
+both).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.framework import MicroProtocol
 from repro.core.microprotocols import (
@@ -49,6 +43,7 @@ from repro.core.microprotocols import (
 from repro.errors import ConfigurationError, DependencyError
 
 __all__ = [
+    "FIGURE4",
     "ServiceSpec",
     "validate",
     "at_least_once",
@@ -171,6 +166,51 @@ class ServiceSpec:
         return micros
 
 
+#: One dependency edge: ``(dependent, prerequisite, violated, reason)``.
+#: ``violated`` is ``None`` on an edge no spec can break; its ``reason``
+#: says why.
+Edge = Tuple[str, str, Optional[Callable[[Any], bool]], str]
+
+#: The Figure-4 graph.  :func:`validate` raises the ``reason`` of the
+#: first row whose ``violated(spec)`` holds, so the order is the order in
+#: which a spec that breaks several edges is told about them.
+FIGURE4: Tuple[Edge, ...] = (
+    ("Unique_Execution", "Reliable_Communication",
+     lambda s: s.unique and not s.reliable,
+     "Unique_Execution requires Reliable_Communication: its reply store "
+     "is only retired on ACKs, which presume retransmission"),
+    ("FIFO_Order", "Reliable_Communication",
+     lambda s: s.ordering == "fifo" and not s.reliable,
+     "FIFO_Order requires Reliable_Communication: a lost call would gate "
+     "all its successors forever (Figure 2)"),
+    ("Total_Order", "Unique_Execution",
+     lambda s: s.ordering == "total" and not s.unique,
+     "Total_Order requires Unique_Execution: it assumes any request is "
+     "received at the server only once"),
+    ("Total_Order", "Reliable_Communication",
+     lambda s: s.ordering == "total" and not s.reliable,
+     "Total_Order requires Reliable_Communication"),
+    ("Total_Order", "NOT Bounded_Termination",
+     lambda s: s.ordering == "total" and s.bounded,
+     "Total_Order assumes Bounded_Termination is not present: an "
+     "abandoned-but-ordered call would stall the sequence"),
+    ("Atomic_Execution", "Serial_Execution", None,
+     "ServiceSpec.build() configures Serial_Execution with every "
+     "Atomic_Execution"),
+    # An extension row: Figure 4 has no Causal_Order box.
+    ("Causal_Order", "Reliable_Communication",
+     lambda s: s.ordering == "causal" and not s.reliable,
+     "Causal_Order requires Reliable_Communication: a call parked on its "
+     "dependencies needs those dependencies to eventually arrive"),
+    ("Interference_Avoidance", "Reliable_Communication",
+     lambda s: s.orphans == "avoid" and not s.reliable,
+     "Interference_Avoidance requires Reliable_Communication: it drops "
+     "deferred calls, relying on client retransmission"),
+    ("ALL_Acceptance", "Membership_Service", None,
+     "membership is a Deployment setting, not a ServiceSpec field"),
+)
+
+
 def validate(spec: ServiceSpec) -> None:
     """Reject specs that violate the Figure-4 graph; no-op when legal."""
     if spec.call not in CALL_CHOICES:
@@ -190,37 +230,19 @@ def validate(spec: ServiceSpec) -> None:
         raise ConfigurationError("bounded termination time must be >= 0")
     if spec.acceptance < 1:
         raise ConfigurationError("acceptance limit must be >= 1")
+    # Parameters of the micro-protocols build() would construct.
+    if spec.reliable and spec.retrans_timeout <= 0:
+        raise ConfigurationError("retransmission timeout must be > 0")
+    if spec.orphans == "probe" and spec.probe_interval <= 0:
+        raise ConfigurationError("probe interval must be > 0")
+    if spec.orphans == "probe" and spec.probe_missed_limit < 1:
+        raise ConfigurationError("probe missed limit must be >= 1")
+    if spec.atomic and spec.atomic_compact_every < 1:
+        raise ConfigurationError("atomic compact_every must be >= 1")
 
-    if spec.unique and not spec.reliable:
-        raise DependencyError(
-            "Unique_Execution requires Reliable_Communication: its "
-            "reply store is only retired on ACKs, which presume "
-            "retransmission")
-    if spec.ordering == "fifo" and not spec.reliable:
-        raise DependencyError(
-            "FIFO_Order requires Reliable_Communication: a lost call "
-            "would gate all its successors forever (Figure 2)")
-    if spec.ordering == "total":
-        if not spec.unique:
-            raise DependencyError(
-                "Total_Order requires Unique_Execution: it assumes any "
-                "request is received at the server only once")
-        if not spec.reliable:
-            raise DependencyError(
-                "Total_Order requires Reliable_Communication")
-        if spec.bounded:
-            raise DependencyError(
-                "Total_Order assumes Bounded_Termination is not present: "
-                "an abandoned-but-ordered call would stall the sequence")
-    if spec.ordering == "causal" and not spec.reliable:
-        raise DependencyError(
-            "Causal_Order requires Reliable_Communication: a call parked "
-            "on its dependencies needs those dependencies to eventually "
-            "arrive")
-    if spec.orphans == "avoid" and not spec.reliable:
-        raise DependencyError(
-            "Interference_Avoidance requires Reliable_Communication: it "
-            "drops deferred calls, relying on client retransmission")
+    for _, _, violated, reason in FIGURE4:
+        if violated is not None and violated(spec):
+            raise DependencyError(reason)
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,7 @@ from typing import (
 )
 
 from repro.apps.dispatcher import ServerApp, ServerDispatcher
-from repro.core.config import ServiceSpec
+from repro.core.config import ServiceSpec, validate
 from repro.core.control import ControlLoop
 from repro.core.grpc import GroupRPC
 from repro.core.messages import CallResult, NetMsg
@@ -364,6 +364,7 @@ class Deployment:
                 f"of service {name!r}")
         if name in self.services:
             raise BindingError(f"service {name!r} already deployed")
+        validate(spec)
 
         svc = Service(self, name, spec, Group(name, server_pids),
                       server_pids, client_pids)

@@ -30,6 +30,7 @@ from typing import Iterator, List, Tuple
 from repro.core.config import (
     CALL_CHOICES,
     EXECUTION_CHOICES,
+    FIGURE4,
     PAPER_ORDERING_CHOICES,
     PAPER_ORPHAN_CHOICES,
     ServiceSpec,
@@ -58,21 +59,25 @@ class EnumerationResult:
 def iter_cluster_combinations() -> Iterator[Tuple[bool, bool, bool, str]]:
     """Legal (unique, reliable, bounded, ordering) combinations.
 
-    Applies only the intra-cluster dependencies the paper's count uses:
-    unique -> reliable; fifo -> reliable; total -> unique & reliable &
-    unbounded.  Yields exactly 11 tuples.
+    With every other field at its default only the edges among these
+    four properties can fire, so :func:`validate` applies exactly the
+    dependencies the paper's count uses.  Yields exactly 11 tuples.
     """
     for unique, reliable, bounded, ordering in itertools.product(
             (False, True), (False, True), (False, True),
             PAPER_ORDERING_CHOICES):
-        if unique and not reliable:
-            continue
-        if ordering == "fifo" and not reliable:
-            continue
-        if ordering == "total" and not (unique and reliable
-                                        and not bounded):
-            continue
-        yield unique, reliable, bounded, ordering
+        if _legal(ServiceSpec(unique=unique, reliable=reliable,
+                              bounded=1.0 if bounded else 0.0,
+                              ordering=ordering)):
+            yield unique, reliable, bounded, ordering
+
+
+def _legal(spec: ServiceSpec) -> bool:
+    try:
+        validate(spec)
+    except ConfigurationError:
+        return False
+    return True
 
 
 def enumerate_services() -> EnumerationResult:
@@ -90,11 +95,8 @@ def enumerate_services() -> EnumerationResult:
                                reliable=reliable,
                                bounded=1.0 if bounded else 0.0,
                                ordering=ordering)
-            try:
-                validate(spec)
-            except ConfigurationError:
-                continue
-            strict.append(spec)
+            if _legal(spec):
+                strict.append(spec)
 
     return EnumerationResult(
         call_choices=len(CALL_CHOICES),
@@ -108,17 +110,12 @@ def enumerate_services() -> EnumerationResult:
 
 
 def figure4_edges() -> List[Tuple[str, str]]:
-    """The dependency edges of Figure 4 as (dependent, prerequisite)."""
-    return [
-        ("Unique_Execution", "Reliable_Communication"),
-        ("FIFO_Order", "Reliable_Communication"),
-        ("Total_Order", "Unique_Execution"),
-        ("Total_Order", "Reliable_Communication"),
-        ("Total_Order", "NOT Bounded_Termination"),
-        ("Atomic_Execution", "Serial_Execution"),
-        ("Interference_Avoidance", "Reliable_Communication"),
-        ("ALL_Acceptance", "Membership_Service"),
-    ]
+    """The dependency edges Figure 4 draws, as (dependent, prerequisite):
+    every :data:`~repro.core.config.FIGURE4` row but the Causal_Order
+    extension."""
+    return [(dependent, prerequisite)
+            for dependent, prerequisite, _, _ in FIGURE4
+            if dependent != "Causal_Order"]
 
 
 def figure4_choice_groups() -> List[Tuple[str, ...]]:

@@ -25,7 +25,6 @@ from repro.core.grpc import MEMBERSHIP_CHANGE, MSG_FROM_NETWORK, NEW_RPC_CALL
 from repro.core.messages import MemChange, NetMsg, NetOp, Status
 from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.net.message import ProcessId
-from repro.obs import register_protocol
 
 __all__ = ["Acceptance", "ALL"]
 
@@ -93,6 +92,3 @@ class Acceptance(GRPCMicroProtocol):
                     # replies were collected.
                     record.status = Status.OK
                     record.sem.release()
-
-
-register_protocol(Acceptance.protocol_name)

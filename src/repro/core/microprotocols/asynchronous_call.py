@@ -13,7 +13,6 @@ from repro.core.grpc import CALL_FROM_USER
 from repro.core.messages import UserMsg, UserOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.errors import UnknownCallError
-from repro.obs import register_protocol
 
 __all__ = ["AsynchronousCall"]
 
@@ -40,6 +39,3 @@ class AsynchronousCall(GRPCMicroProtocol):
         umsg.status = record.status
         grpc.pRPC.pop(umsg.id, None)
         record.retire()
-
-
-register_protocol(AsynchronousCall.protocol_name)

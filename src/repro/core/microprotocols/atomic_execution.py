@@ -39,7 +39,6 @@ from repro.core.grpc import MSG_FROM_NETWORK, RECOVERY, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.errors import ConfigurationError
-from repro.obs import register_protocol
 
 __all__ = ["AtomicExecution", "state_delta", "apply_delta"]
 
@@ -229,6 +228,3 @@ class AtomicExecution(GRPCMicroProtocol):
     def delta_chain_length(self) -> int:
         """Pending deltas since the last full snapshot (metrics)."""
         return len(self._deltas)
-
-
-register_protocol(AtomicExecution.protocol_name)

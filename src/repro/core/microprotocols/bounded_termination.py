@@ -18,7 +18,6 @@ from repro.core.events import TIMEOUT
 from repro.core.grpc import NEW_RPC_CALL
 from repro.core.messages import Status
 from repro.core.microprotocols.base import GRPCMicroProtocol
-from repro.obs import register_protocol
 
 __all__ = ["BoundedTermination"]
 
@@ -55,6 +54,3 @@ class BoundedTermination(GRPCMicroProtocol):
             # heap push/pop pays for them.
             bus = self.bus
             record.add_disposer(lambda: bus.disarm(reg))
-
-
-register_protocol(BoundedTermination.protocol_name)

@@ -38,7 +38,6 @@ from repro.core.grpc import (
 from repro.core.messages import CallKey, NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.net.message import ProcessId
-from repro.obs import register_protocol
 
 __all__ = ["CausalOrder", "CausalToken"]
 
@@ -146,6 +145,3 @@ class CausalOrder(GRPCMicroProtocol):
     @property
     def executed_count(self) -> int:
         return len(self._executed)
-
-
-register_protocol(CausalOrder.protocol_name)

@@ -24,7 +24,6 @@ from typing import Any, Callable, List
 from repro.core.grpc import MSG_FROM_NETWORK, NEW_RPC_CALL
 from repro.core.messages import NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
-from repro.obs import register_protocol
 
 __all__ = ["Collation", "last_reply", "first_reply", "all_replies",
            "average", "majority_vote"]
@@ -107,6 +106,3 @@ def majority_vote(acc: Any, reply: Any) -> Any:
     """
     acc[reply] = acc.get(reply, 0) + 1
     return acc
-
-
-register_protocol(Collation.protocol_name)

@@ -28,7 +28,6 @@ from repro.core.grpc import MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.net.message import ProcessId
-from repro.obs import register_protocol
 
 __all__ = ["FIFOOrder"]
 
@@ -117,6 +116,3 @@ class FIFOOrder(GRPCMicroProtocol):
         successor = (record.client, record.inc, info.next)
         if successor in grpc.sRPC:
             await grpc.forward_up(successor, FIFO)
-
-
-register_protocol(FIFOOrder.protocol_name)

@@ -26,7 +26,6 @@ from repro.core.grpc import MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.net.message import ProcessId
-from repro.obs import register_protocol
 
 __all__ = ["InterferenceAvoidance"]
 
@@ -96,6 +95,3 @@ class InterferenceAvoidance(GRPCMicroProtocol):
         info.count -= 1
         if info.count == 0 and info.inc == _FROZEN:
             info.inc = info.next_inc
-
-
-register_protocol(InterferenceAvoidance.protocol_name)

@@ -28,7 +28,6 @@ from repro.core.grpc import CALL_ABORTED, MSG_FROM_NETWORK
 from repro.core.messages import NetMsg, NetOp
 from repro.core.microprotocols.terminate_orphan import TerminateOrphan
 from repro.net.message import ProcessId
-from repro.obs import register_protocol
 
 __all__ = ["ProbeOrphanTermination"]
 
@@ -125,6 +124,3 @@ class ProbeOrphanTermination(TerminateOrphan):
                 self.kills += 1
             grpc.sRPC.pop(record.key, None)
             await self.trigger(CALL_ABORTED, record.key)
-
-
-register_protocol(ProbeOrphanTermination.protocol_name)

@@ -17,7 +17,7 @@ from repro.core.events import TIMEOUT
 from repro.core.grpc import MSG_FROM_NETWORK, NEW_RPC_CALL, RECOVERY
 from repro.core.messages import NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
-from repro.obs import CTX_KEY, register_protocol
+from repro.obs import CTX_KEY
 
 __all__ = ["ReliableCommunication"]
 
@@ -90,6 +90,3 @@ class ReliableCommunication(GRPCMicroProtocol):
         # the retransmission timer.  Present so the recovery path is
         # explicit and testable.
         return
-
-
-register_protocol(ReliableCommunication.protocol_name)

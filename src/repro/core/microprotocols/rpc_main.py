@@ -23,7 +23,7 @@ from repro.core.grpc import (
 from repro.core.messages import CallKey, NetMsg, NetOp, UserMsg, UserOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.core.state import ClientRecord, ServerRecord
-from repro.obs import CTX_KEY, register_protocol
+from repro.obs import CTX_KEY
 
 __all__ = ["RPCMain"]
 
@@ -192,6 +192,3 @@ class RPCMain(GRPCMicroProtocol):
 
     async def handle_recovery(self, inc: int) -> None:
         self.grpc.inc_number = inc
-
-
-register_protocol(RPCMain.protocol_name)

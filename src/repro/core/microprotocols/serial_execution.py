@@ -19,7 +19,6 @@ the composite's ``serial`` semaphore as the *execution gate* that
 from __future__ import annotations
 
 from repro.core.microprotocols.base import GRPCMicroProtocol
-from repro.obs import register_protocol
 
 __all__ = ["SerialExecution"]
 
@@ -45,6 +44,3 @@ class SerialExecution(GRPCMicroProtocol):
         grpc = self.grpc
         if grpc.execution_gate is grpc.serial:
             grpc.execution_gate = None
-
-
-register_protocol(SerialExecution.protocol_name)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.core.grpc import CALL_FROM_USER
 from repro.core.messages import UserMsg, UserOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
-from repro.obs import register_protocol
 
 __all__ = ["SynchronousCall"]
 
@@ -37,6 +36,3 @@ class SynchronousCall(GRPCMicroProtocol):
         umsg.status = record.status
         grpc.pRPC.pop(umsg.id, None)
         record.retire()
-
-
-register_protocol(SynchronousCall.protocol_name)

@@ -30,7 +30,6 @@ from repro.core.grpc import CALL_ABORTED, MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.net.message import ProcessId
-from repro.obs import register_protocol
 
 __all__ = ["TerminateOrphan"]
 
@@ -90,6 +89,3 @@ class TerminateOrphan(GRPCMicroProtocol):
         # handle is cleared by forward_up).  Present to mirror the paper's
         # handler structure and keep the registration table comparable.
         return
-
-
-register_protocol(TerminateOrphan.protocol_name)

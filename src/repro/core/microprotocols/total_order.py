@@ -53,7 +53,7 @@ from repro.core.grpc import MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, MemChange, NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
 from repro.net.message import Group, ProcessId
-from repro.obs import CTX_KEY, register_protocol
+from repro.obs import CTX_KEY
 
 __all__ = ["TotalOrder"]
 
@@ -274,6 +274,3 @@ class TotalOrder(GRPCMicroProtocol):
                 self._awaiting_info.discard(msg.sender)
                 if not self._awaiting_info:
                     await self._finish_resync()
-
-
-register_protocol(TotalOrder.protocol_name)

@@ -28,7 +28,6 @@ from repro.core.events import CANCEL
 from repro.core.grpc import CALL_ABORTED, MSG_FROM_NETWORK, REPLY_FROM_SERVER
 from repro.core.messages import CallKey, NetMsg, NetOp
 from repro.core.microprotocols.base import GRPCMicroProtocol
-from repro.obs import register_protocol
 
 __all__ = ["UniqueExecution"]
 
@@ -101,6 +100,3 @@ class UniqueExecution(GRPCMicroProtocol):
         as duplicates.
         """
         self.old_calls.add(self.call_key(msg))
-
-
-register_protocol(UniqueExecution.protocol_name)

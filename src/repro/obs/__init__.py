@@ -47,11 +47,6 @@ from repro.obs.recorder import (
     Span,
     SpanContext,
 )
-from repro.obs.registry import (
-    is_registered,
-    register_protocol,
-    registered_protocols,
-)
 from repro.obs.slo import SloBreach, SloTracker
 
 __all__ = [
@@ -74,11 +69,8 @@ __all__ = [
     "SpanContext",
     "SpanNode",
     "format_flame",
-    "is_registered",
     "live_recorders",
     "read_jsonl",
-    "register_protocol",
-    "registered_protocols",
     "span_trees",
     "to_jsonl",
 ]

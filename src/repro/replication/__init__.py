@@ -28,10 +28,10 @@ elastic placement plane.
 from repro.replication.group import ReplicaGroup
 from repro.replication.manager import ReplicationManager
 from repro.replication.spec import (
+    MODE_EDGES,
     ReplicaSpec,
     active_replicas,
     primary_backup,
-    replication_edges,
     validate_replica_spec,
 )
 
@@ -41,6 +41,6 @@ __all__ = [
     "ReplicationManager",
     "active_replicas",
     "primary_backup",
-    "replication_edges",
+    "MODE_EDGES",
     "validate_replica_spec",
 ]

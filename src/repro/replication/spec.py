@@ -25,7 +25,7 @@ Validation composes the replication-mode rules with the Figure-4
 dependency graph: :func:`validate_replica_spec` first runs the embedded
 ``ServiceSpec`` through :func:`repro.core.config.validate` (the same
 strict checker :func:`repro.core.enumerate.enumerate_services` counts
-with), then applies the mode edges listed by :func:`replication_edges`.
+with), then applies the mode edges of :data:`MODE_EDGES`.
 Illegal compositions fail at deployment *build* time with an error
 naming the violated edge — never at the first write.
 """
@@ -33,15 +33,15 @@ naming the violated edge — never at the first write.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
-from repro.core.config import ServiceSpec, validate
+from repro.core.config import Edge, ServiceSpec, validate
 from repro.errors import ConfigurationError, DependencyError
 
 __all__ = [
     "ReplicaSpec",
     "validate_replica_spec",
-    "replication_edges",
+    "MODE_EDGES",
     "active_replicas",
     "primary_backup",
     "KV_STATE_FORWARD",
@@ -119,16 +119,41 @@ class ReplicaSpec:
         return self.spec
 
 
-def replication_edges() -> List[Tuple[str, str]]:
-    """The mode dependency edges layered on Figure 4, in the same
-    ``(dependent, prerequisite)`` shape as
-    :func:`repro.core.enumerate.figure4_edges`."""
-    return [
-        ("Passive_Replication", "Acceptance(1)"),
-        ("Passive_Replication", "Reliable_Communication"),
-        ("Passive_Replication", "NOT Ordered_Delivery"),
-        ("Active_Replication(n>1)", "Unique_Execution"),
-    ]
+#: The replication-mode edges layered on Figure 4, in the row shape of
+#: :data:`~repro.core.config.FIGURE4`; ``violated`` takes the
+#: :class:`ReplicaSpec`.
+MODE_EDGES: Tuple[Edge, ...] = (
+    ("Passive_Replication", "Acceptance(1)",
+     lambda r: r.passive and r.spec.acceptance != 1,
+     "Passive_Replication requires an acceptance limit of 1: a write "
+     "executes on the primary alone, so there is only one server that "
+     "can ever respond (Figure-4 extension edge Passive_Replication -> "
+     "Acceptance(1))"),
+    ("Passive_Replication", "NOT Ordered_Delivery",
+     lambda r: r.passive and r.spec.ordering == "total",
+     "Passive_Replication conflicts with Total_Order: the ordering leader "
+     "rule and the primary election would name two different masters for "
+     "the same group (Figure-4 extension edge Passive_Replication -> "
+     "NOT Ordered_Delivery)"),
+    ("Passive_Replication", "NOT Ordered_Delivery",
+     lambda r: r.passive and r.spec.ordering == "fifo",
+     "Passive_Replication conflicts with FIFO_Order: writes execute on the "
+     "primary alone, so the backups would observe sequence gaps in the "
+     "client's call stream and park forever waiting for calls they will "
+     "never see; the primary's serial execution already orders writes "
+     "(Figure-4 extension edge Passive_Replication -> "
+     "NOT Ordered_Delivery)"),
+    ("Passive_Replication", "Reliable_Communication",
+     lambda r: r.passive and not r.spec.reliable,
+     "Passive_Replication requires Reliable_Communication: a write racing "
+     "a promotion is recovered by retransmission against the new primary"),
+    ("Active_Replication(n>1)", "Unique_Execution",
+     lambda r: not r.passive and r.replicas > 1 and not r.spec.unique,
+     "Active_Replication with more than one replica requires "
+     "Unique_Execution: retransmitted writes would otherwise apply a "
+     "different number of times on different replicas, diverging the "
+     "group"),
+)
 
 
 def validate_replica_spec(rspec: ReplicaSpec) -> None:
@@ -136,7 +161,7 @@ def validate_replica_spec(rspec: ReplicaSpec) -> None:
 
     The embedded :class:`~repro.core.config.ServiceSpec` is checked
     against the full Figure-4 dependency graph first, then the
-    replication-mode edges (:func:`replication_edges`) on top.
+    replication-mode edges (:data:`MODE_EDGES`) on top.
     """
     if rspec.replicas < 1:
         raise ConfigurationError(
@@ -151,41 +176,9 @@ def validate_replica_spec(rspec: ReplicaSpec) -> None:
             f"unknown read_from {rspec.read_from!r}; "
             f"choose from {READ_FROM}")
     validate(rspec.spec)        # the Figure-4 graph itself
-    if rspec.mode == "passive":
-        if rspec.spec.acceptance != 1:
-            raise DependencyError(
-                "Passive_Replication requires an acceptance limit of 1: "
-                "a write executes on the primary alone, so there is only "
-                "one server that can ever respond (Figure-4 extension "
-                "edge Passive_Replication -> Acceptance(1))")
-        if rspec.spec.ordering == "total":
-            raise DependencyError(
-                "Passive_Replication conflicts with Total_Order: the "
-                "ordering leader rule and the primary election would "
-                "name two different masters for the same group "
-                "(Figure-4 extension edge Passive_Replication -> "
-                "NOT Ordered_Delivery)")
-        if rspec.spec.ordering == "fifo":
-            raise DependencyError(
-                "Passive_Replication conflicts with FIFO_Order: writes "
-                "execute on the primary alone, so the backups would "
-                "observe sequence gaps in the client's call stream and "
-                "park forever waiting for calls they will never see; "
-                "the primary's serial execution already orders writes "
-                "(Figure-4 extension edge Passive_Replication -> "
-                "NOT Ordered_Delivery)")
-        if not rspec.spec.reliable:
-            raise DependencyError(
-                "Passive_Replication requires Reliable_Communication: "
-                "a write racing a promotion is recovered by "
-                "retransmission against the new primary")
-    else:
-        if rspec.replicas > 1 and not rspec.spec.unique:
-            raise DependencyError(
-                "Active_Replication with more than one replica requires "
-                "Unique_Execution: retransmitted writes would otherwise "
-                "apply a different number of times on different "
-                "replicas, diverging the group")
+    for _, _, violated, reason in MODE_EDGES:
+        if violated(rspec):
+            raise DependencyError(reason)
 
 
 def forward_state(op: str, args: Any,

@@ -18,7 +18,6 @@ from repro.adapt import (
     AdaptationError,
     AdaptationManager,
     AdaptationPlan,
-    adaptation_edges,
     validate_plan,
 )
 from repro.apps import KVStore
@@ -311,15 +310,6 @@ def test_one_switch_at_a_time_per_service():
     assert svc.spec.ordering == "fifo"
     assert int(dep.metrics.counter("adapt.switches").value) == 1
     dep.shutdown()
-
-
-def test_adaptation_edges_shape():
-    edges = adaptation_edges()
-    assert all(len(edge) == 2 for edge in edges)
-    deps = [d for d, _ in edges]
-    assert "Adaptation_Switch" in deps
-    prereqs = " ".join(p for _, p in edges)
-    assert "Figure 4" in prereqs and "Quiesced_Group" in prereqs
 
 
 def test_validate_plan_standalone():

@@ -1,8 +1,12 @@
 """Configuration validation and the Figure-4 enumeration."""
 
+import inspect
+
 import pytest
 
+from repro import Deployment
 from repro.core.config import (
+    FIGURE4,
     ServiceSpec,
     at_least_once,
     at_most_once,
@@ -73,6 +77,79 @@ def test_bad_numeric_parameters_rejected():
         validate(ServiceSpec(bounded=-1.0))
     with pytest.raises(ConfigurationError):
         validate(ServiceSpec(acceptance=0))
+
+
+@pytest.mark.parametrize("spec", [
+    ServiceSpec(retrans_timeout=0.0),
+    ServiceSpec(orphans="probe", probe_interval=0.0),
+    ServiceSpec(orphans="probe", probe_missed_limit=0),
+    ServiceSpec(execution="atomic", atomic_compact_every=0),
+])
+def test_bad_micro_protocol_parameters_rejected(spec):
+    # What build() would hand a constructor that rejects it.
+    for check in (validate, ServiceSpec.build):
+        with pytest.raises(ConfigurationError) as info:
+            check(spec)
+        assert type(info.value) is ConfigurationError
+
+
+def test_parameters_of_unbuilt_micro_protocols_are_not_checked():
+    validate(ServiceSpec(reliable=False, retrans_timeout=0.0))
+    validate(ServiceSpec(probe_interval=0.0, probe_missed_limit=0))
+    validate(ServiceSpec(execution="serial", atomic_compact_every=0))
+
+
+#: Total -> Unique -> Reliable implies this edge, so a spec that breaks
+#: it also breaks one of those two, and validate names that one first.
+IMPLIED = ("Total_Order", "Reliable_Communication")
+
+#: The smallest spec that breaks each FIGURE4 row a spec can break.
+BREAKS = {
+    ("Unique_Execution", "Reliable_Communication"):
+        ServiceSpec(unique=True, reliable=False),
+    ("FIFO_Order", "Reliable_Communication"):
+        ServiceSpec(ordering="fifo", reliable=False),
+    ("Total_Order", "Unique_Execution"): ServiceSpec(ordering="total"),
+    IMPLIED: ServiceSpec(ordering="total", unique=True, reliable=False),
+    ("Total_Order", "NOT Bounded_Termination"):
+        ServiceSpec(ordering="total", unique=True, bounded=1.0),
+    ("Causal_Order", "Reliable_Communication"):
+        ServiceSpec(ordering="causal", reliable=False),
+    ("Interference_Avoidance", "Reliable_Communication"):
+        ServiceSpec(orphans="avoid", reliable=False),
+}
+
+
+def _holds(dependent, prerequisite):
+    """The reason of a row no spec can break."""
+    if (dependent, prerequisite) == ("Atomic_Execution",
+                                     "Serial_Execution"):
+        names = ServiceSpec(execution="atomic").micro_protocol_names()
+        return "Serial_Execution" in names
+    if (dependent, prerequisite) == ("ALL_Acceptance",
+                                     "Membership_Service"):
+        return ("membership" not in ServiceSpec.__dataclass_fields__
+                and "membership" in inspect.signature(
+                    Deployment).parameters)
+    return False
+
+
+@pytest.mark.parametrize("row", FIGURE4,
+                         ids=[f"{d}->{p}" for d, p, _, _ in FIGURE4])
+def test_each_figure4_row_is_what_validate_enforces(row):
+    dependent, prerequisite, violated, reason = row
+    if violated is None:
+        assert _holds(dependent, prerequisite), reason
+        return
+    spec = BREAKS[dependent, prerequisite]
+    broken = [edge for edge in FIGURE4
+              if edge[2] is not None and edge[2](spec)]
+    assert row in broken
+    if (dependent, prerequisite) != IMPLIED:
+        assert broken == [row]
+    with pytest.raises(DependencyError) as info:
+        validate(spec)
+    assert str(info.value) == broken[0][3]
 
 
 def test_build_composes_expected_microprotocols():

@@ -24,7 +24,12 @@ from repro.apps import CounterApp, KVStore
 from repro.core.deployment import CLIENT_BASE_PID
 from repro.core.messages import NetMsg, NetOp
 from repro.membership.detector import Heartbeat
-from repro.errors import BindingError, ConfigurationError, ReproError
+from repro.errors import (
+    BindingError,
+    ConfigurationError,
+    DependencyError,
+    ReproError,
+)
 
 
 def two_service_deployment(**kwargs):
@@ -179,6 +184,17 @@ def test_repeated_pid_rejected_before_anything_is_wired():
     svc = dep.add_service("a", read_optimized(), KVStore,
                           servers=[1, 2], clients=[101])
     assert svc.call_and_run("put", {"key": "k", "value": 1}).ok
+
+
+def test_illegal_spec_rejected_before_any_node_is_made():
+    dep = Deployment(seed=1)
+    with pytest.raises(DependencyError):
+        dep.add_service("x", ServiceSpec(unique=True, reliable=False),
+                        KVStore, servers=2)
+    assert dep.services == {} and dep.nodes == {}
+    # The rejected call allocated no pids.
+    svc = dep.add_service("x", ServiceSpec(), KVStore, servers=2)
+    assert svc.server_pids == [1, 2]
 
 
 def test_unknown_membership_mode_rejected():

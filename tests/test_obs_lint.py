@@ -1,75 +1,11 @@
-"""The obs-registration lint and the protocol catalog it enforces."""
-
-import pytest
+"""The metric-name catalog and the lints that hold code to it."""
 
 from repro.analysis import (
     METRIC_NAMESPACES,
     check_metric_emitters,
     check_metric_names,
-    check_obs_registration,
     known_metric_prefixes,
 )
-from repro.analysis.obslint import microprotocols_dir
-from repro.obs import is_registered, register_protocol, registered_protocols
-
-
-def test_every_microprotocol_module_registers(tmp_path):
-    result = check_obs_registration()
-    result.raise_if_failed()
-    assert result.ok
-
-
-def test_lint_flags_an_unregistered_module(tmp_path):
-    (tmp_path / "rogue.py").write_text(
-        "class Rogue:\n"
-        "    protocol_name = 'Rogue'\n")
-    result = check_obs_registration(tmp_path)
-    assert not result.ok
-    assert "rogue.py" in result.violations[0]
-
-
-def test_lint_accepts_a_registered_module(tmp_path):
-    (tmp_path / "good.py").write_text(
-        "from repro.obs import register_protocol\n"
-        "class Good:\n"
-        "    protocol_name = 'Good'\n"
-        "register_protocol(Good.protocol_name)\n")
-    result = check_obs_registration(tmp_path)
-    assert result.ok
-
-
-def test_lint_ignores_protocol_free_modules(tmp_path):
-    (tmp_path / "helpers.py").write_text("x = 1\n")
-    result = check_obs_registration(tmp_path)
-    assert not result.ok  # no protocols at all is itself a violation
-    assert "no micro-protocol modules" in result.violations[0]
-
-
-def test_catalog_covers_the_full_composition_space():
-    # Importing the package registered every shipped micro-protocol.
-    import repro.core.microprotocols  # noqa: F401
-    names = registered_protocols()
-    assert {"RPC_Main", "Synchronous_Call", "Asynchronous_Call",
-            "Reliable_Communication", "Bounded_Termination",
-            "Unique_Execution", "Serial_Execution", "Atomic_Execution",
-            "Terminate_Orphan", "Probe_Orphan_Termination",
-            "FIFO_Order", "Total_Order", "Causal_Order",
-            "Acceptance", "Collation", "Interference_Avoidance"} <= names
-    assert is_registered("RPC_Main")
-    assert not is_registered("Not_A_Protocol")
-
-
-def test_registration_is_idempotent_and_validates():
-    import repro.core.microprotocols  # noqa: F401
-    before = len(registered_protocols())
-    assert register_protocol("RPC_Main") == "RPC_Main"  # re-register ok
-    assert len(registered_protocols()) == before
-    with pytest.raises(ValueError):
-        register_protocol("")
-
-
-def test_lint_targets_the_installed_package():
-    assert (microprotocols_dir() / "rpc_main.py").exists()
 
 
 # ----------------------------------------------------------------------

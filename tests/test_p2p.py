@@ -157,18 +157,21 @@ def _seeded_kv_ops(seed, n):
     return ops
 
 
-def _drive(rt, spawn, call, ops):
-    """Issue ``ops`` one after another from a client task; return each
-    call's ``(status, reply, simulated latency)``."""
+def _drive(rt, spawn, call, ops, history, client):
+    """Issue ``ops`` one after another from a client task, recording each
+    in ``history``; return each call's ``(status, reply, simulated
+    latency)``."""
     seen = []
 
-    async def client():
+    async def run():
         for op, args in ops:
+            args = dict(args)
+            index = history.invoke(client, args)
             t0 = rt.now()
-            result = await call(op, dict(args))
+            result = history.end(index, await call(op, args))
             seen.append((result.status, result.args, rt.now() - t0))
 
-    task = spawn(client())
+    task = spawn(run())
 
     async def waiter():
         await rt.join(task)
@@ -181,19 +184,28 @@ def test_composite_and_compact_agree_on_a_seeded_workload():
     # p2p.py as a differential oracle: x7's configuration (exactly-once,
     # one client, one server, 10 ms link, no jitter, no loss) must give
     # the same outcome through the composite as through the hand-fused
-    # protocol, call for call and in simulated time.
+    # protocol, call for call and in simulated time, and each side must
+    # keep exactly-once's promises.
+    spec = exactly_once(acceptance=1, bounded=0.0)
     link = LinkSpec(delay=0.01, jitter=0.0)
     ops = _seeded_kv_ops(seed=3, n=40)
     rt, fabric, sides = build_pair(link=link)
+    compact_history = History()
     compact = _drive(rt, fabric.node(101).spawn,
-                     lambda op, args: sides[101].call(op, args, 1), ops)
-    cluster = ServiceCluster(exactly_once(acceptance=1, bounded=0.0),
-                             KVStore, n_servers=1, seed=0,
+                     lambda op, args: sides[101].call(op, args, 1), ops,
+                     compact_history, 101)
+    cluster = ServiceCluster(spec, KVStore, n_servers=1, seed=0,
                              default_link=link)
+    composite_history = History()
     composite = _drive(
         cluster.deployment.runtime,
         lambda coro: cluster.spawn_client(cluster.client, coro),
-        lambda op, args: cluster.call(cluster.client, op, args), ops)
+        lambda op, args: cluster.call(cluster.client, op, args), ops,
+        composite_history, cluster.client)
     assert composite == compact
     assert all(status is Status.OK for status, _, _ in compact)
     assert cluster.app(1).data == sides["dispatcher"].app.data != {}
+    check(compact_history.read({1: sides["dispatcher"]}),
+          promises(spec)).raise_if_failed()
+    check(composite_history.read(cluster.dispatchers),
+          promises(spec)).raise_if_failed()

@@ -4,6 +4,8 @@ import pytest
 
 from repro import LinkSpec, ServiceCluster, ServiceSpec
 from repro.apps import KVStore
+from repro.core.microprotocols import ProbeOrphanTermination
+from repro.errors import ConfigurationError
 
 FAST = LinkSpec(delay=0.005, jitter=0.0)
 
@@ -120,10 +122,16 @@ def test_retransmitting_client_reexecutes_after_false_kill():
 
 
 def test_probe_parameters_validated():
-    with pytest.raises(ValueError):
+    # The spec is rejected before any micro-protocol is constructed; the
+    # constructor keeps its own guard.
+    with pytest.raises(ConfigurationError):
         probe_spec(probe_interval=0.0).build()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         probe_spec(probe_missed_limit=0).build()
+    with pytest.raises(ValueError):
+        ProbeOrphanTermination(0.0, 3)
+    with pytest.raises(ValueError):
+        ProbeOrphanTermination(0.1, 0)
 
 
 def test_probe_state_cleared_when_no_pending_work():

@@ -15,6 +15,7 @@ import pytest
 
 from repro import Deployment, LinkSpec, ServiceSpec, build_elastic_kv
 from repro.apps import KVStore, ShardedKV, StableKVStore, build_sharded_kv
+from repro.core.config import FIGURE4
 from repro.core.microprotocols import ALL
 from repro.errors import ConfigurationError, DependencyError, ReproError
 from repro.replication import (
@@ -23,7 +24,7 @@ from repro.replication import (
     active_replicas,
     primary_backup,
 )
-from repro.replication.spec import forward_state, replication_edges
+from repro.replication.spec import MODE_EDGES, forward_state
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +75,36 @@ def test_active_group_requires_unique_execution():
 
 
 def test_replication_edges_shape_matches_figure4():
-    edges = replication_edges()
-    assert all(len(edge) == 2 for edge in edges)
-    assert ("Passive_Replication", "Acceptance(1)") in edges
+    assert all(len(edge) == len(FIGURE4[0]) for edge in MODE_EDGES)
+    assert ("Passive_Replication", "Acceptance(1)") in [
+        edge[:2] for edge in MODE_EDGES]
+
+
+def _passive(**fields):
+    return ReplicaSpec(mode="passive", spec=ServiceSpec(
+        reliable=True, unique=True, execution="serial", acceptance=1
+    ).with_(**fields))
+
+
+#: The smallest replica spec that breaks each MODE_EDGES row, in row order.
+MODE_BREAKS = [
+    _passive(acceptance=2),
+    _passive(ordering="total"),
+    _passive(ordering="fifo"),
+    _passive(reliable=False, unique=False),
+    ReplicaSpec(replicas=2, spec=ServiceSpec()),
+]
+
+
+@pytest.mark.parametrize("row, rspec", zip(MODE_EDGES, MODE_BREAKS),
+                         ids=[f"{d}->{p}" for d, p, _, _ in MODE_EDGES])
+def test_each_mode_edge_is_what_validation_enforces(row, rspec):
+    assert len(MODE_BREAKS) == len(MODE_EDGES)
+    broken = [edge for edge in MODE_EDGES if edge[2](rspec)]
+    assert broken == [row]
+    with pytest.raises(DependencyError) as info:
+        rspec.service_spec()
+    assert str(info.value) == row[3]
 
 
 def test_reads_narrow_only_without_ordering():
@@ -105,6 +133,18 @@ def test_build_fails_whole_deployment_on_illegal_shard():
                          replication=[active_replicas(2), bad,
                                       active_replicas(2)])
     # Shard 0 validated fine, but nothing was deployed.
+    assert dep.services == {}
+
+
+def test_build_fails_whole_deployment_on_a_bad_shard_parameter():
+    dep = Deployment(seed=40)
+    bad = ReplicaSpec(replicas=2, spec=ServiceSpec(
+        reliable=True, unique=True, execution="serial",
+        retrans_timeout=0.0))
+    with pytest.raises(ConfigurationError):
+        build_sharded_kv(dep, 3,
+                         replication=[active_replicas(2), bad,
+                                      active_replicas(2)])
     assert dep.services == {}
 
 
