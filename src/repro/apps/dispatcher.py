@@ -100,7 +100,7 @@ class ServerDispatcher(Protocol):
         if self.keep_log:
             self.execution_log.append((op, args))
         if self._exec_counter is not None:
-            self._exec_counter.inc()
+            self._exec_counter.value += 1
         return await self.app.handle(op, args)
 
     # -- Atomic Execution's checkpoint surface ---------------------------

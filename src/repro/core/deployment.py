@@ -526,7 +526,7 @@ class Deployment:
             group = svc.group
             rgroup = None if self.replication is None \
                 else self.replication.groups.get(service)
-            start = self.runtime.now()
+            start = self.runtime.kernel._now
             if rgroup is not None:
                 group = await rgroup.admit(op, group)
             result = await grpc.call(op, args, group)
@@ -536,14 +536,14 @@ class Deployment:
         finally:
             if adapt is not None:
                 adapt.release(service)
-        latency = self.runtime.now() - start
-        calls_counter.inc()
+        latency = self.runtime.kernel._now - start
+        calls_counter.value += 1
         status_counter = status_counters.get(result.status.value)
         if status_counter is None:
             status_counter = status_counters[result.status.value] = \
                 self.metrics.counter(
                     f"service.{service}.status.{result.status.value}")
-        status_counter.inc()
+        status_counter.value += 1
         self.metrics.histogram(latency_name).observe(latency)
         if self._slo is not None:
             self._slo.observe(service, latency)

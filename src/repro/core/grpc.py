@@ -115,6 +115,8 @@ class GroupRPC(CompositeProtocol):
         #: no membership service is configured, in which case "the set
         #: Members will remain constant" (everyone presumed alive).
         self.members: Optional[Set[ProcessId]] = None
+        #: Bumped whenever ``members`` changes (so derivations can cache).
+        self.members_version = 0
         #: Semaphore enforcing one-at-a-time execution; installed as the
         #: execution gate by the Serial Execution micro-protocol.
         self.serial = self.runtime.semaphore(1)
@@ -146,9 +148,9 @@ class GroupRPC(CompositeProtocol):
         # live mapping the bus empties on every registration change).
         self._net_chains = self.bus.chains(MSG_FROM_NETWORK)
 
-        # ``net_push``'s resolved send (the ``submit`` of the bottom of
-        # the stack), and the ``lower`` it was resolved through.
-        self._submit: Any = None
+        # ``net_push``'s ``fabric.send`` (None: the pipeline stages),
+        # and the ``lower`` it was resolved through.
+        self._send: Any = None
         self._wired_lower: Any = None
 
         node.crash_listeners.append(self._on_crash)
@@ -286,16 +288,16 @@ class GroupRPC(CompositeProtocol):
         process ids.  Every transmission is stamped with this
         composite's service name so the receiving node's arrival table
         can deliver it to the composite that claimed the same service.
-        ``lower`` is the transport; its plain-call ``submit`` is bound
-        once per ``lower``, not looked up per message.  Through a
-        pass-through wire pipeline the message is on the fabric when
-        ``submit`` returns, with no coroutine below this one.
+        ``lower`` is the transport.  Through a pass-through wire
+        pipeline this calls ``fabric.send`` (bound once per ``lower``)
+        itself, as the transport's plain-call ``submit`` would.
         """
         lower = self.lower
         if lower is None:
             raise ConfigurationError(f"{self.name} has no transport below")
         if lower is not self._wired_lower:
-            self._submit = lower.submit
+            fabric = lower.fabric
+            self._send = fabric.send if fabric.pipeline.passthrough else None
             self._wired_lower = lower
         if self.service:
             msg.service = self.service
@@ -304,9 +306,17 @@ class GroupRPC(CompositeProtocol):
                 msg.annotations = {ADAPT_EPOCH_KEY: self.adapt_epoch}
             else:
                 msg.annotations[ADAPT_EPOCH_KEY] = self.adapt_epoch
-        staged = self._submit(dest, msg)
-        if staged is not None:
-            await staged
+        send = self._send
+        if send is None:
+            staged = lower.submit(dest, msg)
+            if staged is not None:
+                await staged
+        elif self.node.up:
+            if dest.__class__ is int or isinstance(dest, int):
+                send(self.my_id, dest, msg)
+            else:
+                for member in dest:
+                    send(self.my_id, member, msg)
 
     async def deliver_to_server(self, op: str, args: Any) -> Any:
         """Blocking upcall to the user protocol (the paper's
@@ -324,6 +334,7 @@ class GroupRPC(CompositeProtocol):
         """Install an initial live-member set (done by the membership
         service when connected)."""
         self.members = set(members)
+        self.members_version += 1
 
     def membership_change(self, who: ProcessId, change: MemChange) -> None:
         """Feed one membership change into the composite.
@@ -338,6 +349,7 @@ class GroupRPC(CompositeProtocol):
             self.members.discard(who)
         else:
             self.members.add(who)
+        self.members_version += 1
         self._node_spawn(self.bus.trigger(MEMBERSHIP_CHANGE, who, change),
                          name=f"memchange-{who}", daemon=True)
 

@@ -78,11 +78,11 @@ class RPCMain(GRPCMicroProtocol):
         a retransmission racing the original are not; the retransmission is
         simply discarded (the client keeps retrying until a reply lands).
         """
-        if self.call_key(msg) in self.grpc.sRPC:
+        if (msg.sender, msg.inc, msg.id) in self.grpc.sRPC:
             return CANCEL
 
     async def msg_from_net(self, msg: NetMsg) -> None:
-        key = self.call_key(msg)
+        key = (msg.sender, msg.inc, msg.id)
         record = ServerRecord(key=key, op=msg.op, args=msg.args,
                               server=msg.server, client=msg.sender,
                               inc=msg.inc,

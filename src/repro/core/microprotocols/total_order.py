@@ -83,6 +83,7 @@ class TotalOrder(GRPCMicroProtocol):
         self._awaiting_info: Set[ProcessId] = set()
         #: How many resync rounds this member led (experiment metric).
         self.resyncs_led = 0
+        self._leads: tuple = (None, -1, False)  # i_am_leader's memo
 
     def reset(self) -> None:
         self.old_orders.clear()
@@ -94,6 +95,7 @@ class TotalOrder(GRPCMicroProtocol):
         self._was_leader = False
         self._resyncing = False
         self._awaiting_info.clear()
+        self._leads = (None, -1, False)
 
     def configure(self) -> None:
         self.grpc.hold.declare(TOTAL)
@@ -114,22 +116,28 @@ class TotalOrder(GRPCMicroProtocol):
 
     def leader(self, server: Group) -> ProcessId:
         """Largest-id member the membership service believes is alive."""
-        grpc = self.grpc
-        alive = None if grpc.members is None else grpc.members
-        return server.leader(alive)
+        return server.leader(self.grpc.members)
 
     def i_am_leader(self, server: Group) -> bool:
-        try:
-            return self.my_id == self.leader(server)
-        except ValueError:  # no live members known — cannot lead
-            return False
+        """Derived again only when the group or live members changed."""
+        group, version, leads = self._leads
+        members_version = self.grpc.members_version
+        if server is not group or version != members_version:
+            try:
+                leads = self.my_id == self.leader(server)
+            except ValueError:  # no live members known — cannot lead
+                leads = False
+            self._leads = (server, members_version, leads)
+        return leads
 
     # ------------------------------------------------------------------
 
     async def assign_order(self, msg: NetMsg) -> None:
         grpc = self.grpc
-        key = self.call_key(msg)
-        self._note_group(msg.server)
+        key = (msg.sender, msg.inc, msg.id)
+        if self._group is None:     # the first CALL or ORDER names it
+            self._group = msg.server
+            self._was_leader = self.i_am_leader(msg.server)
         if self.i_am_leader(msg.server):
             rank = self.old_orders.get(key)
             if rank is None:
@@ -158,7 +166,7 @@ class TotalOrder(GRPCMicroProtocol):
     async def msg_from_net(self, msg: NetMsg) -> Any:
         grpc = self.grpc
         if msg.type is NetOp.CALL:
-            key = self.call_key(msg)
+            key = (msg.sender, msg.inc, msg.id)
             rank = self.old_orders.get(key)
             if rank is None:
                 self.waiting_set.add(key)
@@ -171,7 +179,9 @@ class TotalOrder(GRPCMicroProtocol):
             else:
                 self.ready_list[rank] = key
         else:  # ORDER
-            self._note_group(msg.server)
+            if self._group is None:
+                self._group = msg.server
+                self._was_leader = self.i_am_leader(msg.server)
             await self._learn((msg.client, msg.inc, msg.id), msg.order)
 
     async def _learn(self, key: CallKey, rank: int) -> None:
@@ -203,11 +213,6 @@ class TotalOrder(GRPCMicroProtocol):
     # ------------------------------------------------------------------
     # The agreement phase (extension; paper omits it "for brevity")
     # ------------------------------------------------------------------
-
-    def _note_group(self, server: Group) -> None:
-        if self._group is None:
-            self._group = server
-            self._was_leader = self.i_am_leader(server)
 
     async def handle_membership(self, who: ProcessId,
                                 change: MemChange) -> None:

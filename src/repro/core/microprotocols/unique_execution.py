@@ -70,7 +70,7 @@ class UniqueExecution(GRPCMicroProtocol):
     async def msg_from_net(self, msg: NetMsg) -> Any:
         grpc = self.grpc
         if msg.type is NetOp.CALL:
-            key = self.call_key(msg)
+            key = (msg.sender, msg.inc, msg.id)
             if key in self.old_results:
                 # Executed but not yet ACKed: replay the stored reply.
                 reply = NetMsg(type=NetOp.REPLY, id=msg.id, op=msg.op,
@@ -99,4 +99,4 @@ class UniqueExecution(GRPCMicroProtocol):
         retransmissions get a fresh decision instead of being discarded
         as duplicates.
         """
-        self.old_calls.add(self.call_key(msg))
+        self.old_calls.add((msg.sender, msg.inc, msg.id))

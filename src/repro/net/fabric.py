@@ -23,7 +23,6 @@ existing links' draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
@@ -176,11 +175,13 @@ class NetworkFabric:
         once per inner message, so :mod:`repro.faults` applies uniformly
         whether or not batching is on; surviving messages continue in a
         rebuilt batch.  ``resolve`` is called exactly once when the
-        envelope's fate is decided (the pipeline's budget return).  One
-        :class:`~repro.net.message.Envelope` is built per transmitted
-        copy.  A :class:`~repro.net.trace.TraceEvent` is built only for
-        a trace that keeps events or has observers; otherwise ``net.send``
-        and ``net.deliver`` are plain counter bumps.
+        envelope's fate is decided (the pipeline's budget return).  Each
+        transmitted copy is one :class:`~repro.net.message.Envelope`, its
+        own delivery timer, armed through ``runtime.call_later`` (the
+        seam a profiler wraps), never pushed on the kernel's heap.  A
+        :class:`~repro.net.trace.TraceEvent` is built only for a trace
+        that keeps events or has observers; otherwise ``net.send`` and
+        ``net.deliver`` are plain counter bumps.
         """
         now = self._kernel._now
         batched = payload.__class__ is WireBatch
@@ -220,18 +221,17 @@ class NetworkFabric:
             delay, jitter, loss, rare, random = self._hot_link(src, dst)
         if loss and random() < loss:
             return self._drop("drop-loss", now, src, dst, inner, resolve)
-        envelope = Envelope(src, dst, payload, now, -1, 0, resolve)
+        envelope = Envelope(src, dst, payload, now, -1, 0, resolve, self)
         if rare is None:
             # ``jitter * random()`` is, bit for bit, what ``uniform(0.0,
             # jitter)`` computes (``0.0 + (jitter - 0.0) * random()``).
-            self.runtime.call_later(delay + jitter * random(),
-                                    partial(self._deliver, envelope))
+            self.runtime.call_later(delay + jitter * random(), envelope)
             return
         if rare.duplicate and random() < rare.duplicate:
             for msg in inner:
                 trace.record(now, "duplicate", src, dst, msg)
             self._launch(rare, random, envelope)
-            envelope = Envelope(src, dst, payload, now, -1, 1, resolve)
+            envelope = Envelope(src, dst, payload, now, -1, 1, resolve, self)
         self._launch(rare, random, envelope)
 
     def _hot_link(self, src: ProcessId, dst: ProcessId) -> tuple:
@@ -254,7 +254,7 @@ class NetworkFabric:
         delay = spec.delay + spec.jitter * random()
         if spec.spike_prob and random() < spec.spike_prob:
             delay += spec.spike_delay
-        self.runtime.call_later(delay, partial(self._deliver, envelope))
+        self.runtime.call_later(delay, envelope)
 
     def multicast(self, src: ProcessId, group: Group | Iterable[ProcessId],
                   payload: object) -> None:
@@ -267,27 +267,6 @@ class NetworkFabric:
         """
         for member in group:
             self.send(src, member, payload)
-
-    def _deliver(self, envelope: Envelope) -> None:
-        node = self.nodes.get(envelope.dst)
-        payload = envelope.payload
-        batched = payload.__class__ is WireBatch
-        if node is None or not node.up:
-            return self._drop("drop-dead", self._kernel._now, envelope.src,
-                              envelope.dst,
-                              payload.messages if batched else (payload,),
-                              envelope.on_resolved)
-        trace = self.trace
-        if trace.keep_events or trace.observers:
-            now = self._kernel._now
-            for msg in payload.messages if batched else (payload,):
-                trace.record(now, "deliver", envelope.src, envelope.dst, msg)
-        else:
-            self._ctr_deliver.value += len(payload) if batched else 1
-        resolve = envelope.on_resolved
-        if resolve is not None:
-            resolve()
-        node.deliver(envelope)
 
     def _drop(self, kind: str, now: float, src: ProcessId, dst: ProcessId,
               inner: Iterable[object],

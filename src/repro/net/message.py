@@ -13,7 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, FrozenSet, Iterable, Optional, Tuple
 
-__all__ = ["ProcessId", "Group", "Envelope", "wire_size"]
+from repro.sim.kernel import Timer
+
+__all__ = ["ProcessId", "Group", "Envelope", "WireBatch", "wire_size"]
 
 #: Processes are identified by small integers, as in the paper's pseudocode
 #: (`my_id`, `max(id: process_id in server)` for leader election).
@@ -124,11 +126,42 @@ def wire_size(value: Any) -> int:
     return 16
 
 
+class WireBatch:
+    """One coalesced envelope payload: messages sharing a link.
+
+    The receiving transport unbatches it back into individual payloads,
+    each dispatched up the demux stack in its own task, so everything
+    above the wire layer is batching-agnostic.
+    """
+
+    __slots__ = ("messages",)
+
+    def __init__(self, messages: Iterable[Any]):
+        self.messages: Tuple[Any, ...] = tuple(messages)
+        if not self.messages:
+            raise ValueError("a WireBatch needs at least one message")
+
+    def __len__(self) -> int:
+        return len(self.messages)
+
+    def __iter__(self):
+        return iter(self.messages)
+
+    def wire_size(self) -> int:
+        """Framing plus the sum of the inner messages' estimates."""
+        return 5 + sum(wire_size(msg) for msg in self.messages)
+
+    def __repr__(self) -> str:
+        kinds = sorted({type(m).__name__ for m in self.messages})
+        return (f"<WireBatch n={len(self.messages)} "
+                f"kinds={'/'.join(kinds)} size={self.wire_size()}>")
+
+
 #: Envelope sequence numbers, global and increasing.
 _envelope_seq = itertools.count()
 
 
-class Envelope:
+class Envelope(Timer):
     """A payload in flight through the simulated fabric.
 
     ``seq`` is a global sequence number that only names the arrival's
@@ -139,14 +172,19 @@ class Envelope:
     or dropped), it returns the link's in-flight budget so blocked
     senders can proceed (duplicated copies share one hook, which makes
     itself idempotent).
+
+    Each transmitted copy is its own delivery timer: ``fabric`` arms it
+    with ``runtime.call_later(delay, envelope)``, and firing it
+    (:meth:`__call__`) delivers it; a filter's probe has no ``fabric``.
     """
 
     __slots__ = ("src", "dst", "payload", "send_time", "seq", "copy",
-                 "on_resolved", "_wire_size")
+                 "on_resolved", "fabric")
 
     def __init__(self, src: ProcessId, dst: ProcessId, payload: Any,
                  send_time: float, seq: int = -1, copy: int = 0,
-                 on_resolved: Optional[Callable[[], None]] = None):
+                 on_resolved: Optional[Callable[[], None]] = None,
+                 fabric: Any = None):
         self.src = src
         self.dst = dst
         self.payload = payload
@@ -154,17 +192,36 @@ class Envelope:
         self.seq = next(_envelope_seq) if seq < 0 else seq
         self.copy = copy
         self.on_resolved = on_resolved
-        # Memoized wire_size(); an envelope's payload never changes once
-        # it is in flight, so the estimate is computed at most once per
-        # envelope (duplicated copies each carry their own cache).
-        self._wire_size: Optional[int] = None
+        self.fabric = fabric
+        # Timer fields; call_later sets when, action and _kernel.
+        self.cancelled = False
+        self.task = None
+
+    def __call__(self) -> None:
+        """The delivery: to ``dst``'s node, or dropped if it is down."""
+        fabric = self.fabric
+        node = fabric.nodes.get(self.dst)
+        payload = self.payload
+        batched = payload.__class__ is WireBatch
+        if node is None or not node.up:
+            return fabric._drop("drop-dead", fabric._kernel._now, self.src,
+                                self.dst, payload.messages if batched
+                                else (payload,), self.on_resolved)
+        trace = fabric.trace
+        if trace.keep_events or trace.observers:
+            now = fabric._kernel._now
+            for msg in payload.messages if batched else (payload,):
+                trace.record(now, "deliver", self.src, self.dst, msg)
+        else:
+            fabric._ctr_deliver.value += len(payload) if batched else 1
+        resolve = self.on_resolved
+        if resolve is not None:
+            resolve()
+        node.deliver(self)
 
     def wire_size(self) -> int:
-        """Estimated on-wire size of the carried payload (memoized)."""
-        size = self._wire_size
-        if size is None:
-            size = self._wire_size = wire_size(self.payload)
-        return size
+        """Estimated on-wire size of the carried payload."""
+        return wire_size(self.payload)
 
     def __repr__(self) -> str:
         return (f"<Envelope #{self.seq} {self.src}->{self.dst} "

@@ -60,10 +60,10 @@ benchmarks and the fault-injection tests byte-identical.
 The one entry point is :meth:`WirePipeline.submit`, a plain call: what
 no stage holds back (every pass-through send, every fast-lane beat)
 reaches the fabric inside it, and only a send that a buffer or a budget
-takes over comes back as a coroutine to await.  A composite reaches it
-through its transport's ``submit``, bound once per ``lower``, so a
-pass-through send runs no coroutine below the composite's own
-``net_push``.
+takes over comes back as a coroutine to await.  Other senders reach it
+through their transport's ``submit``; a gRPC composite's ``net_push``
+on a pass-through pipeline does its work itself and calls
+``fabric.send``, one frame fewer per push.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ import typing
 from dataclasses import dataclass
 from typing import Any, Coroutine, Dict, Iterable, List, Optional, Tuple
 
-from repro.net.message import ProcessId, wire_size
+from repro.net.message import ProcessId, WireBatch, wire_size
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.fabric import NetworkFabric
@@ -106,37 +106,6 @@ class WireConfig:
             raise ValueError("max_batch_bytes must be >= 1")
         if self.queue_depth < 0:
             raise ValueError("queue_depth must be >= 0")
-
-
-class WireBatch:
-    """One coalesced envelope payload: messages sharing a link.
-
-    The receiving transport unbatches it back into individual payloads,
-    each dispatched up the demux stack in its own task, so everything
-    above the wire layer is batching-agnostic.
-    """
-
-    __slots__ = ("messages",)
-
-    def __init__(self, messages: Iterable[Any]):
-        self.messages: Tuple[Any, ...] = tuple(messages)
-        if not self.messages:
-            raise ValueError("a WireBatch needs at least one message")
-
-    def __len__(self) -> int:
-        return len(self.messages)
-
-    def __iter__(self):
-        return iter(self.messages)
-
-    def wire_size(self) -> int:
-        """Framing plus the sum of the inner messages' estimates."""
-        return 5 + sum(wire_size(msg) for msg in self.messages)
-
-    def __repr__(self) -> str:
-        kinds = sorted({type(m).__name__ for m in self.messages})
-        return (f"<WireBatch n={len(self.messages)} "
-                f"kinds={'/'.join(kinds)} size={self.wire_size()}>")
 
 
 class _Link:
@@ -181,7 +150,7 @@ class WirePipeline:
         self.max_batch_msgs = self.config.max_batch_msgs
         self.max_batch_bytes = self.config.max_batch_bytes
         #: Plain path: no stage is active, sends go straight down.
-        self._passthrough = not self.batch and self.queue_depth == 0
+        self.passthrough = not self.batch and self.queue_depth == 0
         self._links: Dict[Tuple[ProcessId, ProcessId], _Link] = {}
         #: The observatory's flight recorder, or None.  Attached by
         #: :class:`repro.obs.observatory.Observatory`; records every
@@ -220,7 +189,7 @@ class WirePipeline:
             return None
         one = dest.__class__ is int or isinstance(dest, int)
         control = getattr(payload, "wire_control", False)
-        if not self._passthrough and not control:
+        if not self.passthrough and not control:
             return (self.send(src, dest, payload) if one
                     else self.multicast(src, dest, payload))
         send = self._fast_send if control else self.fabric.send

@@ -20,6 +20,7 @@ without the observatory keeps routers on a single ``is None`` test.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["SpaceSaving", "KeyLoadTracker"]
@@ -54,11 +55,10 @@ class SpaceSaving:
             counts[key] = n
             self._errs[key] = 0
             return
-        # Evict the minimum counter (lowest count, then lowest key: two
-        # C-level passes, no key function); the newcomer inherits its
-        # count as the overestimation error (the sketch's defining move).
-        floor = min(counts.values())
-        victim = min([k for k, c in counts.items() if c == floor])
+        # Evict the minimum counter (lowest count, then lowest key: one
+        # C-level pass); the newcomer inherits its count as the
+        # overestimation error (the sketch's defining move).
+        victim, floor = min(counts.items(), key=itemgetter(1, 0))
         del counts[victim]
         del self._errs[victim]
         counts[key] = floor + n

@@ -227,20 +227,19 @@ class Timer:
     Heap entries are ``(when, seq, timer)`` tuples owned by the kernel;
     the object itself is the user-facing handle.  A timer created for a
     plain sleep parks the sleeping task in :attr:`task` instead of
-    carrying an action closure.  Cancelling a kernel-attached timer
-    feeds the kernel's dead-entry count, which drives the lazy purge.
+    carrying an action closure; an instance of a callable subclass (an
+    :class:`~repro.net.message.Envelope`) is its own action.  Cancelling
+    a kernel-attached timer feeds the dead-entry count (the lazy purge).
     A timer lets go of its action once it has fired or been cancelled:
     an action that refers back to its own timer (a registration that
     keeps its timer handle, say) would otherwise hold both in a
     reference cycle until the cycle collector ran.
     """
 
-    __slots__ = ("when", "seq", "action", "cancelled", "task", "_kernel")
+    __slots__ = ("when", "action", "cancelled", "task", "_kernel")
 
-    def __init__(self, when: float, seq: int,
-                 action: Optional[Callable[[], None]]):
+    def __init__(self, when: float, action: Optional[Callable[[], None]]):
         self.when = when
-        self.seq = seq
         self.action = action
         self.cancelled = False
         #: The task to wake (sleep timers), or None (action timers).
@@ -393,14 +392,20 @@ class Kernel:
         """Run ``action()`` (a plain function) after ``delay`` seconds.
 
         The action executes in kernel context; it may call :meth:`spawn`
-        but must not block.  Returns a cancellable :class:`Timer`.
+        but must not block.  Returns a cancellable :class:`Timer`
+        (``action`` itself, armed in place, if it is a callable one).
         """
         if delay < 0:
             raise KernelError(f"negative delay: {delay}")
         seq = self._timer_seq
         self._timer_seq = seq + 1
         when = self._now + delay
-        timer = Timer(when, seq, action)
+        if isinstance(action, Timer):
+            timer = action
+            timer.when = when
+            timer.action = action   # a cycle until it fires
+        else:
+            timer = Timer(when, action)
         timer._kernel = self
         heappush(self._timers, (when, seq, timer))
         self.timers_scheduled += 1
@@ -551,16 +556,16 @@ class Kernel:
                     timers = self._timers
                     if not timers:
                         return
-                    timer = heappop(timers)[2]
+                    when, seq, timer = heappop(timers)
                     if not timer.cancelled:
                         break
                     self._timers_dead -= 1
-                if deadline is not None and timer.when > deadline:
+                if deadline is not None and when > deadline:
                     # Put it back; it fires on a later run_until call.
-                    heappush(timers, (timer.when, timer.seq, timer))
+                    heappush(timers, (when, seq, timer))
                     self._now = deadline
                     return
-                self._now = timer.when     # no timer is ever due before now
+                self._now = when     # no timer is ever due before now
                 self.timers_fired += 1
                 sleeper = timer.task
                 if sleeper is not None:
@@ -656,7 +661,7 @@ class Kernel:
                     task.state = _WAITING
                     seq = self._timer_seq
                     self._timer_seq = seq + 1
-                    timer = Timer(self._now + delay, seq, None)
+                    timer = Timer(self._now + delay, None)
                     timer.task = task
                     timer._kernel = self
                     heappush(self._timers, (timer.when, seq, timer))

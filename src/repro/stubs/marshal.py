@@ -110,6 +110,7 @@ _T_INT, _T_FLOAT, _T_STR, _T_BYTES = ord("I"), ord("D"), ord("S"), ord("B")
 _T_LIST, _T_TUPLE, _T_DICT = ord("L"), ord("U"), ord("M")
 
 _PLAIN = (str, int, float, dict, list, tuple, bytes)
+_LEAF_TAGS = {str: b"S", bytes: b"B", int: b"I"}
 _CLASSES = {_T_DICT: dict, _T_LIST: list, _T_TUPLE: tuple}
 
 #: Bounds shared by both key tables.
@@ -152,11 +153,22 @@ def marshal(value: Any) -> bytes:
     """Encode ``value`` into the untyped argument field."""
     prof = _PROFILER
     started = perf_counter() if prof is not None else 0.0
-    handed = _HANDED.get(id(value))
-    if handed is not None and _unchanged(value, *handed[2:]):
-        data = handed[1]
+    cls = value.__class__
+    if value is None or cls is bool:    # an exact leaf: no walk state
+        data = b"N" if value is None else b"T" if value else b"F"
+    elif cls is float:
+        data = _pack_float(b"D", value)
+    elif cls is str or cls is bytes or cls is int:
+        raw = value.encode() if cls is str else value if cls is bytes \
+            else value.to_bytes((value.bit_length() + 8) // 8 or 1, "big",
+                                signed=True)
+        data = _pack_header(_LEAF_TAGS[cls], len(raw)) + raw
     else:
-        data = _encode(value)
+        handed = _HANDED.get(id(value))
+        if handed is not None and _unchanged(value, *handed[2:]):
+            data = handed[1]
+        else:
+            data = _encode(value)
     if prof is not None:
         prof.on_marshal(len(data), perf_counter() - started)
     return data

@@ -450,3 +450,38 @@ def test_cluster_is_a_one_service_deployment():
 def test_cluster_still_rejects_zero_servers():
     with pytest.raises(ReproError):
         ServiceCluster(ServiceSpec(), KVStore, n_servers=0)
+
+
+def test_call_instruments_count_every_call_its_status_and_latency():
+    """``Deployment.call`` reads the kernel clock and bumps its counters
+    in place; a seeded lossy run pins the names and the values (taken
+    when it still went through ``runtime.now()`` and ``Counter.inc``)."""
+    from repro import LinkSpec
+
+    dep = Deployment(seed=11, default_link=LinkSpec(delay=0.01,
+                                                    jitter=0.005, loss=0.3))
+    svc = dep.add_service("kv", ServiceSpec(unique=True, bounded=0.03,
+                                            retrans_timeout=0.05),
+                          KVStore, servers=3, clients=2)
+
+    async def lane(pid):
+        for i in range(10):
+            await dep.call(pid, "kv", "put", {"key": f"k{pid}-{i}",
+                                              "value": i})
+
+    lanes = [dep.spawn_client(pid, lane(pid)) for pid in svc.client_pids]
+
+    async def main():
+        for handle in lanes:
+            await dep.runtime.join(handle)
+
+    dep.run_scenario(main(), extra_time=0.5)
+    metrics = dep.metrics
+    assert {name: metrics.value(name)
+            for name in metrics.counter_names("service.kv.")} == {
+        "service.kv.calls": 20, "service.kv.executions": 47,
+        "service.kv.status.OK": 19, "service.kv.status.TIMEOUT": 1}
+    latency = metrics.histogram("service.kv.latency")
+    assert latency.count == 20
+    assert repr(latency.total) == "0.48623574881838116"
+    assert repr(latency.percentile(50)) == "0.024226218545844773"

@@ -951,3 +951,47 @@ def test_a_field_this_process_only_decoded_is_never_handed_back(
         assert list(copy) == ["b", "a"] and copy["a"] == 5
         assert marshal(copy) == marshal({"a": 5, "b": "p" * 600}) != field
     assert decoder_runs == [field]
+
+
+# ----------------------------------------------------------------------
+# Leaves: a top-level leaf is emitted directly, with no walk state
+# ----------------------------------------------------------------------
+
+LEAVES = (st.none() | st.booleans() | st.integers()
+          | st.integers(min_value=-2 ** 300, max_value=2 ** 300)
+          | st.floats() | st.text() | st.binary()
+          | st.text(min_size=520, max_size=600))
+
+
+def _walked(value) -> bytes:
+    """The encoder walk's bytes for ``value``, entering no table."""
+    pieces = []
+    codec._emit_members((value,), pieces, [value], None, [], 0)
+    return b"".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LEAVES)
+def test_a_leaf_is_the_walks_bytes_with_no_walk_and_no_table(value):
+    templates, handed = dict(codec._TEMPLATES), dict(codec._HANDED)
+    prof = _CountingProfiler()
+    walks = []
+    real = codec._encode
+    codec._encode = lambda v: walks.append(v) or real(v)
+    previous = install_profiler(prof)
+    try:
+        data = marshal(value)
+    finally:
+        assert install_profiler(previous) is prof
+        codec._encode = real
+    assert data == _walked(value)
+    assert walks == [] and prof.marshals == [len(data)]
+    assert codec._TEMPLATES.keys() == templates.keys()
+    assert all(codec._TEMPLATES[k] is v for k, v in templates.items())
+    assert codec._HANDED == handed
+    assert marshal(unmarshal(data)) == data
+
+
+def test_a_small_container_still_walks(encoder_runs):
+    assert unmarshal(marshal({"key": "k"})) == {"key": "k"}
+    assert encoder_runs == [{"key": "k"}]

@@ -12,6 +12,8 @@ import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Deployment, ServiceSpec
 from repro.apps import KVStore, ShardRouter
@@ -110,6 +112,41 @@ def test_space_saving_eviction_picks_the_same_victim():
         ("key-0002", 2299, 2298), ("key-0027", 2299, 2298),
         ("key-0081", 2299, 2298), ("key-0113", 2299, 2298),
         ("key-0171", 2298, 2297), ("key-0476", 2298, 2297)]
+
+
+def _two_pass_hit(counts, errs, budget, key, n):
+    """The eviction rule ``SpaceSaving.hit`` used before its one-pass
+    ``min``: the lowest count, then the lowest key among its holders.
+    Returns the victim, if any."""
+    if key in counts:
+        counts[key] += n
+        return None
+    if len(counts) < budget:
+        counts[key], errs[key] = n, 0
+        return None
+    floor = min(counts.values())
+    victim = min([k for k, c in counts.items() if c == floor])
+    del counts[victim], errs[victim]
+    counts[key], errs[key] = floor + n, floor
+    return victim
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=8),
+       st.lists(st.tuples(st.sampled_from([f"k{i}" for i in range(12)]),
+                          st.integers(min_value=1, max_value=3)),
+                max_size=120))
+def test_space_saving_one_pass_eviction_matches_the_two_pass_rule(
+        budget, stream):
+    sketch = SpaceSaving(budget)
+    counts, errs = {}, {}
+    for key, n in stream:
+        before = set(sketch._counts)
+        victim = _two_pass_hit(counts, errs, budget, key, n)
+        sketch.hit(key, n)
+        assert before - set(sketch._counts) == ({victim} if victim else set())
+        assert sketch._counts == counts and sketch._errs == errs
+    assert sketch.total == sum(n for _, n in stream)
 
 
 def test_key_load_tracker_per_service_and_publish():

@@ -4,10 +4,12 @@ The meter counts bytecodes (``sys.settrace`` opcode events), Python
 calls and C calls (``sys.setprofile``) over a workload's timed region;
 the same region measured twice in one process must give the same three
 numbers, and the hooks and the collector must be as they were.
+``--json`` saves the counts and ``--against`` compares with them.
 """
 
 import gc
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -54,3 +56,41 @@ def test_by_file_splits_the_counts_over_source_files():
     assert sum(ops) == pytest.approx(per_call["bytecodes"], abs=len(ops))
     calls = sum(float(row[1]) for row in rows)
     assert calls == pytest.approx(per_call["py_calls"], abs=len(rows))
+
+
+def test_json_writes_the_counts_and_against_prints_before_after_delta(
+        tmp_path, monkeypatch, capsys):
+    opcount = _opcount()
+    monkeypatch.setenv("PYTHONHASHSEED", "0")      # no re-exec
+    before = tmp_path / "before.json"
+    before.write_text(json.dumps({"workloads": {"minimal_rpc": {
+        "bytecodes": 4000.0, "py_calls": 200.0, "c_calls": 50.0,
+        "calls": 40}}}))
+    out = tmp_path / "after.json"
+    assert opcount.main(["--workload", "minimal_rpc", "--ops", "40",
+                         "--json", str(out), "--against",
+                         str(before)]) == 0
+    saved = json.loads(out.read_text())
+    assert (saved["ops"], saved["seed"]) == (40, opcount.SEED)
+    after = saved["workloads"]["minimal_rpc"]
+    assert after["calls"] == 40
+    assert 0 < after["c_calls"] < after["py_calls"] < after["bytecodes"]
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("minimal_rpc ") and len(line.split()) == 6]
+    assert [row[1] for row in rows] == list(opcount.COUNTS)
+    for name, row in zip(opcount.COUNTS, rows):
+        then, now, delta = map(float, row[2:5])
+        assert then == json.loads(before.read_text())[
+            "workloads"]["minimal_rpc"][name]
+        assert now == pytest.approx(after[name], abs=0.05)
+        assert delta == pytest.approx(now - then, abs=0.1)
+        assert row[5] == f"{100 * (after[name] - then) / then:+.1f}%"
+
+
+def test_against_skips_workloads_the_before_file_lacks():
+    opcount = _opcount()
+    counts = {"bytecodes": 10.0, "py_calls": 4.0, "c_calls": 2.0}
+    lines = opcount.against({"a": counts}, {"a": counts, "b": counts})
+    assert len(lines) == 1 + len(opcount.COUNTS)
+    assert all(line.split()[0] == "a" for line in lines[1:])
+    assert all(line.split()[4:] == ["+0.0", "+0.0%"] for line in lines[1:])

@@ -23,12 +23,19 @@ workloads read-only and changes nothing under ``benchmarks/perf``.
     python tools/opcount.py --ops 100            # the CI size
     python tools/opcount.py --workload replicated_mixed --top 15
     python tools/opcount.py --workload stub_bulk --by-file
+    python tools/opcount.py --ops 200 --json before.json
+    python tools/opcount.py --ops 200 --against before.json
+
+``--json OUT`` writes the per-workload counts as one JSON object;
+``--against BEFORE`` reads such a file and prints, for each workload it
+also holds, the before and after counts and their difference.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import json
 import os
 import sys
 import sysconfig
@@ -164,6 +171,27 @@ def by_file(meter: Meter, calls: int) -> List[str]:
                                key=lambda name: (-ops[name], name))]
 
 
+COUNTS = ("bytecodes", "py_calls", "c_calls")
+
+
+def against(before: Dict[str, Dict[str, float]],
+            after: Dict[str, Dict[str, float]]) -> List[str]:
+    """A before / after / difference row of each count for every
+    workload in both ``before`` and ``after``."""
+    lines = [f"{'workload':<22}{'count':<11}{'before':>10}{'after':>10}"
+             f"{'delta':>10}{'delta %':>9}"]
+    for name, now in after.items():
+        then = before.get(name)
+        if then is None:
+            continue
+        for key in COUNTS:
+            delta = now[key] - then[key]
+            lines.append(f"{name:<22}{key:<11}{then[key]:>10.1f}"
+                         f"{now[key]:>10.1f}{delta:>+10.1f}"
+                         f"{100 * delta / then[key]:>+8.1f}%")
+    return lines
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append",
@@ -177,6 +205,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--by-file", action="store_true",
                         help="list bytecodes and Python calls per source "
                              "file")
+    parser.add_argument("--json", metavar="OUT",
+                        help="write the per-workload counts to OUT")
+    parser.add_argument("--against", metavar="BEFORE",
+                        help="compare with counts --json wrote earlier")
     args = parser.parse_args(argv)
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.environ["PYTHONHASHSEED"] = "0"
@@ -185,14 +217,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     names = args.workload or [w.name for w in workloads.WORKLOADS]
     print(f"{'workload':<22}{'bytecodes':>11}{'py calls':>10}"
           f"{'C calls':>10}   per call, {args.ops} ops, seed {args.seed}")
+    results: Dict[str, Dict[str, float]] = {}
     for name in names:
         per_call, meter = count(name, args.ops, args.seed)
+        results[name] = per_call
         print(f"{name:<22}{per_call['bytecodes']:>11.0f}"
               f"{per_call['py_calls']:>10.1f}{per_call['c_calls']:>10.1f}")
         if args.top:
             print("\n".join(top(meter, args.top, per_call["calls"])))
         if args.by_file:
             print("\n".join(by_file(meter, per_call["calls"])))
+    if args.json:
+        Path(args.json).write_text(json.dumps(
+            {"ops": args.ops, "seed": args.seed, "workloads": results},
+            indent=1, sort_keys=True) + "\n")
+    if args.against:
+        before = json.loads(Path(args.against).read_text())["workloads"]
+        print("\n".join(against(before, results)))
     return 0
 
 
