@@ -125,11 +125,9 @@ class Service:
         #: LRU of ``(client, call_id) -> CallResult``: retried calls after
         #: a rebind are answered here without re-execution.
         self.reply_cache = ReplyCache()
-        # (calls Counter, latency histogram name, status-value -> Counter),
-        # resolved on the first call.  Counters are zeroed in place by
-        # ``metrics.reset`` so the cached objects stay valid; histograms
-        # are dropped on reset, so only the prebuilt *name* is cached and
-        # the object re-resolved.
+        # (calls Counter, latency Histogram, status-value -> Counter),
+        # resolved on the first call.  ``metrics.reset`` zeroes every
+        # instrument in place, so the cached objects stay the registry's.
         self._call_instruments: Optional[tuple] = None
 
     # -- accessors -------------------------------------------------------
@@ -498,8 +496,8 @@ class Deployment:
             prefix = f"service.{service}"
             instruments = svc._call_instruments = (
                 self.metrics.counter(f"{prefix}.calls"),
-                f"{prefix}.latency", {})
-        calls_counter, latency_name, status_counters = instruments
+                self.metrics.histogram(f"{prefix}.latency"), {})
+        calls_counter, latency_hist, status_counters = instruments
         cache = svc.reply_cache
         if retry_of is not None:
             cached = cache.get(client_pid, retry_of)
@@ -544,7 +542,7 @@ class Deployment:
                 self.metrics.counter(
                     f"service.{service}.status.{result.status.value}")
         status_counter.value += 1
-        self.metrics.histogram(latency_name).observe(latency)
+        latency_hist.observe(latency)
         if self._slo is not None:
             self._slo.observe(service, latency)
         if result.ok:

@@ -160,8 +160,7 @@ class EventBus:
         # What runs is read off the kernel.
         self._kernel = runtime.kernel
         # Armed TIMEOUT registrations keyed by registration seq
-        # (insertion-ordered).  A dict so :meth:`disarm` — called once
-        # per completed bounded call — is O(1) instead of a list scan.
+        # (insertion-ordered), so an expiry leaves in O(1).
         self._timeout_regs: Dict[int, Registration] = {}
         # Observability: the recorder and the kernel profiler are
         # resolved ONCE here (attach-time check; see SimRuntime.attach_obs
@@ -229,28 +228,22 @@ class EventBus:
         Returns True if a registration was removed.  Deregistering a
         pending TIMEOUT cancels its timer.
         """
-        if event == TIMEOUT:
-            for reg in self._timeout_regs.values():
-                if reg.handler == handler:
-                    reg.timer.cancel()
-                    del self._timeout_regs[reg.seq]
-                    self._record_deregister(reg)
-                    return True
+        regs = self._timeout_regs.values() if event == TIMEOUT \
+            else self._handlers.get(event, [])
+        reg = next((reg for reg in regs if reg.handler == handler), None)
+        if reg is None:
             return False
-        regs = self._handlers.get(event, [])
-        for reg in regs:
-            if reg.handler == handler:
-                regs.remove(reg)
-                self._invalidate(event)
-                self._record_deregister(reg)
-                return True
-        return False
-
-    def _record_deregister(self, reg: Registration) -> None:
+        if event == TIMEOUT:
+            reg.timer.cancel()
+            del self._timeout_regs[reg.seq]
+        else:
+            self._handlers[event].remove(reg)
+            self._invalidate(event)
         if self._obs is not None:
             self._obs.record_event(
-                "deregister", node=self.node_id, event=reg.event,
+                "deregister", node=self.node_id, event=event,
                 owner=reg.owner, handler=reg.name)
+        return True
 
     def registrations(self, event: str) -> List[Registration]:
         """The current registrations for ``event`` in dispatch order."""
@@ -448,21 +441,6 @@ class EventBus:
     # ------------------------------------------------------------------
     # TIMEOUT plumbing
     # ------------------------------------------------------------------
-
-    def disarm(self, reg: Registration) -> bool:
-        """Disarm one pending TIMEOUT registration in O(1).
-
-        The handle-based twin of ``deregister(TIMEOUT, handler)`` for
-        callers that kept the :class:`Registration` — per-call bounds
-        (Bounded Termination) disarm thousands of these on the hot path,
-        where the handler-equality scan would be quadratic.  Idempotent;
-        returns True if the registration was still armed.
-        """
-        if self._timeout_regs.pop(reg.seq, None) is None:
-            return False
-        reg.timer.cancel()
-        self._record_deregister(reg)
-        return True
 
     def _fire_timeout(self, reg: Registration) -> None:
         if self._timeout_regs.pop(reg.seq, None) is None:

@@ -38,4 +38,3 @@ class AsynchronousCall(GRPCMicroProtocol):
         umsg.args = record.args
         umsg.status = record.status
         grpc.pRPC.pop(umsg.id, None)
-        record.retire()

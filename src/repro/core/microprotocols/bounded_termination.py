@@ -3,13 +3,21 @@
 "Bounded termination states that a call always terminates and the client
 thread returns within a bounded, specified time.  If the server has not
 responded by the deadline, the call returns with an indication of
-failure."  Implemented, as in the paper, with a per-call one-shot TIMEOUT
-of ``timebound`` seconds that marks the call TIMEOUT and releases the
-client's semaphore if it is still waiting.
+failure."  A call still WAITING ``timebound`` seconds after it was
+issued is marked TIMEOUT and its client's semaphore released; an
+answered call keeps its OK.
 
-The paper pairs timer expiries with calls through a FIFO queue, which is
-correct only because its timers all share one duration; we bind the call
-id into the timeout handler instead (deviation #3 in DESIGN.md).
+As in the paper, expiries are paired with calls through a FIFO: one
+instance has one bound, so issue order is deadline order, and ``pRPC``
+(filled as calls are issued; ``NEW_RPC_CALL`` runs in the issuing step)
+is that FIFO.  Each call is stamped with its deadline and this instance,
+which keeps one TIMEOUT armed, for its oldest WAITING call.  A fire
+expires every stamped WAITING call past its deadline, passes over calls
+no longer WAITING, and re-arms for the first deadline still ahead
+(deviation #3 in DESIGN.md).  The delay ``deadline - now`` is exact: a
+fire happens at ``now >= timebound`` and the head deadline is at most
+``now + timebound <= 2 * now``, so by Sterbenz's lemma the kernel's
+``now + (deadline - now)`` is the deadline bit for bit.
 """
 
 from __future__ import annotations
@@ -32,25 +40,36 @@ class BoundedTermination(GRPCMicroProtocol):
         if timebound <= 0:
             raise ValueError("termination bound must be positive")
         self.timebound = timebound
+        #: Whether this instance's one TIMEOUT is on the bus.
+        self.armed = False
 
     def configure(self) -> None:
+        # Attached, or relinked after a crash cleared the bus: nothing of
+        # this instance is armed, so the next call arms.
+        self.armed = False
         self.register(NEW_RPC_CALL, self.handle_new_call)
 
     async def handle_new_call(self, call_id: int) -> None:
-        async def handle_timeout(cid: int = call_id) -> None:
-            record = self.grpc.pRPC.get(cid)
-            if record is not None and record.status is Status.WAITING:
-                record.status = Status.TIMEOUT
-                record.sem.release()
-
-        reg = self.register(TIMEOUT, handle_timeout, self.timebound)
         record = self.grpc.pRPC.get(call_id)
-        if record is not None:
-            # Disarm the bound the moment the call record retires: a
-            # completed call must not leave its expiry armed for the rest
-            # of ``timebound``.  With long bounds and high call rates the
-            # armed-but-moot timers otherwise dominate the kernel's timer
-            # heap (one per call, live for the full bound) and every
-            # heap push/pop pays for them.
-            bus = self.bus
-            record.add_disposer(lambda: bus.disarm(reg))
+        if record is None:
+            return
+        record.deadline = self.runtime.kernel._now + self.timebound
+        record.bound_by = self
+        if not self.armed:
+            self.armed = True
+            self.register(TIMEOUT, self.handle_timeout, self.timebound)
+
+    async def handle_timeout(self) -> None:
+        self.armed = False
+        now = self.runtime.kernel._now
+        for record in self.grpc.pRPC.values():
+            if record.bound_by is not self \
+                    or record.status is not Status.WAITING:
+                continue
+            if record.deadline > now:
+                self.armed = True
+                self.register(TIMEOUT, self.handle_timeout,
+                              record.deadline - now)
+                return
+            record.status = Status.TIMEOUT
+            record.sem.release()

@@ -35,4 +35,3 @@ class SynchronousCall(GRPCMicroProtocol):
         umsg.args = record.args
         umsg.status = record.status
         grpc.pRPC.pop(umsg.id, None)
-        record.retire()

@@ -6,8 +6,10 @@ framework".  For gRPC that shared data is:
 
 * ``pRPC`` — pending calls at the client, a plain dict on the composite
   from call id to :class:`ClientRecord`: the per-call semaphore the client
-  thread waits on, the required-response count ``nres``, and the
-  per-server pending/acked/done bookkeeping;
+  thread waits on, the required-response count ``nres``, the
+  per-server pending/acked/done bookkeeping, and the call's Bounded
+  Termination deadline.  Insertion order is issue order, which Bounded
+  Termination walks as the paper's FIFO of expiries;
 * ``sRPC`` — pending calls at a server, a plain dict from
   :data:`~repro.core.messages.CallKey` to :class:`ServerRecord`, each with
   the per-call *hold array*;
@@ -23,7 +25,7 @@ and no access to a table yields, so the tables carry no lock (deviation
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core.messages import CallKey, Status
 from repro.net.message import Group, ProcessId
@@ -67,27 +69,13 @@ class ClientRecord:
     #: Micro-protocol piggyback data, copied onto every transmission of
     #: this call (set during NEW_RPC_CALL, e.g. by Causal Order).
     annotations: Dict[str, Any] = field(default_factory=dict)
-    #: Per-call cleanup callbacks run by :meth:`retire` when the call is
-    #: redeemed (e.g. Bounded Termination disarming its expiry TIMEOUT).
-    #: ``None`` until a micro-protocol attaches one, so the common
-    #: unbounded call pays no list allocation.
-    disposers: Optional[List[Any]] = None
-
-    def add_disposer(self, fn: Any) -> None:
-        """Attach a cleanup callback to run when this record retires."""
-        if self.disposers is None:
-            self.disposers = [fn]
-        else:
-            self.disposers.append(fn)
-
-    def retire(self) -> None:
-        """Run (once) the cleanup callbacks of a redeemed call.  A crash
-        clears ``pRPC`` without retiring: its timers die with the site."""
-        disposers = self.disposers
-        if disposers is not None:
-            self.disposers = None
-            for dispose in disposers:
-                dispose()
+    #: The Bounded Termination instance that bounds this call, and the
+    #: virtual instant the bound expires (issue time + ``timebound``);
+    #: ``None`` for an unbounded call.  The instance expires only calls
+    #: it stamped, so a call issued under an instance a live adaptation
+    #: swapped out keeps no bound.
+    bound_by: Any = None
+    deadline: float = 0.0
 
     @classmethod
     def fresh(cls, call_id: int, op: str, args: Any, server: Group,

@@ -106,6 +106,14 @@ class Histogram:
         if slot < self._cap:
             self._values[slot] = value
 
+    def clear(self) -> None:
+        """Forget every observation (and the reservoir RNG): the
+        histogram reads as new, and whoever holds it keeps observing."""
+        self._values.clear()
+        self._count = 0
+        self._sum = self._min = self._max = 0.0
+        self._rng = None
+
     @property
     def count(self) -> int:
         return self._count
@@ -205,12 +213,14 @@ class MetricsRegistry:
         }
 
     def reset(self, prefix: str = "") -> None:
-        """Zero counters/gauges and drop histograms under ``prefix``."""
+        """Zero every instrument under ``prefix`` in place, so the
+        instruments callers hold stay the registry's."""
         for name, counter in self._counters.items():
             if name.startswith(prefix):
                 counter.value = 0
         for name, gauge in self._gauges.items():
             if name.startswith(prefix):
                 gauge.value = 0.0
-        for name in [n for n in self._histograms if n.startswith(prefix)]:
-            del self._histograms[name]
+        for name, histogram in self._histograms.items():
+            if name.startswith(prefix):
+                histogram.clear()

@@ -263,7 +263,7 @@ def _join(cluster, task):
 
 
 # ----------------------------------------------------------------------
-# Bounded Termination disarms completed calls
+# Bounded Termination keeps no timer per completed call
 # ----------------------------------------------------------------------
 
 def _redeem_async(cluster, op, args):
@@ -282,34 +282,36 @@ def _redeem_async(cluster, op, args):
 
 @pytest.mark.parametrize("call", ["synchronous", "asynchronous"])
 def test_bounded_timeout_disarmed_when_call_completes(call):
-    # A completed call must not leave its expiry TIMEOUT armed for the
-    # rest of the bound: with long bounds and high call rates the moot
-    # timers would otherwise pile up in the kernel's timer heap (one
-    # per call, live for the full 30s here) and tax every heap
-    # operation.  Redeeming the call retires its client record, which
-    # disarms the bound, on either call micro-protocol's path.
+    # A completed call must not leave an expiry TIMEOUT of its own
+    # armed for the rest of the bound: with long bounds and high call
+    # rates such moot timers would pile up in the kernel's timer heap
+    # (one per call, live for the full 30s here) and tax every heap
+    # operation.  Bounded Termination arms one TIMEOUT, for its oldest
+    # waiting call, and arms none per later call, on either call
+    # micro-protocol's path.
     spec = ServiceSpec(call=call, acceptance=1, bounded=30.0)
     cluster = ServiceCluster(spec, KVStore, n_servers=2)
     redeem = cluster.call_and_run if call == "synchronous" \
         else lambda op, args: _redeem_async(cluster, op, args)
     client_bus = cluster.grpc(cluster.client).bus
     # Reliable Communication keeps one periodic retransmit TIMEOUT armed
-    # at all times; that steady-state count is the baseline the per-call
-    # bound must return to once each call completes.
+    # at all times and Bounded Termination one once the first call is
+    # issued; that steady-state count is the baseline every later
+    # completed call must leave unchanged.
     baseline = redeem("get", {"key": "k"}).ok \
         and client_bus.pending_timeouts()
     for i in range(10):
         assert redeem("put", {"key": "k", "value": i}).ok
         assert client_bus.pending_timeouts() == baseline
-    # The cancelled timers must not linger in the heap either: the
-    # kernel's lazy purge compacts once dead entries dominate.
+    # Nor may cancelled timers linger in the heap: the kernel's lazy
+    # purge compacts once dead entries dominate.
     kernel = cluster.deployment.runtime.kernel
     live = [t for (_, _, t) in kernel._timers if not t.cancelled]
     assert len(kernel._timers) - len(live) <= max(16, len(live))
 
 
 def test_bounded_timeout_still_fires_for_stuck_calls():
-    # Disarming on retirement must not weaken the bound itself: a call
+    # Sharing one TIMEOUT must not weaken the bound itself: a call
     # whose servers never answer still times out at ``timebound``.
     spec = ServiceSpec(acceptance=1, bounded=0.5)
     cluster = ServiceCluster(spec, KVStore, n_servers=1,

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Deployment, ServiceSpec
+from repro import (Deployment, LinkSpec, ServiceCluster, ServiceSpec,
+                   WireConfig)
 from repro.apps import KVStore, ShardRouter
 from repro.obs.flight import FlightRecorder, live_recorders
 from repro.obs.loadstats import KeyLoadTracker, SpaceSaving
@@ -65,6 +66,56 @@ def test_reservoir_is_deterministic_per_name():
 
     assert run("same") == run("same")      # seeded from the name
     # Seeded benchmarks stay byte-identical across runs of one tree.
+
+
+def test_a_cleared_histogram_reads_as_new():
+    rng = random.Random(5)
+    values = [rng.random() for _ in range(100)]
+    fresh, cleared = Histogram("h", reservoir=16), Histogram("h", reservoir=16)
+    for v in values:
+        cleared.observe(v)
+    cleared.clear()
+    assert cleared.summary() == Histogram("h").summary()
+    for hist in (fresh, cleared):
+        for v in values:
+            hist.observe(v)
+    # The reservoir RNG went with the observations: same draws again.
+    assert cleared.samples == fresh.samples
+    assert cleared.summary() == fresh.summary()
+
+
+def test_reset_keeps_the_histograms_callers_hold():
+    # The wire keeps observing the flush histograms it bound at wiring,
+    # and ``Deployment.call`` its latency histogram: a reset that dropped
+    # them from the registry left every later observation unlisted.
+    cluster = ServiceCluster(ServiceSpec(), KVStore, n_servers=2,
+                             default_link=LinkSpec(delay=0.005),
+                             wire=WireConfig(batch=True))
+    dep = cluster.deployment
+
+    def puts():
+        for i in range(3):
+            assert cluster.call_and_run("put", {"key": "k", "value": i}).ok
+
+    puts()
+    flushes = dep.metrics.histogram_names("net.batch.flush.")
+    assert len(flushes) == 4
+    held = {name: dep.metrics.histogram(name) for name in flushes}
+    dep.fabric.trace.clear()
+    assert dep.metrics.histogram_names("net.batch.flush.") == flushes
+    assert all(hist.count == 0 for hist in held.values())
+    assert all(dep.metrics.snapshot()["histograms"][name]["count"] == 0
+               for name in flushes)
+    puts()
+    snapshot = dep.metrics.snapshot()["histograms"]
+    for name, hist in held.items():
+        assert dep.metrics.histogram(name) is hist
+        assert snapshot[name]["count"] == hist.count > 0
+    assert snapshot["service.servers.latency"]["count"] == 6
+    dep.metrics.reset()
+    puts()
+    assert dep.metrics.snapshot()["histograms"][
+        "service.servers.latency"]["count"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +404,12 @@ def test_profiler_counts_handlers_cut_short_by_crashes():
 #: Unique Execution's ``msg_from_net`` acts on all three kinds and keeps
 #: 1016.  Rows are in ``handler_sites()`` order: most calls first, then
 #: by label.
+#:
+#: Bounded Termination keeps one TIMEOUT armed per composite, for its
+#: oldest waiting call, instead of a timer per call that a completed
+#: call disarmed.  The four fires of that TIMEOUT (each finding only
+#: answered calls) are the one row added since; each is one more kernel
+#: step and one more ``timeout`` task (3854 -> 3858, 1223 -> 1227).
 REPORT_HANDLER_SITES = [
     ("Reliable_Communication:ReliableCommunication.handle_timeout", 1224),
     ("Unique_Execution:UniqueExecution.msg_from_net", 1016),
@@ -370,13 +427,15 @@ REPORT_HANDLER_SITES = [
     ("Reliable_Communication:ReliableCommunication.handle_new_call", 136),
     ("Synchronous_Call:SynchronousCall.msg_from_user", 136),
     ("Acceptance:Acceptance.server_failure", 24),
+    ("Bounded_Termination:BoundedTermination.handle_timeout", 4),
 ]
 REPORT_GAUGES = {
     # 5990 with the flat table, when each delivered envelope also took
     # a step of its node's receive loop; arrivals now spawn their task
-    # straight from the delivery.  The only value here that moved.
-    "obs.profile.steps": 3854,
-    "obs.profile.handler_sites": 16,
+    # straight from the delivery (3854), and Bounded Termination's four
+    # fires above add a step each.
+    "obs.profile.steps": 3858,
+    "obs.profile.handler_sites": 17,
     "obs.profile.marshal.calls": 0, "obs.profile.marshal.bytes": 0,
     "obs.profile.unmarshal.calls": 0, "obs.profile.unmarshal.bytes": 0,
 }
@@ -402,17 +461,17 @@ def test_profiler_matches_the_flat_table_on_the_report_scenario(
     assert [(s.label, s.calls)
             for s in prof.handler_sites()] == REPORT_HANDLER_SITES
     assert {name: gauges[name] for name in REPORT_GAUGES} == REPORT_GAUGES
-    # The step table lists kinds: the 1 223 expired timeouts are one
-    # row of the report's top 8, not 1 223 one-sample rows below it.
+    # The step table lists kinds: the 1 227 expired timeouts are one
+    # row of the report's top 8, not 1 227 one-sample rows below it.
     assert gauges["obs.profile.step_sites"] < 60
     report = capsys.readouterr().out
     top_tasks = report.split("top tasks by sampled wall clock:")[1]
     rows = [line.split()[:2] for line in top_tasks.splitlines()[1:9]]
-    assert ["timeout", "samples=1223"] in rows
+    assert ["timeout", "samples=1227"] in rows
     # The report prints every handler site with its count, and its
     # flight tape holds control-plane events, not heartbeats.
-    sites = report.split("handler sites by calls (16):\n")[1]
-    assert [tuple(line.split()) for line in sites.splitlines()[:16]] == [
+    sites = report.split("handler sites by calls (17):\n")[1]
+    assert [tuple(line.split()) for line in sites.splitlines()[:17]] == [
         (label, f"calls={calls}") for label, calls in REPORT_HANDLER_SITES]
     assert "fastlane" not in report
 

@@ -4,7 +4,9 @@ The meter counts bytecodes (``sys.settrace`` opcode events), Python
 calls and C calls (``sys.setprofile``) over a workload's timed region;
 the same region measured twice in one process must give the same three
 numbers, and the hooks and the collector must be as they were.
-``--json`` saves the counts and ``--against`` compares with them.
+``--json`` saves the counts and ``--against`` compares with them.  The
+kernel timers armed and purged per call ride along as deltas of the
+kernel's own counters.
 """
 
 import gc
@@ -76,7 +78,8 @@ def test_json_writes_the_counts_and_against_prints_before_after_delta(
     assert after["calls"] == 40
     assert 0 < after["c_calls"] < after["py_calls"] < after["bytecodes"]
     rows = [line.split() for line in capsys.readouterr().out.splitlines()
-            if line.startswith("minimal_rpc ") and len(line.split()) == 6]
+            if line.startswith("minimal_rpc ")
+            and line.split()[1] in opcount.COUNTS + opcount.TIMERS]
     assert [row[1] for row in rows] == list(opcount.COUNTS)
     for name, row in zip(opcount.COUNTS, rows):
         then, now, delta = map(float, row[2:5])
@@ -94,3 +97,38 @@ def test_against_skips_workloads_the_before_file_lacks():
     assert len(lines) == 1 + len(opcount.COUNTS)
     assert all(line.split()[0] == "a" for line in lines[1:])
     assert all(line.split()[4:] == ["+0.0", "+0.0%"] for line in lines[1:])
+
+
+def test_timers_are_the_kernels_deltas_over_the_region(monkeypatch):
+    opcount = _opcount()
+    kernels = []
+    build = opcount.workloads.BY_NAME["sharded_put"].build
+
+    def keep(ctx):
+        state = build(ctx)
+        kernels.append((state.dep.runtime.kernel,
+                        state.dep.runtime.kernel.timers_scheduled))
+        return state
+
+    monkeypatch.setattr(opcount.workloads.BY_NAME["sharded_put"], "build",
+                        keep)
+    per_call, _ = opcount.count("sharded_put", 40)
+    ((kernel, built),) = kernels
+    # Warm-up and timed region together armed what the kernel counted;
+    # the region's share is the per-call figure times the calls.
+    armed = per_call["timers_armed"] * per_call["calls"]
+    assert armed == int(armed) and 0 < armed < kernel.timers_scheduled - built
+    assert per_call["timers_purged"] * per_call["calls"] \
+        <= kernel.timers_purged
+
+
+def test_against_compares_timers_and_marks_a_zero_before_share():
+    opcount = _opcount()
+    then = {"bytecodes": 10.0, "py_calls": 4.0, "c_calls": 2.0,
+            "timers_armed": 4.0, "timers_purged": 0.0}
+    now = dict(then, timers_armed=3.0, timers_purged=0.5)
+    rows = [line.split() for line in opcount.against({"a": then},
+                                                     {"a": now})[1:]]
+    assert [row[1] for row in rows] == list(opcount.COUNTS + opcount.TIMERS)
+    assert rows[3][2:] == ["4.00", "3.00", "-1.00", "-25.0%"]
+    assert rows[4][2:] == ["0.00", "0.50", "+0.50", "n/a"]

@@ -12,6 +12,11 @@ the region completed:
   entry or a coroutine resumption);
 * **C calls** (``sys.setprofile`` ``c_call`` events).
 
+Beside them it reports the kernel timers the region armed and the
+cancelled ones the kernel's lazy purge dropped from its heap, per call
+(the ``timers_scheduled``/``timers_purged`` deltas): the heap work a
+bytecode count does not show.
+
 The collector is disabled inside the region, so its sweeps (and the
 finalizers they run) do not land in it.  The counts depend only on the
 code, the Python version, the seed and ``--ops``; run under
@@ -120,7 +125,11 @@ def count(name: str, n_ops: int, seed: int = SEED) -> Tuple[Dict[str, float],
                      workload.plan(ctx, state, warm_ops, "warmup"), run)
     plan = workload.plan(ctx, state, n_ops, "timed")
     meter = Meter()
+    kernel = state.dep.runtime.kernel
+    armed, purged = kernel.timers_scheduled, kernel.timers_purged
     meter.run(harness._execute, workload, ctx, state, plan, run)
+    armed = kernel.timers_scheduled - armed
+    purged = kernel.timers_purged - purged
     calls = run.completed
     state.dep.shutdown()
     if not calls:
@@ -128,6 +137,8 @@ def count(name: str, n_ops: int, seed: int = SEED) -> Tuple[Dict[str, float],
     return {"bytecodes": meter.bytecodes / calls,
             "py_calls": meter.py_calls / calls,
             "c_calls": meter.c_calls / calls,
+            "timers_armed": armed / calls,
+            "timers_purged": purged / calls,
             "calls": calls}, meter
 
 
@@ -172,23 +183,32 @@ def by_file(meter: Meter, calls: int) -> List[str]:
 
 
 COUNTS = ("bytecodes", "py_calls", "c_calls")
+#: Kernel timers per call; a file written before they were counted
+#: lacks them, and ``--against`` then compares the counts only.
+TIMERS = ("timers_armed", "timers_purged")
 
 
 def against(before: Dict[str, Dict[str, float]],
             after: Dict[str, Dict[str, float]]) -> List[str]:
-    """A before / after / difference row of each count for every
-    workload in both ``before`` and ``after``."""
-    lines = [f"{'workload':<22}{'count':<11}{'before':>10}{'after':>10}"
+    """A before / after / difference row of each count (and of each
+    timer count both hold) for every workload in both ``before`` and
+    ``after``."""
+    lines = [f"{'workload':<22}{'count':<15}{'before':>10}{'after':>10}"
              f"{'delta':>10}{'delta %':>9}"]
     for name, now in after.items():
         then = before.get(name)
         if then is None:
             continue
-        for key in COUNTS:
+        for key in COUNTS + TIMERS:
+            if key not in then or key not in now:
+                continue
             delta = now[key] - then[key]
-            lines.append(f"{name:<22}{key:<11}{then[key]:>10.1f}"
-                         f"{now[key]:>10.1f}{delta:>+10.1f}"
-                         f"{100 * delta / then[key]:>+8.1f}%")
+            share = f"{100 * delta / then[key]:>+8.1f}%" if then[key] \
+                else f"{'n/a':>9}"
+            digits = 1 if key in COUNTS else 2
+            lines.append(f"{name:<22}{key:<15}{then[key]:>10.{digits}f}"
+                         f"{now[key]:>10.{digits}f}"
+                         f"{delta:>+10.{digits}f}{share}")
     return lines
 
 
@@ -216,13 +236,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                                   *sys.argv[1:]])
     names = args.workload or [w.name for w in workloads.WORKLOADS]
     print(f"{'workload':<22}{'bytecodes':>11}{'py calls':>10}"
-          f"{'C calls':>10}   per call, {args.ops} ops, seed {args.seed}")
+          f"{'C calls':>10}{'timers':>8}{'purged':>8}"
+          f"   per call, {args.ops} ops, seed {args.seed}")
     results: Dict[str, Dict[str, float]] = {}
     for name in names:
         per_call, meter = count(name, args.ops, args.seed)
         results[name] = per_call
         print(f"{name:<22}{per_call['bytecodes']:>11.0f}"
-              f"{per_call['py_calls']:>10.1f}{per_call['c_calls']:>10.1f}")
+              f"{per_call['py_calls']:>10.1f}{per_call['c_calls']:>10.1f}"
+              f"{per_call['timers_armed']:>8.2f}"
+              f"{per_call['timers_purged']:>8.2f}")
         if args.top:
             print("\n".join(top(meter, args.top, per_call["calls"])))
         if args.by_file:
